@@ -7,6 +7,7 @@ tests, and a caching wrapper keyed on the canonical payload rendering.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -103,12 +104,13 @@ class CallRecord:
 
 class Backend:
     """Shared call-log plumbing and the per-backend in-flight cap;
-    subclasses implement _call()."""
+    subclasses implement _call(). A max_inflight of None sets no cap."""
 
-    def __init__(self, max_inflight: int = 8) -> None:
+    def __init__(self, max_inflight: int | None = 8) -> None:
         self.call_log: list[CallRecord] = []
         self._log_lock = threading.Lock()
-        self._inflight = threading.BoundedSemaphore(max(1, max_inflight))
+        self._inflight = (contextlib.nullcontext() if max_inflight is None
+                          else threading.BoundedSemaphore(max(1, max_inflight)))
 
     def call(self, request: BackendRequest) -> Any:
         rendered = render_payload(request)
@@ -355,10 +357,12 @@ class RemoteBackend(Backend):
 
 class CachingBackend(Backend):
     """On-disk response cache. A hit never reaches the inner backend, so
-    repeated runs log zero inner calls."""
+    repeated runs log zero inner calls. The wrapper sets no in-flight cap of
+    its own: the inner backend's is the only one. An unreadable entry counts
+    as a miss and is overwritten."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
-        super().__init__()
+        super().__init__(max_inflight=None)
         self.inner = inner
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
@@ -371,12 +375,19 @@ class CachingBackend(Backend):
     def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
         path = self._cache_path(request)
         if path.exists():
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            self.hits += 1
-            return doc["response"], 0
+            try:
+                response = json.loads(path.read_text(encoding="utf-8"))["response"]
+            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+                logger.warning("corrupt cache entry %s (%s), treated as a miss",
+                               path.name, exc)
+            else:
+                self.hits += 1
+                return response, 0
         response = self.inner.call(request)
-        # unique tmp name: concurrent writers of one key must not interleave
-        tmp = path.with_name(f"{path.stem}.{threading.get_ident()}.tmp")
+        # The temp name carries pid and thread id, so concurrent writers of
+        # one key, in this process or another, never interleave.
+        tmp = path.with_name(
+            f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps({"response": response}), encoding="utf-8")
         tmp.replace(path)
         self.misses += 1

@@ -9,16 +9,20 @@ summaries.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable, Sequence, TypeVar
 
 from .backends import Backend, caption_request, chat_request
 from .errors import BackendError, ValidationError
 from .ingest import Shot
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 QTYPE_CAUSAL = "Causal"
 QTYPE_TEMPORAL = "Temporal"
@@ -201,10 +205,26 @@ def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
 # Frame captioning
 # ---------------------------------------------------------------------------
 
+def fan_out(fn: Callable[[T], R], items: Sequence[T], max_inflight: int = 8,
+            pool: Executor | None = None) -> list[R]:
+    """fn over items, results in item order. Runs on `pool` when given
+    (a pool shared by several fan-outs), else on a pool of its own of up to
+    max_inflight threads; a single item runs inline. The first failing item
+    in order raises."""
+    if pool is not None:
+        return list(pool.map(fn, items))
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(
+            max_workers=max(1, min(max_inflight, len(items)))) as own:
+        return list(own.map(fn, items))
+
+
 def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
-                   frame_refs, max_inflight: int = 8) -> list[FrameCaption]:
+                   frame_refs, max_inflight: int = 8,
+                   pool: Executor | None = None) -> list[FrameCaption]:
     """Caption each frame with the synthesized prompt, fanning out
-    concurrently and reassembling in temporal order.
+    concurrently (see fan_out) and reassembling in temporal order.
 
     A frame that fails twice gets the sentinel caption instead of aborting
     the batch; if every frame fails, the whole call raises.
@@ -225,13 +245,7 @@ def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
                 return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
         return FrameCaption(frame_index, prompt.qtype, str(text))
 
-    ordered = sorted(frames)
-    if len(ordered) == 1:
-        captions = [caption_one(ordered[0])]
-    else:
-        with ThreadPoolExecutor(
-                max_workers=max(1, min(max_inflight, len(ordered)))) as pool:
-            captions = list(pool.map(caption_one, ordered))
+    captions = fan_out(caption_one, sorted(frames), max_inflight, pool)
     if all(c.text == SENTINEL_CAPTION for c in captions):
         raise BackendError(
             f"caption backend failed for all {len(captions)} frames")
@@ -252,8 +266,10 @@ def fusion_prompt(qtype: str, texts: list[str]) -> str:
 
 
 def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
-                       llm: Backend) -> list[SegmentSummary]:
-    """Fuse frame captions into one summary per (shot, type).
+                       llm: Backend, pool: Executor | None = None
+                       ) -> list[SegmentSummary]:
+    """Fuse frame captions into one summary per (shot, type), fanning the
+    fusion calls out (see fan_out); summaries come in (shot, type) order.
 
     A shot with a single caption passes it through without a model call.
     """
@@ -265,15 +281,16 @@ def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
                 f"caption frame {cap.frame_index} falls outside every shot")
         grouped.setdefault((owner.shot_id, cap.qtype), []).append(cap)
 
-    summaries = []
-    for (shot_id, qtype), caps in sorted(grouped.items()):
+    def summarize_one(item: tuple[tuple[int, str], list[FrameCaption]]
+                      ) -> SegmentSummary:
+        (shot_id, qtype), caps = item
         caps.sort(key=lambda c: c.frame_index)
         if len(caps) == 1:
-            summaries.append(SegmentSummary(shot_id, qtype, caps[0].text))
-            continue
+            return SegmentSummary(shot_id, qtype, caps[0].text)
         try:
             text = llm.call(chat_request(fusion_prompt(qtype, [c.text for c in caps])))
         except BackendError as exc:
             raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
-        summaries.append(SegmentSummary(shot_id, qtype, str(text)))
-    return summaries
+        return SegmentSummary(shot_id, qtype, str(text))
+
+    return fan_out(summarize_one, sorted(grouped.items()), pool=pool)

@@ -38,7 +38,7 @@ class EngineConfig:
     gamma: float = 0.4                # high-relevance fraction for breadth retrieval
     max_iterations: int = 15          # hard per-question reasoning budget
     seed: int = 0
-    max_inflight: int = 8             # caption fan-out concurrency
+    max_inflight: int = 8             # build fan-out pool size
     question_concurrency: int = 4     # questions per video in parallel
     parallel_videos: bool = False     # videos stay sequential by default
     uniform_shots: int = 8            # shot count in uniform-sampling mode

@@ -705,6 +705,8 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
 
     if not answered or record is None:
         raise VideoQAError("workflow ended without an answer stage")
-    assert record.rounds_used <= workflow.max_iterations, \
-        "iteration budget law violated"
+    if record.rounds_used > workflow.max_iterations:
+        raise VideoQAError(
+            f"iteration budget law violated: {record.rounds_used} rounds "
+            f"used, budget {workflow.max_iterations}")
     return record

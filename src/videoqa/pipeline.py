@@ -2,10 +2,17 @@
 dataset evaluations.
 
 Build order: ingest -> shot detection -> first-pass captions -> relevance
-scoring -> selective expansion -> question classification -> prompt
-synthesis -> frame retrieval -> question-aware captions -> segment
-summaries. Ablation modes swap out individual steps without touching the
-rest of the pipeline.
+scoring -> selective expansion -> frame retrieval -> question-aware
+captions -> segment summaries. Question classification and prompt
+synthesis need only the questions, so they run on a side task alongside
+first-pass captioning, scoring and expansion, joined before frame
+retrieval. Each question type's caption -> summary chain then runs
+concurrently with the others, and every stage fans its calls out (frame
+captions, relevance scores, classifications, fusion calls). The backend's
+in-flight limit is the one bound on concurrent model calls; results are
+reassembled in a fixed order, so the tree and store do not depend on it.
+Ablation modes swap out individual steps without touching the rest of the
+pipeline.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .captioning import (
     VisualPrompt,
     caption_frames,
     classify_question,
+    fan_out,
     generic_prompt,
     infer_subtype,
     summarize_segments,
@@ -82,7 +90,11 @@ def _parse_question(doc: dict, where: str) -> RawQuestion:
     options = tuple(str(o) for o in doc.get("options", []))
     gold = doc.get("gold_index")
     if gold is not None:
-        gold = int(gold)
+        try:
+            gold = int(gold)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{where}: gold_index must be an integer, got {gold!r}") from None
         if not 0 <= gold < len(options):
             raise ValidationError(
                 f"{where}: gold_index {gold} outside the option range")
@@ -128,6 +140,8 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
     entries = []
     seen = set()
     for i, entry in enumerate(entries_doc):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"{p}#{i}: dataset entry must be an object")
         video_id = str(entry.get("video_id", ""))
         if not video_id:
             raise ValidationError(f"{p}#{i}: missing video_id")
@@ -166,21 +180,41 @@ def uniform_leaf_shots(num_frames: int, count: int,
 
 def classify_bundles(questions: list[RawQuestion], config: EngineConfig,
                      suite: BackendSuite) -> list[QuestionBundle]:
-    bundles = []
-    for raw in questions:
+    """Classify the questions concurrently; bundles keep the input order."""
+
+    def bundle(raw: RawQuestion) -> QuestionBundle:
         if raw.declared_type is not None and not config.reclassify:
             cls = Classification(raw.declared_type,
                                  infer_subtype(raw.declared_type, raw.text))
         else:
             cls = classify_question(raw.text, list(raw.options), suite.chat)
-        bundles.append(QuestionBundle(
+        return QuestionBundle(
             question_id=raw.question_id,
             text=raw.text,
             options=raw.options,
             qtype=cls.qtype,
             qsubtype=cls.qsubtype,
-        ))
-    return bundles
+        )
+
+    return fan_out(bundle, questions, config.max_inflight)
+
+
+def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
+                    suite: BackendSuite) -> tuple[list[QuestionBundle],
+                                                  dict[str, VisualPrompt]]:
+    """Classify the questions, then write one visual prompt per type."""
+    bundles = classify_bundles(questions, config, suite)
+    prompts: dict[str, VisualPrompt] = {}
+    for qtype in sorted({b.qtype for b in bundles}):
+        if config.generic_captions:
+            base = generic_prompt(config.template_dir)
+            prompts[qtype] = VisualPrompt(qtype=qtype, text=base.text,
+                                          template_id=base.template_id)
+        else:
+            type_questions = [b.text for b in bundles if b.qtype == qtype]
+            prompts[qtype] = synthesize_prompt(qtype, type_questions, suite.chat,
+                                               config.template_dir)
+    return bundles, prompts
 
 
 @dataclass
@@ -207,44 +241,52 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         shots = detect_shots(frames.embeddings, config.sensitivity)
     tree = tree_from_shots(frames.video_id, shots, params)
 
-    # First-pass generic captions of shot representatives; these feed the
-    # relevance scorer and the degraded retrieval fallback.
-    first_prompt = generic_prompt(config.template_dir)
-    rep_frames = [s.representative_frame for s in shots]
-    first_caps = caption_frames(rep_frames, first_prompt, suite.caption,
-                                frames.frame_ref, config.max_inflight)
-    cap_by_frame = {c.frame_index: c.text for c in first_caps}
-    first_pass = {s.shot_id: cap_by_frame[s.representative_frame] for s in shots}
+    # Classification and prompt synthesis need only the questions, so they
+    # run on a side task while the tree is captioned, scored and expanded.
+    with ThreadPoolExecutor(max_workers=1) as side:
+        prepared = side.submit(prepare_prompts, questions, config, suite)
 
-    if not config.uniform_sampling:
-        question_context = "\n".join(q.text for q in questions) or "(no questions)"
-        scores = score_shots(shots, [first_pass[s.shot_id] for s in shots],
-                             question_context, suite.chat, config.max_inflight)
-        attach_scores(tree, scores)
-        expand_tree(tree, frames.embeddings, config.seed)
+        # First-pass generic captions of shot representatives; these feed the
+        # relevance scorer and the degraded retrieval fallback.
+        first_prompt = generic_prompt(config.template_dir)
+        rep_frames = [s.representative_frame for s in shots]
+        first_caps = caption_frames(rep_frames, first_prompt, suite.caption,
+                                    frames.frame_ref, config.max_inflight)
+        cap_by_frame = {c.frame_index: c.text for c in first_caps}
+        first_pass = {s.shot_id: cap_by_frame[s.representative_frame]
+                      for s in shots}
 
-    bundles = classify_bundles(questions, config, suite)
+        if not config.uniform_sampling:
+            question_context = ("\n".join(q.text for q in questions)
+                                or "(no questions)")
+            scores = score_shots(shots, [first_pass[s.shot_id] for s in shots],
+                                 question_context, suite.chat,
+                                 config.max_inflight)
+            attach_scores(tree, scores)
+            expand_tree(tree, frames.embeddings, config.seed)
+
+        bundles, prompts = prepared.result()
 
     store = KnowledgeStore(
         tree=tree, fps=frames.fps, first_pass=dict(first_pass),
         frame_refs={i: frames.frame_ref(i) for i in range(frames.num_frames)})
 
     retrieved = vtsearch(tree)
-    prompts: dict[str, VisualPrompt] = {}
-    for qtype in sorted({b.qtype for b in bundles}):
-        type_questions = [b.text for b in bundles if b.qtype == qtype]
-        if config.generic_captions:
-            base = generic_prompt(config.template_dir)
-            prompt = VisualPrompt(qtype=qtype, text=base.text,
-                                  template_id=base.template_id)
-        else:
-            prompt = synthesize_prompt(qtype, type_questions, suite.chat,
-                                       config.template_dir)
-        prompts[qtype] = prompt
-        caps = caption_frames(retrieved, prompt, suite.caption,
-                              frames.frame_ref, config.max_inflight)
-        store.add_captions(caps)
-        store.add_summaries(summarize_segments(caps, shots, suite.chat))
+    # One caption -> summary chain per type, all chains at once. Their model
+    # calls share one pool, so the build holds max_inflight call threads
+    # plus one thread per type; no chain waits on an idle pool of its own.
+    qtypes = sorted(prompts)
+
+    def caption_type(qtype: str) -> tuple[list, list]:
+        caps = caption_frames(retrieved, prompts[qtype], suite.caption,
+                              frames.frame_ref, pool=calls)
+        return caps, summarize_segments(caps, shots, suite.chat, pool=calls)
+
+    with ThreadPoolExecutor(max_workers=max(1, config.max_inflight)) as calls, \
+            ThreadPoolExecutor(max_workers=max(1, len(qtypes))) as chains:
+        for caps, summaries in chains.map(caption_type, qtypes):
+            store.add_captions(caps)
+            store.add_summaries(summaries)
 
     return BuildResult(frames=frames, tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved, prompts=prompts)

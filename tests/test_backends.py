@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -13,6 +16,7 @@ from videoqa.backends import (
     caption_request,
     chat_request,
     embed_request,
+    payload_hash,
     render_payload,
 )
 from videoqa.errors import (
@@ -298,3 +302,51 @@ def test_cache_distinguishes_payloads(tmp_path) -> None:
     cached.call(chat_request("one"))
     cached.call(chat_request("two"))
     assert len(script.call_log) == 2
+
+
+def test_cache_keeps_inner_inflight_limit(tmp_path) -> None:
+    """The cache adds no cap of its own: 16 distinct requests through a
+    32-in-flight inner backend all wait inside it at once."""
+    barrier = threading.Barrier(16, timeout=5)
+
+    def transport(url, headers, body, timeout):
+        barrier.wait()
+        return 200, _chat_body("answer")
+
+    inner = RemoteBackend({"chat": "http://unit.test/chat"}, max_inflight=32,
+                          transport=transport, sleep=lambda s: None)
+    cached = CachingBackend(inner, tmp_path / "cache")
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        replies = list(pool.map(lambda i: cached.call(chat_request(f"q{i}")),
+                                range(16)))
+    assert replies == ["answer"] * 16, "peak in flight above 8"
+
+
+@pytest.mark.parametrize("entry", ["{not json", json.dumps({"reply": "x"}),
+                                   json.dumps(["response"])])
+def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
+    script = MockScript(default_response="fresh")
+    cached = CachingBackend(MockBackend(script), tmp_path / "cache")
+    request = chat_request("q")
+    (tmp_path / "cache" / f"{payload_hash(request)}.json").write_text(entry)
+    with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
+        assert cached.call(request) == "fresh"
+    assert "corrupt cache entry" in caplog.text
+    assert len(script.call_log) == 1
+    assert cached.hits == 0 and cached.misses == 1
+    assert cached.call(request) == "fresh", "the entry was rewritten"
+    assert len(script.call_log) == 1
+
+
+def test_cache_temp_name_unique_per_process(tmp_path) -> None:
+    """A writer in another process may hold a temp file named after the same
+    key and thread id; this process's write must leave it alone."""
+    cached = CachingBackend(MockBackend(MockScript(default_response="mine")),
+                            tmp_path / "cache")
+    request = chat_request("q")
+    other = (tmp_path / "cache"
+             / f"{payload_hash(request)}.{threading.get_ident()}.tmp")
+    other.write_text("half-written by another process")
+    assert cached.call(request) == "mine"
+    assert other.read_text() == "half-written by another process"
+    assert list((tmp_path / "cache").glob("*.tmp")) == [other]

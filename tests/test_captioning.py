@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from videoqa.backends import MockBackend, MockScript
@@ -248,3 +250,31 @@ def test_summary_backend_failure_names_shot() -> None:
     captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b")]
     with pytest.raises(BackendError, match="shot 0"):
         summarize_segments(captions, _shot_list(), MockBackend(script))
+
+
+def test_summary_fusion_calls_overlap() -> None:
+    """Both fusion calls must be in flight at once to pass the barrier."""
+    barrier = threading.Barrier(2, timeout=5)
+
+    def fuse(rendered: str) -> str:
+        barrier.wait()
+        return "fused"
+
+    captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b"),
+                FrameCaption(4, "Causal", "c"), FrameCaption(5, "Causal", "d")]
+    summaries = summarize_segments(captions, _shot_list(),
+                                   _backend(default=fuse))
+    assert summaries == [SegmentSummary(0, "Causal", "fused"),
+                         SegmentSummary(1, "Causal", "fused")]
+
+
+def test_summary_concurrent_failure_names_first_failing_shot() -> None:
+    script = MockScript(default_response="fused")
+    script.add("- c", error="transport")
+    script.add("- e", error="transport")
+    captions = [FrameCaption(f, "Causal", t) for f, t in
+                [(0, "a"), (1, "b"), (4, "c"), (5, "d")]]
+    captions += [FrameCaption(9, "Causal", "e"), FrameCaption(10, "Causal", "f")]
+    shots = _shot_list() + [Shot(2, 8, 11, 9)]
+    with pytest.raises(BackendError, match="shot 1"):
+        summarize_segments(captions, shots, MockBackend(script))

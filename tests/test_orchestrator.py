@@ -8,9 +8,10 @@ import pytest
 
 from videoqa.backends import BackendSuite, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
-from videoqa.errors import IntegrationError, ValidationError
+from videoqa.errors import IntegrationError, ValidationError, VideoQAError
 from videoqa.ingest import Shot
 from videoqa.knowledge import AgentProfile, KnowledgeStore, builtin_profiles
+import videoqa.orchestrator as orchestrator
 from videoqa.orchestrator import (
     AGENT_REGISTRY,
     ANSWER_AGENT,
@@ -637,6 +638,23 @@ def test_execute_workflow_budget_shared_across_stages() -> None:
     assert record.truncated is True
     assert any("skipped" in s.observation for s in record.trace
                if s.agent == VISUAL_AGENT)
+
+
+def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch) -> None:
+    """The law holds without assert statements, so it survives python -O."""
+    real_run_react = orchestrator.run_react
+
+    def overspending(*args, **kwargs):
+        item, consumed = real_run_react(*args, **kwargs)
+        return item, consumed + 15
+
+    monkeypatch.setattr(orchestrator, "run_react", overspending)
+    suite = _exec_suite(_final((0.9, 0.1)), _final((0.8, 0.2)))
+    workflow = template_workflow("q1", "Descriptive",
+                                 (TEXT_AGENT, ANSWER_AGENT))
+    with pytest.raises(VideoQAError, match="budget law violated"):
+        execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
+                         _store(), _profile("Descriptive"), suite)
 
 
 def test_execute_workflow_deterministic_bytes() -> None:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from videoqa.backends import BackendSuite, MockScript
+from videoqa.backends import BackendSuite, MockRule, MockScript
+from videoqa.cli import main
 from videoqa.config import EngineConfig
-from videoqa.errors import InputError, ValidationError
+from videoqa.errors import BackendError, InputError, ValidationError
 from videoqa.pipeline import (
     RawQuestion,
     build_video,
@@ -16,8 +18,10 @@ from videoqa.pipeline import (
     load_question_file,
     uniform_leaf_shots,
 )
+from videoqa.tree import tree_to_json
 
-from conftest import GOLDEN_QUESTIONS, build_golden_world, write_video
+from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, build_golden_world,
+                      write_video)
 
 
 def _twelve_frame_script() -> MockScript:
@@ -123,6 +127,88 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
     ]}))
     with pytest.raises(ValidationError, match="duplicate"):
         load_dataset_manifest(mfile)
+
+
+def test_dataset_manifest_rejects_malformed_entries(tmp_path) -> None:
+    mfile = tmp_path / "dataset.json"
+    mfile.write_text(json.dumps({"entries": [42]}))
+    with pytest.raises(ValidationError, match="must be an object"):
+        load_dataset_manifest(mfile)
+
+    mfile.write_text(json.dumps({"entries": [
+        {"video_id": "v1", "frame_manifest_path": "a.json", "questions": [
+            {"question_id": "q1", "text": "Why?", "options": ["a", "b"],
+             "gold_index": "x"}]}]}))
+    with pytest.raises(ValidationError, match="gold_index must be an integer"):
+        load_dataset_manifest(mfile)
+
+
+def test_cli_eval_malformed_dataset_entry_exits_2(tmp_path, capsys) -> None:
+    mfile = tmp_path / "dataset.json"
+    mfile.write_text(json.dumps({"entries": [42]}))
+    script = tmp_path / "mock.json"
+    script.write_text(json.dumps({"default_response": "x"}))
+    assert main(["eval", str(mfile), "--mock-script", str(script)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Build concurrency
+# ---------------------------------------------------------------------------
+
+def _golden_questions(video_id: str, *qids: str) -> list[RawQuestion]:
+    return [RawQuestion(q.question_id, q.text, q.options)
+            for q in GOLDEN_QUESTIONS
+            if q.video_id == video_id and (not qids or q.question_id in qids)]
+
+
+def test_classification_overlaps_first_pass_captioning(tmp_path) -> None:
+    """A first-pass caption and the classification meet at one barrier, so
+    the build passes only when the two run at the same time."""
+    barrier = threading.Barrier(2, timeout=5)
+    first_caption = threading.Lock()
+
+    def respond(rendered: str) -> str:
+        if "Classify this multiple-choice" in rendered:
+            barrier.wait()
+            return "Causal"
+        if (rendered.startswith("caption:") and GENERIC_PHRASE in rendered
+                and first_caption.acquire(blocking=False)):
+            barrier.wait()
+        if "Rate how relevant" in rendered:
+            return "3"
+        return "text"
+
+    manifest = write_video(tmp_path, "vid12", [6, 6], seed=2)
+    suite = BackendSuite.from_mock(MockScript(default_response=respond))
+    result = build_video(manifest, [_question()], EngineConfig(seed=5), suite)
+    assert result.bundles[0].qtype == "Causal"
+
+
+def test_build_output_independent_of_inflight_limit(tmp_path) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    questions = _golden_questions("golden_a")
+    outputs = []
+    for max_inflight in (1, 8):
+        result = build_video(world.video_manifests["golden_a"], questions,
+                             EngineConfig(seed=3, max_inflight=max_inflight),
+                             world.suite())
+        assert len(result.prompts) == 3
+        outputs.append((tree_to_json(result.tree),
+                        json.dumps(result.store.to_sidecar(), sort_keys=True),
+                        [b.qtype for b in result.bundles]))
+    assert outputs[0] == outputs[1]
+
+
+def test_build_one_type_caption_outage_raises(tmp_path) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    script.rules.insert(0, MockRule(r"^caption:.*temporal-view", regex=True,
+                                    error="transport"))
+    questions = _golden_questions("golden_a", "a_q1", "a_q3")
+    with pytest.raises(BackendError, match="failed for all"):
+        build_video(world.video_manifests["golden_a"], questions,
+                    EngineConfig(seed=3), BackendSuite.from_mock(script))
 
 
 # ---------------------------------------------------------------------------
