@@ -1,8 +1,9 @@
 """Model backends: chat, caption, and embedding calls behind one interface.
 
-Three implementations: a remote JSON-over-HTTP adapter (chat-completion and
-embedding wire shapes), a deterministic scripted mock for offline runs and
-tests, and a caching wrapper keyed on the canonical payload rendering.
+One backend object serves every stage. Three implementations: a remote
+JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
+deterministic scripted mock for offline runs and tests, and a caching
+wrapper keyed on the backend's identity and the canonical payload rendering.
 """
 
 from __future__ import annotations
@@ -88,10 +89,6 @@ def render_payload(request: BackendRequest) -> str:
     return f"{request.capability}:{body}"
 
 
-def payload_hash(request: BackendRequest) -> str:
-    return hashlib.sha256(render_payload(request).encode("utf-8")).hexdigest()
-
-
 @dataclass
 class CallRecord:
     capability: str
@@ -103,14 +100,38 @@ class CallRecord:
 
 
 class Backend:
-    """Shared call-log plumbing and the per-backend in-flight cap;
-    subclasses implement _call(). A max_inflight of None sets no cap."""
+    """The one model service every stage calls: shared call-log plumbing and
+    the in-flight cap; subclasses implement _call().
 
-    def __init__(self, max_inflight: int | None = 8) -> None:
+    `max_inflight` is the only limit on concurrent model calls, and it sizes
+    every pool that fans calls out to this backend. `capabilities` names the
+    request kinds it serves; `identity` names the service that answers, so a
+    cache never serves one service's response to another.
+    """
+
+    capabilities: tuple[str, ...] = CAPABILITIES
+    identity: str = ""
+
+    def __init__(self, max_inflight: int = 8) -> None:
         self.call_log: list[CallRecord] = []
         self._log_lock = threading.Lock()
-        self._inflight = (contextlib.nullcontext() if max_inflight is None
-                          else threading.BoundedSemaphore(max(1, max_inflight)))
+        self.max_inflight = max(1, max_inflight)
+        self._inflight = threading.BoundedSemaphore(self.max_inflight)
+
+    @classmethod
+    def from_mock(cls, script: "MockScript", max_inflight: int = 8) -> "Backend":
+        return MockBackend(script, max_inflight=max_inflight)
+
+    @classmethod
+    def from_config(cls, cfg) -> "Backend":
+        endpoints = {capability: url for capability, url in (
+            ("chat", cfg.chat_endpoint), ("caption", cfg.caption_endpoint),
+            ("embed", cfg.embed_endpoint)) if url}
+        if not endpoints:
+            raise ConfigError("no backend endpoints configured and no mock script given")
+        return RemoteBackend(endpoints, api_key_env=cfg.api_key_env,
+                             timeout_s=cfg.timeout_s,
+                             max_inflight=cfg.max_inflight)
 
     def call(self, request: BackendRequest) -> Any:
         rendered = render_payload(request)
@@ -218,9 +239,12 @@ class MockScript:
 class MockBackend(Backend):
     """Deterministic backend driven by a MockScript."""
 
+    identity = "mock"
+
     def __init__(self, script: MockScript,
-                 capabilities: tuple[str, ...] = CAPABILITIES):
-        super().__init__()
+                 capabilities: tuple[str, ...] = CAPABILITIES,
+                 max_inflight: int = 8):
+        super().__init__(max_inflight)
         self.script = script
         self.capabilities = tuple(capabilities)
         # Alias the script's log so every call lands there as well.
@@ -277,8 +301,10 @@ class RemoteBackend(Backend):
                  timeout_s: float = 60.0, max_inflight: int = 8,
                  transport: Callable[..., tuple[int, dict]] | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        super().__init__(max_inflight=max_inflight)
+        super().__init__(max_inflight)
         self.endpoints = dict(endpoints)
+        self.capabilities = tuple(c for c in CAPABILITIES if c in self.endpoints)
+        self.identity = json.dumps(self.endpoints, sort_keys=True)
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout_s = timeout_s
         self._transport = transport or self._http_post
@@ -357,23 +383,29 @@ class RemoteBackend(Backend):
 
 class CachingBackend(Backend):
     """On-disk response cache. A hit never reaches the inner backend, so
-    repeated runs log zero inner calls. The wrapper sets no in-flight cap of
-    its own: the inner backend's is the only one. An unreadable entry counts
-    as a miss and is overwritten."""
+    repeated runs log zero inner calls. Entries are keyed on the inner
+    backend's identity and the rendered payload. The wrapper reports the
+    inner backend's capabilities and in-flight limit but sets no cap of its
+    own: the inner backend's is the only one. An unreadable entry counts as
+    a miss and is overwritten."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
-        super().__init__(max_inflight=None)
+        super().__init__(inner.max_inflight)
+        self._inflight = contextlib.nullcontext()
         self.inner = inner
+        self.capabilities = inner.capabilities
+        self.identity = inner.identity
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
 
-    def _cache_path(self, request: BackendRequest) -> Path:
-        return self.cache_dir / f"{payload_hash(request)}.json"
+    def cache_key(self, request: BackendRequest) -> str:
+        keyed = f"{self.identity}\n{render_payload(request)}"
+        return hashlib.sha256(keyed.encode("utf-8")).hexdigest()
 
     def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
-        path = self._cache_path(request)
+        path = self.cache_dir / f"{self.cache_key(request)}.json"
         if path.exists():
             try:
                 response = json.loads(path.read_text(encoding="utf-8"))["response"]
@@ -394,50 +426,5 @@ class CachingBackend(Backend):
         return response, 0
 
 
-# ---------------------------------------------------------------------------
-# Suite assembly
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BackendSuite:
-    """The three capability slots used across the pipeline. Slots may share
-    one backend object (the CLI's single mock serves all three)."""
-
-    chat: Backend
-    caption: Backend
-    embed: Backend | None = None
-
-    @classmethod
-    def from_mock(cls, script: MockScript) -> "BackendSuite":
-        mock = MockBackend(script)
-        return cls(chat=mock, caption=mock, embed=mock)
-
-    @classmethod
-    def from_config(cls, cfg) -> "BackendSuite":
-        endpoints = {}
-        if cfg.chat_endpoint:
-            endpoints["chat"] = cfg.chat_endpoint
-        if cfg.caption_endpoint:
-            endpoints["caption"] = cfg.caption_endpoint
-        if cfg.embed_endpoint:
-            endpoints["embed"] = cfg.embed_endpoint
-        if not endpoints:
-            raise ConfigError("no backend endpoints configured and no mock script given")
-        remote = RemoteBackend(endpoints, api_key_env=cfg.api_key_env,
-                               timeout_s=cfg.timeout_s,
-                               max_inflight=cfg.max_inflight)
-        return cls(chat=remote, caption=remote,
-                   embed=remote if "embed" in endpoints else None)
-
-    def cached(self, cache_dir: str | Path) -> "BackendSuite":
-        wrapped: dict[int, CachingBackend] = {}
-
-        def wrap(backend: Backend | None) -> Backend | None:
-            if backend is None:
-                return None
-            if id(backend) not in wrapped:
-                wrapped[id(backend)] = CachingBackend(backend, cache_dir)
-            return wrapped[id(backend)]
-
-        return BackendSuite(chat=wrap(self.chat), caption=wrap(self.caption),
-                            embed=wrap(self.embed))
+# perfbench/ builds its backend through this name; nothing else may use it.
+BackendSuite = Backend

@@ -29,10 +29,6 @@ QTYPE_TEMPORAL = "Temporal"
 QTYPE_DESCRIPTIVE = "Descriptive"
 QTYPES = (QTYPE_CAUSAL, QTYPE_TEMPORAL, QTYPE_DESCRIPTIVE)
 
-# Subtype inventory is extensible; labels derive from question wording.
-SUBTYPES = ("CausalWhy", "CausalHow", "TemporalBefore", "TemporalAfter",
-            "DescriptiveWhat", "DescriptiveWhere")
-
 SENTINEL_CAPTION = "[caption unavailable]"
 GENERIC_TEMPLATE_ID = "generic"
 
@@ -43,7 +39,6 @@ class QuestionBundle:
     text: str
     options: tuple[str, ...]
     qtype: str
-    qsubtype: str | None = None
 
     def __post_init__(self) -> None:
         if not self.text.strip():
@@ -77,13 +72,6 @@ class SegmentSummary:
     text: str
 
 
-@dataclass(frozen=True)
-class Classification:
-    qtype: str
-    qsubtype: str | None
-    defaulted: bool = False
-
-
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
@@ -95,26 +83,6 @@ def find_qtype_label(reply: str) -> str | None:
     if not found:
         return None
     return min(found)[1]
-
-
-def infer_subtype(qtype: str, question: str) -> str | None:
-    t = question.lower()
-    if qtype == QTYPE_CAUSAL:
-        if "why" in t:
-            return "CausalWhy"
-        if "how" in t:
-            return "CausalHow"
-    elif qtype == QTYPE_TEMPORAL:
-        if "before" in t:
-            return "TemporalBefore"
-        if "after" in t:
-            return "TemporalAfter"
-    elif qtype == QTYPE_DESCRIPTIVE:
-        if "where" in t:
-            return "DescriptiveWhere"
-        if "what" in t:
-            return "DescriptiveWhat"
-    return None
 
 
 def classification_prompt(question: str, options: tuple[str, ...] | list[str]) -> str:
@@ -129,9 +97,9 @@ def classification_prompt(question: str, options: tuple[str, ...] | list[str]) -
 
 
 def classify_question(question: str, options: tuple[str, ...] | list[str],
-                      llm: Backend) -> Classification:
+                      llm: Backend) -> str:
     """Assign one taxonomy type. Unparseable output is retried once, then
-    defaults to Descriptive with the defaulted flag set."""
+    defaults to Descriptive with a warning."""
     if not question.strip():
         raise ValidationError("cannot classify an empty question")
     prompt = classification_prompt(question, options)
@@ -143,10 +111,8 @@ def classify_question(question: str, options: tuple[str, ...] | list[str],
     if qtype is None:
         logger.warning("unparseable classification %r, defaulting to Descriptive",
                        str(reply)[:80])
-        return Classification(QTYPE_DESCRIPTIVE,
-                              infer_subtype(QTYPE_DESCRIPTIVE, question),
-                              defaulted=True)
-    return Classification(qtype, infer_subtype(qtype, question))
+        return QTYPE_DESCRIPTIVE
+    return qtype
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +171,26 @@ def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
 # Frame captioning
 # ---------------------------------------------------------------------------
 
-def fan_out(fn: Callable[[T], R], items: Sequence[T], max_inflight: int = 8,
-            pool: Executor | None = None) -> list[R]:
-    """fn over items, results in item order. Runs on `pool` when given
-    (a pool shared by several fan-outs), else on a pool of its own of up to
-    max_inflight threads; a single item runs inline. The first failing item
-    in order raises."""
-    if pool is not None:
+def fan_out(fn: Callable[[T], R], items: Sequence[T],
+            pool: Executor | int) -> list[R]:
+    """fn over items, results in item order. `pool` is either an executor
+    shared by several fan-outs, whose tasks must not submit to it, or the
+    thread count of a pool of its own (usually the called backend's
+    max_inflight); on a pool of its own a single item runs inline. The first
+    failing item in order raises."""
+    if not isinstance(pool, int):
         return list(pool.map(fn, items))
     if len(items) <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(
-            max_workers=max(1, min(max_inflight, len(items)))) as own:
+    with ThreadPoolExecutor(max_workers=max(1, min(pool, len(items)))) as own:
         return list(own.map(fn, items))
 
 
 def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
-                   frame_refs, max_inflight: int = 8,
-                   pool: Executor | None = None) -> list[FrameCaption]:
-    """Caption each frame with the synthesized prompt, fanning out
-    concurrently (see fan_out) and reassembling in temporal order.
+                   frame_refs, pool: Executor | None = None) -> list[FrameCaption]:
+    """Caption each frame with the synthesized prompt, fanning out on `pool`
+    or on a pool sized by the backend's in-flight limit (see fan_out), and
+    reassembling in temporal order.
 
     A frame that fails twice gets the sentinel caption instead of aborting
     the batch; if every frame fails, the whole call raises.
@@ -245,7 +211,7 @@ def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
                 return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
         return FrameCaption(frame_index, prompt.qtype, str(text))
 
-    captions = fan_out(caption_one, sorted(frames), max_inflight, pool)
+    captions = fan_out(caption_one, sorted(frames), pool or vlm.max_inflight)
     if all(c.text == SENTINEL_CAPTION for c in captions):
         raise BackendError(
             f"caption backend failed for all {len(captions)} frames")
@@ -293,4 +259,5 @@ def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
             raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
         return SegmentSummary(shot_id, qtype, str(text))
 
-    return fan_out(summarize_one, sorted(grouped.items()), pool=pool)
+    return fan_out(summarize_one, sorted(grouped.items()),
+                   pool or llm.max_inflight)

@@ -11,8 +11,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .backends import BackendSuite, MockScript
-from .captioning import QTYPES, QuestionBundle, classify_question, infer_subtype
+from .backends import Backend, CachingBackend, MockScript
+from .captioning import QTYPES, QuestionBundle, classify_question
 from .config import EngineConfig
 from .errors import InputError, VideoQAError
 from .knowledge import KnowledgeStore, load_profiles
@@ -63,15 +63,16 @@ def _load_config(args: argparse.Namespace) -> EngineConfig:
     return config
 
 
-def _make_suite(args: argparse.Namespace, config: EngineConfig) -> BackendSuite:
+def _make_backend(args: argparse.Namespace, config: EngineConfig) -> Backend:
     if args.mock_script:
-        suite = BackendSuite.from_mock(MockScript.from_file(args.mock_script))
+        backend = Backend.from_mock(MockScript.from_file(args.mock_script),
+                                    config.backend.max_inflight)
     else:
-        suite = BackendSuite.from_config(config.backend)
+        backend = Backend.from_config(config.backend)
     if config.cache_enabled:
-        cache_dir = config.backend.cache_dir or ".videoqa_cache"
-        suite = suite.cached(cache_dir)
-    return suite
+        backend = CachingBackend(backend,
+                                 config.backend.cache_dir or ".videoqa_cache")
+    return backend
 
 
 def _derive_sidecar_path(out_tree: str) -> Path:
@@ -81,9 +82,9 @@ def _derive_sidecar_path(out_tree: str) -> Path:
 
 def cmd_build(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    suite = _make_suite(args, config)
+    backend = _make_backend(args, config)
     questions = load_question_file(args.questions)
-    result = build_video(args.frame_manifest, questions, config, suite)
+    result = build_video(args.frame_manifest, questions, config, backend)
 
     out_tree = Path(args.out_tree)
     out_tree.write_text(tree_to_json(result.tree) + "\n", encoding="utf-8")
@@ -103,7 +104,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_ask(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    suite = _make_suite(args, config)
+    backend = _make_backend(args, config)
     tree = load_tree(args.tree)
 
     sidecar_path = Path(args.sidecar)
@@ -116,24 +117,20 @@ def cmd_ask(args: argparse.Namespace) -> int:
     store = KnowledgeStore.from_sidecar(tree, sidecar, fps=config.fps)
 
     options = tuple(args.option or [])
-    if args.qtype:
-        qtype, qsubtype = args.qtype, infer_subtype(args.qtype, args.question)
-    else:
-        cls = classify_question(args.question, list(options), suite.chat)
-        qtype, qsubtype = cls.qtype, cls.qsubtype
+    qtype = args.qtype or classify_question(args.question, list(options), backend)
     bundle = QuestionBundle(question_id=args.question_id, text=args.question,
-                            options=options, qtype=qtype, qsubtype=qsubtype)
+                            options=options, qtype=qtype)
 
     profiles = load_profiles(config.profile_dir)
-    record = answer_question(bundle, store, profiles, config, suite)
+    record = answer_question(bundle, store, profiles, config, backend)
     print(record.to_json())
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    suite = _make_suite(args, config)
-    records, report = evaluate(args.manifest, config, suite)
+    backend = _make_backend(args, config)
+    records, report = evaluate(args.manifest, config, backend)
 
     out_records = Path(args.out_records)
     out_records.write_text(

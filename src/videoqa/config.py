@@ -24,7 +24,7 @@ class BackendConfig:
     embed_endpoint: str | None = None
     api_key_env: str = "VIDEOQA_API_KEY"
     timeout_s: float = 60.0
-    max_inflight: int = 8
+    max_inflight: int = 8             # the one limit on concurrent model calls
     cache_dir: str | None = None
 
 
@@ -38,8 +38,6 @@ class EngineConfig:
     gamma: float = 0.4                # high-relevance fraction for breadth retrieval
     max_iterations: int = 15          # hard per-question reasoning budget
     seed: int = 0
-    max_inflight: int = 8             # build fan-out pool size
-    question_concurrency: int = 4     # questions per video in parallel
     parallel_videos: bool = False     # videos stay sequential by default
     uniform_shots: int = 8            # shot count in uniform-sampling mode
     template_dir: str | None = None

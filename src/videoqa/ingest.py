@@ -118,12 +118,12 @@ def read_embeddings(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_frames(manifest_path: str | Path,
-                embed_backend: Backend | None = None) -> VideoFrames:
+                backend: Backend | None = None) -> VideoFrames:
     """Load a frame manifest and return validated frames + embeddings.
 
     The manifest either points at a precomputed embedding matrix
-    (embeddings_path) or lists per-frame image paths, in which case an
-    embedding backend is required.
+    (embeddings_path) or lists per-frame image paths, in which case a
+    backend serving "embed" is required.
     """
     p = Path(manifest_path)
     if not p.exists():
@@ -166,10 +166,10 @@ def load_frames(manifest_path: str | Path,
             raise ValidationError(
                 f"embeddings have {matrix.shape[0]} rows for {len(frames)} frames")
     else:
-        if embed_backend is None:
+        if backend is None or "embed" not in backend.capabilities:
             raise InputError(
                 f"manifest {p} has no embeddings_path; an embedding backend is required")
-        matrix = _embed_images(frames, video_id, embed_backend)
+        matrix = _embed_images(frames, video_id, backend)
 
     _validate_matrix(matrix)
     return VideoFrames(video_id=video_id, fps=float(fps), frames=frames,

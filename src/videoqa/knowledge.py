@@ -347,14 +347,15 @@ class KnowledgeStore:
         if not isinstance(doc, dict):
             raise ValidationError("sidecar must be a JSON object")
         store = cls(tree=tree, fps=fps)
-        for item in doc.get("captions", []):
-            cap = FrameCaption(int(item["frame"]), item["qtype"], item["text"])
+        for cap in _sidecar_items(doc, "captions", lambda item: FrameCaption(
+                int(item["frame"]), item["qtype"], item["text"])):
             store.captions[(cap.frame_index, cap.qtype)] = cap
-        for item in doc.get("summaries", []):
-            summary = SegmentSummary(int(item["shot"]), item["qtype"], item["text"])
+        for summary in _sidecar_items(doc, "summaries", lambda item: SegmentSummary(
+                int(item["shot"]), item["qtype"], item["text"])):
             store.summaries[(summary.shot_id, summary.qtype)] = summary
-        for item in doc.get("first_pass", []):
-            store.first_pass[int(item["shot"])] = item["text"]
+        for shot, text in _sidecar_items(doc, "first_pass", lambda item: (
+                int(item["shot"]), item["text"])):
+            store.first_pass[shot] = text
         valid_frames = set(range(tree.num_frames()))
         for frame, _ in store.captions:
             if frame not in valid_frames:
@@ -364,3 +365,19 @@ class KnowledgeStore:
             if shot not in valid_shots:
                 raise ValidationError(f"sidecar summary shot {shot} not in tree")
         return store
+
+
+def _sidecar_items(doc: dict, section: str, parse) -> list:
+    """Parse one sidecar section; a malformed item (not an object, a missing
+    key, a non-integer index) raises ValidationError naming it."""
+    items = doc.get(section, [])
+    if not isinstance(items, list):
+        raise ValidationError(f"sidecar {section} must be a list")
+    parsed = []
+    for i, item in enumerate(items):
+        try:
+            parsed.append(parse(item))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"sidecar {section}[{i}] is malformed: {exc!r}") from None
+    return parsed

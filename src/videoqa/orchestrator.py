@@ -15,7 +15,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .backends import BackendSuite, caption_request, chat_request
+from .backends import Backend, caption_request, chat_request
 from .captioning import (
     QTYPE_CAUSAL,
     QTYPE_DESCRIPTIVE,
@@ -460,15 +460,14 @@ def _parse_final(payload: str, agent: str,
 
 
 def _run_tool(tool: str, args: dict, store: KnowledgeStore,
-              profile: AgentProfile, suite: BackendSuite, qtype: str) -> str:
+              profile: AgentProfile, backend: Backend, qtype: str) -> str:
     if tool not in profile.tools:
         raise ValidationError(
             f"tool {tool!r} is not in this profile's tool list {profile.tools}")
     if tool == TOOL_INSPECT_FRAME:
         frame = int(args["frame_index"])
         prompt = str(args.get("prompt", "Describe this frame."))
-        return str(suite.caption.call(
-            caption_request(store.frame_ref(frame), prompt)))
+        return str(backend.call(caption_request(store.frame_ref(frame), prompt)))
     if tool in RETRIEVAL_SCOPES:
         return store.retrieve(tool, qtype, args or None).as_text()
     raise ValidationError(f"unknown tool {tool!r}")
@@ -480,7 +479,7 @@ def truncated_evidence(agent: str, num_options: int, reason: str) -> EvidenceIte
 
 
 def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
-              profile: AgentProfile, suite: BackendSuite, budget: int,
+              profile: AgentProfile, backend: Backend, budget: int,
               trace: list[TraceStep]) -> tuple[EvidenceItem, int]:
     """Bounded thought/action/observation loop for one evidence stage.
 
@@ -493,7 +492,7 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
     lines = [react_preamble(stage, question, profile)]
     for step in range(1, budget + 1):
         prompt = "\n".join(lines) + f"\nStep {step}:"
-        reply = str(suite.chat.call(chat_request(prompt)))
+        reply = str(backend.call(chat_request(prompt)))
         thought_m = _THOUGHT_RE.search(reply)
         thought = thought_m.group(1).strip() if thought_m else reply.split("\n")[0]
 
@@ -513,8 +512,8 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
                 tool = action_m.group(1)
                 try:
                     args = json.loads(action_m.group(2)) if action_m.group(2) else {}
-                    observation = _run_tool(tool, args, store, profile, suite,
-                                            question.qtype)
+                    observation = _run_tool(tool, args, store, profile,
+                                            backend, question.qtype)
                 except (VideoQAError, KeyError, TypeError, ValueError) as exc:
                     observation = f"ERROR: {exc}"
                 trace.append(TraceStep(stage.agent, thought,
@@ -661,7 +660,7 @@ def generate_answer(scores: OptionScore, evidence: list[EvidenceItem],
 
 def execute_workflow(workflow: Workflow, question: QuestionBundle,
                      store: KnowledgeStore, profile: AgentProfile,
-                     suite: BackendSuite) -> AnswerRecord:
+                     backend: Backend) -> AnswerRecord:
     """Run the stages in order under the shared iteration budget."""
     trace: list[TraceStep] = []
     if workflow.repaired:
@@ -683,8 +682,8 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
                 trace.append(TraceStep(stage.agent, "budget exhausted", "skip",
                                        "stage skipped, zero-support evidence"))
                 continue
-            item, consumed = run_react(stage, question, store, profile, suite,
-                                       budget, trace)
+            item, consumed = run_react(stage, question, store, profile,
+                                       backend, budget, trace)
             budget -= consumed
             rounds_used += consumed
             evidence.append(item)
@@ -698,7 +697,7 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
                 scores = integrate_evidence(evidence, profile, workflow.qtype)
             truncated = any(item.truncated for item in evidence)
             record = generate_answer(
-                scores, evidence, question.options, suite.chat,
+                scores, evidence, question.options, backend,
                 question_id=question.question_id, trace=trace,
                 rounds_used=rounds_used, truncated=truncated)
             answered = True

@@ -8,34 +8,33 @@ synthesis need only the questions, so they run on a side task alongside
 first-pass captioning, scoring and expansion, joined before frame
 retrieval. Each question type's caption -> summary chain then runs
 concurrently with the others, and every stage fans its calls out (frame
-captions, relevance scores, classifications, fusion calls). The backend's
-in-flight limit is the one bound on concurrent model calls; results are
-reassembled in a fixed order, so the tree and store do not depend on it.
-Ablation modes swap out individual steps without touching the rest of the
-pipeline.
+captions, relevance scores, classifications, fusion calls) onto one call
+pool per build. The single backend object serves every call; its
+`max_inflight` is the one bound on concurrent model calls and sizes that
+pool and the per-video question pool. Results are reassembled in a fixed
+order, so the tree, store and records do not depend on it. Ablation modes
+swap out individual steps without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .backends import BackendSuite
+from .backends import Backend
 from .captioning import (
     QTYPES,
-    Classification,
     QuestionBundle,
     VisualPrompt,
     caption_frames,
     classify_question,
     fan_out,
     generic_prompt,
-    infer_subtype,
     summarize_segments,
     synthesize_prompt,
 )
@@ -62,6 +61,11 @@ from .tree import (
 )
 
 logger = logging.getLogger(__name__)
+
+# How many videos `evaluate` processes at once with parallel_videos set.
+# This bounds how many videos' frames, trees and stores are held in memory;
+# model calls are bounded by the backend's in-flight limit alone.
+VIDEO_WORKERS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +183,26 @@ def uniform_leaf_shots(num_frames: int, count: int,
 
 
 def classify_bundles(questions: list[RawQuestion], config: EngineConfig,
-                     suite: BackendSuite) -> list[QuestionBundle]:
-    """Classify the questions concurrently; bundles keep the input order."""
+                     backend: Backend, pool: Executor) -> list[QuestionBundle]:
+    """Classify the questions concurrently on `pool`; bundles keep the input
+    order."""
 
     def bundle(raw: RawQuestion) -> QuestionBundle:
         if raw.declared_type is not None and not config.reclassify:
-            cls = Classification(raw.declared_type,
-                                 infer_subtype(raw.declared_type, raw.text))
+            qtype = raw.declared_type
         else:
-            cls = classify_question(raw.text, list(raw.options), suite.chat)
-        return QuestionBundle(
-            question_id=raw.question_id,
-            text=raw.text,
-            options=raw.options,
-            qtype=cls.qtype,
-            qsubtype=cls.qsubtype,
-        )
+            qtype = classify_question(raw.text, list(raw.options), backend)
+        return QuestionBundle(question_id=raw.question_id, text=raw.text,
+                              options=raw.options, qtype=qtype)
 
-    return fan_out(bundle, questions, config.max_inflight)
+    return fan_out(bundle, questions, pool)
 
 
 def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
-                    suite: BackendSuite) -> tuple[list[QuestionBundle],
-                                                  dict[str, VisualPrompt]]:
+                    backend: Backend, pool: Executor
+                    ) -> tuple[list[QuestionBundle], dict[str, VisualPrompt]]:
     """Classify the questions, then write one visual prompt per type."""
-    bundles = classify_bundles(questions, config, suite)
+    bundles = classify_bundles(questions, config, backend, pool)
     prompts: dict[str, VisualPrompt] = {}
     for qtype in sorted({b.qtype for b in bundles}):
         if config.generic_captions:
@@ -212,7 +211,7 @@ def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
                                           template_id=base.template_id)
         else:
             type_questions = [b.text for b in bundles if b.qtype == qtype]
-            prompts[qtype] = synthesize_prompt(qtype, type_questions, suite.chat,
+            prompts[qtype] = synthesize_prompt(qtype, type_questions, backend,
                                                config.template_dir)
     return bundles, prompts
 
@@ -228,9 +227,9 @@ class BuildResult:
 
 
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
-                config: EngineConfig, suite: BackendSuite) -> BuildResult:
+                config: EngineConfig, backend: Backend) -> BuildResult:
     """Build the tree and knowledge store for one video."""
-    frames = load_frames(manifest_path, suite.embed)
+    frames = load_frames(manifest_path, backend)
     params = TreeParams(tau=config.tau, k=config.k, max_depth=config.max_depth,
                         gamma=config.gamma)
 
@@ -241,17 +240,22 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         shots = detect_shots(frames.embeddings, config.sensitivity)
     tree = tree_from_shots(frames.video_id, shots, params)
 
+    # Every model call of the build runs on one pool of max_inflight
+    # threads. Only this thread, the side task and the per-type chains
+    # submit to it; no task running on it does, so it cannot deadlock.
     # Classification and prompt synthesis need only the questions, so they
-    # run on a side task while the tree is captioned, scored and expanded.
-    with ThreadPoolExecutor(max_workers=1) as side:
-        prepared = side.submit(prepare_prompts, questions, config, suite)
+    # run on the side task while the tree is captioned, scored and expanded.
+    with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls, \
+            ThreadPoolExecutor(max_workers=1) as side:
+        prepared = side.submit(prepare_prompts, questions, config, backend,
+                               calls)
 
         # First-pass generic captions of shot representatives; these feed the
         # relevance scorer and the degraded retrieval fallback.
         first_prompt = generic_prompt(config.template_dir)
         rep_frames = [s.representative_frame for s in shots]
-        first_caps = caption_frames(rep_frames, first_prompt, suite.caption,
-                                    frames.frame_ref, config.max_inflight)
+        first_caps = caption_frames(rep_frames, first_prompt, backend,
+                                    frames.frame_ref, pool=calls)
         cap_by_frame = {c.frame_index: c.text for c in first_caps}
         first_pass = {s.shot_id: cap_by_frame[s.representative_frame]
                       for s in shots}
@@ -260,33 +264,30 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
             question_context = ("\n".join(q.text for q in questions)
                                 or "(no questions)")
             scores = score_shots(shots, [first_pass[s.shot_id] for s in shots],
-                                 question_context, suite.chat,
-                                 config.max_inflight)
+                                 question_context, backend, pool=calls)
             attach_scores(tree, scores)
             expand_tree(tree, frames.embeddings, config.seed)
 
         bundles, prompts = prepared.result()
 
-    store = KnowledgeStore(
-        tree=tree, fps=frames.fps, first_pass=dict(first_pass),
-        frame_refs={i: frames.frame_ref(i) for i in range(frames.num_frames)})
+        store = KnowledgeStore(
+            tree=tree, fps=frames.fps, first_pass=dict(first_pass),
+            frame_refs={i: frames.frame_ref(i) for i in range(frames.num_frames)})
 
-    retrieved = vtsearch(tree)
-    # One caption -> summary chain per type, all chains at once. Their model
-    # calls share one pool, so the build holds max_inflight call threads
-    # plus one thread per type; no chain waits on an idle pool of its own.
-    qtypes = sorted(prompts)
+        retrieved = vtsearch(tree)
+        # One caption -> summary chain per type, all chains at once, each on
+        # a thread of its own, so no chain waits on another.
+        qtypes = sorted(prompts)
 
-    def caption_type(qtype: str) -> tuple[list, list]:
-        caps = caption_frames(retrieved, prompts[qtype], suite.caption,
-                              frames.frame_ref, pool=calls)
-        return caps, summarize_segments(caps, shots, suite.chat, pool=calls)
+        def caption_type(qtype: str) -> tuple[list, list]:
+            caps = caption_frames(retrieved, prompts[qtype], backend,
+                                  frames.frame_ref, pool=calls)
+            return caps, summarize_segments(caps, shots, backend, pool=calls)
 
-    with ThreadPoolExecutor(max_workers=max(1, config.max_inflight)) as calls, \
-            ThreadPoolExecutor(max_workers=max(1, len(qtypes))) as chains:
-        for caps, summaries in chains.map(caption_type, qtypes):
-            store.add_captions(caps)
-            store.add_summaries(summaries)
+        with ThreadPoolExecutor(max_workers=max(1, len(qtypes))) as chains:
+            for caps, summaries in chains.map(caption_type, qtypes):
+                store.add_captions(caps)
+                store.add_summaries(summaries)
 
     return BuildResult(frames=frames, tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved, prompts=prompts)
@@ -298,19 +299,14 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
 
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     profiles: dict[str, AgentProfile], config: EngineConfig,
-                    suite: BackendSuite) -> AnswerRecord:
+                    backend: Backend) -> AnswerRecord:
     """Plan and execute the workflow for one classified question."""
-    analysis = analyze_problem(bundle, profiles, suite.chat,
-                               config.fixed_workflow)
-    if analysis.qtype != bundle.qtype:
-        bundle = QuestionBundle(
-            question_id=bundle.question_id, text=bundle.text,
-            options=bundle.options, qtype=analysis.qtype,
-            qsubtype=infer_subtype(analysis.qtype, bundle.text))
+    analysis = analyze_problem(bundle, profiles, backend, config.fixed_workflow)
+    bundle = replace(bundle, qtype=analysis.qtype)
     profile = profiles[analysis.qtype]
-    workflow = plan_tasks(analysis, bundle, profiles, suite.chat,
+    workflow = plan_tasks(analysis, bundle, profiles, backend,
                           config.max_iterations, config.fixed_workflow)
-    record = execute_workflow(workflow, bundle, store, profile, suite)
+    record = execute_workflow(workflow, bundle, store, profile, backend)
     record.trace.insert(0, TraceStep(
         PROBLEM_ANALYSIS,
         "fixed workflow" if config.fixed_workflow else "adaptive selection",
@@ -348,32 +344,28 @@ class RunReport:
 
 
 def evaluate(manifest_path: str | Path, config: EngineConfig,
-             suite: BackendSuite) -> tuple[list[AnswerRecord], RunReport]:
+             backend: Backend) -> tuple[list[AnswerRecord], RunReport]:
     """Run every manifest entry; videos sequential unless parallel_videos is
-    set, questions within one video concurrent up to the configured cap.
-    Record order follows the manifest regardless of completion order."""
+    set, questions within one video concurrent up to the backend's in-flight
+    limit. Record order follows the manifest regardless of completion order."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
 
     def process_entry(entry: VideoEntry) -> list[
             tuple[RawQuestion, QuestionBundle, AnswerRecord]]:
         result = build_video(entry.frame_manifest_path, list(entry.questions),
-                             config, suite)
+                             config, backend)
 
         def answer_one(bundle: QuestionBundle) -> AnswerRecord:
-            return answer_question(bundle, result.store, profiles, config, suite)
+            return answer_question(bundle, result.store, profiles, config,
+                                   backend)
 
-        if len(result.bundles) == 1 or config.question_concurrency <= 1:
-            answered = [answer_one(b) for b in result.bundles]
-        else:
-            with ThreadPoolExecutor(
-                    max_workers=min(config.question_concurrency,
-                                    len(result.bundles))) as pool:
-                answered = list(pool.map(answer_one, result.bundles))
+        answered = fan_out(answer_one, result.bundles, backend.max_inflight)
         return list(zip(entry.questions, result.bundles, answered))
 
     if config.parallel_videos and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(entries))) as pool:
+        with ThreadPoolExecutor(
+                max_workers=min(VIDEO_WORKERS, len(entries))) as pool:
             per_entry = list(pool.map(process_entry, entries))
     else:
         per_entry = [process_entry(entry) for entry in entries]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -20,6 +20,7 @@ from typing import Any
 import numpy as np
 
 from .backends import Backend, chat_request
+from .captioning import fan_out
 from .errors import (
     BackendError,
     InputError,
@@ -205,8 +206,9 @@ def scoring_prompt(caption: str, question: str, shot: Shot) -> str:
 
 
 def score_shots(shots: list[Shot], captions: list[str], question: str,
-                llm: Backend, max_inflight: int = 8) -> list[RelevanceScore]:
-    """Score each shot against the question via the chat backend.
+                llm: Backend, pool: Executor | None = None) -> list[RelevanceScore]:
+    """Score each shot against the question via the chat backend, fanning
+    out on `pool` or on a pool sized by the backend's in-flight limit.
 
     Unparseable replies are retried once, then default to 3.0 with the
     defaulted flag set. Transport failures carry the shot id.
@@ -215,7 +217,8 @@ def score_shots(shots: list[Shot], captions: list[str], question: str,
         raise ValidationError(
             f"need one caption per shot: {len(captions)} captions, {len(shots)} shots")
 
-    def score_one(shot: Shot, caption: str) -> RelevanceScore:
+    def score_one(item: tuple[Shot, str]) -> RelevanceScore:
+        shot, caption = item
         prompt = scoring_prompt(caption, question, shot)
         try:
             reply = llm.call(chat_request(prompt))
@@ -232,10 +235,7 @@ def score_shots(shots: list[Shot], captions: list[str], question: str,
                                   defaulted=True)
         return RelevanceScore(value, rationale=str(reply)[:200])
 
-    if len(shots) == 1:
-        return [score_one(shots[0], captions[0])]
-    with ThreadPoolExecutor(max_workers=max(1, min(max_inflight, len(shots)))) as pool:
-        return list(pool.map(score_one, shots, captions))
+    return fan_out(score_one, list(zip(shots, captions)), pool or llm.max_inflight)
 
 
 def attach_scores(tree: HybridTree, scores: list[RelevanceScore]) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videoqa.backends import BackendSuite, MockScript
+from videoqa.backends import Backend, MockScript
 from videoqa.ingest import write_embeddings
 
 
@@ -50,10 +50,6 @@ def write_video(directory: Path, video_id: str, shot_lengths: list[int],
     manifest_path = directory / f"{video_id}.json"
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     return manifest_path
-
-
-def make_suite(script: MockScript) -> BackendSuite:
-    return BackendSuite.from_mock(script)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +333,8 @@ class GoldenWorld:
     def script(self) -> MockScript:
         return MockScript.from_file(self.script_path)
 
-    def suite(self) -> BackendSuite:
-        return BackendSuite.from_mock(self.script())
+    def backend(self, max_inflight: int = 8) -> Backend:
+        return Backend.from_mock(self.script(), max_inflight)
 
 
 def build_golden_world(root: Path) -> GoldenWorld:
@@ -378,13 +374,3 @@ def build_golden_world(root: Path) -> GoldenWorld:
 @pytest.fixture
 def golden_world(tmp_path: Path) -> GoldenWorld:
     return build_golden_world(tmp_path / "golden")
-
-
-@pytest.fixture
-def mock_script() -> MockScript:
-    return MockScript()
-
-
-@pytest.fixture
-def mock_suite(mock_script: MockScript) -> BackendSuite:
-    return BackendSuite.from_mock(mock_script)

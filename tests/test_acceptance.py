@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import requests
 
-from videoqa.backends import BackendSuite, MockScript
+from videoqa.backends import Backend, MockScript
 from videoqa.captioning import QuestionBundle
 from videoqa.cli import main
 from videoqa.config import EngineConfig
@@ -94,8 +94,8 @@ def test_acceptance_tree_structural_suite(tmp_path) -> None:
             lengths = [int(rng.integers(3, 13)) for _ in range(n_shots)]
             manifest = write_video(tmp_path, f"v{index:03d}", lengths,
                                    seed=index)
-            suite = BackendSuite.from_mock(_structural_mock())
-            result = build_video(manifest, [], config, suite)
+            backend = Backend.from_mock(_structural_mock())
+            result = build_video(manifest, [], config, backend)
             _check_structure(result.tree, params)
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"structural suite took {elapsed:.1f}s"
@@ -200,13 +200,13 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
     with criterion("planning-minimality (static skips visual; causal is "
                    "four-stage bidirectional; answer matches)"):
         world = build_golden_world(tmp_path / "golden")
-        suite = world.suite()
+        backend = world.backend()
         profiles = builtin_profiles()
 
         static = QuestionBundle("a_q2", "What is the location?",
                                 ("a park", "a kitchen"), "Descriptive")
-        analysis = analyze_problem(static, profiles, suite.chat)
-        workflow = plan_tasks(analysis, static, profiles, suite.chat)
+        analysis = analyze_problem(static, profiles, backend)
+        workflow = plan_tasks(analysis, static, profiles, backend)
         agents = [s.agent for s in workflow.stages]
         assert VISUAL_AGENT not in agents
         assert agents[0] == TEXT_AGENT and agents[-1] == "AnswerGenerationAgent"
@@ -215,8 +215,8 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
             "a_q1", "Why is the man on the bench looking up?",
             ("a bird flying overhead", "overlooking the children",
              "rain starting to fall"), "Causal")
-        analysis = analyze_problem(causal, profiles, suite.chat)
-        workflow = plan_tasks(analysis, causal, profiles, suite.chat)
+        analysis = analyze_problem(causal, profiles, backend)
+        workflow = plan_tasks(analysis, causal, profiles, backend)
         assert [s.agent for s in workflow.stages] == list(AGENT_REGISTRY), \
             "four-stage workflow"
         text_stage = workflow.stages[0]
@@ -224,7 +224,7 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
         assert "forward" in text_stage.task_description.lower()
 
         records, _ = evaluate(world.dataset_path, EngineConfig(seed=3),
-                              world.suite())
+                              world.backend())
         fig = next(r for r in records if r.question_id == "a_q1")
         assert fig.chosen_text == "overlooking the children"
         static_rec = next(r for r in records if r.question_id == "a_q2")
@@ -241,17 +241,17 @@ def test_acceptance_budget_law(tmp_path) -> None:
         world = build_golden_world(tmp_path / "golden")
         config = EngineConfig(seed=3)
         result = build_video(world.video_manifests["golden_a"], [], config,
-                             world.suite())
+                             world.backend())
         stubborn = MockScript(
             default_response="THOUGHT: still looking\n"
                              "ACTION: temporal_index {}")
         stubborn.add("drafting explanation", "inconclusive evidence")
-        suite = BackendSuite.from_mock(stubborn)
+        backend = Backend.from_mock(stubborn)
         bundle = QuestionBundle("adv", "Why?", ("a", "b"), "Causal")
         workflow = template_workflow("adv", "Causal", AGENT_REGISTRY,
                                      max_iterations=15)
         record = execute_workflow(workflow, bundle, result.store,
-                                  builtin_profiles()["Causal"], suite)
+                                  builtin_profiles()["Causal"], backend)
         assert record.rounds_used == 15, "hard iteration cap respected"
         assert record.truncated is True
         assert record.chosen_index in (0, 1), "a flagged answer is emitted"
@@ -292,7 +292,7 @@ def test_acceptance_ablation_plumbing(tmp_path) -> None:
 
         uniform = build_video(world.video_manifests["golden_a"], [],
                               EngineConfig(seed=3, uniform_sampling=True),
-                              world.suite())
+                              world.backend())
         assert len(uniform.tree.shot_order) == 8
         assert all(not uniform.tree.nodes[s].children
                    for s in uniform.tree.shot_order)
@@ -300,17 +300,17 @@ def test_acceptance_ablation_plumbing(tmp_path) -> None:
                  for s in uniform.tree.shot_order]
         assert max(sizes) - min(sizes) <= 1
 
-        suite = world.suite()
+        backend = world.backend()
         _, report = evaluate(world.dataset_path,
                              EngineConfig(seed=3, generic_captions=True),
-                             suite)
+                             backend)
         assert report.ablation_flags == ["generic-captions"]
         assert not any("You write visual captioning prompts" in r.rendered
-                       for r in suite.chat.call_log)
+                       for r in backend.call_log)
 
         fixed_records, fixed_report = evaluate(
             world.dataset_path, EngineConfig(seed=3, fixed_workflow=True),
-            world.suite())
+            world.backend())
         assert fixed_report.ablation_flags == ["fixed-workflow"]
         assert all(VISUAL_AGENT in {s.agent for s in r.trace}
                    for r in fixed_records)
@@ -331,6 +331,6 @@ def test_acceptance_offline_completeness(tmp_path, monkeypatch) -> None:
 
         world = build_golden_world(tmp_path / "golden")
         records, report = evaluate(world.dataset_path, EngineConfig(seed=3),
-                                   world.suite())
+                                   world.backend())
         assert report.accuracy_overall == 1.0
         assert len(records) == len(GOLDEN_QUESTIONS)

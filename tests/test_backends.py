@@ -16,7 +16,6 @@ from videoqa.backends import (
     caption_request,
     chat_request,
     embed_request,
-    payload_hash,
     render_payload,
 )
 from videoqa.errors import (
@@ -296,6 +295,20 @@ def test_cache_persists_across_instances(tmp_path) -> None:
     assert len(fresh_script.call_log) == 0
 
 
+def test_cache_never_serves_another_backends_response(tmp_path) -> None:
+    """A mock-served entry must not answer a remote backend's call."""
+    mock_cached = CachingBackend(MockBackend(MockScript(default_response="mock")),
+                                 tmp_path / "cache")
+    assert mock_cached.call(chat_request("q")) == "mock"
+    transport = FakeTransport([(200, _chat_body("remote"))])
+    remote = RemoteBackend({"chat": "http://unit.test/chat"},
+                           transport=transport, sleep=lambda s: None)
+    remote_cached = CachingBackend(remote, tmp_path / "cache")
+    assert remote_cached.call(chat_request("q")) == "remote"
+    assert transport.calls == 1
+    assert remote_cached.hits == 0 and remote_cached.misses == 1
+
+
 def test_cache_distinguishes_payloads(tmp_path) -> None:
     script = MockScript(default_response="x")
     cached = CachingBackend(MockBackend(script), tmp_path / "cache")
@@ -328,7 +341,7 @@ def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
     script = MockScript(default_response="fresh")
     cached = CachingBackend(MockBackend(script), tmp_path / "cache")
     request = chat_request("q")
-    (tmp_path / "cache" / f"{payload_hash(request)}.json").write_text(entry)
+    (tmp_path / "cache" / f"{cached.cache_key(request)}.json").write_text(entry)
     with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
         assert cached.call(request) == "fresh"
     assert "corrupt cache entry" in caplog.text
@@ -345,7 +358,7 @@ def test_cache_temp_name_unique_per_process(tmp_path) -> None:
                             tmp_path / "cache")
     request = chat_request("q")
     other = (tmp_path / "cache"
-             / f"{payload_hash(request)}.{threading.get_ident()}.tmp")
+             / f"{cached.cache_key(request)}.{threading.get_ident()}.tmp")
     other.write_text("half-written by another process")
     assert cached.call(request) == "mine"
     assert other.read_text() == "half-written by another process"

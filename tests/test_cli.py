@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 
-from videoqa.cli import main
+import pytest
+
+from videoqa.backends import CachingBackend
+from videoqa.cli import _make_backend, main
+from videoqa.config import EngineConfig
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
 
@@ -61,6 +66,22 @@ def test_cli_ask_malformed_sidecar_exits_2(tmp_path, capsys) -> None:
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_cli_ask_malformed_sidecar_item_exits_2(tmp_path, capsys) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    main(_build_args(world, tmp_path))
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
+    del sidecar["captions"][0]["text"]
+    broken = tmp_path / "broken.sidecar.json"
+    broken.write_text(json.dumps(sidecar))
+    code = main(["ask", str(tmp_path / "tree.json"), str(broken),
+                 "--question", "What is the location?",
+                 "--option", "a park", "--option", "a kitchen",
+                 "--mock-script", str(world.script_path)])
+    assert code == 2
+    assert "sidecar captions[0]" in capsys.readouterr().err
+
+
 def test_cli_eval_malformed_manifest_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     bad = tmp_path / "bad_manifest.json"
@@ -79,6 +100,24 @@ def test_cli_build_missing_manifest_exits_2(tmp_path, capsys) -> None:
                  "--mock-script", str(world.script_path)])
     assert code == 2
     assert "nowhere.json" in capsys.readouterr().err
+
+
+def test_cli_build_image_manifest_without_embedder_exits_2(tmp_path, capsys) -> None:
+    """A remote config with no embed endpoint cannot embed image frames."""
+    manifest = tmp_path / "images.json"
+    manifest.write_text(json.dumps({
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": 0, "path": "a.jpg"}, {"index": 1, "path": "b.jpg"}]}))
+    questions = tmp_path / "questions.json"
+    questions.write_text("[]")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {
+        "chat_endpoint": "http://unit.test/chat",
+        "caption_endpoint": "http://unit.test/caption"}}))
+    code = main(["build", str(manifest), str(questions),
+                 str(tmp_path / "tree.json"), "--config", str(config)])
+    assert code == 2
+    assert "an embedding backend is required" in capsys.readouterr().err
 
 
 def test_cli_build_idempotent_with_cache(tmp_path) -> None:
@@ -218,6 +257,30 @@ def test_cli_bad_config_exits_4(tmp_path, capsys) -> None:
                  "--config", str(config)])
     assert code == 4
     assert "made_up_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["max_inflight", "question_concurrency"])
+def test_cli_removed_engine_concurrency_keys_exit_4(tmp_path, capsys, key) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 4}))
+    code = main(["eval", str(tmp_path / "dataset.json"),
+                 "--config", str(config)])
+    assert code == 4
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_mock_script_backend_honours_configured_inflight_limit(
+        tmp_path, cache) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    config = EngineConfig(cache_enabled=cache)
+    config.backend.max_inflight = 3
+    config.backend.cache_dir = str(tmp_path / "cache")
+    args = argparse.Namespace(mock_script=str(world.script_path))
+    backend = _make_backend(args, config)
+    assert isinstance(backend, CachingBackend) is cache
+    assert backend.max_inflight == 3
+    assert backend.capabilities == ("chat", "caption", "embed")
 
 
 def test_cli_no_backend_configured_exits_4(tmp_path, capsys) -> None:

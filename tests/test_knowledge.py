@@ -239,3 +239,33 @@ def test_sidecar_rejects_unknown_shots() -> None:
     doc["summaries"].append({"shot": 44, "qtype": "Causal", "text": "x"})
     with pytest.raises(ValidationError, match="44"):
         KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+def test_sidecar_item_missing_key_rejected() -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["captions"].append({"frame": 5, "qtype": "Causal"})
+    with pytest.raises(ValidationError, match="captions"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+@pytest.mark.parametrize("section,item", [
+    ("captions", {"frame": "five", "qtype": "Causal", "text": "x"}),
+    ("summaries", {"shot": None, "qtype": "Causal", "text": "x"}),
+    ("first_pass", {"shot": [1], "text": "x"}),
+])
+def test_sidecar_item_non_integer_index_rejected(section, item) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc[section].append(item)
+    with pytest.raises(ValidationError, match=section):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+@pytest.mark.parametrize("item", [42, "frame", ["frame", 5]])
+def test_sidecar_item_not_an_object_rejected(item) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["summaries"].append(item)
+    with pytest.raises(ValidationError, match="summaries"):
+        KnowledgeStore.from_sidecar(store.tree, doc)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from videoqa.backends import BackendSuite, MockScript
+from videoqa.backends import Backend, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
 from videoqa.errors import IntegrationError, ValidationError, VideoQAError
 from videoqa.ingest import Shot
@@ -34,11 +34,11 @@ from videoqa.orchestrator import (
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
 
-def _suite(*rules, default=None) -> tuple[BackendSuite, MockScript]:
+def _backend(*rules, default=None) -> tuple[Backend, MockScript]:
     script = MockScript(default_response=default)
     for match, response in rules:
         script.add(match, response)
-    return BackendSuite.from_mock(script), script
+    return Backend.from_mock(script), script
 
 
 def _bundle(qtype: str = "Causal", text: str = "Why is the man looking up?",
@@ -74,53 +74,53 @@ def _final(support, confidence=1.0, direction=None) -> str:
 # ---------------------------------------------------------------------------
 
 def test_analyze_static_descriptive_drops_visual_agent() -> None:
-    suite, _ = _suite(("analyzing question",
+    backend, _ = _backend(("analyzing question",
                        "Descriptive; TextAgent and AnswerGenerationAgent."))
     bundle = _bundle("Descriptive", "What is the location?",
                      ("a park", "a kitchen"))
-    analysis = analyze_problem(bundle, builtin_profiles(), suite.chat)
+    analysis = analyze_problem(bundle, builtin_profiles(), backend)
     assert analysis.selected_agents == (TEXT_AGENT, ANSWER_AGENT)
 
 
 def test_analyze_causal_selects_all_four() -> None:
-    suite, _ = _suite(("analyzing question",
+    backend, _ = _backend(("analyzing question",
                        "Causal. Use TextAgent, VisualAnalysisAgent, "
                        "EvidenceIntegrationAgent, AnswerGenerationAgent."))
-    analysis = analyze_problem(_bundle(), builtin_profiles(), suite.chat)
+    analysis = analyze_problem(_bundle(), builtin_profiles(), backend)
     assert analysis.selected_agents == AGENT_REGISTRY
 
 
 def test_analyze_unknown_agent_names_ignored() -> None:
-    suite, _ = _suite(("analyzing question",
+    backend, _ = _backend(("analyzing question",
                        "Descriptive; deploy the HologramAgent and the "
                        "VibesAgent immediately"))
     bundle = _bundle("Descriptive", "What is the location?", ("a", "b"))
-    analysis = analyze_problem(bundle, builtin_profiles(), suite.chat)
+    analysis = analyze_problem(bundle, builtin_profiles(), backend)
     assert analysis.selected_agents == (TEXT_AGENT, ANSWER_AGENT), \
         "unknown names ignored, minimum set enforced"
 
 
 def test_analyze_profile_requirement_overrides_model_omission() -> None:
-    suite, _ = _suite(("analyzing question", "Causal. TextAgent only."))
-    analysis = analyze_problem(_bundle(), builtin_profiles(), suite.chat)
+    backend, _ = _backend(("analyzing question", "Causal. TextAgent only."))
+    analysis = analyze_problem(_bundle(), builtin_profiles(), backend)
     assert VISUAL_AGENT in analysis.selected_agents, \
         "causal profile requires the visual agent"
     assert INTEGRATION_AGENT in analysis.selected_agents
 
 
 def test_analyze_type_override_is_recorded() -> None:
-    suite, _ = _suite(("analyzing question", "Actually Temporal. All four: "
+    backend, _ = _backend(("analyzing question", "Actually Temporal. All four: "
                        "TextAgent, VisualAnalysisAgent, "
                        "EvidenceIntegrationAgent, AnswerGenerationAgent."))
     analysis = analyze_problem(_bundle("Causal"), builtin_profiles(),
-                               suite.chat)
+                               backend)
     assert analysis.qtype == "Temporal"
     assert analysis.override is True
 
 
 def test_analyze_fixed_workflow_skips_backend() -> None:
-    suite, script = _suite()
-    analysis = analyze_problem(_bundle(), builtin_profiles(), suite.chat,
+    backend, script = _backend()
+    analysis = analyze_problem(_bundle(), builtin_profiles(), backend,
                                fixed_workflow=True)
     assert analysis.selected_agents == AGENT_REGISTRY
     assert len(script.call_log) == 0
@@ -147,9 +147,9 @@ def test_plan_accepts_valid_model_plan() -> None:
         {"agent": ANSWER_AGENT, "task": "answer", "inputs": ["option_scores"],
          "output": "answer"},
     ]
-    suite, _ = _suite(("planning question", _plan_reply(stages)))
+    backend, _ = _backend(("planning question", _plan_reply(stages)))
     analysis = Analysis("Causal", AGENT_REGISTRY)
-    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), suite.chat)
+    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
     assert not workflow.repaired
     assert [s.agent for s in workflow.stages] == list(AGENT_REGISTRY)
     assert "search backward" in workflow.stages[0].task_description.lower()
@@ -162,18 +162,18 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
         {"agent": ANSWER_AGENT, "task": "a", "inputs": ["text_evidence"],
          "output": "answer"},
     ]
-    suite, _ = _suite(("planning question", _plan_reply(stages)))
+    backend, _ = _backend(("planning question", _plan_reply(stages)))
     analysis = Analysis("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     workflow = plan_tasks(analysis, _bundle("Descriptive"), builtin_profiles(),
-                          suite.chat)
+                          backend)
     assert workflow.repaired is True
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
 
 
 def test_plan_garbage_reply_repaired() -> None:
-    suite, _ = _suite(("planning question", "no json here at all"))
+    backend, _ = _backend(("planning question", "no json here at all"))
     analysis = Analysis("Causal", AGENT_REGISTRY)
-    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), suite.chat)
+    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
     assert workflow.repaired is True
     assert workflow.problems() == []
 
@@ -202,9 +202,9 @@ def test_plan_causal_bidirectional_enforced_on_model_plans() -> None:
         {"agent": ANSWER_AGENT, "task": "answer", "inputs": ["scores"],
          "output": "answer"},
     ]
-    suite, _ = _suite(("planning question", _plan_reply(stages)))
+    backend, _ = _backend(("planning question", _plan_reply(stages)))
     workflow = plan_tasks(Analysis("Causal", AGENT_REGISTRY), _bundle(),
-                          builtin_profiles(), suite.chat)
+                          builtin_profiles(), backend)
     text_stage = next(s for s in workflow.stages if s.agent == TEXT_AGENT)
     assert "search backward" in text_stage.task_description.lower()
 
@@ -252,10 +252,10 @@ def _stage(agent: str = TEXT_AGENT) -> Stage:
 
 
 def test_react_finalizes_on_first_step() -> None:
-    suite, _ = _suite(("working on question", _final((0.1, 0.8, 0.1))))
+    backend, _ = _backend(("working on question", _final((0.1, 0.8, 0.1))))
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                               suite, budget=15, trace=trace)
+                               backend, budget=15, trace=trace)
     assert consumed == 1
     assert item.option_support == (0.1, 0.8, 0.1)
     assert not item.truncated
@@ -263,11 +263,11 @@ def test_react_finalizes_on_first_step() -> None:
 
 
 def test_react_never_finalizing_stops_at_budget_truncated() -> None:
-    suite, script = _suite(
+    backend, script = _backend(
         default='THOUGHT: hmm\nACTION: temporal_index {}')
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                               suite, budget=15, trace=trace)
+                               backend, budget=15, trace=trace)
     assert consumed == 15
     assert item.truncated is True
     assert item.option_support == (0.0, 0.0, 0.0)
@@ -275,28 +275,28 @@ def test_react_never_finalizing_stops_at_budget_truncated() -> None:
 
 
 def test_react_tool_error_becomes_observation_and_loop_continues() -> None:
-    suite, _ = _suite(
+    backend, _ = _backend(
         ("OBSERVATION: ERROR", _final((0.9, 0.05, 0.05))),
         ("working on question",
          'THOUGHT: look\nACTION: segment_summaries {"shot_id": 99}'),
     )
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                               suite, budget=5, trace=trace)
+                               backend, budget=5, trace=trace)
     assert consumed == 2
     assert item.option_support == (0.9, 0.05, 0.05)
     assert any("99" in step.observation for step in trace)
 
 
 def test_react_retrieval_observation_feeds_next_step() -> None:
-    suite, _ = _suite(
+    backend, _ = _backend(
         ("children by a fountain", _final((0.0, 1.0, 0.0))),
         ("working on question",
          'THOUGHT: read captions\nACTION: moment_captions {"shot_id": 1}'),
     )
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                               suite, budget=5, trace=trace)
+                               backend, budget=5, trace=trace)
     assert consumed == 2
     assert item.option_support == (0.0, 1.0, 0.0)
 
@@ -305,51 +305,51 @@ def test_react_tool_outside_profile_is_error_observation() -> None:
     profile_doc = _profile("Causal").to_doc()
     profile_doc["tools"] = ["temporal_index"]
     narrow = AgentProfile.from_doc(profile_doc)
-    suite, _ = _suite(
+    backend, _ = _backend(
         ("OBSERVATION: ERROR", _final((1.0, 0.0, 0.0))),
         ("working on question",
          'THOUGHT: peek\nACTION: inspect_frame {"frame_index": 3}'),
     )
     trace = []
     _, consumed = run_react(_stage(VISUAL_AGENT), _bundle(), _store(), narrow,
-                            suite, budget=5, trace=trace)
+                            backend, budget=5, trace=trace)
     assert consumed == 2
     assert any("not in this profile" in step.observation for step in trace)
 
 
 def test_react_invalid_final_rejected_then_retried() -> None:
-    suite, _ = _suite(
+    backend, _ = _backend(
         ("OBSERVATION: ERROR", _final((0.2, 0.7, 0.1))),
         ("working on question", _final((0.5, 0.5))),  # wrong option count
     )
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                               suite, budget=5, trace=trace)
+                               backend, budget=5, trace=trace)
     assert consumed == 2
     assert item.option_support == (0.2, 0.7, 0.1)
 
 
 def test_react_unparseable_reply_consumes_iteration() -> None:
-    suite, _ = _suite(
+    backend, _ = _backend(
         ("could not parse", _final((1.0, 0.0, 0.0))),
         ("working on question", "I refuse to follow the protocol"),
     )
     trace = []
     _, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
-                            suite, budget=5, trace=trace)
+                            backend, budget=5, trace=trace)
     assert consumed == 2
 
 
 def test_react_requires_positive_budget() -> None:
-    suite, _ = _suite()
+    backend, _ = _backend()
     with pytest.raises(ValidationError):
-        run_react(_stage(), _bundle(), _store(), _profile(), suite,
+        run_react(_stage(), _bundle(), _store(), _profile(), backend,
                   budget=0, trace=[])
 
 
 def test_react_support_values_clamped() -> None:
-    suite, _ = _suite(("working on question", _final((3.0, -1.0, 0.5), 7.0)))
-    item, _ = run_react(_stage(), _bundle(), _store(), _profile(), suite,
+    backend, _ = _backend(("working on question", _final((3.0, -1.0, 0.5), 7.0)))
+    item, _ = run_react(_stage(), _bundle(), _store(), _profile(), backend,
                         budget=3, trace=[])
     assert item.option_support == (1.0, 0.0, 0.5)
     assert item.confidence == 1.0
@@ -530,8 +530,8 @@ def test_generate_answer_from_worked_example() -> None:
              EvidenceItem(TEXT_AGENT, (0.2, 0.8), 1.0)]
     profile = _weights_profile(text=0.3, visual=0.7)
     scores = integrate_evidence(items, profile, "Descriptive")
-    suite, _ = _suite(("drafting explanation", "Answer: option 0, clearly."))
-    record = generate_answer(scores, items, ("a park", "a cave"), suite.chat,
+    backend, _ = _backend(("drafting explanation", "Answer: option 0, clearly."))
+    record = generate_answer(scores, items, ("a park", "a cave"), backend,
                              question_id="q9")
     assert record.chosen_index == 0
     assert record.chosen_text == "a park"
@@ -542,8 +542,8 @@ def test_generate_answer_out_of_space_choice_keeps_argmax() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.1, 0.2, 0.3, 0.2, 0.1), 1.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    suite, _ = _suite(("drafting explanation", "My answer: F"))
-    record = generate_answer(scores, items, tuple("abcde"), suite.chat,
+    backend, _ = _backend(("drafting explanation", "My answer: F"))
+    record = generate_answer(scores, items, tuple("abcde"), backend,
                              question_id="q")
     assert record.chosen_index == 2
     assert any("outside the option space" in s.observation
@@ -554,8 +554,8 @@ def test_generate_answer_model_disagreement_logged_argmax_wins() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.9, 0.1), 1.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    suite, _ = _suite(("drafting explanation", "I pick option 1 instead"))
-    record = generate_answer(scores, items, ("right", "wrong"), suite.chat)
+    backend, _ = _backend(("drafting explanation", "I pick option 1 instead"))
+    record = generate_answer(scores, items, ("right", "wrong"), backend)
     assert record.chosen_index == 0
     assert any("disagrees with argmax" in s.observation for s in record.trace)
 
@@ -564,8 +564,8 @@ def test_generate_answer_all_zero_supports_lowest_index_not_validated() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.0, 0.0), 0.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    suite, _ = _suite(("drafting explanation", "no idea"))
-    record = generate_answer(scores, items, ("a", "b"), suite.chat)
+    backend, _ = _backend(("drafting explanation", "no idea"))
+    record = generate_answer(scores, items, ("a", "b"), backend)
     assert record.chosen_index == 0
     assert record.validated is False
 
@@ -576,8 +576,8 @@ def test_generate_answer_survives_backend_failure() -> None:
                                 "Descriptive")
     script = MockScript()
     script.add("drafting explanation", error="transport")
-    suite = BackendSuite.from_mock(script)
-    record = generate_answer(scores, items, ("a", "b"), suite.chat)
+    backend = Backend.from_mock(script)
+    record = generate_answer(scores, items, ("a", "b"), backend)
     assert record.chosen_index == 0
     assert record.validated is True
 
@@ -586,23 +586,23 @@ def test_generate_answer_survives_backend_failure() -> None:
 # Workflow execution
 # ---------------------------------------------------------------------------
 
-def _exec_suite(text_final: str, visual_final: str) -> BackendSuite:
+def _exec_backend(text_final: str, visual_final: str) -> Backend:
     script = MockScript()
     script.add("[TextAgent] working", text_final)
     script.add("[VisualAnalysisAgent] working", visual_final)
     script.add("drafting explanation", "Answer: option 1.")
-    return BackendSuite.from_mock(script)
+    return Backend.from_mock(script)
 
 
 def test_execute_workflow_full_causal_path() -> None:
-    suite = _exec_suite(
+    backend = _exec_backend(
         _final((0.05, 0.9, 0.05), 1.0,
                {"cause_supported": True, "effect_supported": True}),
         _final((0.1, 0.8, 0.1), 0.9,
                {"cause_supported": True, "effect_supported": True}))
     workflow = template_workflow("q1", "Causal", AGENT_REGISTRY)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                              suite)
+                              backend)
     assert record.chosen_index == 1
     assert record.rounds_used == 2
     assert record.validated is True
@@ -612,12 +612,12 @@ def test_execute_workflow_full_causal_path() -> None:
 
 
 def test_execute_workflow_agents_stay_within_selection() -> None:
-    suite = _exec_suite(_final((0.9, 0.1)), _final((0.9, 0.1)))
+    backend = _exec_backend(_final((0.9, 0.1)), _final((0.9, 0.1)))
     workflow = template_workflow("q1", "Descriptive",
                                  (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What is it?", ("a", "b"))
     record = execute_workflow(workflow, bundle, _store(),
-                              _profile("Descriptive"), suite)
+                              _profile("Descriptive"), backend)
     agents_in_trace = {s.agent for s in record.trace}
     assert VISUAL_AGENT not in agents_in_trace
     assert sum(1 for s in record.trace if s.agent == ANSWER_AGENT) == 1
@@ -629,11 +629,11 @@ def test_execute_workflow_budget_shared_across_stages() -> None:
     script.add("[TextAgent] working", "THOUGHT: loop\nACTION: temporal_index {}")
     script.add("[VisualAnalysisAgent] working", _final((0.1, 0.8, 0.1)))
     script.add("drafting explanation", "Answer: option 0.")
-    suite = BackendSuite.from_mock(script)
+    backend = Backend.from_mock(script)
     workflow = template_workflow("q1", "Causal", AGENT_REGISTRY,
                                  max_iterations=15)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                              suite)
+                              backend)
     assert record.rounds_used == 15
     assert record.truncated is True
     assert any("skipped" in s.observation for s in record.trace
@@ -649,34 +649,34 @@ def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch) -> None:
         return item, consumed + 15
 
     monkeypatch.setattr(orchestrator, "run_react", overspending)
-    suite = _exec_suite(_final((0.9, 0.1)), _final((0.8, 0.2)))
+    backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
     workflow = template_workflow("q1", "Descriptive",
                                  (TEXT_AGENT, ANSWER_AGENT))
     with pytest.raises(VideoQAError, match="budget law violated"):
         execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
-                         _store(), _profile("Descriptive"), suite)
+                         _store(), _profile("Descriptive"), backend)
 
 
 def test_execute_workflow_deterministic_bytes() -> None:
     def run() -> str:
-        suite = _exec_suite(
+        backend = _exec_backend(
             _final((0.05, 0.9, 0.05), 1.0),
             _final((0.1, 0.8, 0.1), 0.9))
         workflow = template_workflow("q1", "Causal", AGENT_REGISTRY)
         record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                                  suite)
+                                  backend)
         return record.to_json()
 
     assert run() == run()
 
 
 def test_answer_record_json_schema() -> None:
-    suite = _exec_suite(_final((0.9, 0.1)), _final((0.8, 0.2)))
+    backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
     workflow = template_workflow("q7", "Descriptive",
                                  (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What?", ("a", "b"), qid="q7")
     record = execute_workflow(workflow, bundle, _store(),
-                              _profile("Descriptive"), suite)
+                              _profile("Descriptive"), backend)
     doc = json.loads(record.to_json())
     assert set(doc) == {"question_id", "chosen", "scores", "margin",
                         "rounds_used", "validated", "truncated", "trace"}

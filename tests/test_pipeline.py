@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from videoqa.backends import BackendSuite, MockRule, MockScript
+from videoqa.backends import Backend, CachingBackend, MockRule, MockScript
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, InputError, ValidationError
@@ -46,8 +48,8 @@ def _question() -> RawQuestion:
 def test_build_two_shots_one_expanded(tmp_path) -> None:
     manifest = write_video(tmp_path, "vid12", [6, 6], seed=2)
     config = EngineConfig(seed=5)
-    suite = BackendSuite.from_mock(_twelve_frame_script())
-    result = build_video(manifest, [_question()], config, suite)
+    backend = Backend.from_mock(_twelve_frame_script())
+    result = build_video(manifest, [_question()], config, backend)
 
     tree = result.tree
     assert len(tree.shot_order) == 2
@@ -70,22 +72,23 @@ def test_build_rerun_with_cache_makes_zero_backend_calls(tmp_path) -> None:
     config = EngineConfig(seed=5)
 
     script_one = _twelve_frame_script()
-    suite = BackendSuite.from_mock(script_one).cached(tmp_path / "cache")
-    build_video(manifest, [_question()], config, suite)
+    backend = CachingBackend(Backend.from_mock(script_one), tmp_path / "cache")
+    build_video(manifest, [_question()], config, backend)
     assert len(script_one.call_log) > 0
 
     script_two = _twelve_frame_script()
-    suite_two = BackendSuite.from_mock(script_two).cached(tmp_path / "cache")
-    result = build_video(manifest, [_question()], config, suite_two)
+    backend_two = CachingBackend(Backend.from_mock(script_two),
+                                 tmp_path / "cache")
+    result = build_video(manifest, [_question()], config, backend_two)
     assert len(script_two.call_log) == 0, "second run is fully cache-served"
     assert result.tree.validate() is None
 
 
 def test_build_missing_manifest_raises_input_error(tmp_path) -> None:
     config = EngineConfig()
-    suite = BackendSuite.from_mock(MockScript(default_response="x"))
+    backend = Backend.from_mock(MockScript(default_response="x"))
     with pytest.raises(InputError, match="absent.json"):
-        build_video(tmp_path / "absent.json", [], config, suite)
+        build_video(tmp_path / "absent.json", [], config, backend)
 
 
 def test_uniform_leaf_shots_partition() -> None:
@@ -180,8 +183,8 @@ def test_classification_overlaps_first_pass_captioning(tmp_path) -> None:
         return "text"
 
     manifest = write_video(tmp_path, "vid12", [6, 6], seed=2)
-    suite = BackendSuite.from_mock(MockScript(default_response=respond))
-    result = build_video(manifest, [_question()], EngineConfig(seed=5), suite)
+    backend = Backend.from_mock(MockScript(default_response=respond))
+    result = build_video(manifest, [_question()], EngineConfig(seed=5), backend)
     assert result.bundles[0].qtype == "Causal"
 
 
@@ -191,13 +194,40 @@ def test_build_output_independent_of_inflight_limit(tmp_path) -> None:
     outputs = []
     for max_inflight in (1, 8):
         result = build_video(world.video_manifests["golden_a"], questions,
-                             EngineConfig(seed=3, max_inflight=max_inflight),
-                             world.suite())
+                             EngineConfig(seed=3), world.backend(max_inflight))
         assert len(result.prompts) == 3
         outputs.append((tree_to_json(result.tree),
                         json.dumps(result.store.to_sidecar(), sort_keys=True),
                         [b.qtype for b in result.bundles]))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_respects_mock_inflight_limit(tmp_path, max_inflight) -> None:
+    """The mock's limit caps the calls in flight during a golden build, and
+    a limit of 8 does let calls overlap."""
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    lookup, lock = script.lookup, threading.Lock()
+    inflight = {"now": 0, "peak": 0}
+
+    def counting_lookup(rendered: str):
+        with lock:
+            inflight["now"] += 1
+            inflight["peak"] = max(inflight["peak"], inflight["now"])
+        time.sleep(0.002)
+        with lock:
+            inflight["now"] -= 1
+        return lookup(rendered)
+
+    script.lookup = counting_lookup
+    build_video(world.video_manifests["golden_a"],
+                _golden_questions("golden_a"), EngineConfig(seed=3),
+                Backend.from_mock(script, max_inflight=max_inflight))
+    if max_inflight == 1:
+        assert inflight["peak"] == 1
+    else:
+        assert 1 < inflight["peak"] <= max_inflight
 
 
 def test_build_one_type_caption_outage_raises(tmp_path) -> None:
@@ -208,7 +238,7 @@ def test_build_one_type_caption_outage_raises(tmp_path) -> None:
     questions = _golden_questions("golden_a", "a_q1", "a_q3")
     with pytest.raises(BackendError, match="failed for all"):
         build_video(world.video_manifests["golden_a"], questions,
-                    EngineConfig(seed=3), BackendSuite.from_mock(script))
+                    EngineConfig(seed=3), Backend.from_mock(script))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +248,7 @@ def test_build_one_type_caption_outage_raises(tmp_path) -> None:
 def test_golden_suite_full_accuracy(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     config = EngineConfig(seed=3)
-    records, report = evaluate(world.dataset_path, config, world.suite())
+    records, report = evaluate(world.dataset_path, config, world.backend())
 
     assert report.num_questions == 10
     assert report.accuracy_overall == 1.0
@@ -238,7 +268,7 @@ def test_golden_suite_full_accuracy(tmp_path) -> None:
 def test_golden_descriptive_questions_skip_visual_agent(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     records, _ = evaluate(world.dataset_path, EngineConfig(seed=3),
-                          world.suite())
+                          world.backend())
     by_id = {r.question_id: r for r in records}
     static_trace = {s.agent for s in by_id["a_q2"].trace}
     assert "VisualAnalysisAgent" not in static_trace
@@ -249,7 +279,7 @@ def test_golden_descriptive_questions_skip_visual_agent(tmp_path) -> None:
 def test_golden_fig_scenario_answers_overlooking_children(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     records, _ = evaluate(world.dataset_path, EngineConfig(seed=3),
-                          world.suite())
+                          world.backend())
     record = next(r for r in records if r.question_id == "a_q1")
     assert record.chosen_text == "overlooking the children"
     assert record.rounds_used == 4, "two-step text + two-step visual"
@@ -263,7 +293,7 @@ def test_manifest_without_gold_omits_accuracy(tmp_path) -> None:
             question.pop("gold_index")
     ungraded = world.root / "ungraded.json"
     ungraded.write_text(json.dumps(doc))
-    records, report = evaluate(ungraded, EngineConfig(seed=3), world.suite())
+    records, report = evaluate(ungraded, EngineConfig(seed=3), world.backend())
     assert len(records) == 10
     assert report.accuracy_overall is None
     assert "accuracy_overall" not in report.to_doc()
@@ -279,10 +309,10 @@ def test_declared_type_skips_classifier(tmp_path) -> None:
             question["declared_type"] = gold_q.qtype
     declared = world.root / "declared.json"
     declared.write_text(json.dumps(doc))
-    suite = world.suite()
-    records, report = evaluate(declared, EngineConfig(seed=3), suite)
+    backend = world.backend()
+    records, report = evaluate(declared, EngineConfig(seed=3), backend)
     assert report.accuracy_overall == 1.0
-    classify_calls = [r for r in suite.chat.call_log
+    classify_calls = [r for r in backend.call_log
                       if "Classify this multiple-choice" in r.rendered]
     assert not classify_calls, "declared types bypass the classifier"
 
@@ -294,18 +324,18 @@ def test_declared_type_skips_classifier(tmp_path) -> None:
 def test_ablation_uniform_sampling_leaf_only_even_shots(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     config = EngineConfig(seed=3, uniform_sampling=True)
-    suite = world.suite()
-    records, report = evaluate(world.dataset_path, config, suite)
+    backend = world.backend()
+    records, report = evaluate(world.dataset_path, config, backend)
     assert report.ablation_flags == ["uniform-sampling"]
     assert len(records) == 10
 
     # observable structure: no scoring calls, no expansion anywhere
-    scoring_calls = [r for r in suite.chat.call_log
+    scoring_calls = [r for r in backend.call_log
                      if "Rate how relevant" in r.rendered]
     assert not scoring_calls
 
     manifest = world.video_manifests["golden_a"]
-    result = build_video(manifest, [], config, world.suite())
+    result = build_video(manifest, [], config, world.backend())
     assert len(result.tree.shot_order) == 8
     assert all(not result.tree.nodes[s].children
                for s in result.tree.shot_order), "leaf-only"
@@ -316,10 +346,10 @@ def test_ablation_uniform_sampling_leaf_only_even_shots(tmp_path) -> None:
 def test_ablation_generic_captions_skips_prompt_synthesis(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     config = EngineConfig(seed=3, generic_captions=True)
-    suite = world.suite()
-    _, report = evaluate(world.dataset_path, config, suite)
+    backend = world.backend()
+    _, report = evaluate(world.dataset_path, config, backend)
     assert report.ablation_flags == ["generic-captions"]
-    synthesis_calls = [r for r in suite.chat.call_log
+    synthesis_calls = [r for r in backend.call_log
                        if "You write visual captioning prompts" in r.rendered]
     assert not synthesis_calls, "no prompt-synthesis call in the log"
 
@@ -327,10 +357,10 @@ def test_ablation_generic_captions_skips_prompt_synthesis(tmp_path) -> None:
 def test_ablation_fixed_workflow_all_agents_same_answers(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     adaptive_records, adaptive_report = evaluate(
-        world.dataset_path, EngineConfig(seed=3), world.suite())
+        world.dataset_path, EngineConfig(seed=3), world.backend())
     fixed_records, fixed_report = evaluate(
         world.dataset_path, EngineConfig(seed=3, fixed_workflow=True),
-        world.suite())
+        world.backend())
 
     assert fixed_report.ablation_flags == ["fixed-workflow"]
     assert [r.chosen_index for r in fixed_records] == \
@@ -345,10 +375,10 @@ def test_ablation_fixed_workflow_all_agents_same_answers(tmp_path) -> None:
 def test_parallel_videos_matches_sequential(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     seq_records, seq_report = evaluate(world.dataset_path, EngineConfig(seed=3),
-                                       world.suite())
+                                       world.backend())
     par_records, par_report = evaluate(world.dataset_path,
                                        EngineConfig(seed=3, parallel_videos=True),
-                                       world.suite())
+                                       world.backend())
     assert [r.to_json() for r in par_records] == \
         [r.to_json() for r in seq_records]
     assert par_report.to_doc() == seq_report.to_doc()
@@ -364,17 +394,32 @@ def test_reclassify_flag_forces_classifier(tmp_path) -> None:
             question["declared_type"] = gold_q.qtype
     declared = world.root / "declared.json"
     declared.write_text(json.dumps(doc))
-    suite = world.suite()
-    evaluate(declared, EngineConfig(seed=3, reclassify=True), suite)
-    classify_calls = [r for r in suite.chat.call_log
+    backend = world.backend()
+    evaluate(declared, EngineConfig(seed=3, reclassify=True), backend)
+    classify_calls = [r for r in backend.call_log
                       if "Classify this multiple-choice" in r.rendered]
     assert classify_calls, "reclassify forces the classifier to run"
+
+
+def test_golden_eval_call_count_and_prompt_bytes_bounded(tmp_path) -> None:
+    """Cost guard on the golden world. A change may tighten these bounds
+    when it earns it, but must never raise them to hide a regression."""
+    world = build_golden_world(tmp_path / "golden")
+    backend = world.backend()
+    evaluate(world.dataset_path, EngineConfig(seed=3), backend)
+    calls = Counter(r.capability for r in backend.call_log)
+    assert sum(calls.values()) <= 101
+    assert calls["chat"] <= 75
+    assert calls["caption"] <= 26
+    assert calls["embed"] == 0
+    assert sum(len(r.rendered.encode("utf-8"))
+               for r in backend.call_log) <= 44_047
 
 
 def test_ablation_flags_compose(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     config = EngineConfig(seed=3, uniform_sampling=True, generic_captions=True,
                           fixed_workflow=True)
-    _, report = evaluate(world.dataset_path, config, world.suite())
+    _, report = evaluate(world.dataset_path, config, world.backend())
     assert report.ablation_flags == ["uniform-sampling", "generic-captions",
                                      "fixed-workflow"]
