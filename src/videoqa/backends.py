@@ -89,19 +89,9 @@ def render_payload(request: BackendRequest) -> str:
     return f"{request.capability}:{body}"
 
 
-@dataclass
-class CallRecord:
-    capability: str
-    rendered: str
-    response: Any
-    latency_s: float
-    retries: int = 0
-    error: str | None = None
-
-
 class Backend:
-    """The one model service every stage calls: shared call-log plumbing and
-    the in-flight cap; subclasses implement _call().
+    """The one model service every stage calls: the in-flight cap, with
+    subclasses implementing _call().
 
     `max_inflight` is the only limit on concurrent model calls, and it sizes
     every pool that fans calls out to this backend. `capabilities` names the
@@ -113,8 +103,6 @@ class Backend:
     identity: str = ""
 
     def __init__(self, max_inflight: int = 8) -> None:
-        self.call_log: list[CallRecord] = []
-        self._log_lock = threading.Lock()
         self.max_inflight = max(1, max_inflight)
         self._inflight = threading.BoundedSemaphore(self.max_inflight)
 
@@ -135,23 +123,10 @@ class Backend:
 
     def call(self, request: BackendRequest) -> Any:
         rendered = render_payload(request)
-        start = time.monotonic()
-        try:
-            with self._inflight:
-                response, retries = self._call(request, rendered)
-        except BackendError as exc:
-            self._record(CallRecord(request.capability, rendered, None,
-                                    time.monotonic() - start, error=str(exc)))
-            raise
-        self._record(CallRecord(request.capability, rendered, response,
-                                time.monotonic() - start, retries=retries))
-        return response
+        with self._inflight:
+            return self._call(request, rendered)
 
-    def _record(self, record: CallRecord) -> None:
-        with self._log_lock:
-            self.call_log.append(record)
-
-    def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
+    def _call(self, request: BackendRequest, rendered: str) -> Any:
         raise NotImplementedError
 
 
@@ -184,7 +159,7 @@ class MockRule:
 
 
 class MockScript:
-    """Ordered canned responses plus a shared call log.
+    """Ordered canned responses.
 
     `default_response` may be a literal or a callable on the rendered
     payload (callables are for in-code tests; script files hold literals).
@@ -194,7 +169,6 @@ class MockScript:
                  default_response: Any = None):
         self.rules = list(rules or [])
         self.default_response = default_response
-        self.call_log: list[CallRecord] = []
 
     def add(self, match: str, response: Any = None, *, regex: bool = False,
             error: str | None = None) -> "MockScript":
@@ -239,18 +213,28 @@ class MockScript:
 class MockBackend(Backend):
     """Deterministic backend driven by a MockScript."""
 
-    identity = "mock"
-
     def __init__(self, script: MockScript,
                  capabilities: tuple[str, ...] = CAPABILITIES,
                  max_inflight: int = 8):
         super().__init__(max_inflight)
         self.script = script
         self.capabilities = tuple(capabilities)
-        # Alias the script's log so every call lands there as well.
-        self.call_log = script.call_log
 
-    def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
+    @property
+    def identity(self) -> str:
+        """A hash of the script's rules and default, so a cache never serves
+        one script's replies to another. A callable default cannot be read,
+        so it is named by the object itself."""
+        default = self.script.default_response
+        if callable(default):
+            default = f"<callable {id(default)}>"
+        doc = {"rules": [[r.match, r.response, r.regex, r.error]
+                         for r in self.script.rules],
+               "default_response": default}
+        body = json.dumps(doc, sort_keys=True, ensure_ascii=False, default=repr)
+        return "mock:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+    def _call(self, request: BackendRequest, rendered: str) -> Any:
         if request.capability not in self.capabilities:
             raise CapabilityMismatchError(
                 f"mock serves {self.capabilities}, got {request.capability!r}")
@@ -265,7 +249,7 @@ class MockBackend(Backend):
             response = default(rendered) if callable(default) else default
         else:
             raise MockScriptError(f"no mock rule matches: {rendered[:200]}")
-        return _coerce_response(request.capability, response), 0
+        return _coerce_response(request.capability, response)
 
 
 def _coerce_response(capability: str, response: Any) -> Any:
@@ -323,7 +307,7 @@ class RemoteBackend(Backend):
         except ValueError as exc:
             raise MalformedResponseError(f"non-JSON response from {url}") from exc
 
-    def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
+    def _call(self, request: BackendRequest, rendered: str) -> Any:
         url = self.endpoints.get(request.capability)
         if not url:
             raise CapabilityMismatchError(
@@ -353,7 +337,7 @@ class RemoteBackend(Backend):
                 continue
             if status >= 400:
                 raise BackendError(f"{url} returned {status}")
-            return self._parse_body(request.capability, doc), attempt
+            return self._parse_body(request.capability, doc)
 
     @staticmethod
     def _wire_body(request: BackendRequest) -> dict:
@@ -399,12 +383,13 @@ class CachingBackend(Backend):
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        self._count_lock = threading.Lock()
 
     def cache_key(self, request: BackendRequest) -> str:
         keyed = f"{self.identity}\n{render_payload(request)}"
         return hashlib.sha256(keyed.encode("utf-8")).hexdigest()
 
-    def _call(self, request: BackendRequest, rendered: str) -> tuple[Any, int]:
+    def _call(self, request: BackendRequest, rendered: str) -> Any:
         path = self.cache_dir / f"{self.cache_key(request)}.json"
         if path.exists():
             try:
@@ -413,8 +398,9 @@ class CachingBackend(Backend):
                 logger.warning("corrupt cache entry %s (%s), treated as a miss",
                                path.name, exc)
             else:
-                self.hits += 1
-                return response, 0
+                with self._count_lock:
+                    self.hits += 1
+                return response
         response = self.inner.call(request)
         # The temp name carries pid and thread id, so concurrent writers of
         # one key, in this process or another, never interleave.
@@ -422,8 +408,9 @@ class CachingBackend(Backend):
             f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(json.dumps({"response": response}), encoding="utf-8")
         tmp.replace(path)
-        self.misses += 1
-        return response, 0
+        with self._count_lock:
+            self.misses += 1
+        return response
 
 
 # perfbench/ builds its backend through this name; nothing else may use it.

@@ -206,7 +206,14 @@ class RetrievalResult:
 
 @dataclass
 class KnowledgeStore:
-    """Immutable-after-population retrieval surface over one video."""
+    """Immutable-after-population retrieval surface over one video.
+
+    Retrieval is indexed: a selector becomes a frame interval, and each
+    scope costs O(shots + rows returned). The shot index (the shot ids, and
+    each frame's first owning shot in shot order) is built lazily, on the
+    first retrieval that needs it, so creating or loading a store does no
+    extra work.
+    """
 
     tree: HybridTree
     fps: float = 1.0
@@ -214,6 +221,8 @@ class KnowledgeStore:
     summaries: dict[tuple[int, str], SegmentSummary] = field(default_factory=dict)
     first_pass: dict[int, str] = field(default_factory=dict)
     frame_refs: dict[int, str] = field(default_factory=dict)
+    _shot_index: tuple[frozenset[int], dict[int, int]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_captions(self, captions: list[FrameCaption]) -> None:
         for cap in captions:
@@ -227,11 +236,27 @@ class KnowledgeStore:
         return self.frame_refs.get(
             frame_index, f"{self.tree.video_id}:frame:{frame_index}")
 
+    def _index(self) -> tuple[frozenset[int], dict[int, int]]:
+        # Threads racing on the first retrieval build equal indexes, and
+        # whichever is stored last wins; the tree never changes after build.
+        if self._shot_index is None:
+            owner: dict[int, int] = {}
+            for shot in self.tree.shots():
+                for frame in range(shot.start_frame, shot.end_frame + 1):
+                    owner.setdefault(frame, shot.node_id)
+            self._shot_index = (frozenset(self.tree.shot_order), owner)
+        return self._shot_index
+
     def _shot_by_id(self, shot_id: int):
-        for sid in self.tree.shot_order:
-            if sid == shot_id:
-                return self.tree.nodes[sid]
-        raise NotFoundError(f"shot {shot_id} does not exist in this tree")
+        if shot_id not in self._index()[0]:
+            raise NotFoundError(f"shot {shot_id} does not exist in this tree")
+        return self.tree.nodes[shot_id]
+
+    def _owner_shot_id(self, frame: int) -> int:
+        owner = self._index()[1].get(frame)
+        if owner is None:
+            raise NotFoundError(f"frame {frame} falls outside every shot")
+        return owner
 
     def retrieve(self, scope: str, qtype: str,
                  selector: dict | None = None) -> RetrievalResult:
@@ -260,37 +285,44 @@ class KnowledgeStore:
             })
         return RetrievalResult(SCOPE_TEMPORAL_INDEX, qtype, False, rows)
 
-    def _selected_frames(self, selector: dict) -> list[int] | None:
+    def _selected_interval(self, selector: dict) -> tuple[int, int] | None:
+        """The frames a selector names, as [first, last]; a model-chosen
+        range is never expanded, so its size costs nothing."""
         if "shot_id" in selector:
             shot = self._shot_by_id(int(selector["shot_id"]))
-            return list(shot.frames)
+            return shot.start_frame, shot.end_frame
         if "frame_range" in selector:
             a, b = selector["frame_range"]
-            return list(range(int(a), int(b) + 1))
+            return int(a), int(b)
         return None
 
     def _moment_captions(self, qtype: str, selector: dict) -> RetrievalResult:
-        wanted = self._selected_frames(selector)
-        populated = any(key[1] == qtype for key in self.captions)
-        if populated:
-            rows = []
-            for (frame, ctype), cap in sorted(self.captions.items()):
-                if ctype != qtype:
-                    continue
-                if wanted is not None and frame not in wanted:
-                    continue
-                rows.append({"frame": frame, "node_id": self._owner_shot_id(frame),
-                             "text": cap.text})
-            return RetrievalResult(SCOPE_MOMENT_CAPTIONS, qtype, False, rows)
-        return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, qtype, wanted)
+        interval = self._selected_interval(selector)
+        typed = [(frame, cap) for (frame, ctype), cap in self.captions.items()
+                 if ctype == qtype]
+        if not typed:
+            selected = None
+            if interval is not None:
+                lo, hi = interval
+                selected = {shot.node_id for shot in self.tree.shots()
+                            if max(lo, shot.start_frame) <= min(hi, shot.end_frame)}
+            return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, qtype, selected)
+        if interval is not None:
+            lo, hi = interval
+            typed = [(frame, cap) for frame, cap in typed if lo <= frame <= hi]
+        rows = [{"frame": frame, "node_id": self._owner_shot_id(frame),
+                 "text": cap.text}
+                for frame, cap in sorted(typed, key=lambda item: item[0])]
+        return RetrievalResult(SCOPE_MOMENT_CAPTIONS, qtype, False, rows)
 
     def _segment_summaries(self, qtype: str, selector: dict) -> RetrievalResult:
         shot_ids = selector.get("shot_ids")
         if shot_ids is None and "shot_id" in selector:
             shot_ids = [selector["shot_id"]]
         if shot_ids is None:
-            shot_ids = list(self.tree.shot_order)
-        shots = [self._shot_by_id(int(s)) for s in shot_ids]
+            shots = self.tree.shots()
+        else:
+            shots = [self._shot_by_id(int(s)) for s in shot_ids]
         populated = any(key[1] == qtype for key in self.summaries)
         if populated:
             rows = []
@@ -300,27 +332,24 @@ class KnowledgeStore:
                     rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                                  "text": summary.text})
             return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, qtype, False, rows)
-        wanted_frames = [f for shot in shots for f in shot.frames]
-        return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, qtype, wanted_frames)
+        selected = (None if shot_ids is None
+                    else {shot.node_id for shot in shots})
+        return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, qtype, selected)
 
     def _first_pass_rows(self, scope: str, qtype: str,
-                         wanted_frames: list[int] | None) -> RetrievalResult:
+                         selected: set[int] | None) -> RetrievalResult:
+        """First-pass captions of the selected shots, in shot order; every
+        shot when `selected` is None. Shots partition the frames, so a shot
+        overlaps the selected frames exactly when it is selected."""
         rows = []
         for shot in self.tree.shots():
-            if wanted_frames is not None and not any(
-                    f in shot.frames for f in wanted_frames):
+            if selected is not None and shot.node_id not in selected:
                 continue
             text = self.first_pass.get(shot.node_id)
             if text is not None:
                 rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                              "text": text})
         return RetrievalResult(scope, qtype, True, rows)
-
-    def _owner_shot_id(self, frame: int) -> int:
-        for shot in self.tree.shots():
-            if shot.start_frame <= frame <= shot.end_frame:
-                return shot.node_id
-        raise NotFoundError(f"frame {frame} falls outside every shot")
 
     # -- sidecar ------------------------------------------------------------
 
@@ -348,13 +377,13 @@ class KnowledgeStore:
             raise ValidationError("sidecar must be a JSON object")
         store = cls(tree=tree, fps=fps)
         for cap in _sidecar_items(doc, "captions", lambda item: FrameCaption(
-                int(item["frame"]), item["qtype"], item["text"])):
+                int(item["frame"]), _item_qtype(item), _item_text(item))):
             store.captions[(cap.frame_index, cap.qtype)] = cap
         for summary in _sidecar_items(doc, "summaries", lambda item: SegmentSummary(
-                int(item["shot"]), item["qtype"], item["text"])):
+                int(item["shot"]), _item_qtype(item), _item_text(item))):
             store.summaries[(summary.shot_id, summary.qtype)] = summary
         for shot, text in _sidecar_items(doc, "first_pass", lambda item: (
-                int(item["shot"]), item["text"])):
+                int(item["shot"]), _item_text(item))):
             store.first_pass[shot] = text
         valid_frames = set(range(tree.num_frames()))
         for frame, _ in store.captions:
@@ -369,7 +398,8 @@ class KnowledgeStore:
 
 def _sidecar_items(doc: dict, section: str, parse) -> list:
     """Parse one sidecar section; a malformed item (not an object, a missing
-    key, a non-integer index) raises ValidationError naming it."""
+    key, a non-integer index, a non-string text, an unknown question type)
+    raises ValidationError naming it."""
     items = doc.get(section, [])
     if not isinstance(items, list):
         raise ValidationError(f"sidecar {section} must be a list")
@@ -381,3 +411,17 @@ def _sidecar_items(doc: dict, section: str, parse) -> list:
             raise ValidationError(
                 f"sidecar {section}[{i}] is malformed: {exc!r}") from None
     return parsed
+
+
+def _item_text(item: dict) -> str:
+    text = item["text"]
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a string, got {type(text).__name__}")
+    return text
+
+
+def _item_qtype(item: dict) -> str:
+    qtype = item["qtype"]
+    if qtype not in QTYPES:
+        raise ValueError(f"qtype must be one of {QTYPES}, got {qtype!r}")
+    return qtype

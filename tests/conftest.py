@@ -1,18 +1,63 @@
 """Shared fixtures: synthetic videos with planted shot boundaries, scripted
-mock backends, and the 10-question golden suite used by the CLI and
-acceptance tests."""
+mock backends, a backend wrapper that records every call, and the
+10-question golden suite used by the CLI and acceptance tests."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
 
-from videoqa.backends import Backend, MockScript
+from videoqa.backends import Backend, BackendRequest, MockScript
+from videoqa.errors import BackendError
 from videoqa.ingest import write_embeddings
+
+
+# ---------------------------------------------------------------------------
+# Call recording
+# ---------------------------------------------------------------------------
+
+@dataclass
+class RecordedCall:
+    capability: str
+    rendered: str
+    response: Any
+    error: str | None = None
+
+
+class RecordingBackend(Backend):
+    """Forwards every call to `inner` and records it in `calls`, failed calls
+    included. Reports the inner backend's capabilities, identity and
+    in-flight limit, and sets no cap of its own."""
+
+    def __init__(self, inner: Backend) -> None:
+        super().__init__(inner.max_inflight)
+        self._inflight = contextlib.nullcontext()
+        self.inner = inner
+        self.capabilities = inner.capabilities
+        self.identity = inner.identity
+        self.calls: list[RecordedCall] = []
+        self._lock = threading.Lock()
+
+    def _call(self, request: BackendRequest, rendered: str) -> Any:
+        try:
+            response = self.inner.call(request)
+        except BackendError as exc:
+            self._record(RecordedCall(request.capability, rendered, None,
+                                      str(exc)))
+            raise
+        self._record(RecordedCall(request.capability, rendered, response))
+        return response
+
+    def _record(self, call: RecordedCall) -> None:
+        with self._lock:
+            self.calls.append(call)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +378,8 @@ class GoldenWorld:
     def script(self) -> MockScript:
         return MockScript.from_file(self.script_path)
 
-    def backend(self, max_inflight: int = 8) -> Backend:
-        return Backend.from_mock(self.script(), max_inflight)
+    def backend(self, max_inflight: int = 8) -> RecordingBackend:
+        return RecordingBackend(Backend.from_mock(self.script(), max_inflight))
 
 
 def build_golden_world(root: Path) -> GoldenWorld:

@@ -306,7 +306,7 @@ def test_acceptance_ablation_plumbing(tmp_path) -> None:
                              backend)
         assert report.ablation_flags == ["generic-captions"]
         assert not any("You write visual captioning prompts" in r.rendered
-                       for r in backend.call_log)
+                       for r in backend.calls)
 
         fixed_records, fixed_report = evaluate(
             world.dataset_path, EngineConfig(seed=3, fixed_workflow=True),

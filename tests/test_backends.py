@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,6 +28,8 @@ from videoqa.errors import (
     MockScriptError,
     TransportError,
 )
+
+from conftest import RecordingBackend
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +88,11 @@ def test_mock_regex_rule() -> None:
 
 def test_mock_default_response_and_call_log() -> None:
     script = MockScript(default_response="fallback")
-    backend = MockBackend(script)
+    backend = RecordingBackend(MockBackend(script))
     assert backend.call(chat_request("anything")) == "fallback"
     assert backend.call(chat_request("else")) == "fallback"
-    assert len(script.call_log) == 2
-    assert script.call_log[0].capability == "chat"
+    assert len(backend.calls) == 2
+    assert backend.calls[0].capability == "chat"
 
 
 def test_mock_callable_default() -> None:
@@ -99,12 +102,11 @@ def test_mock_callable_default() -> None:
 
 
 def test_mock_no_rule_no_default_raises_and_logs() -> None:
-    script = MockScript()
-    backend = MockBackend(script)
+    backend = RecordingBackend(MockBackend(MockScript()))
     with pytest.raises(MockScriptError):
         backend.call(chat_request("nothing matches"))
-    assert len(script.call_log) == 1
-    assert script.call_log[0].error is not None
+    assert len(backend.calls) == 1
+    assert backend.calls[0].error is not None
 
 
 def test_mock_capability_mismatch() -> None:
@@ -154,17 +156,16 @@ def test_mock_determinism_identical_sequences() -> None:
         script = MockScript(default_response="d")
         script.add("alpha", "1")
         script.add("beta", "2")
-        backend = MockBackend(script)
+        backend = RecordingBackend(MockBackend(script))
         out = [backend.call(chat_request(p)) for p in ("alpha", "beta", "x")]
         return out + [(r.capability, r.rendered, r.response)
-                      for r in script.call_log]
+                      for r in backend.calls]
 
     assert run() == run()
 
 
 def test_mock_call_log_thread_safe() -> None:
-    script = MockScript(default_response="ok")
-    backend = MockBackend(script)
+    backend = RecordingBackend(MockBackend(MockScript(default_response="ok")))
     threads = [threading.Thread(
         target=lambda: [backend.call(chat_request(f"t{i}")) for i in range(20)])
         for _ in range(8)]
@@ -172,7 +173,7 @@ def test_mock_call_log_thread_safe() -> None:
         t.start()
     for t in threads:
         t.join()
-    assert len(script.call_log) == 160
+    assert len(backend.calls) == 160
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +206,13 @@ def _remote(outcomes: list) -> tuple[RemoteBackend, FakeTransport]:
 
 
 def test_remote_retries_5xx_then_succeeds() -> None:
-    backend, transport = _remote([(500, {}), (500, {}), (200, _chat_body("ok"))])
+    sleeps: list[float] = []
+    transport = FakeTransport([(500, {}), (500, {}), (200, _chat_body("ok"))])
+    backend = RemoteBackend({"chat": "http://unit.test/chat"},
+                            transport=transport, sleep=sleeps.append)
     assert backend.call(chat_request("q")) == "ok"
     assert transport.calls == 3
-    assert backend.call_log[-1].retries == 2
+    assert sleeps == [1.0, 2.0], "two retries"
 
 
 def test_remote_gives_up_after_two_retries() -> None:
@@ -276,23 +280,22 @@ def test_remote_backoff_schedule() -> None:
 # ---------------------------------------------------------------------------
 
 def test_cache_serves_repeat_without_inner_call(tmp_path) -> None:
-    script = MockScript(default_response="cached-answer")
-    inner = MockBackend(script)
+    inner = RecordingBackend(MockBackend(MockScript(default_response="cached-answer")))
     cached = CachingBackend(inner, tmp_path / "cache")
     assert cached.call(chat_request("q")) == "cached-answer"
     assert cached.call(chat_request("q")) == "cached-answer"
-    assert len(script.call_log) == 1
+    assert len(inner.calls) == 1
     assert cached.hits == 1 and cached.misses == 1
 
 
 def test_cache_persists_across_instances(tmp_path) -> None:
-    script = MockScript(default_response="answer")
-    first = CachingBackend(MockBackend(script), tmp_path / "cache")
+    first = CachingBackend(MockBackend(MockScript(default_response="answer")),
+                           tmp_path / "cache")
     first.call(chat_request("q"))
-    fresh_script = MockScript(default_response="answer")
-    second = CachingBackend(MockBackend(fresh_script), tmp_path / "cache")
+    fresh = RecordingBackend(MockBackend(MockScript(default_response="answer")))
+    second = CachingBackend(fresh, tmp_path / "cache")
     assert second.call(chat_request("q")) == "answer"
-    assert len(fresh_script.call_log) == 0
+    assert len(fresh.calls) == 0
 
 
 def test_cache_never_serves_another_backends_response(tmp_path) -> None:
@@ -309,12 +312,43 @@ def test_cache_never_serves_another_backends_response(tmp_path) -> None:
     assert remote_cached.hits == 0 and remote_cached.misses == 1
 
 
+def test_cache_never_serves_another_mock_scripts_response(tmp_path) -> None:
+    first = CachingBackend(MockBackend(MockScript(default_response="A")),
+                           tmp_path / "cache")
+    assert first.call(chat_request("q")) == "A"
+    second = CachingBackend(MockBackend(MockScript(default_response="B")),
+                            tmp_path / "cache")
+    assert second.call(chat_request("q")) == "B"
+    assert second.hits == 0 and second.misses == 1
+
+
+def test_cache_counters_thread_safe(tmp_path) -> None:
+    """Eight threads share one cache: every call counts as one hit or one
+    miss, none is lost."""
+    cached = CachingBackend(MockBackend(MockScript(default_response="ok")),
+                            tmp_path / "cache")
+    threads = [threading.Thread(
+        target=lambda: [cached.call(chat_request(f"q{i % 4}")) for i in range(25)])
+        for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert cached.hits + cached.misses == 200
+
+
 def test_cache_distinguishes_payloads(tmp_path) -> None:
-    script = MockScript(default_response="x")
-    cached = CachingBackend(MockBackend(script), tmp_path / "cache")
+    inner = RecordingBackend(MockBackend(MockScript(default_response="x")))
+    cached = CachingBackend(inner, tmp_path / "cache")
     cached.call(chat_request("one"))
     cached.call(chat_request("two"))
-    assert len(script.call_log) == 2
+    assert len(inner.calls) == 2
 
 
 def test_cache_keeps_inner_inflight_limit(tmp_path) -> None:
@@ -338,17 +372,17 @@ def test_cache_keeps_inner_inflight_limit(tmp_path) -> None:
 @pytest.mark.parametrize("entry", ["{not json", json.dumps({"reply": "x"}),
                                    json.dumps(["response"])])
 def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
-    script = MockScript(default_response="fresh")
-    cached = CachingBackend(MockBackend(script), tmp_path / "cache")
+    inner = RecordingBackend(MockBackend(MockScript(default_response="fresh")))
+    cached = CachingBackend(inner, tmp_path / "cache")
     request = chat_request("q")
     (tmp_path / "cache" / f"{cached.cache_key(request)}.json").write_text(entry)
     with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
         assert cached.call(request) == "fresh"
     assert "corrupt cache entry" in caplog.text
-    assert len(script.call_log) == 1
+    assert len(inner.calls) == 1
     assert cached.hits == 0 and cached.misses == 1
     assert cached.call(request) == "fresh", "the entry was rewritten"
-    assert len(script.call_log) == 1
+    assert len(inner.calls) == 1
 
 
 def test_cache_temp_name_unique_per_process(tmp_path) -> None:

@@ -21,6 +21,8 @@ from videoqa.captioning import (
 from videoqa.errors import BackendError, ValidationError
 from videoqa.ingest import Shot
 
+from conftest import RecordingBackend
+
 
 def _backend(*rules, default=None) -> MockBackend:
     script = MockScript(default_response=default)
@@ -55,13 +57,13 @@ def test_classify_accepts_any_casing() -> None:
 
 
 def test_classify_unparseable_defaults_to_descriptive_after_retry(caplog) -> None:
-    script = MockScript(default_response="hmm, not sure")
-    llm = MockBackend(script)
+    llm = RecordingBackend(MockBackend(MockScript(
+        default_response="hmm, not sure")))
     with caplog.at_level(logging.WARNING, logger="videoqa.captioning"):
         qtype = classify_question("Anything?", ["a", "b"], llm)
     assert qtype == "Descriptive"
     assert "defaulting to Descriptive" in caplog.text
-    assert len(script.call_log) == 2
+    assert len(llm.calls) == 2
 
 
 def test_classify_empty_question_rejected() -> None:
@@ -155,11 +157,11 @@ def test_caption_frames_empty_list() -> None:
 def test_caption_frames_one_failure_becomes_sentinel() -> None:
     script = MockScript(default_response="fine")
     script.add("vid:frame:2", error="transport")
-    captions = caption_frames([1, 2, 3], generic_prompt(),
-                              MockBackend(script), _refs)
+    backend = RecordingBackend(MockBackend(script))
+    captions = caption_frames([1, 2, 3], generic_prompt(), backend, _refs)
     assert [c.text for c in captions] == ["fine", SENTINEL_CAPTION, "fine"]
     # failed frame was retried once: 2 calls for it, 1 for each other frame
-    assert len(script.call_log) == 4
+    assert len(backend.calls) == 4
 
 
 def test_caption_frames_total_outage_raises() -> None:
@@ -188,24 +190,26 @@ def _shot_list() -> list[Shot]:
 
 
 def test_summary_single_caption_passthrough_without_backend_call() -> None:
-    script = MockScript(default_response="should not be called")
+    backend = RecordingBackend(MockBackend(MockScript(
+        default_response="should not be called")))
     captions = [FrameCaption(1, "Causal", "the only caption")]
-    summaries = summarize_segments(captions, _shot_list(), MockBackend(script))
+    summaries = summarize_segments(captions, _shot_list(), backend)
     assert len(summaries) == 1
     assert summaries[0].text == "the only caption"
     assert summaries[0].shot_id == 0
-    assert len(script.call_log) == 0
+    assert len(backend.calls) == 0
 
 
 def test_summary_fuses_multiple_captions() -> None:
     script = MockScript()
     script.add("Fuse these frame captions", "joined summary")
+    backend = RecordingBackend(MockBackend(script))
     captions = [FrameCaption(0, "Causal", "one"),
                 FrameCaption(2, "Causal", "two"),
                 FrameCaption(3, "Causal", "three")]
-    summaries = summarize_segments(captions, _shot_list(), MockBackend(script))
+    summaries = summarize_segments(captions, _shot_list(), backend)
     assert summaries == [SegmentSummary(0, "Causal", "joined summary")]
-    assert len(script.call_log) == 1
+    assert len(backend.calls) == 1
 
 
 def test_summary_groups_by_shot() -> None:

@@ -151,6 +151,25 @@ def test_moment_captions_filter_by_frame_range() -> None:
     assert [r["frame"] for r in result.rows] == [5, 13]
 
 
+@pytest.mark.parametrize("qtype,whole,tail", [
+    ("Descriptive", [1, 3], [3]),          # captioned type: one row per caption
+    ("Causal", [0, 1, 2, 3], [2, 3]),      # degraded: one row per shot
+])
+def test_moment_captions_frame_range_is_an_interval(qtype, whole, tail) -> None:
+    """A model-chosen range costs nothing per frame: 10**15 frames would not
+    fit in memory as a list."""
+    store = _store()
+
+    def moments(a, b):
+        return store.retrieve("moment_captions", qtype, {"frame_range": [a, b]})
+
+    assert moments(0, 10**15) == moments(0, 15)
+    assert [r["node_id"] for r in moments(0, 10**15).rows] == whole
+    assert [r["node_id"] for r in moments(9, 10**3).rows] == tail, \
+        "a range past the video stops at its end"
+    assert moments(14, 12).rows == [], "a reversed range selects nothing"
+
+
 def test_moment_captions_fallback_degraded_for_unpopulated_type() -> None:
     result = _store().retrieve("moment_captions", "Causal", {"shot_id": 1})
     assert result.degraded is True
@@ -253,6 +272,11 @@ def test_sidecar_item_missing_key_rejected() -> None:
     ("captions", {"frame": "five", "qtype": "Causal", "text": "x"}),
     ("summaries", {"shot": None, "qtype": "Causal", "text": "x"}),
     ("first_pass", {"shot": [1], "text": "x"}),
+    ("captions", {"frame": 5, "qtype": "Causal", "text": 42}),
+    ("summaries", {"shot": 1, "qtype": "Causal", "text": None}),
+    ("first_pass", {"shot": 1, "text": ["x"]}),
+    ("captions", {"frame": 5, "qtype": "Nonsense", "text": "x"}),
+    ("summaries", {"shot": 1, "qtype": ["Causal"], "text": "x"}),
 ])
 def test_sidecar_item_non_integer_index_rejected(section, item) -> None:
     store = _store()

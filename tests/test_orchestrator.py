@@ -33,12 +33,14 @@ from videoqa.orchestrator import (
 )
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
+from conftest import RecordingBackend
 
-def _backend(*rules, default=None) -> tuple[Backend, MockScript]:
+
+def _backend(*rules, default=None) -> RecordingBackend:
     script = MockScript(default_response=default)
     for match, response in rules:
         script.add(match, response)
-    return Backend.from_mock(script), script
+    return RecordingBackend(Backend.from_mock(script))
 
 
 def _bundle(qtype: str = "Causal", text: str = "Why is the man looking up?",
@@ -74,8 +76,8 @@ def _final(support, confidence=1.0, direction=None) -> str:
 # ---------------------------------------------------------------------------
 
 def test_analyze_static_descriptive_drops_visual_agent() -> None:
-    backend, _ = _backend(("analyzing question",
-                       "Descriptive; TextAgent and AnswerGenerationAgent."))
+    backend = _backend(("analyzing question",
+                    "Descriptive; TextAgent and AnswerGenerationAgent."))
     bundle = _bundle("Descriptive", "What is the location?",
                      ("a park", "a kitchen"))
     analysis = analyze_problem(bundle, builtin_profiles(), backend)
@@ -83,17 +85,17 @@ def test_analyze_static_descriptive_drops_visual_agent() -> None:
 
 
 def test_analyze_causal_selects_all_four() -> None:
-    backend, _ = _backend(("analyzing question",
-                       "Causal. Use TextAgent, VisualAnalysisAgent, "
-                       "EvidenceIntegrationAgent, AnswerGenerationAgent."))
+    backend = _backend(("analyzing question",
+                    "Causal. Use TextAgent, VisualAnalysisAgent, "
+                    "EvidenceIntegrationAgent, AnswerGenerationAgent."))
     analysis = analyze_problem(_bundle(), builtin_profiles(), backend)
     assert analysis.selected_agents == AGENT_REGISTRY
 
 
 def test_analyze_unknown_agent_names_ignored() -> None:
-    backend, _ = _backend(("analyzing question",
-                       "Descriptive; deploy the HologramAgent and the "
-                       "VibesAgent immediately"))
+    backend = _backend(("analyzing question",
+                    "Descriptive; deploy the HologramAgent and the "
+                    "VibesAgent immediately"))
     bundle = _bundle("Descriptive", "What is the location?", ("a", "b"))
     analysis = analyze_problem(bundle, builtin_profiles(), backend)
     assert analysis.selected_agents == (TEXT_AGENT, ANSWER_AGENT), \
@@ -101,7 +103,7 @@ def test_analyze_unknown_agent_names_ignored() -> None:
 
 
 def test_analyze_profile_requirement_overrides_model_omission() -> None:
-    backend, _ = _backend(("analyzing question", "Causal. TextAgent only."))
+    backend = _backend(("analyzing question", "Causal. TextAgent only."))
     analysis = analyze_problem(_bundle(), builtin_profiles(), backend)
     assert VISUAL_AGENT in analysis.selected_agents, \
         "causal profile requires the visual agent"
@@ -109,9 +111,9 @@ def test_analyze_profile_requirement_overrides_model_omission() -> None:
 
 
 def test_analyze_type_override_is_recorded() -> None:
-    backend, _ = _backend(("analyzing question", "Actually Temporal. All four: "
-                       "TextAgent, VisualAnalysisAgent, "
-                       "EvidenceIntegrationAgent, AnswerGenerationAgent."))
+    backend = _backend(("analyzing question", "Actually Temporal. All four: "
+                    "TextAgent, VisualAnalysisAgent, "
+                    "EvidenceIntegrationAgent, AnswerGenerationAgent."))
     analysis = analyze_problem(_bundle("Causal"), builtin_profiles(),
                                backend)
     assert analysis.qtype == "Temporal"
@@ -119,11 +121,11 @@ def test_analyze_type_override_is_recorded() -> None:
 
 
 def test_analyze_fixed_workflow_skips_backend() -> None:
-    backend, script = _backend()
+    backend = _backend()
     analysis = analyze_problem(_bundle(), builtin_profiles(), backend,
                                fixed_workflow=True)
     assert analysis.selected_agents == AGENT_REGISTRY
-    assert len(script.call_log) == 0
+    assert len(backend.calls) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def test_plan_accepts_valid_model_plan() -> None:
         {"agent": ANSWER_AGENT, "task": "answer", "inputs": ["option_scores"],
          "output": "answer"},
     ]
-    backend, _ = _backend(("planning question", _plan_reply(stages)))
+    backend = _backend(("planning question", _plan_reply(stages)))
     analysis = Analysis("Causal", AGENT_REGISTRY)
     workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
     assert not workflow.repaired
@@ -162,7 +164,7 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
         {"agent": ANSWER_AGENT, "task": "a", "inputs": ["text_evidence"],
          "output": "answer"},
     ]
-    backend, _ = _backend(("planning question", _plan_reply(stages)))
+    backend = _backend(("planning question", _plan_reply(stages)))
     analysis = Analysis("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     workflow = plan_tasks(analysis, _bundle("Descriptive"), builtin_profiles(),
                           backend)
@@ -171,7 +173,7 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
 
 
 def test_plan_garbage_reply_repaired() -> None:
-    backend, _ = _backend(("planning question", "no json here at all"))
+    backend = _backend(("planning question", "no json here at all"))
     analysis = Analysis("Causal", AGENT_REGISTRY)
     workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
     assert workflow.repaired is True
@@ -202,7 +204,7 @@ def test_plan_causal_bidirectional_enforced_on_model_plans() -> None:
         {"agent": ANSWER_AGENT, "task": "answer", "inputs": ["scores"],
          "output": "answer"},
     ]
-    backend, _ = _backend(("planning question", _plan_reply(stages)))
+    backend = _backend(("planning question", _plan_reply(stages)))
     workflow = plan_tasks(Analysis("Causal", AGENT_REGISTRY), _bundle(),
                           builtin_profiles(), backend)
     text_stage = next(s for s in workflow.stages if s.agent == TEXT_AGENT)
@@ -252,7 +254,7 @@ def _stage(agent: str = TEXT_AGENT) -> Stage:
 
 
 def test_react_finalizes_on_first_step() -> None:
-    backend, _ = _backend(("working on question", _final((0.1, 0.8, 0.1))))
+    backend = _backend(("working on question", _final((0.1, 0.8, 0.1))))
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
                                backend, budget=15, trace=trace)
@@ -263,7 +265,7 @@ def test_react_finalizes_on_first_step() -> None:
 
 
 def test_react_never_finalizing_stops_at_budget_truncated() -> None:
-    backend, script = _backend(
+    backend = _backend(
         default='THOUGHT: hmm\nACTION: temporal_index {}')
     trace = []
     item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
@@ -271,11 +273,11 @@ def test_react_never_finalizing_stops_at_budget_truncated() -> None:
     assert consumed == 15
     assert item.truncated is True
     assert item.option_support == (0.0, 0.0, 0.0)
-    assert len(script.call_log) == 15
+    assert len(backend.calls) == 15
 
 
 def test_react_tool_error_becomes_observation_and_loop_continues() -> None:
-    backend, _ = _backend(
+    backend = _backend(
         ("OBSERVATION: ERROR", _final((0.9, 0.05, 0.05))),
         ("working on question",
          'THOUGHT: look\nACTION: segment_summaries {"shot_id": 99}'),
@@ -289,7 +291,7 @@ def test_react_tool_error_becomes_observation_and_loop_continues() -> None:
 
 
 def test_react_retrieval_observation_feeds_next_step() -> None:
-    backend, _ = _backend(
+    backend = _backend(
         ("children by a fountain", _final((0.0, 1.0, 0.0))),
         ("working on question",
          'THOUGHT: read captions\nACTION: moment_captions {"shot_id": 1}'),
@@ -305,7 +307,7 @@ def test_react_tool_outside_profile_is_error_observation() -> None:
     profile_doc = _profile("Causal").to_doc()
     profile_doc["tools"] = ["temporal_index"]
     narrow = AgentProfile.from_doc(profile_doc)
-    backend, _ = _backend(
+    backend = _backend(
         ("OBSERVATION: ERROR", _final((1.0, 0.0, 0.0))),
         ("working on question",
          'THOUGHT: peek\nACTION: inspect_frame {"frame_index": 3}'),
@@ -318,7 +320,7 @@ def test_react_tool_outside_profile_is_error_observation() -> None:
 
 
 def test_react_invalid_final_rejected_then_retried() -> None:
-    backend, _ = _backend(
+    backend = _backend(
         ("OBSERVATION: ERROR", _final((0.2, 0.7, 0.1))),
         ("working on question", _final((0.5, 0.5))),  # wrong option count
     )
@@ -330,7 +332,7 @@ def test_react_invalid_final_rejected_then_retried() -> None:
 
 
 def test_react_unparseable_reply_consumes_iteration() -> None:
-    backend, _ = _backend(
+    backend = _backend(
         ("could not parse", _final((1.0, 0.0, 0.0))),
         ("working on question", "I refuse to follow the protocol"),
     )
@@ -341,14 +343,14 @@ def test_react_unparseable_reply_consumes_iteration() -> None:
 
 
 def test_react_requires_positive_budget() -> None:
-    backend, _ = _backend()
+    backend = _backend()
     with pytest.raises(ValidationError):
         run_react(_stage(), _bundle(), _store(), _profile(), backend,
                   budget=0, trace=[])
 
 
 def test_react_support_values_clamped() -> None:
-    backend, _ = _backend(("working on question", _final((3.0, -1.0, 0.5), 7.0)))
+    backend = _backend(("working on question", _final((3.0, -1.0, 0.5), 7.0)))
     item, _ = run_react(_stage(), _bundle(), _store(), _profile(), backend,
                         budget=3, trace=[])
     assert item.option_support == (1.0, 0.0, 0.5)
@@ -530,7 +532,7 @@ def test_generate_answer_from_worked_example() -> None:
              EvidenceItem(TEXT_AGENT, (0.2, 0.8), 1.0)]
     profile = _weights_profile(text=0.3, visual=0.7)
     scores = integrate_evidence(items, profile, "Descriptive")
-    backend, _ = _backend(("drafting explanation", "Answer: option 0, clearly."))
+    backend = _backend(("drafting explanation", "Answer: option 0, clearly."))
     record = generate_answer(scores, items, ("a park", "a cave"), backend,
                              question_id="q9")
     assert record.chosen_index == 0
@@ -542,7 +544,7 @@ def test_generate_answer_out_of_space_choice_keeps_argmax() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.1, 0.2, 0.3, 0.2, 0.1), 1.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    backend, _ = _backend(("drafting explanation", "My answer: F"))
+    backend = _backend(("drafting explanation", "My answer: F"))
     record = generate_answer(scores, items, tuple("abcde"), backend,
                              question_id="q")
     assert record.chosen_index == 2
@@ -554,7 +556,7 @@ def test_generate_answer_model_disagreement_logged_argmax_wins() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.9, 0.1), 1.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    backend, _ = _backend(("drafting explanation", "I pick option 1 instead"))
+    backend = _backend(("drafting explanation", "I pick option 1 instead"))
     record = generate_answer(scores, items, ("right", "wrong"), backend)
     assert record.chosen_index == 0
     assert any("disagrees with argmax" in s.observation for s in record.trace)
@@ -564,7 +566,7 @@ def test_generate_answer_all_zero_supports_lowest_index_not_validated() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.0, 0.0), 0.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    backend, _ = _backend(("drafting explanation", "no idea"))
+    backend = _backend(("drafting explanation", "no idea"))
     record = generate_answer(scores, items, ("a", "b"), backend)
     assert record.chosen_index == 0
     assert record.validated is False

@@ -22,8 +22,8 @@ from videoqa.pipeline import (
 )
 from videoqa.tree import tree_to_json
 
-from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, build_golden_world,
-                      write_video)
+from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, RecordingBackend,
+                      build_golden_world, write_video)
 
 
 def _twelve_frame_script() -> MockScript:
@@ -71,16 +71,15 @@ def test_build_rerun_with_cache_makes_zero_backend_calls(tmp_path) -> None:
     manifest = write_video(tmp_path, "vid12", [6, 6], seed=2)
     config = EngineConfig(seed=5)
 
-    script_one = _twelve_frame_script()
-    backend = CachingBackend(Backend.from_mock(script_one), tmp_path / "cache")
+    inner_one = RecordingBackend(Backend.from_mock(_twelve_frame_script()))
+    backend = CachingBackend(inner_one, tmp_path / "cache")
     build_video(manifest, [_question()], config, backend)
-    assert len(script_one.call_log) > 0
+    assert len(inner_one.calls) > 0
 
-    script_two = _twelve_frame_script()
-    backend_two = CachingBackend(Backend.from_mock(script_two),
-                                 tmp_path / "cache")
+    inner_two = RecordingBackend(Backend.from_mock(_twelve_frame_script()))
+    backend_two = CachingBackend(inner_two, tmp_path / "cache")
     result = build_video(manifest, [_question()], config, backend_two)
-    assert len(script_two.call_log) == 0, "second run is fully cache-served"
+    assert len(inner_two.calls) == 0, "second run is fully cache-served"
     assert result.tree.validate() is None
 
 
@@ -312,7 +311,7 @@ def test_declared_type_skips_classifier(tmp_path) -> None:
     backend = world.backend()
     records, report = evaluate(declared, EngineConfig(seed=3), backend)
     assert report.accuracy_overall == 1.0
-    classify_calls = [r for r in backend.call_log
+    classify_calls = [r for r in backend.calls
                       if "Classify this multiple-choice" in r.rendered]
     assert not classify_calls, "declared types bypass the classifier"
 
@@ -330,7 +329,7 @@ def test_ablation_uniform_sampling_leaf_only_even_shots(tmp_path) -> None:
     assert len(records) == 10
 
     # observable structure: no scoring calls, no expansion anywhere
-    scoring_calls = [r for r in backend.call_log
+    scoring_calls = [r for r in backend.calls
                      if "Rate how relevant" in r.rendered]
     assert not scoring_calls
 
@@ -349,7 +348,7 @@ def test_ablation_generic_captions_skips_prompt_synthesis(tmp_path) -> None:
     backend = world.backend()
     _, report = evaluate(world.dataset_path, config, backend)
     assert report.ablation_flags == ["generic-captions"]
-    synthesis_calls = [r for r in backend.call_log
+    synthesis_calls = [r for r in backend.calls
                        if "You write visual captioning prompts" in r.rendered]
     assert not synthesis_calls, "no prompt-synthesis call in the log"
 
@@ -396,7 +395,7 @@ def test_reclassify_flag_forces_classifier(tmp_path) -> None:
     declared.write_text(json.dumps(doc))
     backend = world.backend()
     evaluate(declared, EngineConfig(seed=3, reclassify=True), backend)
-    classify_calls = [r for r in backend.call_log
+    classify_calls = [r for r in backend.calls
                       if "Classify this multiple-choice" in r.rendered]
     assert classify_calls, "reclassify forces the classifier to run"
 
@@ -407,13 +406,13 @@ def test_golden_eval_call_count_and_prompt_bytes_bounded(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     backend = world.backend()
     evaluate(world.dataset_path, EngineConfig(seed=3), backend)
-    calls = Counter(r.capability for r in backend.call_log)
+    calls = Counter(r.capability for r in backend.calls)
     assert sum(calls.values()) <= 101
     assert calls["chat"] <= 75
     assert calls["caption"] <= 26
     assert calls["embed"] == 0
     assert sum(len(r.rendered.encode("utf-8"))
-               for r in backend.call_log) <= 44_047
+               for r in backend.calls) <= 44_047
 
 
 def test_ablation_flags_compose(tmp_path) -> None:

@@ -28,7 +28,7 @@ from videoqa.tree import (
     vtsearch,
 )
 
-from conftest import shot_embeddings
+from conftest import RecordingBackend, shot_embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +175,10 @@ def test_score_shots_gate_is_strict_at_tau() -> None:
 
 def test_score_shots_unparseable_retried_once_then_default() -> None:
     shots = _shots([4])
-    script = MockScript(default_response="no idea, sorry")
-    backend = MockBackend(script)
+    backend = RecordingBackend(MockBackend(MockScript(
+        default_response="no idea, sorry")))
     scores = score_shots(shots, ["c"], "q", backend)
-    assert len(script.call_log) == 2, "one retry before defaulting"
+    assert len(backend.calls) == 2, "one retry before defaulting"
     assert scores[0].value == 3.0
     assert scores[0].defaulted is True
 
