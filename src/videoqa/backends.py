@@ -48,42 +48,32 @@ class BackendRequest:
 
     chat    {"messages": [{"role", "content"}, ...]}
     caption {"image": <reference string>, "prompt": <text>}
-    embed   {"text": <text>} or {"image": <reference string>}
+    embed   {"image": <reference string>}
     """
 
     capability: str
     payload: dict
-    request_id: str = ""
 
     def __post_init__(self) -> None:
         if self.capability not in CAPABILITIES:
             raise ValueError(f"unknown capability: {self.capability}")
 
 
-def chat_request(prompt: str, request_id: str = "") -> BackendRequest:
-    return BackendRequest(
-        "chat", {"messages": [{"role": "user", "content": prompt}]}, request_id
-    )
+def chat_request(prompt: str) -> BackendRequest:
+    return BackendRequest("chat", {"messages": [{"role": "user", "content": prompt}]})
 
 
-def caption_request(image_ref: str, prompt: str, request_id: str = "") -> BackendRequest:
-    return BackendRequest("caption", {"image": image_ref, "prompt": prompt}, request_id)
+def caption_request(image_ref: str, prompt: str) -> BackendRequest:
+    return BackendRequest("caption", {"image": image_ref, "prompt": prompt})
 
 
-def embed_request(text: str | None = None, image_ref: str | None = None,
-                  request_id: str = "") -> BackendRequest:
-    if (text is None) == (image_ref is None):
-        raise ValueError("embed request needs exactly one of text or image_ref")
-    payload = {"text": text} if text is not None else {"image": image_ref}
-    return BackendRequest("embed", payload, request_id)
+def embed_request(image_ref: str) -> BackendRequest:
+    return BackendRequest("embed", {"image": image_ref})
 
 
 def render_payload(request: BackendRequest) -> str:
-    """Canonical string for mock matching and cache keys.
-
-    Deterministic across runs; excludes request_id so logically identical
-    requests render identically.
-    """
+    """Canonical string for mock matching and cache keys; deterministic
+    across runs."""
     body = json.dumps(request.payload, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":"))
     return f"{request.capability}:{body}"
@@ -276,7 +266,7 @@ def _coerce_response(capability: str, response: Any) -> Any:
 class RemoteBackend(Backend):
     """JSON-over-HTTP adapter for chat-completion and embedding endpoints.
 
-    Retries transport failures and 5xx responses up to twice with
+    Retries transport failures, 429 and 5xx responses up to twice with
     exponential backoff (1 s base). `transport` and `sleep` are injectable
     for tests.
     """
@@ -329,7 +319,7 @@ class RemoteBackend(Backend):
                 continue
             if status in (401, 403):
                 raise AuthError(f"authentication rejected by {url} ({status})")
-            if status >= 500:
+            if status == 429 or status >= 500:
                 if attempt >= MAX_RETRIES:
                     raise TransportError(f"{url} returned {status} after retries")
                 self._sleep(BACKOFF_BASE_S * (2 ** attempt))
@@ -347,7 +337,7 @@ class RemoteBackend(Backend):
             # Caption rides the chat wire shape with the image reference inline.
             content = f"[image: {request.payload['image']}]\n{request.payload['prompt']}"
             return {"messages": [{"role": "user", "content": content}]}
-        return {"input": request.payload.get("text") or request.payload.get("image")}
+        return {"input": request.payload["image"]}
 
     @staticmethod
     def _parse_body(capability: str, doc: dict) -> Any:

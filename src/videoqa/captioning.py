@@ -9,20 +9,17 @@ summaries.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
 from .backends import Backend, caption_request, chat_request
 from .errors import BackendError, ValidationError
 from .ingest import Shot
 
 logger = logging.getLogger(__name__)
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 QTYPE_CAUSAL = "Causal"
 QTYPE_TEMPORAL = "Temporal"
@@ -55,7 +52,6 @@ class QuestionBundle:
 class VisualPrompt:
     qtype: str
     text: str
-    template_id: str
 
 
 @dataclass(frozen=True)
@@ -119,14 +115,14 @@ def classify_question(question: str, options: tuple[str, ...] | list[str],
 # Prompt synthesis
 # ---------------------------------------------------------------------------
 
-def load_template(template_id: str, template_dir: str | None = None) -> str:
+def load_template(name: str, template_dir: str | None = None) -> str:
     """Template text for a type, from an override directory or the built-in
-    assets. template_id is the lowercase type name (or "generic")."""
+    assets. `name` is the lowercase type name (or "generic")."""
     if template_dir:
-        candidate = Path(template_dir) / f"{template_id}.txt"
+        candidate = Path(template_dir) / f"{name}.txt"
         if candidate.exists():
             return candidate.read_text(encoding="utf-8").strip()
-    ref = resources.files("videoqa.templates") / f"{template_id}.txt"
+    ref = resources.files("videoqa.templates") / f"{name}.txt"
     return ref.read_text(encoding="utf-8").strip()
 
 
@@ -142,65 +138,44 @@ def synthesis_prompt(template: str, questions: list[str]) -> str:
     )
 
 
-def synthesize_prompt(qtype: str, questions: list[str], llm: Backend | None,
+def synthesize_prompt(qtype: str, questions: list[str], llm: Backend,
                       template_dir: str | None = None) -> VisualPrompt:
     """Build the per-type visual prompt from the type's question subset and
-    its semantic template. With no backend the template text itself is the
-    prompt (static fallback)."""
+    its semantic template."""
     if qtype not in QTYPES:
         raise ValidationError(f"unknown question type {qtype!r}")
     if not questions:
         raise ValidationError(f"no questions of type {qtype} to synthesize from")
-    template_id = qtype.lower()
-    template = load_template(template_id, template_dir)
-    if llm is None:
-        return VisualPrompt(qtype=qtype, text=template, template_id=template_id)
+    template = load_template(qtype.lower(), template_dir)
     reply = llm.call(chat_request(synthesis_prompt(template, questions)))
-    return VisualPrompt(qtype=qtype, text=str(reply), template_id=template_id)
+    return VisualPrompt(qtype=qtype, text=str(reply))
 
 
 def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
     """Question-agnostic prompt used for first-pass captions and the
     generic-captions ablation."""
     text = load_template(GENERIC_TEMPLATE_ID, template_dir)
-    return VisualPrompt(qtype=QTYPE_DESCRIPTIVE, text=text,
-                        template_id=GENERIC_TEMPLATE_ID)
+    return VisualPrompt(qtype=QTYPE_DESCRIPTIVE, text=text)
 
 
 # ---------------------------------------------------------------------------
 # Frame captioning
 # ---------------------------------------------------------------------------
 
-def fan_out(fn: Callable[[T], R], items: Sequence[T],
-            pool: Executor | int) -> list[R]:
-    """fn over items, results in item order. `pool` is either an executor
-    shared by several fan-outs, whose tasks must not submit to it, or the
-    thread count of a pool of its own (usually the called backend's
-    max_inflight); on a pool of its own a single item runs inline. The first
-    failing item in order raises."""
-    if not isinstance(pool, int):
-        return list(pool.map(fn, items))
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max(1, min(pool, len(items)))) as own:
-        return list(own.map(fn, items))
-
-
 def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
-                   frame_refs, pool: Executor | None = None) -> list[FrameCaption]:
-    """Caption each frame with the synthesized prompt, fanning out on `pool`
-    or on a pool sized by the backend's in-flight limit (see fan_out), and
-    reassembling in temporal order.
+                   frame_ref: Callable[[int], str], pool: Executor
+                   ) -> list[FrameCaption]:
+    """Caption each frame with the synthesized prompt, fanning the calls out
+    on `pool`, and reassembling in temporal order.
 
     A frame that fails twice gets the sentinel caption instead of aborting
     the batch; if every frame fails, the whole call raises.
     """
     if not frames:
         return []
-    refs = frame_refs if callable(frame_refs) else frame_refs.__getitem__
 
     def caption_one(frame_index: int) -> FrameCaption:
-        request = caption_request(refs(frame_index), prompt.text)
+        request = caption_request(frame_ref(frame_index), prompt.text)
         try:
             text = vlm.call(request)
         except BackendError:
@@ -211,7 +186,7 @@ def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
                 return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
         return FrameCaption(frame_index, prompt.qtype, str(text))
 
-    captions = fan_out(caption_one, sorted(frames), pool or vlm.max_inflight)
+    captions = list(pool.map(caption_one, sorted(frames)))
     if all(c.text == SENTINEL_CAPTION for c in captions):
         raise BackendError(
             f"caption backend failed for all {len(captions)} frames")
@@ -232,10 +207,9 @@ def fusion_prompt(qtype: str, texts: list[str]) -> str:
 
 
 def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
-                       llm: Backend, pool: Executor | None = None
-                       ) -> list[SegmentSummary]:
+                       llm: Backend, pool: Executor) -> list[SegmentSummary]:
     """Fuse frame captions into one summary per (shot, type), fanning the
-    fusion calls out (see fan_out); summaries come in (shot, type) order.
+    fusion calls out on `pool`; summaries come in (shot, type) order.
 
     A shot with a single caption passes it through without a model call.
     """
@@ -259,5 +233,4 @@ def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
             raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
         return SegmentSummary(shot_id, qtype, str(text))
 
-    return fan_out(summarize_one, sorted(grouped.items()),
-                   pool or llm.max_inflight)
+    return list(pool.map(summarize_one, sorted(grouped.items())))

@@ -48,7 +48,7 @@ class BackendError(VideoQAError):
 
 
 class TransportError(BackendError):
-    """Connection-level failure or 5xx after retries."""
+    """Connection-level failure, 429 or 5xx after retries."""
 
 
 class BackendTimeout(BackendError):

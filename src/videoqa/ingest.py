@@ -31,10 +31,9 @@ DEFAULT_SENSITIVITY = 2.0
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """One sampled frame. timestamp_s is frame_index / fps exactly."""
+    """One sampled frame."""
 
     frame_index: int
-    timestamp_s: float
     source_path: str | None = None
 
 
@@ -52,10 +51,6 @@ class Shot:
             raise ValidationError(
                 f"shot {self.shot_id}: representative {self.representative_frame} "
                 f"outside [{self.start_frame}, {self.end_frame}]")
-
-    @property
-    def num_frames(self) -> int:
-        return self.end_frame - self.start_frame + 1
 
     def contains(self, frame_index: int) -> bool:
         return self.start_frame <= frame_index <= self.end_frame
@@ -77,7 +72,13 @@ class VideoFrames:
     def frame_ref(self, frame_index: int) -> str:
         """Stable reference string for captioning a frame."""
         path = self.frames[frame_index].source_path
-        return path if path else f"{self.video_id}:frame:{frame_index}"
+        return path if path else synthetic_frame_ref(self.video_id, frame_index)
+
+
+def synthetic_frame_ref(video_id: str, frame_index: int) -> str:
+    """The reference of a frame that has no image path. Mock scripts match
+    on this string."""
+    return f"{video_id}:frame:{frame_index}"
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +133,8 @@ def load_frames(manifest_path: str | Path,
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"frame manifest is not valid JSON: {p}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"manifest {p} must be a JSON object")
 
     video_id = doc.get("video_id")
     if not isinstance(video_id, str) or not video_id:
@@ -145,10 +148,9 @@ def load_frames(manifest_path: str | Path,
 
     frames = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "index" not in entry:
-            raise ValidationError(f"manifest frame {i} must carry an index")
-        idx = entry["index"]
-        frames.append(FrameRecord(frame_index=idx, timestamp_s=idx / fps,
+        if not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
+            raise ValidationError(f"manifest frame {i} must carry an integer index")
+        frames.append(FrameRecord(frame_index=entry["index"],
                                   source_path=entry.get("path")))
     frames.sort(key=lambda f: f.frame_index)
     indices = [f.frame_index for f in frames]
@@ -181,8 +183,8 @@ def _embed_images(frames: list[FrameRecord], video_id: str,
     rows: list[list[float]] = []
     dim: int | None = None
     for rec in frames:
-        ref = rec.source_path or f"{video_id}:frame:{rec.frame_index}"
-        vec = backend.call(embed_request(image_ref=ref))
+        ref = rec.source_path or synthetic_frame_ref(video_id, rec.frame_index)
+        vec = backend.call(embed_request(ref))
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
@@ -208,12 +210,6 @@ def _validate_matrix(matrix: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Shot detection
 # ---------------------------------------------------------------------------
-
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - cos(a, b). Callers guarantee nonzero vectors (checked at load)."""
-    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
-    return 1.0 - float(np.dot(a, b)) / denom
-
 
 def consecutive_distances(embeddings: np.ndarray) -> np.ndarray:
     """Cosine distance between each adjacent frame pair."""
@@ -268,15 +264,3 @@ def nearest_to_centroid(rows: np.ndarray) -> int:
     dists = np.linalg.norm(rows - centroid, axis=1)
     return int(np.argmin(dists))
 
-
-def select_representative(shot: Shot, embeddings: np.ndarray) -> int:
-    """Representative frame for a shot given its embedding slice.
-
-    `embeddings` holds exactly the shot's rows (start_frame..end_frame).
-    Returns an absolute frame index.
-    """
-    if embeddings.shape[0] != shot.num_frames:
-        raise ValidationError(
-            f"expected {shot.num_frames} rows for shot {shot.shot_id}, "
-            f"got {embeddings.shape[0]}")
-    return shot.start_frame + nearest_to_centroid(embeddings)

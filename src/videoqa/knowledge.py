@@ -22,6 +22,7 @@ from .captioning import (
     SegmentSummary,
 )
 from .errors import ConfigError, NotFoundError, ValidationError
+from .ingest import synthetic_frame_ref
 from .tree import HybridTree
 
 logger = logging.getLogger(__name__)
@@ -53,17 +54,6 @@ class AgentProfile:
     weights: dict[str, float]          # {"text": w, "visual": w}, sums to 1
     requires_visual_agent: bool
     requires_bidirectional_check: bool
-
-    def to_doc(self) -> dict:
-        return {
-            "qtype": self.qtype,
-            "strategy": {"name": self.strategy.name,
-                         "instructions": self.strategy.instructions},
-            "tools": list(self.tools),
-            "weights": dict(self.weights),
-            "requires_visual_agent": self.requires_visual_agent,
-            "requires_bidirectional_check": self.requires_bidirectional_check,
-        }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AgentProfile":
@@ -189,7 +179,6 @@ def load_profiles(config_dir: str | Path | None) -> dict[str, AgentProfile]:
 @dataclass
 class RetrievalResult:
     scope: str
-    qtype: str
     degraded: bool
     rows: list[dict]
 
@@ -234,7 +223,7 @@ class KnowledgeStore:
 
     def frame_ref(self, frame_index: int) -> str:
         return self.frame_refs.get(
-            frame_index, f"{self.tree.video_id}:frame:{frame_index}")
+            frame_index, synthetic_frame_ref(self.tree.video_id, frame_index))
 
     def _index(self) -> tuple[frozenset[int], dict[int, int]]:
         # Threads racing on the first retrieval build equal indexes, and
@@ -267,12 +256,12 @@ class KnowledgeStore:
             raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = selector or {}
         if scope == SCOPE_TEMPORAL_INDEX:
-            return self._temporal_index(qtype)
+            return self._temporal_index()
         if scope == SCOPE_MOMENT_CAPTIONS:
             return self._moment_captions(qtype, selector)
         return self._segment_summaries(qtype, selector)
 
-    def _temporal_index(self, qtype: str) -> RetrievalResult:
+    def _temporal_index(self) -> RetrievalResult:
         rows = []
         for shot in self.tree.shots():
             rows.append({
@@ -283,7 +272,7 @@ class KnowledgeStore:
                 "relevance": (shot.relevance.value
                               if shot.relevance is not None else None),
             })
-        return RetrievalResult(SCOPE_TEMPORAL_INDEX, qtype, False, rows)
+        return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows)
 
     def _selected_interval(self, selector: dict) -> tuple[int, int] | None:
         """The frames a selector names, as [first, last]; a model-chosen
@@ -306,14 +295,14 @@ class KnowledgeStore:
                 lo, hi = interval
                 selected = {shot.node_id for shot in self.tree.shots()
                             if max(lo, shot.start_frame) <= min(hi, shot.end_frame)}
-            return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, qtype, selected)
+            return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, selected)
         if interval is not None:
             lo, hi = interval
             typed = [(frame, cap) for frame, cap in typed if lo <= frame <= hi]
         rows = [{"frame": frame, "node_id": self._owner_shot_id(frame),
                  "text": cap.text}
                 for frame, cap in sorted(typed, key=lambda item: item[0])]
-        return RetrievalResult(SCOPE_MOMENT_CAPTIONS, qtype, False, rows)
+        return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows)
 
     def _segment_summaries(self, qtype: str, selector: dict) -> RetrievalResult:
         shot_ids = selector.get("shot_ids")
@@ -331,12 +320,12 @@ class KnowledgeStore:
                 if summary is not None:
                     rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                                  "text": summary.text})
-            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, qtype, False, rows)
+            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, False, rows)
         selected = (None if shot_ids is None
                     else {shot.node_id for shot in shots})
-        return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, qtype, selected)
+        return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, selected)
 
-    def _first_pass_rows(self, scope: str, qtype: str,
+    def _first_pass_rows(self, scope: str,
                          selected: set[int] | None) -> RetrievalResult:
         """First-pass captions of the selected shots, in shot order; every
         shot when `selected` is None. Shots partition the frames, so a shot
@@ -349,7 +338,7 @@ class KnowledgeStore:
             if text is not None:
                 rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                              "text": text})
-        return RetrievalResult(scope, qtype, True, rows)
+        return RetrievalResult(scope, True, rows)
 
     # -- sidecar ------------------------------------------------------------
 

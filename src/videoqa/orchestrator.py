@@ -111,7 +111,6 @@ class Stage:
 
 @dataclass
 class Workflow:
-    question_id: str
     qtype: str
     selected_agents: tuple[str, ...]
     stages: list[Stage]
@@ -161,8 +160,6 @@ class Workflow:
 class Analysis:
     qtype: str
     selected_agents: tuple[str, ...]
-    override: bool = False
-    notes: str = ""
 
 
 @dataclass
@@ -235,27 +232,22 @@ def analysis_prompt(question: QuestionBundle, profile: AgentProfile) -> str:
 
 
 def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
-                    llm, fixed_workflow: bool = False) -> Analysis:
+                    llm) -> Analysis:
     """Confirm the question type and pick the minimal agent subset.
 
     TextAgent and AnswerGenerationAgent are always included. The visual
     agent is dropped only when the profile marks it optional AND the
     analysis reply omits it. Unknown agent names in the reply are ignored.
     """
-    if fixed_workflow:
-        return Analysis(qtype=question.qtype, selected_agents=AGENT_REGISTRY,
-                        notes="fixed workflow: planning skipped")
     profile = profiles[question.qtype]
     reply = str(llm.call(chat_request(analysis_prompt(question, profile))))
 
     qtype = question.qtype
-    override = False
     parsed = find_qtype_label(reply)
     if parsed is not None and parsed != qtype:
         logger.info("question %s: analysis reclassified %s -> %s",
                     question.question_id, qtype, parsed)
         qtype = parsed
-        override = True
         profile = profiles[qtype]
 
     mentioned = _mentioned_agents(reply)
@@ -264,8 +256,7 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
         selected.add(VISUAL_AGENT)
     if len(selected & set(EVIDENCE_AGENTS)) >= 2:
         selected.add(INTEGRATION_AGENT)
-    return Analysis(qtype=qtype, selected_agents=_canonical_order(selected),
-                    override=override, notes=reply[:200])
+    return Analysis(qtype=qtype, selected_agents=_canonical_order(selected))
 
 
 _TEXT_TASKS = {
@@ -287,8 +278,7 @@ _VISUAL_TASKS = {
 }
 
 
-def template_workflow(question_id: str, qtype: str,
-                      selected_agents: tuple[str, ...],
+def template_workflow(qtype: str, selected_agents: tuple[str, ...],
                       max_iterations: int = MAX_ITERATIONS_CAP) -> Workflow:
     """The per-type default workflow over the selected agents."""
     stages = []
@@ -311,8 +301,7 @@ def template_workflow(question_id: str, qtype: str,
         ANSWER_AGENT,
         "Validate the scores, select the final option, and draft the explanation.",
         tuple(produced), "answer"))
-    return Workflow(question_id=question_id, qtype=qtype,
-                    selected_agents=selected_agents, stages=stages,
+    return Workflow(qtype=qtype, selected_agents=selected_agents, stages=stages,
                     max_iterations=max_iterations)
 
 
@@ -343,8 +332,7 @@ def _parse_plan(reply: str) -> list[dict] | None:
 
 def plan_tasks(analysis: Analysis, question: QuestionBundle,
                profiles: dict[str, AgentProfile], llm,
-               max_iterations: int = MAX_ITERATIONS_CAP,
-               fixed_workflow: bool = False) -> Workflow:
+               max_iterations: int = MAX_ITERATIONS_CAP) -> Workflow:
     """Turn the analysis into a validated linear workflow.
 
     The model proposes stages; any invariant violation repairs the plan to
@@ -352,15 +340,12 @@ def plan_tasks(analysis: Analysis, question: QuestionBundle,
     in the trace). Never raises: the repair path always yields a valid
     workflow.
     """
-    if fixed_workflow:
-        return template_workflow(question.question_id, analysis.qtype,
-                                 AGENT_REGISTRY, max_iterations)
     try:
         reply = str(llm.call(chat_request(planning_prompt(question, analysis))))
     except BackendError as exc:
         logger.warning("planner backend failed (%s); using template workflow", exc)
-        workflow = template_workflow(question.question_id, analysis.qtype,
-                                     analysis.selected_agents, max_iterations)
+        workflow = template_workflow(analysis.qtype, analysis.selected_agents,
+                                     max_iterations)
         workflow.repaired = True
         return workflow
 
@@ -374,7 +359,7 @@ def plan_tasks(analysis: Analysis, question: QuestionBundle,
                 input_keys=tuple(item.get("inputs", SEED_KEYS)),
                 output_key=str(item.get("output", "")),
             ))
-        workflow = Workflow(question_id=question.question_id, qtype=analysis.qtype,
+        workflow = Workflow(qtype=analysis.qtype,
                             selected_agents=analysis.selected_agents,
                             stages=stages, max_iterations=max_iterations)
         issues = workflow.problems()
@@ -383,8 +368,8 @@ def plan_tasks(analysis: Analysis, question: QuestionBundle,
             return workflow
         logger.info("question %s: plan invalid (%s); repaired to template",
                     question.question_id, "; ".join(issues))
-    workflow = template_workflow(question.question_id, analysis.qtype,
-                                 analysis.selected_agents, max_iterations)
+    workflow = template_workflow(analysis.qtype, analysis.selected_agents,
+                                 max_iterations)
     workflow.repaired = True
     return workflow
 
@@ -670,7 +655,6 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     rounds_used = 0
     evidence: list[EvidenceItem] = []
     scores: OptionScore | None = None
-    answered = False
     record: AnswerRecord | None = None
 
     for stage in workflow.stages:
@@ -700,9 +684,8 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
                 scores, evidence, question.options, backend,
                 question_id=question.question_id, trace=trace,
                 rounds_used=rounds_used, truncated=truncated)
-            answered = True
 
-    if not answered or record is None:
+    if record is None:
         raise VideoQAError("workflow ended without an answer stage")
     if record.rounds_used > workflow.max_iterations:
         raise VideoQAError(

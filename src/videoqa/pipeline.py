@@ -33,22 +33,23 @@ from .captioning import (
     VisualPrompt,
     caption_frames,
     classify_question,
-    fan_out,
     generic_prompt,
     summarize_segments,
     synthesize_prompt,
 )
 from .config import EngineConfig
 from .errors import InputError, ValidationError
-from .ingest import Shot, VideoFrames, detect_shots, load_frames, nearest_to_centroid
+from .ingest import Shot, detect_shots, load_frames, nearest_to_centroid
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
+    AGENT_REGISTRY,
     PROBLEM_ANALYSIS,
     AnswerRecord,
     TraceStep,
     analyze_problem,
     execute_workflow,
     plan_tasks,
+    template_workflow,
 )
 from .tree import (
     HybridTree,
@@ -91,7 +92,10 @@ class VideoEntry:
 def _parse_question(doc: dict, where: str) -> RawQuestion:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: question entry must be an object")
-    options = tuple(str(o) for o in doc.get("options", []))
+    options = doc.get("options", [])
+    if not isinstance(options, list):
+        raise ValidationError(f"{where}: options must be a list")
+    options = tuple(str(o) for o in options)
     gold = doc.get("gold_index")
     if gold is not None:
         try:
@@ -157,9 +161,11 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
             raise ValidationError(f"{p}#{i}: missing frame_manifest_path")
         if not Path(manifest_path).is_absolute():
             manifest_path = str(p.parent / manifest_path)
-        questions = tuple(
-            _parse_question(q, f"{p}#{i}.q{j}")
-            for j, q in enumerate(entry.get("questions", [])))
+        questions_doc = entry.get("questions", [])
+        if not isinstance(questions_doc, list):
+            raise ValidationError(f"{p}#{i}: questions must be a list")
+        questions = tuple(_parse_question(q, f"{p}#{i}.q{j}")
+                          for j, q in enumerate(questions_doc))
         entries.append(VideoEntry(video_id, manifest_path, questions))
     return entries
 
@@ -195,7 +201,7 @@ def classify_bundles(questions: list[RawQuestion], config: EngineConfig,
         return QuestionBundle(question_id=raw.question_id, text=raw.text,
                               options=raw.options, qtype=qtype)
 
-    return fan_out(bundle, questions, pool)
+    return list(pool.map(bundle, questions))
 
 
 def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
@@ -207,8 +213,7 @@ def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
     for qtype in sorted({b.qtype for b in bundles}):
         if config.generic_captions:
             base = generic_prompt(config.template_dir)
-            prompts[qtype] = VisualPrompt(qtype=qtype, text=base.text,
-                                          template_id=base.template_id)
+            prompts[qtype] = VisualPrompt(qtype=qtype, text=base.text)
         else:
             type_questions = [b.text for b in bundles if b.qtype == qtype]
             prompts[qtype] = synthesize_prompt(qtype, type_questions, backend,
@@ -218,12 +223,10 @@ def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
 
 @dataclass
 class BuildResult:
-    frames: VideoFrames
     tree: HybridTree
     store: KnowledgeStore
     bundles: list[QuestionBundle]
     retrieved_frames: list[int]
-    prompts: dict[str, VisualPrompt] = field(default_factory=dict)
 
 
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
@@ -289,8 +292,8 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 store.add_captions(caps)
                 store.add_summaries(summaries)
 
-    return BuildResult(frames=frames, tree=tree, store=store, bundles=bundles,
-                       retrieved_frames=retrieved, prompts=prompts)
+    return BuildResult(tree=tree, store=store, bundles=bundles,
+                       retrieved_frames=retrieved)
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +303,23 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     profiles: dict[str, AgentProfile], config: EngineConfig,
                     backend: Backend) -> AnswerRecord:
-    """Plan and execute the workflow for one classified question."""
-    analysis = analyze_problem(bundle, profiles, backend, config.fixed_workflow)
-    bundle = replace(bundle, qtype=analysis.qtype)
-    profile = profiles[analysis.qtype]
-    workflow = plan_tasks(analysis, bundle, profiles, backend,
-                          config.max_iterations, config.fixed_workflow)
-    record = execute_workflow(workflow, bundle, store, profile, backend)
-    record.trace.insert(0, TraceStep(
-        PROBLEM_ANALYSIS,
-        "fixed workflow" if config.fixed_workflow else "adaptive selection",
-        "select_agents", ", ".join(analysis.selected_agents)))
+    """Plan and execute the workflow for one classified question. A fixed
+    workflow runs all four agents on the per-type template and makes no
+    planning call."""
+    if config.fixed_workflow:
+        thought = "fixed workflow"
+        workflow = template_workflow(bundle.qtype, AGENT_REGISTRY,
+                                     config.max_iterations)
+    else:
+        thought = "adaptive selection"
+        analysis = analyze_problem(bundle, profiles, backend)
+        bundle = replace(bundle, qtype=analysis.qtype)
+        workflow = plan_tasks(analysis, bundle, profiles, backend,
+                              config.max_iterations)
+    record = execute_workflow(workflow, bundle, store, profiles[workflow.qtype],
+                              backend)
+    record.trace.insert(0, TraceStep(PROBLEM_ANALYSIS, thought, "select_agents",
+                                     ", ".join(workflow.selected_agents)))
     return record
 
 
@@ -360,7 +369,8 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
             return answer_question(bundle, result.store, profiles, config,
                                    backend)
 
-        answered = fan_out(answer_one, result.bundles, backend.max_inflight)
+        with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
+            answered = list(pool.map(answer_one, result.bundles))
         return list(zip(entry.questions, result.bundles, answered))
 
     if config.parallel_videos and len(entries) > 1:

@@ -20,7 +20,6 @@ from typing import Any
 import numpy as np
 
 from .backends import Backend, chat_request
-from .captioning import fan_out
 from .errors import (
     BackendError,
     InputError,
@@ -95,14 +94,8 @@ class HybridTree:
     def shots(self) -> list[TreeNode]:
         return [self.nodes[i] for i in self.shot_order]
 
-    def node(self, node_id: int) -> TreeNode:
-        return self.nodes[node_id]
-
     def is_high_relevance(self, node: TreeNode) -> bool:
         return node.relevance is not None and node.relevance.value > self.params.tau
-
-    def high_relevance_shots(self) -> list[TreeNode]:
-        return [s for s in self.shots() if self.is_high_relevance(s)]
 
     def leaves_under(self, node_id: int) -> list[TreeNode]:
         """Leaf nodes of the subtree, children visited in stored order."""
@@ -206,9 +199,9 @@ def scoring_prompt(caption: str, question: str, shot: Shot) -> str:
 
 
 def score_shots(shots: list[Shot], captions: list[str], question: str,
-                llm: Backend, pool: Executor | None = None) -> list[RelevanceScore]:
+                llm: Backend, pool: Executor) -> list[RelevanceScore]:
     """Score each shot against the question via the chat backend, fanning
-    out on `pool` or on a pool sized by the backend's in-flight limit.
+    the calls out on `pool`.
 
     Unparseable replies are retried once, then default to 3.0 with the
     defaulted flag set. Transport failures carry the shot id.
@@ -235,7 +228,7 @@ def score_shots(shots: list[Shot], captions: list[str], question: str,
                                   defaulted=True)
         return RelevanceScore(value, rationale=str(reply)[:200])
 
-    return fan_out(score_one, list(zip(shots, captions)), pool or llm.max_inflight)
+    return list(pool.map(score_one, zip(shots, captions)))
 
 
 def attach_scores(tree: HybridTree, scores: list[RelevanceScore]) -> None:
@@ -317,17 +310,6 @@ def _repair_empty(pts: np.ndarray, assign: np.ndarray, centers: np.ndarray,
         d = np.linalg.norm(pts[member_idx] - centers[donor], axis=1)
         assign[member_idx[int(np.argmax(d))]] = c
     return assign
-
-
-def kmeans_cost(pts: np.ndarray, assign: np.ndarray) -> float:
-    """Total within-cluster squared distance to cluster means."""
-    pts = np.asarray(pts, dtype=np.float64)
-    cost = 0.0
-    for c in np.unique(assign):
-        members = pts[assign == c]
-        centroid = members.mean(axis=0)
-        cost += float(((members - centroid) ** 2).sum())
-    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +444,12 @@ def _need(doc: Any, key: str, kind: type | tuple, pointer: str) -> Any:
     return value
 
 
+def _ints(values: list, pointer: str) -> list[int]:
+    if not all(type(v) is int for v in values):
+        raise TreeParseError(pointer, "expected a list of integers")
+    return values
+
+
 def deserialize_tree(doc: dict) -> HybridTree:
     version = _need(doc, "version", str, "")
     if version != TREE_SCHEMA_VERSION:
@@ -483,14 +471,15 @@ def deserialize_tree(doc: dict) -> HybridTree:
         kind = _need(node_doc, "kind", str, pointer)
         if kind not in (KIND_SHOT, KIND_CLUSTER):
             raise TreeParseError(f"{pointer}/kind", f"unknown node kind {kind!r}")
-        frames_doc = _need(node_doc, "frames", list, pointer)
+        frames_doc = _ints(_need(node_doc, "frames", list, pointer),
+                           f"{pointer}/frames")
         if kind == KIND_SHOT:
             if len(frames_doc) != 2:
                 raise TreeParseError(f"{pointer}/frames",
                                      "shot frames must be [start, end]")
-            frames = tuple(range(int(frames_doc[0]), int(frames_doc[1]) + 1))
+            frames = tuple(range(frames_doc[0], frames_doc[1] + 1))
         else:
-            frames = tuple(int(f) for f in frames_doc)
+            frames = tuple(frames_doc)
         relevance = None
         if "relevance" in node_doc:
             rel_doc = node_doc["relevance"]
@@ -506,10 +495,11 @@ def deserialize_tree(doc: dict) -> HybridTree:
             frames=frames,
             representative_frame=_need(node_doc, "rep", int, pointer),
             depth=_need(node_doc, "depth", int, pointer),
-            children=[int(c) for c in _need(node_doc, "children", list, pointer)],
+            children=_ints(_need(node_doc, "children", list, pointer),
+                           f"{pointer}/children"),
             relevance=relevance,
         )
-    shot_order = [int(s) for s in _need(doc, "shot_order", list, "")]
+    shot_order = _ints(_need(doc, "shot_order", list, ""), "/shot_order")
     for sid in shot_order:
         if sid not in nodes:
             raise TreeParseError("/shot_order", f"unknown node id {sid}")

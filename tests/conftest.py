@@ -1,12 +1,14 @@
 """Shared fixtures: synthetic videos with planted shot boundaries, scripted
-mock backends, a backend wrapper that records every call, and the
-10-question golden suite used by the CLI and acceptance tests."""
+mock backends, a backend wrapper that records every call, a call pool, the
+10-question golden suite used by the CLI and acceptance tests, and the
+reference helpers several test files compare against."""
 
 from __future__ import annotations
 
 import contextlib
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -17,6 +19,7 @@ import pytest
 from videoqa.backends import Backend, BackendRequest, MockScript
 from videoqa.errors import BackendError
 from videoqa.ingest import write_embeddings
+from videoqa.knowledge import AgentProfile
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +61,42 @@ class RecordingBackend(Backend):
     def _record(self, call: RecordedCall) -> None:
         with self._lock:
             self.calls.append(call)
+
+
+@pytest.fixture
+def pool():
+    """The call pool that score_shots, caption_frames and
+    summarize_segments fan their calls out on."""
+    with ThreadPoolExecutor(max_workers=8) as executor:
+        yield executor
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers
+# ---------------------------------------------------------------------------
+
+def kmeans_cost(pts: np.ndarray, assign: np.ndarray) -> float:
+    """Total within-cluster squared distance to cluster means."""
+    pts = np.asarray(pts, dtype=np.float64)
+    cost = 0.0
+    for c in np.unique(assign):
+        members = pts[assign == c]
+        centroid = members.mean(axis=0)
+        cost += float(((members - centroid) ** 2).sum())
+    return cost
+
+
+def profile_doc(profile: AgentProfile) -> dict:
+    """The profile file document that loads back to `profile`."""
+    return {
+        "qtype": profile.qtype,
+        "strategy": {"name": profile.strategy.name,
+                     "instructions": profile.strategy.instructions},
+        "tools": list(profile.tools),
+        "weights": dict(profile.weights),
+        "requires_visual_agent": profile.requires_visual_agent,
+        "requires_bidirectional_check": profile.requires_bidirectional_check,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,12 @@ from videoqa.tree import (
     attach_scores,
     expand_tree,
     kmeans,
-    kmeans_cost,
     tree_from_shots,
     vtsearch,
 )
 from videoqa.ingest import Shot
 
-from conftest import GOLDEN_QUESTIONS, build_golden_world, write_video
+from conftest import GOLDEN_QUESTIONS, build_golden_world, kmeans_cost, write_video
 from test_orchestrator import _random_items, _weights_profile, oracle_scores
 from test_tree import bruteforce_two_partition_cost, make_separated_instance
 
@@ -248,8 +247,7 @@ def test_acceptance_budget_law(tmp_path) -> None:
         stubborn.add("drafting explanation", "inconclusive evidence")
         backend = Backend.from_mock(stubborn)
         bundle = QuestionBundle("adv", "Why?", ("a", "b"), "Causal")
-        workflow = template_workflow("adv", "Causal", AGENT_REGISTRY,
-                                     max_iterations=15)
+        workflow = template_workflow("Causal", AGENT_REGISTRY, max_iterations=15)
         record = execute_workflow(workflow, bundle, result.store,
                                   builtin_profiles()["Causal"], backend)
         assert record.rounds_used == 15, "hard iteration cap respected"

@@ -41,23 +41,10 @@ def test_render_payload_deterministic() -> None:
     assert render_payload(req) == render_payload(chat_request("hello"))
 
 
-def test_render_payload_excludes_request_id() -> None:
-    a = chat_request("hello", request_id="one")
-    b = chat_request("hello", request_id="two")
-    assert render_payload(a) == render_payload(b)
-
-
 def test_render_payload_caption_includes_prompt_and_image() -> None:
     rendered = render_payload(caption_request("/data/frame_007.jpg", "describe"))
     assert "/data/frame_007.jpg" in rendered
     assert "describe" in rendered
-
-
-def test_embed_request_needs_exactly_one_source() -> None:
-    with pytest.raises(ValueError):
-        embed_request()
-    with pytest.raises(ValueError):
-        embed_request(text="a", image_ref="b")
 
 
 def test_unknown_capability_rejected() -> None:
@@ -113,7 +100,7 @@ def test_mock_capability_mismatch() -> None:
     backend = MockBackend(MockScript(default_response="ok"),
                           capabilities=("chat",))
     with pytest.raises(CapabilityMismatchError):
-        backend.call(embed_request(text="vectorize me"))
+        backend.call(embed_request(image_ref="vectorize me"))
 
 
 def test_mock_embed_response_coercion() -> None:
@@ -122,10 +109,10 @@ def test_mock_embed_response_coercion() -> None:
     script.add("as-json", "[0.1, 0.2]")
     script.add("as-text", "not a vector")
     backend = MockBackend(script)
-    assert backend.call(embed_request(text="as-list")) == [1.0, 2.5]
-    assert backend.call(embed_request(text="as-json")) == [0.1, 0.2]
+    assert backend.call(embed_request(image_ref="as-list")) == [1.0, 2.5]
+    assert backend.call(embed_request(image_ref="as-json")) == [0.1, 0.2]
     with pytest.raises(MalformedResponseError):
-        backend.call(embed_request(text="as-text"))
+        backend.call(embed_request(image_ref="as-text"))
 
 
 def test_mock_scripted_error_kinds() -> None:
@@ -206,19 +193,24 @@ def _remote(outcomes: list) -> tuple[RemoteBackend, FakeTransport]:
 
 
 def test_remote_retries_5xx_then_succeeds() -> None:
-    sleeps: list[float] = []
-    transport = FakeTransport([(500, {}), (500, {}), (200, _chat_body("ok"))])
-    backend = RemoteBackend({"chat": "http://unit.test/chat"},
-                            transport=transport, sleep=sleeps.append)
-    assert backend.call(chat_request("q")) == "ok"
-    assert transport.calls == 3
-    assert sleeps == [1.0, 2.0], "two retries"
+    """429 (too many requests) is retried on the same schedule as 5xx."""
+    for status in (500, 429):
+        sleeps: list[float] = []
+        transport = FakeTransport([(status, {}), (status, {}),
+                                   (200, _chat_body("ok"))])
+        backend = RemoteBackend({"chat": "http://unit.test/chat"},
+                                transport=transport, sleep=sleeps.append)
+        assert backend.call(chat_request("q")) == "ok"
+        assert transport.calls == 3
+        assert sleeps == [1.0, 2.0], "two retries"
 
 
 def test_remote_gives_up_after_two_retries() -> None:
-    backend, _ = _remote([(500, {}), (503, {}), (502, {})])
-    with pytest.raises(TransportError):
-        backend.call(chat_request("q"))
+    for statuses in ((500, 503, 502), (429, 429, 429)):
+        backend, transport = _remote([(status, {}) for status in statuses])
+        with pytest.raises(TransportError):
+            backend.call(chat_request("q"))
+        assert transport.calls == 3
 
 
 def test_remote_transport_errors_retried() -> None:
@@ -256,7 +248,7 @@ def test_remote_4xx_is_backend_error() -> None:
 
 def test_remote_embed_parsing() -> None:
     backend, _ = _remote([(200, {"data": [{"embedding": [0.5, 1.5]}]})])
-    assert backend.call(embed_request(text="v")) == [0.5, 1.5]
+    assert backend.call(embed_request(image_ref="v")) == [0.5, 1.5]
 
 
 def test_remote_no_endpoint_for_capability() -> None:

@@ -82,6 +82,24 @@ def test_cli_ask_malformed_sidecar_item_exits_2(tmp_path, capsys) -> None:
     assert "sidecar captions[0]" in capsys.readouterr().err
 
 
+def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    main(_build_args(world, tmp_path))
+    capsys.readouterr()
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    tree["nodes"][0]["children"] = ["x"]
+    broken = tmp_path / "broken.tree.json"
+    broken.write_text(json.dumps(tree))
+    code = main(["ask", str(broken), str(tmp_path / "tree.sidecar.json"),
+                 "--question", "What is the location?",
+                 "--option", "a park", "--option", "a kitchen",
+                 "--mock-script", str(world.script_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "/nodes/0/children" in err
+    assert "Traceback" not in err
+
+
 def test_cli_eval_malformed_manifest_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     bad = tmp_path / "bad_manifest.json"

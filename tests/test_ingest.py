@@ -10,15 +10,31 @@ from videoqa.errors import InputError, ValidationError
 from videoqa.ingest import (
     Shot,
     consecutive_distances,
-    cosine_distance,
     detect_shots,
     load_frames,
+    nearest_to_centroid,
     read_embeddings,
-    select_representative,
     write_embeddings,
 )
 
 from conftest import shot_embeddings, write_video
+
+
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - cos(a, b) of two nonzero vectors."""
+    denom = float(np.linalg.norm(a) * np.linalg.norm(b))
+    return 1.0 - float(np.dot(a, b)) / denom
+
+
+def select_representative(shot: Shot, embeddings: np.ndarray) -> int:
+    """Representative frame for a shot given exactly its embedding rows
+    (start_frame..end_frame), as an absolute frame index."""
+    num_frames = shot.end_frame - shot.start_frame + 1
+    if embeddings.shape[0] != num_frames:
+        raise ValidationError(
+            f"expected {num_frames} rows for shot {shot.shot_id}, "
+            f"got {embeddings.shape[0]}")
+    return shot.start_frame + nearest_to_centroid(embeddings)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +80,8 @@ def test_load_frames_180_at_1fps(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [180], noise=0.2)
     frames = load_frames(manifest)
     assert frames.num_frames == 180
-    assert [f.timestamp_s for f in frames.frames] == [float(i) for i in range(180)]
+    assert [f.frame_index for f in frames.frames] == list(range(180))
+    assert frames.fps == 1.0
     assert frames.embeddings.shape == (180, 8)
 
 
@@ -72,13 +89,13 @@ def test_load_frames_single_frame(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [1])
     frames = load_frames(manifest)
     assert frames.num_frames == 1
-    assert frames.frames[0].timestamp_s == 0.0
+    assert frames.frames[0].frame_index == 0
 
 
 def test_load_frames_respects_fps(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [4], fps=2.0)
     frames = load_frames(manifest)
-    assert [f.timestamp_s for f in frames.frames] == [0.0, 0.5, 1.0, 1.5]
+    assert frames.fps == 2.0
 
 
 def test_load_frames_missing_manifest(tmp_path) -> None:
@@ -100,6 +117,17 @@ def test_load_frames_noncontiguous_indices(tmp_path) -> None:
         "frames": [{"index": 0}, {"index": 2}],
         "embeddings_path": "x.emb"})
     with pytest.raises(ValidationError, match="contiguous"):
+        load_frames(path)
+
+    path = _write_manifest(tmp_path, {
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": 0}, {"index": "a"}],
+        "embeddings_path": "x.emb"})
+    with pytest.raises(ValidationError, match="frame 1 must carry an integer index"):
+        load_frames(path)
+
+    path = _write_manifest(tmp_path, [1])
+    with pytest.raises(ValidationError, match="must be a JSON object"):
         load_frames(path)
 
 

@@ -16,6 +16,8 @@ from videoqa.knowledge import (
 )
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
+from conftest import profile_doc
+
 
 # ---------------------------------------------------------------------------
 # Profiles
@@ -43,42 +45,42 @@ def test_builtin_temporal_mirrors_descriptive_weights() -> None:
 
 
 def test_weights_normalized_at_load() -> None:
-    doc = builtin_profiles()["Temporal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Temporal"])
     doc["weights"] = {"text": 2, "visual": 2}
     profile = AgentProfile.from_doc(doc)
     assert profile.weights == {"text": 0.5, "visual": 0.5}
 
 
 def test_negative_weight_names_field() -> None:
-    doc = builtin_profiles()["Temporal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Temporal"])
     doc["weights"]["text"] = -1
     with pytest.raises(ConfigError, match="weights.text"):
         AgentProfile.from_doc(doc)
 
 
 def test_unknown_weight_source_names_field() -> None:
-    doc = builtin_profiles()["Temporal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Temporal"])
     doc["weights"]["audio"] = 0.5
     with pytest.raises(ConfigError, match="weights.audio"):
         AgentProfile.from_doc(doc)
 
 
 def test_missing_strategy_name_names_field() -> None:
-    doc = builtin_profiles()["Temporal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Temporal"])
     doc["strategy"] = {"instructions": "no name"}
     with pytest.raises(ConfigError, match="strategy.name"):
         AgentProfile.from_doc(doc)
 
 
 def test_unknown_tool_rejected() -> None:
-    doc = builtin_profiles()["Temporal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Temporal"])
     doc["tools"] = ["temporal_index", "crystal_ball"]
     with pytest.raises(ConfigError, match="crystal_ball"):
         AgentProfile.from_doc(doc)
 
 
 def test_causal_requires_bidirectional_check() -> None:
-    doc = builtin_profiles()["Causal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Causal"])
     doc["requires_bidirectional_check"] = False
     with pytest.raises(ConfigError, match="requires_bidirectional_check"):
         AgentProfile.from_doc(doc)
@@ -86,11 +88,11 @@ def test_causal_requires_bidirectional_check() -> None:
 
 def test_profile_roundtrip_identity() -> None:
     for profile in builtin_profiles().values():
-        assert AgentProfile.from_doc(profile.to_doc()) == profile
+        assert AgentProfile.from_doc(profile_doc(profile)) == profile
 
 
 def test_load_profiles_overrides_from_directory(tmp_path) -> None:
-    doc = builtin_profiles()["Descriptive"].to_doc()
+    doc = profile_doc(builtin_profiles()["Descriptive"])
     doc["weights"] = {"text": 0.9, "visual": 0.1}
     (tmp_path / "descriptive.json").write_text(json.dumps(doc))
     profiles = load_profiles(tmp_path)
@@ -100,7 +102,7 @@ def test_load_profiles_overrides_from_directory(tmp_path) -> None:
 
 
 def test_load_profiles_wrong_qtype_in_file(tmp_path) -> None:
-    doc = builtin_profiles()["Causal"].to_doc()
+    doc = profile_doc(builtin_profiles()["Causal"])
     (tmp_path / "temporal.json").write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match="qtype"):
         load_profiles(tmp_path)

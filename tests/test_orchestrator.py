@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
 
@@ -33,7 +34,7 @@ from videoqa.orchestrator import (
 )
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
-from conftest import RecordingBackend
+from conftest import RecordingBackend, profile_doc
 
 
 def _backend(*rules, default=None) -> RecordingBackend:
@@ -110,22 +111,15 @@ def test_analyze_profile_requirement_overrides_model_omission() -> None:
     assert INTEGRATION_AGENT in analysis.selected_agents
 
 
-def test_analyze_type_override_is_recorded() -> None:
+def test_analyze_type_override_is_recorded(caplog) -> None:
     backend = _backend(("analyzing question", "Actually Temporal. All four: "
                     "TextAgent, VisualAnalysisAgent, "
                     "EvidenceIntegrationAgent, AnswerGenerationAgent."))
-    analysis = analyze_problem(_bundle("Causal"), builtin_profiles(),
-                               backend)
+    with caplog.at_level(logging.INFO, logger="videoqa.orchestrator"):
+        analysis = analyze_problem(_bundle("Causal"), builtin_profiles(),
+                                   backend)
     assert analysis.qtype == "Temporal"
-    assert analysis.override is True
-
-
-def test_analyze_fixed_workflow_skips_backend() -> None:
-    backend = _backend()
-    analysis = analyze_problem(_bundle(), builtin_profiles(), backend,
-                               fixed_workflow=True)
-    assert analysis.selected_agents == AGENT_REGISTRY
-    assert len(backend.calls) == 0
+    assert "analysis reclassified Causal -> Temporal" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +175,13 @@ def test_plan_garbage_reply_repaired() -> None:
 
 
 def test_plan_two_agent_selection_has_no_integration_stage() -> None:
-    workflow = template_workflow("q", "Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
     assert workflow.problems() == []
 
 
 def test_plan_causal_template_encodes_bidirectional_search() -> None:
-    workflow = template_workflow("q", "Causal", AGENT_REGISTRY)
+    workflow = template_workflow("Causal", AGENT_REGISTRY)
     text_stage = next(s for s in workflow.stages if s.agent == TEXT_AGENT)
     assert "search backward" in text_stage.task_description.lower()
     assert "forward" in text_stage.task_description.lower()
@@ -212,31 +206,30 @@ def test_plan_causal_bidirectional_enforced_on_model_plans() -> None:
 
 
 def test_workflow_invariants_catch_violations() -> None:
-    bad_order = Workflow("q", "Causal", (TEXT_AGENT, ANSWER_AGENT), [
+    bad_order = Workflow("Causal", (TEXT_AGENT, ANSWER_AGENT), [
         Stage(ANSWER_AGENT, "a", ("question",), "answer"),
         Stage(TEXT_AGENT, "t", ("question",), "text_evidence"),
     ])
     assert any("last" in p for p in bad_order.problems())
 
-    over_budget = template_workflow("q", "Causal", AGENT_REGISTRY,
-                                    max_iterations=99)
+    over_budget = template_workflow("Causal", AGENT_REGISTRY, max_iterations=99)
     assert any("max_iterations" in p for p in over_budget.problems())
 
-    missing_integration = Workflow("q", "Causal", AGENT_REGISTRY, [
+    missing_integration = Workflow("Causal", AGENT_REGISTRY, [
         Stage(TEXT_AGENT, "t", ("question",), "text_evidence"),
         Stage(VISUAL_AGENT, "v", ("question",), "visual_evidence"),
         Stage(INTEGRATION_AGENT, "i", ("text_evidence",), "scores"),
         Stage(ANSWER_AGENT, "a", ("scores",), "answer"),
     ])
     assert missing_integration.problems() == []
-    no_integration = Workflow("q", "Causal", AGENT_REGISTRY, [
+    no_integration = Workflow("Causal", AGENT_REGISTRY, [
         Stage(TEXT_AGENT, "t", ("question",), "text_evidence"),
         Stage(VISUAL_AGENT, "v", ("question",), "visual_evidence"),
         Stage(ANSWER_AGENT, "a", ("text_evidence",), "answer"),
     ])
     assert any("integration" in p for p in no_integration.problems())
 
-    integration_first = Workflow("q", "Causal", AGENT_REGISTRY, [
+    integration_first = Workflow("Causal", AGENT_REGISTRY, [
         Stage(INTEGRATION_AGENT, "i", ("question",), "option_scores"),
         Stage(TEXT_AGENT, "t", ("question",), "text_evidence"),
         Stage(VISUAL_AGENT, "v", ("question",), "visual_evidence"),
@@ -304,9 +297,9 @@ def test_react_retrieval_observation_feeds_next_step() -> None:
 
 
 def test_react_tool_outside_profile_is_error_observation() -> None:
-    profile_doc = _profile("Causal").to_doc()
-    profile_doc["tools"] = ["temporal_index"]
-    narrow = AgentProfile.from_doc(profile_doc)
+    doc = profile_doc(_profile("Causal"))
+    doc["tools"] = ["temporal_index"]
+    narrow = AgentProfile.from_doc(doc)
     backend = _backend(
         ("OBSERVATION: ERROR", _final((1.0, 0.0, 0.0))),
         ("working on question",
@@ -381,7 +374,7 @@ def oracle_scores(items, weights_by_source, qtype) -> list[float]:
 
 def _weights_profile(text: float, visual: float,
                      qtype: str = "Descriptive") -> AgentProfile:
-    doc = builtin_profiles()[qtype].to_doc()
+    doc = profile_doc(builtin_profiles()[qtype])
     doc["weights"] = {"text": text, "visual": visual}
     return AgentProfile.from_doc(doc)
 
@@ -602,7 +595,7 @@ def test_execute_workflow_full_causal_path() -> None:
                {"cause_supported": True, "effect_supported": True}),
         _final((0.1, 0.8, 0.1), 0.9,
                {"cause_supported": True, "effect_supported": True}))
-    workflow = template_workflow("q1", "Causal", AGENT_REGISTRY)
+    workflow = template_workflow("Causal", AGENT_REGISTRY)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
                               backend)
     assert record.chosen_index == 1
@@ -615,8 +608,7 @@ def test_execute_workflow_full_causal_path() -> None:
 
 def test_execute_workflow_agents_stay_within_selection() -> None:
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.9, 0.1)))
-    workflow = template_workflow("q1", "Descriptive",
-                                 (TEXT_AGENT, ANSWER_AGENT))
+    workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What is it?", ("a", "b"))
     record = execute_workflow(workflow, bundle, _store(),
                               _profile("Descriptive"), backend)
@@ -632,8 +624,7 @@ def test_execute_workflow_budget_shared_across_stages() -> None:
     script.add("[VisualAnalysisAgent] working", _final((0.1, 0.8, 0.1)))
     script.add("drafting explanation", "Answer: option 0.")
     backend = Backend.from_mock(script)
-    workflow = template_workflow("q1", "Causal", AGENT_REGISTRY,
-                                 max_iterations=15)
+    workflow = template_workflow("Causal", AGENT_REGISTRY, max_iterations=15)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
                               backend)
     assert record.rounds_used == 15
@@ -652,8 +643,7 @@ def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch) -> None:
 
     monkeypatch.setattr(orchestrator, "run_react", overspending)
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
-    workflow = template_workflow("q1", "Descriptive",
-                                 (TEXT_AGENT, ANSWER_AGENT))
+    workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     with pytest.raises(VideoQAError, match="budget law violated"):
         execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
                          _store(), _profile("Descriptive"), backend)
@@ -664,7 +654,7 @@ def test_execute_workflow_deterministic_bytes() -> None:
         backend = _exec_backend(
             _final((0.05, 0.9, 0.05), 1.0),
             _final((0.1, 0.8, 0.1), 0.9))
-        workflow = template_workflow("q1", "Causal", AGENT_REGISTRY)
+        workflow = template_workflow("Causal", AGENT_REGISTRY)
         record = execute_workflow(workflow, _bundle(), _store(), _profile(),
                                   backend)
         return record.to_json()
@@ -674,8 +664,7 @@ def test_execute_workflow_deterministic_bytes() -> None:
 
 def test_answer_record_json_schema() -> None:
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
-    workflow = template_workflow("q7", "Descriptive",
-                                 (TEXT_AGENT, ANSWER_AGENT))
+    workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What?", ("a", "b"), qid="q7")
     record = execute_workflow(workflow, bundle, _store(),
                               _profile("Descriptive"), backend)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from videoqa.backends import Backend, CachingBackend, MockRule, MockScript
+from videoqa.captioning import generic_prompt
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, InputError, ValidationError
+from videoqa.orchestrator import AGENT_REGISTRY
 from videoqa.pipeline import (
     RawQuestion,
     build_video,
@@ -45,10 +47,16 @@ def _question() -> RawQuestion:
     return RawQuestion("q1", "Why does it happen?", ("because", "chance"))
 
 
+def _caption_prompts(backend: RecordingBackend) -> set[str]:
+    """The visual prompts the recorded caption calls carried."""
+    return {json.loads(call.rendered.split(":", 1)[1])["prompt"]
+            for call in backend.calls if call.capability == "caption"}
+
+
 def test_build_two_shots_one_expanded(tmp_path) -> None:
     manifest = write_video(tmp_path, "vid12", [6, 6], seed=2)
     config = EngineConfig(seed=5)
-    backend = Backend.from_mock(_twelve_frame_script())
+    backend = RecordingBackend(Backend.from_mock(_twelve_frame_script()))
     result = build_video(manifest, [_question()], config, backend)
 
     tree = result.tree
@@ -63,8 +71,8 @@ def test_build_two_shots_one_expanded(tmp_path) -> None:
     assert len(result.retrieved_frames) == 2, "breadth mode at 1/2 high"
     assert result.bundles[0].qtype == "Causal"
     assert result.store.first_pass[tree.shot_order[0]] == "caption shot one"
-    assert ("Causal" in result.prompts
-            and result.prompts["Causal"].text == "look for causes")
+    assert "look for causes" in _caption_prompts(backend), \
+        "the synthesized Causal prompt steers the question-aware captions"
 
 
 def test_build_rerun_with_cache_makes_zero_backend_calls(tmp_path) -> None:
@@ -96,7 +104,7 @@ def test_uniform_leaf_shots_partition() -> None:
     assert len(shots) == 8
     covered = [f for s in shots for f in range(s.start_frame, s.end_frame + 1)]
     assert covered == list(range(18))
-    sizes = [s.num_frames for s in shots]
+    sizes = [s.end_frame - s.start_frame + 1 for s in shots]
     assert max(sizes) - min(sizes) <= 1, "even split"
     shots_small = uniform_leaf_shots(3, 8, emb[:3])
     assert len(shots_small) == 3, "clamped to the frame count"
@@ -122,6 +130,11 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
     with pytest.raises(ValidationError, match="declared_type"):
         load_question_file(qfile)
 
+    qfile.write_text(json.dumps([{
+        "question_id": "q1", "text": "Why?", "options": 5}]))
+    with pytest.raises(ValidationError, match="options must be a list"):
+        load_question_file(qfile)
+
     mfile = tmp_path / "dataset.json"
     mfile.write_text(json.dumps({"entries": [
         {"video_id": "v1", "frame_manifest_path": "a.json", "questions": []},
@@ -142,6 +155,11 @@ def test_dataset_manifest_rejects_malformed_entries(tmp_path) -> None:
             {"question_id": "q1", "text": "Why?", "options": ["a", "b"],
              "gold_index": "x"}]}]}))
     with pytest.raises(ValidationError, match="gold_index must be an integer"):
+        load_dataset_manifest(mfile)
+
+    mfile.write_text(json.dumps({"entries": [
+        {"video_id": "v1", "frame_manifest_path": "a.json", "questions": 5}]}))
+    with pytest.raises(ValidationError, match="questions must be a list"):
         load_dataset_manifest(mfile)
 
 
@@ -192,9 +210,10 @@ def test_build_output_independent_of_inflight_limit(tmp_path) -> None:
     questions = _golden_questions("golden_a")
     outputs = []
     for max_inflight in (1, 8):
+        backend = world.backend(max_inflight)
         result = build_video(world.video_manifests["golden_a"], questions,
-                             EngineConfig(seed=3), world.backend(max_inflight))
-        assert len(result.prompts) == 3
+                             EngineConfig(seed=3), backend)
+        assert len(_caption_prompts(backend) - {generic_prompt().text}) == 3
         outputs.append((tree_to_json(result.tree),
                         json.dumps(result.store.to_sidecar(), sort_keys=True),
                         [b.qtype for b in result.bundles]))
@@ -369,6 +388,19 @@ def test_ablation_fixed_workflow_all_agents_same_answers(tmp_path) -> None:
     for record in fixed_records:
         agents = {s.agent for s in record.trace}
         assert "VisualAnalysisAgent" in agents, "all-agent workflows"
+
+
+def test_fixed_workflow_skips_planning_calls(tmp_path) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    backend = world.backend()
+    records, _ = evaluate(world.dataset_path,
+                          EngineConfig(seed=3, fixed_workflow=True), backend)
+    planning_calls = [r for r in backend.calls
+                      if "[ProblemAnalysisAgent]" in r.rendered
+                      or "[TaskPlanningAgent]" in r.rendered]
+    assert not planning_calls, "a fixed workflow makes no planning call"
+    for record in records:
+        assert record.trace[0].observation == ", ".join(AGENT_REGISTRY)
 
 
 def test_parallel_videos_matches_sequential(tmp_path) -> None:

@@ -68,7 +68,7 @@ class ScanKnowledgeStore(KnowledgeStore):
                 "relevance": (shot.relevance.value
                               if shot.relevance is not None else None),
             })
-        return RetrievalResult(SCOPE_TEMPORAL_INDEX, qtype, False, rows)
+        return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows)
 
     def _selected_frames(self, selector: dict) -> list[int] | None:
         if "shot_id" in selector:
@@ -91,7 +91,7 @@ class ScanKnowledgeStore(KnowledgeStore):
                     continue
                 rows.append({"frame": frame, "node_id": self._owner_shot_id(frame),
                              "text": cap.text})
-            return RetrievalResult(SCOPE_MOMENT_CAPTIONS, qtype, False, rows)
+            return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows)
         return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, qtype, wanted)
 
     def _segment_summaries(self, qtype: str, selector: dict) -> RetrievalResult:
@@ -109,7 +109,7 @@ class ScanKnowledgeStore(KnowledgeStore):
                 if summary is not None:
                     rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                                  "text": summary.text})
-            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, qtype, False, rows)
+            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, False, rows)
         wanted_frames = [f for shot in shots for f in shot.frames]
         return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, qtype, wanted_frames)
 
@@ -124,7 +124,7 @@ class ScanKnowledgeStore(KnowledgeStore):
             if text is not None:
                 rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                              "text": text})
-        return RetrievalResult(scope, qtype, True, rows)
+        return RetrievalResult(scope, True, rows)
 
     def _owner_shot_id(self, frame: int) -> int:
         for shot in self.tree.shots():

@@ -20,7 +20,6 @@ from videoqa.tree import (
     deserialize_tree,
     expand_tree,
     kmeans,
-    kmeans_cost,
     score_shots,
     serialize_tree,
     tree_from_shots,
@@ -28,7 +27,7 @@ from videoqa.tree import (
     vtsearch,
 )
 
-from conftest import RecordingBackend, shot_embeddings
+from conftest import RecordingBackend, kmeans_cost, shot_embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -151,20 +150,20 @@ def _shots(lengths: list[int]) -> list[Shot]:
     return shots
 
 
-def test_score_shots_parses_scripted_scores() -> None:
+def test_score_shots_parses_scripted_scores(pool) -> None:
     shots = _shots([4, 4, 4])
     script = MockScript(default_response="1")
     script.add("Segment 2 (", "4")
     scores = score_shots(shots, ["c0", "c1", "c2"], "why?",
-                         MockBackend(script))
+                         MockBackend(script), pool)
     assert [s.value for s in scores] == [1.0, 1.0, 4.0]
     assert not any(s.defaulted for s in scores)
 
 
-def test_score_shots_gate_is_strict_at_tau() -> None:
+def test_score_shots_gate_is_strict_at_tau(pool) -> None:
     shots = _shots([4, 4])
     script = MockScript(default_response="2.5")
-    scores = score_shots(shots, ["a", "b"], "q", MockBackend(script))
+    scores = score_shots(shots, ["a", "b"], "q", MockBackend(script), pool)
     tree = tree_from_shots("v", shots, TreeParams(tau=2.5))
     attach_scores(tree, scores)
     emb = shot_embeddings([4, 4])
@@ -173,38 +172,38 @@ def test_score_shots_gate_is_strict_at_tau() -> None:
         "score == tau must not expand (strict inequality)"
 
 
-def test_score_shots_unparseable_retried_once_then_default() -> None:
+def test_score_shots_unparseable_retried_once_then_default(pool) -> None:
     shots = _shots([4])
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="no idea, sorry")))
-    scores = score_shots(shots, ["c"], "q", backend)
+    scores = score_shots(shots, ["c"], "q", backend, pool)
     assert len(backend.calls) == 2, "one retry before defaulting"
     assert scores[0].value == 3.0
     assert scores[0].defaulted is True
 
 
-def test_score_shots_out_of_range_number_is_unparseable() -> None:
+def test_score_shots_out_of_range_number_is_unparseable(pool) -> None:
     shots = _shots([4])
     script = MockScript(default_response="9")
-    scores = score_shots(shots, ["c"], "q", MockBackend(script))
+    scores = score_shots(shots, ["c"], "q", MockBackend(script), pool)
     assert scores[0].defaulted is True
 
 
-def test_score_shots_backend_error_names_shot() -> None:
+def test_score_shots_backend_error_names_shot(pool) -> None:
     shots = _shots([4])
     script = MockScript()
     script.add("Segment 0", error="transport")
     with pytest.raises(BackendError, match="shot 0"):
-        score_shots(shots, ["c"], "q", MockBackend(script))
+        score_shots(shots, ["c"], "q", MockBackend(script), pool)
 
 
-def test_tau_sweep_expansion_changes_only_at_integers() -> None:
+def test_tau_sweep_expansion_changes_only_at_integers(pool) -> None:
     shots = _shots([8, 8, 8, 8, 8])
     script = MockScript()
     for i in range(5):
         script.add(f"Segment {i} (", str(i + 1))
     scores = score_shots(shots, [f"c{i}" for i in range(5)], "q",
-                         MockBackend(script))
+                         MockBackend(script), pool)
     emb = shot_embeddings([8, 8, 8, 8, 8])
 
     def expansion_set(tau: float) -> tuple[int, ...]:
@@ -430,10 +429,18 @@ def test_serialize_unknown_version() -> None:
 
 
 def test_serialize_bad_node_pointer() -> None:
-    doc = serialize_tree(_expanded_tree())
-    del doc["nodes"][1]["kind"]
-    with pytest.raises(TreeParseError, match="/nodes/1/kind"):
-        deserialize_tree(doc)
+    table = [
+        (lambda doc: doc["nodes"][1].pop("kind"), "/nodes/1/kind"),
+        (lambda doc: doc["nodes"][1].update(frames=["a", "b"]), "/nodes/1/frames"),
+        (lambda doc: doc["nodes"][1].update(children=["x"]), "/nodes/1/children"),
+        (lambda doc: doc.update(shot_order=[[0]]), "/shot_order"),
+    ]
+    for mutate, pointer in table:
+        doc = serialize_tree(_expanded_tree())
+        mutate(doc)
+        with pytest.raises(TreeParseError, match=pointer) as caught:
+            deserialize_tree(doc)
+        assert caught.value.pointer == pointer
 
 
 def test_serialize_bad_params_pointer() -> None:
