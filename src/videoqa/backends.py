@@ -28,10 +28,10 @@ from .errors import (
     BackendTimeout,
     CapabilityMismatchError,
     ConfigError,
-    InputError,
     MalformedResponseError,
     MockScriptError,
     TransportError,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -173,13 +173,7 @@ class MockScript:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockScript":
-        p = Path(path)
-        if not p.exists():
-            raise InputError(f"mock script not found: {p}")
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"mock script is not valid JSON: {exc}") from exc
+        doc = read_json(path, "mock script", ConfigError)
         if isinstance(doc, dict):
             rules_doc = doc.get("rules", [])
             default = doc.get("default_response")
@@ -370,7 +364,11 @@ class CachingBackend(Backend):
         self.capabilities = inner.capabilities
         self.identity = inner.identity
         self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"backend.cache_dir {cache_dir} cannot be used: "
+                              f"{exc.strerror}") from exc
         self.hits = 0
         self.misses = 0
         self._count_lock = threading.Lock()

@@ -16,7 +16,13 @@ from pathlib import Path
 from typing import Callable
 
 from .backends import Backend, caption_request, chat_request
-from .errors import BackendError, ValidationError
+from .errors import (
+    BackendError,
+    ConfigError,
+    NotFoundError,
+    ValidationError,
+    read_text,
+)
 from .ingest import Shot
 
 logger = logging.getLogger(__name__)
@@ -119,9 +125,11 @@ def load_template(name: str, template_dir: str | None = None) -> str:
     """Template text for a type, from an override directory or the built-in
     assets. `name` is the lowercase type name (or "generic")."""
     if template_dir:
-        candidate = Path(template_dir) / f"{name}.txt"
-        if candidate.exists():
-            return candidate.read_text(encoding="utf-8").strip()
+        try:
+            return read_text(Path(template_dir) / f"{name}.txt", "template",
+                             ConfigError).strip()
+        except NotFoundError:
+            pass
     ref = resources.files("videoqa.templates") / f"{name}.txt"
     return ref.read_text(encoding="utf-8").strip()
 

@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 input error, 3 backend error, 4 config error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -14,7 +13,7 @@ from pathlib import Path
 from .backends import Backend, CachingBackend, MockScript
 from .captioning import QTYPES, QuestionBundle, classify_question
 from .config import EngineConfig
-from .errors import InputError, VideoQAError
+from .errors import VideoQAError, canonical_json, read_json, write_text
 from .knowledge import KnowledgeStore, load_profiles
 from .pipeline import (
     answer_question,
@@ -75,11 +74,6 @@ def _make_backend(args: argparse.Namespace, config: EngineConfig) -> Backend:
     return backend
 
 
-def _derive_sidecar_path(out_tree: str) -> Path:
-    p = Path(out_tree)
-    return p.with_name(p.stem + ".sidecar.json")
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     config = _load_config(args)
     backend = _make_backend(args, config)
@@ -87,12 +81,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     result = build_video(args.frame_manifest, questions, config, backend)
 
     out_tree = Path(args.out_tree)
-    out_tree.write_text(tree_to_json(result.tree) + "\n", encoding="utf-8")
-    sidecar_path = (Path(args.out_sidecar) if args.out_sidecar
-                    else _derive_sidecar_path(args.out_tree))
-    sidecar_path.write_text(
-        json.dumps(result.store.to_sidecar(), sort_keys=True,
-                   separators=(",", ":")) + "\n", encoding="utf-8")
+    write_text(out_tree, tree_to_json(result.tree) + "\n", "tree file")
+    sidecar_path = Path(args.out_sidecar
+                        or out_tree.with_name(out_tree.stem + ".sidecar.json"))
+    write_text(sidecar_path, canonical_json(result.store.to_sidecar()) + "\n",
+               "sidecar file")
 
     expanded = sum(1 for sid in result.tree.shot_order
                    if result.tree.nodes[sid].children)
@@ -107,13 +100,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     backend = _make_backend(args, config)
     tree = load_tree(args.tree)
 
-    sidecar_path = Path(args.sidecar)
-    if not sidecar_path.exists():
-        raise InputError(f"sidecar file not found: {sidecar_path}")
-    try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"sidecar {sidecar_path} is not valid JSON: {exc}") from exc
+    sidecar = read_json(args.sidecar, "sidecar file")
     store = KnowledgeStore.from_sidecar(tree, sidecar, fps=config.fps)
 
     options = tuple(args.option or [])
@@ -132,11 +119,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     backend = _make_backend(args, config)
     records, report = evaluate(args.manifest, config, backend)
 
-    out_records = Path(args.out_records)
-    out_records.write_text(
-        "".join(r.to_json() + "\n" for r in records), encoding="utf-8")
-    out_report = Path(args.out_report)
-    out_report.write_text(report.to_json() + "\n", encoding="utf-8")
+    out_records, out_report = Path(args.out_records), Path(args.out_report)
+    write_text(out_records, "".join(r.to_json() + "\n" for r in records),
+               "records file")
+    write_text(out_report, report.to_json() + "\n", "report file")
 
     summary = f"{report.num_questions} questions, mean rounds {report.mean_rounds:.2f}"
     if report.accuracy_overall is not None:

@@ -8,11 +8,10 @@ maximum depth of 3, global-context threshold gamma=0.4, and a hard cap of
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, InputError
+from .errors import ConfigError, read_json
 
 
 @dataclass
@@ -76,13 +75,7 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        p = Path(path)
-        if not p.exists():
-            raise InputError(f"config file not found: {p}")
-        try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        doc = read_json(path, "config file", ConfigError)
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a JSON object")
         return cls.from_doc(doc)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+from typing import Any
+
 
 class VideoQAError(Exception):
     """Base class for all engine errors."""
@@ -32,7 +36,8 @@ class UnsupportedVersionError(TreeParseError):
 
 
 class NotFoundError(InputError):
-    """A selector referenced a shot or frame that does not exist."""
+    """A selector named a shot or frame, or a path named a file, that does
+    not exist."""
 
 
 class ConfigError(VideoQAError):
@@ -73,3 +78,41 @@ class MockScriptError(BackendError):
 
 class IntegrationError(VideoQAError):
     """Evidence integration invoked with no evidence items."""
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file `what` at `path`."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise NotFoundError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+
+
+def read_text(path: str | Path, what: str, invalid=InputError) -> str:
+    """The UTF-8 text of the file, newlines read as in text mode."""
+    try:
+        text = read_bytes(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise invalid(f"{what} {path} is not valid UTF-8: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json(path: str | Path, what: str, invalid=InputError) -> Any:
+    try:
+        return json.loads(read_text(path, what, invalid))
+    except json.JSONDecodeError as exc:
+        raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str, what: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
+
+
+def canonical_json(doc: Any) -> str:
+    """Sorted keys, no spaces: equal documents render byte-identically."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

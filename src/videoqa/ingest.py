@@ -10,7 +10,6 @@ u32 reserved, little-endian) followed by row-major float32 data.
 
 from __future__ import annotations
 
-import json
 import logging
 import struct
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import Backend, embed_request
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, read_bytes, read_json
 
 logger = logging.getLogger(__name__)
 
@@ -96,20 +95,17 @@ def write_embeddings(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_embeddings(path: str | Path) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"embeddings file not found: {p}")
-    raw = p.read_bytes()
+    raw = read_bytes(path, "embeddings file")
     if len(raw) < _HEADER.size:
-        raise ValidationError(f"embeddings file too short for header: {p}")
+        raise ValidationError(f"embeddings file too short for header: {path}")
     magic, rows, dim, _ = _HEADER.unpack_from(raw)
     if magic != EMBED_MAGIC:
-        raise ValidationError(f"bad embeddings magic {magic!r} in {p}")
+        raise ValidationError(f"bad embeddings magic {magic!r} in {path}")
     expected = _HEADER.size + rows * dim * 4
     if len(raw) != expected:
         raise ValidationError(
             f"embeddings file size {len(raw)} does not match header "
-            f"({rows} rows x {dim} dims) in {p}")
+            f"({rows} rows x {dim} dims) in {path}")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     return data.reshape(rows, dim).astype(np.float32)
 
@@ -127,12 +123,7 @@ def load_frames(manifest_path: str | Path,
     backend serving "embed" is required.
     """
     p = Path(manifest_path)
-    if not p.exists():
-        raise InputError(f"frame manifest not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"frame manifest is not valid JSON: {p}: {exc}") from exc
+    doc = read_json(p, "frame manifest")
     if not isinstance(doc, dict):
         raise ValidationError(f"manifest {p} must be a JSON object")
 

@@ -8,7 +8,6 @@ bundling a reasoning strategy, tool list, and evidence weights per type.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from .captioning import (
     FrameCaption,
     SegmentSummary,
 )
-from .errors import ConfigError, NotFoundError, ValidationError
+from .errors import ConfigError, NotFoundError, ValidationError, read_json
 from .ingest import synthetic_frame_ref
 from .tree import HybridTree
 
@@ -157,12 +156,10 @@ def load_profiles(config_dir: str | Path | None) -> dict[str, AgentProfile]:
     directory = Path(config_dir)
     for qtype in QTYPES:
         path = directory / f"{qtype.lower()}.json"
-        if not path.exists():
-            continue
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profile {path} is not valid JSON: {exc}") from exc
+            doc = read_json(path, "profile", ConfigError)
+        except NotFoundError:
+            continue
         profile = AgentProfile.from_doc(doc)
         if profile.qtype != qtype:
             raise ConfigError(

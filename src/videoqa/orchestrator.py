@@ -28,6 +28,7 @@ from .errors import (
     IntegrationError,
     ValidationError,
     VideoQAError,
+    canonical_json,
 )
 from .knowledge import (
     RETRIEVAL_SCOPES,
@@ -198,7 +199,7 @@ class AnswerRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_doc())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ swap out individual steps without touching the rest of the pipeline.
 
 from __future__ import annotations
 
-import json
 import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -38,7 +37,7 @@ from .captioning import (
     synthesize_prompt,
 )
 from .config import EngineConfig
-from .errors import InputError, ValidationError
+from .errors import ValidationError, canonical_json, read_json
 from .ingest import Shot, detect_shots, load_frames, nearest_to_centroid
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
@@ -120,28 +119,17 @@ def _parse_question(doc: dict, where: str) -> RawQuestion:
 
 
 def load_question_file(path: str | Path) -> list[RawQuestion]:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"question file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"question file {p} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "question file")
     if isinstance(doc, dict):
         doc = doc.get("questions", [])
     if not isinstance(doc, list):
-        raise ValidationError(f"{p}: expected a list of questions")
-    return [_parse_question(q, f"{p}#{i}") for i, q in enumerate(doc)]
+        raise ValidationError(f"{path}: expected a list of questions")
+    return [_parse_question(q, f"{path}#{i}") for i, q in enumerate(doc)]
 
 
 def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
     p = Path(path)
-    if not p.exists():
-        raise InputError(f"dataset manifest not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"dataset manifest {p} is not valid JSON: {exc}") from exc
+    doc = read_json(p, "dataset manifest")
     entries_doc = doc.get("entries") if isinstance(doc, dict) else doc
     if not isinstance(entries_doc, list):
         raise ValidationError(f"{p}: expected an entries list")
@@ -349,7 +337,7 @@ class RunReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_doc())
 
 
 def evaluate(manifest_path: str | Path, config: EngineConfig,

@@ -9,11 +9,11 @@ resolution.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -22,10 +22,11 @@ import numpy as np
 from .backends import Backend, chat_request
 from .errors import (
     BackendError,
-    InputError,
     TreeParseError,
     UnsupportedVersionError,
     ValidationError,
+    canonical_json,
+    read_json,
 )
 from .ingest import Shot, nearest_to_centroid
 
@@ -429,7 +430,7 @@ def serialize_tree(tree: HybridTree) -> dict:
 
 def tree_to_json(tree: HybridTree) -> str:
     """Deterministic rendering: identical trees serialize byte-identically."""
-    return json.dumps(serialize_tree(tree), sort_keys=True, separators=(",", ":"))
+    return canonical_json(serialize_tree(tree))
 
 
 def _need(doc: Any, key: str, kind: type | tuple, pointer: str) -> Any:
@@ -508,11 +509,5 @@ def deserialize_tree(doc: dict) -> HybridTree:
 
 
 def load_tree(path: str | Path) -> HybridTree:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"tree file not found: {p}")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TreeParseError("/", f"not valid JSON: {exc}") from exc
-    return deserialize_tree(doc)
+    return deserialize_tree(
+        read_json(path, "tree file", partial(TreeParseError, "/")))
