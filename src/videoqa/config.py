@@ -7,7 +7,7 @@ maximum depth of 3, global-context threshold gamma=0.4, and a hard cap of
 
 from __future__ import annotations
 
-import dataclasses
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -82,21 +82,33 @@ class EngineConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EngineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
         kwargs = dict(doc)
         backend_doc = kwargs.pop("backend", None)
+        kwargs = _typed_kwargs(cls, kwargs, "config")
         if backend_doc is not None:
             if not isinstance(backend_doc, dict):
                 raise ConfigError("backend must be an object")
-            bknown = {f.name for f in dataclasses.fields(BackendConfig)}
-            bunknown = set(backend_doc) - bknown
-            if bunknown:
-                raise ConfigError(f"unknown backend key: {sorted(bunknown)[0]}")
-            kwargs["backend"] = BackendConfig(**backend_doc)
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+            kwargs["backend"] = BackendConfig(
+                **_typed_kwargs(BackendConfig, backend_doc, "backend"))
+        return cls(**kwargs)
+
+
+def _typed_kwargs(cls: type, doc: dict, section: str) -> dict:
+    """`doc` as keyword arguments of the dataclass `cls`. ConfigError names
+    an unknown key, or a value that is not of its field's declared type: an
+    int counts as a float, a bool does not count as an int, and None only
+    where the type allows it."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown {section} key: {unknown[0]}")
+    for key, value in sorted(doc.items()):
+        allowed = typing.get_args(hints[key]) or (hints[key],)
+        if float in allowed:
+            allowed += (int,)
+        if not isinstance(value, allowed) or (isinstance(value, bool)
+                                              and bool not in allowed):
+            raise ConfigError(f"{section} value {key} must be "
+                              f"{getattr(hints[key], '__name__', hints[key])}, "
+                              f"got {value!r}")
+    return dict(doc)

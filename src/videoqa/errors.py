@@ -1,4 +1,16 @@
-"""Exception hierarchy. Exit codes: 2 input, 3 backend, 4 config."""
+"""Exception hierarchy and the file boundary.
+
+Exit codes: 2 input, 3 backend, 4 config.
+
+Every file the program reads or writes goes through `read_bytes`,
+`read_text`, `read_json` and `write_text`, so one rule maps a bad path to
+its exit code. A path that is missing, is a directory or cannot be opened
+or written raises InputError (NotFoundError when it does not exist). Bytes
+that are not UTF-8 or not JSON raise the caller's `invalid` error, a
+callable on the message: InputError by default, ConfigError for the config,
+mock script, profiles and templates. `canonical_json` is the one
+byte-stable rendering of every document the program writes.
+"""
 
 from __future__ import annotations
 

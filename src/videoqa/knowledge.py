@@ -361,6 +361,9 @@ class KnowledgeStore:
                      fps: float = 1.0) -> "KnowledgeStore":
         if not isinstance(doc, dict):
             raise ValidationError("sidecar must be a JSON object")
+        if doc.get("video_id") != tree.video_id:
+            raise ValidationError(f"sidecar is for video {doc.get('video_id')!r}, "
+                                  f"the tree for {tree.video_id!r}")
         store = cls(tree=tree, fps=fps)
         for cap in _sidecar_items(doc, "captions", lambda item: FrameCaption(
                 int(item["frame"]), _item_qtype(item), _item_text(item))):

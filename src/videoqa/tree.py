@@ -481,6 +481,9 @@ def deserialize_tree(doc: dict) -> HybridTree:
             frames = tuple(range(frames_doc[0], frames_doc[1] + 1))
         else:
             frames = tuple(frames_doc)
+        if not frames:
+            raise TreeParseError(f"{pointer}/frames",
+                                 "no frames (an empty cluster or a reversed shot)")
         relevance = None
         if "relevance" in node_doc:
             rel_doc = node_doc["relevance"]
@@ -500,14 +503,24 @@ def deserialize_tree(doc: dict) -> HybridTree:
                            f"{pointer}/children"),
             relevance=relevance,
         )
+    for i, node_doc in enumerate(nodes_doc):
+        for child_id in node_doc["children"]:
+            if child_id not in nodes:
+                raise TreeParseError(f"/nodes/{i}/children",
+                                     f"unknown node id {child_id}")
     shot_order = _ints(_need(doc, "shot_order", list, ""), "/shot_order")
     for sid in shot_order:
         if sid not in nodes:
             raise TreeParseError("/shot_order", f"unknown node id {sid}")
+    if len(set(shot_order)) != len(shot_order):
+        raise TreeParseError("/shot_order", "a node id is listed twice")
     return HybridTree(video_id=video_id, params=params, nodes=nodes,
                       shot_order=shot_order)
 
 
 def load_tree(path: str | Path) -> HybridTree:
-    return deserialize_tree(
+    """Read, parse and validate a tree file."""
+    tree = deserialize_tree(
         read_json(path, "tree file", partial(TreeParseError, "/")))
+    tree.validate()
+    return tree

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -322,3 +324,152 @@ def test_cli_ask_declared_qtype_skips_classifier(tmp_path, capsys) -> None:
     assert code == 0
     record = json.loads(capsys.readouterr().out)
     assert record["chosen"]["text"] == "a park"
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc["nodes"][0].update(children=[999]),
+    lambda doc: doc["nodes"][0].update(frames=[5, 2]),
+    lambda doc: doc.update(shot_order=doc["shot_order"] + [0]),
+    lambda doc: doc.update(shot_order=doc["shot_order"][::-1]),
+], ids=["unknown-child", "reversed-shot", "shot-listed-twice", "shots-reordered"])
+def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate) -> None:
+    """A tree that parses but breaks the tree's structure is rejected when
+    it loads, the last case by HybridTree.validate()."""
+    world = build_golden_world(tmp_path / "golden")
+    main(_build_args(world, tmp_path))
+    capsys.readouterr()
+    tree = json.loads((tmp_path / "tree.json").read_text())
+    mutate(tree)
+    broken = tmp_path / "broken.tree.json"
+    broken.write_text(json.dumps(tree))
+    assert main(["inspect", str(broken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"seed": "x"}, "seed"),
+    ({"k": 2.5}, "k"),
+    ({"max_iterations": 3.5}, "max_iterations"),
+    ({"uniform_shots": "x", "uniform_sampling": True}, "uniform_shots"),
+    ({"template_dir": 5}, "template_dir"),
+    ({"backend": {"max_inflight": "8"}}, "max_inflight"),
+    ({"backend": {"timeout_s": "x"}}, "timeout_s"),
+])
+def test_cli_mistyped_config_value_exits_4(tmp_path, capsys, doc, key) -> None:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = main(["eval", str(tmp_path / "dataset.json"),
+                 "--config", str(config)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"value {key} must be" in err and "Traceback" not in err
+
+
+def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> None:
+    """Every file argument of every command, given a missing file, a
+    directory, non-UTF-8 bytes or invalid JSON, and every output path in a
+    missing directory, ends in its documented exit code with `error:` on
+    stderr and no traceback. An unreadable path exits 2; the contents of the
+    config, mock script, profile and template exit 4, of any other input 2.
+    A missing profile or template is not an error: the built-in one is used."""
+    world = build_golden_world(tmp_path / "golden")
+    assert main(_build_args(world, tmp_path)) == 0
+    tree, sidecar = tmp_path / "tree.json", tmp_path / "tree.sidecar.json"
+    manifest = world.video_manifests["golden_a"]
+    script, dataset = world.script_path, world.dataset_path
+    rows = itertools.count()
+
+    def bad(kind: str, name: str) -> Path:
+        path = tmp_path / "bad" / str(next(rows)) / name
+        path.parent.mkdir(parents=True)
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "non-utf8":
+            path.write_bytes(b'{"a": "\xff\xfe"}')
+        elif kind == "invalid-json":
+            path.write_text("{not json")
+        return path
+
+    def config(doc: dict) -> list[str]:
+        path = tmp_path / "bad" / f"config{next(rows)}.json"
+        path.write_text(json.dumps(doc))
+        return ["--config", str(path)]
+
+    def build(*extra, manifest=manifest, questions=tmp_path / "questions.json",
+              out=tmp_path / "out.tree.json") -> list[str]:
+        return ["build", str(manifest), str(questions), str(out),
+                "--mock-script", str(script), *extra]
+
+    def ask(*extra, tree=tree, sidecar=sidecar) -> list[str]:
+        return ["ask", str(tree), str(sidecar), "--question",
+                "What is the location?", "--option", "a park",
+                "--option", "a kitchen", "--mock-script", str(script), *extra]
+
+    def evaluate(*extra, dataset=dataset) -> list[str]:
+        return ["eval", str(dataset), "--mock-script", str(script),
+                "--out-records", str(tmp_path / "records.jsonl"),
+                "--out-report", str(tmp_path / "report.json"), *extra]
+
+    def embeddings(path: Path) -> Path:
+        doc = json.loads(manifest.read_text())
+        doc["embeddings_path"] = str(path)
+        out = tmp_path / "bad" / f"manifest{next(rows)}.json"
+        out.write_text(json.dumps(doc))
+        return out
+
+    table = []
+    for kind in ("missing", "directory", "non-utf8", "invalid-json"):
+        contents = 2 if kind in ("missing", "directory") else 4
+        table += [
+            (f"ask tree {kind}", ask(tree=bad(kind, "t.json")), 2),
+            (f"ask sidecar {kind}", ask(sidecar=bad(kind, "s.json")), 2),
+            (f"inspect tree {kind}", ["inspect", str(bad(kind, "t.json"))], 2),
+            (f"build manifest {kind}", build(manifest=bad(kind, "m.json")), 2),
+            (f"build questions {kind}", build(questions=bad(kind, "q.json")), 2),
+            (f"build embeddings {kind}",
+             build(manifest=embeddings(bad(kind, "e.emb"))), 2),
+            (f"eval manifest {kind}", evaluate(dataset=bad(kind, "d.json")), 2),
+            (f"--config {kind}",
+             evaluate("--config", str(bad(kind, "c.json"))), contents),
+            (f"--mock-script {kind}",
+             evaluate("--mock-script", str(bad(kind, "ms.json"))), contents),
+        ]
+        if kind != "missing":
+            profiles = bad(kind, "causal.json").parent
+            table.append((f"profile {kind}",
+                          ask(*config({"profile_dir": str(profiles)})), contents))
+        if kind in ("directory", "non-utf8"):
+            templates = bad(kind, "generic.txt").parent
+            table.append((f"template {kind}",
+                          build(*config({"template_dir": str(templates)})),
+                          contents))
+    nowhere = tmp_path / "no_such_dir"
+    cache_file = bad("invalid-json", "cache")
+    table += [
+        ("build tree output", build(out=nowhere / "t.json"), 2),
+        ("build sidecar output",
+         build("--out-sidecar", str(nowhere / "s.json")), 2),
+        ("eval records output",
+         evaluate("--out-records", str(nowhere / "r.jsonl")), 2),
+        ("eval report output",
+         evaluate("--out-report", str(nowhere / "r.json")), 2),
+        ("cache_dir is a file", evaluate("--cache", *config(
+            {"backend": {"cache_dir": str(cache_file)}})), 4),
+        ("cache_dir under a file", evaluate("--cache", *config(
+            {"backend": {"cache_dir": str(cache_file / "sub")}})), 4),
+    ]
+
+    failures = []
+    for name, argv, expected in table:
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except Exception as exc:  # noqa: BLE001 - a traceback is the failure
+            failures.append(f"{name}: raised {exc!r}")
+            continue
+        err = capsys.readouterr().err
+        if code != expected or "error:" not in err or "Traceback" in err:
+            failures.append(f"{name}: exit {code}, want {expected}; {err!r}")
+    assert not failures, "\n".join(failures)

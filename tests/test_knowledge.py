@@ -246,6 +246,14 @@ def test_sidecar_roundtrip() -> None:
     assert clone.to_sidecar() == doc
 
 
+def test_sidecar_of_another_video_rejected() -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["video_id"] = "other"
+    with pytest.raises(ValidationError, match="'other'"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
 def test_sidecar_rejects_unknown_frames() -> None:
     store = _store()
     doc = store.to_sidecar()

@@ -434,6 +434,10 @@ def test_serialize_bad_node_pointer() -> None:
         (lambda doc: doc["nodes"][1].update(frames=["a", "b"]), "/nodes/1/frames"),
         (lambda doc: doc["nodes"][1].update(children=["x"]), "/nodes/1/children"),
         (lambda doc: doc.update(shot_order=[[0]]), "/shot_order"),
+        (lambda doc: doc["nodes"][1].update(children=[999]), "/nodes/1/children"),
+        (lambda doc: doc.update(shot_order=[0, 0]), "/shot_order"),
+        (lambda doc: doc["nodes"][0].update(frames=[15, 0]), "/nodes/0/frames"),
+        (lambda doc: doc["nodes"][1].update(frames=[]), "/nodes/1/frames"),
     ]
     for mutate, pointer in table:
         doc = serialize_tree(_expanded_tree())
