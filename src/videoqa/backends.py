@@ -355,7 +355,8 @@ class CachingBackend(Backend):
     backend's identity and the rendered payload. The wrapper reports the
     inner backend's capabilities and in-flight limit but sets no cap of its
     own: the inner backend's is the only one. An unreadable entry counts as
-    a miss and is overwritten."""
+    a miss and is overwritten; an entry that cannot be written (say, the
+    directory was removed) is logged and the response still returned."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
         super().__init__(inner.max_inflight)
@@ -394,8 +395,12 @@ class CachingBackend(Backend):
         # one key, in this process or another, never interleave.
         tmp = path.with_name(
             f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
-        tmp.write_text(json.dumps({"response": response}), encoding="utf-8")
-        tmp.replace(path)
+        try:
+            tmp.write_text(json.dumps({"response": response}), encoding="utf-8")
+            tmp.replace(path)
+        except OSError as exc:
+            logger.warning("cache entry %s cannot be written (%s), response "
+                           "returned uncached", path.name, exc.strerror)
         with self._count_lock:
             self.misses += 1
         return response

@@ -13,7 +13,13 @@ from pathlib import Path
 from .backends import Backend, CachingBackend, MockScript
 from .captioning import QTYPES, QuestionBundle, classify_question
 from .config import EngineConfig
-from .errors import VideoQAError, canonical_json, read_json, write_text
+from .errors import (
+    VideoQAError,
+    canonical_json,
+    check_writable,
+    read_json,
+    write_text,
+)
 from .knowledge import KnowledgeStore, load_profiles
 from .pipeline import (
     answer_question,
@@ -75,15 +81,17 @@ def _make_backend(args: argparse.Namespace, config: EngineConfig) -> Backend:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    out_tree = Path(args.out_tree)
+    sidecar_path = Path(args.out_sidecar
+                        or out_tree.with_name(out_tree.stem + ".sidecar.json"))
+    check_writable(out_tree, "tree file")
+    check_writable(sidecar_path, "sidecar file")
     config = _load_config(args)
     backend = _make_backend(args, config)
     questions = load_question_file(args.questions)
     result = build_video(args.frame_manifest, questions, config, backend)
 
-    out_tree = Path(args.out_tree)
     write_text(out_tree, tree_to_json(result.tree) + "\n", "tree file")
-    sidecar_path = Path(args.out_sidecar
-                        or out_tree.with_name(out_tree.stem + ".sidecar.json"))
     write_text(sidecar_path, canonical_json(result.store.to_sidecar()) + "\n",
                "sidecar file")
 
@@ -115,11 +123,13 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    out_records, out_report = Path(args.out_records), Path(args.out_report)
+    check_writable(out_records, "records file")
+    check_writable(out_report, "report file")
     config = _load_config(args)
     backend = _make_backend(args, config)
     records, report = evaluate(args.manifest, config, backend)
 
-    out_records, out_report = Path(args.out_records), Path(args.out_report)
     write_text(out_records, "".join(r.to_json() + "\n" for r in records),
                "records file")
     write_text(out_report, report.to_json() + "\n", "report file")

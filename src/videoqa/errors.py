@@ -4,12 +4,14 @@ Exit codes: 2 input, 3 backend, 4 config.
 
 Every file the program reads or writes goes through `read_bytes`,
 `read_text`, `read_json` and `write_text`, so one rule maps a bad path to
-its exit code. A path that is missing, is a directory or cannot be opened
-or written raises InputError (NotFoundError when it does not exist). Bytes
-that are not UTF-8 or not JSON raise the caller's `invalid` error, a
-callable on the message: InputError by default, ConfigError for the config,
-mock script, profiles and templates. `canonical_json` is the one
-byte-stable rendering of every document the program writes.
+its exit code; `check_writable` applies the write rule to an output path
+before the work that fills it. A path that is missing, is a directory or
+cannot be opened or written raises InputError (NotFoundError when it does
+not exist). Bytes that are not UTF-8 or not JSON raise the caller's
+`invalid` error, a callable on the message: InputError by default,
+ConfigError for the config, mock script, profiles and templates.
+`canonical_json` is the one byte-stable rendering of every document the
+program writes.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ def write_text(path: str | Path, text: str, what: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
+
+
+def check_writable(path: str | Path, what: str) -> None:
+    """Raise the InputError `write_text` would for a path that is a
+    directory or whose parent is not one, before any work is done."""
+    p = Path(path)
+    if p.is_dir():
+        raise InputError(f"{what} {path} cannot be written: it is a directory")
+    if not p.parent.is_dir():
+        raise InputError(f"{what} {path} cannot be written: {p.parent} is not "
+                         "a directory")
 
 
 def canonical_json(doc: Any) -> str:

@@ -1,11 +1,18 @@
 """Two-tier agent orchestration.
 
 A Planning Layer (problem analysis + task planning) picks the minimal agent
-subset for the question and emits a linear stage workflow; an Execution
-Layer runs evidence-producing stages under a bounded ReAct loop, fuses
-evidence with profile weights, and generates the validated answer. The
-planner's model output is advisory only: structural invariants are enforced
-by validation, and invalid plans are repaired to a per-type template.
+subset for the question and emits a stage workflow; an Execution Layer runs
+evidence-producing stages under a bounded ReAct loop, fuses evidence with
+profile weights, and generates the validated answer. The planner's model
+output is advisory only: structural invariants are enforced by validation,
+and invalid plans are repaired to a per-type template.
+
+A workflow is a DAG over its stages' keys: a stage depends on the stages
+whose `output_key` its `input_keys` name. Evidence stages that read only the
+seed keys run side by side, under one iteration budget shared in stage
+order; integration and the answer follow all evidence. The record is the
+one running the stages one after another would give (see
+`execute_workflow`).
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from __future__ import annotations
 import json
 import logging
 import re
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .backends import Backend, caption_request, chat_request
 from .captioning import (
@@ -334,7 +344,7 @@ def _parse_plan(reply: str) -> list[dict] | None:
 def plan_tasks(analysis: Analysis, question: QuestionBundle,
                profiles: dict[str, AgentProfile], llm,
                max_iterations: int = MAX_ITERATIONS_CAP) -> Workflow:
-    """Turn the analysis into a validated linear workflow.
+    """Turn the analysis into a validated workflow.
 
     The model proposes stages; any invariant violation repairs the plan to
     the per-type template (repair is flagged on the workflow and shows up
@@ -464,19 +474,32 @@ def truncated_evidence(agent: str, num_options: int, reason: str) -> EvidenceIte
                         confidence=0.0, rationale=reason, truncated=True)
 
 
+def _budget_exhausted(agent: str,
+                      num_options: int) -> tuple[EvidenceItem, TraceStep]:
+    return (truncated_evidence(agent, num_options,
+                               "iteration budget exhausted before FINAL"),
+            TraceStep(agent, "budget exhausted", "truncate",
+                      "emitting zero-support evidence"))
+
+
 def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
               profile: AgentProfile, backend: Backend, budget: int,
-              trace: list[TraceStep]) -> tuple[EvidenceItem, int]:
+              trace: list[TraceStep],
+              may_start: Callable[[int], bool] = lambda step: True
+              ) -> tuple[EvidenceItem, int]:
     """Bounded thought/action/observation loop for one evidence stage.
 
-    Tool errors become observations and never abort the loop. When the
-    budget runs out before a FINAL, a zero-support item flagged truncated
-    is returned.
+    Step s runs only while s <= `budget` and `may_start(s)` holds. Each
+    step appends exactly one trace step. Tool errors become observations
+    and never abort the loop. When the loop stops before a FINAL, a
+    zero-support item flagged truncated is returned with the steps taken.
     """
     if budget < 1:
         raise ValidationError("run_react needs a budget of at least 1")
     lines = [react_preamble(stage, question, profile)]
-    for step in range(1, budget + 1):
+    step = 0
+    while step < budget and may_start(step + 1):
+        step += 1
         prompt = "\n".join(lines) + f"\nStep {step}:"
         reply = str(backend.call(chat_request(prompt)))
         thought_m = _THOUGHT_RE.search(reply)
@@ -512,11 +535,9 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
                                        observation))
         lines.append(reply)
         lines.append(f"OBSERVATION: {observation}")
-    item = truncated_evidence(stage.agent, len(question.options),
-                              "iteration budget exhausted before FINAL")
-    trace.append(TraceStep(stage.agent, "budget exhausted", "truncate",
-                           "emitting zero-support evidence"))
-    return item, budget
+    item, truncate = _budget_exhausted(stage.agent, len(question.options))
+    trace.append(truncate)
+    return item, step
 
 
 # ---------------------------------------------------------------------------
@@ -646,48 +667,102 @@ def generate_answer(scores: OptionScore, evidence: list[EvidenceItem],
 
 def execute_workflow(workflow: Workflow, question: QuestionBundle,
                      store: KnowledgeStore, profile: AgentProfile,
-                     backend: Backend) -> AnswerRecord:
-    """Run the stages in order under the shared iteration budget."""
+                     backend: Backend, pool: Executor) -> AnswerRecord:
+    """Run the workflow's stages as the DAG their keys declare, under the
+    shared iteration budget, and return the record running them one after
+    another would give.
+
+    Each evidence stage runs on `pool` once the stages whose output it
+    consumes have finished, so the text and visual stages overlap when both
+    read only the seed keys. The budget `B` is shared in stage order, as if
+    the stages ran in turn: a stage's sequential allowance is `B` minus the
+    steps its predecessors consumed. While they still run, a stage may
+    start step s only while s <= B - (steps its predecessors have started
+    so far). That bound only shrinks and never falls below the sequential
+    allowance `A`, so a stage whose run outlasts `A` is cut there once all
+    stages finish: it keeps its first `A` trace steps (the same calls the
+    sequential run makes) and ends with the truncate step, or is skipped
+    when `A` is 0. A valid workflow has at most two evidence stages, since
+    each evidence agent appears once; the first always has the whole
+    budget, which is what makes the cut exact.
+
+    Extra model calls happen only when the budget binds: a later stage can
+    start up to B - 1 steps its sequential allowance then discards. An
+    error raised at a step within its stage's allowance surfaces, the first
+    in stage order, after every stage has finished; errors from discarded
+    steps are dropped. Traces merge in stage order, and integration and the
+    answer run after all evidence.
+    """
+    issues = workflow.problems()
+    if issues:
+        raise ValidationError(f"invalid workflow: {'; '.join(issues)}")
     trace: list[TraceStep] = []
     if workflow.repaired:
         trace.append(TraceStep(TASK_PLANNING, "model plan failed validation",
                                "repair", "template workflow substituted"))
     budget = workflow.max_iterations
+    staged = [s for s in workflow.stages if s.agent in EVIDENCE_AGENTS]
+    started = [0] * len(staged)
+    stage_traces: list[list[TraceStep]] = [[] for _ in staged]
+
+    def may_start(index: int, step: int) -> bool:
+        # Only stage `index` writes started[index], and the others' counts
+        # only grow, so a stale read can allow a step, never refuse one the
+        # sequential run takes.
+        if step > budget - sum(started[:index]):
+            return False
+        started[index] = step
+        return True
+
+    def run_stage(index: int,
+                  after: list[Future]) -> tuple[EvidenceItem, int]:
+        for future in after:
+            future.result()
+        return run_react(staged[index], question, store, profile, backend,
+                         budget, stage_traces[index], partial(may_start, index))
+
+    futures: list[Future] = []
+    producers: dict[str, Future] = {}
+    for index, stage in enumerate(staged):
+        after = [producers[k] for k in stage.input_keys if k in producers]
+        futures.append(pool.submit(run_stage, index, after))
+        producers[stage.output_key] = futures[-1]
+    wait(futures)
+
     rounds_used = 0
     evidence: list[EvidenceItem] = []
-    scores: OptionScore | None = None
-    record: AnswerRecord | None = None
+    for index, stage in enumerate(staged):
+        allowance = budget - rounds_used
+        if allowance < 1:
+            evidence.append(truncated_evidence(
+                stage.agent, len(question.options),
+                "skipped: iteration budget exhausted"))
+            trace.append(TraceStep(stage.agent, "budget exhausted", "skip",
+                                   "stage skipped, zero-support evidence"))
+            continue
+        if started[index] > allowance:
+            item, truncate = _budget_exhausted(stage.agent,
+                                               len(question.options))
+            trace.extend(stage_traces[index][:allowance] + [truncate])
+            consumed = allowance
+        else:
+            item, consumed = futures[index].result()
+            trace.extend(stage_traces[index])
+        rounds_used += consumed
+        evidence.append(item)
 
-    for stage in workflow.stages:
-        if stage.agent in EVIDENCE_AGENTS:
-            if budget < 1:
-                evidence.append(truncated_evidence(
-                    stage.agent, len(question.options),
-                    "skipped: iteration budget exhausted"))
-                trace.append(TraceStep(stage.agent, "budget exhausted", "skip",
-                                       "stage skipped, zero-support evidence"))
-                continue
-            item, consumed = run_react(stage, question, store, profile,
-                                       backend, budget, trace)
-            budget -= consumed
-            rounds_used += consumed
-            evidence.append(item)
-        elif stage.agent == INTEGRATION_AGENT:
-            scores = integrate_evidence(evidence, profile, workflow.qtype)
-            trace.append(TraceStep(
-                INTEGRATION_AGENT, "weighted evidence fusion", "integrate",
-                f"scores={[round(s, 6) for s in scores.scores]}"))
-        elif stage.agent == ANSWER_AGENT:
-            if scores is None:
-                scores = integrate_evidence(evidence, profile, workflow.qtype)
-            truncated = any(item.truncated for item in evidence)
-            record = generate_answer(
-                scores, evidence, question.options, backend,
-                question_id=question.question_id, trace=trace,
-                rounds_used=rounds_used, truncated=truncated)
-
-    if record is None:
-        raise VideoQAError("workflow ended without an answer stage")
+    # Validation puts integration (when selected) after every evidence
+    # stage and the answer last.
+    scores = integrate_evidence(evidence, profile, workflow.qtype)
+    if INTEGRATION_AGENT in workflow.selected_agents:
+        trace.append(TraceStep(
+            INTEGRATION_AGENT, "weighted evidence fusion", "integrate",
+            f"scores={[round(s, 6) for s in scores.scores]}"))
+    record = generate_answer(
+        scores, evidence, question.options, backend,
+        question_id=question.question_id, trace=trace,
+        rounds_used=rounds_used,
+        truncated=any(item.truncated for item in evidence))
     if record.rounds_used > workflow.max_iterations:
         raise VideoQAError(
             f"iteration budget law violated: {record.rounds_used} rounds "

@@ -42,6 +42,7 @@ from .ingest import Shot, detect_shots, load_frames, nearest_to_centroid
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
     AGENT_REGISTRY,
+    EVIDENCE_AGENTS,
     PROBLEM_ANALYSIS,
     AnswerRecord,
     TraceStep,
@@ -293,7 +294,9 @@ def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     backend: Backend) -> AnswerRecord:
     """Plan and execute the workflow for one classified question. A fixed
     workflow runs all four agents on the per-type template and makes no
-    planning call."""
+    planning call. The evidence stages run side by side on a pool with a
+    thread per stage; the record is the one running them in turn would give
+    (see `execute_workflow`)."""
     if config.fixed_workflow:
         thought = "fixed workflow"
         workflow = template_workflow(bundle.qtype, AGENT_REGISTRY,
@@ -304,8 +307,9 @@ def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
         bundle = replace(bundle, qtype=analysis.qtype)
         workflow = plan_tasks(analysis, bundle, profiles, backend,
                               config.max_iterations)
-    record = execute_workflow(workflow, bundle, store, profiles[workflow.qtype],
-                              backend)
+    with ThreadPoolExecutor(max_workers=len(EVIDENCE_AGENTS)) as stages:
+        record = execute_workflow(workflow, bundle, store,
+                                  profiles[workflow.qtype], backend, stages)
     record.trace.insert(0, TraceStep(PROBLEM_ANALYSIS, thought, "select_agents",
                                      ", ".join(workflow.selected_agents)))
     return record

@@ -234,7 +234,7 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
 # 6. Budget law
 # ---------------------------------------------------------------------------
 
-def test_acceptance_budget_law(tmp_path) -> None:
+def test_acceptance_budget_law(tmp_path, pool) -> None:
     with criterion("budget-law (adversarial mock consumes exactly 15, "
                    "answer still emitted)"):
         world = build_golden_world(tmp_path / "golden")
@@ -249,7 +249,7 @@ def test_acceptance_budget_law(tmp_path) -> None:
         bundle = QuestionBundle("adv", "Why?", ("a", "b"), "Causal")
         workflow = template_workflow("Causal", AGENT_REGISTRY, max_iterations=15)
         record = execute_workflow(workflow, bundle, result.store,
-                                  builtin_profiles()["Causal"], backend)
+                                  builtin_profiles()["Causal"], backend, pool)
         assert record.rounds_used == 15, "hard iteration cap respected"
         assert record.truncated is True
         assert record.chosen_index in (0, 1), "a flagged answer is emitted"

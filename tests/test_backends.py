@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import shutil
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -375,6 +376,21 @@ def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
     assert cached.hits == 0 and cached.misses == 1
     assert cached.call(request) == "fresh", "the entry was rewritten"
     assert len(inner.calls) == 1
+
+
+def test_cache_directory_removed_is_a_logged_uncached_call(tmp_path,
+                                                         caplog) -> None:
+    inner = RecordingBackend(MockBackend(MockScript(default_response="fresh")))
+    cached = CachingBackend(inner, tmp_path / "cache")
+    assert cached.call(chat_request("first")) == "fresh"
+    shutil.rmtree(tmp_path / "cache")
+    with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
+        assert cached.call(chat_request("second")) == "fresh"
+        assert cached.call(chat_request("first")) == "fresh"
+    assert caplog.text.count("cannot be written") == 2
+    assert len(inner.calls) == 3
+    assert cached.hits == 0 and cached.misses == 3
+    assert not (tmp_path / "cache").exists()
 
 
 def test_cache_temp_name_unique_per_process(tmp_path) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from videoqa.backends import CachingBackend
+from videoqa.backends import Backend, CachingBackend
 from videoqa.cli import _make_backend, main
 from videoqa.config import EngineConfig
 
@@ -473,3 +473,53 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
         if code != expected or "error:" not in err or "Traceback" in err:
             failures.append(f"{name}: exit {code}, want {expected}; {err!r}")
     assert not failures, "\n".join(failures)
+
+
+def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
+                                                           monkeypatch) -> None:
+    """An output in a missing directory, or one that is a directory, exits 2
+    before the first model call, not after the whole build or eval."""
+    world = build_golden_world(tmp_path / "golden")
+    build_args = _build_args(world, tmp_path)
+    nowhere = tmp_path / "no_such_dir"
+    taken = tmp_path / "taken"
+    taken.mkdir()
+
+    def evaluate(*extra: str) -> list[str]:
+        return ["eval", str(world.dataset_path),
+                "--mock-script", str(world.script_path),
+                "--out-records", str(tmp_path / "records.jsonl"),
+                "--out-report", str(tmp_path / "report.json"), *extra]
+
+    build = build_args[:3]
+    table = [
+        ("build tree in a missing directory",
+         [*build, str(nowhere / "t.json"), *build_args[4:]]),
+        ("build tree is a directory", [*build, str(taken), *build_args[4:]]),
+        ("build sidecar in a missing directory",
+         [*build_args, "--out-sidecar", str(nowhere / "s.json")]),
+        ("build sidecar is a directory",
+         [*build_args, "--out-sidecar", str(taken)]),
+        ("eval records in a missing directory",
+         evaluate("--out-records", str(nowhere / "r.jsonl"))),
+        ("eval records is a directory", evaluate("--out-records", str(taken))),
+        ("eval report in a missing directory",
+         evaluate("--out-report", str(nowhere / "r.json"))),
+        ("eval report is a directory", evaluate("--out-report", str(taken))),
+    ]
+    calls = []
+    real_call = Backend.call
+
+    def counting_call(self, request):
+        calls.append(request.capability)
+        return real_call(self, request)
+
+    monkeypatch.setattr(Backend, "call", counting_call)
+    for name, argv in table:
+        capsys.readouterr()
+        calls.clear()
+        assert main(argv) == 2, name
+        assert "cannot be written" in capsys.readouterr().err, name
+        assert calls == [], f"{name}: {len(calls)} model calls"
+    assert main(evaluate()) == 0
+    assert calls, "the wrapper counts the calls of a run that makes them"

@@ -589,7 +589,7 @@ def _exec_backend(text_final: str, visual_final: str) -> Backend:
     return Backend.from_mock(script)
 
 
-def test_execute_workflow_full_causal_path() -> None:
+def test_execute_workflow_full_causal_path(pool) -> None:
     backend = _exec_backend(
         _final((0.05, 0.9, 0.05), 1.0,
                {"cause_supported": True, "effect_supported": True}),
@@ -597,7 +597,7 @@ def test_execute_workflow_full_causal_path() -> None:
                {"cause_supported": True, "effect_supported": True}))
     workflow = template_workflow("Causal", AGENT_REGISTRY)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                              backend)
+                              backend, pool)
     assert record.chosen_index == 1
     assert record.rounds_used == 2
     assert record.validated is True
@@ -606,18 +606,18 @@ def test_execute_workflow_full_causal_path() -> None:
     assert record.scores.scores[1] == pytest.approx(0.81)
 
 
-def test_execute_workflow_agents_stay_within_selection() -> None:
+def test_execute_workflow_agents_stay_within_selection(pool) -> None:
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.9, 0.1)))
     workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What is it?", ("a", "b"))
     record = execute_workflow(workflow, bundle, _store(),
-                              _profile("Descriptive"), backend)
+                              _profile("Descriptive"), backend, pool)
     agents_in_trace = {s.agent for s in record.trace}
     assert VISUAL_AGENT not in agents_in_trace
     assert sum(1 for s in record.trace if s.agent == ANSWER_AGENT) == 1
 
 
-def test_execute_workflow_budget_shared_across_stages() -> None:
+def test_execute_workflow_budget_shared_across_stages(pool) -> None:
     script = MockScript()
     # text agent burns the whole budget; visual never gets a turn
     script.add("[TextAgent] working", "THOUGHT: loop\nACTION: temporal_index {}")
@@ -626,14 +626,15 @@ def test_execute_workflow_budget_shared_across_stages() -> None:
     backend = Backend.from_mock(script)
     workflow = template_workflow("Causal", AGENT_REGISTRY, max_iterations=15)
     record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                              backend)
+                              backend, pool)
     assert record.rounds_used == 15
     assert record.truncated is True
     assert any("skipped" in s.observation for s in record.trace
                if s.agent == VISUAL_AGENT)
 
 
-def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch) -> None:
+def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch,
+                                                         pool) -> None:
     """The law holds without assert statements, so it survives python -O."""
     real_run_react = orchestrator.run_react
 
@@ -646,28 +647,28 @@ def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch) -> None:
     workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     with pytest.raises(VideoQAError, match="budget law violated"):
         execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
-                         _store(), _profile("Descriptive"), backend)
+                         _store(), _profile("Descriptive"), backend, pool)
 
 
-def test_execute_workflow_deterministic_bytes() -> None:
+def test_execute_workflow_deterministic_bytes(pool) -> None:
     def run() -> str:
         backend = _exec_backend(
             _final((0.05, 0.9, 0.05), 1.0),
             _final((0.1, 0.8, 0.1), 0.9))
         workflow = template_workflow("Causal", AGENT_REGISTRY)
         record = execute_workflow(workflow, _bundle(), _store(), _profile(),
-                                  backend)
+                                  backend, pool)
         return record.to_json()
 
     assert run() == run()
 
 
-def test_answer_record_json_schema() -> None:
+def test_answer_record_json_schema(pool) -> None:
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
     workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     bundle = _bundle("Descriptive", "What?", ("a", "b"), qid="q7")
     record = execute_workflow(workflow, bundle, _store(),
-                              _profile("Descriptive"), backend)
+                              _profile("Descriptive"), backend, pool)
     doc = json.loads(record.to_json())
     assert set(doc) == {"question_id", "chosen", "scores", "margin",
                         "rounds_used", "validated", "truncated", "trace"}
