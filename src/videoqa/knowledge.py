@@ -2,8 +2,11 @@
 
 The store wraps one video's tree with its captions and summaries and
 answers type-aware retrievals at three scopes: the temporal index, moment
-captions, and segment summaries. Profiles are declarative JSON documents
-bundling a reasoning strategy, tool list, and evidence weights per type.
+captions, and segment summaries. A retrieval's text is paged by whole rows,
+`PAGE_ROWS` at a time and in shot order, so one observation stays bounded
+however long the video is; every scope takes an `offset` selector key to read
+the later pages. Profiles are declarative JSON documents bundling a reasoning
+strategy, tool list, and evidence weights per type.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ RETRIEVAL_SCOPES = (SCOPE_TEMPORAL_INDEX, SCOPE_MOMENT_CAPTIONS,
                     SCOPE_SEGMENT_SUMMARIES)
 TOOL_INSPECT_FRAME = "inspect_frame"
 KNOWN_TOOLS = RETRIEVAL_SCOPES + (TOOL_INSPECT_FRAME,)
+# Rows one retrieval observation shows. Every ReAct step resends the whole
+# transcript, so an uncut observation of a long video would be paid again at
+# every later step. From 8 rows up, every golden observation fits on a page.
+PAGE_ROWS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +185,28 @@ class RetrievalResult:
     scope: str
     degraded: bool
     rows: list[dict]
+    offset: int = 0
 
     def as_text(self) -> str:
-        if not self.rows:
-            return f"({self.scope}: no entries)"
+        """The page of at most `PAGE_ROWS` whole rows that starts at `offset`,
+        one row per line. A cut page ends with a line naming the rows left
+        and the offset that reads on; an offset past the end gives the empty
+        observation and the row count."""
+        end = self.offset + PAGE_ROWS
+        page = self.rows[self.offset:end]
+        if not page:
+            empty = f"({self.scope}: no entries)"
+            if self.offset:
+                empty += (f" {len(self.rows)} rows; offset {self.offset} "
+                          "is past the end")
+            return empty
         lines = []
-        for row in self.rows:
+        for row in page:
             parts = [f"{k}={row[k]}" for k in sorted(row)]
             lines.append("  ".join(parts))
+        if len(self.rows) > end:
+            lines.append(f'{len(self.rows) - end} more rows; pass '
+                         f'{{"offset": {end}}}')
         prefix = "[degraded: generic captions] " if self.degraded else ""
         return prefix + "\n".join(lines)
 
@@ -219,6 +240,9 @@ class KnowledgeStore:
             self.summaries[(summary.shot_id, summary.qtype)] = summary
 
     def frame_ref(self, frame_index: int) -> str:
+        """The frame's backend reference; NotFoundError for a frame that
+        falls outside every shot, so no caption call is made for it."""
+        self._owner_shot_id(frame_index)
         return self.frame_refs.get(
             frame_index, synthetic_frame_ref(self.tree.video_id, frame_index))
 
@@ -248,15 +272,24 @@ class KnowledgeStore:
                  selector: dict | None = None) -> RetrievalResult:
         """Pure read at one of the three scopes. A store not populated for
         the requested type falls back to the generic first-pass captions
-        with degraded=True."""
+        with degraded=True. The result holds every selected row; the
+        selector's `offset` (default 0, any scope) picks the page its text
+        shows."""
         if scope not in RETRIEVAL_SCOPES:
             raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = selector or {}
+        offset = selector.get("offset", 0)
+        if type(offset) is not int or offset < 0:
+            raise ValidationError(
+                f"offset must be a non-negative integer, got {offset!r}")
         if scope == SCOPE_TEMPORAL_INDEX:
-            return self._temporal_index()
-        if scope == SCOPE_MOMENT_CAPTIONS:
-            return self._moment_captions(qtype, selector)
-        return self._segment_summaries(qtype, selector)
+            result = self._temporal_index()
+        elif scope == SCOPE_MOMENT_CAPTIONS:
+            result = self._moment_captions(qtype, selector)
+        else:
+            result = self._segment_summaries(qtype, selector)
+        result.offset = offset
+        return result
 
     def _temporal_index(self) -> RetrievalResult:
         rows = []

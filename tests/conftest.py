@@ -1,7 +1,8 @@
 """Shared fixtures: synthetic videos with planted shot boundaries, scripted
 mock backends, a backend wrapper that records every call, a call pool, the
-10-question golden suite used by the CLI and acceptance tests, and the
-reference helpers several test files compare against."""
+10-question golden suite used by the CLI and acceptance tests, a long
+knowledge store, and the reference helpers several test files compare
+against."""
 
 from __future__ import annotations
 
@@ -17,9 +18,11 @@ import numpy as np
 import pytest
 
 from videoqa.backends import Backend, BackendRequest, MockScript
+from videoqa.captioning import FrameCaption, SegmentSummary
 from videoqa.errors import BackendError
-from videoqa.ingest import write_embeddings
-from videoqa.knowledge import AgentProfile
+from videoqa.ingest import Shot, write_embeddings
+from videoqa.knowledge import AgentProfile, KnowledgeStore
+from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +101,24 @@ def profile_doc(profile: AgentProfile) -> dict:
         "requires_visual_agent": profile.requires_visual_agent,
         "requires_bidirectional_check": profile.requires_bidirectional_check,
     }
+
+
+def long_store(num_shots: int, frames_per_shot: int = 2,
+               qtype: str = "Descriptive") -> KnowledgeStore:
+    """A store over `num_shots` equal shots whose every frame has a `qtype`
+    caption and whose every shot has a `qtype` summary and a first-pass
+    caption; every other type reads the degraded first-pass rows."""
+    shots = [Shot(i, i * frames_per_shot, (i + 1) * frames_per_shot - 1,
+                  i * frames_per_shot) for i in range(num_shots)]
+    tree = tree_from_shots("long", shots, TreeParams())
+    attach_scores(tree, [RelevanceScore(1.0 + i % 5) for i in range(num_shots)])
+    store = KnowledgeStore(tree=tree)
+    store.add_captions([FrameCaption(f, qtype, f"{qtype.lower()} caption {f}")
+                        for f in range(num_shots * frames_per_shot)])
+    store.add_summaries([SegmentSummary(i, qtype, f"{qtype.lower()} summary {i}")
+                         for i in range(num_shots)])
+    store.first_pass = {i: f"generic shot {i}" for i in range(num_shots)}
+    return store
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
 from videoqa.captioning import FrameCaption, SegmentSummary
 from videoqa.errors import ConfigError, NotFoundError, ValidationError
 from videoqa.ingest import Shot
+import videoqa.knowledge as knowledge
 from videoqa.knowledge import (
+    PAGE_ROWS,
+    RETRIEVAL_SCOPES,
     AgentProfile,
     KnowledgeStore,
     builtin_profiles,
@@ -16,7 +20,7 @@ from videoqa.knowledge import (
 )
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
-from conftest import profile_doc
+from conftest import long_store, profile_doc
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +232,102 @@ def test_unknown_scope_rejected() -> None:
 
 def test_frame_ref_fallback_pattern() -> None:
     assert _store().frame_ref(7) == "vid:frame:7"
+
+
+# ---------------------------------------------------------------------------
+# Paging
+# ---------------------------------------------------------------------------
+
+FOOTER = re.compile(r'^(\d+) more rows; pass \{"offset": (\d+)\}$')
+DEGRADED = "[degraded: generic captions] "
+
+# 2 * PAGE_ROWS + 3 shots of two frames: three pages of shots, five of frames.
+LONG_SHOTS = 2 * PAGE_ROWS + 3
+
+
+def _unpaged_lines(result, monkeypatch) -> list[str]:
+    with monkeypatch.context() as patch:
+        patch.setattr(knowledge, "PAGE_ROWS", len(result.rows) + 1)
+        text = result.as_text()
+    return text.removeprefix(DEGRADED).split("\n")
+
+
+@pytest.mark.parametrize("qtype,degraded", [("Descriptive", False),
+                                            ("Causal", True)])
+@pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
+def test_pages_hold_whole_rows_in_shot_order(scope, qtype, degraded,
+                                             monkeypatch) -> None:
+    store = long_store(LONG_SHOTS)
+    whole = store.retrieve(scope, qtype)
+    assert whole.degraded is (degraded and scope != "temporal_index")
+    total = len(whole.rows)
+    assert total > 2 * PAGE_ROWS
+    owners = [row["node_id"] for row in whole.rows]
+    assert owners == sorted(owners), "rows come in shot order"
+
+    seen, offset = [], 0
+    while True:
+        text = store.retrieve(scope, qtype, {"offset": offset}).as_text()
+        assert text.startswith(DEGRADED) is whole.degraded
+        lines = text.removeprefix(DEGRADED).split("\n")
+        footer = FOOTER.match(lines[-1])
+        if footer is None:
+            assert len(lines) == total - offset <= PAGE_ROWS, \
+                "the last page holds the rest and no footer"
+            seen += lines
+            break
+        rows = lines[:-1]
+        assert len(rows) == PAGE_ROWS
+        seen += rows
+        offset += PAGE_ROWS
+        assert (int(footer.group(1)), int(footer.group(2))) == \
+            (total - offset, offset)
+    assert seen == _unpaged_lines(whole, monkeypatch), \
+        "the pages put together are the whole result"
+
+
+@pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
+def test_page_ending_at_the_last_row_has_no_footer(scope) -> None:
+    store = long_store(LONG_SHOTS)
+    total = len(store.retrieve(scope, "Descriptive").rows)
+    text = store.retrieve(scope, "Descriptive",
+                          {"offset": total - PAGE_ROWS}).as_text()
+    assert len(text.split("\n")) == PAGE_ROWS
+    assert "more rows" not in text
+
+
+@pytest.mark.parametrize("qtype", ["Descriptive", "Causal"])
+@pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
+def test_offset_past_the_end_names_the_row_count(scope, qtype) -> None:
+    store = long_store(LONG_SHOTS)
+    total = len(store.retrieve(scope, qtype).rows)
+    for offset in (total, total + 7):
+        assert store.retrieve(scope, qtype, {"offset": offset}).as_text() == \
+            f"({scope}: no entries) {total} rows; offset {offset} is past the end"
+
+
+def test_offset_pages_a_selection() -> None:
+    store = long_store(LONG_SHOTS)
+    selector = {"frame_range": [10, 10 + PAGE_ROWS + 4]}
+    first = store.retrieve("moment_captions", "Descriptive", selector).as_text()
+    assert first.endswith(f'5 more rows; pass {{"offset": {PAGE_ROWS}}}')
+    rest = store.retrieve("moment_captions", "Descriptive",
+                          {**selector, "offset": PAGE_ROWS}).as_text()
+    assert [line.split("  ")[0] for line in rest.split("\n")] == \
+        [f"frame={f}" for f in range(10 + PAGE_ROWS, 10 + PAGE_ROWS + 5)]
+
+
+def test_empty_first_page_names_no_count() -> None:
+    assert _store().retrieve("segment_summaries", "Causal",
+                             {"shot_ids": []}).as_text() == \
+        "(segment_summaries: no entries)"
+
+
+@pytest.mark.parametrize("offset", [-1, "x", 1.5, True, None, [2]])
+@pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
+def test_offset_must_be_a_non_negative_integer(scope, offset) -> None:
+    with pytest.raises(ValidationError, match="offset"):
+        _store().retrieve(scope, "Descriptive", {"offset": offset})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,14 @@ from videoqa.backends import Backend, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
 from videoqa.errors import IntegrationError, ValidationError, VideoQAError
 from videoqa.ingest import Shot
-from videoqa.knowledge import AgentProfile, KnowledgeStore, builtin_profiles
+from videoqa.knowledge import (
+    PAGE_ROWS,
+    RETRIEVAL_SCOPES,
+    AgentProfile,
+    KnowledgeStore,
+    RetrievalResult,
+    builtin_profiles,
+)
 import videoqa.orchestrator as orchestrator
 from videoqa.orchestrator import (
     AGENT_REGISTRY,
@@ -34,7 +41,7 @@ from videoqa.orchestrator import (
 )
 from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
 
-from conftest import RecordingBackend, profile_doc
+from conftest import RecordingBackend, long_store, profile_doc
 
 
 def _backend(*rules, default=None) -> RecordingBackend:
@@ -310,6 +317,91 @@ def test_react_tool_outside_profile_is_error_observation() -> None:
                             backend, budget=5, trace=trace)
     assert consumed == 2
     assert any("not in this profile" in step.observation for step in trace)
+
+
+def _prompt(call) -> str:
+    return json.loads(call.rendered[len("chat:"):])["messages"][0]["content"]
+
+
+@pytest.mark.parametrize("args,observation", [
+    ('{"offset": 99}', "(temporal_index: no entries) 2 rows; offset 99 is "
+                       "past the end"),
+    ('{"offset": -1}', "ERROR: offset must be a non-negative integer, got -1"),
+    ('{"offset": "x"}', "ERROR: offset must be a non-negative integer, got 'x'"),
+])
+def test_react_bad_offset_is_an_observation(args, observation) -> None:
+    backend = _backend(
+        ("OBSERVATION: ", _final((1.0, 0.0, 0.0))),
+        ("working on question", f"THOUGHT: read on\nACTION: temporal_index {args}"),
+    )
+    trace = []
+    _, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
+                            backend, budget=5, trace=trace)
+    assert consumed == 2
+    assert trace[0].observation == observation
+    assert _prompt(backend.calls[1]).endswith(
+        f"OBSERVATION: {observation}\nStep 2:")
+
+
+@pytest.mark.parametrize("frame", [999999, -1, 12])
+def test_react_inspect_frame_outside_every_shot_makes_no_call(frame) -> None:
+    backend = _backend(
+        ("OBSERVATION: ERROR", _final((1.0, 0.0, 0.0))),
+        ("working on question",
+         f'THOUGHT: peek\nACTION: inspect_frame {{"frame_index": {frame}}}'),
+        default="a caption",
+    )
+    trace = []
+    _, consumed = run_react(_stage(VISUAL_AGENT), _bundle(), _store(),
+                            _profile(), backend, budget=5, trace=trace)
+    assert consumed == 2
+    assert trace[0].observation == \
+        f"ERROR: frame {frame} falls outside every shot"
+    assert [c.capability for c in backend.calls] == ["chat", "chat"]
+
+
+def test_react_inspect_frame_inside_a_shot_calls_the_backend() -> None:
+    backend = _backend(
+        ("OBSERVATION: a caption", _final((1.0, 0.0, 0.0))),
+        ("working on question",
+         'THOUGHT: peek\nACTION: inspect_frame {"frame_index": 11}'),
+        ("vid:frame:11", "a caption"),
+    )
+    _, consumed = run_react(_stage(VISUAL_AGENT), _bundle(), _store(),
+                            _profile(), backend, budget=5, trace=[])
+    assert consumed == 2
+    assert [c.capability for c in backend.calls] == ["chat", "caption", "chat"]
+
+
+def test_react_prompt_grows_by_at_most_one_page_per_step() -> None:
+    """Over a store of several hundred shots, each step adds its reply and
+    one page of observation to the prompt, never a whole scope."""
+    store = long_store(400, qtype="Causal")
+    actions = ['temporal_index {}', 'segment_summaries {}', 'moment_captions {}',
+               f'moment_captions {{"offset": {PAGE_ROWS}}}',
+               'segment_summaries {"shot_ids": %s}' % list(range(400))]
+    replies = [f"THOUGHT: look\nACTION: {action}" for action in actions]
+    backend = _backend(*[(f"Step {i}:", reply)
+                         for i, reply in enumerate(replies, 1)],
+                       default=_final((1.0, 0.0, 0.0)))
+    _, consumed = run_react(_stage(), _bundle(), store, _profile(), backend,
+                            budget=15, trace=[])
+    assert consumed == len(replies) + 1
+
+    longest_row = max(
+        len(RetrievalResult(scope, True, [row]).as_text())
+        for scope in RETRIEVAL_SCOPES
+        for qtype in ("Causal", "Temporal")
+        for row in store.retrieve(scope, qtype).rows)
+    one_page = PAGE_ROWS * (longest_row + 1) + len("\n400 more rows; pass "
+                                                   '{"offset": 20}')
+    prompts = [_prompt(call) for call in backend.calls]
+    for reply, before, after in zip(replies, prompts, prompts[1:]):
+        growth = len(after) - len(before)
+        assert growth <= len(reply) + len("\nOBSERVATION: \n") + one_page
+    assert len(prompts[-1]) < sum(
+        len(str(row)) for row in store.retrieve("temporal_index", "Causal").rows), \
+        "the whole transcript stays shorter than one uncut scope"
 
 
 def test_react_invalid_final_rejected_then_retried() -> None:

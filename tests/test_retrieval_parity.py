@@ -1,5 +1,5 @@
 """Property test: indexed retrieval returns what the scan-based retrieval it
-replaced returned, row for row and error for error.
+replaced returned, row for row, page for page and error for error.
 
 `ScanKnowledgeStore` keeps the earlier scan-based read path verbatim as the
 reference oracle. It expands every selector into a frame list, so the
@@ -9,6 +9,8 @@ case is covered in test_knowledge.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 from videoqa.captioning import QTYPES, FrameCaption, SegmentSummary
 from videoqa.errors import NotFoundError, ValidationError
 from videoqa.ingest import Shot
+import videoqa.knowledge as knowledge
 from videoqa.knowledge import (
+    PAGE_ROWS,
     RETRIEVAL_SCOPES,
     SCOPE_MOMENT_CAPTIONS,
     SCOPE_SEGMENT_SUMMARIES,
@@ -36,9 +40,26 @@ from videoqa.tree import (
 CLUSTER_ID = 999
 
 
+class ScanRetrievalResult(RetrievalResult):
+    """Pages by slicing: the page's rows rendered as a result that fits on
+    one page, then the footer when rows follow."""
+
+    def as_text(self) -> str:
+        start, end = self.offset, self.offset + knowledge.PAGE_ROWS
+        page, rest = self.rows[start:end], self.rows[end:]
+        if start and not page:
+            return (f"({self.scope}: no entries) {len(self.rows)} rows; "
+                    f"offset {start} is past the end")
+        text = RetrievalResult(self.scope, self.degraded, page).as_text()
+        if rest:
+            text += f'\n{len(rest)} more rows; pass {{"offset": {end}}}'
+        return text
+
+
 class ScanKnowledgeStore(KnowledgeStore):
     """The scan-based retrieval: linear shot and owner lookups, selectors
-    expanded into frame lists, and membership scans over them."""
+    expanded into frame lists, and membership scans over them. The page
+    offset is checked first, in every scope."""
 
     def _shot_by_id(self, shot_id: int):
         for sid in self.tree.shot_order:
@@ -51,11 +72,18 @@ class ScanKnowledgeStore(KnowledgeStore):
         if scope not in RETRIEVAL_SCOPES:
             raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = selector or {}
+        offset = selector.get("offset", 0)
+        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
+            raise ValidationError(
+                f"offset must be a non-negative integer, got {offset!r}")
         if scope == SCOPE_TEMPORAL_INDEX:
-            return self._temporal_index(qtype)
-        if scope == SCOPE_MOMENT_CAPTIONS:
-            return self._moment_captions(qtype, selector)
-        return self._segment_summaries(qtype, selector)
+            result = self._temporal_index(qtype)
+        elif scope == SCOPE_MOMENT_CAPTIONS:
+            result = self._moment_captions(qtype, selector)
+        else:
+            result = self._segment_summaries(qtype, selector)
+        return ScanRetrievalResult(result.scope, result.degraded, result.rows,
+                                   offset)
 
     def _temporal_index(self, qtype: str) -> RetrievalResult:
         rows = []
@@ -138,7 +166,9 @@ def worlds(draw, populated: bool):
     """A tree of contiguous shots with sparse ids and one cluster node; its
     captions, summaries and first-pass texts; and a question type and a
     selector to retrieve with. The asked type has captions and summaries
-    only when `populated`; another type always may."""
+    only when `populated`; another type always may. Every selector object
+    may carry an `offset`: a page inside or past the result, or an invalid
+    one."""
     lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
     shots, start = [], 0
     for i, length in enumerate(lengths):
@@ -177,14 +207,18 @@ def worlds(draw, populated: bool):
     any_id = st.sampled_from(shot_ids + [-1, 11, CLUSTER_ID])
     frame = st.integers(-3, num_frames + 3)
     frame_range = st.tuples(frame, frame).map(list)
+    offset = st.one_of(st.integers(0, 7), st.integers(0, num_frames + 2),
+                       st.sampled_from([-2, -1, "x", 1.5, True, None]))
     selector = st.one_of(
-        st.fixed_dictionaries({"frame_range": frame_range}),
-        st.fixed_dictionaries({"shot_ids": st.lists(any_id, max_size=5)}),
-        st.fixed_dictionaries({"shot_id": any_id}),
-        st.fixed_dictionaries({"shot_id": any_id, "frame_range": frame_range}),
+        st.fixed_dictionaries({"frame_range": frame_range, "offset": offset}),
+        st.fixed_dictionaries({"shot_ids": st.lists(any_id, max_size=5),
+                               "offset": offset}),
+        st.fixed_dictionaries({"shot_id": any_id, "offset": offset}),
+        st.fixed_dictionaries({"shot_id": any_id, "frame_range": frame_range,
+                               "offset": offset}),
         st.fixed_dictionaries({"shot_ids": st.lists(any_id, max_size=3),
-                               "shot_id": any_id}),
-        st.just({}),
+                               "shot_id": any_id, "offset": offset}),
+        st.fixed_dictionaries({}, optional={"offset": offset}),
         st.none(),
     )
     return tree, data, qtype, draw(selector)
@@ -195,7 +229,8 @@ def _outcome(store: KnowledgeStore, scope: str, qtype: str, selector):
         result = store.retrieve(scope, qtype, selector)
     except (ValidationError, NotFoundError) as exc:
         return type(exc), str(exc)
-    return result, result.as_text()
+    fields = (result.scope, result.degraded, result.rows, result.offset)
+    return fields, result.as_text()
 
 
 @pytest.mark.parametrize("populated", [True, False])
@@ -203,8 +238,12 @@ def _outcome(store: KnowledgeStore, scope: str, qtype: str, selector):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_indexed_retrieval_matches_scan(scope, populated, data) -> None:
+    """At the real page size and at one small enough that these short
+    videos span several pages."""
     tree, contents, qtype, selector = data.draw(worlds(populated))
     indexed = KnowledgeStore(tree=tree, fps=2.0, **contents)
     scan = ScanKnowledgeStore(tree=tree, fps=2.0, **contents)
-    assert _outcome(indexed, scope, qtype, selector) == \
-        _outcome(scan, scope, qtype, selector)
+    for page_rows in (PAGE_ROWS, 3):
+        with mock.patch.object(knowledge, "PAGE_ROWS", page_rows):
+            assert _outcome(indexed, scope, qtype, selector) == \
+                _outcome(scan, scope, qtype, selector)
