@@ -4,23 +4,28 @@ One backend object serves every stage. Three implementations: a remote
 JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
 deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
+
+Importing this module loads neither the HTTP client nor OpenSSL: `requests`
+(with urllib3, ssl and http.client) loads on the first remote call, and
+`hashlib` (with OpenSSL's libcrypto) on the first cache key or mock identity,
+which only `--cache` reads. So a mock-backed `ask` without `--cache` loads
+neither; a build still loads `hashlib`, because numpy 2's `numpy.random`,
+which seeds K-Means, imports it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
-
-import requests
+from typing import Any, Callable, Mapping
 
 from .errors import (
     AuthError,
@@ -77,6 +82,13 @@ def render_payload(request: BackendRequest) -> str:
     body = json.dumps(request.payload, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":"))
     return f"{request.capability}:{body}"
+
+
+def _sha256_hex(text: str) -> str:
+    # Local import: hashlib loads OpenSSL's libcrypto, which only the cache needs.
+    import hashlib
+
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class Backend:
@@ -181,16 +193,25 @@ class MockScript:
             rules_doc, default = doc, None
         else:
             raise ConfigError("mock script must be a JSON list or object")
+        if not isinstance(rules_doc, list):
+            raise ConfigError("mock script rules must be a list")
         rules = []
         for i, item in enumerate(rules_doc):
-            if not isinstance(item, dict) or "match" not in item:
-                raise ConfigError(f"mock rule {i} must be an object with a 'match' key")
-            rules.append(MockRule(
-                match=item["match"],
-                response=item.get("response"),
-                regex=bool(item.get("regex", False)),
-                error=item.get("error"),
-            ))
+            if not isinstance(item, dict) or not isinstance(item.get("match"), str):
+                raise ConfigError(
+                    f"mock rule {i} must be an object with a string 'match'")
+            error = item.get("error")
+            if error is not None and not isinstance(error, str):
+                raise ConfigError(f"mock rule {i} error must be a string")
+            rule = MockRule(match=item["match"], response=item.get("response"),
+                            regex=bool(item.get("regex", False)), error=error)
+            if rule.regex:
+                try:
+                    re.compile(rule.match)
+                except re.error as exc:
+                    raise ConfigError(
+                        f"mock rule {i} match is not a valid regex: {exc}") from None
+            rules.append(rule)
         return cls(rules, default)
 
 
@@ -216,7 +237,7 @@ class MockBackend(Backend):
                          for r in self.script.rules],
                "default_response": default}
         body = json.dumps(doc, sort_keys=True, ensure_ascii=False, default=repr)
-        return "mock:" + hashlib.sha256(body.encode("utf-8")).hexdigest()
+        return "mock:" + _sha256_hex(body)
 
     def _call(self, request: BackendRequest, rendered: str) -> Any:
         if request.capability not in self.capabilities:
@@ -260,15 +281,20 @@ def _coerce_response(capability: str, response: Any) -> Any:
 class RemoteBackend(Backend):
     """JSON-over-HTTP adapter for chat-completion and embedding endpoints.
 
-    Retries transport failures, 429 and 5xx responses up to twice with
-    exponential backoff (1 s base). `transport` and `sleep` are injectable
-    for tests.
+    Retries transport failures, 429 and 5xx responses up to twice. A 429 or
+    5xx that carries a delay-seconds `Retry-After` waits that long (RFC 9110
+    §10.2.3), and fails the call when the delay exceeds `timeout_s`; every
+    other retry sleeps a full-jitter backoff, `uniform(0, 1 s · 2^attempt)`.
+    `transport`, `sleep` and the random draw `uniform` are injectable for
+    tests.
     """
 
     def __init__(self, endpoints: dict[str, str], api_key_env: str = "VIDEOQA_API_KEY",
                  timeout_s: float = 60.0, max_inflight: int = 8,
-                 transport: Callable[..., tuple[int, dict]] | None = None,
-                 sleep: Callable[[float], None] = time.sleep):
+                 transport: Callable[..., tuple[int, Any, Mapping[str, str]]]
+                 | None = None,
+                 sleep: Callable[[float], None] = time.sleep,
+                 uniform: Callable[[float, float], float] = random.uniform):
         super().__init__(max_inflight)
         self.endpoints = dict(endpoints)
         self.capabilities = tuple(c for c in CAPABILITIES if c in self.endpoints)
@@ -277,17 +303,27 @@ class RemoteBackend(Backend):
         self.timeout_s = timeout_s
         self._transport = transport or self._http_post
         self._sleep = sleep
+        self._uniform = uniform
 
     def _http_post(self, url: str, headers: dict, body: dict,
-                   timeout: float) -> tuple[int, dict]:
+                   timeout: float) -> tuple[int, Any, Mapping[str, str]]:
+        """POST `body` as JSON; the status, the parsed body and the reply
+        headers. The body is parsed only below status 400: an error reply
+        from a proxy or rate limiter need not be JSON, and its status alone
+        decides what happens next."""
+        # Local import: only a remote run needs requests, urllib3 and ssl.
+        import requests
+
         try:
             resp = requests.post(url, headers=headers, json=body, timeout=timeout)
         except requests.Timeout as exc:
             raise BackendTimeout(f"request to {url} timed out") from exc
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
+        if resp.status_code >= 400:
+            return resp.status_code, None, resp.headers
         try:
-            return resp.status_code, resp.json()
+            return resp.status_code, resp.json(), resp.headers
         except ValueError as exc:
             raise MalformedResponseError(f"non-JSON response from {url}") from exc
 
@@ -304,24 +340,43 @@ class RemoteBackend(Backend):
         attempt = 0
         while True:
             try:
-                status, doc = self._transport(url, headers, body, self.timeout_s)
-            except (TransportError, BackendTimeout) as exc:
+                status, doc, reply_headers = self._transport(
+                    url, headers, body, self.timeout_s)
+            except (TransportError, BackendTimeout):
                 if attempt >= MAX_RETRIES:
                     raise
-                self._sleep(BACKOFF_BASE_S * (2 ** attempt))
-                attempt += 1
-                continue
-            if status in (401, 403):
-                raise AuthError(f"authentication rejected by {url} ({status})")
-            if status == 429 or status >= 500:
+                delay = self._backoff_s(attempt)
+            else:
+                if status in (401, 403):
+                    raise AuthError(f"authentication rejected by {url} ({status})")
+                if status < 400:
+                    return self._parse_body(request.capability, doc)
+                if status != 429 and status < 500:
+                    raise BackendError(f"{url} returned {status}")
                 if attempt >= MAX_RETRIES:
                     raise TransportError(f"{url} returned {status} after retries")
-                self._sleep(BACKOFF_BASE_S * (2 ** attempt))
-                attempt += 1
-                continue
-            if status >= 400:
-                raise BackendError(f"{url} returned {status}")
-            return self._parse_body(request.capability, doc)
+                delay = self._retry_delay_s(url, status, reply_headers, attempt)
+            self._sleep(delay)
+            attempt += 1
+
+    def _backoff_s(self, attempt: int) -> float:
+        return self._uniform(0.0, BACKOFF_BASE_S * (2 ** attempt))
+
+    def _retry_delay_s(self, url: str, status: int,
+                       reply_headers: Mapping[str, str], attempt: int) -> float:
+        """The reply's delay-seconds `Retry-After`, or the jittered backoff
+        when it is absent, an HTTP-date or unparseable. A delay beyond
+        `timeout_s` fails the call rather than park a pool thread."""
+        value = next((v for k, v in reply_headers.items()
+                      if k.lower() == "retry-after"), "").strip()
+        if not re.fullmatch(r"[0-9]+", value):
+            return self._backoff_s(attempt)
+        delay = float(value)
+        if delay > self.timeout_s:
+            raise TransportError(
+                f"{url} returned {status} with Retry-After {value} s, beyond "
+                f"the {self.timeout_s:g} s timeout")
+        return delay
 
     @staticmethod
     def _wire_body(request: BackendRequest) -> dict:
@@ -375,8 +430,7 @@ class CachingBackend(Backend):
         self._count_lock = threading.Lock()
 
     def cache_key(self, request: BackendRequest) -> str:
-        keyed = f"{self.identity}\n{render_payload(request)}"
-        return hashlib.sha256(keyed.encode("utf-8")).hexdigest()
+        return _sha256_hex(f"{self.identity}\n{render_payload(request)}")
 
     def _call(self, request: BackendRequest, rendered: str) -> Any:
         path = self.cache_dir / f"{self.cache_key(request)}.json"

@@ -62,6 +62,8 @@ class EngineConfig:
             raise ConfigError("gamma must be in (0, 1)")
         if not 1 <= self.max_iterations <= 15:
             raise ConfigError("max_iterations must be in [1, 15]")
+        if not self.backend.timeout_s > 0:
+            raise ConfigError("backend.timeout_s must be positive")
 
     def ablation_flags(self) -> list[str]:
         flags = []
@@ -96,8 +98,8 @@ class EngineConfig:
 def _typed_kwargs(cls: type, doc: dict, section: str) -> dict:
     """`doc` as keyword arguments of the dataclass `cls`. ConfigError names
     an unknown key, or a value that is not of its field's declared type: an
-    int counts as a float, a bool does not count as an int, and None only
-    where the type allows it."""
+    int counts as a float, a bool does not count as an int, None only where
+    the type allows it, and NaN and the infinities not at all."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(doc) - set(hints))
     if unknown:
@@ -106,8 +108,9 @@ def _typed_kwargs(cls: type, doc: dict, section: str) -> dict:
         allowed = typing.get_args(hints[key]) or (hints[key],)
         if float in allowed:
             allowed += (int,)
-        if not isinstance(value, allowed) or (isinstance(value, bool)
-                                              and bool not in allowed):
+        finite = not isinstance(value, float) or abs(value) < float("inf")
+        if not isinstance(value, allowed) or not finite or (
+                isinstance(value, bool) and bool not in allowed):
             raise ConfigError(f"{section} value {key} must be "
                               f"{getattr(hints[key], '__name__', hints[key])}, "
                               f"got {value!r}")

@@ -131,8 +131,8 @@ def load_frames(manifest_path: str | Path,
     if not isinstance(video_id, str) or not video_id:
         raise ValidationError(f"manifest {p} missing video_id")
     fps = doc.get("fps", 1.0)
-    if not isinstance(fps, (int, float)) or fps <= 0:
-        raise ValidationError(f"manifest {p} fps must be positive")
+    if not isinstance(fps, (int, float)) or not 0 < fps < float("inf"):
+        raise ValidationError(f"manifest {p} fps must be positive and finite")
     entries = doc.get("frames")
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"manifest {p} has no frames")
@@ -150,6 +150,8 @@ def load_frames(manifest_path: str | Path,
             f"frame indices must be unique and contiguous from 0, got {indices[:8]}...")
 
     embeddings_path = doc.get("embeddings_path")
+    if embeddings_path is not None and not isinstance(embeddings_path, str):
+        raise ValidationError(f"manifest {p} embeddings_path must be a string")
     if embeddings_path is not None:
         epath = Path(embeddings_path)
         if not epath.is_absolute():

@@ -86,8 +86,9 @@ class AgentProfile:
         for key, value in weights_doc.items():
             if key not in ("text", "visual"):
                 raise ConfigError(f"profile field weights.{key} is not a known source")
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ConfigError(f"profile field weights.{key} must be >= 0")
+            if not isinstance(value, (int, float)) or not 0 <= value < float("inf"):
+                raise ConfigError(
+                    f"profile field weights.{key} must be a finite number >= 0")
             weights[key] = float(value)
         total = sum(weights.values())
         if total <= 0:
@@ -399,13 +400,13 @@ class KnowledgeStore:
                                   f"the tree for {tree.video_id!r}")
         store = cls(tree=tree, fps=fps)
         for cap in _sidecar_items(doc, "captions", lambda item: FrameCaption(
-                int(item["frame"]), _item_qtype(item), _item_text(item))):
+                _item_index(item, "frame"), _item_qtype(item), _item_text(item))):
             store.captions[(cap.frame_index, cap.qtype)] = cap
         for summary in _sidecar_items(doc, "summaries", lambda item: SegmentSummary(
-                int(item["shot"]), _item_qtype(item), _item_text(item))):
+                _item_index(item, "shot"), _item_qtype(item), _item_text(item))):
             store.summaries[(summary.shot_id, summary.qtype)] = summary
         for shot, text in _sidecar_items(doc, "first_pass", lambda item: (
-                int(item["shot"]), _item_text(item))):
+                _item_index(item, "shot"), _item_text(item))):
             store.first_pass[shot] = text
         valid_frames = set(range(tree.num_frames()))
         for frame, _ in store.captions:
@@ -433,6 +434,13 @@ def _sidecar_items(doc: dict, section: str, parse) -> list:
             raise ValidationError(
                 f"sidecar {section}[{i}] is malformed: {exc!r}") from None
     return parsed
+
+
+def _item_index(item: dict, key: str) -> int:
+    index = item[key]
+    if type(index) is not int:
+        raise TypeError(f"{key} must be an integer, got {index!r}")
+    return index
 
 
 def _item_text(item: dict) -> str:

@@ -98,11 +98,9 @@ def _parse_question(doc: dict, where: str) -> RawQuestion:
     options = tuple(str(o) for o in options)
     gold = doc.get("gold_index")
     if gold is not None:
-        try:
-            gold = int(gold)
-        except (TypeError, ValueError):
+        if type(gold) is not int:
             raise ValidationError(
-                f"{where}: gold_index must be an integer, got {gold!r}") from None
+                f"{where}: gold_index must be an integer, got {gold!r}")
         if not 0 <= gold < len(options):
             raise ValidationError(
                 f"{where}: gold_index {gold} outside the option range")
@@ -146,8 +144,9 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
             raise ValidationError(f"{p}#{i}: duplicate video_id {video_id}")
         seen.add(video_id)
         manifest_path = entry.get("frame_manifest_path")
-        if not manifest_path:
-            raise ValidationError(f"{p}#{i}: missing frame_manifest_path")
+        if not manifest_path or not isinstance(manifest_path, str):
+            raise ValidationError(
+                f"{p}#{i}: frame_manifest_path must be a non-empty string")
         if not Path(manifest_path).is_absolute():
             manifest_path = str(p.parent / manifest_path)
         questions_doc = entry.get("questions", [])

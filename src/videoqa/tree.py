@@ -33,6 +33,10 @@ from .ingest import Shot, nearest_to_centroid
 logger = logging.getLogger(__name__)
 
 TREE_SCHEMA_VERSION = "1"
+# A loaded tree's shots may span at most this many frames (12 days at 1 FPS).
+# A shot is stored as [start, end] but held as a frame tuple, so without a
+# bound one corrupt range could ask for terabytes.
+MAX_TREE_FRAMES = 1 << 20
 
 KIND_SHOT = "shot"
 KIND_CLUSTER = "cluster"
@@ -466,6 +470,7 @@ def deserialize_tree(doc: dict) -> HybridTree:
     )
     nodes_doc = _need(doc, "nodes", list, "")
     nodes: dict[int, TreeNode] = {}
+    shot_frames = 0
     for i, node_doc in enumerate(nodes_doc):
         pointer = f"/nodes/{i}"
         node_id = _need(node_doc, "id", int, pointer)
@@ -478,6 +483,10 @@ def deserialize_tree(doc: dict) -> HybridTree:
             if len(frames_doc) != 2:
                 raise TreeParseError(f"{pointer}/frames",
                                      "shot frames must be [start, end]")
+            shot_frames += max(0, frames_doc[1] + 1 - frames_doc[0])
+            if shot_frames > MAX_TREE_FRAMES:
+                raise TreeParseError(f"{pointer}/frames", "shots span more "
+                                     f"than {MAX_TREE_FRAMES} frames")
             frames = tuple(range(frames_doc[0], frames_doc[1] + 1))
         else:
             frames = tuple(frames_doc)

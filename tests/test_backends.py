@@ -173,6 +173,9 @@ def _chat_body(content: str) -> dict:
 
 
 class FakeTransport:
+    """Replays outcomes: an exception to raise, or `(status, body)` or
+    `(status, body, reply_headers)`."""
+
     def __init__(self, outcomes: list):
         self.outcomes = list(outcomes)
         self.calls = 0
@@ -182,7 +185,12 @@ class FakeTransport:
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
-        return outcome
+        return outcome if len(outcome) == 3 else (*outcome, {})
+
+
+def half_of_range(low: float, high: float) -> float:
+    """A fixed stand-in for the jitter draw `uniform(low, high)`."""
+    return (low + high) / 2
 
 
 def _remote(outcomes: list) -> tuple[RemoteBackend, FakeTransport]:
@@ -200,10 +208,11 @@ def test_remote_retries_5xx_then_succeeds() -> None:
         transport = FakeTransport([(status, {}), (status, {}),
                                    (200, _chat_body("ok"))])
         backend = RemoteBackend({"chat": "http://unit.test/chat"},
-                                transport=transport, sleep=sleeps.append)
+                                transport=transport, sleep=sleeps.append,
+                                uniform=half_of_range)
         assert backend.call(chat_request("q")) == "ok"
         assert transport.calls == 3
-        assert sleeps == [1.0, 2.0], "two retries"
+        assert sleeps == [0.5, 1.0], "two retries"
 
 
 def test_remote_gives_up_after_two_retries() -> None:
@@ -260,12 +269,59 @@ def test_remote_no_endpoint_for_capability() -> None:
 
 
 def test_remote_backoff_schedule() -> None:
+    """Full jitter: attempt n sleeps uniform(0, 1 s * 2^n)."""
     sleeps: list[float] = []
-    transport = FakeTransport([(500, {}), (500, {}), (200, _chat_body("ok"))])
+    draws: list[tuple[float, float]] = []
+
+    def uniform(low: float, high: float) -> float:
+        draws.append((low, high))
+        return high / 4
+
+    transport = FakeTransport([(500, {}), TransportError("reset"),
+                               (200, _chat_body("ok"))])
     backend = RemoteBackend({"chat": "http://unit.test/chat"},
-                            transport=transport, sleep=sleeps.append)
+                            transport=transport, sleep=sleeps.append,
+                            uniform=uniform)
     backend.call(chat_request("q"))
-    assert sleeps == [1.0, 2.0]
+    assert draws == [(0.0, 1.0), (0.0, 2.0)]
+    assert sleeps == [0.25, 0.5]
+
+
+@pytest.mark.parametrize("name", ["Retry-After", "retry-after"])
+def test_remote_retry_after_seconds_slept_as_given(name) -> None:
+    sleeps: list[float] = []
+    transport = FakeTransport([(429, None, {name: "3"}),
+                               (503, None, {name: " 0 "}),
+                               (200, _chat_body("ok"))])
+    backend = RemoteBackend({"chat": "http://unit.test/chat"},
+                            transport=transport, sleep=sleeps.append,
+                            uniform=half_of_range)
+    assert backend.call(chat_request("q")) == "ok"
+    assert sleeps == [3.0, 0.0]
+
+
+def test_remote_retry_after_beyond_timeout_fails_without_sleeping() -> None:
+    sleeps: list[float] = []
+    transport = FakeTransport([(503, None, {"Retry-After": "61"})])
+    backend = RemoteBackend({"chat": "http://unit.test/chat"}, timeout_s=60.0,
+                            transport=transport, sleep=sleeps.append)
+    with pytest.raises(TransportError, match="Retry-After 61 s"):
+        backend.call(chat_request("q"))
+    assert transport.calls == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon",
+                                   "-5", "1.5", "", "\u00b2"])
+def test_remote_retry_after_date_or_garbage_falls_back_to_jitter(value) -> None:
+    sleeps: list[float] = []
+    transport = FakeTransport([(429, None, {"Retry-After": value}),
+                               (200, _chat_body("ok"))])
+    backend = RemoteBackend({"chat": "http://unit.test/chat"},
+                            transport=transport, sleep=sleeps.append,
+                            uniform=half_of_range)
+    assert backend.call(chat_request("q")) == "ok"
+    assert sleeps == [0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +407,7 @@ def test_cache_keeps_inner_inflight_limit(tmp_path) -> None:
 
     def transport(url, headers, body, timeout):
         barrier.wait()
-        return 200, _chat_body("answer")
+        return 200, _chat_body("answer"), {}
 
     inner = RemoteBackend({"chat": "http://unit.test/chat"}, max_inflight=32,
                           transport=transport, sleep=lambda s: None)

@@ -397,6 +397,11 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
         path.write_text(json.dumps(doc))
         return ["--config", str(path)]
 
+    def mock_script(doc) -> list[str]:
+        path = tmp_path / "bad" / f"script{next(rows)}.json"
+        path.write_text(json.dumps(doc))
+        return ["--mock-script", str(path)]
+
     def build(*extra, manifest=manifest, questions=tmp_path / "questions.json",
               out=tmp_path / "out.tree.json") -> list[str]:
         return ["build", str(manifest), str(questions), str(out),
@@ -459,6 +464,14 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
             {"backend": {"cache_dir": str(cache_file)}})), 4),
         ("cache_dir under a file", evaluate("--cache", *config(
             {"backend": {"cache_dir": str(cache_file / "sub")}})), 4),
+        ("config value NaN", evaluate(*config({"fps": float("nan")})), 4),
+        ("backend.timeout_s not positive",
+         evaluate(*config({"backend": {"timeout_s": 0}})), 4),
+        ("--mock-script regex that does not compile", ask(*mock_script(
+            {"rules": [{"match": "(", "regex": True}],
+             "default_response": "x"})), 4),
+        ("--mock-script match that is not a string",
+         ask(*mock_script([{"match": 5}])), 4),
     ]
 
     failures = []

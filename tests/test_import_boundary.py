@@ -1,0 +1,141 @@
+"""Import boundary: a mock-backed run loads neither the HTTP client nor,
+unless it builds, OpenSSL; the response cache keys entries as it always has.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported everything, with the listed modules refused on
+`sys.meta_path`:
+- the golden `eval` refuses `requests`, `urllib3` and `ssl`, and its outputs
+  equal the committed snapshot. It cannot refuse `hashlib`: building a tree
+  seeds K-Means through `numpy.random`, which on numpy 2 imports `secrets`,
+  hence `hmac` and `hashlib`;
+- `ask` over a built tree refuses those three plus `hashlib` and `_hashlib`,
+  and prints the record an unrefused `ask` prints;
+- `ask --cache` refuses nothing and loads `_hashlib`, and a fixed request's
+  cache key equals the one computed while `hashlib` was still imported at
+  module top, so caches written then still hit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from videoqa.cli import main
+
+from conftest import build_golden_world
+
+SRC_DIR = Path(__file__).parent.parent / "src"
+GOLDEN_DIR = Path(__file__).parent / "golden" / "default"
+
+HTTP_CLIENT = ("requests", "urllib3", "ssl")
+OPENSSL = ("hashlib", "_hashlib")
+
+# CachingBackend.cache_key(chat_request("What happens after the goal?")) over
+# MockBackend(MockScript([MockRule("hello", "world")], "fallback")), computed
+# while `hashlib` was still imported at module top.
+FIXED_CACHE_KEY = "163d83714a90ec3f839ca2883e999deeaf2306ecf96f55bae7f493debbca0c5b"
+FIXED_IDENTITY = "mock:6461f4860b1445ebbd7df43f12bfc8edf74f444f2841833ba8d2c2877b933c39"
+
+RUN_REFUSING_IMPORTS = """
+import json, sys
+refused = set(json.loads(sys.argv[1]))
+preloaded = refused & set(sys.modules)
+assert not preloaded, f"loaded at interpreter start-up: {sorted(preloaded)}"
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in refused:
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from videoqa.cli import main
+code = main(sys.argv[2:])
+print(json.dumps({"exit": code, "loaded": sorted(refused & set(sys.modules))}))
+"""
+
+CACHE_KEY_AFTER_RUN = """
+import json, sys
+from videoqa.cli import main
+code = main(sys.argv[1:])
+from videoqa.backends import (CachingBackend, MockBackend, MockRule,
+                              MockScript, chat_request)
+cached = CachingBackend(
+    MockBackend(MockScript([MockRule("hello", "world")], "fallback")), "fixed")
+print(json.dumps({"exit": code, "hashlib": "_hashlib" in sys.modules,
+                  "identity": cached.identity,
+                  "key": cached.cache_key(
+                      chat_request("What happens after the goal?"))}))
+"""
+
+
+def _python(code: str, *args: str, cwd: Path) -> tuple[str, dict]:
+    """Run `code` in a fresh interpreter: what it printed before its last
+    line, and that line read as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *printed, last = done.stdout.splitlines(keepends=True)
+    return "".join(printed), json.loads(last)
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory) -> tuple[list[str], str]:
+    """The argv of an `ask` over a built golden_a tree, and the record it
+    prints in this process."""
+    root = tmp_path_factory.mktemp("built")
+    world = build_golden_world(root / "golden")
+    questions = root / "questions.json"
+    questions.write_text(json.dumps([{
+        "question_id": "a_q1", "text": "Why is the man on the bench looking up?",
+        "options": ["a bird flying overhead", "overlooking the children"]}]))
+    tree = root / "tree.json"
+    assert main(["build", str(world.video_manifests["golden_a"]), str(questions),
+                 str(tree), "--mock-script", str(world.script_path)]) == 0
+    ask = ["ask", str(tree), str(root / "tree.sidecar.json"),
+           "--question", "Why is the man on the bench looking up?",
+           "--option", "a bird flying overhead",
+           "--option", "overlooking the children",
+           "--question-id", "a_q1", "--mock-script", str(world.script_path)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(ask) == 0
+    return ask, out.getvalue()
+
+
+def test_mock_eval_loads_no_http_client(tmp_path) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    _, result = _python(
+        RUN_REFUSING_IMPORTS, json.dumps(HTTP_CLIENT), "eval",
+        str(world.dataset_path), "--mock-script", str(world.script_path),
+        "--out-records", str(tmp_path / "records.jsonl"),
+        "--out-report", str(tmp_path / "report.json"), cwd=tmp_path)
+    assert result == {"exit": 0, "loaded": []}
+    for name in ("records.jsonl", "report.json"):
+        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), \
+            f"{name} differs from the committed default snapshot"
+
+
+def test_mock_ask_loads_no_http_client_or_openssl(built, tmp_path) -> None:
+    ask, expected = built
+    record, result = _python(RUN_REFUSING_IMPORTS,
+                             json.dumps(HTTP_CLIENT + OPENSSL), *ask, cwd=tmp_path)
+    assert result == {"exit": 0, "loaded": []}
+    assert record == expected
+
+
+def test_cached_ask_loads_hashlib_and_keeps_cache_keys(built, tmp_path) -> None:
+    ask, expected = built
+    record, result = _python(CACHE_KEY_AFTER_RUN, *ask, "--cache", cwd=tmp_path)
+    assert result == {"exit": 0, "hashlib": True, "identity": FIXED_IDENTITY,
+                      "key": FIXED_CACHE_KEY}
+    assert record == expected
+    assert any((tmp_path / ".videoqa_cache").glob("*.json")), "cache written"
