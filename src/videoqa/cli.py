@@ -29,8 +29,6 @@ from .pipeline import (
 )
 from .tree import load_tree, tree_to_json
 
-logger = logging.getLogger(__name__)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="engine config JSON file")
@@ -109,7 +107,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     tree = load_tree(args.tree)
 
     sidecar = read_json(args.sidecar, "sidecar file")
-    store = KnowledgeStore.from_sidecar(tree, sidecar, fps=config.fps)
+    store = KnowledgeStore.from_sidecar(tree, sidecar)
 
     options = tuple(args.option or [])
     qtype = args.qtype or classify_question(args.question, list(options), backend)

@@ -1,8 +1,8 @@
 """Engine configuration with pipeline defaults.
 
-Defaults: 1 FPS sampling, relevance threshold tau=2.5, K=2 clustering to a
-maximum depth of 3, global-context threshold gamma=0.4, and a hard cap of
-15 reasoning iterations per question.
+Defaults: relevance threshold tau=2.5, K=2 clustering to a maximum depth
+of 3, global-context threshold gamma=0.4, and a hard cap of 15 reasoning
+iterations per question. A video's fps comes from its frame manifest.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class BackendConfig:
 
 @dataclass
 class EngineConfig:
-    fps: float = 1.0
     sensitivity: float = 2.0          # shot boundary threshold multiplier
     tau: float = 2.5                  # relevance gate for deep expansion
     k: int = 2                        # clusters per expansion step
@@ -48,10 +47,9 @@ class EngineConfig:
     uniform_sampling: bool = False
     generic_captions: bool = False
     fixed_workflow: bool = False
+    fps = 1.0  # not a field, so no config sets it; only perfbench/ reads it
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
-            raise ConfigError("fps must be positive")
         if self.sensitivity <= 0:
             raise ConfigError("sensitivity must be positive")
         if self.k < 1:

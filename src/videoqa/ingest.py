@@ -10,7 +10,6 @@ u32 reserved, little-endian) followed by row-major float32 data.
 
 from __future__ import annotations
 
-import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,20 +19,10 @@ import numpy as np
 from .backends import Backend, embed_request
 from .errors import InputError, ValidationError, read_bytes, read_json
 
-logger = logging.getLogger(__name__)
-
 EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
 
 DEFAULT_SENSITIVITY = 2.0
-
-
-@dataclass(frozen=True)
-class FrameRecord:
-    """One sampled frame."""
-
-    frame_index: int
-    source_path: str | None = None
 
 
 @dataclass(frozen=True)
@@ -57,27 +46,23 @@ class Shot:
 
 @dataclass
 class VideoFrames:
-    """Ingest result: ordered frames plus their embedding matrix."""
+    """Ingest result: the embedding matrix, plus the image path of each
+    frame that has one."""
 
     video_id: str
     fps: float
-    frames: list[FrameRecord]
+    paths: dict[int, str]
     embeddings: np.ndarray  # (num_frames, dim) float32
 
     @property
     def num_frames(self) -> int:
-        return len(self.frames)
-
-    def frame_ref(self, frame_index: int) -> str:
-        """Stable reference string for captioning a frame."""
-        path = self.frames[frame_index].source_path
-        return path if path else synthetic_frame_ref(self.video_id, frame_index)
+        return int(self.embeddings.shape[0])
 
 
-def synthetic_frame_ref(video_id: str, frame_index: int) -> str:
-    """The reference of a frame that has no image path. Mock scripts match
-    on this string."""
-    return f"{video_id}:frame:{frame_index}"
+def frame_ref(video_id: str, paths: dict[int, str], frame_index: int) -> str:
+    """The reference a model call names a frame by: its image path, or
+    `<video>:frame:<i>` when it has none. Mock scripts match on the latter."""
+    return paths.get(frame_index) or f"{video_id}:frame:{frame_index}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +122,17 @@ def load_frames(manifest_path: str | Path,
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"manifest {p} has no frames")
 
-    frames = []
+    paths: dict[int, str] = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
             raise ValidationError(f"manifest frame {i} must carry an integer index")
-        frames.append(FrameRecord(frame_index=entry["index"],
-                                  source_path=entry.get("path")))
-    frames.sort(key=lambda f: f.frame_index)
-    indices = [f.frame_index for f in frames]
-    if indices != list(range(len(frames))):
+        if "path" in entry:
+            if not isinstance(entry["path"], str) or not entry["path"]:
+                raise ValidationError(
+                    f"manifest frame {i} path must be a non-empty string")
+            paths[entry["index"]] = entry["path"]
+    indices = sorted(entry["index"] for entry in entries)
+    if indices != list(range(len(entries))):
         raise ValidationError(
             f"frame indices must be unique and contiguous from 0, got {indices[:8]}...")
 
@@ -157,32 +144,31 @@ def load_frames(manifest_path: str | Path,
         if not epath.is_absolute():
             epath = p.parent / epath
         matrix = read_embeddings(epath)
-        if matrix.shape[0] != len(frames):
+        if matrix.shape[0] != len(entries):
             raise ValidationError(
-                f"embeddings have {matrix.shape[0]} rows for {len(frames)} frames")
+                f"embeddings have {matrix.shape[0]} rows for {len(entries)} frames")
     else:
         if backend is None or "embed" not in backend.capabilities:
             raise InputError(
                 f"manifest {p} has no embeddings_path; an embedding backend is required")
-        matrix = _embed_images(frames, video_id, backend)
+        matrix = _embed_images(video_id, paths, len(entries), backend)
 
     _validate_matrix(matrix)
-    return VideoFrames(video_id=video_id, fps=float(fps), frames=frames,
+    return VideoFrames(video_id=video_id, fps=float(fps), paths=paths,
                        embeddings=matrix)
 
 
-def _embed_images(frames: list[FrameRecord], video_id: str,
+def _embed_images(video_id: str, paths: dict[int, str], num_frames: int,
                   backend: Backend) -> np.ndarray:
     rows: list[list[float]] = []
     dim: int | None = None
-    for rec in frames:
-        ref = rec.source_path or synthetic_frame_ref(video_id, rec.frame_index)
-        vec = backend.call(embed_request(ref))
+    for index in range(num_frames):
+        vec = backend.call(embed_request(frame_ref(video_id, paths, index)))
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
             raise ValidationError(
-                f"embedding row for frame {rec.frame_index} has length "
+                f"embedding row for frame {index} has length "
                 f"{len(vec)}, expected {dim}")
         rows.append(vec)
     return np.asarray(rows, dtype=np.float32)
@@ -238,13 +224,15 @@ def detect_shots(embeddings: np.ndarray,
     shots = []
     start = 0
     for shot_id, cut in enumerate(cuts):
-        shots.append(_make_shot(shot_id, start, cut, embeddings))
+        shots.append(make_shot(shot_id, start, cut, embeddings))
         start = cut + 1
-    shots.append(_make_shot(len(cuts), start, n - 1, embeddings))
+    shots.append(make_shot(len(cuts), start, n - 1, embeddings))
     return shots
 
 
-def _make_shot(shot_id: int, start: int, end: int, embeddings: np.ndarray) -> Shot:
+def make_shot(shot_id: int, start: int, end: int, embeddings: np.ndarray) -> Shot:
+    """The shot over frames [start, end], represented by its frame nearest
+    the centroid."""
     rep = start + nearest_to_centroid(embeddings[start:end + 1])
     return Shot(shot_id=shot_id, start_frame=start, end_frame=end,
                 representative_frame=rep)

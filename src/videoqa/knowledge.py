@@ -11,7 +11,6 @@ strategy, tool list, and evidence weights per type.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,11 +22,15 @@ from .captioning import (
     FrameCaption,
     SegmentSummary,
 )
-from .errors import ConfigError, NotFoundError, ValidationError, read_json
-from .ingest import synthetic_frame_ref
+from .errors import (
+    ConfigError,
+    NotFoundError,
+    UnsupportedVersionError,
+    ValidationError,
+    read_json,
+)
+from .ingest import frame_ref
 from .tree import HybridTree
-
-logger = logging.getLogger(__name__)
 
 SCOPE_TEMPORAL_INDEX = "temporal_index"
 SCOPE_MOMENT_CAPTIONS = "moment_captions"
@@ -40,6 +43,7 @@ KNOWN_TOOLS = RETRIEVAL_SCOPES + (TOOL_INSPECT_FRAME,)
 # transcript, so an uncut observation of a long video would be paid again at
 # every later step. From 8 rows up, every golden observation fits on a page.
 PAGE_ROWS = 20
+SIDECAR_VERSION = "2"
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +232,7 @@ class KnowledgeStore:
     captions: dict[tuple[int, str], FrameCaption] = field(default_factory=dict)
     summaries: dict[tuple[int, str], SegmentSummary] = field(default_factory=dict)
     first_pass: dict[int, str] = field(default_factory=dict)
-    frame_refs: dict[int, str] = field(default_factory=dict)
+    frame_paths: dict[int, str] = field(default_factory=dict)
     _shot_index: tuple[frozenset[int], dict[int, int]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -244,8 +248,7 @@ class KnowledgeStore:
         """The frame's backend reference; NotFoundError for a frame that
         falls outside every shot, so no caption call is made for it."""
         self._owner_shot_id(frame_index)
-        return self.frame_refs.get(
-            frame_index, synthetic_frame_ref(self.tree.video_id, frame_index))
+        return frame_ref(self.tree.video_id, self.frame_paths, frame_index)
 
     def _index(self) -> tuple[frozenset[int], dict[int, int]]:
         # Threads racing on the first retrieval build equal indexes, and
@@ -374,8 +377,15 @@ class KnowledgeStore:
     # -- sidecar ------------------------------------------------------------
 
     def to_sidecar(self) -> dict:
+        """The whole store but its tree, so `from_sidecar` rebuilds it."""
         return {
+            "version": SIDECAR_VERSION,
             "video_id": self.tree.video_id,
+            "fps": self.fps,
+            "frame_paths": [
+                {"frame": frame, "path": path}
+                for frame, path in sorted(self.frame_paths.items())
+            ],
             "captions": [
                 {"frame": frame, "qtype": qtype, "text": cap.text}
                 for (frame, qtype), cap in sorted(self.captions.items())
@@ -392,37 +402,40 @@ class KnowledgeStore:
 
     @classmethod
     def from_sidecar(cls, tree: HybridTree, doc: dict,
-                     fps: float = 1.0) -> "KnowledgeStore":
+                     fps: float | None = None) -> "KnowledgeStore":
+        # Only perfbench/ passes `fps`; a value other than the sidecar's is refused.
         if not isinstance(doc, dict):
             raise ValidationError("sidecar must be a JSON object")
+        version = doc.get("version")
+        if version != SIDECAR_VERSION:
+            raise UnsupportedVersionError(
+                "/version", f"unsupported sidecar version {version!r}; rebuild it")
         if doc.get("video_id") != tree.video_id:
             raise ValidationError(f"sidecar is for video {doc.get('video_id')!r}, "
                                   f"the tree for {tree.video_id!r}")
-        store = cls(tree=tree, fps=fps)
-        for cap in _sidecar_items(doc, "captions", lambda item: FrameCaption(
-                _item_index(item, "frame"), _item_qtype(item), _item_text(item))):
-            store.captions[(cap.frame_index, cap.qtype)] = cap
-        for summary in _sidecar_items(doc, "summaries", lambda item: SegmentSummary(
-                _item_index(item, "shot"), _item_qtype(item), _item_text(item))):
-            store.summaries[(summary.shot_id, summary.qtype)] = summary
-        for shot, text in _sidecar_items(doc, "first_pass", lambda item: (
-                _item_index(item, "shot"), _item_text(item))):
-            store.first_pass[shot] = text
-        valid_frames = set(range(tree.num_frames()))
-        for frame, _ in store.captions:
-            if frame not in valid_frames:
-                raise ValidationError(f"sidecar caption frame {frame} not in tree")
-        valid_shots = set(tree.shot_order)
-        for shot, _ in store.summaries:
-            if shot not in valid_shots:
-                raise ValidationError(f"sidecar summary shot {shot} not in tree")
+        doc_fps = doc.get("fps")
+        if type(doc_fps) not in (int, float) or not 0 < doc_fps < float("inf"):
+            raise ValidationError(
+                f"sidecar fps must be positive and finite, got {doc_fps!r}")
+        if fps is not None and fps != doc_fps:
+            raise ValidationError(f"fps {fps} differs from the sidecar's {doc_fps}")
+        frames, shots = range(tree.num_frames()), frozenset(tree.shot_order)
+        store = cls(tree=tree, fps=float(doc_fps))
+        store.frame_paths = dict(_sidecar_items(doc, "frame_paths", lambda item: (
+            _item_index(item, "frame", frames), _item_path(item))))
+        store.add_captions(_sidecar_items(doc, "captions", lambda item: FrameCaption(
+            _item_index(item, "frame", frames), _item_qtype(item), _item_text(item))))
+        store.add_summaries(_sidecar_items(doc, "summaries", lambda item: SegmentSummary(
+            _item_index(item, "shot", shots), _item_qtype(item), _item_text(item))))
+        store.first_pass = dict(_sidecar_items(doc, "first_pass", lambda item: (
+            _item_index(item, "shot", shots), _item_text(item))))
         return store
 
 
 def _sidecar_items(doc: dict, section: str, parse) -> list:
     """Parse one sidecar section; a malformed item (not an object, a missing
-    key, a non-integer index, a non-string text, an unknown question type)
-    raises ValidationError naming it."""
+    key, an index that is not an integer or not in the tree, a bad text, path
+    or question type) raises ValidationError naming it."""
     items = doc.get(section, [])
     if not isinstance(items, list):
         raise ValidationError(f"sidecar {section} must be a list")
@@ -436,10 +449,12 @@ def _sidecar_items(doc: dict, section: str, parse) -> list:
     return parsed
 
 
-def _item_index(item: dict, key: str) -> int:
+def _item_index(item: dict, key: str, valid: range | frozenset) -> int:
     index = item[key]
     if type(index) is not int:
         raise TypeError(f"{key} must be an integer, got {index!r}")
+    if index not in valid:
+        raise ValueError(f"{key} {index} is not in the tree")
     return index
 
 
@@ -448,6 +463,13 @@ def _item_text(item: dict) -> str:
     if not isinstance(text, str):
         raise TypeError(f"text must be a string, got {type(text).__name__}")
     return text
+
+
+def _item_path(item: dict) -> str:
+    path = item["path"]
+    if not isinstance(path, str) or not path:
+        raise TypeError(f"path must be a non-empty string, got {path!r}")
+    return path
 
 
 def _item_qtype(item: dict) -> str:

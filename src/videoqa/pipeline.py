@@ -18,9 +18,9 @@ swap out individual steps without touching the rest of the pipeline.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .captioning import (
 )
 from .config import EngineConfig
 from .errors import ValidationError, canonical_json, read_json
-from .ingest import Shot, detect_shots, load_frames, nearest_to_centroid
+from .ingest import Shot, detect_shots, frame_ref, load_frames, make_shot
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
     AGENT_REGISTRY,
@@ -60,8 +60,6 @@ from .tree import (
     tree_from_shots,
     vtsearch,
 )
-
-logger = logging.getLogger(__name__)
 
 # How many videos `evaluate` processes at once with parallel_videos set.
 # This bounds how many videos' frames, trees and stores are held in memory;
@@ -92,10 +90,15 @@ class VideoEntry:
 def _parse_question(doc: dict, where: str) -> RawQuestion:
     if not isinstance(doc, dict):
         raise ValidationError(f"{where}: question entry must be an object")
+    for key in ("question_id", "text"):
+        if not isinstance(doc.get(key), str):
+            raise ValidationError(
+                f"{where}: {key} must be a string, got {doc.get(key)!r}")
     options = doc.get("options", [])
-    if not isinstance(options, list):
-        raise ValidationError(f"{where}: options must be a list")
-    options = tuple(str(o) for o in options)
+    if not isinstance(options, list) or not all(
+            isinstance(o, str) for o in options):
+        raise ValidationError(f"{where}: options must be a list of strings")
+    options = tuple(options)
     gold = doc.get("gold_index")
     if gold is not None:
         if type(gold) is not int:
@@ -109,8 +112,8 @@ def _parse_question(doc: dict, where: str) -> RawQuestion:
         raise ValidationError(
             f"{where}: declared_type {declared!r} is not in {QTYPES}")
     return RawQuestion(
-        question_id=str(doc.get("question_id", "")),
-        text=str(doc.get("text", "")),
+        question_id=doc["question_id"],
+        text=doc["text"],
         options=options,
         gold_index=gold,
         declared_type=declared,
@@ -169,10 +172,8 @@ def uniform_leaf_shots(num_frames: int, count: int,
     bounds = np.linspace(0, num_frames, count + 1).astype(int)
     shots = []
     for shot_id in range(count):
-        start, end = int(bounds[shot_id]), int(bounds[shot_id + 1]) - 1
-        rep = start + nearest_to_centroid(embeddings[start:end + 1])
-        shots.append(Shot(shot_id=shot_id, start_frame=start, end_frame=end,
-                          representative_frame=rep))
+        shots.append(make_shot(shot_id, int(bounds[shot_id]),
+                               int(bounds[shot_id + 1]) - 1, embeddings))
     return shots
 
 
@@ -221,6 +222,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 config: EngineConfig, backend: Backend) -> BuildResult:
     """Build the tree and knowledge store for one video."""
     frames = load_frames(manifest_path, backend)
+    ref = partial(frame_ref, frames.video_id, frames.paths)
     params = TreeParams(tau=config.tau, k=config.k, max_depth=config.max_depth,
                         gamma=config.gamma)
 
@@ -245,8 +247,8 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         # relevance scorer and the degraded retrieval fallback.
         first_prompt = generic_prompt(config.template_dir)
         rep_frames = [s.representative_frame for s in shots]
-        first_caps = caption_frames(rep_frames, first_prompt, backend,
-                                    frames.frame_ref, pool=calls)
+        first_caps = caption_frames(rep_frames, first_prompt, backend, ref,
+                                    pool=calls)
         cap_by_frame = {c.frame_index: c.text for c in first_caps}
         first_pass = {s.shot_id: cap_by_frame[s.representative_frame]
                       for s in shots}
@@ -261,9 +263,9 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
 
         bundles, prompts = prepared.result()
 
-        store = KnowledgeStore(
-            tree=tree, fps=frames.fps, first_pass=dict(first_pass),
-            frame_refs={i: frames.frame_ref(i) for i in range(frames.num_frames)})
+        store = KnowledgeStore(tree=tree, fps=frames.fps,
+                               first_pass=dict(first_pass),
+                               frame_paths=frames.paths)
 
         retrieved = vtsearch(tree)
         # One caption -> summary chain per type, all chains at once, each on
@@ -271,8 +273,8 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         qtypes = sorted(prompts)
 
         def caption_type(qtype: str) -> tuple[list, list]:
-            caps = caption_frames(retrieved, prompts[qtype], backend,
-                                  frames.frame_ref, pool=calls)
+            caps = caption_frames(retrieved, prompts[qtype], backend, ref,
+                                  pool=calls)
             return caps, summarize_segments(caps, shots, backend, pool=calls)
 
         with ThreadPoolExecutor(max_workers=max(1, len(qtypes))) as chains:

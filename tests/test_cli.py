@@ -279,7 +279,7 @@ def test_cli_bad_config_exits_4(tmp_path, capsys) -> None:
     assert "made_up_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["max_inflight", "question_concurrency"])
+@pytest.mark.parametrize("key", ["max_inflight", "question_concurrency", "fps"])
 def test_cli_removed_engine_concurrency_keys_exit_4(tmp_path, capsys, key) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: 4}))
@@ -452,7 +452,12 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
                           contents))
     nowhere = tmp_path / "no_such_dir"
     cache_file = bad("invalid-json", "cache")
+    v1_sidecar = tmp_path / "bad" / "v1.sidecar.json"
+    v1_doc = json.loads(sidecar.read_text())
+    del v1_doc["version"], v1_doc["fps"], v1_doc["frame_paths"]
+    v1_sidecar.write_text(json.dumps(v1_doc))
     table += [
+        ("ask sidecar of version 1", ask(sidecar=v1_sidecar), 2),
         ("build tree output", build(out=nowhere / "t.json"), 2),
         ("build sidecar output",
          build("--out-sidecar", str(nowhere / "s.json")), 2),
@@ -464,7 +469,7 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
             {"backend": {"cache_dir": str(cache_file)}})), 4),
         ("cache_dir under a file", evaluate("--cache", *config(
             {"backend": {"cache_dir": str(cache_file / "sub")}})), 4),
-        ("config value NaN", evaluate(*config({"fps": float("nan")})), 4),
+        ("config value NaN", evaluate(*config({"tau": float("nan")})), 4),
         ("backend.timeout_s not positive",
          evaluate(*config({"backend": {"timeout_s": 0}})), 4),
         ("--mock-script regex that does not compile", ask(*mock_script(

@@ -11,6 +11,7 @@ from videoqa.ingest import (
     Shot,
     consecutive_distances,
     detect_shots,
+    frame_ref,
     load_frames,
     nearest_to_centroid,
     read_embeddings,
@@ -80,7 +81,7 @@ def test_load_frames_180_at_1fps(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [180], noise=0.2)
     frames = load_frames(manifest)
     assert frames.num_frames == 180
-    assert [f.frame_index for f in frames.frames] == list(range(180))
+    assert frames.paths == {}, "an embedding manifest names no image"
     assert frames.fps == 1.0
     assert frames.embeddings.shape == (180, 8)
 
@@ -89,7 +90,7 @@ def test_load_frames_single_frame(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [1])
     frames = load_frames(manifest)
     assert frames.num_frames == 1
-    assert frames.frames[0].frame_index == 0
+    assert frames.embeddings.shape == (1, 8)
 
 
 def test_load_frames_respects_fps(tmp_path) -> None:
@@ -178,7 +179,7 @@ def test_load_frames_embedder_backend_route(tmp_path) -> None:
     script.add("img1.jpg", [0.0, 1.0])
     frames = load_frames(path, MockBackend(script))
     assert frames.embeddings.shape == (2, 2)
-    assert frames.frames[0].source_path == "img0.jpg"
+    assert frames.paths == {0: "img0.jpg", 1: "img1.jpg"}
 
 
 def test_load_frames_embedder_dim_mismatch_names_row(tmp_path) -> None:
@@ -203,7 +204,18 @@ def test_load_frames_images_without_backend(tmp_path) -> None:
 def test_frame_ref_falls_back_to_synthetic_id(tmp_path) -> None:
     manifest = write_video(tmp_path, "clip", [2])
     frames = load_frames(manifest)
-    assert frames.frame_ref(1) == "clip:frame:1"
+    assert frame_ref("clip", frames.paths, 1) == "clip:frame:1"
+    assert frame_ref("clip", {1: "frames/1.jpg"}, 1) == "frames/1.jpg"
+
+
+@pytest.mark.parametrize("path", [5, ["a"], "", None])
+def test_load_frames_rejects_a_path_that_is_not_a_string(tmp_path, path) -> None:
+    manifest = _write_manifest(tmp_path, {
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": 0, "path": path}, {"index": 1, "path": "b.jpg"}]})
+    script = MockScript(default_response=[1.0, 0.0])
+    with pytest.raises(ValidationError, match="frame 0 path"):
+        load_frames(manifest, MockBackend(script))
 
 
 # ---------------------------------------------------------------------------

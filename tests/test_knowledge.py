@@ -7,7 +7,12 @@ import re
 import pytest
 
 from videoqa.captioning import FrameCaption, SegmentSummary
-from videoqa.errors import ConfigError, NotFoundError, ValidationError
+from videoqa.errors import (
+    ConfigError,
+    NotFoundError,
+    UnsupportedVersionError,
+    ValidationError,
+)
 from videoqa.ingest import Shot
 import videoqa.knowledge as knowledge
 from videoqa.knowledge import (
@@ -234,6 +239,13 @@ def test_frame_ref_fallback_pattern() -> None:
     assert _store().frame_ref(7) == "vid:frame:7"
 
 
+def test_frame_ref_names_the_frame_path() -> None:
+    store = _store()
+    store.frame_paths = {7: "frames/7.jpg"}
+    assert store.frame_ref(7) == "frames/7.jpg"
+    assert store.frame_ref(6) == "vid:frame:6"
+
+
 # ---------------------------------------------------------------------------
 # Paging
 # ---------------------------------------------------------------------------
@@ -336,14 +348,64 @@ def test_offset_must_be_a_non_negative_integer(scope, offset) -> None:
 
 def test_sidecar_roundtrip() -> None:
     store = _store()
+    store.frame_paths = {5: "frames/5.jpg"}
     doc = store.to_sidecar()
+    assert doc["version"] == "2"
     assert doc["video_id"] == "vid"
+    assert doc["fps"] == 2.0
+    assert doc["frame_paths"] == [{"frame": 5, "path": "frames/5.jpg"}]
     assert {"frame", "qtype", "text"} == set(doc["captions"][0])
-    clone = KnowledgeStore.from_sidecar(store.tree, doc, fps=2.0)
-    assert clone.captions == store.captions
-    assert clone.summaries == store.summaries
-    assert clone.first_pass == store.first_pass
+    clone = KnowledgeStore.from_sidecar(store.tree, doc)
+    assert clone == store
     assert clone.to_sidecar() == doc
+
+
+def test_sidecar_fps_keyword_only_checks() -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    assert KnowledgeStore.from_sidecar(store.tree, doc, fps=2.0).fps == 2.0
+    with pytest.raises(ValidationError, match="differs"):
+        KnowledgeStore.from_sidecar(store.tree, doc, fps=1.0)
+
+
+@pytest.mark.parametrize("version", [None, "1", 2, "3"])
+def test_sidecar_other_version_rejected(version) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    if version is None:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    with pytest.raises(UnsupportedVersionError, match="sidecar version"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+@pytest.mark.parametrize("fps", [0, -2.0, float("nan"), float("inf"), "2",
+                                 True, None])
+def test_sidecar_bad_fps_rejected(fps) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["fps"] = fps
+    with pytest.raises(ValidationError, match="fps"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+@pytest.mark.parametrize("item", [
+    {"frame": 16, "path": "x.jpg"},
+    {"frame": -1, "path": "x.jpg"},
+    {"frame": 10**9, "path": "x.jpg"},
+    {"frame": 3, "path": 5},
+    {"frame": 3, "path": ""},
+    {"frame": 3, "path": ["a"]},
+    {"frame": 3},
+    {"frame": 3.0, "path": "x.jpg"},
+])
+def test_sidecar_bad_frame_path_rejected(item) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["frame_paths"].append(item)
+    with pytest.raises(ValidationError, match="frame_paths"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
 
 
 def test_sidecar_of_another_video_rejected() -> None:
@@ -367,6 +429,14 @@ def test_sidecar_rejects_unknown_shots() -> None:
     doc = store.to_sidecar()
     doc["summaries"].append({"shot": 44, "qtype": "Causal", "text": "x"})
     with pytest.raises(ValidationError, match="44"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+def test_sidecar_rejects_first_pass_of_unknown_shot() -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    doc["first_pass"].append({"shot": 44, "text": "x"})
+    with pytest.raises(ValidationError, match="first_pass.*44"):
         KnowledgeStore.from_sidecar(store.tree, doc)
 
 

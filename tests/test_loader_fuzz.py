@@ -81,6 +81,10 @@ class Fixture:
             "mock script": json.loads(world.script_path.read_text()),
         }
         self.valid["mock script"]["default_response"] = "fallback"
+        # An image path on one frame, so its checks are fuzzed as well.
+        self.valid["manifest"]["frames"][0]["path"] = "frames/0.jpg"
+        self.valid["sidecar"]["frame_paths"] = [{"frame": 0,
+                                                 "path": "frames/0.jpg"}]
         self.profile_path = profile_dir / "causal.json"
 
     def load(self, loader: str, doc) -> None:
@@ -177,8 +181,10 @@ def test_loader_gives_a_value_or_its_error(fixture, loader, data) -> None:
 
 # (loader, field, value): the valid document with `field` set to `value`, or
 # `value` itself when `field` is empty. Each once ended in a traceback (a
-# MemoryError for the tree), or loaded a NaN, an infinity, a truncated 1.5 or
-# a negative timeout as a working value; each must now be refused.
+# MemoryError for the tree), or loaded a NaN, an infinity, a truncated 1.5, a
+# negative timeout, a frame outside the tree, an older sidecar version or a
+# value of the wrong type (kept, or turned into its string) as a working
+# value; each must now be refused.
 PINNED = [
     ("manifest", ("embeddings_path",), []),
     ("manifest", ("fps",), math.nan),
@@ -188,7 +194,7 @@ PINNED = [
     ("sidecar", ("captions", 0, "frame"), math.inf),
     ("sidecar", ("summaries", 0, "shot"), -math.inf),
     ("tree", ("nodes", 0, "frames"), [0, 10**12]),
-    ("config", ("fps",), math.nan),
+    ("config", ("tau",), math.nan),
     ("config", ("backend", "timeout_s"), -1),
     ("profile", ("weights", "text"), math.inf),
     ("mock script", ("rules", 0, "match"), 5),
@@ -196,6 +202,13 @@ PINNED = [
                          "default_response": "x"}),
     ("mock script", ("rules", 0, "error"), []),
     ("mock script", ("rules",), 5),
+    ("manifest", ("frames", 0, "path"), 5),
+    ("questions", (0, "question_id"), None),
+    ("questions", (0, "text"), ["x"]),
+    ("questions", (0, "options"), [None, {"a": 1}]),
+    ("sidecar", ("version",), "1"),
+    ("sidecar", ("fps",), math.nan),
+    ("sidecar", ("frame_paths", 0, "frame"), 10**9),
 ]
 
 

@@ -110,6 +110,21 @@ def test_uniform_leaf_shots_partition() -> None:
     assert len(shots_small) == 3, "clamped to the frame count"
 
 
+@pytest.mark.parametrize("field,value", [
+    ("question_id", None), ("question_id", 7), ("text", ["x"]), ("text", None),
+    ("options", [None, {"a": 1}]), ("options", ["a", 2]),
+])
+def test_question_fields_must_be_strings(tmp_path, field, value) -> None:
+    """A question's id, text and options are taken as given, never turned
+    into their string form."""
+    doc = {"question_id": "q1", "text": "Why?", "options": ["a", "b"]}
+    doc[field] = value
+    qfile = tmp_path / "questions.json"
+    qfile.write_text(json.dumps([doc]))
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        load_question_file(qfile)
+
+
 def test_question_file_and_manifest_validation(tmp_path) -> None:
     qfile = tmp_path / "questions.json"
     qfile.write_text(json.dumps([{
