@@ -36,7 +36,7 @@ from .errors import (
     MalformedResponseError,
     MockScriptError,
     TransportError,
-    read_json,
+    read_doc,
 )
 
 logger = logging.getLogger(__name__)
@@ -185,34 +185,22 @@ class MockScript:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockScript":
-        doc = read_json(path, "mock script", ConfigError)
-        if isinstance(doc, dict):
-            rules_doc = doc.get("rules", [])
-            default = doc.get("default_response")
-        elif isinstance(doc, list):
-            rules_doc, default = doc, None
-        else:
-            raise ConfigError("mock script must be a JSON list or object")
-        if not isinstance(rules_doc, list):
-            raise ConfigError("mock script rules must be a list")
+        """A list of rules, or an object `{rules, default_response}`."""
+        root = read_doc(path, "mock script", ConfigError)
+        bare = isinstance(root.value, list)
         rules = []
-        for i, item in enumerate(rules_doc):
-            if not isinstance(item, dict) or not isinstance(item.get("match"), str):
-                raise ConfigError(
-                    f"mock rule {i} must be an object with a string 'match'")
-            error = item.get("error")
-            if error is not None and not isinstance(error, str):
-                raise ConfigError(f"mock rule {i} error must be a string")
-            rule = MockRule(match=item["match"], response=item.get("response"),
-                            regex=bool(item.get("regex", False)), error=error)
+        for item in root.objects(None if bare else "rules", []):
+            rule = MockRule(match=item.string("match"),
+                            response=item.value.get("response"),
+                            regex=item.boolean("regex", False),
+                            error=item.string("error", None, null=True))
             if rule.regex:
                 try:
                     re.compile(rule.match)
                 except re.error as exc:
-                    raise ConfigError(
-                        f"mock rule {i} match is not a valid regex: {exc}") from None
+                    item.fail(f"not a valid regex: {exc}", "match")
             rules.append(rule)
-        return cls(rules, default)
+        return cls(rules, None if bare else root.value.get("default_response"))
 
 
 class MockBackend(Backend):

@@ -11,7 +11,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, read_json
+from .errors import ConfigError, Doc, read_doc
 
 
 @dataclass
@@ -75,41 +75,28 @@ class EngineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EngineConfig":
-        doc = read_json(path, "config file", ConfigError)
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-        return cls.from_doc(doc)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "EngineConfig":
-        kwargs = dict(doc)
-        backend_doc = kwargs.pop("backend", None)
-        kwargs = _typed_kwargs(cls, kwargs, "config")
-        if backend_doc is not None:
-            if not isinstance(backend_doc, dict):
-                raise ConfigError("backend must be an object")
-            kwargs["backend"] = BackendConfig(
-                **_typed_kwargs(BackendConfig, backend_doc, "backend"))
-        return cls(**kwargs)
+        doc = read_doc(path, "config file", ConfigError).obj()
+        return cls(**_typed_kwargs(cls, doc))
 
 
-def _typed_kwargs(cls: type, doc: dict, section: str) -> dict:
-    """`doc` as keyword arguments of the dataclass `cls`. ConfigError names
-    an unknown key, or a value that is not of its field's declared type: an
-    int counts as a float, a bool does not count as an int, None only where
-    the type allows it, and NaN and the infinities not at all."""
+# How a config field's declared type is read; `X | None` also takes null.
+_ACCESSORS = {str: Doc.string, int: Doc.integer, float: Doc.number,
+              bool: Doc.boolean}
+
+
+def _typed_kwargs(cls: type, doc: Doc) -> dict:
+    """`doc` as keyword arguments of the dataclass `cls`; ConfigError names
+    an unknown key or a value of the wrong type."""
     hints = typing.get_type_hints(cls)
-    unknown = sorted(set(doc) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown {section} key: {unknown[0]}")
-    for key, value in sorted(doc.items()):
-        allowed = typing.get_args(hints[key]) or (hints[key],)
-        if float in allowed:
-            allowed += (int,)
-        finite = not isinstance(value, float) or abs(value) < float("inf")
-        if not isinstance(value, allowed) or not finite or (
-                isinstance(value, bool) and bool not in allowed):
-            raise ConfigError(f"{section} value {key} must be "
-                              f"{getattr(hints[key], '__name__', hints[key])}, "
-                              f"got {value!r}")
-    return dict(doc)
+    kwargs = {}
+    for key in sorted(doc.value):
+        if key not in hints:
+            doc.fail("unknown config key", key)
+        if hints[key] is BackendConfig:
+            kwargs[key] = BackendConfig(**_typed_kwargs(BackendConfig,
+                                                        doc.obj(key)))
+            continue
+        nullable = typing.get_args(hints[key])
+        accessor = _ACCESSORS[nullable[0] if nullable else hints[key]]
+        kwargs[key] = accessor(doc, key, None, null=bool(nullable))
+    return kwargs

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import Backend, embed_request
-from .errors import InputError, ValidationError, read_bytes, read_json
+from .errors import InputError, ValidationError, read_bytes, read_doc
 
 EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
@@ -99,71 +99,73 @@ def read_embeddings(path: str | Path) -> np.ndarray:
 # Manifest loading
 # ---------------------------------------------------------------------------
 
-def load_frames(manifest_path: str | Path,
-                backend: Backend | None = None) -> VideoFrames:
+def load_frames(manifest_path: str | Path, backend: Backend | None = None,
+                video_id: str | None = None) -> VideoFrames:
     """Load a frame manifest and return validated frames + embeddings.
 
     The manifest either points at a precomputed embedding matrix
-    (embeddings_path) or lists per-frame image paths, in which case a
-    backend serving "embed" is required.
+    (embeddings_path) or gives every frame an image path, in which case a
+    backend serving "embed" is required. A `video_id`, when given, is the id
+    the manifest must declare; it is checked before any model call.
     """
     p = Path(manifest_path)
-    doc = read_json(p, "frame manifest")
-    if not isinstance(doc, dict):
-        raise ValidationError(f"manifest {p} must be a JSON object")
-
-    video_id = doc.get("video_id")
-    if not isinstance(video_id, str) or not video_id:
-        raise ValidationError(f"manifest {p} missing video_id")
-    fps = doc.get("fps", 1.0)
-    if not isinstance(fps, (int, float)) or not 0 < fps < float("inf"):
-        raise ValidationError(f"manifest {p} fps must be positive and finite")
-    entries = doc.get("frames")
-    if not isinstance(entries, list) or not entries:
-        raise ValidationError(f"manifest {p} has no frames")
+    root = read_doc(p, "frame manifest", ValidationError)
+    manifest_id = root.string("video_id", nonempty=True)
+    if video_id is not None and manifest_id != video_id:
+        root.fail(f"manifest is for video {manifest_id!r}, its dataset entry "
+                  f"for {video_id!r}", "video_id")
+    fps = root.number("fps", 1.0)
+    if not fps > 0:
+        root.fail(f"must be positive, got {fps}", "fps")
+    frames = root.objects("frames")
+    if not frames:
+        root.fail("has no frames", "frames")
 
     paths: dict[int, str] = {}
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("index"), int):
-            raise ValidationError(f"manifest frame {i} must carry an integer index")
-        if "path" in entry:
-            if not isinstance(entry["path"], str) or not entry["path"]:
-                raise ValidationError(
-                    f"manifest frame {i} path must be a non-empty string")
-            paths[entry["index"]] = entry["path"]
-    indices = sorted(entry["index"] for entry in entries)
-    if indices != list(range(len(entries))):
-        raise ValidationError(
-            f"frame indices must be unique and contiguous from 0, got {indices[:8]}...")
+    indices = []
+    pathless = None
+    for frame in frames:
+        index = frame.integer("index")
+        path = frame.string("path", None, nonempty=True)
+        if path is not None:
+            paths[index] = path
+        elif pathless is None:
+            pathless = frame
+        indices.append(index)
+    indices.sort()
+    if indices != list(range(len(frames))):
+        root.fail("frame indices must be unique and contiguous from 0, got "
+                  f"{indices[:8]}...", "frames")
 
-    embeddings_path = doc.get("embeddings_path")
-    if embeddings_path is not None and not isinstance(embeddings_path, str):
-        raise ValidationError(f"manifest {p} embeddings_path must be a string")
+    embeddings_path = root.string("embeddings_path", None)
     if embeddings_path is not None:
         epath = Path(embeddings_path)
         if not epath.is_absolute():
             epath = p.parent / epath
         matrix = read_embeddings(epath)
-        if matrix.shape[0] != len(entries):
+        if matrix.shape[0] != len(frames):
             raise ValidationError(
-                f"embeddings have {matrix.shape[0]} rows for {len(entries)} frames")
+                f"embeddings have {matrix.shape[0]} rows for {len(frames)} frames")
     else:
+        if pathless is not None:
+            pathless.fail("missing; with no embeddings_path every frame needs "
+                          "a path", "path")
         if backend is None or "embed" not in backend.capabilities:
             raise InputError(
                 f"manifest {p} has no embeddings_path; an embedding backend is required")
-        matrix = _embed_images(video_id, paths, len(entries), backend)
+        matrix = _embed_images(paths, len(frames), backend)
 
     _validate_matrix(matrix)
-    return VideoFrames(video_id=video_id, fps=float(fps), paths=paths,
+    return VideoFrames(video_id=manifest_id, fps=fps, paths=paths,
                        embeddings=matrix)
 
 
-def _embed_images(video_id: str, paths: dict[int, str], num_frames: int,
+def _embed_images(paths: dict[int, str], num_frames: int,
                   backend: Backend) -> np.ndarray:
     rows: list[list[float]] = []
     dim: int | None = None
     for index in range(num_frames):
-        vec = backend.call(embed_request(frame_ref(video_id, paths, index)))
+        vec = backend.call(embed_request(paths[index]))
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from .captioning import (
     QTYPE_CAUSAL,
@@ -24,6 +25,7 @@ from .captioning import (
 )
 from .errors import (
     ConfigError,
+    Doc,
     NotFoundError,
     UnsupportedVersionError,
     ValidationError,
@@ -66,49 +68,36 @@ class AgentProfile:
     requires_bidirectional_check: bool
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "AgentProfile":
-        if not isinstance(doc, dict):
-            raise ConfigError("profile must be a JSON object")
-        qtype = doc.get("qtype")
-        if qtype not in QTYPES:
-            raise ConfigError(f"profile field qtype must be one of {QTYPES}, "
-                              f"got {qtype!r}")
-        strategy_doc = doc.get("strategy")
-        if not isinstance(strategy_doc, dict) or not strategy_doc.get("name"):
-            raise ConfigError("profile field strategy.name is required")
-        tools_doc = doc.get("tools", [])
-        if not isinstance(tools_doc, list):
-            raise ConfigError("profile field tools must be a list")
-        for tool in tools_doc:
+    def from_doc(cls, doc: Any, source: str = "profile") -> "AgentProfile":
+        root = Doc(doc, ConfigError, source)
+        qtype = root.enum("qtype", QTYPES)
+        strategy = root.obj("strategy")
+        tools = root.strings("tools", [])
+        for i, tool in enumerate(tools):
             if tool not in KNOWN_TOOLS:
-                raise ConfigError(f"profile field tools contains unknown tool "
-                                  f"{tool!r} (known: {KNOWN_TOOLS})")
-        weights_doc = doc.get("weights")
-        if not isinstance(weights_doc, dict) or not weights_doc:
-            raise ConfigError("profile field weights must be a non-empty object")
+                root.fail(f"unknown tool {tool!r} (known: {', '.join(KNOWN_TOOLS)})",
+                          f"tools/{i}")
+        weights_doc = root.obj("weights")
         weights = {}
-        for key, value in weights_doc.items():
+        for key in weights_doc.value:
             if key not in ("text", "visual"):
-                raise ConfigError(f"profile field weights.{key} is not a known source")
-            if not isinstance(value, (int, float)) or not 0 <= value < float("inf"):
-                raise ConfigError(
-                    f"profile field weights.{key} must be a finite number >= 0")
-            weights[key] = float(value)
+                weights_doc.fail("is not a known evidence source", key)
+            weights[key] = weights_doc.number(key)
+            if weights[key] < 0:
+                weights_doc.fail(f"must be >= 0, got {weights[key]}", key)
         total = sum(weights.values())
-        if total <= 0:
-            raise ConfigError("profile field weights must sum to a positive value")
-        weights = {k: v / total for k, v in weights.items()}
-        requires_bidi = bool(doc.get("requires_bidirectional_check", False))
+        if not total > 0:
+            root.fail("must sum to a positive value", "weights")
+        requires_bidi = root.boolean("requires_bidirectional_check", False)
         if qtype == QTYPE_CAUSAL and not requires_bidi:
-            raise ConfigError(
-                "profile field requires_bidirectional_check must be true for Causal")
+            root.fail("must be true for Causal", "requires_bidirectional_check")
         return cls(
             qtype=qtype,
-            strategy=Strategy(name=str(strategy_doc["name"]),
-                              instructions=str(strategy_doc.get("instructions", ""))),
-            tools=tuple(tools_doc),
-            weights=weights,
-            requires_visual_agent=bool(doc.get("requires_visual_agent", True)),
+            strategy=Strategy(name=strategy.string("name", nonempty=True),
+                              instructions=strategy.string("instructions", "")),
+            tools=tuple(tools),
+            weights={k: v / total for k, v in weights.items()},
+            requires_visual_agent=root.boolean("requires_visual_agent", True),
             requires_bidirectional_check=requires_bidi,
         )
 
@@ -172,7 +161,7 @@ def load_profiles(config_dir: str | Path | None) -> dict[str, AgentProfile]:
             doc = read_json(path, "profile", ConfigError)
         except NotFoundError:
             continue
-        profile = AgentProfile.from_doc(doc)
+        profile = AgentProfile.from_doc(doc, str(path))
         if profile.qtype != qtype:
             raise ConfigError(
                 f"profile field qtype in {path.name} is {profile.qtype}, "
@@ -401,79 +390,41 @@ class KnowledgeStore:
         }
 
     @classmethod
-    def from_sidecar(cls, tree: HybridTree, doc: dict,
+    def from_sidecar(cls, tree: HybridTree, doc: Any,
                      fps: float | None = None) -> "KnowledgeStore":
         # Only perfbench/ passes `fps`; a value other than the sidecar's is refused.
-        if not isinstance(doc, dict):
-            raise ValidationError("sidecar must be a JSON object")
-        version = doc.get("version")
+        root = Doc(doc, ValidationError, "sidecar").obj()
+        version = root.value.get("version")
         if version != SIDECAR_VERSION:
-            raise UnsupportedVersionError(
-                "/version", f"unsupported sidecar version {version!r}; rebuild it")
-        if doc.get("video_id") != tree.video_id:
-            raise ValidationError(f"sidecar is for video {doc.get('video_id')!r}, "
-                                  f"the tree for {tree.video_id!r}")
-        doc_fps = doc.get("fps")
-        if type(doc_fps) not in (int, float) or not 0 < doc_fps < float("inf"):
-            raise ValidationError(
-                f"sidecar fps must be positive and finite, got {doc_fps!r}")
+            root.fail(f"unsupported sidecar version {version!r}; rebuild it",
+                      "version", UnsupportedVersionError)
+        video_id = root.string("video_id")
+        if video_id != tree.video_id:
+            root.fail(f"sidecar is for video {video_id!r}, the tree for "
+                      f"{tree.video_id!r}", "video_id")
+        doc_fps = root.number("fps")
+        if not doc_fps > 0:
+            root.fail(f"must be positive, got {doc_fps}", "fps")
         if fps is not None and fps != doc_fps:
-            raise ValidationError(f"fps {fps} differs from the sidecar's {doc_fps}")
+            root.fail(f"fps {fps} differs from the sidecar's {doc_fps}", "fps")
         frames, shots = range(tree.num_frames()), frozenset(tree.shot_order)
-        store = cls(tree=tree, fps=float(doc_fps))
-        store.frame_paths = dict(_sidecar_items(doc, "frame_paths", lambda item: (
-            _item_index(item, "frame", frames), _item_path(item))))
-        store.add_captions(_sidecar_items(doc, "captions", lambda item: FrameCaption(
-            _item_index(item, "frame", frames), _item_qtype(item), _item_text(item))))
-        store.add_summaries(_sidecar_items(doc, "summaries", lambda item: SegmentSummary(
-            _item_index(item, "shot", shots), _item_qtype(item), _item_text(item))))
-        store.first_pass = dict(_sidecar_items(doc, "first_pass", lambda item: (
-            _item_index(item, "shot", shots), _item_text(item))))
+
+        def index(item: Doc, key: str, valid: range | frozenset) -> int:
+            value = item.integer(key)
+            if value not in valid:
+                item.fail(f"{key} {value} is not in the tree", key)
+            return value
+
+        store = cls(tree=tree, fps=doc_fps)
+        for item in root.objects("frame_paths", []):
+            store.frame_paths[index(item, "frame", frames)] = item.string(
+                "path", nonempty=True)
+        store.add_captions([FrameCaption(
+            index(item, "frame", frames), item.enum("qtype", QTYPES),
+            item.string("text")) for item in root.objects("captions", [])])
+        store.add_summaries([SegmentSummary(
+            index(item, "shot", shots), item.enum("qtype", QTYPES),
+            item.string("text")) for item in root.objects("summaries", [])])
+        for item in root.objects("first_pass", []):
+            store.first_pass[index(item, "shot", shots)] = item.string("text")
         return store
-
-
-def _sidecar_items(doc: dict, section: str, parse) -> list:
-    """Parse one sidecar section; a malformed item (not an object, a missing
-    key, an index that is not an integer or not in the tree, a bad text, path
-    or question type) raises ValidationError naming it."""
-    items = doc.get(section, [])
-    if not isinstance(items, list):
-        raise ValidationError(f"sidecar {section} must be a list")
-    parsed = []
-    for i, item in enumerate(items):
-        try:
-            parsed.append(parse(item))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(
-                f"sidecar {section}[{i}] is malformed: {exc!r}") from None
-    return parsed
-
-
-def _item_index(item: dict, key: str, valid: range | frozenset) -> int:
-    index = item[key]
-    if type(index) is not int:
-        raise TypeError(f"{key} must be an integer, got {index!r}")
-    if index not in valid:
-        raise ValueError(f"{key} {index} is not in the tree")
-    return index
-
-
-def _item_text(item: dict) -> str:
-    text = item["text"]
-    if not isinstance(text, str):
-        raise TypeError(f"text must be a string, got {type(text).__name__}")
-    return text
-
-
-def _item_path(item: dict) -> str:
-    path = item["path"]
-    if not isinstance(path, str) or not path:
-        raise TypeError(f"path must be a non-empty string, got {path!r}")
-    return path
-
-
-def _item_qtype(item: dict) -> str:
-    qtype = item["qtype"]
-    if qtype not in QTYPES:
-        raise ValueError(f"qtype must be one of {QTYPES}, got {qtype!r}")
-    return qtype

@@ -35,6 +35,7 @@ from .captioning import (
 )
 from .errors import (
     BackendError,
+    Doc,
     IntegrationError,
     ValidationError,
     VideoQAError,
@@ -425,34 +426,31 @@ def react_preamble(stage: Stage, question: QuestionBundle,
 
 
 def _clamp(value: float) -> float:
-    return min(1.0, max(0.0, float(value)))
+    return min(1.0, max(0.0, value))
 
 
 def _parse_final(payload: str, agent: str,
                  num_options: int) -> EvidenceItem | str:
-    """EvidenceItem from a FINAL payload, or a rejection reason string."""
+    """EvidenceItem from a FINAL payload, or a rejection reason string.
+    Finite numbers are clamped to [0, 1]; any other type is rejected."""
     try:
-        doc = json.loads(payload)
+        doc = Doc(json.loads(payload), ValidationError, "FINAL")
+        support = doc.numbers("option_support")
+        if len(support) != num_options:
+            doc.fail(f"must list {num_options} values, got {len(support)}",
+                     "option_support")
+        check = doc.obj("direction_check", None, null=True)
+        return EvidenceItem(
+            source=agent, option_support=tuple(_clamp(v) for v in support),
+            confidence=_clamp(doc.number("confidence", 0.5)),
+            rationale=doc.string("rationale", ""),
+            direction_check=None if check is None else DirectionCheck(
+                check.boolean("cause_supported", False),
+                check.boolean("effect_supported", False)))
     except json.JSONDecodeError as exc:
         return f"FINAL payload is not valid JSON: {exc}"
-    support = doc.get("option_support")
-    if not isinstance(support, list) or len(support) != num_options:
-        return (f"option_support must list {num_options} values, "
-                f"got {support!r}")
-    try:
-        support_t = tuple(_clamp(v) for v in support)
-        confidence = _clamp(doc.get("confidence", 0.5))
-    except (TypeError, ValueError):
-        return "option_support and confidence must be numeric"
-    direction = None
-    if isinstance(doc.get("direction_check"), dict):
-        dc = doc["direction_check"]
-        direction = DirectionCheck(bool(dc.get("cause_supported")),
-                                   bool(dc.get("effect_supported")))
-    return EvidenceItem(source=agent, option_support=support_t,
-                        confidence=confidence,
-                        rationale=str(doc.get("rationale", "")),
-                        direction_check=direction)
+    except ValidationError as exc:
+        return str(exc)
 
 
 def _run_tool(tool: str, args: dict, store: KnowledgeStore,

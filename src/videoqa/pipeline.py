@@ -37,7 +37,7 @@ from .captioning import (
     synthesize_prompt,
 )
 from .config import EngineConfig
-from .errors import ValidationError, canonical_json, read_json
+from .errors import Doc, ValidationError, canonical_json, read_doc
 from .ingest import Shot, detect_shots, frame_ref, load_frames, make_shot
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
@@ -87,76 +87,44 @@ class VideoEntry:
     questions: tuple[RawQuestion, ...]
 
 
-def _parse_question(doc: dict, where: str) -> RawQuestion:
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: question entry must be an object")
-    for key in ("question_id", "text"):
-        if not isinstance(doc.get(key), str):
-            raise ValidationError(
-                f"{where}: {key} must be a string, got {doc.get(key)!r}")
-    options = doc.get("options", [])
-    if not isinstance(options, list) or not all(
-            isinstance(o, str) for o in options):
-        raise ValidationError(f"{where}: options must be a list of strings")
-    options = tuple(options)
-    gold = doc.get("gold_index")
-    if gold is not None:
-        if type(gold) is not int:
-            raise ValidationError(
-                f"{where}: gold_index must be an integer, got {gold!r}")
-        if not 0 <= gold < len(options):
-            raise ValidationError(
-                f"{where}: gold_index {gold} outside the option range")
-    declared = doc.get("declared_type")
-    if declared is not None and declared not in QTYPES:
-        raise ValidationError(
-            f"{where}: declared_type {declared!r} is not in {QTYPES}")
+def _parse_question(doc: Doc) -> RawQuestion:
+    options = tuple(doc.strings("options", []))
+    gold = doc.integer("gold_index", None, null=True)
+    if gold is not None and not 0 <= gold < len(options):
+        doc.fail(f"{gold} is outside the option range", "gold_index")
     return RawQuestion(
-        question_id=doc["question_id"],
-        text=doc["text"],
+        question_id=doc.string("question_id"),
+        text=doc.string("text"),
         options=options,
         gold_index=gold,
-        declared_type=declared,
+        declared_type=doc.enum("declared_type", QTYPES, None, null=True),
     )
 
 
 def load_question_file(path: str | Path) -> list[RawQuestion]:
-    doc = read_json(path, "question file")
-    if isinstance(doc, dict):
-        doc = doc.get("questions", [])
-    if not isinstance(doc, list):
-        raise ValidationError(f"{path}: expected a list of questions")
-    return [_parse_question(q, f"{path}#{i}") for i, q in enumerate(doc)]
+    """A list of questions, or an object holding it under `questions`."""
+    root = read_doc(path, "question file", ValidationError)
+    key = None if isinstance(root.value, list) else "questions"
+    return [_parse_question(q) for q in root.objects(key, [])]
 
 
 def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
+    """A list of entries, or an object holding it under `entries`."""
     p = Path(path)
-    doc = read_json(p, "dataset manifest")
-    entries_doc = doc.get("entries") if isinstance(doc, dict) else doc
-    if not isinstance(entries_doc, list):
-        raise ValidationError(f"{p}: expected an entries list")
+    root = read_doc(p, "dataset manifest", ValidationError)
+    key = None if isinstance(root.value, list) else "entries"
     entries = []
     seen = set()
-    for i, entry in enumerate(entries_doc):
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{p}#{i}: dataset entry must be an object")
-        video_id = str(entry.get("video_id", ""))
-        if not video_id:
-            raise ValidationError(f"{p}#{i}: missing video_id")
+    for entry in root.objects(key):
+        video_id = entry.string("video_id", nonempty=True)
         if video_id in seen:
-            raise ValidationError(f"{p}#{i}: duplicate video_id {video_id}")
+            entry.fail(f"duplicate video_id {video_id}", "video_id")
         seen.add(video_id)
-        manifest_path = entry.get("frame_manifest_path")
-        if not manifest_path or not isinstance(manifest_path, str):
-            raise ValidationError(
-                f"{p}#{i}: frame_manifest_path must be a non-empty string")
+        manifest_path = entry.string("frame_manifest_path", nonempty=True)
         if not Path(manifest_path).is_absolute():
             manifest_path = str(p.parent / manifest_path)
-        questions_doc = entry.get("questions", [])
-        if not isinstance(questions_doc, list):
-            raise ValidationError(f"{p}#{i}: questions must be a list")
-        questions = tuple(_parse_question(q, f"{p}#{i}.q{j}")
-                          for j, q in enumerate(questions_doc))
+        questions = tuple(_parse_question(q)
+                          for q in entry.objects("questions", []))
         entries.append(VideoEntry(video_id, manifest_path, questions))
     return entries
 
@@ -219,9 +187,11 @@ class BuildResult:
 
 
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
-                config: EngineConfig, backend: Backend) -> BuildResult:
-    """Build the tree and knowledge store for one video."""
-    frames = load_frames(manifest_path, backend)
+                config: EngineConfig, backend: Backend,
+                video_id: str | None = None) -> BuildResult:
+    """Build the tree and knowledge store for one video; a `video_id`, when
+    given, is the id its frame manifest must declare."""
+    frames = load_frames(manifest_path, backend, video_id)
     ref = partial(frame_ref, frames.video_id, frames.paths)
     params = TreeParams(tau=config.tau, k=config.k, max_depth=config.max_depth,
                         gamma=config.gamma)
@@ -356,7 +326,7 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
     def process_entry(entry: VideoEntry) -> list[
             tuple[RawQuestion, QuestionBundle, AnswerRecord]]:
         result = build_video(entry.frame_manifest_path, list(entry.questions),
-                             config, backend)
+                             config, backend, entry.video_id)
 
         def answer_one(bundle: QuestionBundle) -> AnswerRecord:
             return answer_question(bundle, result.store, profiles, config,

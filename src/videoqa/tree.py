@@ -13,7 +13,6 @@ import logging
 import re
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -22,6 +21,7 @@ import numpy as np
 from .backends import Backend, chat_request
 from .errors import (
     BackendError,
+    Doc,
     TreeParseError,
     UnsupportedVersionError,
     ValidationError,
@@ -437,99 +437,66 @@ def tree_to_json(tree: HybridTree) -> str:
     return canonical_json(serialize_tree(tree))
 
 
-def _need(doc: Any, key: str, kind: type | tuple, pointer: str) -> Any:
-    if not isinstance(doc, dict):
-        raise TreeParseError(pointer or "/", "expected an object")
-    if key not in doc:
-        raise TreeParseError(f"{pointer}/{key}", "missing required field")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise TreeParseError(f"{pointer}/{key}",
-                             f"expected {getattr(kind, '__name__', kind)}")
-    return value
-
-
-def _ints(values: list, pointer: str) -> list[int]:
-    if not all(type(v) is int for v in values):
-        raise TreeParseError(pointer, "expected a list of integers")
-    return values
-
-
-def deserialize_tree(doc: dict) -> HybridTree:
-    version = _need(doc, "version", str, "")
+def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
+    """The tree a document holds; TreeParseError names the field at fault."""
+    root = Doc(doc, TreeParseError, source)
+    version = root.string("version")
     if version != TREE_SCHEMA_VERSION:
-        raise UnsupportedVersionError(
-            "/version", f"unsupported tree schema version {version!r}")
-    video_id = _need(doc, "video_id", str, "")
-    params_doc = _need(doc, "params", dict, "")
-    params = TreeParams(
-        tau=float(_need(params_doc, "tau", (int, float), "/params")),
-        k=int(_need(params_doc, "k", int, "/params")),
-        max_depth=int(_need(params_doc, "max_depth", int, "/params")),
-        gamma=float(_need(params_doc, "gamma", (int, float), "/params")),
-    )
-    nodes_doc = _need(doc, "nodes", list, "")
+        root.fail(f"unsupported tree schema version {version!r}", "version",
+                  UnsupportedVersionError)
+    params_doc = root.obj("params")
+    params = TreeParams(tau=params_doc.number("tau"), k=params_doc.integer("k"),
+                        max_depth=params_doc.integer("max_depth"),
+                        gamma=params_doc.number("gamma"))
+    node_docs = root.objects("nodes")
     nodes: dict[int, TreeNode] = {}
     shot_frames = 0
-    for i, node_doc in enumerate(nodes_doc):
-        pointer = f"/nodes/{i}"
-        node_id = _need(node_doc, "id", int, pointer)
-        kind = _need(node_doc, "kind", str, pointer)
-        if kind not in (KIND_SHOT, KIND_CLUSTER):
-            raise TreeParseError(f"{pointer}/kind", f"unknown node kind {kind!r}")
-        frames_doc = _ints(_need(node_doc, "frames", list, pointer),
-                           f"{pointer}/frames")
+    for node_doc in node_docs:
+        node_id = node_doc.integer("id")
+        kind = node_doc.enum("kind", (KIND_SHOT, KIND_CLUSTER))
+        frames = node_doc.integers("frames")
         if kind == KIND_SHOT:
-            if len(frames_doc) != 2:
-                raise TreeParseError(f"{pointer}/frames",
-                                     "shot frames must be [start, end]")
-            shot_frames += max(0, frames_doc[1] + 1 - frames_doc[0])
+            if len(frames) != 2:
+                node_doc.fail("shot frames must be [start, end]", "frames")
+            shot_frames += max(0, frames[1] + 1 - frames[0])
             if shot_frames > MAX_TREE_FRAMES:
-                raise TreeParseError(f"{pointer}/frames", "shots span more "
-                                     f"than {MAX_TREE_FRAMES} frames")
-            frames = tuple(range(frames_doc[0], frames_doc[1] + 1))
-        else:
-            frames = tuple(frames_doc)
+                node_doc.fail(f"shots span more than {MAX_TREE_FRAMES} frames",
+                              "frames")
+            frames = range(frames[0], frames[1] + 1)
         if not frames:
-            raise TreeParseError(f"{pointer}/frames",
-                                 "no frames (an empty cluster or a reversed shot)")
-        relevance = None
-        if "relevance" in node_doc:
-            rel_doc = node_doc["relevance"]
-            relevance = RelevanceScore(
-                value=float(_need(rel_doc, "value", (int, float),
-                                  f"{pointer}/relevance")),
-                rationale=str(rel_doc.get("rationale", "")),
-                defaulted=bool(rel_doc.get("defaulted", False)),
-            )
+            node_doc.fail("no frames (an empty cluster or a reversed shot)",
+                          "frames")
+        rel_doc = node_doc.obj("relevance", None)
+        relevance = None if rel_doc is None else RelevanceScore(
+            value=rel_doc.number("value"),
+            rationale=rel_doc.string("rationale", ""),
+            defaulted=rel_doc.boolean("defaulted", False))
         nodes[node_id] = TreeNode(
             node_id=node_id,
             kind=kind,
-            frames=frames,
-            representative_frame=_need(node_doc, "rep", int, pointer),
-            depth=_need(node_doc, "depth", int, pointer),
-            children=_ints(_need(node_doc, "children", list, pointer),
-                           f"{pointer}/children"),
+            frames=tuple(frames),
+            representative_frame=node_doc.integer("rep"),
+            depth=node_doc.integer("depth"),
+            children=node_doc.integers("children"),
             relevance=relevance,
         )
-    for i, node_doc in enumerate(nodes_doc):
-        for child_id in node_doc["children"]:
+    for node_doc in node_docs:
+        for child_id in node_doc.value["children"]:
             if child_id not in nodes:
-                raise TreeParseError(f"/nodes/{i}/children",
-                                     f"unknown node id {child_id}")
-    shot_order = _ints(_need(doc, "shot_order", list, ""), "/shot_order")
+                node_doc.fail(f"unknown node id {child_id}", "children")
+    shot_order = root.integers("shot_order")
     for sid in shot_order:
         if sid not in nodes:
-            raise TreeParseError("/shot_order", f"unknown node id {sid}")
+            root.fail(f"unknown node id {sid}", "shot_order")
     if len(set(shot_order)) != len(shot_order):
-        raise TreeParseError("/shot_order", "a node id is listed twice")
-    return HybridTree(video_id=video_id, params=params, nodes=nodes,
-                      shot_order=shot_order)
+        root.fail("a node id is listed twice", "shot_order")
+    return HybridTree(video_id=root.string("video_id"), params=params,
+                      nodes=nodes, shot_order=shot_order)
 
 
 def load_tree(path: str | Path) -> HybridTree:
     """Read, parse and validate a tree file."""
-    tree = deserialize_tree(
-        read_json(path, "tree file", partial(TreeParseError, "/")))
+    tree = deserialize_tree(read_json(path, "tree file", TreeParseError),
+                            str(path))
     tree.validate()
     return tree

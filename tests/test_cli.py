@@ -81,7 +81,7 @@ def test_cli_ask_malformed_sidecar_item_exits_2(tmp_path, capsys) -> None:
                  "--option", "a park", "--option", "a kitchen",
                  "--mock-script", str(world.script_path)])
     assert code == 2
-    assert "sidecar captions[0]" in capsys.readouterr().err
+    assert "sidecar#/captions/0/text" in capsys.readouterr().err
 
 
 def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:
@@ -364,7 +364,7 @@ def test_cli_mistyped_config_value_exits_4(tmp_path, capsys, doc, key) -> None:
                  "--config", str(config)])
     assert code == 4
     err = capsys.readouterr().err
-    assert f"value {key} must be" in err and "Traceback" not in err
+    assert f"/{key}: expected" in err and "Traceback" not in err
 
 
 def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> None:

@@ -18,7 +18,7 @@ from videoqa.ingest import (
     write_embeddings,
 )
 
-from conftest import shot_embeddings, write_video
+from conftest import RecordingBackend, shot_embeddings, write_video
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,11 +124,11 @@ def test_load_frames_noncontiguous_indices(tmp_path) -> None:
         "video_id": "v", "fps": 1,
         "frames": [{"index": 0}, {"index": "a"}],
         "embeddings_path": "x.emb"})
-    with pytest.raises(ValidationError, match="frame 1 must carry an integer index"):
+    with pytest.raises(ValidationError, match="#/frames/1/index: expected an int"):
         load_frames(path)
 
     path = _write_manifest(tmp_path, [1])
-    with pytest.raises(ValidationError, match="must be a JSON object"):
+    with pytest.raises(ValidationError, match="#: expected an object"):
         load_frames(path)
 
 
@@ -208,14 +208,22 @@ def test_frame_ref_falls_back_to_synthetic_id(tmp_path) -> None:
     assert frame_ref("clip", {1: "frames/1.jpg"}, 1) == "frames/1.jpg"
 
 
-@pytest.mark.parametrize("path", [5, ["a"], "", None])
+ABSENT = object()
+
+
+@pytest.mark.parametrize("path", [5, ["a"], "", None,
+                                  pytest.param(ABSENT, id="absent")])
 def test_load_frames_rejects_a_path_that_is_not_a_string(tmp_path, path) -> None:
+    """With no embeddings_path, every frame needs a non-empty string path,
+    and a frame without one is refused before any embed call."""
+    first = {"index": 0} if path is ABSENT else {"index": 0, "path": path}
     manifest = _write_manifest(tmp_path, {
         "video_id": "v", "fps": 1,
-        "frames": [{"index": 0, "path": path}, {"index": 1, "path": "b.jpg"}]})
-    script = MockScript(default_response=[1.0, 0.0])
-    with pytest.raises(ValidationError, match="frame 0 path"):
-        load_frames(manifest, MockBackend(script))
+        "frames": [first, {"index": 1, "path": "b.jpg"}]})
+    backend = RecordingBackend(MockBackend(MockScript(default_response=[1.0, 0.0])))
+    with pytest.raises(ValidationError, match="#/frames/0/path: "):
+        load_frames(manifest, backend)
+    assert backend.calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Property test: every loader ends a malformed document in its documented
-error, never a traceback.
+error, never a traceback, and never coerces a value of the wrong type.
 
 Eight loaders read the program's JSON inputs: the frame manifest, question
 file, dataset manifest, sidecar, tree, config, agent profile and mock script.
@@ -8,9 +8,14 @@ JSON reader accepts them) and one-field mutations of a valid document: one
 value anywhere in it replaced by an arbitrary JSON value, or one object key
 removed. Each input must load, or raise InputError or ConfigError, which the
 CLI turns into exit code 2 or 4. A mock script that loads must also serve a
-call or fail it with a BackendError (exit 3).
+call or fail it with a BackendError (exit 3). A mutation that gives a value
+another JSON type (another Python type after `json.loads`) must raise,
+unless the README documents that type for the field: an int for a number,
+null for the fields in `NULLABLE`, and any JSON for a mock reply.
 
-Examples the property once failed on are pinned in `PINNED`.
+Examples the property once failed on are pinned in `PINNED`. The two
+documents the program writes, the tree and the sidecar, must also load back
+to what was written.
 """
 
 from __future__ import annotations
@@ -22,14 +27,22 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from videoqa.backends import MockBackend, MockScript, caption_request, chat_request
-from videoqa.config import EngineConfig
-from videoqa.errors import BackendError, ConfigError, InputError, read_json
-from videoqa.ingest import load_frames
+from videoqa.captioning import QTYPES, FrameCaption, SegmentSummary
+from videoqa.config import BackendConfig, EngineConfig
+from videoqa.errors import (
+    BackendError,
+    ConfigError,
+    InputError,
+    canonical_json,
+    read_json,
+)
+from videoqa.ingest import load_frames, make_shot
 from videoqa.knowledge import KnowledgeStore, builtin_profiles, load_profiles
 from videoqa.pipeline import (
     RawQuestion,
@@ -37,7 +50,15 @@ from videoqa.pipeline import (
     load_dataset_manifest,
     load_question_file,
 )
-from videoqa.tree import load_tree, tree_to_json
+from videoqa.tree import (
+    RelevanceScore,
+    TreeParams,
+    attach_scores,
+    expand_tree,
+    load_tree,
+    tree_from_shots,
+    tree_to_json,
+)
 
 from conftest import build_golden_world, profile_doc
 
@@ -75,8 +96,14 @@ class Fixture:
             "dataset": json.loads(world.dataset_path.read_text()),
             "sidecar": built.store.to_sidecar(),
             "tree": json.loads(tree_to_json(built.tree)),
+            # Every optional string set, so each field's valid type shows.
             "config": dataclasses.asdict(EngineConfig(
-                template_dir=str(root), profile_dir=str(profile_dir))),
+                template_dir=str(root), profile_dir=str(profile_dir),
+                backend=BackendConfig(
+                    chat_endpoint="http://localhost:1/chat",
+                    caption_endpoint="http://localhost:1/caption",
+                    embed_endpoint="http://localhost:1/embed",
+                    cache_dir=str(root / "cache")))),
             "profile": profile_doc(builtin_profiles()["Causal"]),
             "mock script": json.loads(world.script_path.read_text()),
         }
@@ -148,10 +175,31 @@ def _has(doc, field: tuple) -> bool:
     return isinstance(doc, dict) and key in doc and _has(doc[key], rest)
 
 
+# (loader, field name): the fields that also take null, read as absent.
+NULLABLE = {(loader, name) for loader in ("questions", "dataset")
+            for name in ("gold_index", "declared_type")} | {
+    ("mock script", "error")} | {
+    ("config", name) for name in ("template_dir", "profile_dir", "cache_dir",
+                                  "chat_endpoint", "caption_endpoint",
+                                  "embed_endpoint")}
+ANY_JSON = {("mock script", "response"), ("mock script", "default_response")}
+
+
+def _retyped(loader: str, key, old, new) -> bool:
+    """Whether `new` in place of `old` at field `key` is of a JSON type the
+    field does not take."""
+    if type(new) is type(old) or (loader, key) in ANY_JSON:
+        return False
+    if type(old) is float and type(new) is int:
+        return False  # an int where a number is expected
+    return not (new is None and (loader, key) in NULLABLE)
+
+
 @st.composite
-def mutations(draw, valid):
+def mutations(draw, loader, valid):
     """`valid` with one field, drawn uniformly, replaced by arbitrary JSON
-    or removed."""
+    (half the time a value of another JSON type) or removed; and whether the
+    loader must refuse it for its type."""
     field = draw(st.sampled_from(sorted(_fields(valid), key=repr)),
                  label="field")
     doc = copy.deepcopy(valid)
@@ -164,9 +212,11 @@ def mutations(draw, valid):
         parent, key, node = node, part, node[part]
     if isinstance(parent, dict) and draw(st.booleans(), label="remove"):
         del parent[key]
-    else:
-        parent[key] = draw(JSON, label="value")
-    return doc
+        return doc, False
+    other_types = [value for value in (None, True, 1, 0.5, "x", [], {})
+                   if type(value) is not type(node)]
+    parent[key] = draw(JSON | st.sampled_from(other_types), label="value")
+    return doc, _retyped(loader, key, node, parent[key])
 
 
 @pytest.mark.parametrize("loader", LOADERS)
@@ -174,17 +224,23 @@ def mutations(draw, valid):
 @given(data=st.data())
 def test_loader_gives_a_value_or_its_error(fixture, loader, data) -> None:
     valid = fixture.valid[loader]
-    doc = data.draw(mutations(valid) | JSON, label="document")
-    with contextlib.suppress(InputError, ConfigError):
-        fixture.load(loader, doc)
+    doc, retyped = data.draw(mutations(loader, valid)
+                             | JSON.map(lambda doc: (doc, False)),
+                             label="document")
+    if retyped:
+        with pytest.raises((InputError, ConfigError)):
+            fixture.load(loader, doc)
+    else:
+        with contextlib.suppress(InputError, ConfigError):
+            fixture.load(loader, doc)
 
 
 # (loader, field, value): the valid document with `field` set to `value`, or
 # `value` itself when `field` is empty. Each once ended in a traceback (a
 # MemoryError for the tree), or loaded a NaN, an infinity, a truncated 1.5, a
 # negative timeout, a frame outside the tree, an older sidecar version or a
-# value of the wrong type (kept, or turned into its string) as a working
-# value; each must now be refused.
+# value of the wrong type (kept, or turned into a bool, a number or its
+# string) as a working value; each must now be refused.
 PINNED = [
     ("manifest", ("embeddings_path",), []),
     ("manifest", ("fps",), math.nan),
@@ -209,6 +265,17 @@ PINNED = [
     ("sidecar", ("version",), "1"),
     ("sidecar", ("fps",), math.nan),
     ("sidecar", ("frame_paths", 0, "frame"), 10**9),
+    ("tree", ("params", "k"), True),
+    ("tree", ("params", "tau"), True),
+    ("tree", ("nodes", 0, "rep"), True),
+    ("tree", ("nodes", 0, "relevance", "rationale"), ["x"]),
+    ("tree", ("nodes", 0, "relevance", "defaulted"), "no"),
+    ("manifest", ("fps",), True),
+    ("manifest", ("frames", 0, "index"), False),
+    ("dataset", ("entries", 0, "video_id"), 5),
+    ("profile", ("strategy", "name"), 5),
+    ("profile", ("requires_visual_agent",), "no"),
+    ("mock script", ("rules", 0, "regex"), "no"),
 ]
 
 
@@ -232,3 +299,67 @@ def test_loader_pinned_examples(fixture, loader, field, value) -> None:
 @pytest.mark.parametrize("loader", LOADERS)
 def test_loader_valid_documents_load(fixture, loader) -> None:
     fixture.load(loader, fixture.valid[loader])
+
+
+# ---------------------------------------------------------------------------
+# Round trips of the two documents the program writes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def trees(draw):
+    """A valid tree: shots of drawn lengths over random embeddings, scored
+    and expanded unless left at layer 1."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    embeddings = np.random.default_rng(draw(st.integers(0, 99))).normal(
+        size=(sum(lengths), 3))
+    shots, start = [], 0
+    for shot_id, length in enumerate(lengths):
+        shots.append(make_shot(shot_id, start, start + length - 1, embeddings))
+        start += length
+    unit = st.floats(0.01, 0.99)
+    params = TreeParams(tau=draw(st.floats(1.0, 5.0)), k=draw(st.integers(1, 3)),
+                        max_depth=draw(st.integers(1, 3)), gamma=draw(unit))
+    tree = tree_from_shots(draw(st.text(max_size=6)), shots, params)
+    if draw(st.booleans()):
+        attach_scores(tree, [RelevanceScore(draw(st.floats(1.0, 5.0)),
+                                            draw(st.text(max_size=6)),
+                                            draw(st.booleans()))
+                             for _ in shots])
+        expand_tree(tree, embeddings, seed=0)
+    return tree
+
+
+@st.composite
+def stores(draw):
+    """A store over a drawn tree, every section drawn."""
+    tree = draw(trees())
+    frame = st.integers(0, tree.num_frames() - 1)
+    shot = st.sampled_from(tree.shot_order)
+    text, qtype = st.text(max_size=6), st.sampled_from(QTYPES)
+    store = KnowledgeStore(tree=tree, fps=draw(st.floats(
+        0.0, 1e6, exclude_min=True)))
+    store.frame_paths = draw(st.dictionaries(frame, st.text(min_size=1,
+                                                            max_size=6)))
+    store.add_captions([FrameCaption(f, q, t) for (f, q), t in draw(
+        st.dictionaries(st.tuples(frame, qtype), text, max_size=4)).items()])
+    store.add_summaries([SegmentSummary(s, q, t) for (s, q), t in draw(
+        st.dictionaries(st.tuples(shot, qtype), text, max_size=4)).items()])
+    store.first_pass = draw(st.dictionaries(shot, text, max_size=4))
+    return store
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(tree=trees())
+def test_tree_loads_back_as_written(fixture, tree) -> None:
+    path = fixture.dir / "roundtrip.tree.json"
+    path.write_text(tree_to_json(tree), encoding="utf-8")
+    assert load_tree(path) == tree
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(store=stores())
+def test_sidecar_loads_back_as_written(fixture, store) -> None:
+    path = fixture.dir / "roundtrip.sidecar.json"
+    path.write_text(canonical_json(store.to_sidecar()), encoding="utf-8")
+    assert KnowledgeStore.from_sidecar(store.tree, read_json(path, "sidecar")) \
+        == store

@@ -442,6 +442,33 @@ def test_react_support_values_clamped() -> None:
     assert item.confidence == 1.0
 
 
+@pytest.mark.parametrize("payload", [
+    "[0.1, 0.9]",
+    '"x"',
+    "null",
+    '{"option_support": [NaN, 0.5, 0.5]}',
+    '{"option_support": [1e999, 0.5, 0.5]}',
+    '{"option_support": [true, false, 0.5]}',
+    '{"option_support": [0.1, 0.8, 0.1], "direction_check": '
+    '{"cause_supported": "no"}}',
+])
+def test_react_rejected_final_payload_becomes_error_observation(payload) -> None:
+    """A FINAL payload that is not an object, or holds a value of the wrong
+    type, is refused like invalid JSON: the step observes the error and the
+    loop goes on."""
+    backend = _backend(
+        ("OBSERVATION: ERROR", _final((0.1, 0.8, 0.1))),
+        ("working on question", "THOUGHT: done\nFINAL: " + payload),
+    )
+    trace = []
+    item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
+                               backend, budget=5, trace=trace)
+    assert trace[0].action == "final"
+    assert trace[0].observation.startswith("ERROR: ")
+    assert consumed == 2
+    assert item.option_support == (0.1, 0.8, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # Evidence integration
 # ---------------------------------------------------------------------------

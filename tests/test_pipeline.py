@@ -121,7 +121,7 @@ def test_question_fields_must_be_strings(tmp_path, field, value) -> None:
     doc[field] = value
     qfile = tmp_path / "questions.json"
     qfile.write_text(json.dumps([doc]))
-    with pytest.raises(ValidationError, match=f"{field} must be"):
+    with pytest.raises(ValidationError, match=rf"#/0/{field}(/\d+)?: expected"):
         load_question_file(qfile)
 
 
@@ -147,7 +147,7 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
 
     qfile.write_text(json.dumps([{
         "question_id": "q1", "text": "Why?", "options": 5}]))
-    with pytest.raises(ValidationError, match="options must be a list"):
+    with pytest.raises(ValidationError, match="/options: expected a list"):
         load_question_file(qfile)
 
     mfile = tmp_path / "dataset.json"
@@ -162,20 +162,34 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
 def test_dataset_manifest_rejects_malformed_entries(tmp_path) -> None:
     mfile = tmp_path / "dataset.json"
     mfile.write_text(json.dumps({"entries": [42]}))
-    with pytest.raises(ValidationError, match="must be an object"):
+    with pytest.raises(ValidationError, match="#/entries/0: expected an object"):
         load_dataset_manifest(mfile)
 
     mfile.write_text(json.dumps({"entries": [
         {"video_id": "v1", "frame_manifest_path": "a.json", "questions": [
             {"question_id": "q1", "text": "Why?", "options": ["a", "b"],
              "gold_index": "x"}]}]}))
-    with pytest.raises(ValidationError, match="gold_index must be an integer"):
+    with pytest.raises(ValidationError, match="/gold_index: expected an int"):
         load_dataset_manifest(mfile)
 
     mfile.write_text(json.dumps({"entries": [
         {"video_id": "v1", "frame_manifest_path": "a.json", "questions": 5}]}))
-    with pytest.raises(ValidationError, match="questions must be a list"):
+    with pytest.raises(ValidationError, match="/questions: expected a list"):
         load_dataset_manifest(mfile)
+
+
+def test_evaluate_refuses_an_entry_whose_manifest_names_another_video(
+        tmp_path) -> None:
+    """A dataset entry's video_id must be its frame manifest's; a mismatch
+    is refused, naming both ids, before any model call."""
+    world = build_golden_world(tmp_path / "golden")
+    doc = json.loads(world.dataset_path.read_text())
+    doc["entries"][0]["video_id"] = "golden_z"
+    world.dataset_path.write_text(json.dumps(doc))
+    backend = world.backend()
+    with pytest.raises(ValidationError, match="'golden_a'.*'golden_z'"):
+        evaluate(world.dataset_path, EngineConfig(), backend)
+    assert backend.calls == []
 
 
 def test_cli_eval_malformed_dataset_entry_exits_2(tmp_path, capsys) -> None:

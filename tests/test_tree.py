@@ -431,9 +431,9 @@ def test_serialize_unknown_version() -> None:
 def test_serialize_bad_node_pointer() -> None:
     table = [
         (lambda doc: doc["nodes"][1].pop("kind"), "/nodes/1/kind"),
-        (lambda doc: doc["nodes"][1].update(frames=["a", "b"]), "/nodes/1/frames"),
-        (lambda doc: doc["nodes"][1].update(children=["x"]), "/nodes/1/children"),
-        (lambda doc: doc.update(shot_order=[[0]]), "/shot_order"),
+        (lambda doc: doc["nodes"][1].update(frames=["a", "b"]), "/nodes/1/frames/0"),
+        (lambda doc: doc["nodes"][1].update(children=["x"]), "/nodes/1/children/0"),
+        (lambda doc: doc.update(shot_order=[[0]]), "/shot_order/0"),
         (lambda doc: doc["nodes"][1].update(children=[999]), "/nodes/1/children"),
         (lambda doc: doc.update(shot_order=[0, 0]), "/shot_order"),
         (lambda doc: doc["nodes"][0].update(frames=[15, 0]), "/nodes/0/frames"),
