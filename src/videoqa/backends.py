@@ -33,6 +33,7 @@ from .errors import (
     BackendTimeout,
     CapabilityMismatchError,
     ConfigError,
+    Doc,
     MalformedResponseError,
     MockScriptError,
     TransportError,
@@ -91,9 +92,17 @@ def _sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _checked(capability: str, reply: Any) -> Any:
+    """A chat or caption reply as a string, an embed reply as a list of
+    finite numbers (no bools) read as floats; MalformedResponseError for any
+    other reply."""
+    doc = Doc(reply, MalformedResponseError, f"{capability} reply")
+    return doc.numbers() if capability == "embed" else doc.string()
+
+
 class Backend:
-    """The one model service every stage calls: the in-flight cap, with
-    subclasses implementing _call().
+    """The one model service every stage calls: the in-flight cap and the
+    reply check, with subclasses implementing _call().
 
     `max_inflight` is the only limit on concurrent model calls, and it sizes
     every pool that fans calls out to this backend. `capabilities` names the
@@ -126,7 +135,7 @@ class Backend:
     def call(self, request: BackendRequest) -> Any:
         rendered = render_payload(request)
         with self._inflight:
-            return self._call(request, rendered)
+            return _checked(request.capability, self._call(request, rendered))
 
     def _call(self, request: BackendRequest, rendered: str) -> Any:
         raise NotImplementedError
@@ -206,12 +215,9 @@ class MockScript:
 class MockBackend(Backend):
     """Deterministic backend driven by a MockScript."""
 
-    def __init__(self, script: MockScript,
-                 capabilities: tuple[str, ...] = CAPABILITIES,
-                 max_inflight: int = 8):
+    def __init__(self, script: MockScript, max_inflight: int = 8):
         super().__init__(max_inflight)
         self.script = script
-        self.capabilities = tuple(capabilities)
 
     @property
     def identity(self) -> str:
@@ -228,38 +234,16 @@ class MockBackend(Backend):
         return "mock:" + _sha256_hex(body)
 
     def _call(self, request: BackendRequest, rendered: str) -> Any:
-        if request.capability not in self.capabilities:
-            raise CapabilityMismatchError(
-                f"mock serves {self.capabilities}, got {request.capability!r}")
         rule = self.script.lookup(rendered)
         if rule is not None:
             if rule.error is not None:
                 kind = _ERROR_KINDS.get(rule.error, BackendError)
                 raise kind(f"scripted {rule.error} failure")
-            response = rule.response
-        elif self.script.default_response is not None:
-            default = self.script.default_response
-            response = default(rendered) if callable(default) else default
-        else:
+            return rule.response
+        default = self.script.default_response
+        if default is None:
             raise MockScriptError(f"no mock rule matches: {rendered[:200]}")
-        return _coerce_response(request.capability, response)
-
-
-def _coerce_response(capability: str, response: Any) -> Any:
-    if capability == "embed":
-        if isinstance(response, str):
-            try:
-                response = json.loads(response)
-            except json.JSONDecodeError:
-                raise MalformedResponseError("embed response is not a vector")
-        if not isinstance(response, list) or not all(
-                isinstance(x, (int, float)) for x in response):
-            raise MalformedResponseError("embed response is not a vector")
-        return [float(x) for x in response]
-    if not isinstance(response, str):
-        raise MalformedResponseError(
-            f"{capability} response must be text, got {type(response).__name__}")
-    return response
+        return default(rendered) if callable(default) else default
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +361,17 @@ class RemoteBackend(Backend):
         return {"input": request.payload["image"]}
 
     @staticmethod
-    def _parse_body(capability: str, doc: dict) -> Any:
-        try:
-            if capability == "embed":
-                vec = doc["data"][0]["embedding"]
-                return [float(x) for x in vec]
-            return doc["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponseError(
-                f"unexpected {capability} response shape") from exc
+    def _parse_body(capability: str, body: Any) -> Any:
+        """The reply in a response body, `data[0].embedding` for embed and
+        `choices[0].message.content` otherwise; `call` checks its type."""
+        doc = Doc(body, MalformedResponseError, f"{capability} response")
+        key = "data" if capability == "embed" else "choices"
+        items = doc.objects(key)
+        if not items:
+            doc.fail("expected a non-empty list, got []", key)
+        if capability == "embed":
+            return items[0].value.get("embedding")
+        return items[0].obj("message").value.get("content")
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +383,10 @@ class CachingBackend(Backend):
     repeated runs log zero inner calls. Entries are keyed on the inner
     backend's identity and the rendered payload. The wrapper reports the
     inner backend's capabilities and in-flight limit but sets no cap of its
-    own: the inner backend's is the only one. An unreadable entry counts as
-    a miss and is overwritten; an entry that cannot be written (say, the
-    directory was removed) is logged and the response still returned."""
+    own: the inner backend's is the only one. An unreadable entry (not a JSON
+    object, or its `response` fails the reply check) counts as a miss and is
+    overwritten; an entry that cannot be written (say, the directory was
+    removed) is logged and the response still returned."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
         super().__init__(inner.max_inflight)
@@ -424,8 +411,11 @@ class CachingBackend(Backend):
         path = self.cache_dir / f"{self.cache_key(request)}.json"
         if path.exists():
             try:
-                response = json.loads(path.read_text(encoding="utf-8"))["response"]
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+                entry = Doc(json.loads(path.read_text(encoding="utf-8")),
+                            MalformedResponseError, path.name).obj()
+                response = _checked(request.capability,
+                                    entry.value.get("response"))
+            except (ValueError, MalformedResponseError) as exc:
                 logger.warning("corrupt cache entry %s (%s), treated as a miss",
                                path.name, exc)
             else:

@@ -112,7 +112,7 @@ def classify_question(question: str, options: tuple[str, ...] | list[str],
         qtype = find_qtype_label(reply)
     if qtype is None:
         logger.warning("unparseable classification %r, defaulting to Descriptive",
-                       str(reply)[:80])
+                       reply[:80])
         return QTYPE_DESCRIPTIVE
     return qtype
 
@@ -156,7 +156,7 @@ def synthesize_prompt(qtype: str, questions: list[str], llm: Backend,
         raise ValidationError(f"no questions of type {qtype} to synthesize from")
     template = load_template(qtype.lower(), template_dir)
     reply = llm.call(chat_request(synthesis_prompt(template, questions)))
-    return VisualPrompt(qtype=qtype, text=str(reply))
+    return VisualPrompt(qtype=qtype, text=reply)
 
 
 def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
@@ -192,7 +192,7 @@ def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
             except BackendError as exc:
                 logger.warning("frame %d caption failed twice: %s", frame_index, exc)
                 return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
-        return FrameCaption(frame_index, prompt.qtype, str(text))
+        return FrameCaption(frame_index, prompt.qtype, text)
 
     captions = list(pool.map(caption_one, sorted(frames)))
     if all(c.text == SENTINEL_CAPTION for c in captions):
@@ -239,6 +239,6 @@ def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
             text = llm.call(chat_request(fusion_prompt(qtype, [c.text for c in caps])))
         except BackendError as exc:
             raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
-        return SegmentSummary(shot_id, qtype, str(text))
+        return SegmentSummary(shot_id, qtype, text)
 
     return list(pool.map(summarize_one, sorted(grouped.items())))

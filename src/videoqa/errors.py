@@ -10,8 +10,9 @@ cannot be opened or written raises InputError (NotFoundError when it does
 not exist). Bytes that are not UTF-8 or not JSON raise the caller's
 `invalid` error, a callable on the message: InputError by default,
 ConfigError for the config, mock script, profiles and templates.
-`Doc` reads the fields of every JSON document the program loads, and
-`read_doc` opens one. `canonical_json` is the one byte-stable rendering of
+`Doc` reads the fields of every JSON document the program loads or a
+model writes; `read_doc` opens a file as one, and `parse_doc` reads a
+model's text as one. `canonical_json` is the one byte-stable rendering of
 every document the program writes.
 """
 
@@ -113,15 +114,25 @@ def read_text(path: str | Path, what: str, invalid=InputError) -> str:
 
 
 def read_json(path: str | Path, what: str, invalid=InputError) -> Any:
+    return _loads(read_text(path, what, invalid), f"{what} {path}", invalid)
+
+
+def _loads(text: str, what: str, invalid) -> Any:
     try:
-        return json.loads(read_text(path, what, invalid))
-    except json.JSONDecodeError as exc:
-        raise invalid(f"{what} {path} is not valid JSON: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise invalid(f"{what} is not valid JSON: {exc}") from exc
 
 
 def read_doc(path: str | Path, what: str, error=InputError) -> "Doc":
     """The JSON file at `path` as a `Doc` whose faults raise `error`."""
     return Doc(read_json(path, what, error), error, str(path))
+
+
+def parse_doc(text: str, source: str, error=ValidationError) -> "Doc":
+    """The JSON a model wrote, as a `Doc` named `source` whose faults, text
+    that is not JSON included, raise `error`."""
+    return Doc(_loads(text, source, error), error, source)
 
 
 _MISSING = object()
@@ -194,6 +205,8 @@ class Doc:
 
     def _list(self, key: Any, default: Any, kind: type) -> list:
         values = self._get(key, default, False, list)
+        if values is default:
+            return default
         for i, value in enumerate(values):
             if (type(value) is not kind or kind is float) and not _is(value, kind):
                 self.fail(f"expected {_NAMES[kind]}, got {_show(value)}",
@@ -235,6 +248,8 @@ class Doc:
 
     def objects(self, key=None, default=_MISSING) -> list["Doc"]:
         values = self._list(key, default, dict)
+        if values is default:
+            return default
         parent = self if key is None else Doc(values, self.error, self.source,
                                               self, key)
         return [Doc(value, self.error, self.source, parent, i)
@@ -247,7 +262,8 @@ class Doc:
         return self._list(key, default, int)
 
     def numbers(self, key=None, default=_MISSING) -> list[float]:
-        return [float(value) for value in self._list(key, default, float)]
+        values = self._list(key, default, float)
+        return default if values is default else [float(v) for v in values]
 
 
 def write_text(path: str | Path, text: str, what: str) -> None:

@@ -65,7 +65,6 @@ class AgentProfile:
     tools: tuple[str, ...]
     weights: dict[str, float]          # {"text": w, "visual": w}, sums to 1
     requires_visual_agent: bool
-    requires_bidirectional_check: bool
 
     @classmethod
     def from_doc(cls, doc: Any, source: str = "profile") -> "AgentProfile":
@@ -88,9 +87,6 @@ class AgentProfile:
         total = sum(weights.values())
         if not total > 0:
             root.fail("must sum to a positive value", "weights")
-        requires_bidi = root.boolean("requires_bidirectional_check", False)
-        if qtype == QTYPE_CAUSAL and not requires_bidi:
-            root.fail("must be true for Causal", "requires_bidirectional_check")
         return cls(
             qtype=qtype,
             strategy=Strategy(name=strategy.string("name", nonempty=True),
@@ -98,7 +94,6 @@ class AgentProfile:
             tools=tuple(tools),
             weights={k: v / total for k, v in weights.items()},
             requires_visual_agent=root.boolean("requires_visual_agent", True),
-            requires_bidirectional_check=requires_bidi,
         )
 
 
@@ -116,7 +111,6 @@ def builtin_profiles() -> dict[str, AgentProfile]:
             "tools": list(KNOWN_TOOLS),
             "weights": {"text": 0.5, "visual": 0.5},
             "requires_visual_agent": True,
-            "requires_bidirectional_check": True,
         },
         QTYPE_TEMPORAL: {
             "qtype": QTYPE_TEMPORAL,
@@ -129,7 +123,6 @@ def builtin_profiles() -> dict[str, AgentProfile]:
             "tools": list(KNOWN_TOOLS),
             "weights": {"text": 0.7, "visual": 0.3},
             "requires_visual_agent": True,
-            "requires_bidirectional_check": False,
         },
         QTYPE_DESCRIPTIVE: {
             "qtype": QTYPE_DESCRIPTIVE,
@@ -142,7 +135,6 @@ def builtin_profiles() -> dict[str, AgentProfile]:
             "tools": list(KNOWN_TOOLS),
             "weights": {"text": 0.3, "visual": 0.7},
             "requires_visual_agent": False,
-            "requires_bidirectional_check": False,
         },
     }
     return {qtype: AgentProfile.from_doc(doc) for qtype, doc in docs.items()}
@@ -267,14 +259,14 @@ class KnowledgeStore:
         the requested type falls back to the generic first-pass captions
         with degraded=True. The result holds every selected row; the
         selector's `offset` (default 0, any scope) picks the page its text
-        shows."""
+        shows. A selector key of another type than the README's raises
+        ValidationError."""
         if scope not in RETRIEVAL_SCOPES:
             raise ValidationError(f"unknown retrieval scope {scope!r}")
-        selector = selector or {}
-        offset = selector.get("offset", 0)
-        if type(offset) is not int or offset < 0:
-            raise ValidationError(
-                f"offset must be a non-negative integer, got {offset!r}")
+        selector = Doc(selector or {}, ValidationError, scope)
+        offset = selector.integer("offset", 0)
+        if offset < 0:
+            selector.fail(f"must be >= 0, got {offset}", "offset")
         if scope == SCOPE_TEMPORAL_INDEX:
             result = self._temporal_index()
         elif scope == SCOPE_MOMENT_CAPTIONS:
@@ -297,18 +289,21 @@ class KnowledgeStore:
             })
         return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows)
 
-    def _selected_interval(self, selector: dict) -> tuple[int, int] | None:
+    def _selected_interval(self, selector: Doc) -> tuple[int, int] | None:
         """The frames a selector names, as [first, last]; a model-chosen
         range is never expanded, so its size costs nothing."""
-        if "shot_id" in selector:
-            shot = self._shot_by_id(int(selector["shot_id"]))
+        if "shot_id" in selector.value:
+            shot = self._shot_by_id(selector.integer("shot_id"))
             return shot.start_frame, shot.end_frame
-        if "frame_range" in selector:
-            a, b = selector["frame_range"]
-            return int(a), int(b)
+        if "frame_range" in selector.value:
+            bounds = selector.integers("frame_range")
+            if len(bounds) != 2:
+                selector.fail(f"expected two ints, got {len(bounds)}",
+                              "frame_range")
+            return bounds[0], bounds[1]
         return None
 
-    def _moment_captions(self, qtype: str, selector: dict) -> RetrievalResult:
+    def _moment_captions(self, qtype: str, selector: Doc) -> RetrievalResult:
         interval = self._selected_interval(selector)
         typed = [(frame, cap) for (frame, ctype), cap in self.captions.items()
                  if ctype == qtype]
@@ -327,14 +322,14 @@ class KnowledgeStore:
                 for frame, cap in sorted(typed, key=lambda item: item[0])]
         return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows)
 
-    def _segment_summaries(self, qtype: str, selector: dict) -> RetrievalResult:
-        shot_ids = selector.get("shot_ids")
-        if shot_ids is None and "shot_id" in selector:
-            shot_ids = [selector["shot_id"]]
+    def _segment_summaries(self, qtype: str, selector: Doc) -> RetrievalResult:
+        shot_ids = selector.integers("shot_ids", None)
+        if shot_ids is None and "shot_id" in selector.value:
+            shot_ids = [selector.integer("shot_id")]
         if shot_ids is None:
             shots = self.tree.shots()
         else:
-            shots = [self._shot_by_id(int(s)) for s in shot_ids]
+            shots = [self._shot_by_id(s) for s in shot_ids]
         populated = any(key[1] == qtype for key in self.summaries)
         if populated:
             rows = []

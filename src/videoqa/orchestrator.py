@@ -17,7 +17,6 @@ one running the stages one after another would give (see
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from concurrent.futures import Executor, Future, wait
@@ -40,6 +39,7 @@ from .errors import (
     ValidationError,
     VideoQAError,
     canonical_json,
+    parse_doc,
 )
 from .knowledge import (
     RETRIEVAL_SCOPES,
@@ -252,7 +252,7 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
     analysis reply omits it. Unknown agent names in the reply are ignored.
     """
     profile = profiles[question.qtype]
-    reply = str(llm.call(chat_request(analysis_prompt(question, profile))))
+    reply = llm.call(chat_request(analysis_prompt(question, profile)))
 
     qtype = question.qtype
     parsed = find_qtype_label(reply)
@@ -329,17 +329,21 @@ def planning_prompt(question: QuestionBundle, analysis: Analysis) -> str:
     )
 
 
-def _parse_plan(reply: str) -> list[dict] | None:
+def _parse_plan(reply: str) -> list[Stage] | None:
+    """The stages of the JSON array in a planner reply, or None when there
+    is none or a stage field has the wrong type: `agent`, `task` and `output`
+    are strings, `inputs` a list of strings."""
     start, end = reply.find("["), reply.rfind("]")
     if start < 0 or end <= start:
         return None
     try:
-        doc = json.loads(reply[start:end + 1])
-    except json.JSONDecodeError:
+        return [Stage(agent=item.string("agent", ""),
+                      task_description=item.string("task", ""),
+                      input_keys=tuple(item.strings("inputs", SEED_KEYS)),
+                      output_key=item.string("output", ""))
+                for item in parse_doc(reply[start:end + 1], "plan").objects()]
+    except ValidationError:
         return None
-    if not isinstance(doc, list) or not all(isinstance(s, dict) for s in doc):
-        return None
-    return doc
 
 
 def plan_tasks(analysis: Analysis, question: QuestionBundle,
@@ -353,7 +357,7 @@ def plan_tasks(analysis: Analysis, question: QuestionBundle,
     workflow.
     """
     try:
-        reply = str(llm.call(chat_request(planning_prompt(question, analysis))))
+        reply = llm.call(chat_request(planning_prompt(question, analysis)))
     except BackendError as exc:
         logger.warning("planner backend failed (%s); using template workflow", exc)
         workflow = template_workflow(analysis.qtype, analysis.selected_agents,
@@ -361,16 +365,8 @@ def plan_tasks(analysis: Analysis, question: QuestionBundle,
         workflow.repaired = True
         return workflow
 
-    stages_doc = _parse_plan(reply)
-    if stages_doc is not None:
-        stages = []
-        for item in stages_doc:
-            stages.append(Stage(
-                agent=str(item.get("agent", "")),
-                task_description=str(item.get("task", "")),
-                input_keys=tuple(item.get("inputs", SEED_KEYS)),
-                output_key=str(item.get("output", "")),
-            ))
+    stages = _parse_plan(reply)
+    if stages is not None:
         workflow = Workflow(qtype=analysis.qtype,
                             selected_agents=analysis.selected_agents,
                             stages=stages, max_iterations=max_iterations)
@@ -434,7 +430,7 @@ def _parse_final(payload: str, agent: str,
     """EvidenceItem from a FINAL payload, or a rejection reason string.
     Finite numbers are clamped to [0, 1]; any other type is rejected."""
     try:
-        doc = Doc(json.loads(payload), ValidationError, "FINAL")
+        doc = parse_doc(payload, "FINAL")
         support = doc.numbers("option_support")
         if len(support) != num_options:
             doc.fail(f"must list {num_options} values, got {len(support)}",
@@ -447,23 +443,21 @@ def _parse_final(payload: str, agent: str,
             direction_check=None if check is None else DirectionCheck(
                 check.boolean("cause_supported", False),
                 check.boolean("effect_supported", False)))
-    except json.JSONDecodeError as exc:
-        return f"FINAL payload is not valid JSON: {exc}"
     except ValidationError as exc:
         return str(exc)
 
 
-def _run_tool(tool: str, args: dict, store: KnowledgeStore,
+def _run_tool(tool: str, args: Doc, store: KnowledgeStore,
               profile: AgentProfile, backend: Backend, qtype: str) -> str:
     if tool not in profile.tools:
         raise ValidationError(
             f"tool {tool!r} is not in this profile's tool list {profile.tools}")
     if tool == TOOL_INSPECT_FRAME:
-        frame = int(args["frame_index"])
-        prompt = str(args.get("prompt", "Describe this frame."))
-        return str(backend.call(caption_request(store.frame_ref(frame), prompt)))
+        frame = args.integer("frame_index")
+        prompt = args.string("prompt", "Describe this frame.")
+        return backend.call(caption_request(store.frame_ref(frame), prompt))
     if tool in RETRIEVAL_SCOPES:
-        return store.retrieve(tool, qtype, args or None).as_text()
+        return store.retrieve(tool, qtype, args.value or None).as_text()
     raise ValidationError(f"unknown tool {tool!r}")
 
 
@@ -499,7 +493,7 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
     while step < budget and may_start(step + 1):
         step += 1
         prompt = "\n".join(lines) + f"\nStep {step}:"
-        reply = str(backend.call(chat_request(prompt)))
+        reply = backend.call(chat_request(prompt))
         thought_m = _THOUGHT_RE.search(reply)
         thought = thought_m.group(1).strip() if thought_m else reply.split("\n")[0]
 
@@ -518,10 +512,10 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
             if action_m:
                 tool = action_m.group(1)
                 try:
-                    args = json.loads(action_m.group(2)) if action_m.group(2) else {}
+                    args = parse_doc(action_m.group(2) or "{}", tool)
                     observation = _run_tool(tool, args, store, profile,
                                             backend, question.qtype)
-                except (VideoQAError, KeyError, TypeError, ValueError) as exc:
+                except VideoQAError as exc:
                     observation = f"ERROR: {exc}"
                 trace.append(TraceStep(stage.agent, thought,
                                        f"{tool} {action_m.group(2) or '{}'}",
@@ -591,7 +585,8 @@ def _parse_stated_choice(reply: str, num_options: int) -> tuple[int | None, bool
         return None, False
     token = m.group(1) or m.group(2)
     if token.isdigit():
-        idx = int(token)
+        # No option space reaches 10 digits; past 4,300 `int` would raise.
+        idx = int(token) if len(token) < 10 else num_options
     elif len(token) == 1 and token.isalpha():
         idx = ord(token.upper()) - ord("A")
     else:
@@ -627,8 +622,8 @@ def generate_answer(scores: OptionScore, evidence: list[EvidenceItem],
     explanation = ""
     observation = "explanation drafted"
     try:
-        explanation = str(llm.call(chat_request(
-            answer_prompt(question_id, options, scores, evidence))))
+        explanation = llm.call(chat_request(
+            answer_prompt(question_id, options, scores, evidence)))
     except BackendError as exc:
         explanation = "Scores computed from integrated evidence."
         observation = f"explanation backend failed: {exc}"

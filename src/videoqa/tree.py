@@ -229,9 +229,9 @@ def score_shots(shots: list[Shot], captions: list[str], question: str,
         if value is None:
             logger.warning("shot %d: unparseable relevance %r, defaulting to %.1f",
                            shot.shot_id, reply[:80], DEFAULT_SCORE)
-            return RelevanceScore(DEFAULT_SCORE, rationale=str(reply)[:200],
+            return RelevanceScore(DEFAULT_SCORE, rationale=reply[:200],
                                   defaulted=True)
-        return RelevanceScore(value, rationale=str(reply)[:200])
+        return RelevanceScore(value, rationale=reply[:200])
 
     return list(pool.map(score_one, zip(shots, captions)))
 

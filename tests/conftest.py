@@ -99,7 +99,6 @@ def profile_doc(profile: AgentProfile) -> dict:
         "tools": list(profile.tools),
         "weights": dict(profile.weights),
         "requires_visual_agent": profile.requires_visual_agent,
-        "requires_bidirectional_check": profile.requires_bidirectional_check,
     }
 
 

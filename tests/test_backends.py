@@ -97,23 +97,24 @@ def test_mock_no_rule_no_default_raises_and_logs() -> None:
     assert backend.calls[0].error is not None
 
 
-def test_mock_capability_mismatch() -> None:
-    backend = MockBackend(MockScript(default_response="ok"),
-                          capabilities=("chat",))
-    with pytest.raises(CapabilityMismatchError):
-        backend.call(embed_request(image_ref="vectorize me"))
-
-
 def test_mock_embed_response_coercion() -> None:
+    """An embed reply is a list of finite numbers, read as floats; a text
+    reply is a string. Anything else, a JSON string of a list included, is
+    malformed."""
     script = MockScript()
     script.add("as-list", [1, 2.5])
-    script.add("as-json", "[0.1, 0.2]")
-    script.add("as-text", "not a vector")
+    for name, reply in [("as-json", "[0.1, 0.2]"), ("as-text", "not a vector"),
+                        ("bools", [True, 0]), ("digits", ["1.5"]),
+                        ("infinite", [float("inf")]), ("null", None)]:
+        script.add(name, reply)
     backend = MockBackend(script)
     assert backend.call(embed_request(image_ref="as-list")) == [1.0, 2.5]
-    assert backend.call(embed_request(image_ref="as-json")) == [0.1, 0.2]
-    with pytest.raises(MalformedResponseError):
-        backend.call(embed_request(image_ref="as-text"))
+    for name in ("as-json", "as-text", "bools", "digits", "infinite", "null"):
+        with pytest.raises(MalformedResponseError, match="embed reply#"):
+            backend.call(embed_request(image_ref=name))
+    for name in ("as-list", "bools", "null"):
+        with pytest.raises(MalformedResponseError, match="chat reply#"):
+            backend.call(chat_request(name))
 
 
 def test_mock_scripted_error_kinds() -> None:
@@ -245,9 +246,18 @@ def test_remote_timeout_is_distinct_kind() -> None:
 
 
 def test_remote_malformed_response() -> None:
-    backend, _ = _remote([(200, {"unexpected": True})])
-    with pytest.raises(MalformedResponseError):
-        backend.call(chat_request("q"))
+    for body in [{"unexpected": True}, [], {"choices": []},
+                 {"choices": [{"message": "hi"}]}, _chat_body(None),
+                 _chat_body(["hi"]), {"choices": [{"message": {}}]}]:
+        backend, _ = _remote([(200, body)])
+        with pytest.raises(MalformedResponseError):
+            backend.call(chat_request("q"))
+    for body in [{"data": [{"embedding": [True, 0]}]},
+                 {"data": [{"embedding": ["1.5"]}]}, {"data": [{}]},
+                 {"data": [{"embedding": "[0.5]"}]}, {"data": []}]:
+        backend, _ = _remote([(200, body)])
+        with pytest.raises(MalformedResponseError):
+            backend.call(embed_request(image_ref="v"))
 
 
 def test_remote_4xx_is_backend_error() -> None:
@@ -419,19 +429,26 @@ def test_cache_keeps_inner_inflight_limit(tmp_path) -> None:
 
 
 @pytest.mark.parametrize("entry", ["{not json", json.dumps({"reply": "x"}),
-                                   json.dumps(["response"])])
+                                   json.dumps(["response"]),
+                                   json.dumps({"response": None}),
+                                   json.dumps({"response": [True]})])
 def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
-    inner = RecordingBackend(MockBackend(MockScript(default_response="fresh")))
+    """An entry that is no reply at all, or whose response fails the reply
+    check, on a chat key and on an embed key alike."""
+    inner = RecordingBackend(MockBackend(MockScript(
+        default_response=lambda r: [1.0] if r.startswith("embed") else "fresh")))
     cached = CachingBackend(inner, tmp_path / "cache")
-    request = chat_request("q")
-    (tmp_path / "cache" / f"{cached.cache_key(request)}.json").write_text(entry)
-    with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
-        assert cached.call(request) == "fresh"
-    assert "corrupt cache entry" in caplog.text
-    assert len(inner.calls) == 1
-    assert cached.hits == 0 and cached.misses == 1
-    assert cached.call(request) == "fresh", "the entry was rewritten"
-    assert len(inner.calls) == 1
+    for calls, (request, fresh) in enumerate(
+            [(chat_request("q"), "fresh"), (embed_request("img"), [1.0])], 1):
+        (tmp_path / "cache" / f"{cached.cache_key(request)}.json").write_text(entry)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
+            assert cached.call(request) == fresh
+        assert "corrupt cache entry" in caplog.text
+        assert len(inner.calls) == calls
+        assert cached.hits == calls - 1 and cached.misses == calls
+        assert cached.call(request) == fresh, "the entry was rewritten"
+        assert len(inner.calls) == calls
 
 
 def test_cache_directory_removed_is_a_logged_uncached_call(tmp_path,

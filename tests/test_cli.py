@@ -44,14 +44,17 @@ def test_cli_build_writes_tree_and_sidecar(tmp_path, capsys) -> None:
 
 
 def test_cli_build_malformed_questions_exits_2(tmp_path, capsys) -> None:
+    """Text that is not JSON, or holds an int past Python's 4,300-digit
+    conversion limit, which the JSON reader raises as a plain ValueError."""
     world = build_golden_world(tmp_path / "golden")
     bad = tmp_path / "bad.json"
-    bad.write_text("not json {")
-    code = main(["build", str(world.video_manifests["golden_a"]), str(bad),
-                 str(tmp_path / "tree.json"),
-                 "--mock-script", str(world.script_path)])
-    assert code == 2
-    assert "not valid JSON" in capsys.readouterr().err
+    for text in ("not json {", '[{"question_id": 1%s}]' % ("0" * 4400)):
+        bad.write_text(text)
+        code = main(["build", str(world.video_manifests["golden_a"]), str(bad),
+                     str(tmp_path / "tree.json"),
+                     "--mock-script", str(world.script_path)])
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_cli_ask_malformed_sidecar_exits_2(tmp_path, capsys) -> None:

@@ -43,7 +43,6 @@ def test_builtin_descriptive_weights() -> None:
 def test_builtin_causal_strategy() -> None:
     causal = builtin_profiles()["Causal"]
     assert causal.strategy.name == "bidirectional_temporal_search"
-    assert causal.requires_bidirectional_check is True
     assert causal.weights == {"text": 0.5, "visual": 0.5}
 
 
@@ -85,13 +84,6 @@ def test_unknown_tool_rejected() -> None:
     doc = profile_doc(builtin_profiles()["Temporal"])
     doc["tools"] = ["temporal_index", "crystal_ball"]
     with pytest.raises(ConfigError, match="crystal_ball"):
-        AgentProfile.from_doc(doc)
-
-
-def test_causal_requires_bidirectional_check() -> None:
-    doc = profile_doc(builtin_profiles()["Causal"])
-    doc["requires_bidirectional_check"] = False
-    with pytest.raises(ConfigError, match="requires_bidirectional_check"):
         AgentProfile.from_doc(doc)
 
 

@@ -181,6 +181,29 @@ def test_plan_garbage_reply_repaired() -> None:
     assert workflow.problems() == []
 
 
+@pytest.mark.parametrize("field,value", [
+    ("inputs", 5), ("inputs", None), ("inputs", [["question"]]),
+    ("inputs", "question"), ("agent", 5), ("agent", None), ("task", None),
+    ("task", ["t"]), ("output", 5), ("output", {"key": "text_evidence"}),
+])
+def test_plan_mistyped_stage_field_repaired(field, value) -> None:
+    """`agent`, `task` and `output` are strings and `inputs` a list of
+    strings; any other type repairs the plan, never raises."""
+    stages = [
+        {"agent": TEXT_AGENT, "task": "t", "inputs": ["question"],
+         "output": "text_evidence"},
+        {"agent": ANSWER_AGENT, "task": "a", "inputs": ["text_evidence"],
+         "output": "answer"},
+    ]
+    stages[0][field] = value
+    backend = _backend(("planning question", _plan_reply(stages)))
+    analysis = Analysis("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = plan_tasks(analysis, _bundle("Descriptive"), builtin_profiles(),
+                          backend)
+    assert workflow.repaired is True
+    assert workflow.problems() == []
+
+
 def test_plan_two_agent_selection_has_no_integration_stage() -> None:
     workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
@@ -326,8 +349,8 @@ def _prompt(call) -> str:
 @pytest.mark.parametrize("args,observation", [
     ('{"offset": 99}', "(temporal_index: no entries) 2 rows; offset 99 is "
                        "past the end"),
-    ('{"offset": -1}', "ERROR: offset must be a non-negative integer, got -1"),
-    ('{"offset": "x"}', "ERROR: offset must be a non-negative integer, got 'x'"),
+    ('{"offset": -1}', "ERROR: temporal_index#/offset: must be >= 0, got -1"),
+    ('{"offset": "x"}', 'ERROR: temporal_index#/offset: expected an int, got "x"'),
 ])
 def test_react_bad_offset_is_an_observation(args, observation) -> None:
     backend = _backend(
@@ -341,6 +364,42 @@ def test_react_bad_offset_is_an_observation(args, observation) -> None:
     assert trace[0].observation == observation
     assert _prompt(backend.calls[1]).endswith(
         f"OBSERVATION: {observation}\nStep 2:")
+
+
+@pytest.mark.parametrize("action,observation", [
+    ('segment_summaries {"shot_id": 1e999}', "/shot_id: expected an int, got Infinity"),
+    ('segment_summaries {"shot_ids": "1"}', '/shot_ids: expected a list, got "1"'),
+    ('segment_summaries {"shot_ids": [1.0]}', "/shot_ids/0: expected an int"),
+    ('moment_captions {"shot_id": true}', "/shot_id: expected an int, got true"),
+    ('moment_captions {"frame_range": [0, 1e999]}', "/frame_range/1: expected an int"),
+    ('moment_captions {"frame_range": [0, 1, 2]}', "/frame_range: expected two ints"),
+    ('moment_captions {"frame_range": 5}', "/frame_range: expected a list, got 5"),
+    ('inspect_frame {"frame_index": 1e999}', "/frame_index: expected an int"),
+    ('inspect_frame {"frame_index": "8"}', '/frame_index: expected an int, got "8"'),
+    ('inspect_frame {"frame_index": true}', "/frame_index: expected an int, got true"),
+    ('inspect_frame {"frame_index": 8.7}', "/frame_index: expected an int, got 8.7"),
+    ('inspect_frame {}', "/frame_index: missing required field"),
+    ('inspect_frame {"frame_index": 8, "prompt": 5}', "/prompt: expected a string"),
+    ('temporal_index {"offset": 1,}', "temporal_index is not valid JSON"),
+    pytest.param('temporal_index {"offset": 1%s}' % ("0" * 4400),
+                 "temporal_index is not valid JSON", id="int-past-digit-limit"),
+])
+def test_react_mistyped_tool_argument_is_an_observation(action, observation) -> None:
+    """An argument of the wrong JSON type is an ERROR observation naming the
+    tool and the argument, never a coerced value or a traceback."""
+    backend = _backend(
+        ("OBSERVATION: ERROR", _final((1.0, 0.0, 0.0))),
+        ("working on question", f"THOUGHT: look\nACTION: {action}"),
+        default="a caption",
+    )
+    trace = []
+    _, consumed = run_react(_stage(VISUAL_AGENT), _bundle(), _store(),
+                            _profile(), backend, budget=5, trace=trace)
+    assert consumed == 2
+    tool = action.split()[0]
+    assert trace[0].observation.startswith(f"ERROR: {tool}")
+    assert observation in trace[0].observation
+    assert [c.capability for c in backend.calls] == ["chat", "chat"]
 
 
 @pytest.mark.parametrize("frame", [999999, -1, 12])
@@ -656,12 +715,14 @@ def test_generate_answer_out_of_space_choice_keeps_argmax() -> None:
     items = [EvidenceItem(TEXT_AGENT, (0.1, 0.2, 0.3, 0.2, 0.1), 1.0)]
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
-    backend = _backend(("drafting explanation", "My answer: F"))
-    record = generate_answer(scores, items, tuple("abcde"), backend,
-                             question_id="q")
-    assert record.chosen_index == 2
-    assert any("outside the option space" in s.observation
-               for s in record.trace)
+    for reply in ("My answer: F", "Answer: option 7",
+                  "Answer: option 1" + "0" * 4400):
+        backend = _backend(("drafting explanation", reply))
+        record = generate_answer(scores, items, tuple("abcde"), backend,
+                                 question_id="q")
+        assert record.chosen_index == 2
+        assert any("outside the option space" in s.observation
+                   for s in record.trace)
 
 
 def test_generate_answer_model_disagreement_logged_argmax_wins() -> None:

@@ -9,6 +9,7 @@ case is covered in test_knowledge.
 
 from __future__ import annotations
 
+import json
 from unittest import mock
 
 import pytest
@@ -73,9 +74,11 @@ class ScanKnowledgeStore(KnowledgeStore):
             raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = selector or {}
         offset = selector.get("offset", 0)
-        if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
-            raise ValidationError(
-                f"offset must be a non-negative integer, got {offset!r}")
+        if isinstance(offset, bool) or not isinstance(offset, int):
+            raise ValidationError(f"{scope}#/offset: expected an int, got "
+                                  f"{json.dumps(offset)}")
+        if offset < 0:
+            raise ValidationError(f"{scope}#/offset: must be >= 0, got {offset}")
         if scope == SCOPE_TEMPORAL_INDEX:
             result = self._temporal_index(qtype)
         elif scope == SCOPE_MOMENT_CAPTIONS:
