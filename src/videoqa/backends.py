@@ -8,9 +8,9 @@ wrapper keyed on the backend's identity and the canonical payload rendering.
 Importing this module loads neither the HTTP client nor OpenSSL: `requests`
 (with urllib3, ssl and http.client) loads on the first remote call, and
 `hashlib` (with OpenSSL's libcrypto) on the first cache key or mock identity,
-which only `--cache` reads. So a mock-backed `ask` without `--cache` loads
-neither; a build still loads `hashlib`, because numpy 2's `numpy.random`,
-which seeds K-Means, imports it.
+which only `--cache` reads. numpy loads on a build's first numerical call
+(see `np.py`), and numpy 2's `numpy.random`, which seeds K-Means, imports
+`hashlib`. So a mock-backed `ask` without `--cache` loads none of the three.
 """
 
 from __future__ import annotations
@@ -114,8 +114,10 @@ class Backend:
     identity: str = ""
 
     def __init__(self, max_inflight: int = 8) -> None:
-        self.max_inflight = max(1, max_inflight)
-        self._inflight = threading.BoundedSemaphore(self.max_inflight)
+        if max_inflight < 1:  # a semaphore of 0 would block every call
+            raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
+        self.max_inflight = max_inflight
+        self._inflight = threading.BoundedSemaphore(max_inflight)
 
     @classmethod
     def from_mock(cls, script: "MockScript", max_inflight: int = 8) -> "Backend":

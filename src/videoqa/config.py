@@ -62,6 +62,8 @@ class EngineConfig:
             raise ConfigError("max_iterations must be in [1, 15]")
         if not self.backend.timeout_s > 0:
             raise ConfigError("backend.timeout_s must be positive")
+        if self.backend.max_inflight < 1:
+            raise ConfigError("backend.max_inflight must be >= 1")
 
     def ablation_flags(self) -> list[str]:
         flags = []

@@ -14,8 +14,7 @@ import struct
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from . import np
 from .backends import Backend, embed_request
 from .errors import InputError, ValidationError, read_bytes, read_doc
 

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
+from . import np
 from .backends import Backend
 from .captioning import (
     QTYPES,

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
+from . import np
 from .backends import Backend, chat_request
 from .errors import (
     BackendError,

@@ -25,6 +25,7 @@ from videoqa.errors import (
     BackendError,
     BackendTimeout,
     CapabilityMismatchError,
+    ConfigError,
     MalformedResponseError,
     MockScriptError,
     TransportError,
@@ -163,6 +164,15 @@ def test_mock_call_log_thread_safe() -> None:
     for t in threads:
         t.join()
     assert len(backend.calls) == 160
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_inflight_limit_below_one_is_refused(limit) -> None:
+    """Refused, not clamped to 1; a semaphore of 0 would block every call."""
+    with pytest.raises(ConfigError, match=f"max_inflight must be >= 1, got {limit}"):
+        MockBackend(MockScript(default_response="ok"), max_inflight=limit)
+    with pytest.raises(ConfigError, match="max_inflight"):
+        RemoteBackend({"chat": "http://unit.test/chat"}, max_inflight=limit)
 
 
 # ---------------------------------------------------------------------------

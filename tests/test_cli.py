@@ -475,6 +475,10 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
         ("config value NaN", evaluate(*config({"tau": float("nan")})), 4),
         ("backend.timeout_s not positive",
          evaluate(*config({"backend": {"timeout_s": 0}})), 4),
+        ("backend.max_inflight 0",
+         evaluate(*config({"backend": {"max_inflight": 0}})), 4),
+        ("backend.max_inflight negative",
+         evaluate(*config({"backend": {"max_inflight": -3}})), 4),
         ("--mock-script regex that does not compile", ask(*mock_script(
             {"rules": [{"match": "(", "regex": True}],
              "default_response": "x"})), 4),

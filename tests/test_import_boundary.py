@@ -1,15 +1,19 @@
-"""Import boundary: a mock-backed run loads neither the HTTP client nor,
-unless it builds, OpenSSL; the response cache keys entries as it always has.
+"""Import boundary: a mock-backed run loads no HTTP client and, unless it
+builds, neither numpy nor OpenSSL; the response cache keys entries as it
+always has.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported everything, with the listed modules refused on
-`sys.meta_path`:
-- the golden `eval` refuses `requests`, `urllib3` and `ssl`, and its outputs
-  equal the committed snapshot. It cannot refuse `hashlib`: building a tree
-  seeds K-Means through `numpy.random`, which on numpy 2 imports `secrets`,
-  hence `hmac` and `hashlib`;
-- `ask` over a built tree refuses those three plus `hashlib` and `_hashlib`,
-  and prints the record an unrefused `ask` prints;
+`sys.meta_path`; in each of those runs, importing `videoqa.cli` loads no
+numpy:
+- the golden `eval`, plain and with `--parallel-videos`, refuses `requests`,
+  `urllib3` and `ssl`, and its outputs equal the committed snapshot. It
+  loads numpy during the build; with `--parallel-videos` two videos build at
+  once, so their first numpy calls race. It cannot refuse `hashlib`: building
+  a tree seeds K-Means through `numpy.random`, which on numpy 2 imports
+  `secrets`, hence `hmac` and `hashlib`;
+- `ask` over a built tree refuses those three plus `numpy`, `hashlib` and
+  `_hashlib`, and prints the record an unrefused `ask` prints;
 - `ask --cache` refuses nothing and loads `_hashlib`, and a fixed request's
   cache key equals the one computed while `hashlib` was still imported at
   module top, so caches written then still hit.
@@ -32,10 +36,12 @@ from videoqa.cli import main
 from conftest import build_golden_world
 
 SRC_DIR = Path(__file__).parent.parent / "src"
-GOLDEN_DIR = Path(__file__).parent / "golden" / "default"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+EVAL_FLAGS = {"default": [], "parallel_videos": ["--parallel-videos"]}
 
 HTTP_CLIENT = ("requests", "urllib3", "ssl")
 OPENSSL = ("hashlib", "_hashlib")
+NUMPY = ("numpy",)
 
 # CachingBackend.cache_key(chat_request("What happens after the goal?")) over
 # MockBackend(MockScript([MockRule("hello", "world")], "fallback")), computed
@@ -57,8 +63,10 @@ class Refuse:
 
 sys.meta_path.insert(0, Refuse())
 from videoqa.cli import main
+assert "numpy" not in sys.modules, "importing videoqa.cli loaded numpy"
 code = main(sys.argv[2:])
-print(json.dumps({"exit": code, "loaded": sorted(refused & set(sys.modules))}))
+print(json.dumps({"exit": code, "loaded": sorted(refused & set(sys.modules)),
+                  "numpy": "numpy" in sys.modules}))
 """
 
 CACHE_KEY_AFTER_RUN = """
@@ -111,24 +119,28 @@ def built(tmp_path_factory) -> tuple[list[str], str]:
     return ask, out.getvalue()
 
 
-def test_mock_eval_loads_no_http_client(tmp_path) -> None:
+@pytest.mark.parametrize("variant", sorted(EVAL_FLAGS))
+def test_mock_eval_loads_no_http_client(variant, tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     _, result = _python(
         RUN_REFUSING_IMPORTS, json.dumps(HTTP_CLIENT), "eval",
         str(world.dataset_path), "--mock-script", str(world.script_path),
         "--out-records", str(tmp_path / "records.jsonl"),
-        "--out-report", str(tmp_path / "report.json"), cwd=tmp_path)
-    assert result == {"exit": 0, "loaded": []}
+        "--out-report", str(tmp_path / "report.json"), *EVAL_FLAGS[variant],
+        cwd=tmp_path)
+    assert result == {"exit": 0, "loaded": [], "numpy": True}
     for name in ("records.jsonl", "report.json"):
-        assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), \
-            f"{name} differs from the committed default snapshot"
+        expected = GOLDEN_DIR / variant / name
+        assert (tmp_path / name).read_bytes() == expected.read_bytes(), \
+            f"{name} differs from the committed {variant} snapshot"
 
 
-def test_mock_ask_loads_no_http_client_or_openssl(built, tmp_path) -> None:
+def test_mock_ask_loads_no_http_client_numpy_or_openssl(built, tmp_path) -> None:
     ask, expected = built
     record, result = _python(RUN_REFUSING_IMPORTS,
-                             json.dumps(HTTP_CLIENT + OPENSSL), *ask, cwd=tmp_path)
-    assert result == {"exit": 0, "loaded": []}
+                             json.dumps(HTTP_CLIENT + NUMPY + OPENSSL), *ask,
+                             cwd=tmp_path)
+    assert result == {"exit": 0, "loaded": [], "numpy": False}
     assert record == expected
 
 
