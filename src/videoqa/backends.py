@@ -5,8 +5,8 @@ JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
 deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
 
-Importing this module loads neither the HTTP client nor OpenSSL: `requests`
-(with urllib3, ssl and http.client) loads on the first remote call, and
+Importing this module loads neither the HTTP client nor OpenSSL:
+`urllib.request` (with http.client and ssl) loads on the first remote call, and
 `hashlib` (with OpenSSL's libcrypto) on the first cache key or mock identity,
 which only `--cache` reads. numpy loads on a build's first numerical call
 (see `np.py`), and numpy 2's `numpy.random`, which seeds K-Means, imports
@@ -15,7 +15,6 @@ which only `--cache` reads. numpy loads on a build's first numerical call
 
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import os
@@ -276,28 +275,40 @@ class RemoteBackend(Backend):
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout_s = timeout_s
         self._transport = transport or self._http_post
+        self._opener = None
+        self._opener_lock = threading.Lock()
         self._sleep = sleep
         self._uniform = uniform
 
     def _http_post(self, url: str, headers: dict, body: dict,
                    timeout: float) -> tuple[int, Any, Mapping[str, str]]:
-        """POST `body` as JSON; the status, the parsed body and the reply
-        headers. The body is parsed only below status 400: an error reply
-        from a proxy or rate limiter need not be JSON, and its status alone
-        decides what happens next."""
-        # Local import: only a remote run needs requests, urllib3 and ssl.
-        import requests
+        """POST `body` as JSON; the status, the parsed body and the reply headers.
+        An error status returns no body, as a proxy's error page need not be
+        JSON. A cut reply (`IncompleteRead`) or a non-http(s) URL fails."""
+        # Local import: only a remote run needs urllib.request, http.client and ssl.
+        import http.client
+        import ssl
+        import urllib.request
 
+        with self._opener_lock:  # one TLS context: each loads the CA store
+            if self._opener is None:
+                self._opener = urllib.request.build_opener(urllib.request.HTTPSHandler(
+                    context=ssl.create_default_context()))
         try:
-            resp = requests.post(url, headers=headers, json=body, timeout=timeout)
-        except requests.Timeout as exc:
-            raise BackendTimeout(f"request to {url} timed out") from exc
-        except requests.RequestException as exc:
+            request = urllib.request.Request(url, json.dumps(body).encode(), headers)
+            if request.type not in ("http", "https"):  # not file:, data: or ftp:
+                raise ValueError(f"unknown url type: {request.type!r}")
+            with self._opener.open(request, timeout=timeout) as resp:
+                status, raw, reply_headers = resp.status, resp.read(), resp.headers
+        except urllib.request.HTTPError as exc:
+            exc.close()  # its body is never read
+            return exc.code, None, exc.headers
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise BackendTimeout(f"request to {url} timed out") from exc
             raise TransportError(f"request to {url} failed: {exc}") from exc
-        if resp.status_code >= 400:
-            return resp.status_code, None, resp.headers
         try:
-            return resp.status_code, resp.json(), resp.headers
+            return status, json.loads(raw), reply_headers
         except ValueError as exc:
             raise MalformedResponseError(f"non-JSON response from {url}") from exc
 
@@ -391,8 +402,7 @@ class CachingBackend(Backend):
     removed) is logged and the response still returned."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
-        super().__init__(inner.max_inflight)
-        self._inflight = contextlib.nullcontext()
+        self.max_inflight = inner.max_inflight
         self.inner = inner
         self.capabilities = inner.capabilities
         self.identity = inner.identity
@@ -409,7 +419,7 @@ class CachingBackend(Backend):
     def cache_key(self, request: BackendRequest) -> str:
         return _sha256_hex(f"{self.identity}\n{render_payload(request)}")
 
-    def _call(self, request: BackendRequest, rendered: str) -> Any:
+    def call(self, request: BackendRequest) -> Any:
         path = self.cache_dir / f"{self.cache_key(request)}.json"
         if path.exists():
             try:

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from videoqa import backends
 from videoqa.backends import (
     BackendRequest,
     CachingBackend,
@@ -241,6 +242,23 @@ def test_remote_transport_errors_retried() -> None:
     assert transport.calls == 2
 
 
+@pytest.mark.parametrize("url", ["model-host/chat", "gopher://model.test/chat",
+                                 "file://{reply}", "data:application/json,{{}}"])
+def test_remote_unusable_endpoint_url_is_transport_error(url, tmp_path) -> None:
+    """An endpoint with no scheme, or with any scheme but http and https,
+    fails like an unreachable host: a file holding a valid reply is not
+    read."""
+    reply = tmp_path / "reply.json"
+    reply.write_text(json.dumps(_chat_body("read from a file")))
+    url = url.format(reply=reply)
+    sleeps: list[float] = []
+    backend = RemoteBackend({"chat": url}, sleep=sleeps.append,
+                            uniform=lambda low, high: 0.0)
+    with pytest.raises(TransportError):
+        backend.call(chat_request("q"))
+    assert len(sleeps) == 2, "retried twice, as any transport failure"
+
+
 def test_remote_auth_failure_not_retried() -> None:
     backend, transport = _remote([(401, {})])
     with pytest.raises(AuthError):
@@ -355,6 +373,24 @@ def test_cache_serves_repeat_without_inner_call(tmp_path) -> None:
     assert cached.call(chat_request("q")) == "cached-answer"
     assert len(inner.calls) == 1
     assert cached.hits == 1 and cached.misses == 1
+
+
+def test_cache_checks_each_reply_once(tmp_path, monkeypatch) -> None:
+    """A miss is checked by the inner call alone, a hit by the cache alone."""
+    checks: list[str] = []
+    real_checked = backends._checked
+
+    def spy(capability, reply):
+        checks.append(capability)
+        return real_checked(capability, reply)
+
+    monkeypatch.setattr(backends, "_checked", spy)
+    cached = CachingBackend(MockBackend(MockScript(default_response="answer")),
+                            tmp_path / "cache")
+    assert cached.call(chat_request("q")) == "answer"
+    assert cached.misses == 1 and checks == ["chat"]
+    assert cached.call(chat_request("q")) == "answer"
+    assert cached.hits == 1 and checks == ["chat", "chat"]
 
 
 def test_cache_persists_across_instances(tmp_path) -> None:

@@ -6,13 +6,15 @@ Each check runs in a fresh interpreter, because this test process has long
 since imported everything, with the listed modules refused on
 `sys.meta_path`; in each of those runs, importing `videoqa.cli` loads no
 numpy:
-- the golden `eval`, plain and with `--parallel-videos`, refuses `requests`,
-  `urllib3` and `ssl`, and its outputs equal the committed snapshot. It
-  loads numpy during the build; with `--parallel-videos` two videos build at
-  once, so their first numpy calls race. It cannot refuse `hashlib`: building
-  a tree seeds K-Means through `numpy.random`, which on numpy 2 imports
-  `secrets`, hence `hmac` and `hashlib`;
-- `ask` over a built tree refuses those three plus `numpy`, `hashlib` and
+- the golden `eval`, plain and with `--parallel-videos`, refuses `http` and
+  `ssl`, and its outputs equal the committed snapshot. `urllib` cannot be
+  refused by name, as `pathlib` imports `urllib.parse`, but the remote
+  transport's `urllib.request` imports `http.client`. The eval loads numpy
+  during the build; with `--parallel-videos` two videos build at once, so
+  their first numpy calls race. It cannot refuse `hashlib`: building a tree
+  seeds K-Means through `numpy.random`, which on numpy 2 imports `secrets`,
+  hence `hmac` and `hashlib`;
+- `ask` over a built tree refuses those two plus `numpy`, `hashlib` and
   `_hashlib`, and prints the record an unrefused `ask` prints;
 - `ask --cache` refuses nothing and loads `_hashlib`, and a fixed request's
   cache key equals the one computed while `hashlib` was still imported at
@@ -39,7 +41,7 @@ SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 EVAL_FLAGS = {"default": [], "parallel_videos": ["--parallel-videos"]}
 
-HTTP_CLIENT = ("requests", "urllib3", "ssl")
+HTTP_CLIENT = ("http", "ssl")
 OPENSSL = ("hashlib", "_hashlib")
 NUMPY = ("numpy",)
 

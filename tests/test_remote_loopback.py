@@ -1,16 +1,25 @@
 """The remote backend's own HTTP transport, over loopback.
 
 Every other RemoteBackend test injects `transport=`. These run an
-`http.server` on 127.0.0.1 so that `requests` and `_http_post` carry the
-calls: wire shapes, status handling, non-JSON bodies, Retry-After, timeouts,
-and concurrent first calls while `requests` is still unloaded. `sleep` and
+`http.server` on 127.0.0.1 so that `urllib.request` and `_http_post` carry
+the calls: wire shapes, status handling, non-JSON bodies, cut replies,
+Retry-After, timeouts, TLS trust, proxies from the environment, and
+concurrent first calls while `urllib.request` is still unloaded. `sleep` and
 the jitter draw are injected, so no test waits out a backoff.
+
+`loopback_cert.pem` and `loopback_key.pem` are a self-signed P-256 pair for
+IP 127.0.0.1, valid for 50 years from 2026, made once with
+`openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes
+-days 18262 -subj /CN=127.0.0.1 -addext subjectAltName=IP:127.0.0.1
+-addext basicConstraints=critical,CA:TRUE
+-addext keyUsage=critical,digitalSignature,keyCertSign`.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import ssl
 import subprocess
 import sys
 import threading
@@ -26,10 +35,17 @@ from videoqa.backends import (
     chat_request,
     embed_request,
 )
-from videoqa.errors import AuthError, BackendTimeout, MalformedResponseError
+from videoqa.errors import (
+    AuthError,
+    BackendTimeout,
+    MalformedResponseError,
+    TransportError,
+)
 
 TESTS_DIR = Path(__file__).parent
 SRC_DIR = TESTS_DIR.parent / "src"
+CERT = TESTS_DIR / "loopback_cert.pem"
+KEY = TESTS_DIR / "loopback_key.pem"
 
 PROXY_VARS = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY",
               "http_proxy", "https_proxy", "all_proxy")
@@ -42,6 +58,7 @@ class Reply:
     content_type: str = "application/json"
     headers: dict = field(default_factory=dict)
     delay_s: float = 0.0
+    length: int | None = None  # a Content-Length above len(body) cuts the reply
 
 
 def json_reply(doc, status: int = 200, **kwargs) -> Reply:
@@ -63,7 +80,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.released.wait(reply.delay_s)
         self.send_response(reply.status)
         self.send_header("Content-Type", reply.content_type)
-        self.send_header("Content-Length", str(len(reply.body)))
+        self.send_header("Content-Length", str(reply.length or len(reply.body)))
         for name, value in reply.headers.items():
             self.send_header(name, value)
         self.end_headers()
@@ -79,9 +96,14 @@ class LoopbackServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, default: Reply | None = None):
+    def __init__(self, default: Reply | None = None, tls: bool = False):
         super().__init__(("127.0.0.1", 0), _Handler)
-        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        if tls:  # each connection's handshake runs in accept()
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(CERT, KEY)
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self.server_address[1]}"
         self.default = default or chat_reply("ok")
         self.queued: list[Reply] = []
         self.requests: list[tuple[str, dict, dict]] = []
@@ -119,11 +141,21 @@ def remote(server: LoopbackServer, sleeps: list | None = None,
 
 
 @pytest.fixture
-def server(monkeypatch):
+def no_proxy(monkeypatch):
     for var in PROXY_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+
+
+@pytest.fixture
+def server(no_proxy):
     with LoopbackServer() as srv:
+        yield srv
+
+
+@pytest.fixture
+def tls_server(no_proxy):
+    with LoopbackServer(tls=True) as srv:
         yield srv
 
 
@@ -187,12 +219,49 @@ def test_loopback_retry_after_header_reaches_the_backoff(server) -> None:
     assert sleeps == [7.0]
 
 
+def test_loopback_cut_reply_is_retried_transport_error(server) -> None:
+    """A body shorter than its Content-Length is a transport failure."""
+    server.default = Reply(body=b'{"choices": [', length=100)
+    with pytest.raises(TransportError):
+        remote(server).call(chat_request("q"))
+    assert len(server.requests) == 3, "a cut reply is retried twice"
+
+
+def test_loopback_tls_trusts_the_certificate_ssl_cert_file_names(
+        tls_server, monkeypatch) -> None:
+    monkeypatch.setenv("SSL_CERT_FILE", str(CERT))
+    assert remote(tls_server).call(chat_request("q")) == "ok"
+    assert len(tls_server.requests) == 1
+
+
+def test_loopback_tls_refuses_a_certificate_outside_the_ca_store(
+        tls_server, monkeypatch) -> None:
+    """Trust comes from OpenSSL's default store, which lacks the self-signed
+    certificate: every attempt fails its handshake before any request."""
+    for var in ("SSL_CERT_FILE", "SSL_CERT_DIR"):
+        monkeypatch.delenv(var, raising=False)
+    with pytest.raises(TransportError):
+        remote(tls_server).call(chat_request("q"))
+    assert tls_server.requests == []
+
+
+def test_loopback_proxy_from_the_environment_gets_the_absolute_url(
+        server, monkeypatch) -> None:
+    """The proxy is read when the backend makes its first call."""
+    monkeypatch.setenv("HTTP_PROXY", server.url)
+    backend = RemoteBackend({"chat": "http://model.invalid/chat"},
+                            sleep=lambda s: None)
+    assert backend.call(chat_request("q")) == "ok"
+    assert [path for path, _, _ in server.requests] == [
+        "http://model.invalid/chat"]
+
+
 CONCURRENT_FIRST_CALLS = """
 import sys, threading
 sys.path.insert(0, sys.argv[1])
 import test_remote_loopback as loop
 
-assert "requests" not in sys.modules, "requests loaded before the first call"
+assert "urllib.request" not in sys.modules, "urllib.request loaded before the first call"
 with loop.LoopbackServer() as server:
     backend = loop.remote(server)
     start = threading.Barrier(8, timeout=10)
@@ -216,7 +285,7 @@ print("ok")
 
 def test_loopback_concurrent_first_calls_all_succeed() -> None:
     """Eight threads make the process's first remote call at one moment, so
-    all of them reach the deferred `import requests` together."""
+    all of them reach the deferred `import urllib.request` together."""
     env = {k: v for k, v in os.environ.items() if k not in PROXY_VARS}
     env.update(NO_PROXY="127.0.0.1", PYTHONPATH=str(SRC_DIR))
     done = subprocess.run([sys.executable, "-c", CONCURRENT_FIRST_CALLS,
