@@ -6,8 +6,8 @@ deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
 
 Importing this module loads neither the HTTP client nor OpenSSL:
-`urllib.request` (with http.client and ssl) loads on the first remote call, and
-`hashlib` (with OpenSSL's libcrypto) on the first cache key or mock identity,
+`urllib.request` (with http.client and ssl) loads when a remote backend is
+built, and `hashlib` (with libcrypto) on the first cache key or mock identity,
 which only `--cache` reads. numpy loads on a build's first numerical call
 (see `np.py`), and numpy 2's `numpy.random`, which seeds K-Means, imports
 `hashlib`. So a mock-backed `ask` without `--cache` loads none of the three.
@@ -275,29 +275,29 @@ class RemoteBackend(Backend):
         self.api_key = os.environ.get(api_key_env, "")
         self.timeout_s = timeout_s
         self._transport = transport or self._http_post
-        self._opener = None
-        self._opener_lock = threading.Lock()
+        if transport is None:  # one TLS context per backend: each loads the CA store
+            import ssl
+            import urllib.request as ur
+            # http(s) only; a redirect is an HTTPError: the API key stays with its host.
+            self._opener = ur.OpenerDirector()
+            for handler in (ur.ProxyHandler(), ur.HTTPHandler(),
+                            ur.HTTPSHandler(context=ssl.create_default_context()),
+                            ur.HTTPDefaultErrorHandler(), ur.HTTPErrorProcessor(),
+                            ur.UnknownHandler()):
+                self._opener.add_handler(handler)
         self._sleep = sleep
         self._uniform = uniform
 
     def _http_post(self, url: str, headers: dict, body: dict,
                    timeout: float) -> tuple[int, Any, Mapping[str, str]]:
         """POST `body` as JSON; the status, the parsed body and the reply headers.
-        An error status returns no body, as a proxy's error page need not be
-        JSON. A cut reply (`IncompleteRead`) or a non-http(s) URL fails."""
-        # Local import: only a remote run needs urllib.request, http.client and ssl.
-        import http.client
-        import ssl
+        A non-2xx status (a redirect too) returns no body, as a proxy's error
+        page need not be JSON. A cut reply or a non-http(s) URL fails."""
+        import http.client  # loaded with the opener in __init__
         import urllib.request
 
-        with self._opener_lock:  # one TLS context: each loads the CA store
-            if self._opener is None:
-                self._opener = urllib.request.build_opener(urllib.request.HTTPSHandler(
-                    context=ssl.create_default_context()))
         try:
             request = urllib.request.Request(url, json.dumps(body).encode(), headers)
-            if request.type not in ("http", "https"):  # not file:, data: or ftp:
-                raise ValueError(f"unknown url type: {request.type!r}")
             with self._opener.open(request, timeout=timeout) as resp:
                 status, raw, reply_headers = resp.status, resp.read(), resp.headers
         except urllib.request.HTTPError as exc:
@@ -334,7 +334,7 @@ class RemoteBackend(Backend):
             else:
                 if status in (401, 403):
                     raise AuthError(f"authentication rejected by {url} ({status})")
-                if status < 400:
+                if status < 300:
                     return self._parse_body(request.capability, doc)
                 if status != 429 and status < 500:
                     raise BackendError(f"{url} returned {status}")

@@ -2,9 +2,9 @@
 
 Every other RemoteBackend test injects `transport=`. These run an
 `http.server` on 127.0.0.1 so that `urllib.request` and `_http_post` carry
-the calls: wire shapes, status handling, non-JSON bodies, cut replies,
-Retry-After, timeouts, TLS trust, proxies from the environment, and
-concurrent first calls while `urllib.request` is still unloaded. `sleep` and
+the calls: wire shapes, status handling, redirects, non-JSON bodies, cut
+replies, Retry-After, timeouts, TLS trust, proxies from the environment, and
+concurrent first calls in a process that had not loaded `urllib.request`. `sleep` and
 the jitter draw are injected, so no test waits out a backoff.
 
 `loopback_cert.pem` and `loopback_key.pem` are a self-signed P-256 pair for
@@ -37,6 +37,7 @@ from videoqa.backends import (
 )
 from videoqa.errors import (
     AuthError,
+    BackendError,
     BackendTimeout,
     MalformedResponseError,
     TransportError,
@@ -219,6 +220,22 @@ def test_loopback_retry_after_header_reaches_the_backoff(server) -> None:
     assert sleeps == [7.0]
 
 
+@pytest.mark.parametrize("status", [302, 307])
+def test_loopback_redirect_fails_and_the_api_key_stays(server, monkeypatch,
+                                                       status) -> None:
+    """Redirects are not followed: a 3xx fails the call unretried, and the
+    host `Location` names never sees the request or its Authorization."""
+    monkeypatch.setenv("VIDEOQA_LOOPBACK_KEY", "secret")
+    with LoopbackServer() as elsewhere:
+        server.default = Reply(status, b"", "text/plain",
+                               {"Location": elsewhere.url + "/chat"})
+        with pytest.raises(BackendError, match=f"returned {status}"):
+            remote(server, api_key_env="VIDEOQA_LOOPBACK_KEY").call(chat_request("q"))
+        assert elsewhere.requests == []
+    assert len(server.requests) == 1
+    assert server.requests[0][1]["Authorization"] == "Bearer secret"
+
+
 def test_loopback_cut_reply_is_retried_transport_error(server) -> None:
     """A body shorter than its Content-Length is a transport failure."""
     server.default = Reply(body=b'{"choices": [', length=100)
@@ -247,7 +264,7 @@ def test_loopback_tls_refuses_a_certificate_outside_the_ca_store(
 
 def test_loopback_proxy_from_the_environment_gets_the_absolute_url(
         server, monkeypatch) -> None:
-    """The proxy is read when the backend makes its first call."""
+    """The proxy is read when the backend is built."""
     monkeypatch.setenv("HTTP_PROXY", server.url)
     backend = RemoteBackend({"chat": "http://model.invalid/chat"},
                             sleep=lambda s: None)
@@ -284,8 +301,8 @@ print("ok")
 
 
 def test_loopback_concurrent_first_calls_all_succeed() -> None:
-    """Eight threads make the process's first remote call at one moment, so
-    all of them reach the deferred `import urllib.request` together."""
+    """Eight threads make the process's first remote call at one moment,
+    through one backend built after the import boundary was checked."""
     env = {k: v for k, v in os.environ.items() if k not in PROXY_VARS}
     env.update(NO_PROXY="127.0.0.1", PYTHONPATH=str(SRC_DIR))
     done = subprocess.run([sys.executable, "-c", CONCURRENT_FIRST_CALLS,
