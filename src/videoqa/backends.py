@@ -9,8 +9,9 @@ Importing this module loads neither the HTTP client nor OpenSSL:
 `urllib.request` (with http.client and ssl) loads when a remote backend is
 built, and `hashlib` (with libcrypto) on the first cache key or mock identity,
 which only `--cache` reads. numpy loads on a build's first numerical call
-(see `np.py`), and numpy 2's `numpy.random`, which seeds K-Means, imports
-`hashlib`. So a mock-backed `ask` without `--cache` loads none of the three.
+(see `np.py`), but never `numpy.random`, which would import `hashlib`:
+K-Means seeds itself in pure Python. So a mock-backed `ask` without
+`--cache` loads none of the three, and a mock-backed build loads only numpy.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input error, 3 backend error, 4 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -55,8 +56,8 @@ def _add_ablations(parser: argparse.ArgumentParser, *names: str) -> None:
 def _load_config(args: argparse.Namespace) -> EngineConfig:
     config = (EngineConfig.from_file(args.config) if args.config
               else EngineConfig())
-    if args.seed is not None:
-        config.seed = args.seed
+    if args.seed is not None:  # through __post_init__, which checks it
+        config = dataclasses.replace(config, seed=args.seed)
     if args.cache:
         config.cache_enabled = True
     for flag in ("uniform_sampling", "generic_captions", "fixed_workflow",

@@ -60,6 +60,8 @@ class EngineConfig:
             raise ConfigError("gamma must be in (0, 1)")
         if not 1 <= self.max_iterations <= 15:
             raise ConfigError("max_iterations must be in [1, 15]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.backend.timeout_s > 0:
             raise ConfigError("backend.timeout_s must be positive")
         if self.backend.max_inflight < 1:

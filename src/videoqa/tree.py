@@ -249,8 +249,10 @@ def attach_scores(tree: HybridTree, scores: list[RelevanceScore]) -> None:
 def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Cluster points into k groups; returns an assignment per point.
 
-    Deterministic given the seed: the first center is drawn from the seeded
-    RNG, the rest by farthest-point selection; Lloyd iterations run until
+    Deterministic given the seed: the first center is the index
+    `numpy.random.default_rng(seed).integers(0, n)` draws (PCG64 seeded
+    through SeedSequence, reproduced in pure Python by `_randint`), the rest
+    come by farthest-point selection; Lloyd iterations run until
     assignments stabilize or 100 rounds. With n <= k each point is its own
     cluster. Empty clusters are repaired by stealing the farthest point
     from the largest cluster.
@@ -264,8 +266,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     if n <= k:
         return np.arange(n, dtype=np.int64)
 
-    rng = np.random.default_rng(seed)
-    centers = _farthest_point_init(pts, k, rng)
+    centers = _farthest_point_init(pts, k, _randint(seed, n))
     assign = _assign(pts, centers)
     for _ in range(KMEANS_MAX_ITER):
         centers = _update_centers(pts, assign, centers, k)
@@ -276,8 +277,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     return assign
 
 
-def _farthest_point_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    first = int(rng.integers(0, pts.shape[0]))
+def _farthest_point_init(pts: np.ndarray, k: int, first: int) -> np.ndarray:
     chosen = [first]
     min_d = np.linalg.norm(pts - pts[first], axis=1)
     while len(chosen) < k:
@@ -320,8 +320,81 @@ def _repair_empty(pts: np.ndarray, assign: np.ndarray, centers: np.ndarray,
 # Selective expansion
 # ---------------------------------------------------------------------------
 
+# numpy.random's seeding, bit for bit, so a build need not load numpy.random
+# (which imports hashlib and OpenSSL's libcrypto) for two integers per
+# K-Means call. Constants from numpy's SeedSequence and PCG64.
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
 def _node_seed(master_seed: int, node_id: int) -> int:
-    return int(np.random.SeedSequence([master_seed, node_id]).generate_state(1)[0])
+    """`SeedSequence([master_seed, node_id]).generate_state(1)[0]`."""
+    return _seed_sequence((master_seed, node_id), 1)[0]
+
+
+def _seed_sequence(entropy: tuple[int, ...], n_words: int) -> list[int]:
+    """`numpy.random.SeedSequence(entropy).generate_state(n_words)` for
+    non-negative ints: each is split into little-endian uint32 words, hashed
+    into a pool of four, and the pool hashed out into n_words words."""
+    words = []
+    for value in entropy:
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b = 0x8B51F9DD
+    state = []
+    for i in range(n_words):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+def _randint(seed: int, n: int) -> int:
+    """`numpy.random.default_rng(seed).integers(0, n)` for 0 < n <= 2**32:
+    Lemire's bounded draw over PCG64's uint32 stream, which takes the low,
+    then the high half of each 64-bit XSL-RR output."""
+    w = _seed_sequence((seed,), 8)
+    u = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]  # little-endian uint64s
+    initstate, initseq = u[0] << 64 | u[1], u[2] << 64 | u[3]
+    inc = (initseq << 1 | 1) & _MASK128
+    # PCG's seeding: one step from state 0, add initstate, one more step.
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    threshold = (1 << 32) % n  # low residues below it are biased: draw again
+    while True:
+        state = (state * _PCG64_MULT + inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        out = (x >> rot | x << (64 - rot)) & _MASK64
+        for half in (out & _MASK32, out >> 32):
+            m = half * n
+            if m & _MASK32 >= threshold:
+                return m >> 32
 
 
 def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int) -> HybridTree:

@@ -473,6 +473,8 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
         ("cache_dir under a file", evaluate("--cache", *config(
             {"backend": {"cache_dir": str(cache_file / "sub")}})), 4),
         ("config value NaN", evaluate(*config({"tau": float("nan")})), 4),
+        ("config seed negative", evaluate(*config({"seed": -5})), 4),
+        ("--seed negative", evaluate("--seed", "-1"), 4),
         ("backend.timeout_s not positive",
          evaluate(*config({"backend": {"timeout_s": 0}})), 4),
         ("backend.max_inflight 0",

@@ -1,21 +1,22 @@
-"""Import boundary: a mock-backed run loads no HTTP client and, unless it
-builds, neither numpy nor OpenSSL; the response cache keys entries as it
-always has.
+"""Import boundary: a mock-backed run loads no HTTP client and no OpenSSL,
+and unless it builds, no numpy; a build loads numpy's core but not
+`numpy.random`; the response cache keys entries as it always has.
 
 Each check runs in a fresh interpreter, because this test process has long
-since imported everything, with the listed modules refused on
-`sys.meta_path`; in each of those runs, importing `videoqa.cli` loads no
-numpy:
-- the golden `eval`, plain and with `--parallel-videos`, refuses `http` and
-  `ssl`, and its outputs equal the committed snapshot. `urllib` cannot be
-  refused by name, as `pathlib` imports `urllib.parse`, but the remote
-  transport's `urllib.request` imports `http.client`. The eval loads numpy
-  during the build; with `--parallel-videos` two videos build at once, so
-  their first numpy calls race. It cannot refuse `hashlib`: building a tree
-  seeds K-Means through `numpy.random`, which on numpy 2 imports `secrets`,
-  hence `hmac` and `hashlib`;
-- `ask` over a built tree refuses those two plus `numpy`, `hashlib` and
-  `_hashlib`, and prints the record an unrefused `ask` prints;
+since imported everything, with the listed modules and their submodules
+refused on `sys.meta_path`. A refused import fails the run even when the
+importer catches its ImportError, as `hashlib` does for `_hashlib`. In each
+of those runs, importing `videoqa.cli` loads no numpy:
+- the golden `eval`, plain and with `--parallel-videos`, refuses `http`,
+  `ssl`, `numpy.random`, `hashlib` and `_hashlib`, and its outputs equal the
+  committed snapshot. `urllib` cannot be refused by name, as `pathlib`
+  imports `urllib.parse`, but the remote transport's `urllib.request` imports
+  `http.client`. The eval loads numpy during the build; with
+  `--parallel-videos` two videos build at once, so their first numpy calls
+  race. K-Means seeds itself with a pure-Python copy of `numpy.random`'s
+  streams, whose import would pull in `secrets`, hence `hmac` and `hashlib`;
+- `ask` over a built tree refuses those plus `numpy`, and prints the record
+  an unrefused `ask` prints;
 - `ask --cache` refuses nothing and loads `_hashlib`, and a fixed request's
   cache key equals the one computed while `hashlib` was still imported at
   module top, so caches written then still hit.
@@ -44,6 +45,7 @@ EVAL_FLAGS = {"default": [], "parallel_videos": ["--parallel-videos"]}
 HTTP_CLIENT = ("http", "ssl")
 OPENSSL = ("hashlib", "_hashlib")
 NUMPY = ("numpy",)
+NUMPY_RANDOM = ("numpy.random",)
 
 # CachingBackend.cache_key(chat_request("What happens after the goal?")) over
 # MockBackend(MockScript([MockRule("hello", "world")], "fallback")), computed
@@ -57,9 +59,14 @@ refused = set(json.loads(sys.argv[1]))
 preloaded = refused & set(sys.modules)
 assert not preloaded, f"loaded at interpreter start-up: {sorted(preloaded)}"
 
+attempted = set()
+
 class Refuse:
+    # Refuses a listed module and its submodules, and records the attempt:
+    # code that catches the ImportError (hashlib does, for _hashlib) tried.
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] in refused:
+        if any(name == r or name.startswith(r + ".") for r in refused):
+            attempted.add(name)
             raise ImportError(f"import of {name} refused")
         return None
 
@@ -67,7 +74,7 @@ sys.meta_path.insert(0, Refuse())
 from videoqa.cli import main
 assert "numpy" not in sys.modules, "importing videoqa.cli loaded numpy"
 code = main(sys.argv[2:])
-print(json.dumps({"exit": code, "loaded": sorted(refused & set(sys.modules)),
+print(json.dumps({"exit": code, "refused": sorted(attempted),
                   "numpy": "numpy" in sys.modules}))
 """
 
@@ -125,12 +132,12 @@ def built(tmp_path_factory) -> tuple[list[str], str]:
 def test_mock_eval_loads_no_http_client(variant, tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     _, result = _python(
-        RUN_REFUSING_IMPORTS, json.dumps(HTTP_CLIENT), "eval",
-        str(world.dataset_path), "--mock-script", str(world.script_path),
+        RUN_REFUSING_IMPORTS, json.dumps(HTTP_CLIENT + NUMPY_RANDOM + OPENSSL),
+        "eval", str(world.dataset_path), "--mock-script", str(world.script_path),
         "--out-records", str(tmp_path / "records.jsonl"),
         "--out-report", str(tmp_path / "report.json"), *EVAL_FLAGS[variant],
         cwd=tmp_path)
-    assert result == {"exit": 0, "loaded": [], "numpy": True}
+    assert result == {"exit": 0, "refused": [], "numpy": True}
     for name in ("records.jsonl", "report.json"):
         expected = GOLDEN_DIR / variant / name
         assert (tmp_path / name).read_bytes() == expected.read_bytes(), \
@@ -142,7 +149,7 @@ def test_mock_ask_loads_no_http_client_numpy_or_openssl(built, tmp_path) -> None
     record, result = _python(RUN_REFUSING_IMPORTS,
                              json.dumps(HTTP_CLIENT + NUMPY + OPENSSL), *ask,
                              cwd=tmp_path)
-    assert result == {"exit": 0, "loaded": [], "numpy": False}
+    assert result == {"exit": 0, "refused": [], "numpy": False}
     assert record == expected
 
 

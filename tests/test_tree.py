@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from videoqa.ingest import Shot, detect_shots
 from videoqa.tree import (
     RelevanceScore,
     TreeParams,
+    _node_seed,
+    _randint,
     attach_scores,
     deserialize_tree,
     expand_tree,
@@ -135,6 +138,54 @@ def test_kmeans_never_below_optimal_on_arbitrary_inputs() -> None:
         assign = kmeans(pts, 2, seed=trial)
         assert kmeans_cost(pts, assign) >= \
             bruteforce_two_partition_cost(pts) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# K-Means seeding: numpy.random's streams, reproduced without it
+# ---------------------------------------------------------------------------
+
+FIRST_INDEX_BOUNDS = (1, 2, 3, 45, 2**31 + 1, 2**32 - 1)
+
+# (master seed, node id) -> _node_seed, then default_rng(that seed)
+# .integers(0, n) for each n in FIRST_INDEX_BOUNDS, as numpy 2.4 computes them.
+PINNED_SEEDS = [
+    (0, 0, 2968811710, (0, 1, 2, 32, 8787345, 3065586048)),
+    (0, 1, 3964924996, (0, 0, 0, 8, 419593122, 839186244)),
+    (2**32 - 1, 5, 2732042765, (0, 0, 0, 13, 117073878, 1273231719)),
+    (2**64 + 1, 2, 3667626515, (0, 0, 1, 17, 187434421, 1708700531)),
+    (7, 4999, 110728852, (0, 1, 1, 22, 1085507223, 2171014445)),
+    (2**200 + 3, 17, 1915914846, (0, 1, 2, 41, 1996474419, 3992948837)),
+]
+
+
+@pytest.mark.parametrize("master,node_id,seed,firsts", PINNED_SEEDS)
+def test_seeding_matches_pinned_numpy_values(master, node_id, seed,
+                                             firsts) -> None:
+    assert _node_seed(master, node_id) == seed
+    assert tuple(_randint(seed, n) for n in FIRST_INDEX_BOUNDS) == firsts
+
+
+def test_seeding_matches_numpy_random_draw_for_draw() -> None:
+    """Against numpy.random itself, over seeds up to 2**200, node ids up to
+    5,000 and bounds up to 2**32 - 1. A bound just above 2**31 rejects about
+    half its first draws, so the redraw path runs too."""
+    draws = random.Random(15)
+    rejected = 0
+    for _ in range(3000):
+        master = draws.choice([draws.randrange(16), draws.randrange(2**64),
+                               draws.randrange(2**200)])
+        node_id = draws.randrange(5001)
+        n = draws.choice([draws.randrange(1, 100), draws.randrange(1, 2**32),
+                          2**31 + draws.randrange(1, 1000)])
+        seed = _node_seed(master, node_id)
+        assert seed == int(np.random.SeedSequence([master, node_id])
+                           .generate_state(1)[0]), (master, node_id)
+        rng = np.random.default_rng(seed)
+        assert _randint(seed, n) == int(rng.integers(0, n)), (seed, n)
+        # numpy buffers the high half of each 64-bit output, so an accepted
+        # first draw leaves one buffered and one redraw consumes it.
+        rejected += not rng.bit_generator.state["has_uint32"]
+    assert rejected > 0, "no draw took the rejection branch"
 
 
 # ---------------------------------------------------------------------------
