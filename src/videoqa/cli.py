@@ -61,7 +61,7 @@ def _load_config(args: argparse.Namespace) -> EngineConfig:
     if args.cache:
         config.cache_enabled = True
     for flag in ("uniform_sampling", "generic_captions", "fixed_workflow",
-                 "reclassify", "parallel_videos"):
+                 "reclassify"):
         if getattr(args, flag, False):
             setattr(config, flag, True)
     return config
@@ -83,8 +83,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     out_tree = Path(args.out_tree)
     sidecar_path = Path(args.out_sidecar
                         or out_tree.with_name(out_tree.stem + ".sidecar.json"))
-    check_writable(out_tree, "tree file")
-    check_writable(sidecar_path, "sidecar file")
+    check_writable(("tree file", out_tree), ("sidecar file", sidecar_path))
     config = _load_config(args)
     backend = _make_backend(args, config)
     questions = load_question_file(args.questions)
@@ -123,8 +122,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_records, out_report = Path(args.out_records), Path(args.out_report)
-    check_writable(out_records, "records file")
-    check_writable(out_report, "report file")
+    check_writable(("records file", out_records), ("report file", out_report))
     config = _load_config(args)
     backend = _make_backend(args, config)
     records, report = evaluate(args.manifest, config, backend)
@@ -199,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out-report", default="report.json")
     p_eval.add_argument("--reclassify", action="store_true",
                         help="classify even when the manifest declares types")
-    p_eval.add_argument("--parallel-videos", action="store_true",
-                        help="process manifest entries concurrently")
     _add_common(p_eval)
     _add_ablations(p_eval, "uniform", "generic", "fixed")
     p_eval.set_defaults(func=cmd_eval)

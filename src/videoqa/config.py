@@ -36,7 +36,6 @@ class EngineConfig:
     gamma: float = 0.4                # high-relevance fraction for breadth retrieval
     max_iterations: int = 15          # hard per-question reasoning budget
     seed: int = 0
-    parallel_videos: bool = False     # videos stay sequential by default
     uniform_shots: int = 8            # shot count in uniform-sampling mode
     template_dir: str | None = None
     profile_dir: str | None = None

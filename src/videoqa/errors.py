@@ -273,15 +273,24 @@ def write_text(path: str | Path, text: str, what: str) -> None:
         raise InputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
 
 
-def check_writable(path: str | Path, what: str) -> None:
-    """Raise the InputError `write_text` would for a path that is a
-    directory or whose parent is not one, before any work is done."""
-    p = Path(path)
-    if p.is_dir():
-        raise InputError(f"{what} {path} cannot be written: it is a directory")
-    if not p.parent.is_dir():
-        raise InputError(f"{what} {path} cannot be written: {p.parent} is not "
-                         "a directory")
+def check_writable(*outputs: tuple[str, str | Path]) -> None:
+    """For each `(what, path)` output, raise the InputError `write_text`
+    would for a path that is a directory or whose parent is not one, and
+    refuse a path that resolves to an earlier output's file, before any
+    work is done."""
+    seen: dict[Path, str] = {}
+    for what, path in outputs:
+        p = Path(path)
+        if p.is_dir():
+            raise InputError(f"{what} {path} cannot be written: it is a "
+                             "directory")
+        if not p.parent.is_dir():
+            raise InputError(f"{what} {path} cannot be written: {p.parent} "
+                             "is not a directory")
+        other = seen.setdefault(p.resolve(), what)
+        if other != what:
+            raise InputError(f"{what} {path} cannot be written: it is also "
+                             f"the {other}")
 
 
 def canonical_json(doc: Any) -> str:

@@ -60,11 +60,6 @@ from .tree import (
     vtsearch,
 )
 
-# How many videos `evaluate` processes at once with parallel_videos set.
-# This bounds how many videos' frames, trees and stores are held in memory;
-# model calls are bounded by the backend's in-flight limit alone.
-VIDEO_WORKERS = 4
-
 
 # ---------------------------------------------------------------------------
 # Manifest loading
@@ -316,61 +311,38 @@ class RunReport:
 
 def evaluate(manifest_path: str | Path, config: EngineConfig,
              backend: Backend) -> tuple[list[AnswerRecord], RunReport]:
-    """Run every manifest entry; videos sequential unless parallel_videos is
-    set, questions within one video concurrent up to the backend's in-flight
-    limit. Record order follows the manifest regardless of completion order."""
+    """Run the manifest's entries one after another, so one video's frames,
+    tree and store are held at a time. A video's questions are answered
+    concurrently, up to the backend's in-flight limit; records follow the
+    manifest's order."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
-
-    def process_entry(entry: VideoEntry) -> list[
-            tuple[RawQuestion, QuestionBundle, AnswerRecord]]:
+    records: list[AnswerRecord] = []
+    hits: dict[str, list[bool]] = {}  # per type, one per graded question
+    for entry in entries:
         result = build_video(entry.frame_manifest_path, list(entry.questions),
                              config, backend, entry.video_id)
-
-        def answer_one(bundle: QuestionBundle) -> AnswerRecord:
-            return answer_question(bundle, result.store, profiles, config,
-                                   backend)
-
         with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
-            answered = list(pool.map(answer_one, result.bundles))
-        return list(zip(entry.questions, result.bundles, answered))
-
-    if config.parallel_videos and len(entries) > 1:
-        with ThreadPoolExecutor(
-                max_workers=min(VIDEO_WORKERS, len(entries))) as pool:
-            per_entry = list(pool.map(process_entry, entries))
-    else:
-        per_entry = [process_entry(entry) for entry in entries]
-
-    records: list[AnswerRecord] = []
-    outcomes: list[tuple[RawQuestion, QuestionBundle, AnswerRecord]] = []
-    for entry_outcomes in per_entry:
-        for raw, bundle, record in entry_outcomes:
-            outcomes.append((raw, bundle, record))
+            answered = list(pool.map(
+                lambda b: answer_question(b, result.store, profiles, config,
+                                          backend), result.bundles))
+        for raw, bundle, record in zip(entry.questions, result.bundles,
+                                       answered):
             records.append(record)
+            if raw.gold_index is not None:
+                hits.setdefault(bundle.qtype, []).append(
+                    record.chosen_index == raw.gold_index)
+        del result  # the next build need not hold this tree and store
 
-    graded = [(raw, bundle, record) for raw, bundle, record in outcomes
-              if raw.gold_index is not None]
-    accuracy = None
-    by_type: dict[str, float] = {}
-    if graded:
-        accuracy = sum(
-            1 for raw, _, record in graded
-            if record.chosen_index == raw.gold_index) / len(graded)
-        for qtype in sorted({bundle.qtype for _, bundle, _ in graded}):
-            subset = [(raw, record) for raw, bundle, record in graded
-                      if bundle.qtype == qtype]
-            by_type[qtype] = sum(
-                1 for raw, record in subset
-                if record.chosen_index == raw.gold_index) / len(subset)
-
+    graded = [hit for type_hits in hits.values() for hit in type_hits]
     report = RunReport(
         num_questions=len(records),
         mean_rounds=(sum(r.rounds_used for r in records) / len(records)
                      if records else 0.0),
         ablation_flags=config.ablation_flags(),
         question_ids=[r.question_id for r in records],
-        accuracy_overall=accuracy,
-        accuracy_by_type=by_type,
+        accuracy_overall=sum(graded) / len(graded) if graded else None,
+        accuracy_by_type={qtype: sum(type_hits) / len(type_hits)
+                          for qtype, type_hits in hits.items()},
     )
     return records, report

@@ -282,14 +282,21 @@ def test_cli_bad_config_exits_4(tmp_path, capsys) -> None:
     assert "made_up_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["max_inflight", "question_concurrency", "fps"])
+@pytest.mark.parametrize("key", ["max_inflight", "question_concurrency", "fps",
+                                 "parallel_videos"])
 def test_cli_removed_engine_concurrency_keys_exit_4(tmp_path, capsys, key) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: 4}))
     code = main(["eval", str(tmp_path / "dataset.json"),
                  "--config", str(config)])
     assert code == 4
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert "unknown config key" in err
+    with pytest.raises(SystemExit) as exc:  # and no flag sets it either
+        main(["eval", str(tmp_path / "dataset.json"),
+              "--" + key.replace("_", "-")])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("cache", [False, True])
@@ -504,8 +511,9 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
 
 def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
                                                            monkeypatch) -> None:
-    """An output in a missing directory, or one that is a directory, exits 2
-    before the first model call, not after the whole build or eval."""
+    """An output in a missing directory, one that is a directory, or one
+    that is also the command's other output exits 2 before the first model
+    call, not after the whole build or eval."""
     world = build_golden_world(tmp_path / "golden")
     build_args = _build_args(world, tmp_path)
     nowhere = tmp_path / "no_such_dir"
@@ -527,12 +535,16 @@ def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
          [*build_args, "--out-sidecar", str(nowhere / "s.json")]),
         ("build sidecar is a directory",
          [*build_args, "--out-sidecar", str(taken)]),
+        ("build sidecar is the tree",
+         [*build_args, "--out-sidecar", f"{taken}/../tree.json"]),
         ("eval records in a missing directory",
          evaluate("--out-records", str(nowhere / "r.jsonl"))),
         ("eval records is a directory", evaluate("--out-records", str(taken))),
         ("eval report in a missing directory",
          evaluate("--out-report", str(nowhere / "r.json"))),
         ("eval report is a directory", evaluate("--out-report", str(taken))),
+        ("eval report is the records file",
+         evaluate("--out-report", str(tmp_path / "records.jsonl"))),
     ]
     calls = []
     real_call = Backend.call

@@ -6,15 +6,18 @@ Each check runs in a fresh interpreter, because this test process has long
 since imported everything, with the listed modules and their submodules
 refused on `sys.meta_path`. A refused import fails the run even when the
 importer catches its ImportError, as `hashlib` does for `_hashlib`. In each
-of those runs, importing `videoqa.cli` loads no numpy:
-- the golden `eval`, plain and with `--parallel-videos`, refuses `http`,
-  `ssl`, `numpy.random`, `hashlib` and `_hashlib`, and its outputs equal the
-  committed snapshot. `urllib` cannot be refused by name, as `pathlib`
-  imports `urllib.parse`, but the remote transport's `urllib.request` imports
-  `http.client`. The eval loads numpy during the build; with
-  `--parallel-videos` two videos build at once, so their first numpy calls
-  race. K-Means seeds itself with a pure-Python copy of `numpy.random`'s
-  streams, whose import would pull in `secrets`, hence `hmac` and `hashlib`;
+of those runs, importing `videoqa.cli` or `videoqa.np` loads no numpy:
+- the golden `eval` refuses `http`, `ssl`, `numpy.random`, `hashlib` and
+  `_hashlib`, and its outputs equal the committed snapshot. `urllib` cannot
+  be refused by name, as `pathlib` imports `urllib.parse`, but the remote
+  transport's `urllib.request` imports `http.client`. The eval loads numpy
+  during the build. K-Means seeds itself with a pure-Python copy of
+  `numpy.random`'s streams, whose import would pull in `secrets`, hence
+  `hmac` and `hashlib`;
+- eight threads released at once by a barrier race to `videoqa.np`'s first
+  attribute reads, refusing `numpy.random`, `hashlib` and `_hashlib`, and
+  each gets numpy's own objects, never those of a half-imported numpy. A
+  build makes its first numpy read on the calling thread, so no eval races;
 - `ask` over a built tree refuses those plus `numpy`, and prints the record
   an unrefused `ask` prints;
 - `ask --cache` refuses nothing and loads `_hashlib`, and a fixed request's
@@ -40,7 +43,6 @@ from conftest import build_golden_world
 
 SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_DIR = Path(__file__).parent / "golden"
-EVAL_FLAGS = {"default": [], "parallel_videos": ["--parallel-videos"]}
 
 HTTP_CLIENT = ("http", "ssl")
 OPENSSL = ("hashlib", "_hashlib")
@@ -53,7 +55,7 @@ NUMPY_RANDOM = ("numpy.random",)
 FIXED_CACHE_KEY = "163d83714a90ec3f839ca2883e999deeaf2306ecf96f55bae7f493debbca0c5b"
 FIXED_IDENTITY = "mock:6461f4860b1445ebbd7df43f12bfc8edf74f444f2841833ba8d2c2877b933c39"
 
-RUN_REFUSING_IMPORTS = """
+REFUSE_IMPORTS = """
 import json, sys
 refused = set(json.loads(sys.argv[1]))
 preloaded = refused & set(sys.modules)
@@ -71,11 +73,38 @@ class Refuse:
         return None
 
 sys.meta_path.insert(0, Refuse())
+"""
+
+RUN_REFUSING_IMPORTS = REFUSE_IMPORTS + """
 from videoqa.cli import main
 assert "numpy" not in sys.modules, "importing videoqa.cli loaded numpy"
 code = main(sys.argv[2:])
 print(json.dumps({"exit": code, "refused": sorted(attempted),
                   "numpy": "numpy" in sys.modules}))
+"""
+
+RACE_NUMPY_REFUSING_IMPORTS = REFUSE_IMPORTS + """
+import threading
+from videoqa import np
+assert "numpy" not in sys.modules, "importing videoqa.np loaded numpy"
+THREADS = 8
+barrier = threading.Barrier(THREADS, timeout=60)
+got = [None] * THREADS
+
+def first_read(i):
+    barrier.wait()
+    got[i] = (np.asarray, np.linalg)
+
+threads = [threading.Thread(target=first_read, args=(i,))
+           for i in range(THREADS)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+import numpy
+print(json.dumps({"numpy's own": [g is not None and g[0] is numpy.asarray
+                                  and g[1] is numpy.linalg for g in got],
+                  "refused": sorted(attempted)}))
 """
 
 CACHE_KEY_AFTER_RUN = """
@@ -128,20 +157,24 @@ def built(tmp_path_factory) -> tuple[list[str], str]:
     return ask, out.getvalue()
 
 
-@pytest.mark.parametrize("variant", sorted(EVAL_FLAGS))
-def test_mock_eval_loads_no_http_client(variant, tmp_path) -> None:
+def test_mock_eval_loads_no_http_client(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     _, result = _python(
         RUN_REFUSING_IMPORTS, json.dumps(HTTP_CLIENT + NUMPY_RANDOM + OPENSSL),
         "eval", str(world.dataset_path), "--mock-script", str(world.script_path),
         "--out-records", str(tmp_path / "records.jsonl"),
-        "--out-report", str(tmp_path / "report.json"), *EVAL_FLAGS[variant],
-        cwd=tmp_path)
+        "--out-report", str(tmp_path / "report.json"), cwd=tmp_path)
     assert result == {"exit": 0, "refused": [], "numpy": True}
     for name in ("records.jsonl", "report.json"):
-        expected = GOLDEN_DIR / variant / name
+        expected = GOLDEN_DIR / "default" / name
         assert (tmp_path / name).read_bytes() == expected.read_bytes(), \
-            f"{name} differs from the committed {variant} snapshot"
+            f"{name} differs from the committed default snapshot"
+
+
+def test_threads_racing_to_first_numpy_read_get_numpy(tmp_path) -> None:
+    _, result = _python(RACE_NUMPY_REFUSING_IMPORTS,
+                        json.dumps(NUMPY_RANDOM + OPENSSL), cwd=tmp_path)
+    assert result == {"numpy's own": [True] * 8, "refused": []}
 
 
 def test_mock_ask_loads_no_http_client_numpy_or_openssl(built, tmp_path) -> None:

@@ -432,18 +432,6 @@ def test_fixed_workflow_skips_planning_calls(tmp_path) -> None:
         assert record.trace[0].observation == ", ".join(AGENT_REGISTRY)
 
 
-def test_parallel_videos_matches_sequential(tmp_path) -> None:
-    world = build_golden_world(tmp_path / "golden")
-    seq_records, seq_report = evaluate(world.dataset_path, EngineConfig(seed=3),
-                                       world.backend())
-    par_records, par_report = evaluate(world.dataset_path,
-                                       EngineConfig(seed=3, parallel_videos=True),
-                                       world.backend())
-    assert [r.to_json() for r in par_records] == \
-        [r.to_json() for r in seq_records]
-    assert par_report.to_doc() == seq_report.to_doc()
-
-
 def test_reclassify_flag_forces_classifier(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
     doc = json.loads(world.dataset_path.read_text())

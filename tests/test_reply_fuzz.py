@@ -31,7 +31,7 @@ from conftest import GOLDEN_QUESTIONS, build_golden_world
 
 AGENT_MARKERS = tuple(f'"content":"[{agent}]' for agent in
                       AGENT_REGISTRY + (PROBLEM_ANALYSIS, TASK_PLANNING))
-VARIANTS = ({}, {"parallel_videos": True}, {"fixed_workflow": True})
+VARIANTS = ({}, {"fixed_workflow": True})
 
 VALUES = (
     "null", "true", "false", "0", "1", "2", "5", "8", "14", "23", "-1", "8.7",
