@@ -413,9 +413,6 @@ class CachingBackend(Backend):
         except OSError as exc:
             raise ConfigError(f"backend.cache_dir {cache_dir} cannot be used: "
                               f"{exc.strerror}") from exc
-        self.hits = 0
-        self.misses = 0
-        self._count_lock = threading.Lock()
 
     def cache_key(self, request: BackendRequest) -> str:
         return _sha256_hex(f"{self.identity}\n{render_payload(request)}")
@@ -426,15 +423,10 @@ class CachingBackend(Backend):
             try:
                 entry = Doc(json.loads(path.read_text(encoding="utf-8")),
                             MalformedResponseError, path.name).obj()
-                response = _checked(request.capability,
-                                    entry.value.get("response"))
+                return _checked(request.capability, entry.value.get("response"))
             except (ValueError, MalformedResponseError) as exc:
                 logger.warning("corrupt cache entry %s (%s), treated as a miss",
                                path.name, exc)
-            else:
-                with self._count_lock:
-                    self.hits += 1
-                return response
         response = self.inner.call(request)
         # The temp name carries pid and thread id, so concurrent writers of
         # one key, in this process or another, never interleave.
@@ -446,8 +438,6 @@ class CachingBackend(Backend):
         except OSError as exc:
             logger.warning("cache entry %s cannot be written (%s), response "
                            "returned uncached", path.name, exc.strerror)
-        with self._count_lock:
-            self.misses += 1
         return response
 
 

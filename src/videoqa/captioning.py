@@ -170,19 +170,22 @@ def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
 # Frame captioning
 # ---------------------------------------------------------------------------
 
-def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
-                   frame_ref: Callable[[int], str], pool: Executor
-                   ) -> list[FrameCaption]:
-    """Caption each frame with the synthesized prompt, fanning the calls out
-    on `pool`, and reassembling in temporal order.
+def caption_frames(frames: list[int], prompts: list[VisualPrompt],
+                   vlm: Backend, frame_ref: Callable[[int], str],
+                   pool: Executor) -> list[FrameCaption]:
+    """Caption each frame under each prompt, fanning every call out on
+    `pool` at once; captions come prompt by prompt, each prompt's in
+    temporal order.
 
     A frame that fails twice gets the sentinel caption instead of aborting
-    the batch; if every frame fails, the whole call raises.
+    the batch; if every frame fails under one prompt, the whole call raises.
     """
     if not frames:
         return []
+    frames = sorted(frames)
 
-    def caption_one(frame_index: int) -> FrameCaption:
+    def caption_one(item: tuple[VisualPrompt, int]) -> FrameCaption:
+        prompt, frame_index = item
         request = caption_request(frame_ref(frame_index), prompt.text)
         try:
             text = vlm.call(request)
@@ -194,10 +197,13 @@ def caption_frames(frames: list[int], prompt: VisualPrompt, vlm: Backend,
                 return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
         return FrameCaption(frame_index, prompt.qtype, text)
 
-    captions = list(pool.map(caption_one, sorted(frames)))
-    if all(c.text == SENTINEL_CAPTION for c in captions):
-        raise BackendError(
-            f"caption backend failed for all {len(captions)} frames")
+    captions = list(pool.map(caption_one,
+                             [(p, f) for p in prompts for f in frames]))
+    for start in range(0, len(captions), len(frames)):
+        if all(c.text == SENTINEL_CAPTION
+               for c in captions[start:start + len(frames)]):
+            raise BackendError(f"caption backend failed for all {len(frames)} "
+                               f"frames under the {captions[start].qtype} prompt")
     return captions
 
 

@@ -83,7 +83,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     out_tree = Path(args.out_tree)
     sidecar_path = Path(args.out_sidecar
                         or out_tree.with_name(out_tree.stem + ".sidecar.json"))
-    check_writable(("tree file", out_tree), ("sidecar file", sidecar_path))
+    check_writable(("tree file", out_tree), ("sidecar file", sidecar_path),
+                   inputs=(("frame manifest", args.frame_manifest),
+                           ("question file", args.questions),
+                           ("config file", args.config),
+                           ("mock script", args.mock_script)))
     config = _load_config(args)
     backend = _make_backend(args, config)
     questions = load_question_file(args.questions)
@@ -122,7 +126,10 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     out_records, out_report = Path(args.out_records), Path(args.out_report)
-    check_writable(("records file", out_records), ("report file", out_report))
+    check_writable(("records file", out_records), ("report file", out_report),
+                   inputs=(("dataset manifest", args.manifest),
+                           ("config file", args.config),
+                           ("mock script", args.mock_script)))
     config = _load_config(args)
     backend = _make_backend(args, config)
     records, report = evaluate(args.manifest, config, backend)

@@ -273,12 +273,16 @@ def write_text(path: str | Path, text: str, what: str) -> None:
         raise InputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
 
 
-def check_writable(*outputs: tuple[str, str | Path]) -> None:
+def check_writable(*outputs: tuple[str, str | Path],
+                   inputs: tuple[tuple[str, str | Path | None], ...] = ()
+                   ) -> None:
     """For each `(what, path)` output, raise the InputError `write_text`
     would for a path that is a directory or whose parent is not one, and
-    refuse a path that resolves to an earlier output's file, before any
-    work is done."""
-    seen: dict[Path, str] = {}
+    refuse a path that resolves to one of the `inputs` (a `None` path is an
+    input not given) or to an earlier output's file, before any work is
+    done."""
+    seen = {Path(path).resolve(): (what, path)
+            for what, path in inputs if path is not None}
     for what, path in outputs:
         p = Path(path)
         if p.is_dir():
@@ -287,10 +291,10 @@ def check_writable(*outputs: tuple[str, str | Path]) -> None:
         if not p.parent.is_dir():
             raise InputError(f"{what} {path} cannot be written: {p.parent} "
                              "is not a directory")
-        other = seen.setdefault(p.resolve(), what)
+        other, other_path = seen.setdefault(p.resolve(), (what, path))
         if other != what:
             raise InputError(f"{what} {path} cannot be written: it is also "
-                             f"the {other}")
+                             f"the {other} {other_path}")
 
 
 def canonical_json(doc: Any) -> str:

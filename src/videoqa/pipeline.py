@@ -3,22 +3,21 @@ dataset evaluations.
 
 Build order: ingest -> shot detection -> first-pass captions -> relevance
 scoring -> selective expansion -> frame retrieval -> question-aware
-captions -> segment summaries. Question classification and prompt
-synthesis need only the questions, so they run on a side task alongside
-first-pass captioning, scoring and expansion, joined before frame
-retrieval. Each question type's caption -> summary chain then runs
-concurrently with the others, and every stage fans its calls out (frame
-captions, relevance scores, classifications, fusion calls) onto one call
-pool per build. The single backend object serves every call; its
-`max_inflight` is the one bound on concurrent model calls and sizes that
-pool and the per-video question pool. Results are reassembled in a fixed
-order, so the tree, store and records do not depend on it. Ablation modes
-swap out individual steps without touching the rest of the pipeline.
+captions -> segment summaries. Every model call of a build is a task on one
+call pool of `max_inflight` threads, queued stage by stage: classifications,
+first-pass captions, relevance scores, prompt syntheses, typed captions,
+fusions. Classifications are read after the first-pass captions, so they
+overlap them, and syntheses after expansion, so they overlap its CPU work.
+The single backend object serves every call; its `max_inflight` is the one
+bound on concurrent model calls and sizes that pool and the per-video
+question pool. Results are reassembled in a fixed order, so the tree, store
+and records do not depend on it. Ablation modes swap out individual steps
+without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -139,37 +138,27 @@ def uniform_leaf_shots(num_frames: int, count: int,
     return shots
 
 
-def classify_bundles(questions: list[RawQuestion], config: EngineConfig,
-                     backend: Backend, pool: Executor) -> list[QuestionBundle]:
-    """Classify the questions concurrently on `pool`; bundles keep the input
-    order."""
-
-    def bundle(raw: RawQuestion) -> QuestionBundle:
-        if raw.declared_type is not None and not config.reclassify:
-            qtype = raw.declared_type
-        else:
-            qtype = classify_question(raw.text, list(raw.options), backend)
-        return QuestionBundle(question_id=raw.question_id, text=raw.text,
-                              options=raw.options, qtype=qtype)
-
-    return list(pool.map(bundle, questions))
+def classify(raw: RawQuestion, config: EngineConfig,
+             backend: Backend) -> QuestionBundle:
+    """The question's bundle, typed as declared unless `reclassify` is set
+    or no type is declared, in which case the classifier types it."""
+    if raw.declared_type is not None and not config.reclassify:
+        qtype = raw.declared_type
+    else:
+        qtype = classify_question(raw.text, list(raw.options), backend)
+    return QuestionBundle(question_id=raw.question_id, text=raw.text,
+                          options=raw.options, qtype=qtype)
 
 
-def prepare_prompts(questions: list[RawQuestion], config: EngineConfig,
-                    backend: Backend, pool: Executor
-                    ) -> tuple[list[QuestionBundle], dict[str, VisualPrompt]]:
-    """Classify the questions, then write one visual prompt per type."""
-    bundles = classify_bundles(questions, config, backend, pool)
-    prompts: dict[str, VisualPrompt] = {}
-    for qtype in sorted({b.qtype for b in bundles}):
-        if config.generic_captions:
-            base = generic_prompt(config.template_dir)
-            prompts[qtype] = VisualPrompt(qtype=qtype, text=base.text)
-        else:
-            type_questions = [b.text for b in bundles if b.qtype == qtype]
-            prompts[qtype] = synthesize_prompt(qtype, type_questions, backend,
-                                               config.template_dir)
-    return bundles, prompts
+def type_prompt(qtype: str, bundles: list[QuestionBundle],
+                config: EngineConfig, backend: Backend) -> VisualPrompt:
+    """The visual prompt for one type: synthesized from the type's
+    questions, or the generic template under the generic-captions
+    ablation."""
+    if config.generic_captions:
+        return replace(generic_prompt(config.template_dir), qtype=qtype)
+    return synthesize_prompt(qtype, [b.text for b in bundles if b.qtype == qtype],
+                             backend, config.template_dir)
 
 
 @dataclass
@@ -197,54 +186,48 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         shots = detect_shots(frames.embeddings, config.sensitivity)
     tree = tree_from_shots(frames.video_id, shots, params)
 
-    # Every model call of the build runs on one pool of max_inflight
-    # threads. Only this thread, the side task and the per-type chains
-    # submit to it; no task running on it does, so it cannot deadlock.
-    # Classification and prompt synthesis need only the questions, so they
-    # run on the side task while the tree is captioned, scored and expanded.
-    with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls, \
-            ThreadPoolExecutor(max_workers=1) as side:
-        prepared = side.submit(prepare_prompts, questions, config, backend,
-                               calls)
+    # Every model call of the build is a task on this one pool, and only
+    # this thread submits to it, so it cannot deadlock. `map` queues all of
+    # a stage's tasks at once, so with one thread the calls run in the
+    # order the stages are queued here.
+    with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls:
+        classified = calls.map(partial(classify, config=config,
+                                       backend=backend), questions)
 
         # First-pass generic captions of shot representatives; these feed the
         # relevance scorer and the degraded retrieval fallback.
         first_prompt = generic_prompt(config.template_dir)
         rep_frames = [s.representative_frame for s in shots]
-        first_caps = caption_frames(rep_frames, first_prompt, backend, ref,
+        first_caps = caption_frames(rep_frames, [first_prompt], backend, ref,
                                     pool=calls)
         cap_by_frame = {c.frame_index: c.text for c in first_caps}
         first_pass = {s.shot_id: cap_by_frame[s.representative_frame]
                       for s in shots}
 
+        bundles = list(classified)
         if not config.uniform_sampling:
             question_context = ("\n".join(q.text for q in questions)
                                 or "(no questions)")
             scores = score_shots(shots, [first_pass[s.shot_id] for s in shots],
                                  question_context, backend, pool=calls)
             attach_scores(tree, scores)
+        # Queued behind the scores, the syntheses run while the tree expands,
+        # when no other call is in flight, and delay no other stage's calls.
+        synthesized = calls.map(partial(type_prompt, bundles=bundles,
+                                        config=config, backend=backend),
+                                sorted({b.qtype for b in bundles}))
+        if not config.uniform_sampling:
             expand_tree(tree, frames.embeddings, config.seed)
-
-        bundles, prompts = prepared.result()
 
         store = KnowledgeStore(tree=tree, fps=frames.fps,
                                first_pass=dict(first_pass),
                                frame_paths=frames.paths)
-
         retrieved = vtsearch(tree)
-        # One caption -> summary chain per type, all chains at once, each on
-        # a thread of its own, so no chain waits on another.
-        qtypes = sorted(prompts)
-
-        def caption_type(qtype: str) -> tuple[list, list]:
-            caps = caption_frames(retrieved, prompts[qtype], backend, ref,
+        captions = caption_frames(retrieved, list(synthesized), backend, ref,
                                   pool=calls)
-            return caps, summarize_segments(caps, shots, backend, pool=calls)
-
-        with ThreadPoolExecutor(max_workers=max(1, len(qtypes))) as chains:
-            for caps, summaries in chains.map(caption_type, qtypes):
-                store.add_captions(caps)
-                store.add_summaries(summaries)
+        store.add_captions(captions)
+        store.add_summaries(summarize_segments(captions, shots, backend,
+                                               pool=calls))
 
     return BuildResult(tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved)

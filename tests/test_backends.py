@@ -372,7 +372,6 @@ def test_cache_serves_repeat_without_inner_call(tmp_path) -> None:
     assert cached.call(chat_request("q")) == "cached-answer"
     assert cached.call(chat_request("q")) == "cached-answer"
     assert len(inner.calls) == 1
-    assert cached.hits == 1 and cached.misses == 1
 
 
 def test_cache_checks_each_reply_once(tmp_path, monkeypatch) -> None:
@@ -385,12 +384,14 @@ def test_cache_checks_each_reply_once(tmp_path, monkeypatch) -> None:
         return real_checked(capability, reply)
 
     monkeypatch.setattr(backends, "_checked", spy)
-    cached = CachingBackend(MockBackend(MockScript(default_response="answer")),
-                            tmp_path / "cache")
+    served: list[str] = []
+    cached = CachingBackend(MockBackend(MockScript(
+        default_response=lambda rendered: served.append(rendered) or "answer")),
+        tmp_path / "cache")
     assert cached.call(chat_request("q")) == "answer"
-    assert cached.misses == 1 and checks == ["chat"]
+    assert len(served) == 1 and checks == ["chat"]
     assert cached.call(chat_request("q")) == "answer"
-    assert cached.hits == 1 and checks == ["chat", "chat"]
+    assert len(served) == 1 and checks == ["chat", "chat"]
 
 
 def test_cache_persists_across_instances(tmp_path) -> None:
@@ -414,26 +415,27 @@ def test_cache_never_serves_another_backends_response(tmp_path) -> None:
     remote_cached = CachingBackend(remote, tmp_path / "cache")
     assert remote_cached.call(chat_request("q")) == "remote"
     assert transport.calls == 1
-    assert remote_cached.hits == 0 and remote_cached.misses == 1
 
 
 def test_cache_never_serves_another_mock_scripts_response(tmp_path) -> None:
     first = CachingBackend(MockBackend(MockScript(default_response="A")),
                            tmp_path / "cache")
     assert first.call(chat_request("q")) == "A"
-    second = CachingBackend(MockBackend(MockScript(default_response="B")),
-                            tmp_path / "cache")
+    inner = RecordingBackend(MockBackend(MockScript(default_response="B")))
+    second = CachingBackend(inner, tmp_path / "cache")
     assert second.call(chat_request("q")) == "B"
-    assert second.hits == 0 and second.misses == 1
+    assert len(inner.calls) == 1
 
 
-def test_cache_counters_thread_safe(tmp_path) -> None:
-    """Eight threads share one cache: every call counts as one hit or one
-    miss, none is lost."""
+def test_cache_shared_across_threads(tmp_path, caplog) -> None:
+    """Eight threads share one cache over four keys: every call gets its
+    reply, and concurrent writers of one key leave one whole entry and no
+    temp file behind."""
     cached = CachingBackend(MockBackend(MockScript(default_response="ok")),
                             tmp_path / "cache")
-    threads = [threading.Thread(
-        target=lambda: [cached.call(chat_request(f"q{i % 4}")) for i in range(25)])
+    replies: list[str] = []
+    threads = [threading.Thread(target=lambda: replies.extend(
+        [cached.call(chat_request(f"q{i % 4}")) for i in range(25)]))
         for _ in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -445,7 +447,10 @@ def test_cache_counters_thread_safe(tmp_path) -> None:
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert cached.hits + cached.misses == 200
+    assert replies == ["ok"] * 200
+    assert "corrupt cache entry" not in caplog.text
+    assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == sorted(
+        f"{cached.cache_key(chat_request(f'q{i}'))}.json" for i in range(4))
 
 
 def test_cache_distinguishes_payloads(tmp_path) -> None:
@@ -492,7 +497,6 @@ def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
             assert cached.call(request) == fresh
         assert "corrupt cache entry" in caplog.text
         assert len(inner.calls) == calls
-        assert cached.hits == calls - 1 and cached.misses == calls
         assert cached.call(request) == fresh, "the entry was rewritten"
         assert len(inner.calls) == calls
 
@@ -508,7 +512,6 @@ def test_cache_directory_removed_is_a_logged_uncached_call(tmp_path,
         assert cached.call(chat_request("first")) == "fresh"
     assert caplog.text.count("cannot be written") == 2
     assert len(inner.calls) == 3
-    assert cached.hits == 0 and cached.misses == 3
     assert not (tmp_path / "cache").exists()
 
 

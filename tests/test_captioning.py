@@ -136,7 +136,7 @@ def test_caption_frames_temporal_order(pool) -> None:
     script.add("vid:frame:1", "first")
     script.add("vid:frame:2", "second")
     prompt = generic_prompt()
-    captions = caption_frames([3, 1, 2], prompt, MockBackend(script), _refs,
+    captions = caption_frames([3, 1, 2], [prompt], MockBackend(script), _refs,
                               pool)
     assert [(c.frame_index, c.text) for c in captions] == \
         [(1, "first"), (2, "second"), (3, "third")]
@@ -144,7 +144,7 @@ def test_caption_frames_temporal_order(pool) -> None:
 
 
 def test_caption_frames_empty_list(pool) -> None:
-    assert caption_frames([], generic_prompt(),
+    assert caption_frames([], [generic_prompt()],
                           _backend(default="x"), _refs, pool) == []
 
 
@@ -152,7 +152,7 @@ def test_caption_frames_one_failure_becomes_sentinel(pool) -> None:
     script = MockScript(default_response="fine")
     script.add("vid:frame:2", error="transport")
     backend = RecordingBackend(MockBackend(script))
-    captions = caption_frames([1, 2, 3], generic_prompt(), backend, _refs, pool)
+    captions = caption_frames([1, 2, 3], [generic_prompt()], backend, _refs, pool)
     assert [c.text for c in captions] == ["fine", SENTINEL_CAPTION, "fine"]
     # failed frame was retried once: 2 calls for it, 1 for each other frame
     assert len(backend.calls) == 4
@@ -162,7 +162,7 @@ def test_caption_frames_total_outage_raises(pool) -> None:
     script = MockScript()
     script.add("vid:frame", error="transport")
     with pytest.raises(BackendError, match="all 3 frames"):
-        caption_frames([1, 2, 3], generic_prompt(), MockBackend(script), _refs,
+        caption_frames([1, 2, 3], [generic_prompt()], MockBackend(script), _refs,
                        pool)
 
 
@@ -170,7 +170,7 @@ def test_caption_frame_bijection(pool) -> None:
     script = MockScript(default_response="ok")
     script.add("vid:frame:5", error="timeout")
     frames = [0, 2, 5, 7, 9]
-    captions = caption_frames(frames, generic_prompt(),
+    captions = caption_frames(frames, [generic_prompt()],
                               MockBackend(script), _refs, pool)
     assert [c.frame_index for c in captions] == frames, \
         "one caption per requested frame, sentinels included"

@@ -512,13 +512,20 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
 def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
                                                            monkeypatch) -> None:
     """An output in a missing directory, one that is a directory, or one
-    that is also the command's other output exits 2 before the first model
-    call, not after the whole build or eval."""
+    that is also the command's other output or one of its inputs exits 2
+    before the first model call, not after the whole build or eval, and
+    leaves every input as it was."""
     world = build_golden_world(tmp_path / "golden")
     build_args = _build_args(world, tmp_path)
     nowhere = tmp_path / "no_such_dir"
     taken = tmp_path / "taken"
     taken.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    manifest, questions = build_args[1], build_args[2]
+    inputs = [Path(p) for p in (manifest, questions, config, world.dataset_path,
+                                world.script_path)]
+    before = [p.read_bytes() for p in inputs]
 
     def evaluate(*extra: str) -> list[str]:
         return ["eval", str(world.dataset_path),
@@ -545,6 +552,19 @@ def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
         ("eval report is a directory", evaluate("--out-report", str(taken))),
         ("eval report is the records file",
          evaluate("--out-report", str(tmp_path / "records.jsonl"))),
+        ("build tree is the frame manifest", [*build, manifest, *build_args[4:]]),
+        ("build sidecar is the question file",
+         [*build_args, "--out-sidecar", f"{taken}/../questions.json"]),
+        ("build tree is the mock script",
+         [*build, str(world.script_path), *build_args[4:]]),
+        ("build sidecar is the config file",
+         [*build_args, "--config", str(config), "--out-sidecar", str(config)]),
+        ("eval records is the dataset manifest",
+         evaluate("--out-records", str(world.dataset_path))),
+        ("eval report is the config file",
+         evaluate("--config", str(config), "--out-report", f"{taken}/../config.json")),
+        ("eval records is the mock script",
+         evaluate("--out-records", str(world.script_path))),
     ]
     calls = []
     real_call = Backend.call
@@ -560,5 +580,10 @@ def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
         assert main(argv) == 2, name
         assert "cannot be written" in capsys.readouterr().err, name
         assert calls == [], f"{name}: {len(calls)} model calls"
+    assert [p.read_bytes() for p in inputs] == before
+
+    main(evaluate("--config", str(config), "--out-report", f"{taken}/../config.json"))
+    assert (f"report file {taken}/../config.json cannot be written: it is also "
+            f"the config file {config}") in capsys.readouterr().err
     assert main(evaluate()) == 0
     assert calls, "the wrapper counts the calls of a run that makes them"

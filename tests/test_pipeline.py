@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from videoqa.captioning import generic_prompt
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, InputError, ValidationError
+from videoqa import pipeline
 from videoqa.orchestrator import AGENT_REGISTRY
 from videoqa.pipeline import (
     RawQuestion,
@@ -24,8 +27,8 @@ from videoqa.pipeline import (
 )
 from videoqa.tree import tree_to_json
 
-from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, RecordingBackend,
-                      build_golden_world, write_video)
+from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, RecordedCall,
+                      RecordingBackend, build_golden_world, write_video)
 
 
 def _twelve_frame_script() -> MockScript:
@@ -275,6 +278,60 @@ def test_build_respects_mock_inflight_limit(tmp_path, max_inflight) -> None:
         assert inflight["peak"] == 1
     else:
         assert 1 < inflight["peak"] <= max_inflight
+
+
+def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch) -> None:
+    """A golden build creates one executor, and every model call it makes
+    runs on that executor's worker threads."""
+    executors: list[str] = []
+
+    class NamedExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers: int) -> None:
+            executors.append(f"executor{len(executors)}")
+            super().__init__(max_workers, thread_name_prefix=executors[-1])
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NamedExecutor)
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    lookup, threads = script.lookup, []
+
+    def thread_lookup(rendered: str):
+        threads.append(threading.current_thread().name)
+        return lookup(rendered)
+
+    script.lookup = thread_lookup
+    build_video(world.video_manifests["golden_a"],
+                _golden_questions("golden_a"), EngineConfig(seed=3),
+                Backend.from_mock(script))
+    assert executors == ["executor0"]
+    assert threads and {name.rsplit("_", 1)[0] for name in threads} == \
+        {"executor0"}
+
+
+def _stage(call: RecordedCall) -> str:
+    """The build stage that made a recorded call."""
+    if call.capability == "caption":
+        return ("first-pass caption" if GENERIC_PHRASE in call.rendered
+                else "typed caption")
+    for marker, stage in (("Classify this multiple-choice", "classification"),
+                          ("You write visual captioning prompts", "synthesis"),
+                          ("Rate how relevant", "score"),
+                          ("Fuse these frame captions", "fusion")):
+        if marker in call.rendered:
+            return stage
+    return call.capability
+
+
+def test_build_calls_run_in_queue_order_at_one_in_flight(tmp_path) -> None:
+    """With one call in flight, a golden build's calls arrive stage by
+    stage, in the order the stages are queued."""
+    world = build_golden_world(tmp_path / "golden")
+    backend = world.backend(max_inflight=1)
+    build_video(world.video_manifests["golden_a"],
+                _golden_questions("golden_a"), EngineConfig(seed=3), backend)
+    stages = [stage for stage, _ in itertools.groupby(map(_stage, backend.calls))]
+    assert stages == ["classification", "first-pass caption", "score",
+                      "synthesis", "typed caption", "fusion"]
 
 
 def test_build_one_type_caption_outage_raises(tmp_path) -> None:
