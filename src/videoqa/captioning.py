@@ -23,7 +23,7 @@ from .errors import (
     ValidationError,
     read_text,
 )
-from .ingest import Shot
+from .tree import HybridTree
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +220,7 @@ def fusion_prompt(qtype: str, texts: list[str]) -> str:
     )
 
 
-def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
+def summarize_segments(captions: list[FrameCaption], tree: HybridTree,
                        llm: Backend, pool: Executor) -> list[SegmentSummary]:
     """Fuse frame captions into one summary per (shot, type), fanning the
     fusion calls out on `pool`; summaries come in (shot, type) order.
@@ -229,11 +229,11 @@ def summarize_segments(captions: list[FrameCaption], shots: list[Shot],
     """
     grouped: dict[tuple[int, str], list[FrameCaption]] = {}
     for cap in captions:
-        owner = next((s for s in shots if s.contains(cap.frame_index)), None)
+        owner = tree.shot_at(cap.frame_index)
         if owner is None:
             raise ValidationError(
                 f"caption frame {cap.frame_index} falls outside every shot")
-        grouped.setdefault((owner.shot_id, cap.qtype), []).append(cap)
+        grouped.setdefault((owner.node_id, cap.qtype), []).append(cap)
 
     def summarize_one(item: tuple[tuple[int, str], list[FrameCaption]]
                       ) -> SegmentSummary:

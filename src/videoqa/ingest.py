@@ -39,9 +39,6 @@ class Shot:
                 f"shot {self.shot_id}: representative {self.representative_frame} "
                 f"outside [{self.start_frame}, {self.end_frame}]")
 
-    def contains(self, frame_index: int) -> bool:
-        return self.start_frame <= frame_index <= self.end_frame
-
 
 @dataclass
 class VideoFrames:

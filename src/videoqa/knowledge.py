@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .captioning import (
     QTYPE_CAUSAL,
@@ -202,10 +202,8 @@ class KnowledgeStore:
     """Immutable-after-population retrieval surface over one video.
 
     Retrieval is indexed: a selector becomes a frame interval, and each
-    scope costs O(shots + rows returned). The shot index (the shot ids, and
-    each frame's first owning shot in shot order) is built lazily, on the
-    first retrieval that needs it, so creating or loading a store does no
-    extra work.
+    scope costs O(shots + rows returned). The tree answers which shot holds
+    a frame.
     """
 
     tree: HybridTree
@@ -214,8 +212,6 @@ class KnowledgeStore:
     summaries: dict[tuple[int, str], SegmentSummary] = field(default_factory=dict)
     first_pass: dict[int, str] = field(default_factory=dict)
     frame_paths: dict[int, str] = field(default_factory=dict)
-    _shot_index: tuple[frozenset[int], dict[int, int]] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def add_captions(self, captions: list[FrameCaption]) -> None:
         for cap in captions:
@@ -231,27 +227,18 @@ class KnowledgeStore:
         self._owner_shot_id(frame_index)
         return frame_ref(self.tree.video_id, self.frame_paths, frame_index)
 
-    def _index(self) -> tuple[frozenset[int], dict[int, int]]:
-        # Threads racing on the first retrieval build equal indexes, and
-        # whichever is stored last wins; the tree never changes after build.
-        if self._shot_index is None:
-            owner: dict[int, int] = {}
-            for shot in self.tree.shots():
-                for frame in range(shot.start_frame, shot.end_frame + 1):
-                    owner.setdefault(frame, shot.node_id)
-            self._shot_index = (frozenset(self.tree.shot_order), owner)
-        return self._shot_index
-
     def _shot_by_id(self, shot_id: int):
-        if shot_id not in self._index()[0]:
+        """A listed shot: the node the tree finds at its own first frame."""
+        shot = self.tree.nodes.get(shot_id)
+        if shot is None or self.tree.shot_at(shot.start_frame) is not shot:
             raise NotFoundError(f"shot {shot_id} does not exist in this tree")
-        return self.tree.nodes[shot_id]
+        return shot
 
     def _owner_shot_id(self, frame: int) -> int:
-        owner = self._index()[1].get(frame)
-        if owner is None:
+        shot = self.tree.shot_at(frame)
+        if shot is None:
             raise NotFoundError(f"frame {frame} falls outside every shot")
-        return owner
+        return shot.node_id
 
     def retrieve(self, scope: str, qtype: str,
                  selector: dict | None = None) -> RetrievalResult:
@@ -402,15 +389,17 @@ class KnowledgeStore:
             root.fail(f"must be positive, got {doc_fps}", "fps")
         if fps is not None and fps != doc_fps:
             root.fail(f"fps {fps} differs from the sidecar's {doc_fps}", "fps")
-        frames, shots = range(tree.num_frames()), frozenset(tree.shot_order)
+        store = cls(tree=tree, fps=doc_fps)
+        frames, shots = store._owner_shot_id, store._shot_by_id
 
-        def index(item: Doc, key: str, valid: range | frozenset) -> int:
+        def index(item: Doc, key: str, find: Callable[[int], Any]) -> int:
             value = item.integer(key)
-            if value not in valid:
+            try:
+                find(value)
+            except NotFoundError:
                 item.fail(f"{key} {value} is not in the tree", key)
             return value
 
-        store = cls(tree=tree, fps=doc_fps)
         for item in root.objects("frame_paths", []):
             store.frame_paths[index(item, "frame", frames)] = item.string(
                 "path", nonempty=True)

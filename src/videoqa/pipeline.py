@@ -226,7 +226,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         captions = caption_frames(retrieved, list(synthesized), backend, ref,
                                   pool=calls)
         store.add_captions(captions)
-        store.add_summaries(summarize_segments(captions, shots, backend,
+        store.add_summaries(summarize_segments(captions, tree, backend,
                                                pool=calls))
 
     return BuildResult(tree=tree, store=store, bundles=bundles,

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from . import np
 from .backends import Backend, chat_request
@@ -33,8 +34,8 @@ logger = logging.getLogger(__name__)
 
 TREE_SCHEMA_VERSION = "1"
 # A loaded tree's shots may span at most this many frames (12 days at 1 FPS).
-# A shot is stored as [start, end] but held as a frame tuple, so without a
-# bound one corrupt range could ask for terabytes.
+# A shot is held as a range, so a long one costs no memory; the bound keeps
+# the frame indices a tree and its sidecar name within a video's length.
 MAX_TREE_FRAMES = 1 << 20
 
 KIND_SHOT = "shot"
@@ -61,7 +62,7 @@ class RelevanceScore:
 class TreeNode:
     node_id: int
     kind: str                      # "shot" or "cluster"
-    frames: tuple[int, ...]        # sorted member frames (contiguous for shots)
+    frames: Sequence[int]          # a shot's range; a cluster's sorted tuple
     representative_frame: int
     depth: int
     children: list[int] = field(default_factory=list)
@@ -114,6 +115,15 @@ class HybridTree:
     def num_frames(self) -> int:
         return self.shots()[-1].end_frame + 1 if self.shot_order else 0
 
+    def shot_at(self, frame: int) -> TreeNode | None:
+        """The shot node holding `frame`, or None past either end. Shots run
+        in order with no gaps (see `validate`), so this bisects their
+        start frames."""
+        i = bisect_right(self.shot_order, frame,
+                         key=lambda sid: self.nodes[sid].start_frame)
+        shot = self.nodes[self.shot_order[i - 1]] if i else None
+        return shot if shot and frame <= shot.end_frame else None
+
     def validate(self) -> None:
         """Raise ValidationError on any structural invariant violation."""
         if not self.shot_order:
@@ -126,7 +136,7 @@ class HybridTree:
             if shot.start_frame != prev_end + 1:
                 raise ValidationError(
                     f"shot {sid} starts at {shot.start_frame}, expected {prev_end + 1}")
-            if list(shot.frames) != list(range(shot.start_frame, shot.end_frame + 1)):
+            if shot.frames != range(shot.start_frame, shot.end_frame + 1):
                 raise ValidationError(f"shot {sid} frames are not contiguous")
             prev_end = shot.end_frame
             self._validate_subtree(shot, shot)
@@ -137,7 +147,8 @@ class HybridTree:
                 f"node {node.node_id} representative not a member frame")
         if node.depth > self.params.max_depth:
             raise ValidationError(f"node {node.node_id} exceeds max depth")
-        if node.kind == KIND_CLUSTER and not set(node.frames) <= set(owner_shot.frames):
+        if node.kind == KIND_CLUSTER and not all(
+                frame in owner_shot.frames for frame in node.frames):
             raise ValidationError(
                 f"cluster {node.node_id} leaks outside shot {owner_shot.node_id}")
         if node.children:
@@ -151,7 +162,8 @@ class HybridTree:
                     raise ValidationError(f"node {child_id} has wrong depth")
                 child_frames.extend(child.frames)
                 self._validate_subtree(child, owner_shot)
-            if sorted(child_frames) != list(node.frames):
+            if (len(child_frames) != len(node.frames)
+                    or sorted(child_frames) != list(node.frames)):
                 raise ValidationError(
                     f"children of node {node.node_id} do not partition its frames")
 
@@ -166,7 +178,7 @@ def tree_from_shots(video_id: str, shots: list[Shot],
         node = TreeNode(
             node_id=shot.shot_id,
             kind=KIND_SHOT,
-            frames=tuple(range(shot.start_frame, shot.end_frame + 1)),
+            frames=range(shot.start_frame, shot.end_frame + 1),
             representative_frame=shot.representative_frame,
             depth=1,
         )
@@ -546,7 +558,7 @@ def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
         nodes[node_id] = TreeNode(
             node_id=node_id,
             kind=kind,
-            frames=tuple(frames),
+            frames=frames if kind == KIND_SHOT else tuple(frames),
             representative_frame=node_doc.integer("rep"),
             depth=node_doc.integer("depth"),
             children=node_doc.integers("children"),

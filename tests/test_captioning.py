@@ -20,6 +20,7 @@ from videoqa.captioning import (
 )
 from videoqa.errors import BackendError, ValidationError
 from videoqa.ingest import Shot
+from videoqa.tree import HybridTree, tree_from_shots
 
 from conftest import RecordingBackend
 
@@ -180,15 +181,15 @@ def test_caption_frame_bijection(pool) -> None:
 # Segment summaries
 # ---------------------------------------------------------------------------
 
-def _shot_list() -> list[Shot]:
-    return [Shot(0, 0, 3, 1), Shot(1, 4, 7, 5)]
+def _tree(*more: Shot) -> HybridTree:
+    return tree_from_shots("v", [Shot(0, 0, 3, 1), Shot(1, 4, 7, 5), *more])
 
 
 def test_summary_single_caption_passthrough_without_backend_call(pool) -> None:
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="should not be called")))
     captions = [FrameCaption(1, "Causal", "the only caption")]
-    summaries = summarize_segments(captions, _shot_list(), backend, pool)
+    summaries = summarize_segments(captions, _tree(), backend, pool)
     assert len(summaries) == 1
     assert summaries[0].text == "the only caption"
     assert summaries[0].shot_id == 0
@@ -202,7 +203,7 @@ def test_summary_fuses_multiple_captions(pool) -> None:
     captions = [FrameCaption(0, "Causal", "one"),
                 FrameCaption(2, "Causal", "two"),
                 FrameCaption(3, "Causal", "three")]
-    summaries = summarize_segments(captions, _shot_list(), backend, pool)
+    summaries = summarize_segments(captions, _tree(), backend, pool)
     assert summaries == [SegmentSummary(0, "Causal", "joined summary")]
     assert len(backend.calls) == 1
 
@@ -212,7 +213,7 @@ def test_summary_groups_by_shot(pool) -> None:
     captions = [FrameCaption(0, "Temporal", "a"),
                 FrameCaption(1, "Temporal", "b"),
                 FrameCaption(5, "Temporal", "c")]
-    summaries = summarize_segments(captions, _shot_list(), llm, pool)
+    summaries = summarize_segments(captions, _tree(), llm, pool)
     assert [(s.shot_id, s.text) for s in summaries] == \
         [(0, "fused"), (1, "c")]
 
@@ -222,7 +223,7 @@ def test_summary_groups_by_type_within_shot(pool) -> None:
     captions = [FrameCaption(0, "Causal", "a"),
                 FrameCaption(1, "Causal", "b"),
                 FrameCaption(2, "Descriptive", "c")]
-    summaries = summarize_segments(captions, _shot_list(), llm, pool)
+    summaries = summarize_segments(captions, _tree(), llm, pool)
     assert {(s.shot_id, s.qtype) for s in summaries} == \
         {(0, "Causal"), (0, "Descriptive")}
 
@@ -230,7 +231,7 @@ def test_summary_groups_by_type_within_shot(pool) -> None:
 def test_summary_caption_outside_shots_rejected(pool) -> None:
     captions = [FrameCaption(99, "Causal", "stray")]
     with pytest.raises(ValidationError, match="outside every shot"):
-        summarize_segments(captions, _shot_list(), _backend(default="x"),
+        summarize_segments(captions, _tree(), _backend(default="x"),
                            pool)
 
 
@@ -239,7 +240,7 @@ def test_summary_backend_failure_names_shot(pool) -> None:
     script.add("Fuse these", error="transport")
     captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b")]
     with pytest.raises(BackendError, match="shot 0"):
-        summarize_segments(captions, _shot_list(), MockBackend(script), pool)
+        summarize_segments(captions, _tree(), MockBackend(script), pool)
 
 
 def test_summary_fusion_calls_overlap(pool) -> None:
@@ -252,7 +253,7 @@ def test_summary_fusion_calls_overlap(pool) -> None:
 
     captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b"),
                 FrameCaption(4, "Causal", "c"), FrameCaption(5, "Causal", "d")]
-    summaries = summarize_segments(captions, _shot_list(),
+    summaries = summarize_segments(captions, _tree(),
                                    _backend(default=fuse), pool)
     assert summaries == [SegmentSummary(0, "Causal", "fused"),
                          SegmentSummary(1, "Causal", "fused")]
@@ -265,6 +266,6 @@ def test_summary_concurrent_failure_names_first_failing_shot(pool) -> None:
     captions = [FrameCaption(f, "Causal", t) for f, t in
                 [(0, "a"), (1, "b"), (4, "c"), (5, "d")]]
     captions += [FrameCaption(9, "Causal", "e"), FrameCaption(10, "Causal", "f")]
-    shots = _shot_list() + [Shot(2, 8, 11, 9)]
     with pytest.raises(BackendError, match="shot 1"):
-        summarize_segments(captions, shots, MockBackend(script), pool)
+        summarize_segments(captions, _tree(Shot(2, 8, 11, 9)),
+                           MockBackend(script), pool)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,14 @@ from videoqa.knowledge import (
     builtin_profiles,
     load_profiles,
 )
-from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
+from videoqa.tree import (
+    MAX_TREE_FRAMES,
+    RelevanceScore,
+    TreeParams,
+    attach_scores,
+    load_tree,
+    tree_from_shots,
+)
 
 from conftest import long_store, profile_doc
 
@@ -465,3 +473,26 @@ def test_sidecar_item_not_an_object_rejected(item) -> None:
     doc["summaries"].append(item)
     with pytest.raises(ValidationError, match="summaries"):
         KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+def test_longest_loadable_shot_costs_no_memory(tmp_path) -> None:
+    """One shot of MAX_TREE_FRAMES frames: loading its tree, naming its last
+    frame and retrieving over all of it allocate nothing per frame."""
+    last = MAX_TREE_FRAMES - 1
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({
+        "version": "1", "video_id": "long", "shot_order": [0],
+        "params": {"tau": 2.5, "k": 2, "max_depth": 3, "gamma": 0.4},
+        "nodes": [{"id": 0, "kind": "shot", "frames": [0, last], "rep": last,
+                   "depth": 1, "children": []}]}))
+    tracemalloc.start()
+    try:
+        store = KnowledgeStore(tree=load_tree(path), first_pass={0: "generic"})
+        assert store.frame_ref(last) == f"long:frame:{last}"
+        rows = store.retrieve("moment_captions", "Causal",
+                              {"frame_range": [0, last]}).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [{"shot_id": 0, "node_id": 0, "text": "generic"}]
+    assert peak < 1 << 20, f"traced peak {peak} bytes"

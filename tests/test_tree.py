@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from videoqa.backends import MockBackend, MockScript
 from videoqa.errors import (
@@ -384,6 +386,27 @@ def test_random_trees_satisfy_structural_invariants() -> None:
                            for leaf in tree.leaves_under(sid)]
             assert min(leaf_minima) > last_max
             last_max = tree.nodes[sid].end_frame
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(lengths=st.lists(st.integers(1, 8), min_size=1, max_size=8),
+       scores=st.lists(st.integers(1, 5), min_size=8, max_size=8),
+       reload=st.booleans())
+def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
+    """On random valid trees with sparse shot ids, expanded or not, built or
+    loaded, for every frame from before the first to past the last."""
+    shots = [Shot(10 + 3 * s.shot_id, s.start_frame, s.end_frame, s.start_frame)
+             for s in _shots(lengths)]
+    tree = tree_from_shots("v", shots, TreeParams())
+    attach_scores(tree, [RelevanceScore(v) for v in scores[:len(shots)]])
+    expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1)
+    if reload:
+        tree = deserialize_tree(serialize_tree(tree))
+    tree.validate()
+    for frame in range(-3, sum(lengths) + 3):
+        scan = next((shot for shot in tree.shots()
+                     if shot.start_frame <= frame <= shot.end_frame), None)
+        assert tree.shot_at(frame) is scan
 
 
 # ---------------------------------------------------------------------------
