@@ -135,11 +135,10 @@ class Backend:
                              max_inflight=cfg.max_inflight)
 
     def call(self, request: BackendRequest) -> Any:
-        rendered = render_payload(request)
         with self._inflight:
-            return _checked(request.capability, self._call(request, rendered))
+            return _checked(request.capability, self._call(request))
 
-    def _call(self, request: BackendRequest, rendered: str) -> Any:
+    def _call(self, request: BackendRequest) -> Any:
         raise NotImplementedError
 
 
@@ -235,7 +234,8 @@ class MockBackend(Backend):
         body = json.dumps(doc, sort_keys=True, ensure_ascii=False, default=repr)
         return "mock:" + _sha256_hex(body)
 
-    def _call(self, request: BackendRequest, rendered: str) -> Any:
+    def _call(self, request: BackendRequest) -> Any:
+        rendered = render_payload(request)
         rule = self.script.lookup(rendered)
         if rule is not None:
             if rule.error is not None:
@@ -313,7 +313,7 @@ class RemoteBackend(Backend):
         except ValueError as exc:
             raise MalformedResponseError(f"non-JSON response from {url}") from exc
 
-    def _call(self, request: BackendRequest, rendered: str) -> Any:
+    def _call(self, request: BackendRequest) -> Any:
         url = self.endpoints.get(request.capability)
         if not url:
             raise CapabilityMismatchError(

@@ -13,12 +13,13 @@ from concurrent.futures import Executor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .backends import Backend, caption_request, chat_request
 from .errors import (
     BackendError,
     ConfigError,
+    Doc,
     NotFoundError,
     ValidationError,
     read_text,
@@ -36,6 +37,15 @@ SENTINEL_CAPTION = "[caption unavailable]"
 GENERIC_TEMPLATE_ID = "generic"
 
 
+def check_question(text: str, options: Sequence[str], doc: Doc) -> None:
+    """Refuse, at the field of `doc` it breaks, a question with blank text
+    or other than 2-5 options."""
+    if not text.strip():
+        doc.fail("must not be blank", "text")
+    if not 2 <= len(options) <= 5:
+        doc.fail(f"needs 2-5 options, got {len(options)}", "options")
+
+
 @dataclass(frozen=True)
 class QuestionBundle:
     question_id: str
@@ -44,12 +54,8 @@ class QuestionBundle:
     qtype: str
 
     def __post_init__(self) -> None:
-        if not self.text.strip():
-            raise ValidationError(f"question {self.question_id} has empty text")
-        if not 2 <= len(self.options) <= 5:
-            raise ValidationError(
-                f"question {self.question_id} needs 2-5 options, "
-                f"got {len(self.options)}")
+        check_question(self.text, self.options,
+                       Doc(None, ValidationError, f"question {self.question_id}"))
         if self.qtype not in QTYPES:
             raise ValidationError(f"unknown question type {self.qtype!r}")
 

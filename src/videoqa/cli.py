@@ -12,9 +12,11 @@ import sys
 from pathlib import Path
 
 from .backends import Backend, CachingBackend, MockScript
-from .captioning import QTYPES, QuestionBundle, classify_question
+from .captioning import QTYPES, QuestionBundle, check_question, classify_question
 from .config import EngineConfig
 from .errors import (
+    Doc,
+    ValidationError,
     VideoQAError,
     canonical_json,
     check_writable,
@@ -106,6 +108,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
+    options = tuple(args.option or [])
+    check_question(args.question, options,
+                   Doc(None, ValidationError, f"question {args.question_id}"))
     config = _load_config(args)
     backend = _make_backend(args, config)
     tree = load_tree(args.tree)
@@ -113,7 +118,6 @@ def cmd_ask(args: argparse.Namespace) -> int:
     sidecar = read_json(args.sidecar, "sidecar file")
     store = KnowledgeStore.from_sidecar(tree, sidecar)
 
-    options = tuple(args.option or [])
     qtype = args.qtype or classify_question(args.question, list(options), backend)
     bundle = QuestionBundle(question_id=args.question_id, text=args.question,
                             options=options, qtype=qtype)

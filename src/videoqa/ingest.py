@@ -11,6 +11,7 @@ u32 reserved, little-endian) followed by row-major float32 data.
 from __future__ import annotations
 
 import struct
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,13 +97,15 @@ def read_embeddings(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def load_frames(manifest_path: str | Path, backend: Backend | None = None,
-                video_id: str | None = None) -> VideoFrames:
+                video_id: str | None = None,
+                pool: Executor | None = None) -> VideoFrames:
     """Load a frame manifest and return validated frames + embeddings.
 
     The manifest either points at a precomputed embedding matrix
     (embeddings_path) or gives every frame an image path, in which case a
-    backend serving "embed" is required. A `video_id`, when given, is the id
-    the manifest must declare; it is checked before any model call.
+    backend serving "embed" is required, and its calls fan out on `pool`. A
+    `video_id`, when given, is the id the manifest must declare; it is
+    checked before any model call.
     """
     p = Path(manifest_path)
     root = read_doc(p, "frame manifest", ValidationError)
@@ -149,26 +152,23 @@ def load_frames(manifest_path: str | Path, backend: Backend | None = None,
         if backend is None or "embed" not in backend.capabilities:
             raise InputError(
                 f"manifest {p} has no embeddings_path; an embedding backend is required")
-        matrix = _embed_images(paths, len(frames), backend)
+        matrix = _embed_images(paths, len(frames), backend, pool)
 
     _validate_matrix(matrix)
     return VideoFrames(video_id=manifest_id, fps=fps, paths=paths,
                        embeddings=matrix)
 
 
-def _embed_images(paths: dict[int, str], num_frames: int,
-                  backend: Backend) -> np.ndarray:
-    rows: list[list[float]] = []
-    dim: int | None = None
-    for index in range(num_frames):
-        vec = backend.call(embed_request(paths[index]))
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
+def _embed_images(paths: dict[int, str], num_frames: int, backend: Backend,
+                  pool: Executor) -> np.ndarray:
+    """One embed call per frame, fanned out on `pool`; rows in frame order."""
+    rows = list(pool.map(lambda index: backend.call(embed_request(paths[index])),
+                         range(num_frames)))
+    for index, vec in enumerate(rows):
+        if len(vec) != len(rows[0]):
             raise ValidationError(
                 f"embedding row for frame {index} has length "
-                f"{len(vec)}, expected {dim}")
-        rows.append(vec)
+                f"{len(vec)}, expected {len(rows[0])}")
     return np.asarray(rows, dtype=np.float32)
 
 

@@ -68,13 +68,9 @@ BIDIRECTIONAL_TASK = ("Search backward for action triggers and forward for "
 
 _SOURCE_KEY = {TEXT_AGENT: "text", VISUAL_AGENT: "visual"}
 
-_AGENT_PATTERNS = {
-    TEXT_AGENT: re.compile(r"\btext[\s_]*agent\b", re.IGNORECASE),
-    VISUAL_AGENT: re.compile(r"\bvisual[\s_]*analysis[\s_]*agent\b", re.IGNORECASE),
-    INTEGRATION_AGENT: re.compile(r"\bevidence[\s_]*integration[\s_]*agent\b",
-                                  re.IGNORECASE),
-    ANSWER_AGENT: re.compile(r"\banswer[\s_]*generation[\s_]*agent\b", re.IGNORECASE),
-}
+# The only agent name an analysis reply is read for (see `analyze_problem`).
+_VISUAL_AGENT_NAME = re.compile(r"\bvisual[\s_]*analysis[\s_]*agent\b",
+                                re.IGNORECASE)
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +213,6 @@ class AnswerRecord:
 # Planning layer
 # ---------------------------------------------------------------------------
 
-def _mentioned_agents(reply: str) -> set[str]:
-    return {agent for agent, pattern in _AGENT_PATTERNS.items()
-            if pattern.search(reply)}
-
-
 def _canonical_order(selected: set[str]) -> tuple[str, ...]:
     return tuple(a for a in AGENT_REGISTRY if a in selected)
 
@@ -249,7 +240,7 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
 
     TextAgent and AnswerGenerationAgent are always included. The visual
     agent is dropped only when the profile marks it optional AND the
-    analysis reply omits it. Unknown agent names in the reply are ignored.
+    analysis reply omits it; no other agent name in the reply is read.
     """
     profile = profiles[question.qtype]
     reply = llm.call(chat_request(analysis_prompt(question, profile)))
@@ -262,9 +253,8 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
         qtype = parsed
         profile = profiles[qtype]
 
-    mentioned = _mentioned_agents(reply)
     selected = {TEXT_AGENT, ANSWER_AGENT}
-    if profile.requires_visual_agent or VISUAL_AGENT in mentioned:
+    if profile.requires_visual_agent or _VISUAL_AGENT_NAME.search(reply):
         selected.add(VISUAL_AGENT)
     if len(selected & set(EVIDENCE_AGENTS)) >= 2:
         selected.add(INTEGRATION_AGENT)

@@ -4,9 +4,9 @@ dataset evaluations.
 Build order: ingest -> shot detection -> first-pass captions -> relevance
 scoring -> selective expansion -> frame retrieval -> question-aware
 captions -> segment summaries. Every model call of a build is a task on one
-call pool of `max_inflight` threads, queued stage by stage: classifications,
-first-pass captions, relevance scores, prompt syntheses, typed captions,
-fusions. Classifications are read after the first-pass captions, so they
+call pool of `max_inflight` threads, queued stage by stage: the frame
+embeddings of an image-path manifest, classifications, first-pass captions,
+relevance scores, prompt syntheses, typed captions, fusions. Classifications are read after the first-pass captions, so they
 overlap them, and syntheses after expansion, so they overlap its CPU work.
 The single backend object serves every call; its `max_inflight` is the one
 bound on concurrent model calls and sizes that pool and the per-video
@@ -29,6 +29,7 @@ from .captioning import (
     QuestionBundle,
     VisualPrompt,
     caption_frames,
+    check_question,
     classify_question,
     generic_prompt,
     summarize_segments,
@@ -81,13 +82,14 @@ class VideoEntry:
 
 
 def _parse_question(doc: Doc) -> RawQuestion:
-    options = tuple(doc.strings("options", []))
+    text, options = doc.string("text"), tuple(doc.strings("options", []))
+    check_question(text, options, doc)  # before any model call for it
     gold = doc.integer("gold_index", None, null=True)
     if gold is not None and not 0 <= gold < len(options):
         doc.fail(f"{gold} is outside the option range", "gold_index")
     return RawQuestion(
         question_id=doc.string("question_id"),
-        text=doc.string("text"),
+        text=text,
         options=options,
         gold_index=gold,
         declared_type=doc.enum("declared_type", QTYPES, None, null=True),
@@ -174,23 +176,22 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 video_id: str | None = None) -> BuildResult:
     """Build the tree and knowledge store for one video; a `video_id`, when
     given, is the id its frame manifest must declare."""
-    frames = load_frames(manifest_path, backend, video_id)
-    ref = partial(frame_ref, frames.video_id, frames.paths)
-    params = TreeParams(tau=config.tau, k=config.k, max_depth=config.max_depth,
-                        gamma=config.gamma)
-
-    if config.uniform_sampling:
-        shots = uniform_leaf_shots(frames.num_frames, config.uniform_shots,
-                                   frames.embeddings)
-    else:
-        shots = detect_shots(frames.embeddings, config.sensitivity)
-    tree = tree_from_shots(frames.video_id, shots, params)
-
     # Every model call of the build is a task on this one pool, and only
     # this thread submits to it, so it cannot deadlock. `map` queues all of
     # a stage's tasks at once, so with one thread the calls run in the
     # order the stages are queued here.
     with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls:
+        frames = load_frames(manifest_path, backend, video_id, calls)
+        ref = partial(frame_ref, frames.video_id, frames.paths)
+        params = TreeParams(tau=config.tau, k=config.k,
+                            max_depth=config.max_depth, gamma=config.gamma)
+        if config.uniform_sampling:
+            shots = uniform_leaf_shots(frames.num_frames, config.uniform_shots,
+                                       frames.embeddings)
+        else:
+            shots = detect_shots(frames.embeddings, config.sensitivity)
+        tree = tree_from_shots(frames.video_id, shots, params)
+
         classified = calls.map(partial(classify, config=config,
                                        backend=backend), questions)
 

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 import pytest
 
-from videoqa.backends import Backend, BackendRequest, MockScript
+from videoqa.backends import Backend, BackendRequest, MockScript, render_payload
 from videoqa.captioning import FrameCaption, SegmentSummary
 from videoqa.errors import BackendError
 from videoqa.ingest import Shot, write_embeddings
@@ -51,7 +51,8 @@ class RecordingBackend(Backend):
         self.calls: list[RecordedCall] = []
         self._lock = threading.Lock()
 
-    def _call(self, request: BackendRequest, rendered: str) -> Any:
+    def _call(self, request: BackendRequest) -> Any:
+        rendered = render_payload(request)
         try:
             response = self.inner.call(request)
         except BackendError as exc:

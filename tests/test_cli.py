@@ -509,6 +509,71 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
     assert not failures, "\n".join(failures)
 
 
+def test_cli_broken_question_fails_before_any_model_call(tmp_path, capsys,
+                                                        monkeypatch) -> None:
+    """A question with blank text or other than 2-5 options, in a build's
+    question file, an eval's manifest or on `ask`'s command line, exits 2
+    naming the field at fault before the first model call."""
+    world = build_golden_world(tmp_path / "golden")
+    build_args = _build_args(world, tmp_path)
+    assert main(build_args) == 0
+    tree, sidecar = tmp_path / "tree.json", tmp_path / "tree.sidecar.json"
+    dataset = json.loads(world.dataset_path.read_text())
+    rows = itertools.count()
+
+    def build(question: dict) -> list[str]:
+        path = tmp_path / f"questions{next(rows)}.json"
+        path.write_text(json.dumps([question]))
+        return [build_args[0], build_args[1], str(path), *build_args[3:]]
+
+    def evaluate(question: dict) -> list[str]:
+        doc = json.loads(json.dumps(dataset))
+        doc["entries"][0]["questions"] = [question]
+        path = world.dataset_path.with_name(f"dataset{next(rows)}.json")
+        path.write_text(json.dumps(doc))
+        return ["eval", str(path), "--mock-script", str(world.script_path),
+                "--out-records", str(tmp_path / "records.jsonl"),
+                "--out-report", str(tmp_path / "report.json")]
+
+    def ask(text: str, *options: str) -> list[str]:
+        argv = ["ask", str(tree), str(sidecar), "--question", text,
+                "--mock-script", str(world.script_path)]
+        for option in options:
+            argv += ["--option", option]
+        return argv
+
+    one_option = {"question_id": "q", "text": "Where?", "options": ["a park"]}
+    blank = {"question_id": "q", "text": " ", "options": ["a park", "a kitchen"]}
+    six_options = dict(one_option, options=list("abcdef"))
+    table = [
+        ("build, one option", build(one_option), "#/0/options"),
+        ("build, six options", build(six_options), "#/0/options"),
+        ("build, blank text", build(blank), "#/0/text"),
+        ("build, no options", build(dict(blank, text="Where?", options=[])),
+         "#/0/options"),
+        ("eval, one option", evaluate(one_option),
+         "#/entries/0/questions/0/options"),
+        ("eval, blank text", evaluate(blank), "#/entries/0/questions/0/text"),
+        ("ask, one option", ask("Where?", "a park"), "q0#/options"),
+        ("ask, no option", ask("Where?"), "q0#/options"),
+        ("ask, blank text", ask("", "a park", "a kitchen"), "q0#/text"),
+    ]
+    calls = []
+    real_call = Backend.call
+
+    def counting_call(self, request):
+        calls.append(request.capability)
+        return real_call(self, request)
+
+    monkeypatch.setattr(Backend, "call", counting_call)
+    for name, argv, pointer in table:
+        capsys.readouterr()
+        calls.clear()
+        assert main(argv) == 2, name
+        assert pointer in capsys.readouterr().err, name
+        assert calls == [], f"{name}: {len(calls)} model calls"
+
+
 def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
                                                            monkeypatch) -> None:
     """An output in a missing directory, one that is a directory, or one

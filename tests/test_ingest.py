@@ -169,7 +169,7 @@ def test_load_frames_zero_vector_rejected(tmp_path) -> None:
         load_frames(path)
 
 
-def test_load_frames_embedder_backend_route(tmp_path) -> None:
+def test_load_frames_embedder_backend_route(tmp_path, pool) -> None:
     path = _write_manifest(tmp_path, {
         "video_id": "v", "fps": 1,
         "frames": [{"index": 0, "path": "img0.jpg"},
@@ -177,12 +177,12 @@ def test_load_frames_embedder_backend_route(tmp_path) -> None:
     script = MockScript()
     script.add("img0.jpg", [1.0, 0.0])
     script.add("img1.jpg", [0.0, 1.0])
-    frames = load_frames(path, MockBackend(script))
+    frames = load_frames(path, MockBackend(script), pool=pool)
     assert frames.embeddings.shape == (2, 2)
     assert frames.paths == {0: "img0.jpg", 1: "img1.jpg"}
 
 
-def test_load_frames_embedder_dim_mismatch_names_row(tmp_path) -> None:
+def test_load_frames_embedder_dim_mismatch_names_row(tmp_path, pool) -> None:
     path = _write_manifest(tmp_path, {
         "video_id": "v", "fps": 1,
         "frames": [{"index": i, "path": f"img{i}.jpg"} for i in range(3)]})
@@ -191,7 +191,7 @@ def test_load_frames_embedder_dim_mismatch_names_row(tmp_path) -> None:
     script.add("img1.jpg", [0.0, 1.0, 0.0])
     script.add("img2.jpg", [0.0, 1.0])
     with pytest.raises(ValidationError, match="frame 2"):
-        load_frames(path, MockBackend(script))
+        load_frames(path, MockBackend(script), pool=pool)
 
 
 def test_load_frames_images_without_backend(tmp_path) -> None:

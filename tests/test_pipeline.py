@@ -15,6 +15,7 @@ from videoqa.captioning import generic_prompt
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, InputError, ValidationError
+from videoqa.ingest import read_embeddings
 from videoqa import pipeline
 from videoqa.orchestrator import AGENT_REGISTRY
 from videoqa.pipeline import (
@@ -280,9 +281,13 @@ def test_build_respects_mock_inflight_limit(tmp_path, max_inflight) -> None:
         assert 1 < inflight["peak"] <= max_inflight
 
 
-def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch) -> None:
+@pytest.mark.parametrize("images", [False, True],
+                         ids=["embeddings file", "image paths"])
+def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch,
+                                               images) -> None:
     """A golden build creates one executor, and every model call it makes
-    runs on that executor's worker threads."""
+    runs on that executor's worker threads: the embed calls of an image-path
+    manifest too, which give the tree the embeddings file gives."""
     executors: list[str] = []
 
     class NamedExecutor(ThreadPoolExecutor):
@@ -292,20 +297,38 @@ def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch) -> None:
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", NamedExecutor)
     world = build_golden_world(tmp_path / "golden")
-    script = world.script()
+    script, manifest = world.script(), world.video_manifests["golden_a"]
+    questions = _golden_questions("golden_a")
+    expected = tree_to_json(build_video(manifest, questions,
+                                        EngineConfig(seed=3),
+                                        Backend.from_mock(script)).tree)
+    executors.clear()
+    if images:
+        # A path named as the frame's reference keeps every caption request.
+        doc = json.loads(manifest.read_text())
+        rows = read_embeddings(manifest.parent / doc.pop("embeddings_path"))
+        for frame in doc["frames"]:
+            frame["path"] = f"golden_a:frame:{frame['index']}"
+            script.rules.insert(0, MockRule(
+                f'embed:{{"image":"{frame["path"]}"}}',
+                rows[frame["index"]].tolist()))
+        manifest = tmp_path / "images.json"
+        manifest.write_text(json.dumps(doc))
     lookup, threads = script.lookup, []
 
     def thread_lookup(rendered: str):
-        threads.append(threading.current_thread().name)
+        threads.append((threading.current_thread().name,
+                        rendered.split(":", 1)[0]))
         return lookup(rendered)
 
     script.lookup = thread_lookup
-    build_video(world.video_manifests["golden_a"],
-                _golden_questions("golden_a"), EngineConfig(seed=3),
-                Backend.from_mock(script))
+    result = build_video(manifest, questions, EngineConfig(seed=3),
+                         Backend.from_mock(script))
     assert executors == ["executor0"]
-    assert threads and {name.rsplit("_", 1)[0] for name in threads} == \
+    assert threads and {name.rsplit("_", 1)[0] for name, _ in threads} == \
         {"executor0"}
+    assert ("embed" in {kind for _, kind in threads}) is images
+    assert tree_to_json(result.tree) == expected
 
 
 def _stage(call: RecordedCall) -> str:
