@@ -6,8 +6,9 @@ scoring -> selective expansion -> frame retrieval -> question-aware
 captions -> segment summaries. Every model call of a build is a task on one
 call pool of `max_inflight` threads, queued stage by stage: the frame
 embeddings of an image-path manifest, classifications, first-pass captions,
-relevance scores, prompt syntheses, typed captions, fusions. Classifications are read after the first-pass captions, so they
-overlap them, and syntheses after expansion, so they overlap its CPU work.
+relevance scores, prompt syntheses, typed captions, fusions.
+Classifications are read after the first-pass captions, so they overlap
+them, and syntheses after expansion, so they overlap its CPU work.
 The single backend object serves every call; its `max_inflight` is the one
 bound on concurrent model calls and sizes that pool and the per-video
 question pool. Results are reassembled in a fixed order, so the tree, store

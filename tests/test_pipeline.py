@@ -282,7 +282,7 @@ def test_build_respects_mock_inflight_limit(tmp_path, max_inflight) -> None:
 
 
 @pytest.mark.parametrize("images", [False, True],
-                         ids=["embeddings file", "image paths"])
+                         ids=["embeddings", "images"])
 def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch,
                                                images) -> None:
     """A golden build creates one executor, and every model call it makes
