@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+import zlib
 from pathlib import Path
 
 from .backends import Backend, CachingBackend, MockScript
@@ -39,7 +40,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mock-script",
                         help="serve all model calls from this scripted mock")
     parser.add_argument("--cache", action="store_true",
-                        help="cache backend responses on disk")
+                        help="cache backend responses on disk, in "
+                             "backend.cache_dir or .videoqa_cache")
     parser.add_argument("--verbose", action="store_true")
 
 
@@ -60,8 +62,8 @@ def _load_config(args: argparse.Namespace) -> EngineConfig:
               else EngineConfig())
     if args.seed is not None:  # through __post_init__, which checks it
         config = dataclasses.replace(config, seed=args.seed)
-    if args.cache:
-        config.cache_enabled = True
+    if args.cache and not config.backend.cache_dir:
+        config.backend.cache_dir = ".videoqa_cache"
     for flag in ("uniform_sampling", "generic_captions", "fixed_workflow",
                  "reclassify"):
         if getattr(args, flag, False):
@@ -75,9 +77,8 @@ def _make_backend(args: argparse.Namespace, config: EngineConfig) -> Backend:
                                     config.backend.max_inflight)
     else:
         backend = Backend.from_config(config.backend)
-    if config.cache_enabled:
-        backend = CachingBackend(backend,
-                                 config.backend.cache_dir or ".videoqa_cache")
+    if config.backend.cache_dir:
+        backend = CachingBackend(backend, config.backend.cache_dir)
     return backend
 
 
@@ -117,6 +118,10 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
     sidecar = read_json(args.sidecar, "sidecar file")
     store = KnowledgeStore.from_sidecar(tree, sidecar)
+    if sidecar["tree_crc32"] != zlib.crc32(Path(args.tree).read_bytes()):
+        raise ValidationError(f"sidecar file {args.sidecar} was built with "
+                              f"another tree than tree file {args.tree}; "
+                              "rebuild both")
 
     qtype = args.qtype or classify_question(args.question, list(options), backend)
     bundle = QuestionBundle(question_id=args.question_id, text=args.question,

@@ -24,7 +24,7 @@ class BackendConfig:
     api_key_env: str = "VIDEOQA_API_KEY"
     timeout_s: float = 60.0
     max_inflight: int = 8             # the one limit on concurrent model calls
-    cache_dir: str | None = None
+    cache_dir: str | None = None     # when set, responses are cached here
 
 
 @dataclass
@@ -40,7 +40,6 @@ class EngineConfig:
     template_dir: str | None = None
     profile_dir: str | None = None
     reclassify: bool = False          # re-classify even when the manifest declares a type
-    cache_enabled: bool = False
     backend: BackendConfig = field(default_factory=BackendConfig)
     # ablation modes
     uniform_sampling: bool = False

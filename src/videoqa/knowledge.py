@@ -11,6 +11,7 @@ strategy, tool list, and evidence weights per type.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -32,7 +33,7 @@ from .errors import (
     read_json,
 )
 from .ingest import frame_ref
-from .tree import HybridTree
+from .tree import HybridTree, tree_to_json
 
 SCOPE_TEMPORAL_INDEX = "temporal_index"
 SCOPE_MOMENT_CAPTIONS = "moment_captions"
@@ -45,7 +46,7 @@ KNOWN_TOOLS = RETRIEVAL_SCOPES + (TOOL_INSPECT_FRAME,)
 # transcript, so an uncut observation of a long video would be paid again at
 # every later step. From 8 rows up, every golden observation fits on a page.
 PAGE_ROWS = 20
-SIDECAR_VERSION = "2"
+SIDECAR_VERSION = "3"
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +349,14 @@ class KnowledgeStore:
     # -- sidecar ------------------------------------------------------------
 
     def to_sidecar(self) -> dict:
-        """The whole store but its tree, so `from_sidecar` rebuilds it."""
+        """The whole store but its tree, so `from_sidecar` rebuilds it, and
+        the CRC-32 of the tree file `build` writes, so `ask` can refuse a
+        sidecar built with another tree."""
         return {
             "version": SIDECAR_VERSION,
             "video_id": self.tree.video_id,
+            "tree_crc32": zlib.crc32(
+                (tree_to_json(self.tree) + "\n").encode("utf-8")),
             "fps": self.fps,
             "frame_paths": [
                 {"frame": frame, "path": path}
@@ -380,6 +385,7 @@ class KnowledgeStore:
         if version != SIDECAR_VERSION:
             root.fail(f"unsupported sidecar version {version!r}; rebuild it",
                       "version", UnsupportedVersionError)
+        root.integer("tree_crc32")  # compared with the tree file by `ask`
         video_id = root.string("video_id")
         if video_id != tree.video_id:
             root.fail(f"sidecar is for video {video_id!r}, the tree for "

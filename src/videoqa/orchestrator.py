@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Executor, Future, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -36,6 +36,7 @@ from .errors import (
     BackendError,
     Doc,
     IntegrationError,
+    MalformedResponseError,
     ValidationError,
     VideoQAError,
     canonical_json,
@@ -164,12 +165,6 @@ class Workflow:
         return issues
 
 
-@dataclass(frozen=True)
-class Analysis:
-    qtype: str
-    selected_agents: tuple[str, ...]
-
-
 @dataclass
 class TraceStep:
     agent: str
@@ -235,15 +230,24 @@ def analysis_prompt(question: QuestionBundle, profile: AgentProfile) -> str:
 
 
 def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
-                    llm) -> Analysis:
-    """Confirm the question type and pick the minimal agent subset.
+                    llm, max_iterations: int = MAX_ITERATIONS_CAP) -> Workflow:
+    """Confirm the question type, pick the minimal agent subset, and return
+    the per-type template workflow over it, which planning keeps or
+    replaces.
 
     TextAgent and AnswerGenerationAgent are always included. The visual
     agent is dropped only when the profile marks it optional AND the
-    analysis reply omits it; no other agent name in the reply is read.
+    analysis reply omits it; no other agent name in the reply is read. A
+    failed call reads as an empty reply: the type stays, and the profile
+    alone decides the visual agent.
     """
     profile = profiles[question.qtype]
-    reply = llm.call(chat_request(analysis_prompt(question, profile)))
+    try:
+        reply = llm.call(chat_request(analysis_prompt(question, profile)))
+    except BackendError as exc:
+        logger.warning("question %s: analysis backend failed (%s); keeping "
+                       "type %s", question.question_id, exc, question.qtype)
+        reply = ""
 
     qtype = question.qtype
     parsed = find_qtype_label(reply)
@@ -258,7 +262,7 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
         selected.add(VISUAL_AGENT)
     if len(selected & set(EVIDENCE_AGENTS)) >= 2:
         selected.add(INTEGRATION_AGENT)
-    return Analysis(qtype=qtype, selected_agents=_canonical_order(selected))
+    return template_workflow(qtype, _canonical_order(selected), max_iterations)
 
 
 _TEXT_TASKS = {
@@ -307,11 +311,11 @@ def template_workflow(qtype: str, selected_agents: tuple[str, ...],
                     max_iterations=max_iterations)
 
 
-def planning_prompt(question: QuestionBundle, analysis: Analysis) -> str:
+def planning_prompt(question: QuestionBundle, template: Workflow) -> str:
     return (
         f"[{TASK_PLANNING}] planning question {question.question_id}.\n"
-        f"Question type: {analysis.qtype}\n"
-        f"Selected agents: {', '.join(analysis.selected_agents)}\n"
+        f"Question type: {template.qtype}\n"
+        f"Selected agents: {', '.join(template.selected_agents)}\n"
         "Produce a JSON array of stages, one object per agent in execution "
         'order: {"agent": str, "task": str, "inputs": [str], "output": str}. '
         f"Seed keys available to every stage: {list(SEED_KEYS)}. "
@@ -336,40 +340,30 @@ def _parse_plan(reply: str) -> list[Stage] | None:
         return None
 
 
-def plan_tasks(analysis: Analysis, question: QuestionBundle,
-               profiles: dict[str, AgentProfile], llm,
-               max_iterations: int = MAX_ITERATIONS_CAP) -> Workflow:
-    """Turn the analysis into a validated workflow.
+def plan_tasks(template: Workflow, question: QuestionBundle, llm) -> Workflow:
+    """The model's plan over the analysed template's type and agents, or
+    the template itself.
 
-    The model proposes stages; any invariant violation repairs the plan to
-    the per-type template (repair is flagged on the workflow and shows up
-    in the trace). Never raises: the repair path always yields a valid
-    workflow.
+    A failed call, an unparseable plan or one that breaks an invariant
+    keeps the template, flagged repaired (the flag shows up in the trace).
+    Never raises.
     """
     try:
-        reply = llm.call(chat_request(planning_prompt(question, analysis)))
+        reply = llm.call(chat_request(planning_prompt(question, template)))
     except BackendError as exc:
         logger.warning("planner backend failed (%s); using template workflow", exc)
-        workflow = template_workflow(analysis.qtype, analysis.selected_agents,
-                                     max_iterations)
-        workflow.repaired = True
-        return workflow
+        reply = ""
 
     stages = _parse_plan(reply)
     if stages is not None:
-        workflow = Workflow(qtype=analysis.qtype,
-                            selected_agents=analysis.selected_agents,
-                            stages=stages, max_iterations=max_iterations)
+        workflow = replace(template, stages=stages)
         issues = workflow.problems()
         if not issues:
             _ensure_bidirectional(workflow)
             return workflow
         logger.info("question %s: plan invalid (%s); repaired to template",
                     question.question_id, "; ".join(issues))
-    workflow = template_workflow(analysis.qtype, analysis.selected_agents,
-                                 max_iterations)
-    workflow.repaired = True
-    return workflow
+    return replace(template, repaired=True)
 
 
 def _ensure_bidirectional(workflow: Workflow) -> None:
@@ -472,9 +466,11 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
     """Bounded thought/action/observation loop for one evidence stage.
 
     Step s runs only while s <= `budget` and `may_start(s)` holds. Each
-    step appends exactly one trace step. Tool errors become observations
-    and never abort the loop. When the loop stops before a FINAL, a
-    zero-support item flagged truncated is returned with the steps taken.
+    step appends exactly one trace step. Tool errors, and a reply that
+    fails the type check (MalformedResponseError), become observations and
+    never abort the loop; any other backend error propagates. When the
+    loop stops before a FINAL, a zero-support item flagged truncated is
+    returned with the steps taken.
     """
     if budget < 1:
         raise ValidationError("run_react needs a budget of at least 1")
@@ -483,7 +479,14 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
     while step < budget and may_start(step + 1):
         step += 1
         prompt = "\n".join(lines) + f"\nStep {step}:"
-        reply = backend.call(chat_request(prompt))
+        try:
+            reply = backend.call(chat_request(prompt))
+        except MalformedResponseError as exc:
+            observation = f"ERROR: {exc}"
+            trace.append(TraceStep(stage.agent, "malformed reply",
+                                   "unparseable", observation))
+            lines.append(f"OBSERVATION: {observation}")
+            continue
         thought_m = _THOUGHT_RE.search(reply)
         thought = thought_m.group(1).strip() if thought_m else reply.split("\n")[0]
 

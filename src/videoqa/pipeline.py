@@ -253,10 +253,10 @@ def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                                      config.max_iterations)
     else:
         thought = "adaptive selection"
-        analysis = analyze_problem(bundle, profiles, backend)
-        bundle = replace(bundle, qtype=analysis.qtype)
-        workflow = plan_tasks(analysis, bundle, profiles, backend,
-                              config.max_iterations)
+        template = analyze_problem(bundle, profiles, backend,
+                                   config.max_iterations)
+        bundle = replace(bundle, qtype=template.qtype)
+        workflow = plan_tasks(template, bundle, backend)
     with ThreadPoolExecutor(max_workers=len(EVIDENCE_AGENTS)) as stages:
         record = execute_workflow(workflow, bundle, store,
                                   profiles[workflow.qtype], backend, stages)

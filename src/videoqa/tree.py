@@ -125,9 +125,13 @@ class HybridTree:
         return shot if shot and frame <= shot.end_frame else None
 
     def validate(self) -> None:
-        """Raise ValidationError on any structural invariant violation."""
+        """Raise ValidationError on any structural invariant violation. The
+        walk from `shot_order` must reach every node, and every child be a
+        cluster node; the depth, leak and partition checks then make each
+        node's reach unique."""
         if not self.shot_order:
             raise ValidationError("tree has no shots")
+        reached: set[int] = set()
         prev_end = -1
         for sid in self.shot_order:
             shot = self.nodes[sid]
@@ -139,9 +143,14 @@ class HybridTree:
             if shot.frames != range(shot.start_frame, shot.end_frame + 1):
                 raise ValidationError(f"shot {sid} frames are not contiguous")
             prev_end = shot.end_frame
-            self._validate_subtree(shot, shot)
+            self._validate_subtree(shot, shot, reached)
+        if len(reached) != len(self.nodes):
+            stray = min(self.nodes.keys() - reached)
+            raise ValidationError(f"node {stray} is reached from no shot")
 
-    def _validate_subtree(self, node: TreeNode, owner_shot: TreeNode) -> None:
+    def _validate_subtree(self, node: TreeNode, owner_shot: TreeNode,
+                          reached: set[int]) -> None:
+        reached.add(node.node_id)
         if node.representative_frame not in node.frames:
             raise ValidationError(
                 f"node {node.node_id} representative not a member frame")
@@ -158,10 +167,13 @@ class HybridTree:
             child_frames: list[int] = []
             for child_id in node.children:
                 child = self.nodes[child_id]
+                if child.kind != KIND_CLUSTER:
+                    raise ValidationError(f"child {child_id} of node "
+                                          f"{node.node_id} is not a cluster")
                 if child.depth != node.depth + 1:
                     raise ValidationError(f"node {child_id} has wrong depth")
                 child_frames.extend(child.frames)
-                self._validate_subtree(child, owner_shot)
+                self._validate_subtree(child, owner_shot, reached)
             if (len(child_frames) != len(node.frames)
                     or sorted(child_frames) != list(node.frames)):
                 raise ValidationError(

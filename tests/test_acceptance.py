@@ -204,8 +204,8 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
 
         static = QuestionBundle("a_q2", "What is the location?",
                                 ("a park", "a kitchen"), "Descriptive")
-        analysis = analyze_problem(static, profiles, backend)
-        workflow = plan_tasks(analysis, static, profiles, backend)
+        template = analyze_problem(static, profiles, backend)
+        workflow = plan_tasks(template, static, backend)
         agents = [s.agent for s in workflow.stages]
         assert VISUAL_AGENT not in agents
         assert agents[0] == TEXT_AGENT and agents[-1] == "AnswerGenerationAgent"
@@ -214,8 +214,8 @@ def test_acceptance_planning_minimality(tmp_path) -> None:
             "a_q1", "Why is the man on the bench looking up?",
             ("a bird flying overhead", "overlooking the children",
              "rain starting to fall"), "Causal")
-        analysis = analyze_problem(causal, profiles, backend)
-        workflow = plan_tasks(analysis, causal, profiles, backend)
+        template = analyze_problem(causal, profiles, backend)
+        workflow = plan_tasks(template, causal, backend)
         assert [s.agent for s in workflow.stages] == list(AGENT_REGISTRY), \
             "four-stage workflow"
         text_stage = workflow.stages[0]

@@ -87,6 +87,30 @@ def test_cli_ask_malformed_sidecar_item_exits_2(tmp_path, capsys) -> None:
     assert "sidecar#/captions/0/text" in capsys.readouterr().err
 
 
+
+def test_cli_ask_sidecar_of_another_tree_exits_2(tmp_path, capsys) -> None:
+    """Trees A and B are golden_a built at the default tau and at tau 1.0;
+    B's sidecar loads against tree A, but its tree_crc32 is B's."""
+    world = build_golden_world(tmp_path / "golden")
+    config = tmp_path / "tau.json"
+    config.write_text(json.dumps({"tau": 1.0}))
+    for name, extra in (("a", ()), ("b", ("--config", str(config)))):
+        (tmp_path / name).mkdir()
+        assert main(_build_args(world, tmp_path / name, *extra)) == 0
+    capsys.readouterr()
+    tree_a = tmp_path / "a" / "tree.json"
+    sidecar_b = tmp_path / "b" / "tree.sidecar.json"
+    assert tree_a.read_bytes() != (tmp_path / "b" / "tree.json").read_bytes()
+    code = main(["ask", str(tree_a), str(sidecar_b),
+                 "--question", "What is the location?",
+                 "--option", "a park", "--option", "a kitchen",
+                 "--mock-script", str(world.script_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(tree_a) in captured.err and str(sidecar_b) in captured.err
+    assert "Traceback" not in captured.err
+
 def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
@@ -283,7 +307,7 @@ def test_cli_bad_config_exits_4(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize("key", ["max_inflight", "question_concurrency", "fps",
-                                 "parallel_videos"])
+                                 "parallel_videos", "cache_enabled"])
 def test_cli_removed_engine_concurrency_keys_exit_4(tmp_path, capsys, key) -> None:
     config = tmp_path / "config.json"
     config.write_text(json.dumps({key: 4}))
@@ -303,9 +327,10 @@ def test_cli_removed_engine_concurrency_keys_exit_4(tmp_path, capsys, key) -> No
 def test_mock_script_backend_honours_configured_inflight_limit(
         tmp_path, cache) -> None:
     world = build_golden_world(tmp_path / "golden")
-    config = EngineConfig(cache_enabled=cache)
+    config = EngineConfig()
     config.backend.max_inflight = 3
-    config.backend.cache_dir = str(tmp_path / "cache")
+    if cache:
+        config.backend.cache_dir = str(tmp_path / "cache")
     args = argparse.Namespace(mock_script=str(world.script_path))
     backend = _make_backend(args, config)
     assert isinstance(backend, CachingBackend) is cache
@@ -336,15 +361,28 @@ def test_cli_ask_declared_qtype_skips_classifier(tmp_path, capsys) -> None:
     assert record["chosen"]["text"] == "a park"
 
 
+def _shot_as_child(doc: dict) -> None:
+    """Shot 2's clusters 4 and 5 become one child, node 4, of kind shot."""
+    nodes = {node["id"]: node for node in doc["nodes"]}
+    nodes[2]["children"] = [4]
+    nodes[4].update(kind="shot", frames=[12, 17])
+    doc["nodes"].remove(nodes[5])
+
+
 @pytest.mark.parametrize("mutate", [
     lambda doc: doc["nodes"][0].update(children=[999]),
     lambda doc: doc["nodes"][0].update(frames=[5, 2]),
     lambda doc: doc.update(shot_order=doc["shot_order"] + [0]),
     lambda doc: doc.update(shot_order=doc["shot_order"][::-1]),
-], ids=["unknown-child", "reversed-shot", "shot-listed-twice", "shots-reordered"])
+    lambda doc: doc["nodes"].append({"id": 7, "kind": "shot",
+                                     "frames": [100, 200000], "rep": 100,
+                                     "depth": 1, "children": []}),
+    _shot_as_child,
+], ids=["unknown-child", "reversed-shot", "shot-listed-twice", "shots-reordered",
+        "unreached-node", "shot-as-child"])
 def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate) -> None:
     """A tree that parses but breaks the tree's structure is rejected when
-    it loads, the last case by HybridTree.validate()."""
+    it loads, the last three cases by HybridTree.validate()."""
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()

@@ -37,11 +37,15 @@ from pathlib import Path
 
 import pytest
 
+import videoqa
 from videoqa.cli import main
 
 from conftest import build_golden_world
 
-SRC_DIR = Path(__file__).parent.parent / "src"
+# Where this process imported `videoqa` from: the checkout's `src/` under
+# the ini's pythonpath, site-packages for an installed copy. The fresh
+# interpreters import the same copy.
+PACKAGE_ROOT = Path(videoqa.__file__).parent.parent
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 HTTP_CLIENT = ("http", "ssl")
@@ -125,7 +129,7 @@ print(json.dumps({"exit": code, "hashlib": "_hashlib" in sys.modules,
 def _python(code: str, *args: str, cwd: Path) -> tuple[str, dict]:
     """Run `code` in a fresh interpreter: what it printed before its last
     line, and that line read as JSON."""
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
     done = subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

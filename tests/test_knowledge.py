@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import tracemalloc
+import zlib
 
 import pytest
 
@@ -31,6 +32,7 @@ from videoqa.tree import (
     attach_scores,
     load_tree,
     tree_from_shots,
+    tree_to_json,
 )
 
 from conftest import long_store, profile_doc
@@ -350,8 +352,10 @@ def test_sidecar_roundtrip() -> None:
     store = _store()
     store.frame_paths = {5: "frames/5.jpg"}
     doc = store.to_sidecar()
-    assert doc["version"] == "2"
+    assert doc["version"] == "3"
     assert doc["video_id"] == "vid"
+    assert doc["tree_crc32"] == zlib.crc32(
+        (tree_to_json(store.tree) + "\n").encode())
     assert doc["fps"] == 2.0
     assert doc["frame_paths"] == [{"frame": 5, "path": "frames/5.jpg"}]
     assert {"frame", "qtype", "text"} == set(doc["captions"][0])
@@ -368,7 +372,7 @@ def test_sidecar_fps_keyword_only_checks() -> None:
         KnowledgeStore.from_sidecar(store.tree, doc, fps=1.0)
 
 
-@pytest.mark.parametrize("version", [None, "1", 2, "3"])
+@pytest.mark.parametrize("version", [None, "1", "2", 3, "4"])
 def test_sidecar_other_version_rejected(version) -> None:
     store = _store()
     doc = store.to_sidecar()
@@ -377,6 +381,18 @@ def test_sidecar_other_version_rejected(version) -> None:
     else:
         doc["version"] = version
     with pytest.raises(UnsupportedVersionError, match="sidecar version"):
+        KnowledgeStore.from_sidecar(store.tree, doc)
+
+
+@pytest.mark.parametrize("crc", ["1", 1.5, True, None, "missing"])
+def test_sidecar_tree_crc32_must_be_an_int(crc) -> None:
+    store = _store()
+    doc = store.to_sidecar()
+    if crc == "missing":
+        del doc["tree_crc32"]
+    else:
+        doc["tree_crc32"] = crc
+    with pytest.raises(ValidationError, match="tree_crc32"):
         KnowledgeStore.from_sidecar(store.tree, doc)
 
 

@@ -26,7 +26,6 @@ from videoqa.orchestrator import (
     INTEGRATION_AGENT,
     TEXT_AGENT,
     VISUAL_AGENT,
-    Analysis,
     DirectionCheck,
     EvidenceItem,
     Stage,
@@ -129,6 +128,22 @@ def test_analyze_type_override_is_recorded(caplog) -> None:
     assert "analysis reclassified Causal -> Temporal" in caplog.text
 
 
+def test_analyze_reply_failing_the_type_check_reads_as_empty(caplog) -> None:
+    """A reply that is no string keeps the type, and the profile alone
+    decides the visual agent."""
+    backend = _backend(("analyzing question", ["x"]))
+    profiles = builtin_profiles()
+    with caplog.at_level(logging.WARNING, logger="videoqa.orchestrator"):
+        for qtype in ("Causal", "Descriptive"):
+            template = analyze_problem(_bundle(qtype), profiles, backend, 7)
+            visual = profiles[qtype].requires_visual_agent
+            assert template.qtype == qtype
+            assert template.selected_agents == (
+                AGENT_REGISTRY if visual else (TEXT_AGENT, ANSWER_AGENT))
+            assert template.max_iterations == 7 and not template.repaired
+    assert "analysis backend failed" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # Task planning
 # ---------------------------------------------------------------------------
@@ -151,8 +166,8 @@ def test_plan_accepts_valid_model_plan() -> None:
          "output": "answer"},
     ]
     backend = _backend(("planning question", _plan_reply(stages)))
-    analysis = Analysis("Causal", AGENT_REGISTRY)
-    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
+    template = template_workflow("Causal", AGENT_REGISTRY)
+    workflow = plan_tasks(template, _bundle(), backend)
     assert not workflow.repaired
     assert [s.agent for s in workflow.stages] == list(AGENT_REGISTRY)
     assert "search backward" in workflow.stages[0].task_description.lower()
@@ -166,17 +181,16 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
          "output": "answer"},
     ]
     backend = _backend(("planning question", _plan_reply(stages)))
-    analysis = Analysis("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
-    workflow = plan_tasks(analysis, _bundle("Descriptive"), builtin_profiles(),
-                          backend)
+    template = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = plan_tasks(template, _bundle("Descriptive"), backend)
     assert workflow.repaired is True
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
 
 
 def test_plan_garbage_reply_repaired() -> None:
     backend = _backend(("planning question", "no json here at all"))
-    analysis = Analysis("Causal", AGENT_REGISTRY)
-    workflow = plan_tasks(analysis, _bundle(), builtin_profiles(), backend)
+    template = template_workflow("Causal", AGENT_REGISTRY)
+    workflow = plan_tasks(template, _bundle(), backend)
     assert workflow.repaired is True
     assert workflow.problems() == []
 
@@ -197,9 +211,8 @@ def test_plan_mistyped_stage_field_repaired(field, value) -> None:
     ]
     stages[0][field] = value
     backend = _backend(("planning question", _plan_reply(stages)))
-    analysis = Analysis("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
-    workflow = plan_tasks(analysis, _bundle("Descriptive"), builtin_profiles(),
-                          backend)
+    template = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = plan_tasks(template, _bundle("Descriptive"), backend)
     assert workflow.repaired is True
     assert workflow.problems() == []
 
@@ -229,8 +242,8 @@ def test_plan_causal_bidirectional_enforced_on_model_plans() -> None:
          "output": "answer"},
     ]
     backend = _backend(("planning question", _plan_reply(stages)))
-    workflow = plan_tasks(Analysis("Causal", AGENT_REGISTRY), _bundle(),
-                          builtin_profiles(), backend)
+    workflow = plan_tasks(template_workflow("Causal", AGENT_REGISTRY),
+                          _bundle(), backend)
     text_stage = next(s for s in workflow.stages if s.agent == TEXT_AGENT)
     assert "search backward" in text_stage.task_description.lower()
 
@@ -311,6 +324,24 @@ def test_react_tool_error_becomes_observation_and_loop_continues() -> None:
     assert consumed == 2
     assert item.option_support == (0.9, 0.05, 0.05)
     assert any("99" in step.observation for step in trace)
+
+
+def test_react_reply_failing_the_type_check_costs_one_step() -> None:
+    """A reply that is no string is an ERROR observation: the next prompt
+    holds that OBSERVATION line and no reply line."""
+    backend = _backend(("OBSERVATION: ERROR", _final((0.2, 0.7, 0.1))),
+                       ("working on question", True))
+    trace = []
+    item, consumed = run_react(_stage(), _bundle(), _store(), _profile(),
+                               backend, budget=5, trace=trace)
+    assert consumed == 2
+    assert item.option_support == (0.2, 0.7, 0.1)
+    errors = [step for step in trace if step.observation.startswith("ERROR")]
+    assert [step.action for step in errors] == ["unparseable"]
+    first, second = (json.loads(call.rendered.split(":", 1)[1])
+                     ["messages"][0]["content"] for call in backend.calls)
+    assert second == (first.removesuffix("\nStep 1:")
+                      + f"\nOBSERVATION: {errors[0].observation}\nStep 2:")
 
 
 def test_react_retrieval_observation_feeds_next_step() -> None:

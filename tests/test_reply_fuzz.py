@@ -1,5 +1,5 @@
-"""Fuzz test: no model reply aborts an eval with anything but a VideoQAError,
-and every record an eval writes is self-consistent.
+"""Fuzz test: no model reply aborts an eval, and every record an eval
+writes is self-consistent.
 
 The golden `eval` (see conftest) runs with a mock that answers every agent
 prompt (problem analysis, task planning, each ReAct step and the answer)
@@ -7,10 +7,12 @@ from a grammar, and every other prompt as the golden script does. The
 grammar writes `THOUGHT:`/`ACTION:`/`FINAL:` replies, plan arrays and prose,
 now and then cut short; their JSON fields take values of every JSON type,
 among them `1e999`, `NaN`, ints of 30 and of 4,400 digits, digit strings and
-bools. About one reply in a thousand is no string at all, which must end
-the eval in MalformedResponseError. The test is derandomized: each reply is
-drawn from a generator seeded with the run's seed and the prompt, so a run
-gives the same eval whatever order its concurrent stages call in.
+bools. About one reply in a thousand is no string at all: analysis reads it
+as an empty reply, a ReAct step as an ERROR observation, planning and the
+answer as a failed call. Every one of the 30 seeds writes the 10 golden
+records. The test is derandomized: each reply is drawn from a generator
+seeded with the run's seed and the prompt, so a run gives the same eval
+whatever order its concurrent stages call in.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import pytest
 
 from videoqa.backends import Backend, MockScript
 from videoqa.config import EngineConfig
-from videoqa.errors import VideoQAError
 from videoqa.knowledge import KNOWN_TOOLS
 from videoqa.orchestrator import AGENT_REGISTRY, PROBLEM_ANALYSIS, TASK_PLANNING
 from videoqa.pipeline import evaluate
@@ -117,10 +118,7 @@ def test_eval_survives_any_agent_reply(golden, seed) -> None:
 
     backend = Backend.from_mock(MockScript(default_response=respond))
     config = EngineConfig(**VARIANTS[seed % len(VARIANTS)])
-    try:
-        records, report = evaluate(world.dataset_path, config, backend)
-    except VideoQAError:
-        return
+    records, report = evaluate(world.dataset_path, config, backend)
     assert [r.question_id for r in records] == \
         [q.question_id for q in GOLDEN_QUESTIONS]
     assert report.num_questions == len(records)

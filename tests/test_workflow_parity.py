@@ -31,7 +31,6 @@ from videoqa.orchestrator import (
     TASK_PLANNING,
     TEXT_AGENT,
     VISUAL_AGENT,
-    Analysis,
     AnswerRecord,
     EvidenceItem,
     OptionScore,
@@ -183,10 +182,9 @@ def _visual_first_workflow(budget: int) -> Workflow:
 
 
 def _repaired_workflow(budget: int) -> Workflow:
-    analysis = Analysis("Causal", AGENT_REGISTRY)
+    template = template_workflow("Causal", AGENT_REGISTRY, budget)
     planner = Backend.from_mock(MockScript(default_response="no plan here"))
-    workflow = plan_tasks(analysis, _question(), builtin_profiles(), planner,
-                          budget)
+    workflow = plan_tasks(template, _question(), planner)
     assert workflow.repaired
     return workflow
 
