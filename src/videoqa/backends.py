@@ -397,10 +397,11 @@ class CachingBackend(Backend):
     repeated runs log zero inner calls. Entries are keyed on the inner
     backend's identity and the rendered payload. The wrapper reports the
     inner backend's capabilities and in-flight limit but sets no cap of its
-    own: the inner backend's is the only one. An unreadable entry (not a JSON
-    object, or its `response` fails the reply check) counts as a miss and is
-    overwritten; an entry that cannot be written (say, the directory was
-    removed) is logged and the response still returned."""
+    own: the inner backend's is the only one. An unreadable entry (a path
+    that cannot be read, not a JSON object, or its `response` fails the
+    reply check) is a logged miss and is overwritten; an entry that cannot
+    be written (say, the directory was removed) is logged and the response
+    still returned."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
         self.max_inflight = inner.max_inflight
@@ -424,7 +425,7 @@ class CachingBackend(Backend):
                 entry = Doc(json.loads(path.read_text(encoding="utf-8")),
                             MalformedResponseError, path.name).obj()
                 return _checked(request.capability, entry.value.get("response"))
-            except (ValueError, MalformedResponseError) as exc:
+            except (OSError, ValueError, MalformedResponseError) as exc:
                 logger.warning("corrupt cache entry %s (%s), treated as a miss",
                                path.name, exc)
         response = self.inner.call(request)

@@ -183,8 +183,9 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
     `pool` at once; captions come prompt by prompt, each prompt's in
     temporal order.
 
-    A frame that fails twice gets the sentinel caption instead of aborting
-    the batch; if every frame fails under one prompt, the whole call raises.
+    A frame whose call fails, after the backend's own retries, gets the
+    sentinel caption instead of aborting the batch; if every frame fails
+    under one prompt, the whole call raises.
     """
     if not frames:
         return []
@@ -192,15 +193,11 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
 
     def caption_one(item: tuple[VisualPrompt, int]) -> FrameCaption:
         prompt, frame_index = item
-        request = caption_request(frame_ref(frame_index), prompt.text)
         try:
-            text = vlm.call(request)
-        except BackendError:
-            try:
-                text = vlm.call(request)
-            except BackendError as exc:
-                logger.warning("frame %d caption failed twice: %s", frame_index, exc)
-                return FrameCaption(frame_index, prompt.qtype, SENTINEL_CAPTION)
+            text = vlm.call(caption_request(frame_ref(frame_index), prompt.text))
+        except BackendError as exc:
+            logger.warning("frame %d caption failed: %s", frame_index, exc)
+            text = SENTINEL_CAPTION
         return FrameCaption(frame_index, prompt.qtype, text)
 
     captions = list(pool.map(caption_one,

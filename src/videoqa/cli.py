@@ -21,7 +21,8 @@ from .errors import (
     VideoQAError,
     canonical_json,
     check_writable,
-    read_json,
+    read_bytes,
+    read_doc,
     write_text,
 )
 from .knowledge import KnowledgeStore, load_profiles
@@ -96,9 +97,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     questions = load_question_file(args.questions)
     result = build_video(args.frame_manifest, questions, config, backend)
 
-    write_text(out_tree, tree_to_json(result.tree) + "\n", "tree file")
-    write_text(sidecar_path, canonical_json(result.store.to_sidecar()) + "\n",
-               "sidecar file")
+    # The sidecar records the CRC-32 of exactly the tree bytes written, so
+    # `ask` can refuse a sidecar built with another tree.
+    tree_text = tree_to_json(result.tree) + "\n"
+    sidecar = result.store.to_sidecar()
+    sidecar["tree_crc32"] = zlib.crc32(tree_text.encode("utf-8"))
+    write_text(out_tree, tree_text, "tree file")
+    write_text(sidecar_path, canonical_json(sidecar) + "\n", "sidecar file")
 
     expanded = sum(1 for sid in result.tree.shot_order
                    if result.tree.nodes[sid].children)
@@ -114,14 +119,14 @@ def cmd_ask(args: argparse.Namespace) -> int:
                    Doc(None, ValidationError, f"question {args.question_id}"))
     config = _load_config(args)
     backend = _make_backend(args, config)
-    tree = load_tree(args.tree)
-
-    sidecar = read_json(args.sidecar, "sidecar file")
-    store = KnowledgeStore.from_sidecar(tree, sidecar)
-    if sidecar["tree_crc32"] != zlib.crc32(Path(args.tree).read_bytes()):
+    tree = load_tree(args.tree)  # first, so a parse error names its field
+    sidecar = read_doc(args.sidecar, "sidecar file", ValidationError)
+    if (sidecar.integer("tree_crc32")
+            != zlib.crc32(read_bytes(args.tree, "tree file"))):
         raise ValidationError(f"sidecar file {args.sidecar} was built with "
                               f"another tree than tree file {args.tree}; "
                               "rebuild both")
+    store = KnowledgeStore.from_sidecar(tree, sidecar.value)
 
     qtype = args.qtype or classify_question(args.question, list(options), backend)
     bundle = QuestionBundle(question_id=args.question_id, text=args.question,

@@ -4,12 +4,15 @@ Exit codes: 2 input, 3 backend, 4 config.
 
 Every file the program reads or writes goes through `read_bytes`,
 `read_text`, `read_json` and `write_text`, so one rule maps a bad path to
-its exit code; `check_writable` applies the write rule to an output path
-before the work that fills it. A path that is missing, is a directory or
-cannot be opened or written raises InputError (NotFoundError when it does
-not exist). Bytes that are not UTF-8 or not JSON raise the caller's
-`invalid` error, a callable on the message: InputError by default,
-ConfigError for the config, mock script, profiles and templates.
+its exit code, but for three that touch files themselves: the cache
+entries of `CachingBackend` (an unreadable one is a miss), the package
+templates of `captioning.load_template`, and `ingest.write_embeddings`.
+`check_writable` applies the write rule to an output path before the work
+that fills it. A path that is missing, is a directory or cannot be opened
+or written raises InputError (NotFoundError when it does not exist). Bytes
+that are not UTF-8 or not JSON raise the caller's `invalid` error, a
+callable on the message: InputError by default, ConfigError for the config,
+mock script, profiles and templates.
 `Doc` reads the fields of every JSON document the program loads or a
 model writes; `read_doc` opens a file as one, and `parse_doc` reads a
 model's text as one. `canonical_json` is the one byte-stable rendering of

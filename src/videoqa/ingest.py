@@ -56,12 +56,6 @@ class VideoFrames:
         return int(self.embeddings.shape[0])
 
 
-def frame_ref(video_id: str, paths: dict[int, str], frame_index: int) -> str:
-    """The reference a model call names a frame by: its image path, or
-    `<video>:frame:<i>` when it has none. Mock scripts match on the latter."""
-    return paths.get(frame_index) or f"{video_id}:frame:{frame_index}"
-
-
 # ---------------------------------------------------------------------------
 # Embedding file IO
 # ---------------------------------------------------------------------------

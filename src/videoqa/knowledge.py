@@ -11,7 +11,6 @@ strategy, tool list, and evidence weights per type.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -32,8 +31,7 @@ from .errors import (
     ValidationError,
     read_json,
 )
-from .ingest import frame_ref
-from .tree import HybridTree, tree_to_json
+from .tree import HybridTree
 
 SCOPE_TEMPORAL_INDEX = "temporal_index"
 SCOPE_MOMENT_CAPTIONS = "moment_captions"
@@ -223,10 +221,13 @@ class KnowledgeStore:
             self.summaries[(summary.shot_id, summary.qtype)] = summary
 
     def frame_ref(self, frame_index: int) -> str:
-        """The frame's backend reference; NotFoundError for a frame that
-        falls outside every shot, so no caption call is made for it."""
+        """The reference a model call names a frame by: its image path, or
+        `<video>:frame:<i>` when it has none (mock scripts match on the
+        latter). NotFoundError for a frame that falls outside every shot,
+        so no caption call is made for it."""
         self._owner_shot_id(frame_index)
-        return frame_ref(self.tree.video_id, self.frame_paths, frame_index)
+        return (self.frame_paths.get(frame_index)
+                or f"{self.tree.video_id}:frame:{frame_index}")
 
     def _shot_by_id(self, shot_id: int):
         """A listed shot: the node the tree finds at its own first frame."""
@@ -349,14 +350,10 @@ class KnowledgeStore:
     # -- sidecar ------------------------------------------------------------
 
     def to_sidecar(self) -> dict:
-        """The whole store but its tree, so `from_sidecar` rebuilds it, and
-        the CRC-32 of the tree file `build` writes, so `ask` can refuse a
-        sidecar built with another tree."""
+        """The whole store but its tree, so `from_sidecar` rebuilds it."""
         return {
             "version": SIDECAR_VERSION,
             "video_id": self.tree.video_id,
-            "tree_crc32": zlib.crc32(
-                (tree_to_json(self.tree) + "\n").encode("utf-8")),
             "fps": self.fps,
             "frame_paths": [
                 {"frame": frame, "path": path}
@@ -385,7 +382,6 @@ class KnowledgeStore:
         if version != SIDECAR_VERSION:
             root.fail(f"unsupported sidecar version {version!r}; rebuild it",
                       "version", UnsupportedVersionError)
-        root.integer("tree_crc32")  # compared with the tree file by `ask`
         video_id = root.string("video_id")
         if video_id != tree.video_id:
             root.fail(f"sidecar is for video {video_id!r}, the tree for "

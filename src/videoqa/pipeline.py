@@ -38,7 +38,7 @@ from .captioning import (
 )
 from .config import EngineConfig
 from .errors import Doc, ValidationError, canonical_json, read_doc
-from .ingest import Shot, detect_shots, frame_ref, load_frames, make_shot
+from .ingest import Shot, detect_shots, load_frames, make_shot
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
     AGENT_REGISTRY,
@@ -183,7 +183,6 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
     # order the stages are queued here.
     with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls:
         frames = load_frames(manifest_path, backend, video_id, calls)
-        ref = partial(frame_ref, frames.video_id, frames.paths)
         params = TreeParams(tau=config.tau, k=config.k,
                             max_depth=config.max_depth, gamma=config.gamma)
         if config.uniform_sampling:
@@ -192,25 +191,26 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         else:
             shots = detect_shots(frames.embeddings, config.sensitivity)
         tree = tree_from_shots(frames.video_id, shots, params)
+        store = KnowledgeStore(tree=tree, fps=frames.fps,
+                               frame_paths=frames.paths)
 
         classified = calls.map(partial(classify, config=config,
                                        backend=backend), questions)
 
-        # First-pass generic captions of shot representatives; these feed the
-        # relevance scorer and the degraded retrieval fallback.
-        first_prompt = generic_prompt(config.template_dir)
-        rep_frames = [s.representative_frame for s in shots]
-        first_caps = caption_frames(rep_frames, [first_prompt], backend, ref,
-                                    pool=calls)
-        cap_by_frame = {c.frame_index: c.text for c in first_caps}
-        first_pass = {s.shot_id: cap_by_frame[s.representative_frame]
-                      for s in shots}
+        # First-pass generic captions of shot representatives, which come in
+        # frame order and so in shot order; these feed the relevance scorer
+        # and the degraded retrieval fallback.
+        first_caps = caption_frames([s.representative_frame for s in shots],
+                                    [generic_prompt(config.template_dir)],
+                                    backend, store.frame_ref, pool=calls)
+        for shot, cap in zip(shots, first_caps):
+            store.first_pass[shot.shot_id] = cap.text
 
         bundles = list(classified)
         if not config.uniform_sampling:
             question_context = ("\n".join(q.text for q in questions)
                                 or "(no questions)")
-            scores = score_shots(shots, [first_pass[s.shot_id] for s in shots],
+            scores = score_shots(shots, list(store.first_pass.values()),
                                  question_context, backend, pool=calls)
             attach_scores(tree, scores)
         # Queued behind the scores, the syntheses run while the tree expands,
@@ -221,12 +221,9 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         if not config.uniform_sampling:
             expand_tree(tree, frames.embeddings, config.seed)
 
-        store = KnowledgeStore(tree=tree, fps=frames.fps,
-                               first_pass=dict(first_pass),
-                               frame_paths=frames.paths)
         retrieved = vtsearch(tree)
-        captions = caption_frames(retrieved, list(synthesized), backend, ref,
-                                  pool=calls)
+        captions = caption_frames(retrieved, list(synthesized), backend,
+                                  store.frame_ref, pool=calls)
         store.add_captions(captions)
         store.add_summaries(summarize_segments(captions, tree, backend,
                                                pool=calls))

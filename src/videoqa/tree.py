@@ -549,6 +549,8 @@ def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
     shot_frames = 0
     for node_doc in node_docs:
         node_id = node_doc.integer("id")
+        if node_id in nodes:
+            node_doc.fail(f"duplicate node id {node_id}", "id")
         kind = node_doc.enum("kind", (KIND_SHOT, KIND_CLUSTER))
         frames = node_doc.integers("frames")
         if kind == KIND_SHOT:

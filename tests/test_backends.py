@@ -501,6 +501,21 @@ def test_cache_corrupt_entry_is_a_logged_miss(tmp_path, caplog, entry) -> None:
         assert len(inner.calls) == calls
 
 
+def test_cache_entry_that_is_a_directory_is_a_logged_miss(tmp_path,
+                                                           caplog) -> None:
+    """An entry path that cannot be read is a miss, and one that cannot be
+    replaced either is a logged uncached call, never a raw OSError."""
+    inner = RecordingBackend(MockBackend(MockScript(default_response="fresh")))
+    cached = CachingBackend(inner, tmp_path / "cache")
+    request = chat_request("q")
+    (tmp_path / "cache" / f"{cached.cache_key(request)}.json").mkdir()
+    with caplog.at_level(logging.WARNING, logger="videoqa.backends"):
+        assert cached.call(request) == "fresh"
+    assert "corrupt cache entry" in caplog.text
+    assert "cannot be written" in caplog.text
+    assert len(inner.calls) == 1
+
+
 def test_cache_directory_removed_is_a_logged_uncached_call(tmp_path,
                                                          caplog) -> None:
     inner = RecordingBackend(MockBackend(MockScript(default_response="fresh")))

@@ -155,8 +155,8 @@ def test_caption_frames_one_failure_becomes_sentinel(pool) -> None:
     backend = RecordingBackend(MockBackend(script))
     captions = caption_frames([1, 2, 3], [generic_prompt()], backend, _refs, pool)
     assert [c.text for c in captions] == ["fine", SENTINEL_CAPTION, "fine"]
-    # failed frame was retried once: 2 calls for it, 1 for each other frame
-    assert len(backend.calls) == 4
+    # the backend retries transient faults itself, so one call per frame
+    assert len(backend.calls) == 3
 
 
 def test_caption_frames_total_outage_raises(pool) -> None:

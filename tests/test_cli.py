@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import zlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from videoqa.backends import Backend, CachingBackend
 from videoqa.cli import _make_backend, main
 from videoqa.config import EngineConfig
+import videoqa.tree as tree_module
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
 
@@ -110,6 +112,52 @@ def test_cli_ask_sidecar_of_another_tree_exits_2(tmp_path, capsys) -> None:
     assert captured.out == ""
     assert str(tree_a) in captured.err and str(sidecar_b) in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("crc", ["1", 1.5, True, None, "missing", "another"])
+def test_cli_ask_sidecar_tree_crc32_must_be_an_int(tmp_path, capsys,
+                                                   crc) -> None:
+    """`ask` checks the sidecar's tree_crc32 after parsing the tree and
+    before reading the store: a sidecar whose first caption is broken too
+    fails on the CRC."""
+    world = build_golden_world(tmp_path / "golden")
+    assert main(_build_args(world, tmp_path)) == 0
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
+    del sidecar["captions"][0]["text"]
+    if crc == "missing":
+        del sidecar["tree_crc32"]
+    elif crc == "another":
+        sidecar["tree_crc32"] ^= 1
+    else:
+        sidecar["tree_crc32"] = crc
+    broken = tmp_path / "broken.sidecar.json"
+    broken.write_text(json.dumps(sidecar))
+    code = main(["ask", str(tmp_path / "tree.json"), str(broken),
+                 "--question", "What is the location?",
+                 "--option", "a park", "--option", "a kitchen",
+                 "--mock-script", str(world.script_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("another tree" if crc == "another" else "/tree_crc32") in captured.err
+    assert "captions" not in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_build_serializes_the_tree_once(tmp_path, monkeypatch) -> None:
+    """The sidecar's tree_crc32 is the CRC-32 of the very bytes `build`
+    wrote as the tree file, from the one rendering of the tree."""
+    world = build_golden_world(tmp_path / "golden")
+    rendered = []
+    real = tree_module.serialize_tree
+    monkeypatch.setattr(tree_module, "serialize_tree",
+                        lambda tree: rendered.append(tree) or real(tree))
+    assert main(_build_args(world, tmp_path)) == 0
+    assert len(rendered) == 1
+    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
+    assert sidecar["tree_crc32"] == zlib.crc32(
+        (tmp_path / "tree.json").read_bytes())
+
 
 def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
@@ -361,28 +409,57 @@ def test_cli_ask_declared_qtype_skips_classifier(tmp_path, capsys) -> None:
     assert record["chosen"]["text"] == "a park"
 
 
+def _node(doc: dict, node_id: int) -> dict:
+    return next(node for node in doc["nodes"] if node["id"] == node_id)
+
+
 def _shot_as_child(doc: dict) -> None:
     """Shot 2's clusters 4 and 5 become one child, node 4, of kind shot."""
-    nodes = {node["id"]: node for node in doc["nodes"]}
-    nodes[2]["children"] = [4]
-    nodes[4].update(kind="shot", frames=[12, 17])
-    doc["nodes"].remove(nodes[5])
+    _node(doc, 2)["children"] = [4]
+    _node(doc, 4).update(kind="shot", frames=[12, 17])
+    doc["nodes"].remove(_node(doc, 5))
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda doc: doc["nodes"][0].update(children=[999]),
-    lambda doc: doc["nodes"][0].update(frames=[5, 2]),
-    lambda doc: doc.update(shot_order=doc["shot_order"] + [0]),
-    lambda doc: doc.update(shot_order=doc["shot_order"][::-1]),
-    lambda doc: doc["nodes"].append({"id": 7, "kind": "shot",
-                                     "frames": [100, 200000], "rep": 100,
-                                     "depth": 1, "children": []}),
-    _shot_as_child,
-], ids=["unknown-child", "reversed-shot", "shot-listed-twice", "shots-reordered",
-        "unreached-node", "shot-as-child"])
-def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate) -> None:
+# golden_a's tree: shots 0-3 over frames 0-23, six frames each; only shot 2
+# (frames 12-17, relevance 5) is expanded, into clusters 4 [12, 14, 17] and
+# 5 [13, 15, 16] at depth 2.
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda doc: _node(doc, 0).update(children=[999]),
+                 "unknown node id 999", id="unknown-child"),
+    pytest.param(lambda doc: _node(doc, 0).update(frames=[5, 2]),
+                 "no frames", id="reversed-shot"),
+    pytest.param(lambda doc: doc.update(shot_order=doc["shot_order"] + [0]),
+                 "listed twice", id="shot-listed-twice"),
+    pytest.param(lambda doc: doc.update(shot_order=doc["shot_order"][::-1]),
+                 "starts at", id="shots-reordered"),
+    pytest.param(lambda doc: doc["nodes"].append(
+        {"id": 7, "kind": "shot", "frames": [100, 200000], "rep": 100,
+         "depth": 1, "children": []}),
+                 "node 7 is reached from no shot", id="unreached-node"),
+    pytest.param(_shot_as_child, "child 4 of node 2 is not a cluster",
+                 id="shot-as-child"),
+    pytest.param(lambda doc: doc["nodes"].append(dict(_node(doc, 0))),
+                 "#/nodes/6/id: duplicate node id 0", id="duplicate-node-id"),
+    pytest.param(lambda doc: _node(doc, 4).update(rep=13),
+                 "node 4 representative not a member frame",
+                 id="rep-not-a-member"),
+    pytest.param(lambda doc: doc["params"].update(max_depth=1),
+                 "node 4 exceeds max depth", id="deeper-than-max-depth"),
+    pytest.param(lambda doc: _node(doc, 4).update(frames=[11, 14, 17]),
+                 "cluster 4 leaks outside shot 2", id="cluster-leaks-its-shot"),
+    pytest.param(lambda doc: _node(doc, 2)["relevance"].update(value=1.0),
+                 "shot 2 expanded without passing the relevance gate",
+                 id="expanded-below-tau"),
+    pytest.param(lambda doc: _node(doc, 5).update(depth=3),
+                 "node 5 has wrong depth", id="child-at-wrong-depth"),
+    pytest.param(lambda doc: _node(doc, 5).update(frames=[13, 15]),
+                 "children of node 2 do not partition", id="not-a-partition"),
+])
+def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
+                                          message) -> None:
     """A tree that parses but breaks the tree's structure is rejected when
-    it loads, the last three cases by HybridTree.validate()."""
+    it loads, from `unreached-node` on (but `duplicate-node-id`) by
+    HybridTree.validate(), with a message naming the broken rule."""
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
@@ -394,6 +471,7 @@ def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "Traceback" not in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("doc,key", [
@@ -519,6 +597,15 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
             {"backend": {"cache_dir": str(cache_file / "sub")}})), 4),
         ("config value NaN", evaluate(*config({"tau": float("nan")})), 4),
         ("config seed negative", evaluate(*config({"seed": -5})), 4),
+        ("config sensitivity not positive",
+         evaluate(*config({"sensitivity": 0})), 4),
+        ("config k 0", evaluate(*config({"k": 0})), 4),
+        ("config max_depth 0", evaluate(*config({"max_depth": 0})), 4),
+        ("config gamma 0", evaluate(*config({"gamma": 0})), 4),
+        ("config gamma 1", evaluate(*config({"gamma": 1})), 4),
+        ("config max_iterations 0", evaluate(*config({"max_iterations": 0})), 4),
+        ("config max_iterations 16",
+         evaluate(*config({"max_iterations": 16})), 4),
         ("--seed negative", evaluate("--seed", "-1"), 4),
         ("backend.timeout_s not positive",
          evaluate(*config({"backend": {"timeout_s": 0}})), 4),

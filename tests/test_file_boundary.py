@@ -1,0 +1,65 @@
+"""File boundary: outside `errors.py`, no module of the package opens, reads
+or writes a file itself, but for the few places named in ALLOWED. Every
+other file goes through `errors.read_bytes`, `read_text`, `read_json` and
+`write_text`, so one rule maps a bad path to its exit code.
+
+The check parses each module with `ast`: a call of the builtin `open`, or
+of a method named like a `Path` file method, is a file access; calling the
+`errors.py` functions by their imported names is not.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import videoqa
+
+PACKAGE_DIR = Path(videoqa.__file__).parent
+FILE_METHODS = {"read_bytes", "read_text", "write_text", "write_bytes"}
+# (module, enclosing class or function) -> why it may touch files itself.
+ALLOWED = {
+    ("backends.py", "CachingBackend"): "cache entries: a bad one is a miss",
+    ("captioning.py", "load_template"): "the package's own templates",
+    ("ingest.py", "write_embeddings"): "the writer of generated inputs",
+}
+
+
+def _file_accesses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing scope, line) of each file access."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if ((isinstance(func, ast.Name) and func.id == "open")
+                    or (isinstance(func, ast.Attribute)
+                        and func.attr in FILE_METHODS)):
+                found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_file_io_goes_through_errors_py() -> None:
+    offenders, used = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for scope, line in _file_accesses(tree):
+            allowed = [key for key in ALLOWED if key[0] == path.name and (
+                scope == key[1] or scope.startswith(key[1] + "."))]
+            if allowed:
+                used.update(allowed)
+            else:
+                offenders.append(f"{path.name}:{line} in {scope or '<module>'}")
+    assert not offenders, ("file access outside errors.py; use its readers "
+                           "and writers: " + ", ".join(offenders))
+    assert used == set(ALLOWED), f"stale allowlist entries: {set(ALLOWED) - used}"
+

@@ -11,7 +11,6 @@ from videoqa.ingest import (
     Shot,
     consecutive_distances,
     detect_shots,
-    frame_ref,
     load_frames,
     nearest_to_centroid,
     read_embeddings,
@@ -199,13 +198,6 @@ def test_load_frames_images_without_backend(tmp_path) -> None:
         "video_id": "v", "fps": 1, "frames": [{"index": 0, "path": "a.jpg"}]})
     with pytest.raises(InputError, match="embedding backend"):
         load_frames(path)
-
-
-def test_frame_ref_falls_back_to_synthetic_id(tmp_path) -> None:
-    manifest = write_video(tmp_path, "clip", [2])
-    frames = load_frames(manifest)
-    assert frame_ref("clip", frames.paths, 1) == "clip:frame:1"
-    assert frame_ref("clip", {1: "frames/1.jpg"}, 1) == "frames/1.jpg"
 
 
 ABSENT = object()

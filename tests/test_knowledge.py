@@ -4,7 +4,6 @@ import copy
 import json
 import re
 import tracemalloc
-import zlib
 
 import pytest
 
@@ -32,7 +31,6 @@ from videoqa.tree import (
     attach_scores,
     load_tree,
     tree_from_shots,
-    tree_to_json,
 )
 
 from conftest import long_store, profile_doc
@@ -354,8 +352,7 @@ def test_sidecar_roundtrip() -> None:
     doc = store.to_sidecar()
     assert doc["version"] == "3"
     assert doc["video_id"] == "vid"
-    assert doc["tree_crc32"] == zlib.crc32(
-        (tree_to_json(store.tree) + "\n").encode())
+    assert "tree_crc32" not in doc, "`build` binds the tree file, not the store"
     assert doc["fps"] == 2.0
     assert doc["frame_paths"] == [{"frame": 5, "path": "frames/5.jpg"}]
     assert {"frame", "qtype", "text"} == set(doc["captions"][0])
@@ -381,18 +378,6 @@ def test_sidecar_other_version_rejected(version) -> None:
     else:
         doc["version"] = version
     with pytest.raises(UnsupportedVersionError, match="sidecar version"):
-        KnowledgeStore.from_sidecar(store.tree, doc)
-
-
-@pytest.mark.parametrize("crc", ["1", 1.5, True, None, "missing"])
-def test_sidecar_tree_crc32_must_be_an_int(crc) -> None:
-    store = _store()
-    doc = store.to_sidecar()
-    if crc == "missing":
-        del doc["tree_crc32"]
-    else:
-        doc["tree_crc32"] = crc
-    with pytest.raises(ValidationError, match="tree_crc32"):
         KnowledgeStore.from_sidecar(store.tree, doc)
 
 
