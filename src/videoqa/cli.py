@@ -32,7 +32,7 @@ from .pipeline import (
     evaluate,
     load_question_file,
 )
-from .tree import load_tree, tree_to_json
+from .tree import load_tree, parse_tree, tree_to_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -119,10 +119,12 @@ def cmd_ask(args: argparse.Namespace) -> int:
                    Doc(None, ValidationError, f"question {args.question_id}"))
     config = _load_config(args)
     backend = _make_backend(args, config)
-    tree = load_tree(args.tree)  # first, so a parse error names its field
+    # The tree is parsed first, so a parse error names its field, and from
+    # the one read of its file, whose CRC-32 the sidecar must record.
+    tree_bytes = read_bytes(args.tree, "tree file")
+    tree = parse_tree(tree_bytes, args.tree)
     sidecar = read_doc(args.sidecar, "sidecar file", ValidationError)
-    if (sidecar.integer("tree_crc32")
-            != zlib.crc32(read_bytes(args.tree, "tree file"))):
+    if sidecar.integer("tree_crc32") != zlib.crc32(tree_bytes):
         raise ValidationError(f"sidecar file {args.sidecar} was built with "
                               f"another tree than tree file {args.tree}; "
                               "rebuild both")

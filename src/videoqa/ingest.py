@@ -2,7 +2,9 @@
 
 Turns a frame manifest (image paths or a precomputed embedding matrix) into
 an ordered embedding sequence, then segments it into shots by adaptive
-thresholding on consecutive-frame cosine distance.
+thresholding on consecutive-frame cosine distance. A shot here is only the
+range of its frames: the tree owns the shots (`tree.tree_from_shots` makes
+each range a shot node and picks its representative frame).
 
 Embedding file format: 16-byte header (magic "HCEM", u32 rows, u32 dim,
 u32 reserved, little-endian) followed by row-major float32 data.
@@ -23,22 +25,6 @@ EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
 
 DEFAULT_SENSITIVITY = 2.0
-
-
-@dataclass(frozen=True)
-class Shot:
-    """A maximal temporally contiguous segment; frame bounds are inclusive."""
-
-    shot_id: int
-    start_frame: int
-    end_frame: int
-    representative_frame: int
-
-    def __post_init__(self) -> None:
-        if not self.start_frame <= self.representative_frame <= self.end_frame:
-            raise ValidationError(
-                f"shot {self.shot_id}: representative {self.representative_frame} "
-                f"outside [{self.start_frame}, {self.end_frame}]")
 
 
 @dataclass
@@ -192,8 +178,9 @@ def consecutive_distances(embeddings: np.ndarray) -> np.ndarray:
 
 
 def detect_shots(embeddings: np.ndarray,
-                 sensitivity: float = DEFAULT_SENSITIVITY) -> list[Shot]:
-    """Segment the frame sequence into shots.
+                 sensitivity: float = DEFAULT_SENSITIVITY) -> list[range]:
+    """Segment the frame sequence into shots, each the range of its frames,
+    in temporal order.
 
     A boundary is placed between frames j and j+1 iff their cosine distance
     exceeds mean + sensitivity * stddev of all consecutive distances.
@@ -215,25 +202,8 @@ def detect_shots(embeddings: np.ndarray,
 
     shots = []
     start = 0
-    for shot_id, cut in enumerate(cuts):
-        shots.append(make_shot(shot_id, start, cut, embeddings))
+    for cut in cuts:
+        shots.append(range(start, cut + 1))
         start = cut + 1
-    shots.append(make_shot(len(cuts), start, n - 1, embeddings))
+    shots.append(range(start, n))
     return shots
-
-
-def make_shot(shot_id: int, start: int, end: int, embeddings: np.ndarray) -> Shot:
-    """The shot over frames [start, end], represented by its frame nearest
-    the centroid."""
-    rep = start + nearest_to_centroid(embeddings[start:end + 1])
-    return Shot(shot_id=shot_id, start_frame=start, end_frame=end,
-                representative_frame=rep)
-
-
-def nearest_to_centroid(rows: np.ndarray) -> int:
-    """Index (within rows) of the row nearest the arithmetic mean; ties go
-    to the lowest index."""
-    centroid = rows.mean(axis=0)
-    dists = np.linalg.norm(rows - centroid, axis=1)
-    return int(np.argmin(dists))
-

@@ -38,7 +38,7 @@ from .captioning import (
 )
 from .config import EngineConfig
 from .errors import Doc, ValidationError, canonical_json, read_doc
-from .ingest import Shot, detect_shots, load_frames, make_shot
+from .ingest import detect_shots, load_frames
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
     AGENT_REGISTRY,
@@ -54,7 +54,6 @@ from .orchestrator import (
 from .tree import (
     HybridTree,
     TreeParams,
-    attach_scores,
     expand_tree,
     score_shots,
     tree_from_shots,
@@ -129,15 +128,14 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
 # Build
 # ---------------------------------------------------------------------------
 
-def uniform_leaf_shots(num_frames: int, count: int,
-                       embeddings: np.ndarray) -> list[Shot]:
-    """Evenly spaced contiguous leaf shots for the uniform-sampling mode."""
+def uniform_leaf_shots(num_frames: int, count: int) -> list[range]:
+    """Evenly spaced contiguous leaf shots for the uniform-sampling mode,
+    each the range of its frames."""
     count = max(1, min(count, num_frames))
     bounds = np.linspace(0, num_frames, count + 1).astype(int)
     shots = []
-    for shot_id in range(count):
-        shots.append(make_shot(shot_id, int(bounds[shot_id]),
-                               int(bounds[shot_id + 1]) - 1, embeddings))
+    for i in range(count):
+        shots.append(range(int(bounds[i]), int(bounds[i + 1])))
     return shots
 
 
@@ -186,11 +184,10 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         params = TreeParams(tau=config.tau, k=config.k,
                             max_depth=config.max_depth, gamma=config.gamma)
         if config.uniform_sampling:
-            shots = uniform_leaf_shots(frames.num_frames, config.uniform_shots,
-                                       frames.embeddings)
+            shots = uniform_leaf_shots(frames.num_frames, config.uniform_shots)
         else:
             shots = detect_shots(frames.embeddings, config.sensitivity)
-        tree = tree_from_shots(frames.video_id, shots, params)
+        tree = tree_from_shots(frames.video_id, shots, frames.embeddings, params)
         store = KnowledgeStore(tree=tree, fps=frames.fps,
                                frame_paths=frames.paths)
 
@@ -200,19 +197,19 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         # First-pass generic captions of shot representatives, which come in
         # frame order and so in shot order; these feed the relevance scorer
         # and the degraded retrieval fallback.
-        first_caps = caption_frames([s.representative_frame for s in shots],
-                                    [generic_prompt(config.template_dir)],
-                                    backend, store.frame_ref, pool=calls)
-        for shot, cap in zip(shots, first_caps):
-            store.first_pass[shot.shot_id] = cap.text
+        first_caps = caption_frames(
+            [s.representative_frame for s in tree.shots()],
+            [generic_prompt(config.template_dir)], backend, store.frame_ref,
+            pool=calls)
+        for shot, cap in zip(tree.shots(), first_caps):
+            store.first_pass[shot.node_id] = cap.text
 
         bundles = list(classified)
         if not config.uniform_sampling:
             question_context = ("\n".join(q.text for q in questions)
                                 or "(no questions)")
-            scores = score_shots(shots, list(store.first_pass.values()),
-                                 question_context, backend, pool=calls)
-            attach_scores(tree, scores)
+            score_shots(tree, store.first_pass, question_context, backend,
+                        pool=calls)
         # Queued behind the scores, the syntheses run while the tree expands,
         # when no other call is in flight, and delay no other stage's calls.
         synthesized = calls.map(partial(type_prompt, bundles=bundles,

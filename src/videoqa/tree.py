@@ -1,10 +1,13 @@
 """Shot-rooted hierarchical video tree.
 
-Layer 1 is the temporally ordered shot sequence. Shots whose relevance to
-the question exceeds tau are expanded in place with K-Means sub-event
-clusters, recursively, down to max_depth. Low-relevance shots stay leaves,
-so global temporal order survives while question-critical regions gain
-resolution.
+Layer 1 is the temporally ordered shot sequence, and the tree owns it: each
+shot that `ingest.detect_shots` finds, a range of frames, becomes a shot
+node whose representative is its frame nearest the shot's embedding
+centroid, and relevance scores are set on these nodes. Shots whose
+relevance to the question exceeds tau are expanded in place with K-Means
+sub-event clusters, recursively, down to max_depth. Low-relevance shots
+stay leaves, so global temporal order survives while question-critical
+regions gain resolution.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
     canonical_json,
-    read_json,
+    parse_json,
+    read_bytes,
 )
-from .ingest import Shot, nearest_to_centroid
 
 logger = logging.getLogger(__name__)
 
@@ -180,24 +183,32 @@ class HybridTree:
                     f"children of node {node.node_id} do not partition its frames")
 
 
-def tree_from_shots(video_id: str, shots: list[Shot],
+def tree_from_shots(video_id: str, shots: list[range], embeddings: np.ndarray,
                     params: TreeParams | None = None) -> HybridTree:
-    """Layer-1 tree: one node per shot, in temporal order, no expansion."""
+    """Layer-1 tree: shot node i holds the i-th range of frames, in temporal
+    order, represented by its frame nearest the centroid; no expansion."""
     params = params or TreeParams()
     nodes = {}
-    order = []
-    for shot in shots:
-        node = TreeNode(
-            node_id=shot.shot_id,
+    for shot_id, frames in enumerate(shots):
+        rep = frames.start + nearest_to_centroid(
+            embeddings[frames.start:frames.stop])
+        nodes[shot_id] = TreeNode(
+            node_id=shot_id,
             kind=KIND_SHOT,
-            frames=range(shot.start_frame, shot.end_frame + 1),
-            representative_frame=shot.representative_frame,
+            frames=frames,
+            representative_frame=rep,
             depth=1,
         )
-        nodes[node.node_id] = node
-        order.append(node.node_id)
     return HybridTree(video_id=video_id, params=params, nodes=nodes,
-                      shot_order=order)
+                      shot_order=list(nodes))
+
+
+def nearest_to_centroid(rows: np.ndarray) -> int:
+    """Index (within rows) of the row nearest the arithmetic mean; ties go
+    to the lowest index."""
+    centroid = rows.mean(axis=0)
+    dists = np.linalg.norm(rows - centroid, axis=1)
+    return int(np.argmin(dists))
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +226,28 @@ def _parse_score(text: str) -> float | None:
     return value if 1.0 <= value <= 5.0 else None
 
 
-def scoring_prompt(caption: str, question: str, shot: Shot) -> str:
+def scoring_prompt(caption: str, question: str, shot: TreeNode) -> str:
     return (
         "Rate how relevant this video segment is to the question on a scale "
         "of 1 (irrelevant) to 5 (essential). Respond with a single number.\n"
         f"Question: {question}\n"
-        f"Segment {shot.shot_id} (frames {shot.start_frame}-{shot.end_frame}) "
+        f"Segment {shot.node_id} (frames {shot.start_frame}-{shot.end_frame}) "
         f"caption: {caption}\n"
         "Relevance:"
     )
 
 
-def score_shots(shots: list[Shot], captions: list[str], question: str,
-                llm: Backend, pool: Executor) -> list[RelevanceScore]:
-    """Score each shot against the question via the chat backend, fanning
-    the calls out on `pool`.
+def score_shots(tree: HybridTree, first_pass: dict[int, str], question: str,
+                llm: Backend, pool: Executor) -> None:
+    """Score each shot node against the question from its first-pass
+    caption (keyed by node id) via the chat backend, fanning the calls out
+    on `pool`, and set the node's relevance.
 
     Unparseable replies are retried once, then default to 3.0 with the
     defaulted flag set. Transport failures carry the shot id.
     """
-    if len(captions) != len(shots):
-        raise ValidationError(
-            f"need one caption per shot: {len(captions)} captions, {len(shots)} shots")
-
-    def score_one(item: tuple[Shot, str]) -> RelevanceScore:
-        shot, caption = item
-        prompt = scoring_prompt(caption, question, shot)
+    def score_one(shot: TreeNode) -> RelevanceScore:
+        prompt = scoring_prompt(first_pass[shot.node_id], question, shot)
         try:
             reply = llm.call(chat_request(prompt))
             value = _parse_score(reply)
@@ -248,22 +255,18 @@ def score_shots(shots: list[Shot], captions: list[str], question: str,
                 reply = llm.call(chat_request(prompt))
                 value = _parse_score(reply)
         except BackendError as exc:
-            raise BackendError(f"scoring shot {shot.shot_id} failed: {exc}") from exc
+            raise BackendError(f"scoring shot {shot.node_id} failed: {exc}") from exc
         if value is None:
             logger.warning("shot %d: unparseable relevance %r, defaulting to %.1f",
-                           shot.shot_id, reply[:80], DEFAULT_SCORE)
+                           shot.node_id, reply[:80], DEFAULT_SCORE)
             return RelevanceScore(DEFAULT_SCORE, rationale=reply[:200],
                                   defaulted=True)
         return RelevanceScore(value, rationale=reply[:200])
 
-    return list(pool.map(score_one, zip(shots, captions)))
-
-
-def attach_scores(tree: HybridTree, scores: list[RelevanceScore]) -> None:
-    if len(scores) != len(tree.shot_order):
-        raise ValidationError("one score per shot required")
-    for sid, score in zip(tree.shot_order, scores):
-        tree.nodes[sid].relevance = score
+    shots = tree.shots()
+    # Every score first, so a failed call leaves no shot scored.
+    for shot, score in zip(shots, list(pool.map(score_one, shots))):
+        shot.relevance = score
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +597,13 @@ def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
 
 def load_tree(path: str | Path) -> HybridTree:
     """Read, parse and validate a tree file."""
-    tree = deserialize_tree(read_json(path, "tree file", TreeParseError),
-                            str(path))
+    return parse_tree(read_bytes(path, "tree file"), str(path))
+
+
+def parse_tree(data: bytes, source: str) -> HybridTree:
+    """Parse and validate `data`, the bytes already read of the tree file at
+    `source`."""
+    tree = deserialize_tree(
+        parse_json(data, f"tree file {source}", TreeParseError), source)
     tree.validate()
     return tree

@@ -20,9 +20,9 @@ import pytest
 from videoqa.backends import Backend, BackendRequest, MockScript, render_payload
 from videoqa.captioning import FrameCaption, SegmentSummary
 from videoqa.errors import BackendError
-from videoqa.ingest import Shot, write_embeddings
+from videoqa.ingest import write_embeddings
 from videoqa.knowledge import AgentProfile, KnowledgeStore
-from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
+from videoqa.tree import RelevanceScore, TreeParams, tree_from_shots
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +108,15 @@ def long_store(num_shots: int, frames_per_shot: int = 2,
     """A store over `num_shots` equal shots whose every frame has a `qtype`
     caption and whose every shot has a `qtype` summary and a first-pass
     caption; every other type reads the degraded first-pass rows."""
-    shots = [Shot(i, i * frames_per_shot, (i + 1) * frames_per_shot - 1,
-                  i * frames_per_shot) for i in range(num_shots)]
-    tree = tree_from_shots("long", shots, TreeParams())
-    attach_scores(tree, [RelevanceScore(1.0 + i % 5) for i in range(num_shots)])
+    shots = [range(i * frames_per_shot, (i + 1) * frames_per_shot)
+             for i in range(num_shots)]
+    # Identical rows are all equidistant from a shot's centroid, so each
+    # shot is represented by its first frame.
+    tree = tree_from_shots("long", shots,
+                           np.ones((num_shots * frames_per_shot, 1)),
+                           TreeParams())
+    for i, shot in enumerate(tree.shots()):
+        shot.relevance = RelevanceScore(1.0 + i % 5)
     store = KnowledgeStore(tree=tree)
     store.add_captions([FrameCaption(f, qtype, f"{qtype.lower()} caption {f}")
                         for f in range(num_shots * frames_per_shot)])
@@ -124,6 +129,13 @@ def long_store(num_shots: int, frames_per_shot: int = 2,
 # ---------------------------------------------------------------------------
 # Synthetic embeddings and manifests
 # ---------------------------------------------------------------------------
+
+def frame_line(num_frames: int) -> np.ndarray:
+    """One row per frame, on a line at unit steps: a shot's representative,
+    its frame nearest the centroid, is its middle frame (of two middle
+    frames, the earlier)."""
+    return np.arange(num_frames, dtype=np.float32)[:, None]
+
 
 def shot_embeddings(shot_lengths: list[int], dim: int = 8, noise: float = 0.005,
                     seed: int = 0) -> np.ndarray:

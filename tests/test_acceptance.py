@@ -31,13 +31,11 @@ from videoqa.pipeline import build_video, evaluate
 from videoqa.tree import (
     RelevanceScore,
     TreeParams,
-    attach_scores,
     expand_tree,
     kmeans,
     tree_from_shots,
     vtsearch,
 )
-from videoqa.ingest import Shot
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world, kmeans_cost, write_video
 from test_orchestrator import _random_items, _weights_profile, oracle_scores
@@ -153,19 +151,15 @@ def test_acceptance_fusion_oracle() -> None:
 # ---------------------------------------------------------------------------
 
 def _ten_shot_tree(high_count: int):
-    lengths = [8] * 10
-    shots = []
-    start = 0
-    for i, length in enumerate(lengths):
-        shots.append(Shot(i, start, start + length - 1, start + 2))
-        start += length
-    tree = tree_from_shots("gate", shots,
-                           TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
-    values = [4.0] * high_count + [1.0] * (10 - high_count)
-    attach_scores(tree, [RelevanceScore(v) for v in values])
     rng = np.random.default_rng(4)
     emb = rng.normal(0, 1, (80, 6)).astype(np.float32)
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    shots = [range(start, start + 8) for start in range(0, 80, 8)]
+    tree = tree_from_shots("gate", shots, emb,
+                           TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
+    values = [4.0] * high_count + [1.0] * (10 - high_count)
+    for shot, value in zip(tree.shots(), values):
+        shot.relevance = RelevanceScore(value)
     expand_tree(tree, emb, seed=2)
     return tree
 

@@ -19,10 +19,9 @@ from videoqa.captioning import (
     synthesize_prompt,
 )
 from videoqa.errors import BackendError, ValidationError
-from videoqa.ingest import Shot
 from videoqa.tree import HybridTree, tree_from_shots
 
-from conftest import RecordingBackend
+from conftest import RecordingBackend, frame_line
 
 
 def _backend(*rules, default=None) -> MockBackend:
@@ -181,8 +180,10 @@ def test_caption_frame_bijection(pool) -> None:
 # Segment summaries
 # ---------------------------------------------------------------------------
 
-def _tree(*more: Shot) -> HybridTree:
-    return tree_from_shots("v", [Shot(0, 0, 3, 1), Shot(1, 4, 7, 5), *more])
+def _tree(shots: int = 2) -> HybridTree:
+    """Shots of four frames each, represented by frames 1, 5, 9."""
+    return tree_from_shots("v", [range(i * 4, i * 4 + 4) for i in range(shots)],
+                           frame_line(shots * 4))
 
 
 def test_summary_single_caption_passthrough_without_backend_call(pool) -> None:
@@ -267,5 +268,5 @@ def test_summary_concurrent_failure_names_first_failing_shot(pool) -> None:
                 [(0, "a"), (1, "b"), (4, "c"), (5, "d")]]
     captions += [FrameCaption(9, "Causal", "e"), FrameCaption(10, "Causal", "f")]
     with pytest.raises(BackendError, match="shot 1"):
-        summarize_segments(captions, _tree(Shot(2, 8, 11, 9)),
+        summarize_segments(captions, _tree(3),
                            MockBackend(script), pool)

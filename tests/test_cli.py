@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import itertools
 import json
 import zlib
@@ -157,6 +158,35 @@ def test_cli_build_serializes_the_tree_once(tmp_path, monkeypatch) -> None:
     sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
     assert sidecar["tree_crc32"] == zlib.crc32(
         (tmp_path / "tree.json").read_bytes())
+
+
+def test_cli_ask_reads_the_tree_file_once(tmp_path, capsys,
+                                          monkeypatch) -> None:
+    """`ask` parses the tree from the bytes whose CRC-32 it checks against
+    the sidecar: it opens the tree file once, so a file replaced between
+    two reads cannot be parsed from one version and checked on another."""
+    world = build_golden_world(tmp_path / "golden")
+    assert main(_build_args(world, tmp_path)) == 0
+    tree_path = tmp_path / "tree.json"
+    opened = []
+
+    def counting(real_open):
+        def open_(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file) == tree_path:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+        return open_
+
+    # Path.read_bytes and friends go through Path.open, which does not look
+    # up the builtin, so each way of opening the file counts once.
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
+    monkeypatch.setattr(Path, "open", counting(Path.open))
+    capsys.readouterr()
+    assert main(["ask", str(tree_path), str(tmp_path / "tree.sidecar.json"),
+                 "--question", "What is the location?",
+                 "--option", "a park", "--option", "a kitchen",
+                 "--mock-script", str(world.script_path)]) == 0
+    assert len(opened) == 1
 
 
 def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:

@@ -6,6 +6,10 @@ other file goes through `errors.read_bytes`, `read_text`, `read_json` and
 The check parses each module with `ast`: a call of the builtin `open`, or
 of a method named like a `Path` file method, is a file access; calling the
 `errors.py` functions by their imported names is not.
+
+The same parse pins one layer: the tree's shot nodes are the only shot
+type, so `tree.py` takes shots as frame ranges and imports nothing from
+`ingest`.
 """
 
 from __future__ import annotations
@@ -62,4 +66,26 @@ def test_file_io_goes_through_errors_py() -> None:
     assert not offenders, ("file access outside errors.py; use its readers "
                            "and writers: " + ", ".join(offenders))
     assert used == set(ALLOWED), f"stale allowlist entries: {set(ALLOWED) - used}"
+
+
+def _imported(tree: ast.AST) -> set[str]:
+    """Dotted names a module imports, relative ones resolved in the package;
+    `from a import b` names both `a` and `a.b`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(part for part in (
+                "videoqa" if node.level else "", node.module or "") if part)
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_tree_does_not_import_ingest() -> None:
+    source = (PACKAGE_DIR / "tree.py").read_text(encoding="utf-8")
+    imported = _imported(ast.parse(source))
+    assert not any(name == "videoqa.ingest" or name.startswith("videoqa.ingest.")
+                   for name in imported), "tree.py imports ingest"
 

@@ -8,14 +8,13 @@ import pytest
 from videoqa.backends import MockBackend, MockScript
 from videoqa.errors import InputError, ValidationError
 from videoqa.ingest import (
-    Shot,
     consecutive_distances,
     detect_shots,
     load_frames,
-    nearest_to_centroid,
     read_embeddings,
     write_embeddings,
 )
+from videoqa.tree import tree_from_shots
 
 from conftest import RecordingBackend, shot_embeddings, write_video
 
@@ -26,15 +25,12 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - float(np.dot(a, b)) / denom
 
 
-def select_representative(shot: Shot, embeddings: np.ndarray) -> int:
-    """Representative frame for a shot given exactly its embedding rows
-    (start_frame..end_frame), as an absolute frame index."""
-    num_frames = shot.end_frame - shot.start_frame + 1
-    if embeddings.shape[0] != num_frames:
-        raise ValidationError(
-            f"expected {num_frames} rows for shot {shot.shot_id}, "
-            f"got {embeddings.shape[0]}")
-    return shot.start_frame + nearest_to_centroid(embeddings)
+def select_representative(shot: range, embeddings: np.ndarray) -> int:
+    """The representative frame `tree_from_shots` gives the shot over the
+    frames `shot`, given exactly their embedding rows."""
+    rows = np.zeros((shot.stop, embeddings.shape[1]), dtype=embeddings.dtype)
+    rows[shot.start:] = embeddings
+    return tree_from_shots("v", [shot], rows).shots()[0].representative_frame
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +231,22 @@ def test_detect_shots_two_blocks_orthogonal() -> None:
     emb = shot_embeddings([6, 6], dim=4, noise=0.01, seed=5)
     cuts = _brute_force_cuts(emb, 2.0)
     assert cuts == [5], "oracle: exactly one consecutive distance crosses"
-    shots = detect_shots(emb, 2.0)
-    assert [(s.start_frame, s.end_frame) for s in shots] == [(0, 5), (6, 11)]
+    assert detect_shots(emb, 2.0) == [range(0, 6), range(6, 12)]
 
 
 def test_detect_shots_identical_embeddings_single_shot() -> None:
     emb = np.tile(np.array([1.0, 2.0, 3.0], dtype=np.float32), (12, 1))
-    shots = detect_shots(emb, 2.0)
-    assert [(s.start_frame, s.end_frame) for s in shots] == [(0, 11)]
+    assert detect_shots(emb, 2.0) == [range(0, 12)]
 
 
 def test_detect_shots_single_embedding() -> None:
     emb = np.array([[1.0, 0.0]], dtype=np.float32)
-    shots = detect_shots(emb, 2.0)
-    assert [(s.start_frame, s.end_frame) for s in shots] == [(0, 0)]
-    assert shots[0].representative_frame == 0
+    assert detect_shots(emb, 2.0) == [range(0, 1)]
 
 
 def test_detect_shots_two_frames_single_shot() -> None:
     emb = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-    shots = detect_shots(emb, 2.0)
-    assert [(s.start_frame, s.end_frame) for s in shots] == [(0, 1)]
+    assert detect_shots(emb, 2.0) == [range(0, 2)]
 
 
 def test_detect_shots_empty_and_bad_sensitivity() -> None:
@@ -272,7 +263,7 @@ def test_detect_shots_matches_bruteforce_threshold() -> None:
         emb = shot_embeddings(lengths, dim=8, noise=0.01, seed=trial)
         cuts = _brute_force_cuts(emb, 2.0)
         shots = detect_shots(emb, 2.0)
-        ends = [s.end_frame for s in shots[:-1]]
+        ends = [s[-1] for s in shots[:-1]]
         assert ends == cuts
 
 
@@ -285,11 +276,11 @@ def test_partition_property_random_inputs() -> None:
         shots = detect_shots(emb, 2.0)
         covered = []
         for shot in shots:
-            covered.extend(range(shot.start_frame, shot.end_frame + 1))
+            covered.extend(shot)
         assert covered == list(range(n))
-        assert [s.shot_id for s in shots] == list(range(len(shots)))
-        for shot in shots:
-            assert shot.start_frame <= shot.representative_frame <= shot.end_frame
+        assert all(shots), "no empty shot"
+        for shot in tree_from_shots("v", shots, emb).shots():
+            assert shot.representative_frame in shot.frames
 
 
 def test_reversal_symmetry_property() -> None:
@@ -300,8 +291,8 @@ def test_reversal_symmetry_property() -> None:
         n = emb.shape[0]
         forward = detect_shots(emb, 2.0)
         backward = detect_shots(emb[::-1].copy(), 2.0)
-        fw_cuts = [s.end_frame for s in forward[:-1]]
-        bw_cuts = [s.end_frame for s in backward[:-1]]
+        fw_cuts = [s[-1] for s in forward[:-1]]
+        bw_cuts = [s[-1] for s in backward[:-1]]
         assert sorted(n - 2 - j for j in fw_cuts) == sorted(bw_cuts)
 
 
@@ -317,20 +308,17 @@ def test_detect_shots_deterministic() -> None:
 def test_representative_nearest_centroid() -> None:
     emb = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]], dtype=np.float32)
     # centroid (11/3, 0); distances 11/3, 8/3, 19/3 -> frame 1 wins
-    shot = Shot(0, 0, 2, 0)
-    assert select_representative(shot, emb) == 1
+    assert select_representative(range(0, 3), emb) == 1
 
 
 def test_representative_single_frame() -> None:
-    shot = Shot(0, 4, 4, 4)
-    assert select_representative(shot, np.array([[2.0, 2.0]])) == 4
+    assert select_representative(range(4, 5), np.array([[2.0, 2.0]])) == 4
 
 
 def test_representative_tie_breaks_to_earlier_frame() -> None:
     emb = np.array([[0.0, 0.0], [2.0, 0.0]], dtype=np.float32)
     # centroid (1, 0); both frames at distance 1 -> earlier wins
-    shot = Shot(0, 10, 11, 10)
-    assert select_representative(shot, emb) == 10
+    assert select_representative(range(10, 12), emb) == 10
 
 
 def test_representative_matches_bruteforce_oracle() -> None:
@@ -338,20 +326,13 @@ def test_representative_matches_bruteforce_oracle() -> None:
     for trial in range(30):
         n = int(rng.integers(1, 65))
         emb = rng.normal(0, 1, (n, 4)).astype(np.float32)
-        shot = Shot(0, 0, n - 1, 0)
         centroid = emb.mean(axis=0)
         best, best_d = 0, float("inf")
         for i in range(n):
             d = float(np.linalg.norm(emb[i] - centroid))
             if d < best_d - 1e-12:
                 best, best_d = i, d
-        assert select_representative(shot, emb) == best
-
-
-def test_representative_wrong_slice_length() -> None:
-    shot = Shot(0, 0, 2, 0)
-    with pytest.raises(ValidationError):
-        select_representative(shot, np.ones((2, 2)))
+        assert select_representative(range(0, n), emb) == best
 
 
 def test_consecutive_distances_match_pairwise() -> None:

@@ -14,7 +14,6 @@ from videoqa.errors import (
     UnsupportedVersionError,
     ValidationError,
 )
-from videoqa.ingest import Shot
 import videoqa.knowledge as knowledge
 from videoqa.knowledge import (
     PAGE_ROWS,
@@ -28,12 +27,11 @@ from videoqa.tree import (
     MAX_TREE_FRAMES,
     RelevanceScore,
     TreeParams,
-    attach_scores,
     load_tree,
     tree_from_shots,
 )
 
-from conftest import long_store, profile_doc
+from conftest import frame_line, long_store, profile_doc
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +120,10 @@ def test_load_profiles_wrong_qtype_in_file(tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 def _store() -> KnowledgeStore:
-    shots = [Shot(i, i * 4, i * 4 + 3, i * 4 + 1) for i in range(4)]
-    tree = tree_from_shots("vid", shots, TreeParams())
-    attach_scores(tree, [RelevanceScore(v) for v in (1.0, 4.0, 2.0, 5.0)])
+    shots = [range(i * 4, i * 4 + 4) for i in range(4)]
+    tree = tree_from_shots("vid", shots, frame_line(16), TreeParams())
+    for shot, value in zip(tree.shots(), (1.0, 4.0, 2.0, 5.0)):
+        shot.relevance = RelevanceScore(value)
     store = KnowledgeStore(tree=tree, fps=2.0)
     store.add_captions([
         FrameCaption(5, "Descriptive", "a sunny park"),

@@ -42,7 +42,7 @@ from videoqa.errors import (
     canonical_json,
     read_json,
 )
-from videoqa.ingest import load_frames, make_shot
+from videoqa.ingest import load_frames
 from videoqa.knowledge import KnowledgeStore, builtin_profiles, load_profiles
 from videoqa.pipeline import (
     RawQuestion,
@@ -53,7 +53,6 @@ from videoqa.pipeline import (
 from videoqa.tree import (
     RelevanceScore,
     TreeParams,
-    attach_scores,
     expand_tree,
     load_tree,
     tree_from_shots,
@@ -313,18 +312,18 @@ def trees(draw):
     embeddings = np.random.default_rng(draw(st.integers(0, 99))).normal(
         size=(sum(lengths), 3))
     shots, start = [], 0
-    for shot_id, length in enumerate(lengths):
-        shots.append(make_shot(shot_id, start, start + length - 1, embeddings))
+    for length in lengths:
+        shots.append(range(start, start + length))
         start += length
     unit = st.floats(0.01, 0.99)
     params = TreeParams(tau=draw(st.floats(1.0, 5.0)), k=draw(st.integers(1, 3)),
                         max_depth=draw(st.integers(1, 3)), gamma=draw(unit))
-    tree = tree_from_shots(draw(st.text(max_size=6)), shots, params)
+    tree = tree_from_shots(draw(st.text(max_size=6)), shots, embeddings, params)
     if draw(st.booleans()):
-        attach_scores(tree, [RelevanceScore(draw(st.floats(1.0, 5.0)),
+        for shot in tree.shots():
+            shot.relevance = RelevanceScore(draw(st.floats(1.0, 5.0)),
                                             draw(st.text(max_size=6)),
                                             draw(st.booleans()))
-                             for _ in shots])
         expand_tree(tree, embeddings, seed=0)
     return tree
 

@@ -10,7 +10,6 @@ import pytest
 from videoqa.backends import Backend, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
 from videoqa.errors import IntegrationError, ValidationError, VideoQAError
-from videoqa.ingest import Shot
 from videoqa.knowledge import (
     PAGE_ROWS,
     RETRIEVAL_SCOPES,
@@ -38,9 +37,9 @@ from videoqa.orchestrator import (
     run_react,
     template_workflow,
 )
-from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
+from videoqa.tree import RelevanceScore, TreeParams, tree_from_shots
 
-from conftest import RecordingBackend, long_store, profile_doc
+from conftest import RecordingBackend, frame_line, long_store, profile_doc
 
 
 def _backend(*rules, default=None) -> RecordingBackend:
@@ -57,9 +56,10 @@ def _bundle(qtype: str = "Causal", text: str = "Why is the man looking up?",
 
 
 def _store() -> KnowledgeStore:
-    shots = [Shot(0, 0, 5, 2), Shot(1, 6, 11, 8)]
-    tree = tree_from_shots("vid", shots, TreeParams())
-    attach_scores(tree, [RelevanceScore(2.0), RelevanceScore(4.0)])
+    tree = tree_from_shots("vid", [range(0, 6), range(6, 12)], frame_line(12),
+                           TreeParams())
+    for shot, value in zip(tree.shots(), (2.0, 4.0)):
+        shot.relevance = RelevanceScore(value)
     store = KnowledgeStore(tree=tree)
     store.add_captions([FrameCaption(8, "Causal", "children by a fountain")])
     store.first_pass = {0: "bench", 1: "fountain"}

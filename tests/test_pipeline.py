@@ -7,7 +7,6 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
 import pytest
 
 from videoqa.backends import Backend, CachingBackend, MockRule, MockScript
@@ -103,14 +102,13 @@ def test_build_missing_manifest_raises_input_error(tmp_path) -> None:
 
 
 def test_uniform_leaf_shots_partition() -> None:
-    emb = np.random.default_rng(1).normal(1, 1, (18, 4)).astype(np.float32)
-    shots = uniform_leaf_shots(18, 8, emb)
+    shots = uniform_leaf_shots(18, 8)
     assert len(shots) == 8
-    covered = [f for s in shots for f in range(s.start_frame, s.end_frame + 1)]
+    covered = [f for s in shots for f in s]
     assert covered == list(range(18))
-    sizes = [s.end_frame - s.start_frame + 1 for s in shots]
+    sizes = [len(s) for s in shots]
     assert max(sizes) - min(sizes) <= 1, "even split"
-    shots_small = uniform_leaf_shots(3, 8, emb[:3])
+    shots_small = uniform_leaf_shots(3, 8)
     assert len(shots_small) == 3, "clamped to the frame count"
 
 

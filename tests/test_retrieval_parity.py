@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from videoqa.captioning import QTYPES, FrameCaption, SegmentSummary
 from videoqa.errors import NotFoundError, ValidationError
-from videoqa.ingest import Shot
 import videoqa.knowledge as knowledge
 from videoqa.knowledge import (
     PAGE_ROWS,
@@ -31,11 +30,11 @@ from videoqa.knowledge import (
 )
 from videoqa.tree import (
     KIND_CLUSTER,
+    KIND_SHOT,
+    HybridTree,
     RelevanceScore,
     TreeNode,
     TreeParams,
-    attach_scores,
-    tree_from_shots,
 )
 
 CLUSTER_ID = 999
@@ -173,17 +172,18 @@ def worlds(draw, populated: bool):
     may carry an `offset`: a page inside or past the result, or an invalid
     one."""
     lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
-    shots, start = [], 0
+    nodes, start = {}, 0
     for i, length in enumerate(lengths):
-        shots.append(Shot(10 + 3 * i, start, start + length - 1, start))
+        nodes[10 + 3 * i] = TreeNode(10 + 3 * i, KIND_SHOT,
+                                     range(start, start + length), start, 1)
         start += length
     num_frames = start
-    tree = tree_from_shots("v", shots, TreeParams())
+    shot_ids = list(nodes)
+    tree = HybridTree("v", TreeParams(), nodes, list(shot_ids))
     if draw(st.booleans()):
-        attach_scores(tree, [RelevanceScore(draw(st.integers(1, 5)))
-                             for _ in shots])
+        for shot in tree.shots():
+            shot.relevance = RelevanceScore(draw(st.integers(1, 5)))
     tree.nodes[CLUSTER_ID] = TreeNode(CLUSTER_ID, KIND_CLUSTER, (0,), 0, 2)
-    shot_ids = [s.shot_id for s in shots]
 
     qtype, other = draw(st.permutations(QTYPES))[:2]
     # A caption frame one past the video has no owning shot: retrieving it

@@ -15,13 +15,15 @@ from videoqa.errors import (
     UnsupportedVersionError,
     ValidationError,
 )
-from videoqa.ingest import Shot, detect_shots
+from videoqa.ingest import detect_shots
 from videoqa.tree import (
+    KIND_SHOT,
+    HybridTree,
     RelevanceScore,
+    TreeNode,
     TreeParams,
     _node_seed,
     _randint,
-    attach_scores,
     deserialize_tree,
     expand_tree,
     kmeans,
@@ -194,31 +196,44 @@ def test_seeding_matches_numpy_random_draw_for_draw() -> None:
 # Relevance scoring
 # ---------------------------------------------------------------------------
 
-def _shots(lengths: list[int]) -> list[Shot]:
+def _shots(lengths: list[int]) -> list[range]:
     shots = []
     start = 0
-    for i, length in enumerate(lengths):
-        shots.append(Shot(i, start, start + length - 1, start))
+    for length in lengths:
+        shots.append(range(start, start + length))
         start += length
     return shots
 
 
+def _layer1(lengths: list[int], params: TreeParams | None = None,
+            emb: np.ndarray | None = None) -> HybridTree:
+    """The unexpanded tree over shots of `lengths` frames. With no `emb`,
+    identical rows make each shot's first frame its representative."""
+    if emb is None:
+        emb = np.ones((sum(lengths), 1))
+    return tree_from_shots("v", _shots(lengths), emb, params)
+
+
+def _set_scores(tree: HybridTree, values: list[float]) -> None:
+    for shot, value in zip(tree.shots(), values, strict=True):
+        shot.relevance = RelevanceScore(value)
+
+
 def test_score_shots_parses_scripted_scores(pool) -> None:
-    shots = _shots([4, 4, 4])
+    tree = _layer1([4, 4, 4])
     script = MockScript(default_response="1")
     script.add("Segment 2 (", "4")
-    scores = score_shots(shots, ["c0", "c1", "c2"], "why?",
-                         MockBackend(script), pool)
+    score_shots(tree, {0: "c0", 1: "c1", 2: "c2"}, "why?",
+                MockBackend(script), pool)
+    scores = [shot.relevance for shot in tree.shots()]
     assert [s.value for s in scores] == [1.0, 1.0, 4.0]
     assert not any(s.defaulted for s in scores)
 
 
 def test_score_shots_gate_is_strict_at_tau(pool) -> None:
-    shots = _shots([4, 4])
+    tree = _layer1([4, 4], TreeParams(tau=2.5))
     script = MockScript(default_response="2.5")
-    scores = score_shots(shots, ["a", "b"], "q", MockBackend(script), pool)
-    tree = tree_from_shots("v", shots, TreeParams(tau=2.5))
-    attach_scores(tree, scores)
+    score_shots(tree, {0: "a", 1: "b"}, "q", MockBackend(script), pool)
     emb = shot_embeddings([4, 4])
     expand_tree(tree, emb, seed=0)
     assert all(not tree.nodes[s].children for s in tree.shot_order), \
@@ -226,42 +241,43 @@ def test_score_shots_gate_is_strict_at_tau(pool) -> None:
 
 
 def test_score_shots_unparseable_retried_once_then_default(pool) -> None:
-    shots = _shots([4])
+    tree = _layer1([4])
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="no idea, sorry")))
-    scores = score_shots(shots, ["c"], "q", backend, pool)
+    score_shots(tree, {0: "c"}, "q", backend, pool)
     assert len(backend.calls) == 2, "one retry before defaulting"
-    assert scores[0].value == 3.0
-    assert scores[0].defaulted is True
+    assert tree.nodes[0].relevance.value == 3.0
+    assert tree.nodes[0].relevance.defaulted is True
 
 
 def test_score_shots_out_of_range_number_is_unparseable(pool) -> None:
-    shots = _shots([4])
+    tree = _layer1([4])
     script = MockScript(default_response="9")
-    scores = score_shots(shots, ["c"], "q", MockBackend(script), pool)
-    assert scores[0].defaulted is True
+    score_shots(tree, {0: "c"}, "q", MockBackend(script), pool)
+    assert tree.nodes[0].relevance.defaulted is True
 
 
 def test_score_shots_backend_error_names_shot(pool) -> None:
-    shots = _shots([4])
+    tree = _layer1([4])
     script = MockScript()
     script.add("Segment 0", error="transport")
     with pytest.raises(BackendError, match="shot 0"):
-        score_shots(shots, ["c"], "q", MockBackend(script), pool)
+        score_shots(tree, {0: "c"}, "q", MockBackend(script), pool)
 
 
 def test_tau_sweep_expansion_changes_only_at_integers(pool) -> None:
-    shots = _shots([8, 8, 8, 8, 8])
+    scored = _layer1([8, 8, 8, 8, 8])
     script = MockScript()
     for i in range(5):
         script.add(f"Segment {i} (", str(i + 1))
-    scores = score_shots(shots, [f"c{i}" for i in range(5)], "q",
-                         MockBackend(script), pool)
+    score_shots(scored, {i: f"c{i}" for i in range(5)}, "q",
+                MockBackend(script), pool)
     emb = shot_embeddings([8, 8, 8, 8, 8])
 
     def expansion_set(tau: float) -> tuple[int, ...]:
-        tree = tree_from_shots("v", shots, TreeParams(tau=tau))
-        attach_scores(tree, scores)
+        tree = _layer1([8, 8, 8, 8, 8], TreeParams(tau=tau))
+        for shot, scored_shot in zip(tree.shots(), scored.shots()):
+            shot.relevance = scored_shot.relevance
         expand_tree(tree, emb, seed=1)
         return tuple(s for s in tree.shot_order if tree.nodes[s].children)
 
@@ -289,9 +305,8 @@ def _sub_event_embeddings() -> np.ndarray:
 
 def test_expand_sixteen_frame_shot_binary_subtree() -> None:
     emb = _sub_event_embeddings()
-    tree = tree_from_shots("v", [Shot(0, 0, 15, 8)],
-                           TreeParams(tau=2.5, k=2, max_depth=3))
-    attach_scores(tree, [RelevanceScore(4.0)])
+    tree = _layer1([16], TreeParams(tau=2.5, k=2, max_depth=3), emb)
+    _set_scores(tree, [4.0])
     expand_tree(tree, emb, seed=5)
     by_depth: dict[int, int] = {}
     for node in tree.nodes.values():
@@ -303,8 +318,8 @@ def test_expand_sixteen_frame_shot_binary_subtree() -> None:
 
 def test_expand_no_qualifying_shot_leaves_tree_unchanged() -> None:
     emb = shot_embeddings([6, 6])
-    tree = tree_from_shots("v", _shots([6, 6]), TreeParams(tau=2.5))
-    attach_scores(tree, [RelevanceScore(2.0), RelevanceScore(1.0)])
+    tree = _layer1([6, 6], TreeParams(tau=2.5), emb)
+    _set_scores(tree, [2.0, 1.0])
     before = tree_to_json(tree)
     expand_tree(tree, emb, seed=0)
     assert tree_to_json(tree) == before
@@ -312,8 +327,8 @@ def test_expand_no_qualifying_shot_leaves_tree_unchanged() -> None:
 
 def test_expand_three_frame_shot_singleton_not_recursed() -> None:
     emb = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0]], dtype=np.float32)
-    tree = tree_from_shots("v", [Shot(0, 0, 2, 0)], TreeParams(k=2, max_depth=3))
-    attach_scores(tree, [RelevanceScore(5.0)])
+    tree = _layer1([3], TreeParams(k=2, max_depth=3), emb)
+    _set_scores(tree, [5.0])
     expand_tree(tree, emb, seed=7)
     shot = tree.nodes[0]
     children = [tree.nodes[c] for c in shot.children]
@@ -325,7 +340,7 @@ def test_expand_three_frame_shot_singleton_not_recursed() -> None:
 
 
 def test_expand_requires_scores() -> None:
-    tree = tree_from_shots("v", _shots([4]))
+    tree = _layer1([4])
     with pytest.raises(ValidationError, match="not yet scored"):
         expand_tree(tree, shot_embeddings([4]), seed=0)
 
@@ -335,8 +350,8 @@ def test_expand_determinism_byte_identical() -> None:
     values = [4.5, 1.0, 3.5]
 
     def build() -> str:
-        tree = tree_from_shots("v", _shots([9, 9, 9]), TreeParams())
-        attach_scores(tree, [RelevanceScore(v) for v in values])
+        tree = _layer1([9, 9, 9], TreeParams(), emb)
+        _set_scores(tree, values)
         expand_tree(tree, emb, seed=77)
         return tree_to_json(tree)
 
@@ -350,9 +365,8 @@ def test_random_trees_satisfy_structural_invariants() -> None:
         lengths = rng.integers(3, 14, size=int(rng.integers(2, 9))).tolist()
         emb = shot_embeddings(lengths, seed=trial)
         shots = detect_shots(emb, 2.0)
-        tree = tree_from_shots("v", shots, params)
-        attach_scores(tree, [RelevanceScore(float(rng.integers(1, 6)))
-                             for _ in shots])
+        tree = tree_from_shots("v", shots, emb, params)
+        _set_scores(tree, [float(rng.integers(1, 6)) for _ in shots])
         expand_tree(tree, emb, seed=trial)
         tree.validate()
 
@@ -395,10 +409,11 @@ def test_random_trees_satisfy_structural_invariants() -> None:
 def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
     """On random valid trees with sparse shot ids, expanded or not, built or
     loaded, for every frame from before the first to past the last."""
-    shots = [Shot(10 + 3 * s.shot_id, s.start_frame, s.end_frame, s.start_frame)
-             for s in _shots(lengths)]
-    tree = tree_from_shots("v", shots, TreeParams())
-    attach_scores(tree, [RelevanceScore(v) for v in scores[:len(shots)]])
+    nodes = {}
+    for i, frames in enumerate(_shots(lengths)):
+        nodes[10 + 3 * i] = TreeNode(10 + 3 * i, KIND_SHOT, frames, frames.start,
+                                     1, relevance=RelevanceScore(scores[i]))
+    tree = HybridTree("v", TreeParams(), nodes, list(nodes))
     expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1)
     if reload:
         tree = deserialize_tree(serialize_tree(tree))
@@ -416,9 +431,8 @@ def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
 def _scored_tree(lengths: list[int], values: list[float],
                  params: TreeParams | None = None,
                  emb: np.ndarray | None = None):
-    shots = _shots(lengths)
-    tree = tree_from_shots("v", shots, params or TreeParams())
-    attach_scores(tree, [RelevanceScore(v) for v in values])
+    tree = _layer1(lengths, params or TreeParams(), emb)
+    _set_scores(tree, values)
     if emb is not None:
         expand_tree(tree, emb, seed=3)
     return tree
@@ -474,9 +488,9 @@ def test_vtsearch_output_nonempty_strictly_increasing() -> None:
 
 def _expanded_tree():
     emb = _sub_event_embeddings()
-    tree = tree_from_shots("vid-9", [Shot(0, 0, 15, 8)],
+    tree = tree_from_shots("vid-9", [range(16)], emb,
                            TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
-    attach_scores(tree, [RelevanceScore(4.0, rationale="looks key")])
+    tree.nodes[0].relevance = RelevanceScore(4.0, rationale="looks key")
     expand_tree(tree, emb, seed=5)
     return tree
 

@@ -19,7 +19,6 @@ import pytest
 from videoqa.backends import Backend, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
 from videoqa.errors import TransportError, VideoQAError
-from videoqa.ingest import Shot
 from videoqa.knowledge import KnowledgeStore, builtin_profiles
 from videoqa.orchestrator import (
     AGENT_REGISTRY,
@@ -44,9 +43,9 @@ from videoqa.orchestrator import (
     template_workflow,
     truncated_evidence,
 )
-from videoqa.tree import RelevanceScore, TreeParams, attach_scores, tree_from_shots
+from videoqa.tree import RelevanceScore, TreeParams, tree_from_shots
 
-from conftest import RecordingBackend
+from conftest import RecordingBackend, frame_line
 
 
 def sequential_execute_workflow(workflow: Workflow, question: QuestionBundle,
@@ -119,9 +118,10 @@ def _question() -> QuestionBundle:
 
 
 def _store() -> KnowledgeStore:
-    tree = tree_from_shots("vid", [Shot(0, 0, 5, 2), Shot(1, 6, 11, 8)],
+    tree = tree_from_shots("vid", [range(0, 6), range(6, 12)], frame_line(12),
                            TreeParams())
-    attach_scores(tree, [RelevanceScore(2.0), RelevanceScore(4.0)])
+    for shot, value in zip(tree.shots(), (2.0, 4.0)):
+        shot.relevance = RelevanceScore(value)
     store = KnowledgeStore(tree=tree)
     store.add_captions([FrameCaption(8, "Causal", "children by a fountain")])
     store.first_pass = {0: "bench", 1: "fountain"}
