@@ -9,10 +9,11 @@ summaries.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Sequence
 
 from .backends import Backend, caption_request, chat_request
@@ -178,21 +179,25 @@ def generic_prompt(template_dir: str | None = None) -> VisualPrompt:
 
 def caption_frames(frames: list[int], prompts: list[VisualPrompt],
                    vlm: Backend, frame_ref: Callable[[int], str],
-                   pool: Executor) -> list[FrameCaption]:
-    """Caption each frame under each prompt, fanning every call out on
-    `pool` at once; captions come prompt by prompt, each prompt's in
-    temporal order.
+                   pool: Executor,
+                   landed: Callable[[FrameCaption], None] | None = None
+                   ) -> list[FrameCaption]:
+    """Caption each frame under each prompt, queueing every call on `pool`
+    at once; captions come prompt by prompt, each prompt's in temporal
+    order.
 
     A frame whose call fails, after the backend's own retries, gets the
     sentinel caption instead of aborting the batch; if every frame fails
-    under one prompt, the whole call raises.
+    under one prompt, the whole call raises. So that work on a caption can
+    start before the last one lands, `landed` is called on this thread with
+    each caption as it lands, but only once every prompt has one caption
+    that is not the sentinel: a call that raises hands on no caption.
     """
     if not frames:
         return []
     frames = sorted(frames)
 
-    def caption_one(item: tuple[VisualPrompt, int]) -> FrameCaption:
-        prompt, frame_index = item
+    def caption_one(prompt: VisualPrompt, frame_index: int) -> FrameCaption:
         try:
             text = vlm.call(caption_request(frame_ref(frame_index), prompt.text))
         except BackendError as exc:
@@ -200,14 +205,38 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
             text = SENTINEL_CAPTION
         return FrameCaption(frame_index, prompt.qtype, text)
 
-    captions = list(pool.map(caption_one,
-                             [(p, f) for p in prompts for f in frames]))
+    futures = [pool.submit(caption_one, p, f) for p in prompts for f in frames]
+    if landed is not None:
+        _hand_on(futures, len(frames), landed)
+    captions = [future.result() for future in futures]
     for start in range(0, len(captions), len(frames)):
         if all(c.text == SENTINEL_CAPTION
                for c in captions[start:start + len(frames)]):
             raise BackendError(f"caption backend failed for all {len(frames)} "
                                f"frames under the {captions[start].qtype} prompt")
     return captions
+
+
+def _hand_on(futures: list[Future], per_prompt: int,
+             landed: Callable[[FrameCaption], None]) -> None:
+    """Pass `landed` each caption in the order the futures finish, holding
+    them back until every prompt's run of `per_prompt` futures has one
+    caption that is not the sentinel."""
+    finished: SimpleQueue[Future] = SimpleQueue()
+    for future in futures:
+        future.add_done_callback(finished.put)
+    run_of = {future: i // per_prompt for i, future in enumerate(futures)}
+    unproven = set(run_of.values())
+    held: list[FrameCaption] = []
+    for _ in futures:
+        future = finished.get()
+        held.append(future.result())
+        if held[-1].text != SENTINEL_CAPTION:
+            unproven.discard(run_of[future])
+        if not unproven:
+            for caption in held:
+                landed(caption)
+            held.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +253,12 @@ def fusion_prompt(qtype: str, texts: list[str]) -> str:
 
 
 def summarize_segments(captions: list[FrameCaption], tree: HybridTree,
-                       llm: Backend, pool: Executor) -> list[SegmentSummary]:
+                       llm: Backend,
+                       pool: Executor | None = None) -> list[SegmentSummary]:
     """Fuse frame captions into one summary per (shot, type), fanning the
-    fusion calls out on `pool`; summaries come in (shot, type) order.
+    fusion calls out on `pool`, or making them in turn on this thread
+    without one; summaries come in (shot, type) order, and the first
+    failing (shot, type)'s error is raised.
 
     A shot with a single caption passes it through without a model call.
     """
@@ -250,4 +282,5 @@ def summarize_segments(captions: list[FrameCaption], tree: HybridTree,
             raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
         return SegmentSummary(shot_id, qtype, text)
 
-    return list(pool.map(summarize_one, sorted(grouped.items())))
+    return list((pool.map if pool else map)(summarize_one,
+                                            sorted(grouped.items())))

@@ -25,6 +25,7 @@ EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
 
 DEFAULT_SENSITIVITY = 2.0
+_BLOCK_ROWS = 1024  # rows per block of `row_norms`
 
 
 @dataclass
@@ -69,7 +70,9 @@ def read_embeddings(path: str | Path) -> np.ndarray:
             f"embeddings file size {len(raw)} does not match header "
             f"({rows} rows x {dim} dims) in {path}")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    return data.reshape(rows, dim).astype(np.float32)
+    # A view of the file's bytes where float32 is little-endian, as it is on
+    # every common host, so the matrix is held once; it is read-only.
+    return data.reshape(rows, dim).astype(np.float32, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def _validate_matrix(matrix: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValidationError(f"embedding row {int(bad[0])} has NaN or Inf entries")
-    zero = np.flatnonzero(np.linalg.norm(matrix, axis=1) == 0.0)
+    zero = np.flatnonzero(row_norms(matrix) == 0.0)
     if zero.size:
         raise ValidationError(
             f"embedding row {int(zero[0])} is a zero vector (cosine undefined)")
@@ -168,13 +171,19 @@ def _validate_matrix(matrix: np.ndarray) -> None:
 # Shot detection
 # ---------------------------------------------------------------------------
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, the value `np.linalg.norm(matrix, axis=1)` gives,
+    computed a block of rows at a time so that no temporary is the size of
+    the matrix."""
+    return np.concatenate([np.linalg.norm(matrix[i:i + _BLOCK_ROWS], axis=1)
+                           for i in range(0, max(len(matrix), 1), _BLOCK_ROWS)])
+
+
 def consecutive_distances(embeddings: np.ndarray) -> np.ndarray:
     """Cosine distance between each adjacent frame pair."""
-    a = embeddings[:-1]
-    b = embeddings[1:]
-    dots = np.einsum("ij,ij->i", a, b)
-    norms = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    return 1.0 - dots / norms
+    dots = np.einsum("ij,ij->i", embeddings[:-1], embeddings[1:])
+    norms = row_norms(embeddings)
+    return 1.0 - dots / (norms[:-1] * norms[1:])
 
 
 def detect_shots(embeddings: np.ndarray,

@@ -4,29 +4,36 @@ dataset evaluations.
 Build order: ingest -> shot detection -> first-pass captions -> relevance
 scoring -> selective expansion -> frame retrieval -> question-aware
 captions -> segment summaries. Every model call of a build is a task on one
-call pool of `max_inflight` threads, queued stage by stage: the frame
-embeddings of an image-path manifest, classifications, first-pass captions,
-relevance scores, prompt syntheses, typed captions, fusions.
-Classifications are read after the first-pass captions, so they overlap
-them, and syntheses after expansion, so they overlap its CPU work.
-The single backend object serves every call; its `max_inflight` is the one
-bound on concurrent model calls and sizes that pool and the per-video
-question pool. Results are reassembled in a fixed order, so the tree, store
-and records do not depend on it. Ablation modes swap out individual steps
-without touching the rest of the pipeline.
+call pool of `max_inflight` threads, queued as soon as its own inputs
+exist: after an image-path manifest's frame embeddings, the classifications
+and first-pass captions at once; a shot's score when its first-pass caption
+lands; the prompt syntheses when every first-pass caption and
+classification is in; a (shot, type) fusion when that group's typed
+captions are in. Each shot expands as soon as its own score and every
+earlier shot's are in. The typed captions wait for the last score,
+expansion and synthesis, because frame retrieval's gamma gate is global.
+No task waits on another, and only the build thread reads results into the
+tree and store, in shot and frame order, so they do not depend on the order
+calls finish in. The single backend object serves every call; its
+`max_inflight` is the one bound on concurrent model calls and sizes that
+pool and the per-video question pool. Ablation modes swap out individual
+steps without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter, defaultdict
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 from . import np
 from .backends import Backend
 from .captioning import (
     QTYPES,
+    FrameCaption,
     QuestionBundle,
     VisualPrompt,
     caption_frames,
@@ -162,6 +169,18 @@ def type_prompt(qtype: str, bundles: list[QuestionBundle],
                              backend, config.template_dir)
 
 
+@contextmanager
+def _call_pool(max_inflight: int) -> Iterator[ThreadPoolExecutor]:
+    """The build's call pool. A build that fails drops the calls still
+    queued, and waits only for those in flight."""
+    with ThreadPoolExecutor(max_workers=max_inflight) as pool:
+        try:
+            yield pool
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 @dataclass
 class BuildResult:
     tree: HybridTree
@@ -175,11 +194,9 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 video_id: str | None = None) -> BuildResult:
     """Build the tree and knowledge store for one video; a `video_id`, when
     given, is the id its frame manifest must declare."""
-    # Every model call of the build is a task on this one pool, and only
-    # this thread submits to it, so it cannot deadlock. `map` queues all of
-    # a stage's tasks at once, so with one thread the calls run in the
-    # order the stages are queued here.
-    with ThreadPoolExecutor(max_workers=backend.max_inflight) as calls:
+    # The pool runs tasks in the order they are queued, so with one thread
+    # the calls still come stage by stage (see the module docstring).
+    with _call_pool(backend.max_inflight) as calls:
         frames = load_frames(manifest_path, backend, video_id, calls)
         params = TreeParams(tau=config.tau, k=config.k,
                             max_depth=config.max_depth, gamma=config.gamma)
@@ -191,39 +208,61 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         store = KnowledgeStore(tree=tree, fps=frames.fps,
                                frame_paths=frames.paths)
 
-        classified = calls.map(partial(classify, config=config,
-                                       backend=backend), questions)
+        classified = [calls.submit(classify, q, config, backend)
+                      for q in questions]
 
-        # First-pass generic captions of shot representatives, which come in
-        # frame order and so in shot order; these feed the relevance scorer
-        # and the degraded retrieval fallback.
+        # First-pass generic captions of shot representatives feed the
+        # relevance scorer and the degraded retrieval fallback. A shot's
+        # score is queued as its caption lands.
+        question_context = ("\n".join(q.text for q in questions)
+                            or "(no questions)")
+        scores: dict[int, Future] = {}
+
+        def queue_score(caption: FrameCaption) -> None:
+            shot = tree.shot_at(caption.frame_index)
+            scores[shot.node_id] = calls.submit(
+                score_shots, [shot], {shot.node_id: caption.text},
+                question_context, backend)
+
         first_caps = caption_frames(
             [s.representative_frame for s in tree.shots()],
             [generic_prompt(config.template_dir)], backend, store.frame_ref,
-            pool=calls)
+            calls, landed=None if config.uniform_sampling else queue_score)
         for shot, cap in zip(tree.shots(), first_caps):
             store.first_pass[shot.node_id] = cap.text
 
-        bundles = list(classified)
+        bundles = [c.result() for c in classified]
+        synthesized = [calls.submit(type_prompt, qtype, bundles, config, backend)
+                       for qtype in sorted({b.qtype for b in bundles})]
+        # A shot expands once its own score and every earlier shot's are in,
+        # so node ids and K-Means seeds follow shot order while later scores
+        # are still in flight.
         if not config.uniform_sampling:
-            question_context = ("\n".join(q.text for q in questions)
-                                or "(no questions)")
-            score_shots(tree, store.first_pass, question_context, backend,
-                        pool=calls)
-        # Queued behind the scores, the syntheses run while the tree expands,
-        # when no other call is in flight, and delay no other stage's calls.
-        synthesized = calls.map(partial(type_prompt, bundles=bundles,
-                                        config=config, backend=backend),
-                                sorted({b.qtype for b in bundles}))
-        if not config.uniform_sampling:
-            expand_tree(tree, frames.embeddings, config.seed)
+            for shot in tree.shots():
+                shot.relevance = scores[shot.node_id].result()[0]
+                expand_tree(tree, frames.embeddings, config.seed, [shot.node_id])
 
         retrieved = vtsearch(tree)
-        captions = caption_frames(retrieved, list(synthesized), backend,
-                                  store.frame_ref, pool=calls)
+        # A (shot, type) fusion is queued as the last caption of its group
+        # lands; the gamma gate is global, so captioning waits for every
+        # score, expansion and synthesis.
+        group_size = Counter(tree.shot_at(f).node_id for f in retrieved)
+        groups: dict[tuple[int, str], list[FrameCaption]] = defaultdict(list)
+        fused: dict[tuple[int, str], Future] = {}
+
+        def queue_fusion(caption: FrameCaption) -> None:
+            key = (tree.shot_at(caption.frame_index).node_id, caption.qtype)
+            groups[key].append(caption)
+            if len(groups[key]) == group_size[key[0]]:
+                fused[key] = calls.submit(summarize_segments, groups.pop(key),
+                                          tree, backend)
+
+        captions = caption_frames(retrieved, [s.result() for s in synthesized],
+                                  backend, store.frame_ref, calls,
+                                  landed=queue_fusion)
         store.add_captions(captions)
-        store.add_summaries(summarize_segments(captions, tree, backend,
-                                               pool=calls))
+        store.add_summaries([summary for key in sorted(fused)
+                             for summary in fused[key].result()])
 
     return BuildResult(tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved)

@@ -237,14 +237,18 @@ def scoring_prompt(caption: str, question: str, shot: TreeNode) -> str:
     )
 
 
-def score_shots(tree: HybridTree, first_pass: dict[int, str], question: str,
-                llm: Backend, pool: Executor) -> None:
+def score_shots(shots: Sequence[TreeNode], first_pass: dict[int, str],
+                question: str, llm: Backend,
+                pool: Executor | None = None) -> list[RelevanceScore]:
     """Score each shot node against the question from its first-pass
-    caption (keyed by node id) via the chat backend, fanning the calls out
-    on `pool`, and set the node's relevance.
+    caption (keyed by node id) via the chat backend, and return the scores
+    in the order of `shots`. The calls fan out on `pool`, or are made in
+    turn on this thread without one; either way no shot node is changed, so
+    the caller sets the scores in shot order.
 
     Unparseable replies are retried once, then default to 3.0 with the
-    defaulted flag set. Transport failures carry the shot id.
+    defaulted flag set. Transport failures carry the shot id, and the first
+    failing shot's is raised.
     """
     def score_one(shot: TreeNode) -> RelevanceScore:
         prompt = scoring_prompt(first_pass[shot.node_id], question, shot)
@@ -263,10 +267,7 @@ def score_shots(tree: HybridTree, first_pass: dict[int, str], question: str,
                                   defaulted=True)
         return RelevanceScore(value, rationale=reply[:200])
 
-    shots = tree.shots()
-    # Every score first, so a failed call leaves no shot scored.
-    for shot, score in zip(shots, list(pool.map(score_one, shots))):
-        shot.relevance = score
+    return list((pool.map if pool else map)(score_one, shots))
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +425,21 @@ def _randint(seed: int, n: int) -> int:
                 return m >> 32
 
 
-def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int) -> HybridTree:
-    """Grow sub-event clusters under every shot that passes the relevance
-    gate (value > tau, strict). The shot itself always gets its first split;
-    recursion on a child stops at max_depth or below 2k frames.
-    Low-relevance shots stay leaves."""
-    unscored = [sid for sid in tree.shot_order if tree.nodes[sid].relevance is None]
+def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int,
+                shots: Sequence[int] | None = None) -> HybridTree:
+    """Grow sub-event clusters under each of `shots` (node ids; every shot
+    by default) that passes the relevance gate (value > tau, strict). The
+    shot itself always gets its first split; recursion on a child stops at
+    max_depth or below 2k frames. Low-relevance shots stay leaves.
+
+    New nodes take the next free ids, so shots expanded one call at a time
+    in shot order get the ids, and the K-Means seeds, of one call over all
+    of them."""
+    shots = tree.shot_order if shots is None else shots
+    unscored = [sid for sid in shots if tree.nodes[sid].relevance is None]
     if unscored:
         raise ValidationError(f"shots not yet scored: {unscored[:5]}")
-    for sid in list(tree.shot_order):
+    for sid in list(shots):
         shot = tree.nodes[sid]
         if tree.is_high_relevance(shot):
             _expand_node(tree, shot, embeddings, seed, force=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from videoqa.backends import MockBackend, MockScript
 from videoqa.errors import InputError, ValidationError
 from videoqa.ingest import (
+    _validate_matrix,
     consecutive_distances,
     detect_shots,
     load_frames,
     read_embeddings,
+    row_norms,
     write_embeddings,
 )
 from videoqa.tree import tree_from_shots
@@ -42,6 +45,43 @@ def test_embeddings_file_roundtrip(tmp_path) -> None:
     path = tmp_path / "m.emb"
     write_embeddings(path, matrix)
     assert np.array_equal(read_embeddings(path), matrix)
+
+
+def test_ingest_holds_one_copy_of_the_matrix(tmp_path) -> None:
+    """Reading keeps the file's bytes as the matrix, and validation plus
+    shot detection allocate far less than another matrix: a 3600 x 256
+    hour of 1-FPS embeddings peaks near 1.0x the file and 1.3x the matrix,
+    where a copy per step would be 2.0x."""
+    rng = np.random.default_rng(5)
+    matrix = rng.normal(size=(3600, 256)).astype(np.float32)
+    path = tmp_path / "hour.emb"
+    write_embeddings(path, matrix)
+    del matrix
+    tracemalloc.start()
+    try:
+        loaded = read_embeddings(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _validate_matrix(loaded)
+        detect_shots(loaded)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read_peak <= 1.1 * path.stat().st_size
+    assert check_peak <= 1.5 * loaded.nbytes
+
+
+def test_row_norms_match_numpy_bit_for_bit() -> None:
+    """Blocked row norms give the values one `np.linalg.norm` call gives,
+    bit for bit, across block boundaries."""
+    rng = np.random.default_rng(6)
+    matrix = rng.normal(0, 3, (2500, 7)).astype(np.float32)
+    assert row_norms(matrix).tobytes() == \
+        np.linalg.norm(matrix, axis=1).tobytes()
+    a, b = matrix[:-1], matrix[1:]
+    expected = 1.0 - np.einsum("ij,ij->i", a, b) / (
+        np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
+    assert consecutive_distances(matrix).tobytes() == expected.tobytes()
 
 
 def test_embeddings_bad_magic(tmp_path) -> None:

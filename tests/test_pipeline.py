@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import threading
 import time
 from collections import Counter
@@ -10,12 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from videoqa.backends import Backend, CachingBackend, MockRule, MockScript
-from videoqa.captioning import generic_prompt
+from videoqa.captioning import SENTINEL_CAPTION, generic_prompt
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, InputError, ValidationError
 from videoqa.ingest import read_embeddings
 from videoqa import pipeline
+from videoqa import tree as tree_module
 from videoqa.orchestrator import AGENT_REGISTRY
 from videoqa.pipeline import (
     RawQuestion,
@@ -251,6 +253,31 @@ def test_build_output_independent_of_inflight_limit(tmp_path) -> None:
     assert outputs[0] == outputs[1]
 
 
+def test_build_output_holds_under_thread_switching_stress(tmp_path) -> None:
+    """With more call threads than cores and the interpreter switching
+    threads every microsecond, calls finish in many orders around the build
+    thread's queueing; the tree and store stay those of one call at a
+    time."""
+    world = build_golden_world(tmp_path / "golden")
+    manifest, questions = (world.video_manifests["golden_a"],
+                           _golden_questions("golden_a"))
+
+    def built(max_inflight: int) -> tuple[str, str]:
+        result = build_video(manifest, questions, EngineConfig(seed=3),
+                             world.backend(max_inflight))
+        return (tree_to_json(result.tree),
+                json.dumps(result.store.to_sidecar(), sort_keys=True))
+
+    expected = built(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = [built(16) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert stressed == [expected] * 5
+
+
 @pytest.mark.parametrize("max_inflight", [1, 8])
 def test_build_respects_mock_inflight_limit(tmp_path, max_inflight) -> None:
     """The mock's limit caps the calls in flight during a golden build, and
@@ -364,6 +391,167 @@ def test_build_one_type_caption_outage_raises(tmp_path) -> None:
     with pytest.raises(BackendError, match="failed for all"):
         build_video(world.video_manifests["golden_a"], questions,
                     EngineConfig(seed=3), Backend.from_mock(script))
+
+
+def _failing_build(tmp_path, max_inflight: int, *patterns: str):
+    """A golden_a build whose calls matching any regex of `patterns` fail
+    with a transport error past their retries: its recording backend and
+    the build's result, or the exception it raised."""
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    for pattern in patterns:
+        script.rules.insert(0, MockRule(pattern, regex=True, error="transport"))
+    backend = RecordingBackend(Backend.from_mock(script, max_inflight))
+    try:
+        return backend, build_video(world.video_manifests["golden_a"],
+                                    _golden_questions("golden_a"),
+                                    EngineConfig(seed=3), backend)
+    except BackendError as exc:
+        return backend, exc
+
+
+def _calls_to(backend: RecordingBackend, stage: str) -> list[RecordedCall]:
+    return [call for call in backend.calls if _stage(call) == stage]
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_failing_first_pass_caption_still_scores_its_shot(
+        tmp_path, max_inflight) -> None:
+    """Frame 8 is shot 1's representative: its first-pass caption gets the
+    sentinel, and shot 1 is scored from it."""
+    backend, result = _failing_build(
+        tmp_path, max_inflight,
+        r'^caption:\{"image":"golden_a:frame:8","prompt":"Describe')
+    assert result.store.first_pass == {
+        0: "a man sits on a park bench reading", 1: SENTINEL_CAPTION,
+        2: "children playing near a fountain",
+        3: "the man looks up toward the fountain"}
+    assert result.tree.nodes[1].relevance is not None
+    assert any("Segment 1 (" in call.rendered
+               and SENTINEL_CAPTION in call.rendered
+               for call in _calls_to(backend, "score"))
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_failing_typed_caption_gets_the_sentinel(tmp_path,
+                                                       max_inflight) -> None:
+    backend, result = _failing_build(
+        tmp_path, max_inflight,
+        r'^caption:\{"image":"golden_a:frame:15","prompt":"\[causal-view\]')
+    captions = result.store.captions
+    assert captions[15, "Causal"].text == SENTINEL_CAPTION
+    assert [key for key, cap in captions.items()
+            if cap.text == SENTINEL_CAPTION] == [(15, "Causal")]
+    assert len(_calls_to(backend, "fusion")) == 3, "every group is fused"
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_score_failure_names_the_lowest_failing_shot(
+        tmp_path, max_inflight) -> None:
+    """Shots 3 and 1 both fail to score; the error names shot 1 however
+    the two calls finish."""
+    _, raised = _failing_build(tmp_path, max_inflight,
+                               r"Segment 3 \(", r"Segment 1 \(")
+    assert isinstance(raised, BackendError)
+    assert str(raised).startswith("scoring shot 1 failed")
+
+
+def test_failed_build_drops_the_calls_still_queued(tmp_path) -> None:
+    """At one call in flight, shot 1's score fails while shot 2's is in
+    flight: the build raises without making shot 3's score call or any
+    synthesis, which were queued behind them."""
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    script.rules.insert(0, MockRule(r"Segment 1 \(", regex=True,
+                                    error="transport"))
+    lookup = script.lookup
+
+    def slow_lookup(rendered: str):
+        if "Segment 2 (" in rendered:
+            time.sleep(0.2)
+        return lookup(rendered)
+
+    script.lookup = slow_lookup
+    backend = RecordingBackend(Backend.from_mock(script, max_inflight=1))
+    with pytest.raises(BackendError, match="scoring shot 1 failed"):
+        build_video(world.video_manifests["golden_a"],
+                    _golden_questions("golden_a"), EngineConfig(seed=3),
+                    backend)
+    assert [call.rendered.split("Segment ")[1][0]
+            for call in _calls_to(backend, "score")] == ["0", "1", "2"]
+    assert not _calls_to(backend, "synthesis")
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+@pytest.mark.parametrize("prompt,absent", [
+    ("Describe this frame in one or two sentences", {"score", "fusion"}),
+    (r"\[temporal-view\]", {"fusion"}),
+], ids=["first-pass", "typed"])
+def test_build_caption_outage_raises_before_its_dependants_are_queued(
+        tmp_path, max_inflight, prompt, absent) -> None:
+    """When every frame fails under one prompt the build raises "failed
+    for all", and queues no score or fusion call that depends on those
+    captions."""
+    backend, raised = _failing_build(tmp_path, max_inflight,
+                                     rf"^caption:.*{prompt}")
+    assert isinstance(raised, BackendError)
+    assert "failed for all" in str(raised)
+    assert not [call for call in backend.calls if _stage(call) in absent]
+
+
+def test_expansion_overlaps_later_scores(tmp_path, monkeypatch) -> None:
+    """Shot 2 of golden_a expands while shot 3's score call is in flight:
+    its first K-Means call and that score call meet at one barrier."""
+    barrier = threading.Barrier(2, timeout=5)
+    first_kmeans = threading.Lock()
+    kmeans = tree_module.kmeans
+
+    def meeting_kmeans(*args, **kwargs):
+        if first_kmeans.acquire(blocking=False):
+            barrier.wait()
+        return kmeans(*args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "kmeans", meeting_kmeans)
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    lookup = script.lookup
+
+    def meeting_lookup(rendered: str):
+        if "Rate how relevant" in rendered and "Segment 3 (" in rendered:
+            barrier.wait()
+        return lookup(rendered)
+
+    script.lookup = meeting_lookup
+    result = build_video(world.video_manifests["golden_a"],
+                         _golden_questions("golden_a"), EngineConfig(seed=3),
+                         Backend.from_mock(script, max_inflight=8))
+    assert result.tree.nodes[2].children and not barrier.broken
+
+
+def test_fusion_overlaps_other_groups_typed_captions(tmp_path) -> None:
+    """A fusion call and the first Temporal typed caption meet at one
+    barrier: the Causal and Descriptive groups are fused while a caption of
+    the Temporal group is still in flight."""
+    barrier = threading.Barrier(2, timeout=5)
+    first_fusion, first_temporal = threading.Lock(), threading.Lock()
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    lookup = script.lookup
+
+    def meeting_lookup(rendered: str):
+        if ("Fuse these frame captions" in rendered
+                and first_fusion.acquire(blocking=False)):
+            barrier.wait()
+        if ("[temporal-view]" in rendered and rendered.startswith("caption:")
+                and first_temporal.acquire(blocking=False)):
+            barrier.wait()
+        return lookup(rendered)
+
+    script.lookup = meeting_lookup
+    result = build_video(world.video_manifests["golden_a"],
+                         _golden_questions("golden_a"), EngineConfig(seed=3),
+                         Backend.from_mock(script, max_inflight=8))
+    assert len(result.store.summaries) == 3 and not barrier.broken
 
 
 # ---------------------------------------------------------------------------

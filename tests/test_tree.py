@@ -223,17 +223,19 @@ def test_score_shots_parses_scripted_scores(pool) -> None:
     tree = _layer1([4, 4, 4])
     script = MockScript(default_response="1")
     script.add("Segment 2 (", "4")
-    score_shots(tree, {0: "c0", 1: "c1", 2: "c2"}, "why?",
-                MockBackend(script), pool)
-    scores = [shot.relevance for shot in tree.shots()]
+    scores = score_shots(tree.shots(), {0: "c0", 1: "c1", 2: "c2"}, "why?",
+                         MockBackend(script), pool)
     assert [s.value for s in scores] == [1.0, 1.0, 4.0]
     assert not any(s.defaulted for s in scores)
+    assert all(shot.relevance is None for shot in tree.shots()), \
+        "scoring leaves setting the scores to the caller"
 
 
 def test_score_shots_gate_is_strict_at_tau(pool) -> None:
     tree = _layer1([4, 4], TreeParams(tau=2.5))
     script = MockScript(default_response="2.5")
-    score_shots(tree, {0: "a", 1: "b"}, "q", MockBackend(script), pool)
+    _set_scores(tree, [s.value for s in score_shots(
+        tree.shots(), {0: "a", 1: "b"}, "q", MockBackend(script), pool)])
     emb = shot_embeddings([4, 4])
     expand_tree(tree, emb, seed=0)
     assert all(not tree.nodes[s].children for s in tree.shot_order), \
@@ -244,17 +246,18 @@ def test_score_shots_unparseable_retried_once_then_default(pool) -> None:
     tree = _layer1([4])
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="no idea, sorry")))
-    score_shots(tree, {0: "c"}, "q", backend, pool)
+    [score] = score_shots(tree.shots(), {0: "c"}, "q", backend, pool)
     assert len(backend.calls) == 2, "one retry before defaulting"
-    assert tree.nodes[0].relevance.value == 3.0
-    assert tree.nodes[0].relevance.defaulted is True
+    assert score.value == 3.0
+    assert score.defaulted is True
 
 
 def test_score_shots_out_of_range_number_is_unparseable(pool) -> None:
     tree = _layer1([4])
     script = MockScript(default_response="9")
-    score_shots(tree, {0: "c"}, "q", MockBackend(script), pool)
-    assert tree.nodes[0].relevance.defaulted is True
+    [score] = score_shots(tree.shots(), {0: "c"}, "q", MockBackend(script),
+                          pool)
+    assert score.defaulted is True
 
 
 def test_score_shots_backend_error_names_shot(pool) -> None:
@@ -262,7 +265,7 @@ def test_score_shots_backend_error_names_shot(pool) -> None:
     script = MockScript()
     script.add("Segment 0", error="transport")
     with pytest.raises(BackendError, match="shot 0"):
-        score_shots(tree, {0: "c"}, "q", MockBackend(script), pool)
+        score_shots(tree.shots(), {0: "c"}, "q", MockBackend(script), pool)
 
 
 def test_tau_sweep_expansion_changes_only_at_integers(pool) -> None:
@@ -270,8 +273,10 @@ def test_tau_sweep_expansion_changes_only_at_integers(pool) -> None:
     script = MockScript()
     for i in range(5):
         script.add(f"Segment {i} (", str(i + 1))
-    score_shots(scored, {i: f"c{i}" for i in range(5)}, "q",
-                MockBackend(script), pool)
+    for shot, score in zip(scored.shots(), score_shots(
+            scored.shots(), {i: f"c{i}" for i in range(5)}, "q",
+            MockBackend(script), pool)):
+        shot.relevance = score
     emb = shot_embeddings([8, 8, 8, 8, 8])
 
     def expansion_set(tau: float) -> tuple[int, ...]:
