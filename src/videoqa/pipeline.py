@@ -14,8 +14,14 @@ earlier shot's are in. The typed captions wait for the last score,
 expansion and synthesis, because frame retrieval's gamma gate is global.
 No task waits on another, and only the build thread reads results into the
 tree and store, in shot and frame order, so they do not depend on the order
-calls finish in. The single backend object serves every call; its
-`max_inflight` is the one bound on concurrent model calls and sizes that
+calls finish in. In `evaluate`, planning reads only the question, so each
+question's analysis and planning are queued on the video's question pool
+when the build queues the syntheses, and run while the build goes on; after
+the build only the evidence stages and the answer remain. Queued as each
+classification landed, they would compete with the first-pass captions and
+scores that gate expansion, and lengthen the build by as much as they save
+the answers. The single backend object serves every call; its
+`max_inflight` is the one bound on concurrent model calls and sizes the call
 pool and the per-video question pool. Ablation modes swap out individual
 steps without touching the rest of the pipeline.
 """
@@ -27,7 +33,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import np
 from .backends import Backend
@@ -53,6 +59,7 @@ from .orchestrator import (
     PROBLEM_ANALYSIS,
     AnswerRecord,
     TraceStep,
+    Workflow,
     analyze_problem,
     execute_workflow,
     plan_tasks,
@@ -88,14 +95,20 @@ class VideoEntry:
     questions: tuple[RawQuestion, ...]
 
 
-def _parse_question(doc: Doc) -> RawQuestion:
+def _parse_question(doc: Doc, seen: set[str]) -> RawQuestion:
+    """One question, whose id must not be in `seen`, the ids loaded before
+    it: eval writes one record per id."""
+    question_id = doc.string("question_id")
+    if question_id in seen:
+        doc.fail(f"duplicate question_id {question_id}", "question_id")
+    seen.add(question_id)
     text, options = doc.string("text"), tuple(doc.strings("options", []))
     check_question(text, options, doc)  # before any model call for it
     gold = doc.integer("gold_index", None, null=True)
     if gold is not None and not 0 <= gold < len(options):
         doc.fail(f"{gold} is outside the option range", "gold_index")
     return RawQuestion(
-        question_id=doc.string("question_id"),
+        question_id=question_id,
         text=text,
         options=options,
         gold_index=gold,
@@ -107,7 +120,8 @@ def load_question_file(path: str | Path) -> list[RawQuestion]:
     """A list of questions, or an object holding it under `questions`."""
     root = read_doc(path, "question file", ValidationError)
     key = None if isinstance(root.value, list) else "questions"
-    return [_parse_question(q) for q in root.objects(key, [])]
+    seen: set[str] = set()
+    return [_parse_question(q, seen) for q in root.objects(key, [])]
 
 
 def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
@@ -116,7 +130,7 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
     root = read_doc(p, "dataset manifest", ValidationError)
     key = None if isinstance(root.value, list) else "entries"
     entries = []
-    seen = set()
+    seen, question_ids = set(), set()
     for entry in root.objects(key):
         video_id = entry.string("video_id", nonempty=True)
         if video_id in seen:
@@ -125,7 +139,7 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
         manifest_path = entry.string("frame_manifest_path", nonempty=True)
         if not Path(manifest_path).is_absolute():
             manifest_path = str(p.parent / manifest_path)
-        questions = tuple(_parse_question(q)
+        questions = tuple(_parse_question(q, question_ids)
                           for q in entry.objects("questions", []))
         entries.append(VideoEntry(video_id, manifest_path, questions))
     return entries
@@ -171,8 +185,8 @@ def type_prompt(qtype: str, bundles: list[QuestionBundle],
 
 @contextmanager
 def _call_pool(max_inflight: int) -> Iterator[ThreadPoolExecutor]:
-    """The build's call pool. A build that fails drops the calls still
-    queued, and waits only for those in flight."""
+    """A build's call pool, or eval's question pool. A build that fails
+    drops the tasks still queued, and waits only for those in flight."""
     with ThreadPoolExecutor(max_workers=max_inflight) as pool:
         try:
             yield pool
@@ -191,9 +205,14 @@ class BuildResult:
 
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 config: EngineConfig, backend: Backend,
-                video_id: str | None = None) -> BuildResult:
+                video_id: str | None = None,
+                on_bundles: Callable[[list[QuestionBundle]], None] | None = None,
+                ) -> BuildResult:
     """Build the tree and knowledge store for one video; a `video_id`, when
-    given, is the id its frame manifest must declare."""
+    given, is the id its frame manifest must declare. `on_bundles`, when
+    given, is called on the build thread with the question bundles once
+    every question is classified and every first-pass caption is in, right
+    after the prompt syntheses are queued."""
     # The pool runs tasks in the order they are queued, so with one thread
     # the calls still come stage by stage (see the module docstring).
     with _call_pool(backend.max_inflight) as calls:
@@ -234,6 +253,8 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         bundles = [c.result() for c in classified]
         synthesized = [calls.submit(type_prompt, qtype, bundles, config, backend)
                        for qtype in sorted({b.qtype for b in bundles})]
+        if on_bundles is not None:
+            on_bundles(bundles)
         # A shot expands once its own score and every earlier shot's are in,
         # so node ids and K-Means seeds follow shot order while later scores
         # are still in flight.
@@ -272,27 +293,33 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
 # Ask
 # ---------------------------------------------------------------------------
 
+def plan_question(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
+                  config: EngineConfig, backend: Backend) -> Workflow:
+    """The workflow for one classified question, from the question alone:
+    analysis, which may retype it, then planning. A fixed workflow runs all
+    four agents on the per-type template and makes no planning call."""
+    if config.fixed_workflow:
+        return template_workflow(bundle.qtype, AGENT_REGISTRY,
+                                 config.max_iterations)
+    template = analyze_problem(bundle, profiles, backend, config.max_iterations)
+    return plan_tasks(template, replace(bundle, qtype=template.qtype), backend)
+
+
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     profiles: dict[str, AgentProfile], config: EngineConfig,
-                    backend: Backend) -> AnswerRecord:
-    """Plan and execute the workflow for one classified question. A fixed
-    workflow runs all four agents on the per-type template and makes no
-    planning call. The evidence stages run side by side on a pool with a
-    thread per stage; the record is the one running them in turn would give
-    (see `execute_workflow`)."""
-    if config.fixed_workflow:
-        thought = "fixed workflow"
-        workflow = template_workflow(bundle.qtype, AGENT_REGISTRY,
-                                     config.max_iterations)
-    else:
-        thought = "adaptive selection"
-        template = analyze_problem(bundle, profiles, backend,
-                                   config.max_iterations)
-        bundle = replace(bundle, qtype=template.qtype)
-        workflow = plan_tasks(template, bundle, backend)
+                    backend: Backend,
+                    workflow: Workflow | None = None) -> AnswerRecord:
+    """Execute the workflow for one classified question, planning it first
+    when no `workflow` from `plan_question` is given. The evidence stages
+    run side by side on a pool with a thread per stage; the record is the
+    one running them in turn would give (see `execute_workflow`)."""
+    if workflow is None:
+        workflow = plan_question(bundle, profiles, config, backend)
+    bundle = replace(bundle, qtype=workflow.qtype)
     with ThreadPoolExecutor(max_workers=len(EVIDENCE_AGENTS)) as stages:
         record = execute_workflow(workflow, bundle, store,
                                   profiles[workflow.qtype], backend, stages)
+    thought = "fixed workflow" if config.fixed_workflow else "adaptive selection"
     record.trace.insert(0, TraceStep(PROBLEM_ANALYSIS, thought, "select_agents",
                                      ", ".join(workflow.selected_agents)))
     return record
@@ -330,20 +357,34 @@ class RunReport:
 def evaluate(manifest_path: str | Path, config: EngineConfig,
              backend: Backend) -> tuple[list[AnswerRecord], RunReport]:
     """Run the manifest's entries one after another, so one video's frames,
-    tree and store are held at a time. A video's questions are answered
-    concurrently, up to the backend's in-flight limit; records follow the
-    manifest's order."""
+    tree and store are held at a time. Planning reads only the question, so
+    each question is planned on the video's question pool while the build
+    runs, from the point where it has every bundle (see `build_video`); once
+    the store is complete, the questions are answered on that pool, up to
+    the backend's in-flight limit. Every answer task waits only on its own
+    plan, queued before it, and a failed build drops the plans still queued.
+    Records follow the manifest's order."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
     records: list[AnswerRecord] = []
     hits: dict[str, list[bool]] = {}  # per type, one per graded question
     for entry in entries:
-        result = build_video(entry.frame_manifest_path, list(entry.questions),
-                             config, backend, entry.video_id)
-        with ThreadPoolExecutor(max_workers=backend.max_inflight) as pool:
+        with _call_pool(backend.max_inflight) as pool:
+            plans: list[Future] = []  # in question order
+
+            def queue_plans(bundles: list[QuestionBundle]) -> None:
+                plans.extend(pool.submit(plan_question, bundle, profiles,
+                                         config, backend)
+                             for bundle in bundles)
+
+            result = build_video(entry.frame_manifest_path,
+                                 list(entry.questions), config, backend,
+                                 entry.video_id, on_bundles=queue_plans)
             answered = list(pool.map(
-                lambda b: answer_question(b, result.store, profiles, config,
-                                          backend), result.bundles))
+                lambda bundle, plan: answer_question(
+                    bundle, result.store, profiles, config, backend,
+                    plan.result()),
+                result.bundles, plans))
         for raw, bundle, record in zip(entry.questions, result.bundles,
                                        answered):
             records.append(record)

@@ -163,6 +163,50 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
         load_dataset_manifest(mfile)
 
 
+def test_question_file_rejects_a_repeated_question_id(tmp_path) -> None:
+    """The second question with an id already used fails at its own
+    pointer, before any model call."""
+    qfile = tmp_path / "questions.json"
+    question = {"question_id": "q1", "text": "Why?", "options": ["a", "b"]}
+    qfile.write_text(json.dumps({"questions": [
+        question, {**question, "question_id": "q2"}, question]}))
+    with pytest.raises(ValidationError, match=r"#/questions/2/question_id: "
+                                              r"duplicate question_id q1"):
+        load_question_file(qfile)
+
+
+@pytest.mark.parametrize("second", [(0, 1), (1, 0)],
+                         ids=["same-entry", "across-entries"])
+def test_dataset_manifest_rejects_a_repeated_question_id(tmp_path,
+                                                         second) -> None:
+    """A question id names one record of the eval, so it may appear once in
+    the whole manifest; the error points at the second occurrence."""
+    question = {"question_id": "q1", "text": "Why?", "options": ["a", "b"]}
+    entries = [{"video_id": f"v{i}", "frame_manifest_path": f"v{i}.json",
+                "questions": [question]} for i in range(2)]
+    entries[1]["questions"] = [{**question, "question_id": "q2"}]
+    entry, index = second
+    entries[entry]["questions"].insert(index, question)
+    mfile = tmp_path / "dataset.json"
+    mfile.write_text(json.dumps({"entries": entries}))
+    pointer = f"#/entries/{entry}/questions/{index}/question_id"
+    with pytest.raises(ValidationError,
+                       match=rf"{pointer}: duplicate question_id q1"):
+        load_dataset_manifest(mfile)
+
+
+def test_cli_eval_repeated_question_id_exits_2(tmp_path, capsys) -> None:
+    world = build_golden_world(tmp_path / "golden")
+    doc = json.loads(world.dataset_path.read_text())
+    doc["entries"][1]["questions"][0]["question_id"] = "a_q1"
+    world.dataset_path.write_text(json.dumps(doc))
+    assert main(["eval", str(world.dataset_path),
+                 "--mock-script", str(world.script_path)]) == 2
+    err = capsys.readouterr().err
+    assert "#/entries/1/questions/0/question_id: duplicate question_id a_q1" \
+        in err and "Traceback" not in err
+
+
 def test_dataset_manifest_rejects_malformed_entries(tmp_path) -> None:
     mfile = tmp_path / "dataset.json"
     mfile.write_text(json.dumps({"entries": [42]}))
@@ -552,6 +596,59 @@ def test_fusion_overlaps_other_groups_typed_captions(tmp_path) -> None:
                          _golden_questions("golden_a"), EngineConfig(seed=3),
                          Backend.from_mock(script, max_inflight=8))
     assert len(result.store.summaries) == 3 and not barrier.broken
+
+
+# ---------------------------------------------------------------------------
+# Eval scheduling
+# ---------------------------------------------------------------------------
+
+def test_eval_plans_questions_while_their_video_builds(tmp_path) -> None:
+    """The eval's first analysis call and golden_a's first typed caption
+    meet at one barrier: questions are planned while the build that
+    classified them is still captioning."""
+    barrier = threading.Barrier(2, timeout=5)
+    first_analysis, first_typed = threading.Lock(), threading.Lock()
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    lookup = script.lookup
+
+    def meeting_lookup(rendered: str):
+        if ("[ProblemAnalysisAgent] analyzing" in rendered
+                and first_analysis.acquire(blocking=False)):
+            barrier.wait()
+        if (rendered.startswith("caption:") and GENERIC_PHRASE not in rendered
+                and first_typed.acquire(blocking=False)):
+            barrier.wait()
+        return lookup(rendered)
+
+    script.lookup = meeting_lookup
+    _, report = evaluate(world.dataset_path, EngineConfig(seed=3),
+                         Backend.from_mock(script, max_inflight=8))
+    assert report.accuracy_overall == 1.0 and not barrier.broken
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_eval_whose_build_fails_answers_nothing(tmp_path, max_inflight) -> None:
+    """Every first-pass caption of golden_a fails: the eval raises the
+    build's error, makes no planning, ReAct or answer call, and leaves no
+    thread it started running."""
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    script.rules.insert(0, MockRule(rf"^caption:.*{GENERIC_PHRASE}",
+                                    regex=True, error="transport"))
+    backend = RecordingBackend(Backend.from_mock(script, max_inflight))
+    before = set(threading.enumerate())
+    with pytest.raises(BackendError) as raised:
+        evaluate(world.dataset_path, EngineConfig(seed=3), backend)
+    assert type(raised.value) is BackendError
+    assert str(raised.value) == ("caption backend failed for all 4 frames "
+                                 "under the Descriptive prompt")
+    assert not [call for call in backend.calls
+                if "[ProblemAnalysisAgent]" in call.rendered
+                or "[TaskPlanningAgent]" in call.rendered
+                or "working on question" in call.rendered
+                or "drafting explanation" in call.rendered]
+    assert set(threading.enumerate()) <= before
 
 
 # ---------------------------------------------------------------------------
