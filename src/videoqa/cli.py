@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import logging
 import sys
-import zlib
 from pathlib import Path
 
 from .backends import Backend, CachingBackend, MockScript
@@ -19,20 +18,16 @@ from .errors import (
     Doc,
     ValidationError,
     VideoQAError,
-    canonical_json,
     check_writable,
-    read_bytes,
-    read_doc,
     write_text,
 )
-from .knowledge import KnowledgeStore, load_profiles
+from .knowledge import build_json, load_build, load_profiles
 from .pipeline import (
     answer_question,
     build_video,
     evaluate,
     load_question_file,
 )
-from .tree import load_tree, parse_tree, tree_to_json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -84,10 +79,7 @@ def _make_backend(args: argparse.Namespace, config: EngineConfig) -> Backend:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    out_tree = Path(args.out_tree)
-    sidecar_path = Path(args.out_sidecar
-                        or out_tree.with_name(out_tree.stem + ".sidecar.json"))
-    check_writable(("tree file", out_tree), ("sidecar file", sidecar_path),
+    check_writable(("build file", args.out),
                    inputs=(("frame manifest", args.frame_manifest),
                            ("question file", args.questions),
                            ("config file", args.config),
@@ -97,19 +89,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     questions = load_question_file(args.questions)
     result = build_video(args.frame_manifest, questions, config, backend)
 
-    # The sidecar records the CRC-32 of exactly the tree bytes written, so
-    # `ask` can refuse a sidecar built with another tree.
-    tree_text = tree_to_json(result.tree) + "\n"
-    sidecar = result.store.to_sidecar()
-    sidecar["tree_crc32"] = zlib.crc32(tree_text.encode("utf-8"))
-    write_text(out_tree, tree_text, "tree file")
-    write_text(sidecar_path, canonical_json(sidecar) + "\n", "sidecar file")
+    write_text(args.out, build_json(result.store) + "\n", "build file")
 
     expanded = sum(1 for sid in result.tree.shot_order
                    if result.tree.nodes[sid].children)
     print(f"built {result.tree.video_id}: {len(result.tree.shot_order)} shots, "
           f"{expanded} expanded, {len(result.retrieved_frames)} frames "
-          f"captioned -> {out_tree}, {sidecar_path}")
+          f"captioned -> {args.out}")
     return 0
 
 
@@ -119,16 +105,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
                    Doc(None, ValidationError, f"question {args.question_id}"))
     config = _load_config(args)
     backend = _make_backend(args, config)
-    # The tree is parsed first, so a parse error names its field, and from
-    # the one read of its file, whose CRC-32 the sidecar must record.
-    tree_bytes = read_bytes(args.tree, "tree file")
-    tree = parse_tree(tree_bytes, args.tree)
-    sidecar = read_doc(args.sidecar, "sidecar file", ValidationError)
-    if sidecar.integer("tree_crc32") != zlib.crc32(tree_bytes):
-        raise ValidationError(f"sidecar file {args.sidecar} was built with "
-                              f"another tree than tree file {args.tree}; "
-                              "rebuild both")
-    store = KnowledgeStore.from_sidecar(tree, sidecar.value)
+    store = load_build(args.file)
 
     qtype = args.qtype or classify_question(args.question, list(options), backend)
     bundle = QuestionBundle(question_id=args.question_id, text=args.question,
@@ -164,7 +141,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    tree = load_tree(args.tree)
+    tree = load_build(args.file).tree
     print(f"video {tree.video_id}: {len(tree.shot_order)} shots, "
           f"tau={tree.params.tau} k={tree.params.k} "
           f"max_depth={tree.params.max_depth} gamma={tree.params.gamma}")
@@ -190,20 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Long-video multiple-choice QA over a shot-structured tree")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", help="build a tree + knowledge sidecar")
+    p_build = sub.add_parser(
+        "build", help="build a video's tree and knowledge store into one file")
     p_build.add_argument("frame_manifest")
     p_build.add_argument("questions", help="question file JSON")
-    p_build.add_argument("out_tree")
-    p_build.add_argument("--out-sidecar")
+    p_build.add_argument("out", help="build file to write")
     p_build.add_argument("--reclassify", action="store_true",
                          help="classify even when the file declares a type")
     _add_common(p_build)
     _add_ablations(p_build, "uniform", "generic")
     p_build.set_defaults(func=cmd_build)
 
-    p_ask = sub.add_parser("ask", help="answer one question over a built tree")
-    p_ask.add_argument("tree")
-    p_ask.add_argument("sidecar")
+    p_ask = sub.add_parser("ask", help="answer one question over a build file")
+    p_ask.add_argument("file", help="build file")
     p_ask.add_argument("--question", required=True)
     p_ask.add_argument("--option", action="append",
                        help="answer option (repeat 2-5 times)")
@@ -224,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ablations(p_eval, "uniform", "generic", "fixed")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_inspect = sub.add_parser("inspect", help="pretty-print a tree")
-    p_inspect.add_argument("tree")
+    p_inspect = sub.add_parser("inspect", help="pretty-print a build's tree")
+    p_inspect.add_argument("file", help="build file")
     p_inspect.set_defaults(func=cmd_inspect)
 
     return parser

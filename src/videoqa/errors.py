@@ -12,9 +12,7 @@ that fills it. A path that is missing, is a directory or cannot be opened
 or written raises InputError (NotFoundError when it does not exist). Bytes
 that are not UTF-8 or not JSON raise the caller's `invalid` error, a
 callable on the message: InputError by default, ConfigError for the config,
-mock script, profiles and templates. `parse_json` applies that rule to
-bytes already read, so a file can be parsed from the same bytes that are
-checksummed.
+mock script, profiles and templates.
 `Doc` reads the fields of every JSON document the program loads or a
 model writes; `read_doc` opens a file as one, and `parse_doc` reads a
 model's text as one. `canonical_json` is the one byte-stable rendering of
@@ -111,24 +109,15 @@ def read_bytes(path: str | Path, what: str) -> bytes:
 
 def read_text(path: str | Path, what: str, invalid=InputError) -> str:
     """The UTF-8 text of the file, newlines read as in text mode."""
-    return _decode(read_bytes(path, what), f"{what} {path}", invalid)
-
-
-def _decode(data: bytes, what: str, invalid) -> str:
     try:
-        text = data.decode("utf-8")
+        text = read_bytes(path, what).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise invalid(f"{what} is not valid UTF-8: {exc}") from exc
+        raise invalid(f"{what} {path} is not valid UTF-8: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_json(path: str | Path, what: str, invalid=InputError) -> Any:
-    return parse_json(read_bytes(path, what), f"{what} {path}", invalid)
-
-
-def parse_json(data: bytes, what: str, invalid=InputError) -> Any:
-    """The JSON document in `data`, the bytes already read of `what`."""
-    return _loads(_decode(data, what, invalid), what, invalid)
+    return _loads(read_text(path, what, invalid), f"{what} {path}", invalid)
 
 
 def _loads(text: str, what: str, invalid) -> Any:

@@ -29,9 +29,11 @@ from .errors import (
     NotFoundError,
     UnsupportedVersionError,
     ValidationError,
+    canonical_json,
+    read_doc,
     read_json,
 )
-from .tree import HybridTree
+from .tree import HybridTree, deserialize_tree, serialize_tree
 
 SCOPE_TEMPORAL_INDEX = "temporal_index"
 SCOPE_MOMENT_CAPTIONS = "moment_captions"
@@ -44,7 +46,7 @@ KNOWN_TOOLS = RETRIEVAL_SCOPES + (TOOL_INSPECT_FRAME,)
 # transcript, so an uncut observation of a long video would be paid again at
 # every later step. From 8 rows up, every golden observation fits on a page.
 PAGE_ROWS = 20
-SIDECAR_VERSION = "3"
+BUILD_VERSION = "4"
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +352,9 @@ class KnowledgeStore:
     # -- sidecar ------------------------------------------------------------
 
     def to_sidecar(self) -> dict:
-        """The whole store but its tree, so `from_sidecar` rebuilds it."""
+        """The build file but its tree, so `from_sidecar` rebuilds the store."""
         return {
-            "version": SIDECAR_VERSION,
-            "video_id": self.tree.video_id,
+            "version": BUILD_VERSION,
             "fps": self.fps,
             "frame_paths": [
                 {"frame": frame, "path": path}
@@ -376,16 +377,11 @@ class KnowledgeStore:
     @classmethod
     def from_sidecar(cls, tree: HybridTree, doc: Any,
                      fps: float | None = None) -> "KnowledgeStore":
-        # Only perfbench/ passes `fps`; a value other than the sidecar's is refused.
-        root = Doc(doc, ValidationError, "sidecar").obj()
-        version = root.value.get("version")
-        if version != SIDECAR_VERSION:
-            root.fail(f"unsupported sidecar version {version!r}; rebuild it",
-                      "version", UnsupportedVersionError)
-        video_id = root.string("video_id")
-        if video_id != tree.video_id:
-            root.fail(f"sidecar is for video {video_id!r}, the tree for "
-                      f"{tree.video_id!r}", "video_id")
+        # `doc` is a parsed sidecar or a build file's Doc. Only perfbench/
+        # passes `fps`; a value other than the document's is refused.
+        root = (doc if isinstance(doc, Doc)
+                else Doc(doc, ValidationError, "sidecar")).obj()
+        _check_version(root)
         doc_fps = root.number("fps")
         if not doc_fps > 0:
             root.fail(f"must be positive, got {doc_fps}", "fps")
@@ -414,3 +410,25 @@ class KnowledgeStore:
         for item in root.objects("first_pass", []):
             store.first_pass[index(item, "shot", shots)] = item.string("text")
         return store
+
+
+def _check_version(root: Doc) -> None:
+    version = root.value.get("version")
+    if version != BUILD_VERSION:
+        root.fail(f"unsupported build file version {version!r}; rebuild it",
+                  "version", UnsupportedVersionError)
+
+
+def build_json(store: KnowledgeStore) -> str:
+    """The build file of `store`: its sidecar, with its tree under `tree`."""
+    return canonical_json(dict(store.to_sidecar(), tree=serialize_tree(store.tree)))
+
+
+def load_build(path: str | Path) -> KnowledgeStore:
+    """The store the build file at `path` holds, its tree validated. The
+    version comes first, so an older file is told to rebuild."""
+    root = read_doc(path, "build file", ValidationError).obj()
+    _check_version(root)
+    tree = deserialize_tree(root.obj("tree"))
+    tree.validate()
+    return KnowledgeStore.from_sidecar(tree, root)

@@ -29,8 +29,7 @@ from .errors import (
     UnsupportedVersionError,
     ValidationError,
     canonical_json,
-    parse_json,
-    read_bytes,
+    read_doc,
 )
 
 logger = logging.getLogger(__name__)
@@ -38,7 +37,7 @@ logger = logging.getLogger(__name__)
 TREE_SCHEMA_VERSION = "1"
 # A loaded tree's shots may span at most this many frames (12 days at 1 FPS).
 # A shot is held as a range, so a long one costs no memory; the bound keeps
-# the frame indices a tree and its sidecar name within a video's length.
+# the frame indices a build file names within a video's length.
 MAX_TREE_FRAMES = 1 << 20
 
 KIND_SHOT = "shot"
@@ -543,9 +542,8 @@ def tree_to_json(tree: HybridTree) -> str:
     return canonical_json(serialize_tree(tree))
 
 
-def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
-    """The tree a document holds; TreeParseError names the field at fault."""
-    root = Doc(doc, TreeParseError, source)
+def deserialize_tree(root: Doc) -> HybridTree:
+    """The tree `root` holds; a fault raises its error, naming the field."""
     version = root.string("version")
     if version != TREE_SCHEMA_VERSION:
         root.fail(f"unsupported tree schema version {version!r}", "version",
@@ -604,13 +602,6 @@ def deserialize_tree(doc: Any, source: str = "tree") -> HybridTree:
 
 def load_tree(path: str | Path) -> HybridTree:
     """Read, parse and validate a tree file."""
-    return parse_tree(read_bytes(path, "tree file"), str(path))
-
-
-def parse_tree(data: bytes, source: str) -> HybridTree:
-    """Parse and validate `data`, the bytes already read of the tree file at
-    `source`."""
-    tree = deserialize_tree(
-        parse_json(data, f"tree file {source}", TreeParseError), source)
+    tree = deserialize_tree(read_doc(path, "tree file", TreeParseError))
     tree.validate()
     return tree

@@ -1,8 +1,8 @@
 """`build` then `ask` answers from the store that `eval` answers from.
 
-The sidecar holds the whole store but its tree: the manifest's fps and the
-frames' image paths included. So a store loaded from a build's files equals
-the one `build_video` made, shot times and inspected frames included, and
+The one file `build` writes holds the tree and the whole store: the
+manifest's fps and the frames' image paths included. So a store loaded from
+it equals the one `build_video` made, shot times and inspected frames included, and
 each golden question answered through `build` and `ask` gives the record
 `eval` wrote for it.
 """
@@ -15,10 +15,9 @@ from pathlib import Path
 from videoqa.backends import Backend, MockScript
 from videoqa.cli import main
 from videoqa.config import EngineConfig
-from videoqa.errors import read_json
-from videoqa.knowledge import KnowledgeStore
+from videoqa.knowledge import load_build
 from videoqa.pipeline import build_video, load_question_file
-from videoqa.tree import load_tree, tree_to_json
+from videoqa.tree import tree_to_json
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
 
@@ -66,20 +65,20 @@ def _image_world(root: Path) -> tuple[Path, Path, Path]:
     return manifest, questions, script
 
 
-def _build(manifest: Path, questions: Path, script: Path,
-           out: Path) -> tuple[Path, Path]:
-    tree_path, sidecar_path = out / "tree.json", out / "sidecar.json"
-    assert main(["build", str(manifest), str(questions), str(tree_path),
-                 "--out-sidecar", str(sidecar_path),
+def _build(manifest: Path, questions: Path, script: Path, out: Path) -> Path:
+    """The build file `build` writes into the empty directory `out`, the
+    only file it writes."""
+    path = out / "build.json"
+    assert main(["build", str(manifest), str(questions), str(path),
                  "--mock-script", str(script)]) == 0
-    return tree_path, sidecar_path
+    assert list(out.iterdir()) == [path]
+    return path
 
 
 def test_store_loaded_from_a_build_equals_the_built_store(tmp_path) -> None:
     manifest, questions, script = _image_world(tmp_path / "world")
-    tree_path, sidecar_path = _build(manifest, questions, script, tmp_path)
-    loaded = KnowledgeStore.from_sidecar(load_tree(tree_path),
-                                         read_json(sidecar_path, "sidecar"))
+    (tmp_path / "out").mkdir()
+    loaded = load_build(_build(manifest, questions, script, tmp_path / "out"))
     built = build_video(manifest, load_question_file(questions),
                         EngineConfig(),
                         Backend.from_mock(MockScript.from_file(script))).store
@@ -95,9 +94,10 @@ def test_store_loaded_from_a_build_equals_the_built_store(tmp_path) -> None:
 
 def test_ask_over_a_build_keeps_fps_and_frame_paths(tmp_path, capsys) -> None:
     manifest, questions, script = _image_world(tmp_path / "world")
-    tree_path, sidecar_path = _build(manifest, questions, script, tmp_path)
+    (tmp_path / "out").mkdir()
+    built = _build(manifest, questions, script, tmp_path / "out")
     capsys.readouterr()
-    assert main(["ask", str(tree_path), str(sidecar_path),
+    assert main(["ask", str(built),
                  "--question", "Why does the kite rise?",
                  "--option", "the wind", "--option", "a string",
                  "--qtype", "Causal", "--fixed-workflow",
@@ -129,13 +129,13 @@ def test_golden_questions_through_build_and_ask_match_eval(tmp_path,
         questions.write_text(json.dumps(entry["questions"]))
         out = tmp_path / video
         out.mkdir()
-        tree_path, sidecar_path = _build(world.video_manifests[video],
-                                         questions, world.script_path, out)
+        built = _build(world.video_manifests[video], questions,
+                       world.script_path, out)
         for question in entry["questions"]:
             capsys.readouterr()
             options = [arg for option in question["options"]
                        for arg in ("--option", option)]
-            assert main(["ask", str(tree_path), str(sidecar_path),
+            assert main(["ask", str(built),
                          "--question", question["text"], *options,
                          "--question-id", question["question_id"],
                          "--mock-script", str(world.script_path)]) == 0

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
 import argparse
-import builtins
 import itertools
 import json
-import zlib
 from pathlib import Path
 
 import pytest
@@ -12,7 +10,6 @@ import pytest
 from videoqa.backends import Backend, CachingBackend
 from videoqa.cli import _make_backend, main
 from videoqa.config import EngineConfig
-import videoqa.tree as tree_module
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
 
@@ -28,22 +25,26 @@ def _build_args(world, tmp_path, *extra: str) -> list[str]:
          "options": ["a park", "a kitchen"]},
     ]))
     return ["build", str(world.video_manifests["golden_a"]), str(questions),
-            str(tmp_path / "tree.json"),
+            str(tmp_path / "build.json"),
             "--mock-script", str(world.script_path), *extra]
 
 
 def test_cli_build_writes_tree_and_sidecar(tmp_path, capsys) -> None:
+    """The one file `build` writes holds the tree and the store."""
     world = build_golden_world(tmp_path / "golden")
-    assert main(_build_args(world, tmp_path)) == 0
+    args = _build_args(world, tmp_path)
+    before = set(tmp_path.iterdir())
+    assert main(args) == 0
     out = capsys.readouterr().out
     assert "4 shots" in out and "1 expanded" in out
+    assert set(tmp_path.iterdir()) - before == {tmp_path / "build.json"}
 
-    tree_doc = json.loads((tmp_path / "tree.json").read_text())
-    assert tree_doc["video_id"] == "golden_a"
-    sidecar_doc = json.loads((tmp_path / "tree.sidecar.json").read_text())
-    assert sidecar_doc["video_id"] == "golden_a"
-    assert sidecar_doc["captions"], "question-aware captions persisted"
-    assert sidecar_doc["first_pass"], "generic captions persisted"
+    doc = json.loads((tmp_path / "build.json").read_text())
+    assert doc["version"] == "4"
+    assert doc["tree"]["video_id"] == "golden_a"
+    assert "video_id" not in doc and "tree_crc32" not in doc
+    assert doc["captions"], "question-aware captions persisted"
+    assert doc["first_pass"], "generic captions persisted"
 
 
 def test_cli_build_malformed_questions_exits_2(tmp_path, capsys) -> None:
@@ -54,7 +55,7 @@ def test_cli_build_malformed_questions_exits_2(tmp_path, capsys) -> None:
     for text in ("not json {", '[{"question_id": 1%s}]' % ("0" * 4400)):
         bad.write_text(text)
         code = main(["build", str(world.video_manifests["golden_a"]), str(bad),
-                     str(tmp_path / "tree.json"),
+                     str(tmp_path / "build.json"),
                      "--mock-script", str(world.script_path)])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
@@ -62,11 +63,9 @@ def test_cli_build_malformed_questions_exits_2(tmp_path, capsys) -> None:
 
 def test_cli_ask_malformed_sidecar_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
-    main(_build_args(world, tmp_path))
-    capsys.readouterr()
-    broken = tmp_path / "broken.sidecar.json"
+    broken = tmp_path / "broken.json"
     broken.write_text("{{{{")
-    code = main(["ask", str(tmp_path / "tree.json"), str(broken),
+    code = main(["ask", str(broken),
                  "--question", "What is the location?",
                  "--option", "a park", "--option", "a kitchen",
                  "--mock-script", str(world.script_path)])
@@ -78,133 +77,70 @@ def test_cli_ask_malformed_sidecar_item_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
-    del sidecar["captions"][0]["text"]
-    broken = tmp_path / "broken.sidecar.json"
-    broken.write_text(json.dumps(sidecar))
-    code = main(["ask", str(tmp_path / "tree.json"), str(broken),
+    doc = json.loads((tmp_path / "build.json").read_text())
+    del doc["captions"][0]["text"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["ask", str(broken),
                  "--question", "What is the location?",
                  "--option", "a park", "--option", "a kitchen",
                  "--mock-script", str(world.script_path)])
     assert code == 2
-    assert "sidecar#/captions/0/text" in capsys.readouterr().err
+    assert f"{broken}#/captions/0/text" in capsys.readouterr().err
 
-
-
-def test_cli_ask_sidecar_of_another_tree_exits_2(tmp_path, capsys) -> None:
-    """Trees A and B are golden_a built at the default tau and at tau 1.0;
-    B's sidecar loads against tree A, but its tree_crc32 is B's."""
-    world = build_golden_world(tmp_path / "golden")
-    config = tmp_path / "tau.json"
-    config.write_text(json.dumps({"tau": 1.0}))
-    for name, extra in (("a", ()), ("b", ("--config", str(config)))):
-        (tmp_path / name).mkdir()
-        assert main(_build_args(world, tmp_path / name, *extra)) == 0
-    capsys.readouterr()
-    tree_a = tmp_path / "a" / "tree.json"
-    sidecar_b = tmp_path / "b" / "tree.sidecar.json"
-    assert tree_a.read_bytes() != (tmp_path / "b" / "tree.json").read_bytes()
-    code = main(["ask", str(tree_a), str(sidecar_b),
-                 "--question", "What is the location?",
-                 "--option", "a park", "--option", "a kitchen",
-                 "--mock-script", str(world.script_path)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(tree_a) in captured.err and str(sidecar_b) in captured.err
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("crc", ["1", 1.5, True, None, "missing", "another"])
-def test_cli_ask_sidecar_tree_crc32_must_be_an_int(tmp_path, capsys,
-                                                   crc) -> None:
-    """`ask` checks the sidecar's tree_crc32 after parsing the tree and
-    before reading the store: a sidecar whose first caption is broken too
-    fails on the CRC."""
-    world = build_golden_world(tmp_path / "golden")
-    assert main(_build_args(world, tmp_path)) == 0
-    capsys.readouterr()
-    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
-    del sidecar["captions"][0]["text"]
-    if crc == "missing":
-        del sidecar["tree_crc32"]
-    elif crc == "another":
-        sidecar["tree_crc32"] ^= 1
-    else:
-        sidecar["tree_crc32"] = crc
-    broken = tmp_path / "broken.sidecar.json"
-    broken.write_text(json.dumps(sidecar))
-    code = main(["ask", str(tmp_path / "tree.json"), str(broken),
-                 "--question", "What is the location?",
-                 "--option", "a park", "--option", "a kitchen",
-                 "--mock-script", str(world.script_path)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("another tree" if crc == "another" else "/tree_crc32") in captured.err
-    assert "captions" not in captured.err and "Traceback" not in captured.err
-
-
-def test_cli_build_serializes_the_tree_once(tmp_path, monkeypatch) -> None:
-    """The sidecar's tree_crc32 is the CRC-32 of the very bytes `build`
-    wrote as the tree file, from the one rendering of the tree."""
-    world = build_golden_world(tmp_path / "golden")
-    rendered = []
-    real = tree_module.serialize_tree
-    monkeypatch.setattr(tree_module, "serialize_tree",
-                        lambda tree: rendered.append(tree) or real(tree))
-    assert main(_build_args(world, tmp_path)) == 0
-    assert len(rendered) == 1
-    sidecar = json.loads((tmp_path / "tree.sidecar.json").read_text())
-    assert sidecar["tree_crc32"] == zlib.crc32(
-        (tmp_path / "tree.json").read_bytes())
-
-
-def test_cli_ask_reads_the_tree_file_once(tmp_path, capsys,
-                                          monkeypatch) -> None:
-    """`ask` parses the tree from the bytes whose CRC-32 it checks against
-    the sidecar: it opens the tree file once, so a file replaced between
-    two reads cannot be parsed from one version and checked on another."""
-    world = build_golden_world(tmp_path / "golden")
-    assert main(_build_args(world, tmp_path)) == 0
-    tree_path = tmp_path / "tree.json"
-    opened = []
-
-    def counting(real_open):
-        def open_(file, *args, **kwargs):
-            if isinstance(file, (str, Path)) and Path(file) == tree_path:
-                opened.append(file)
-            return real_open(file, *args, **kwargs)
-        return open_
-
-    # Path.read_bytes and friends go through Path.open, which does not look
-    # up the builtin, so each way of opening the file counts once.
-    monkeypatch.setattr(builtins, "open", counting(builtins.open))
-    monkeypatch.setattr(Path, "open", counting(Path.open))
-    capsys.readouterr()
-    assert main(["ask", str(tree_path), str(tmp_path / "tree.sidecar.json"),
-                 "--question", "What is the location?",
-                 "--option", "a park", "--option", "a kitchen",
-                 "--mock-script", str(world.script_path)]) == 0
-    assert len(opened) == 1
 
 
 def test_cli_ask_malformed_tree_exits_2(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    tree = json.loads((tmp_path / "tree.json").read_text())
-    tree["nodes"][0]["children"] = ["x"]
-    broken = tmp_path / "broken.tree.json"
-    broken.write_text(json.dumps(tree))
-    code = main(["ask", str(broken), str(tmp_path / "tree.sidecar.json"),
+    doc = json.loads((tmp_path / "build.json").read_text())
+    doc["tree"]["nodes"][0]["children"] = ["x"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
+    code = main(["ask", str(broken),
                  "--question", "What is the location?",
                  "--option", "a park", "--option", "a kitchen",
                  "--mock-script", str(world.script_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "/nodes/0/children" in err
+    assert f"{broken}#/tree/nodes/0/children" in err
     assert "Traceback" not in err
+
+
+def _old_sidecar(doc: dict) -> dict:
+    """A version 3 sidecar: the store half, with its video and tree CRC."""
+    sidecar = {key: value for key, value in doc.items() if key != "tree"}
+    return dict(sidecar, version="3", video_id="golden_a", tree_crc32=1)
+
+
+@pytest.mark.parametrize("command", ["ask", "inspect"])
+@pytest.mark.parametrize("kind,version", [
+    (_old_sidecar, "'3'"),
+    (lambda doc: doc["tree"], "'1'"),
+], ids=["v3-sidecar", "bare-tree"])
+def test_cli_file_of_an_older_format_asks_for_a_rebuild(tmp_path, capsys,
+                                                        command, kind,
+                                                        version) -> None:
+    """A version 3 sidecar and a bare version 1 tree file, as earlier
+    builds wrote them, exit 2 on one `error:` line that names the file's
+    version and says to rebuild, before any other field is read."""
+    world = build_golden_world(tmp_path / "golden")
+    assert main(_build_args(world, tmp_path)) == 0
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(kind(json.loads(
+        (tmp_path / "build.json").read_text()))))
+    capsys.readouterr()
+    argv = [command, str(old)]
+    if command == "ask":
+        argv += ["--question", "What is the location?", "--option", "a park",
+                 "--option", "a kitchen", "--mock-script",
+                 str(world.script_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {old}#/version: unsupported build file "
+                            f"version {version}; rebuild it\n")
 
 
 def test_cli_eval_malformed_manifest_exits_2(tmp_path, capsys) -> None:
@@ -221,7 +157,7 @@ def test_cli_build_missing_manifest_exits_2(tmp_path, capsys) -> None:
     questions = tmp_path / "questions.json"
     questions.write_text("[]")
     code = main(["build", str(tmp_path / "nowhere.json"), str(questions),
-                 str(tmp_path / "tree.json"),
+                 str(tmp_path / "build.json"),
                  "--mock-script", str(world.script_path)])
     assert code == 2
     assert "nowhere.json" in capsys.readouterr().err
@@ -240,7 +176,7 @@ def test_cli_build_image_manifest_without_embedder_exits_2(tmp_path, capsys) -> 
         "chat_endpoint": "http://unit.test/chat",
         "caption_endpoint": "http://unit.test/caption"}}))
     code = main(["build", str(manifest), str(questions),
-                 str(tmp_path / "tree.json"), "--config", str(config)])
+                 str(tmp_path / "build.json"), "--config", str(config)])
     assert code == 2
     assert "an embedding backend is required" in capsys.readouterr().err
 
@@ -252,16 +188,15 @@ def test_cli_build_idempotent_with_cache(tmp_path) -> None:
         {"backend": {"cache_dir": str(tmp_path / "cache")}}))
     args = _build_args(world, tmp_path, "--cache", "--config", str(config))
     assert main(args) == 0
-    first = (tmp_path / "tree.json").read_bytes()
+    first = (tmp_path / "build.json").read_bytes()
     assert main(args) == 0
-    assert (tmp_path / "tree.json").read_bytes() == first
+    assert (tmp_path / "build.json").read_bytes() == first
 
 
 def _ask(world, tmp_path, capsys, *extra: str) -> dict:
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    code = main(["ask", str(tmp_path / "tree.json"),
-                 str(tmp_path / "tree.sidecar.json"),
+    code = main(["ask", str(tmp_path / "build.json"),
                  "--question", "Why is the man on the bench looking up?",
                  "--option", "a bird flying overhead",
                  "--option", "overlooking the children",
@@ -284,8 +219,7 @@ def test_cli_ask_descriptive_static_has_no_visual_stage(tmp_path, capsys) -> Non
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    code = main(["ask", str(tmp_path / "tree.json"),
-                 str(tmp_path / "tree.sidecar.json"),
+    code = main(["ask", str(tmp_path / "build.json"),
                  "--question", "What is the location?",
                  "--option", "a park", "--option", "a kitchen",
                  "--question-id", "a_q2",
@@ -314,8 +248,7 @@ def test_cli_ask_never_finalizing_mock_hits_budget(tmp_path, capsys) -> None:
         ],
         "default_response": "THOUGHT: still looking\nACTION: temporal_index {}",
     }))
-    code = main(["ask", str(tmp_path / "tree.json"),
-                 str(tmp_path / "tree.sidecar.json"),
+    code = main(["ask", str(tmp_path / "build.json"),
                  "--question", "Why is the man on the bench looking up?",
                  "--option", "a", "--option", "b",
                  "--mock-script", str(stubborn)])
@@ -368,7 +301,7 @@ def test_cli_inspect_prints_structure(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    assert main(["inspect", str(tmp_path / "tree.json")]) == 0
+    assert main(["inspect", str(tmp_path / "build.json")]) == 0
     out = capsys.readouterr().out
     assert "golden_a" in out
     assert "relevance=5.0" in out
@@ -428,8 +361,7 @@ def test_cli_ask_declared_qtype_skips_classifier(tmp_path, capsys) -> None:
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    code = main(["ask", str(tmp_path / "tree.json"),
-                 str(tmp_path / "tree.sidecar.json"),
+    code = main(["ask", str(tmp_path / "build.json"),
                  "--question", "What is the location?",
                  "--option", "a park", "--option", "a kitchen",
                  "--question-id", "a_q2", "--qtype", "Descriptive",
@@ -469,7 +401,8 @@ def _shot_as_child(doc: dict) -> None:
     pytest.param(_shot_as_child, "child 4 of node 2 is not a cluster",
                  id="shot-as-child"),
     pytest.param(lambda doc: doc["nodes"].append(dict(_node(doc, 0))),
-                 "#/nodes/6/id: duplicate node id 0", id="duplicate-node-id"),
+                 "#/tree/nodes/6/id: duplicate node id 0",
+                 id="duplicate-node-id"),
     pytest.param(lambda doc: _node(doc, 4).update(rep=13),
                  "node 4 representative not a member frame",
                  id="rep-not-a-member"),
@@ -493,10 +426,10 @@ def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
-    tree = json.loads((tmp_path / "tree.json").read_text())
-    mutate(tree)
-    broken = tmp_path / "broken.tree.json"
-    broken.write_text(json.dumps(tree))
+    doc = json.loads((tmp_path / "build.json").read_text())
+    mutate(doc["tree"])
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(doc))
     assert main(["inspect", str(broken)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -532,7 +465,7 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
     A missing profile or template is not an error: the built-in one is used."""
     world = build_golden_world(tmp_path / "golden")
     assert main(_build_args(world, tmp_path)) == 0
-    tree, sidecar = tmp_path / "tree.json", tmp_path / "tree.sidecar.json"
+    built = tmp_path / "build.json"
     manifest = world.video_manifests["golden_a"]
     script, dataset = world.script_path, world.dataset_path
     rows = itertools.count()
@@ -559,12 +492,12 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
         return ["--mock-script", str(path)]
 
     def build(*extra, manifest=manifest, questions=tmp_path / "questions.json",
-              out=tmp_path / "out.tree.json") -> list[str]:
+              out=tmp_path / "out.json") -> list[str]:
         return ["build", str(manifest), str(questions), str(out),
                 "--mock-script", str(script), *extra]
 
-    def ask(*extra, tree=tree, sidecar=sidecar) -> list[str]:
-        return ["ask", str(tree), str(sidecar), "--question",
+    def ask(*extra, file=built) -> list[str]:
+        return ["ask", str(file), "--question",
                 "What is the location?", "--option", "a park",
                 "--option", "a kitchen", "--mock-script", str(script), *extra]
 
@@ -584,9 +517,9 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
     for kind in ("missing", "directory", "non-utf8", "invalid-json"):
         contents = 2 if kind in ("missing", "directory") else 4
         table += [
-            (f"ask tree {kind}", ask(tree=bad(kind, "t.json")), 2),
-            (f"ask sidecar {kind}", ask(sidecar=bad(kind, "s.json")), 2),
-            (f"inspect tree {kind}", ["inspect", str(bad(kind, "t.json"))], 2),
+            (f"ask build file {kind}", ask(file=bad(kind, "b.json")), 2),
+            (f"inspect build file {kind}",
+             ["inspect", str(bad(kind, "b.json"))], 2),
             (f"build manifest {kind}", build(manifest=bad(kind, "m.json")), 2),
             (f"build questions {kind}", build(questions=bad(kind, "q.json")), 2),
             (f"build embeddings {kind}",
@@ -608,15 +541,13 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
                           contents))
     nowhere = tmp_path / "no_such_dir"
     cache_file = bad("invalid-json", "cache")
-    v1_sidecar = tmp_path / "bad" / "v1.sidecar.json"
-    v1_doc = json.loads(sidecar.read_text())
-    del v1_doc["version"], v1_doc["fps"], v1_doc["frame_paths"]
-    v1_sidecar.write_text(json.dumps(v1_doc))
+    unversioned = tmp_path / "bad" / "unversioned.json"
+    doc = json.loads(built.read_text())
+    del doc["version"], doc["fps"], doc["frame_paths"]
+    unversioned.write_text(json.dumps(doc))
     table += [
-        ("ask sidecar of version 1", ask(sidecar=v1_sidecar), 2),
-        ("build tree output", build(out=nowhere / "t.json"), 2),
-        ("build sidecar output",
-         build("--out-sidecar", str(nowhere / "s.json")), 2),
+        ("ask build file without a version", ask(file=unversioned), 2),
+        ("build file output", build(out=nowhere / "b.json"), 2),
         ("eval records output",
          evaluate("--out-records", str(nowhere / "r.jsonl")), 2),
         ("eval report output",
@@ -672,7 +603,7 @@ def test_cli_broken_question_fails_before_any_model_call(tmp_path, capsys,
     world = build_golden_world(tmp_path / "golden")
     build_args = _build_args(world, tmp_path)
     assert main(build_args) == 0
-    tree, sidecar = tmp_path / "tree.json", tmp_path / "tree.sidecar.json"
+    built = tmp_path / "build.json"
     dataset = json.loads(world.dataset_path.read_text())
     rows = itertools.count()
 
@@ -691,7 +622,7 @@ def test_cli_broken_question_fails_before_any_model_call(tmp_path, capsys,
                 "--out-report", str(tmp_path / "report.json")]
 
     def ask(text: str, *options: str) -> list[str]:
-        argv = ["ask", str(tree), str(sidecar), "--question", text,
+        argv = ["ask", str(built), "--question", text,
                 "--mock-script", str(world.script_path)]
         for option in options:
             argv += ["--option", option]
@@ -755,15 +686,9 @@ def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
 
     build = build_args[:3]
     table = [
-        ("build tree in a missing directory",
-         [*build, str(nowhere / "t.json"), *build_args[4:]]),
-        ("build tree is a directory", [*build, str(taken), *build_args[4:]]),
-        ("build sidecar in a missing directory",
-         [*build_args, "--out-sidecar", str(nowhere / "s.json")]),
-        ("build sidecar is a directory",
-         [*build_args, "--out-sidecar", str(taken)]),
-        ("build sidecar is the tree",
-         [*build_args, "--out-sidecar", f"{taken}/../tree.json"]),
+        ("build file in a missing directory",
+         [*build, str(nowhere / "b.json"), *build_args[4:]]),
+        ("build file is a directory", [*build, str(taken), *build_args[4:]]),
         ("eval records in a missing directory",
          evaluate("--out-records", str(nowhere / "r.jsonl"))),
         ("eval records is a directory", evaluate("--out-records", str(taken))),
@@ -772,13 +697,13 @@ def test_cli_unwritable_output_fails_before_any_model_call(tmp_path, capsys,
         ("eval report is a directory", evaluate("--out-report", str(taken))),
         ("eval report is the records file",
          evaluate("--out-report", str(tmp_path / "records.jsonl"))),
-        ("build tree is the frame manifest", [*build, manifest, *build_args[4:]]),
-        ("build sidecar is the question file",
-         [*build_args, "--out-sidecar", f"{taken}/../questions.json"]),
-        ("build tree is the mock script",
+        ("build file is the frame manifest", [*build, manifest, *build_args[4:]]),
+        ("build file is the question file",
+         [*build, f"{taken}/../questions.json", *build_args[4:]]),
+        ("build file is the mock script",
          [*build, str(world.script_path), *build_args[4:]]),
-        ("build sidecar is the config file",
-         [*build_args, "--config", str(config), "--out-sidecar", str(config)]),
+        ("build file is the config file",
+         [*build, str(config), *build_args[4:], "--config", str(config)]),
         ("eval records is the dataset manifest",
          evaluate("--out-records", str(world.dataset_path))),
         ("eval report is the config file",

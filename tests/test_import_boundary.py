@@ -147,10 +147,10 @@ def built(tmp_path_factory) -> tuple[list[str], str]:
     questions.write_text(json.dumps([{
         "question_id": "a_q1", "text": "Why is the man on the bench looking up?",
         "options": ["a bird flying overhead", "overlooking the children"]}]))
-    tree = root / "tree.json"
+    built = root / "build.json"
     assert main(["build", str(world.video_manifests["golden_a"]), str(questions),
-                 str(tree), "--mock-script", str(world.script_path)]) == 0
-    ask = ["ask", str(tree), str(root / "tree.sidecar.json"),
+                 str(built), "--mock-script", str(world.script_path)]) == 0
+    ask = ["ask", str(built),
            "--question", "Why is the man on the bench looking up?",
            "--option", "a bird flying overhead",
            "--option", "overlooking the children",

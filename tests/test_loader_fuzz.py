@@ -1,8 +1,10 @@
 """Property test: every loader ends a malformed document in its documented
 error, never a traceback, and never coerces a value of the wrong type.
 
-Eight loaders read the program's JSON inputs: the frame manifest, question
-file, dataset manifest, sidecar, tree, config, agent profile and mock script.
+Nine loaders read the program's JSON inputs: the frame manifest, question
+file, dataset manifest, build file, config, agent profile and mock script, and
+the sidecar and tree files perfbench writes apart. The build file is read as
+`ask` and `inspect` read it, its tree nested under `tree`.
 Each is fed arbitrary JSON values (NaN and the infinities included, since the
 JSON reader accepts them) and one-field mutations of a valid document: one
 value anywhere in it replaced by an arbitrary JSON value, or one object key
@@ -13,9 +15,9 @@ another JSON type (another Python type after `json.loads`) must raise,
 unless the README documents that type for the field: an int for a number,
 null for the fields in `NULLABLE`, and any JSON for a mock reply.
 
-Examples the property once failed on are pinned in `PINNED`. The two
-documents the program writes, the tree and the sidecar, must also load back
-to what was written.
+Examples the property once failed on are pinned in `PINNED`. The build
+file, and its tree and sidecar halves written apart, must also load back to
+what was written.
 """
 
 from __future__ import annotations
@@ -43,7 +45,13 @@ from videoqa.errors import (
     read_json,
 )
 from videoqa.ingest import load_frames
-from videoqa.knowledge import KnowledgeStore, builtin_profiles, load_profiles
+from videoqa.knowledge import (
+    KnowledgeStore,
+    build_json,
+    builtin_profiles,
+    load_build,
+    load_profiles,
+)
 from videoqa.pipeline import (
     RawQuestion,
     build_video,
@@ -111,6 +119,8 @@ class Fixture:
         self.valid["manifest"]["frames"][0]["path"] = "frames/0.jpg"
         self.valid["sidecar"]["frame_paths"] = [{"frame": 0,
                                                  "path": "frames/0.jpg"}]
+        self.valid["build"] = dict(self.valid["sidecar"],
+                                   tree=self.valid["tree"])
         self.profile_path = profile_dir / "causal.json"
 
     def load(self, loader: str, doc) -> None:
@@ -123,6 +133,8 @@ class Fixture:
             load_question_file(path)
         elif loader == "dataset":
             load_dataset_manifest(path)
+        elif loader == "build":
+            load_build(path)
         elif loader == "sidecar":
             KnowledgeStore.from_sidecar(self.tree, read_json(path, "sidecar"))
         elif loader == "tree":
@@ -141,8 +153,8 @@ class Fixture:
                     pass
 
 
-LOADERS = ("manifest", "questions", "dataset", "sidecar", "tree", "config",
-           "profile", "mock script")
+LOADERS = ("manifest", "questions", "dataset", "build", "sidecar", "tree",
+           "config", "profile", "mock script")
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +287,10 @@ PINNED = [
     ("profile", ("strategy", "name"), 5),
     ("profile", ("requires_visual_agent",), "no"),
     ("mock script", ("rules", 0, "regex"), "no"),
+    ("build", ("version",), "3"),
+    ("build", ("tree", "version"), "4"),
+    ("build", ("tree", "nodes", 0, "rep"), True),
+    ("build", ("captions", 0, "frame"), math.inf),
 ]
 
 
@@ -300,8 +316,32 @@ def test_loader_valid_documents_load(fixture, loader) -> None:
     fixture.load(loader, fixture.valid[loader])
 
 
+@pytest.mark.parametrize("field, value, pointer", [
+    (("version",), "3", "/version"),
+    (("tree",), None, "/tree"),
+    (("tree", "version"), "4", "/tree/version"),
+    (("tree", "params", "tau"), "x", "/tree/params/tau"),
+    (("tree", "nodes", 0, "rep"), True, "/tree/nodes/0/rep"),
+    (("tree", "shot_order", 0), 999, "/tree/shot_order"),
+    (("fps",), 0, "/fps"),
+    (("frame_paths", 0, "path"), "", "/frame_paths/0/path"),
+    (("captions", 0, "frame"), 10**9, "/captions/0/frame"),
+    (("summaries", 0, "qtype"), "Nonsense", "/summaries/0/qtype"),
+    (("first_pass", 0, "text"), 5, "/first_pass/0/text"),
+])
+def test_build_file_fault_names_its_pointer(fixture, field, value,
+                                            pointer) -> None:
+    """A fault in the build file's nested tree or in its store half exits 2,
+    naming the file and the field's pointer."""
+    with pytest.raises(InputError) as caught:
+        fixture.load("build", _with(fixture.valid["build"], field, value))
+    assert caught.value.exit_code == 2
+    assert caught.value.pointer == pointer
+    assert f"fuzz_build.json#{pointer}: " in str(caught.value)
+
+
 # ---------------------------------------------------------------------------
-# Round trips of the two documents the program writes
+# Round trips of the build file and of its halves written apart
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -362,3 +402,11 @@ def test_sidecar_loads_back_as_written(fixture, store) -> None:
     path.write_text(canonical_json(store.to_sidecar()), encoding="utf-8")
     assert KnowledgeStore.from_sidecar(store.tree, read_json(path, "sidecar")) \
         == store
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(store=stores())
+def test_build_file_loads_back_as_written(fixture, store) -> None:
+    path = fixture.dir / "roundtrip.build.json"
+    path.write_text(build_json(store), encoding="utf-8")
+    assert load_build(path) == store

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from videoqa.backends import MockBackend, MockScript
 from videoqa.errors import (
     BackendError,
+    Doc,
     TreeParseError,
     UnsupportedVersionError,
     ValidationError,
@@ -421,7 +422,7 @@ def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
     tree = HybridTree("v", TreeParams(), nodes, list(nodes))
     expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1)
     if reload:
-        tree = deserialize_tree(serialize_tree(tree))
+        tree = _load(serialize_tree(tree))
     tree.validate()
     for frame in range(-3, sum(lengths) + 3):
         scan = next((shot for shot in tree.shots()
@@ -500,9 +501,13 @@ def _expanded_tree():
     return tree
 
 
+def _load(doc: dict) -> HybridTree:
+    return deserialize_tree(Doc(doc, TreeParseError))
+
+
 def test_serialize_roundtrip_identity() -> None:
     tree = _expanded_tree()
-    clone = deserialize_tree(serialize_tree(tree))
+    clone = _load(serialize_tree(tree))
     assert tree_to_json(clone) == tree_to_json(tree)
     assert clone == tree
 
@@ -511,14 +516,14 @@ def test_serialize_missing_shot_order_pointer() -> None:
     doc = serialize_tree(_expanded_tree())
     del doc["shot_order"]
     with pytest.raises(TreeParseError, match="/shot_order"):
-        deserialize_tree(doc)
+        _load(doc)
 
 
 def test_serialize_unknown_version() -> None:
     doc = serialize_tree(_expanded_tree())
     doc["version"] = "999"
     with pytest.raises(UnsupportedVersionError, match="999"):
-        deserialize_tree(doc)
+        _load(doc)
 
 
 def test_serialize_bad_node_pointer() -> None:
@@ -536,7 +541,7 @@ def test_serialize_bad_node_pointer() -> None:
         doc = serialize_tree(_expanded_tree())
         mutate(doc)
         with pytest.raises(TreeParseError, match=pointer) as caught:
-            deserialize_tree(doc)
+            _load(doc)
         assert caught.value.pointer == pointer
 
 
@@ -544,7 +549,7 @@ def test_serialize_bad_params_pointer() -> None:
     doc = serialize_tree(_expanded_tree())
     del doc["params"]["gamma"]
     with pytest.raises(TreeParseError, match="/params/gamma"):
-        deserialize_tree(doc)
+        _load(doc)
 
 
 def test_serialize_shot_frames_as_range_clusters_as_sets() -> None:

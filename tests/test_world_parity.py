@@ -151,16 +151,14 @@ def test_build_then_ask_gives_the_eval_record(worlds, evaluated, monkeypatch,
         video = entry["video_id"]
         questions = tmp_path / f"{video}.questions.json"
         questions.write_text(json.dumps(entry["questions"]))
-        tree_path = tmp_path / f"{video}.tree.json"
-        sidecar_path = tmp_path / f"{video}.sidecar.json"
+        built = tmp_path / f"{video}.build.json"
         assert cli.main(["build", str(directory / entry["frame_manifest_path"]),
-                         str(questions), str(tree_path),
-                         "--out-sidecar", str(sidecar_path)]) == 0
+                         str(questions), str(built)]) == 0
         for question in entry["questions"]:
             capsys.readouterr()
             options = [arg for option in question["options"]
                        for arg in ("--option", option)]
-            assert cli.main(["ask", str(tree_path), str(sidecar_path),
+            assert cli.main(["ask", str(built),
                              "--question", question["text"], *options,
                              "--question-id", question["question_id"]]) == 0
             printed = capsys.readouterr().out.rstrip("\n")
