@@ -2,8 +2,8 @@
 
 Questions are classified as Causal, Temporal, or Descriptive. Per type, one
 synthesized visual prompt steers the caption model toward the details that
-type of question needs; frame captions are then fused into per-shot
-summaries.
+type of question needs; each (shot, type) group of frame captions is then
+fused into one summary. The caller groups them, so this needs no tree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import (
     ValidationError,
     read_text,
 )
-from .tree import HybridTree
 
 logger = logging.getLogger(__name__)
 
@@ -252,35 +251,16 @@ def fusion_prompt(qtype: str, texts: list[str]) -> str:
     )
 
 
-def summarize_segments(captions: list[FrameCaption], tree: HybridTree,
-                       llm: Backend,
-                       pool: Executor | None = None) -> list[SegmentSummary]:
-    """Fuse frame captions into one summary per (shot, type), fanning the
-    fusion calls out on `pool`, or making them in turn on this thread
-    without one; summaries come in (shot, type) order, and the first
-    failing (shot, type)'s error is raised.
-
-    A shot with a single caption passes it through without a model call.
-    """
-    grouped: dict[tuple[int, str], list[FrameCaption]] = {}
-    for cap in captions:
-        owner = tree.shot_at(cap.frame_index)
-        if owner is None:
-            raise ValidationError(
-                f"caption frame {cap.frame_index} falls outside every shot")
-        grouped.setdefault((owner.node_id, cap.qtype), []).append(cap)
-
-    def summarize_one(item: tuple[tuple[int, str], list[FrameCaption]]
-                      ) -> SegmentSummary:
-        (shot_id, qtype), caps = item
-        caps.sort(key=lambda c: c.frame_index)
-        if len(caps) == 1:
-            return SegmentSummary(shot_id, qtype, caps[0].text)
-        try:
-            text = llm.call(chat_request(fusion_prompt(qtype, [c.text for c in caps])))
-        except BackendError as exc:
-            raise BackendError(f"summarizing shot {shot_id} failed: {exc}") from exc
-        return SegmentSummary(shot_id, qtype, text)
-
-    return list((pool.map if pool else map)(summarize_one,
-                                            sorted(grouped.items())))
+def summarize_segments(shot_id: int, qtype: str, captions: list[FrameCaption],
+                       llm: Backend) -> SegmentSummary:
+    """Fuse one (shot, type) group of frame captions, in frame order, into
+    the shot's summary of that type; a single caption passes through
+    without a model call."""
+    texts = [c.text for c in sorted(captions, key=lambda c: c.frame_index)]
+    if len(texts) == 1:
+        return SegmentSummary(shot_id, qtype, texts[0])
+    try:
+        text = llm.call(chat_request(fusion_prompt(qtype, texts)))
+    except BackendError as exc:
+        raise BackendError(f"summarizing shot {shot_id} {qtype} failed: {exc}") from exc
+    return SegmentSummary(shot_id, qtype, text)

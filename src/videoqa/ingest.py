@@ -24,7 +24,6 @@ from .errors import InputError, ValidationError, read_bytes, read_doc
 EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
 
-DEFAULT_SENSITIVITY = 2.0
 _BLOCK_ROWS = 1024  # rows per block of `row_norms`
 
 
@@ -186,8 +185,7 @@ def consecutive_distances(embeddings: np.ndarray) -> np.ndarray:
     return 1.0 - dots / (norms[:-1] * norms[1:])
 
 
-def detect_shots(embeddings: np.ndarray,
-                 sensitivity: float = DEFAULT_SENSITIVITY) -> list[range]:
+def detect_shots(embeddings: np.ndarray, sensitivity: float) -> list[range]:
     """Segment the frame sequence into shots, each the range of its frames,
     in temporal order.
 

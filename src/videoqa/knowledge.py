@@ -426,9 +426,14 @@ def build_json(store: KnowledgeStore) -> str:
 
 def load_build(path: str | Path) -> KnowledgeStore:
     """The store the build file at `path` holds, its tree validated. The
-    version comes first, so an older file is told to rebuild."""
+    version comes first, so an older file is told to rebuild. A structural
+    fault of the tree is named at `#/tree`, like every other fault."""
     root = read_doc(path, "build file", ValidationError).obj()
     _check_version(root)
-    tree = deserialize_tree(root.obj("tree"))
-    tree.validate()
+    tree_doc = root.obj("tree")
+    tree = deserialize_tree(tree_doc)
+    try:
+        tree.validate()
+    except ValidationError as exc:
+        tree_doc.fail(str(exc))
     return KnowledgeStore.from_sidecar(tree, root)

@@ -240,8 +240,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         def queue_score(caption: FrameCaption) -> None:
             shot = tree.shot_at(caption.frame_index)
             scores[shot.node_id] = calls.submit(
-                score_shots, [shot], {shot.node_id: caption.text},
-                question_context, backend)
+                score_shots, shot, caption.text, question_context, backend)
 
         first_caps = caption_frames(
             [s.representative_frame for s in tree.shots()],
@@ -260,7 +259,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         # are still in flight.
         if not config.uniform_sampling:
             for shot in tree.shots():
-                shot.relevance = scores[shot.node_id].result()[0]
+                shot.relevance = scores[shot.node_id].result()
                 expand_tree(tree, frames.embeddings, config.seed, [shot.node_id])
 
         retrieved = vtsearch(tree)
@@ -275,15 +274,14 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
             key = (tree.shot_at(caption.frame_index).node_id, caption.qtype)
             groups[key].append(caption)
             if len(groups[key]) == group_size[key[0]]:
-                fused[key] = calls.submit(summarize_segments, groups.pop(key),
-                                          tree, backend)
+                fused[key] = calls.submit(summarize_segments, *key,
+                                          groups.pop(key), backend)
 
         captions = caption_frames(retrieved, [s.result() for s in synthesized],
                                   backend, store.frame_ref, calls,
                                   landed=queue_fusion)
         store.add_captions(captions)
-        store.add_summaries([summary for key in sorted(fused)
-                             for summary in fused[key].result()])
+        store.add_summaries([fused[key].result() for key in sorted(fused)])
 
     return BuildResult(tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved)

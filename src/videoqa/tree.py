@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_right
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -183,10 +182,9 @@ class HybridTree:
 
 
 def tree_from_shots(video_id: str, shots: list[range], embeddings: np.ndarray,
-                    params: TreeParams | None = None) -> HybridTree:
+                    params: TreeParams) -> HybridTree:
     """Layer-1 tree: shot node i holds the i-th range of frames, in temporal
     order, represented by its frame nearest the centroid; no expansion."""
-    params = params or TreeParams()
     nodes = {}
     for shot_id, frames in enumerate(shots):
         rep = frames.start + nearest_to_centroid(
@@ -236,37 +234,28 @@ def scoring_prompt(caption: str, question: str, shot: TreeNode) -> str:
     )
 
 
-def score_shots(shots: Sequence[TreeNode], first_pass: dict[int, str],
-                question: str, llm: Backend,
-                pool: Executor | None = None) -> list[RelevanceScore]:
-    """Score each shot node against the question from its first-pass
-    caption (keyed by node id) via the chat backend, and return the scores
-    in the order of `shots`. The calls fan out on `pool`, or are made in
-    turn on this thread without one; either way no shot node is changed, so
-    the caller sets the scores in shot order.
+def score_shots(shot: TreeNode, caption: str, question: str,
+                llm: Backend) -> RelevanceScore:
+    """Score one shot node against the question from its first-pass
+    caption via the chat backend; the caller sets the score, in shot order.
 
-    Unparseable replies are retried once, then default to 3.0 with the
-    defaulted flag set. Transport failures carry the shot id, and the first
-    failing shot's is raised.
-    """
-    def score_one(shot: TreeNode) -> RelevanceScore:
-        prompt = scoring_prompt(first_pass[shot.node_id], question, shot)
-        try:
+    An unparseable reply is retried once, then defaults to 3.0 with the
+    defaulted flag set. A transport failure carries the shot id."""
+    prompt = scoring_prompt(caption, question, shot)
+    try:
+        reply = llm.call(chat_request(prompt))
+        value = _parse_score(reply)
+        if value is None:
             reply = llm.call(chat_request(prompt))
             value = _parse_score(reply)
-            if value is None:
-                reply = llm.call(chat_request(prompt))
-                value = _parse_score(reply)
-        except BackendError as exc:
-            raise BackendError(f"scoring shot {shot.node_id} failed: {exc}") from exc
-        if value is None:
-            logger.warning("shot %d: unparseable relevance %r, defaulting to %.1f",
-                           shot.node_id, reply[:80], DEFAULT_SCORE)
-            return RelevanceScore(DEFAULT_SCORE, rationale=reply[:200],
-                                  defaulted=True)
-        return RelevanceScore(value, rationale=reply[:200])
-
-    return list((pool.map if pool else map)(score_one, shots))
+    except BackendError as exc:
+        raise BackendError(f"scoring shot {shot.node_id} failed: {exc}") from exc
+    if value is None:
+        logger.warning("shot %d: unparseable relevance %r, defaulting to %.1f",
+                       shot.node_id, reply[:80], DEFAULT_SCORE)
+        return RelevanceScore(DEFAULT_SCORE, rationale=reply[:200],
+                              defaulted=True)
+    return RelevanceScore(value, rationale=reply[:200])
 
 
 # ---------------------------------------------------------------------------
@@ -425,20 +414,19 @@ def _randint(seed: int, n: int) -> int:
 
 
 def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int,
-                shots: Sequence[int] | None = None) -> HybridTree:
-    """Grow sub-event clusters under each of `shots` (node ids; every shot
-    by default) that passes the relevance gate (value > tau, strict). The
-    shot itself always gets its first split; recursion on a child stops at
-    max_depth or below 2k frames. Low-relevance shots stay leaves.
+                shots: Sequence[int]) -> HybridTree:
+    """Grow sub-event clusters under each of `shots` (node ids) that passes
+    the relevance gate (value > tau, strict). The shot itself always gets
+    its first split; recursion on a child stops at max_depth or below 2k
+    frames. Low-relevance shots stay leaves.
 
     New nodes take the next free ids, so shots expanded one call at a time
     in shot order get the ids, and the K-Means seeds, of one call over all
     of them."""
-    shots = tree.shot_order if shots is None else shots
     unscored = [sid for sid in shots if tree.nodes[sid].relevance is None]
     if unscored:
         raise ValidationError(f"shots not yet scored: {unscored[:5]}")
-    for sid in list(shots):
+    for sid in shots:
         shot = tree.nodes[sid]
         if tree.is_high_relevance(shot):
             _expand_node(tree, shot, embeddings, seed, force=True)

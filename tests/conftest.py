@@ -69,9 +69,8 @@ class RecordingBackend(Backend):
 
 @pytest.fixture
 def pool():
-    """The call pool that score_shots, caption_frames and
-    summarize_segments fan their calls out on, and that execute_workflow
-    runs evidence stages on."""
+    """The call pool that caption_frames fans its calls out on, and that
+    execute_workflow runs evidence stages on."""
     with ThreadPoolExecutor(max_workers=8) as executor:
         yield executor
 

@@ -160,7 +160,7 @@ def _ten_shot_tree(high_count: int):
     values = [4.0] * high_count + [1.0] * (10 - high_count)
     for shot, value in zip(tree.shots(), values):
         shot.relevance = RelevanceScore(value)
-    expand_tree(tree, emb, seed=2)
+    expand_tree(tree, emb, seed=2, shots=tree.shot_order)
     return tree
 
 

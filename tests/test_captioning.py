@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import logging
-import threading
 
 import pytest
 
@@ -19,9 +18,8 @@ from videoqa.captioning import (
     synthesize_prompt,
 )
 from videoqa.errors import BackendError, ValidationError
-from videoqa.tree import HybridTree, tree_from_shots
 
-from conftest import RecordingBackend, frame_line
+from conftest import RecordingBackend
 
 
 def _backend(*rules, default=None) -> MockBackend:
@@ -180,93 +178,42 @@ def test_caption_frame_bijection(pool) -> None:
 # Segment summaries
 # ---------------------------------------------------------------------------
 
-def _tree(shots: int = 2) -> HybridTree:
-    """Shots of four frames each, represented by frames 1, 5, 9."""
-    return tree_from_shots("v", [range(i * 4, i * 4 + 4) for i in range(shots)],
-                           frame_line(shots * 4))
-
-
-def test_summary_single_caption_passthrough_without_backend_call(pool) -> None:
+def test_summary_single_caption_passthrough_without_backend_call() -> None:
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="should not be called")))
     captions = [FrameCaption(1, "Causal", "the only caption")]
-    summaries = summarize_segments(captions, _tree(), backend, pool)
-    assert len(summaries) == 1
-    assert summaries[0].text == "the only caption"
-    assert summaries[0].shot_id == 0
+    summary = summarize_segments(0, "Causal", captions, backend)
+    assert summary == SegmentSummary(0, "Causal", "the only caption")
     assert len(backend.calls) == 0
 
 
-def test_summary_fuses_multiple_captions(pool) -> None:
+def test_summary_fuses_multiple_captions() -> None:
     script = MockScript()
     script.add("Fuse these frame captions", "joined summary")
     backend = RecordingBackend(MockBackend(script))
     captions = [FrameCaption(0, "Causal", "one"),
                 FrameCaption(2, "Causal", "two"),
                 FrameCaption(3, "Causal", "three")]
-    summaries = summarize_segments(captions, _tree(), backend, pool)
-    assert summaries == [SegmentSummary(0, "Causal", "joined summary")]
+    summary = summarize_segments(0, "Causal", captions, backend)
+    assert summary == SegmentSummary(0, "Causal", "joined summary")
     assert len(backend.calls) == 1
 
 
-def test_summary_groups_by_shot(pool) -> None:
-    llm = _backend(default="fused")
-    captions = [FrameCaption(0, "Temporal", "a"),
-                FrameCaption(1, "Temporal", "b"),
-                FrameCaption(5, "Temporal", "c")]
-    summaries = summarize_segments(captions, _tree(), llm, pool)
-    assert [(s.shot_id, s.text) for s in summaries] == \
-        [(0, "fused"), (1, "c")]
+def test_summary_lists_captions_in_frame_order() -> None:
+    """Captions handed over in the order they landed are fused in frame
+    order, by one fusion call."""
+    backend = RecordingBackend(_backend(default="fused"))
+    captions = [FrameCaption(3, "Temporal", "third"),
+                FrameCaption(0, "Temporal", "first"),
+                FrameCaption(2, "Temporal", "second")]
+    summarize_segments(1, "Temporal", captions, backend)
+    [call] = backend.calls
+    assert r"\n- first\n- second\n- third\nSummary:" in call.rendered
 
 
-def test_summary_groups_by_type_within_shot(pool) -> None:
-    llm = _backend(default="fused")
-    captions = [FrameCaption(0, "Causal", "a"),
-                FrameCaption(1, "Causal", "b"),
-                FrameCaption(2, "Descriptive", "c")]
-    summaries = summarize_segments(captions, _tree(), llm, pool)
-    assert {(s.shot_id, s.qtype) for s in summaries} == \
-        {(0, "Causal"), (0, "Descriptive")}
-
-
-def test_summary_caption_outside_shots_rejected(pool) -> None:
-    captions = [FrameCaption(99, "Causal", "stray")]
-    with pytest.raises(ValidationError, match="outside every shot"):
-        summarize_segments(captions, _tree(), _backend(default="x"),
-                           pool)
-
-
-def test_summary_backend_failure_names_shot(pool) -> None:
+def test_summary_backend_failure_names_shot() -> None:
     script = MockScript()
     script.add("Fuse these", error="transport")
     captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b")]
     with pytest.raises(BackendError, match="shot 0"):
-        summarize_segments(captions, _tree(), MockBackend(script), pool)
-
-
-def test_summary_fusion_calls_overlap(pool) -> None:
-    """Both fusion calls must be in flight at once to pass the barrier."""
-    barrier = threading.Barrier(2, timeout=5)
-
-    def fuse(rendered: str) -> str:
-        barrier.wait()
-        return "fused"
-
-    captions = [FrameCaption(0, "Causal", "a"), FrameCaption(1, "Causal", "b"),
-                FrameCaption(4, "Causal", "c"), FrameCaption(5, "Causal", "d")]
-    summaries = summarize_segments(captions, _tree(),
-                                   _backend(default=fuse), pool)
-    assert summaries == [SegmentSummary(0, "Causal", "fused"),
-                         SegmentSummary(1, "Causal", "fused")]
-
-
-def test_summary_concurrent_failure_names_first_failing_shot(pool) -> None:
-    script = MockScript(default_response="fused")
-    script.add("- c", error="transport")
-    script.add("- e", error="transport")
-    captions = [FrameCaption(f, "Causal", t) for f, t in
-                [(0, "a"), (1, "b"), (4, "c"), (5, "d")]]
-    captions += [FrameCaption(9, "Causal", "e"), FrameCaption(10, "Causal", "f")]
-    with pytest.raises(BackendError, match="shot 1"):
-        summarize_segments(captions, _tree(3),
-                           MockBackend(script), pool)
+        summarize_segments(0, "Causal", captions, MockBackend(script))

@@ -421,8 +421,9 @@ def _shot_as_child(doc: dict) -> None:
 def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
                                           message) -> None:
     """A tree that parses but breaks the tree's structure is rejected when
-    it loads, from `unreached-node` on (but `duplicate-node-id`) by
-    HybridTree.validate(), with a message naming the broken rule."""
+    it loads, `shots-reordered` and from `unreached-node` on (but
+    `duplicate-node-id`) by HybridTree.validate(), with a message naming
+    the file, the tree's pointer and the broken rule."""
     world = build_golden_world(tmp_path / "golden")
     main(_build_args(world, tmp_path))
     capsys.readouterr()
@@ -433,7 +434,8 @@ def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
     assert main(["inspect", str(broken)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.err.startswith(f"error: {broken}#/tree")
+    assert "Traceback" not in captured.err
     assert message in captured.err
 
 

@@ -7,15 +7,18 @@ The check parses each module with `ast`: a call of the builtin `open`, or
 of a method named like a `Path` file method, is a file access; calling the
 `errors.py` functions by their imported names is not.
 
-The same parse pins one layer: the tree's shot nodes are the only shot
-type, so `tree.py` takes shots as frame ranges and imports nothing from
-`ingest`.
+The same parse pins the layers in LAYERS: the tree's shot nodes are the
+only shot type, so `tree.py` takes shots as frame ranges and imports nothing
+from `ingest`; the build groups captions by shot, so `captioning.py` fuses
+each group without the tree.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import videoqa
 
@@ -27,6 +30,8 @@ ALLOWED = {
     ("captioning.py", "load_template"): "the package's own templates",
     ("ingest.py", "write_embeddings"): "the writer of generated inputs",
 }
+# (module, package module it must not import)
+LAYERS = [("tree.py", "videoqa.ingest"), ("captioning.py", "videoqa.tree")]
 
 
 def _file_accesses(tree: ast.AST) -> list[tuple[str, int]]:
@@ -83,9 +88,9 @@ def _imported(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_tree_does_not_import_ingest() -> None:
-    source = (PACKAGE_DIR / "tree.py").read_text(encoding="utf-8")
+@pytest.mark.parametrize("module,forbidden", LAYERS)
+def test_module_does_not_import(module, forbidden) -> None:
+    source = (PACKAGE_DIR / module).read_text(encoding="utf-8")
     imported = _imported(ast.parse(source))
-    assert not any(name == "videoqa.ingest" or name.startswith("videoqa.ingest.")
-                   for name in imported), "tree.py imports ingest"
-
+    assert not any(name == forbidden or name.startswith(forbidden + ".")
+                   for name in imported), f"{module} imports {forbidden}"

@@ -17,7 +17,7 @@ from videoqa.ingest import (
     row_norms,
     write_embeddings,
 )
-from videoqa.tree import tree_from_shots
+from videoqa.tree import TreeParams, tree_from_shots
 
 from conftest import RecordingBackend, shot_embeddings, write_video
 
@@ -33,7 +33,8 @@ def select_representative(shot: range, embeddings: np.ndarray) -> int:
     frames `shot`, given exactly their embedding rows."""
     rows = np.zeros((shot.stop, embeddings.shape[1]), dtype=embeddings.dtype)
     rows[shot.start:] = embeddings
-    return tree_from_shots("v", [shot], rows).shots()[0].representative_frame
+    return tree_from_shots("v", [shot], rows,
+                           TreeParams()).shots()[0].representative_frame
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_ingest_holds_one_copy_of_the_matrix(tmp_path) -> None:
         read_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         _validate_matrix(loaded)
-        detect_shots(loaded)
+        detect_shots(loaded, 2.0)
         check_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,7 +320,7 @@ def test_partition_property_random_inputs() -> None:
             covered.extend(shot)
         assert covered == list(range(n))
         assert all(shots), "no empty shot"
-        for shot in tree_from_shots("v", shots, emb).shots():
+        for shot in tree_from_shots("v", shots, emb, TreeParams()).shots():
             assert shot.representative_frame in shot.frames
 
 

@@ -364,7 +364,7 @@ def trees(draw):
             shot.relevance = RelevanceScore(draw(st.floats(1.0, 5.0)),
                                             draw(st.text(max_size=6)),
                                             draw(st.booleans()))
-        expand_tree(tree, embeddings, seed=0)
+        expand_tree(tree, embeddings, seed=0, shots=tree.shot_order)
     return tree
 
 

@@ -500,6 +500,17 @@ def test_build_score_failure_names_the_lowest_failing_shot(
     assert str(raised).startswith("scoring shot 1 failed")
 
 
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_fusion_failure_names_the_lowest_failing_group(
+        tmp_path, max_inflight) -> None:
+    """The Temporal and Descriptive fusions of shot 2 both fail; the error
+    names (2, Descriptive) however the two calls finish."""
+    _, raised = _failing_build(tmp_path, max_inflight, "temporal-focused",
+                               "descriptive-focused")
+    assert isinstance(raised, BackendError)
+    assert str(raised).startswith("summarizing shot 2 Descriptive failed")
+
+
 def test_failed_build_drops_the_calls_still_queued(tmp_path) -> None:
     """At one call in flight, shot 1's score fails while shot 2's is in
     flight: the build raises without making shot 3's score call or any

@@ -212,7 +212,7 @@ def _layer1(lengths: list[int], params: TreeParams | None = None,
     identical rows make each shot's first frame its representative."""
     if emb is None:
         emb = np.ones((sum(lengths), 1))
-    return tree_from_shots("v", _shots(lengths), emb, params)
+    return tree_from_shots("v", _shots(lengths), emb, params or TreeParams())
 
 
 def _set_scores(tree: HybridTree, values: list[float]) -> None:
@@ -220,71 +220,69 @@ def _set_scores(tree: HybridTree, values: list[float]) -> None:
         shot.relevance = RelevanceScore(value)
 
 
-def test_score_shots_parses_scripted_scores(pool) -> None:
+def test_score_shots_parses_scripted_scores() -> None:
     tree = _layer1([4, 4, 4])
     script = MockScript(default_response="1")
     script.add("Segment 2 (", "4")
-    scores = score_shots(tree.shots(), {0: "c0", 1: "c1", 2: "c2"}, "why?",
-                         MockBackend(script), pool)
+    scores = [score_shots(shot, f"c{shot.node_id}", "why?", MockBackend(script))
+              for shot in tree.shots()]
     assert [s.value for s in scores] == [1.0, 1.0, 4.0]
     assert not any(s.defaulted for s in scores)
     assert all(shot.relevance is None for shot in tree.shots()), \
         "scoring leaves setting the scores to the caller"
 
 
-def test_score_shots_gate_is_strict_at_tau(pool) -> None:
+def test_score_shots_gate_is_strict_at_tau() -> None:
     tree = _layer1([4, 4], TreeParams(tau=2.5))
     script = MockScript(default_response="2.5")
-    _set_scores(tree, [s.value for s in score_shots(
-        tree.shots(), {0: "a", 1: "b"}, "q", MockBackend(script), pool)])
+    _set_scores(tree, [score_shots(shot, "c", "q", MockBackend(script)).value
+                       for shot in tree.shots()])
     emb = shot_embeddings([4, 4])
-    expand_tree(tree, emb, seed=0)
+    expand_tree(tree, emb, seed=0, shots=tree.shot_order)
     assert all(not tree.nodes[s].children for s in tree.shot_order), \
         "score == tau must not expand (strict inequality)"
 
 
-def test_score_shots_unparseable_retried_once_then_default(pool) -> None:
+def test_score_shots_unparseable_retried_once_then_default() -> None:
     tree = _layer1([4])
     backend = RecordingBackend(MockBackend(MockScript(
         default_response="no idea, sorry")))
-    [score] = score_shots(tree.shots(), {0: "c"}, "q", backend, pool)
+    score = score_shots(tree.nodes[0], "c", "q", backend)
     assert len(backend.calls) == 2, "one retry before defaulting"
     assert score.value == 3.0
     assert score.defaulted is True
 
 
-def test_score_shots_out_of_range_number_is_unparseable(pool) -> None:
+def test_score_shots_out_of_range_number_is_unparseable() -> None:
     tree = _layer1([4])
     script = MockScript(default_response="9")
-    [score] = score_shots(tree.shots(), {0: "c"}, "q", MockBackend(script),
-                          pool)
+    score = score_shots(tree.nodes[0], "c", "q", MockBackend(script))
     assert score.defaulted is True
 
 
-def test_score_shots_backend_error_names_shot(pool) -> None:
+def test_score_shots_backend_error_names_shot() -> None:
     tree = _layer1([4])
     script = MockScript()
     script.add("Segment 0", error="transport")
     with pytest.raises(BackendError, match="shot 0"):
-        score_shots(tree.shots(), {0: "c"}, "q", MockBackend(script), pool)
+        score_shots(tree.nodes[0], "c", "q", MockBackend(script))
 
 
-def test_tau_sweep_expansion_changes_only_at_integers(pool) -> None:
+def test_tau_sweep_expansion_changes_only_at_integers() -> None:
     scored = _layer1([8, 8, 8, 8, 8])
     script = MockScript()
     for i in range(5):
         script.add(f"Segment {i} (", str(i + 1))
-    for shot, score in zip(scored.shots(), score_shots(
-            scored.shots(), {i: f"c{i}" for i in range(5)}, "q",
-            MockBackend(script), pool)):
-        shot.relevance = score
+    for shot in scored.shots():
+        shot.relevance = score_shots(shot, f"c{shot.node_id}", "q",
+                                     MockBackend(script))
     emb = shot_embeddings([8, 8, 8, 8, 8])
 
     def expansion_set(tau: float) -> tuple[int, ...]:
         tree = _layer1([8, 8, 8, 8, 8], TreeParams(tau=tau))
         for shot, scored_shot in zip(tree.shots(), scored.shots()):
             shot.relevance = scored_shot.relevance
-        expand_tree(tree, emb, seed=1)
+        expand_tree(tree, emb, seed=1, shots=tree.shot_order)
         return tuple(s for s in tree.shot_order if tree.nodes[s].children)
 
     inside = {t: expansion_set(t) for t in (2.0, 2.1, 2.5, 2.9, 2.999)}
@@ -313,7 +311,7 @@ def test_expand_sixteen_frame_shot_binary_subtree() -> None:
     emb = _sub_event_embeddings()
     tree = _layer1([16], TreeParams(tau=2.5, k=2, max_depth=3), emb)
     _set_scores(tree, [4.0])
-    expand_tree(tree, emb, seed=5)
+    expand_tree(tree, emb, seed=5, shots=tree.shot_order)
     by_depth: dict[int, int] = {}
     for node in tree.nodes.values():
         by_depth[node.depth] = by_depth.get(node.depth, 0) + 1
@@ -327,7 +325,7 @@ def test_expand_no_qualifying_shot_leaves_tree_unchanged() -> None:
     tree = _layer1([6, 6], TreeParams(tau=2.5), emb)
     _set_scores(tree, [2.0, 1.0])
     before = tree_to_json(tree)
-    expand_tree(tree, emb, seed=0)
+    expand_tree(tree, emb, seed=0, shots=tree.shot_order)
     assert tree_to_json(tree) == before
 
 
@@ -335,7 +333,7 @@ def test_expand_three_frame_shot_singleton_not_recursed() -> None:
     emb = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0]], dtype=np.float32)
     tree = _layer1([3], TreeParams(k=2, max_depth=3), emb)
     _set_scores(tree, [5.0])
-    expand_tree(tree, emb, seed=7)
+    expand_tree(tree, emb, seed=7, shots=tree.shot_order)
     shot = tree.nodes[0]
     children = [tree.nodes[c] for c in shot.children]
     assert sorted(len(c.frames) for c in children) == [1, 2], \
@@ -348,7 +346,7 @@ def test_expand_three_frame_shot_singleton_not_recursed() -> None:
 def test_expand_requires_scores() -> None:
     tree = _layer1([4])
     with pytest.raises(ValidationError, match="not yet scored"):
-        expand_tree(tree, shot_embeddings([4]), seed=0)
+        expand_tree(tree, shot_embeddings([4]), seed=0, shots=tree.shot_order)
 
 
 def test_expand_determinism_byte_identical() -> None:
@@ -358,7 +356,7 @@ def test_expand_determinism_byte_identical() -> None:
     def build() -> str:
         tree = _layer1([9, 9, 9], TreeParams(), emb)
         _set_scores(tree, values)
-        expand_tree(tree, emb, seed=77)
+        expand_tree(tree, emb, seed=77, shots=tree.shot_order)
         return tree_to_json(tree)
 
     assert build() == build()
@@ -373,7 +371,7 @@ def test_random_trees_satisfy_structural_invariants() -> None:
         shots = detect_shots(emb, 2.0)
         tree = tree_from_shots("v", shots, emb, params)
         _set_scores(tree, [float(rng.integers(1, 6)) for _ in shots])
-        expand_tree(tree, emb, seed=trial)
+        expand_tree(tree, emb, seed=trial, shots=tree.shot_order)
         tree.validate()
 
         # Gating soundness both ways: only gate-passing shots (or their
@@ -420,7 +418,8 @@ def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
         nodes[10 + 3 * i] = TreeNode(10 + 3 * i, KIND_SHOT, frames, frames.start,
                                      1, relevance=RelevanceScore(scores[i]))
     tree = HybridTree("v", TreeParams(), nodes, list(nodes))
-    expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1)
+    expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1,
+                shots=tree.shot_order)
     if reload:
         tree = _load(serialize_tree(tree))
     tree.validate()
@@ -440,7 +439,7 @@ def _scored_tree(lengths: list[int], values: list[float],
     tree = _layer1(lengths, params or TreeParams(), emb)
     _set_scores(tree, values)
     if emb is not None:
-        expand_tree(tree, emb, seed=3)
+        expand_tree(tree, emb, seed=3, shots=tree.shot_order)
     return tree
 
 
@@ -497,7 +496,7 @@ def _expanded_tree():
     tree = tree_from_shots("vid-9", [range(16)], emb,
                            TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
     tree.nodes[0].relevance = RelevanceScore(4.0, rationale="looks key")
-    expand_tree(tree, emb, seed=5)
+    expand_tree(tree, emb, seed=5, shots=tree.shot_order)
     return tree
 
 
