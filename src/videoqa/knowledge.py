@@ -11,9 +11,12 @@ strategy, tool list, and evidence weights per type.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .captioning import (
     QTYPE_CAUSAL,
@@ -169,42 +172,61 @@ def load_profiles(config_dir: str | Path | None) -> dict[str, AgentProfile]:
 
 @dataclass
 class RetrievalResult:
+    """One page of a retrieval: the selected rows from `offset` on, at most
+    `PAGE_ROWS` of them, and the count of rows selected. A result given no
+    count holds every selected row."""
+
     scope: str
     degraded: bool
     rows: list[dict]
     offset: int = 0
+    selected: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.selected is None:
+            self.selected = len(self.rows)
 
     def as_text(self) -> str:
-        """The page of at most `PAGE_ROWS` whole rows that starts at `offset`,
-        one row per line. A cut page ends with a line naming the rows left
-        and the offset that reads on; an offset past the end gives the empty
-        observation and the row count."""
-        end = self.offset + PAGE_ROWS
-        page = self.rows[self.offset:end]
-        if not page:
+        """The page's rows, one per line. A cut page ends with a line naming
+        the rows left and the offset that reads on; an offset past the end
+        gives the empty observation and the row count."""
+        if not self.rows:
             empty = f"({self.scope}: no entries)"
             if self.offset:
-                empty += (f" {len(self.rows)} rows; offset {self.offset} "
+                empty += (f" {self.selected} rows; offset {self.offset} "
                           "is past the end")
             return empty
         lines = []
-        for row in page:
+        for row in self.rows:
             parts = [f"{k}={row[k]}" for k in sorted(row)]
             lines.append("  ".join(parts))
-        if len(self.rows) > end:
-            lines.append(f'{len(self.rows) - end} more rows; pass '
+        end = self.offset + len(self.rows)
+        if self.selected > end:
+            lines.append(f'{self.selected - end} more rows; pass '
                          f'{{"offset": {end}}}')
         prefix = "[degraded: generic captions] " if self.degraded else ""
         return prefix + "\n".join(lines)
+
+
+def _page(scope: str, degraded: bool, keys: Sequence[int], lo: int, hi: int,
+          offset: int, row: Callable[[int], dict]) -> RetrievalResult:
+    """The page at `offset` of the selection `keys[lo:hi]`: `row` builds the
+    rows of the page's keys alone."""
+    start = lo + offset
+    page = keys[start:min(hi, start + PAGE_ROWS)]
+    return RetrievalResult(scope, degraded, [row(key) for key in page],
+                           offset, max(0, hi - lo))
 
 
 @dataclass
 class KnowledgeStore:
     """Immutable-after-population retrieval surface over one video.
 
-    Retrieval is indexed: a selector becomes a frame interval, and each
-    scope costs O(shots + rows returned). The tree answers which shot holds
-    a frame.
+    Retrieval is indexed: a selector becomes a frame interval, a few bisects
+    turn it into a run of sorted keys, and only the rows of the page shown
+    are built. So a retrieval costs O(log n + PAGE_ROWS) however long the
+    video; a selector that lists shot ids also costs its length. The
+    tree answers which shot holds a frame.
     """
 
     tree: HybridTree
@@ -214,13 +236,46 @@ class KnowledgeStore:
     first_pass: dict[int, str] = field(default_factory=dict)
     frame_paths: dict[int, str] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Per type, in frame order: its captions' frames, the frames of
+        # those no shot holds, and the first frames of the listed shots it
+        # has summaries of (a key for each type with any summary). The two
+        # writers keep them in step, and this constructor goes through them.
+        self._caption_frames: dict[str, list[int]] = {}
+        self._orphan_frames: dict[str, list[int]] = {}
+        self._summary_starts: dict[str, list[int]] = {}
+        captions, self.captions = self.captions, {}
+        summaries, self.summaries = self.summaries, {}
+        self.add_captions(list(captions.values()))
+        self.add_summaries(list(summaries.values()))
+
     def add_captions(self, captions: list[FrameCaption]) -> None:
         for cap in captions:
-            self.captions[(cap.frame_index, cap.qtype)] = cap
+            key = (cap.frame_index, cap.qtype)
+            if key not in self.captions:
+                insort(self._caption_frames.setdefault(cap.qtype, []),
+                       cap.frame_index)
+                if self.tree.shot_at(cap.frame_index) is None:
+                    insort(self._orphan_frames.setdefault(cap.qtype, []),
+                           cap.frame_index)
+            self.captions[key] = cap
 
     def add_summaries(self, summaries: list[SegmentSummary]) -> None:
         for summary in summaries:
-            self.summaries[(summary.shot_id, summary.qtype)] = summary
+            key = (summary.shot_id, summary.qtype)
+            if key not in self.summaries:
+                starts = self._summary_starts.setdefault(summary.qtype, [])
+                with suppress(NotFoundError):  # only a listed shot's shows
+                    insort(starts, self._shot_by_id(summary.shot_id).start_frame)
+            self.summaries[key] = summary
+
+    @cached_property
+    def _first_pass_starts(self) -> tuple[int, ...]:
+        """First frames of the shots with first-pass text, in shot order.
+        The build writes `first_pass` shot by shot, before any retrieval,
+        so this is built on the first read."""
+        return tuple(shot.start_frame for shot in self.tree.shots()
+                     if shot.node_id in self.first_pass)
 
     def frame_ref(self, frame_index: int) -> str:
         """The reference a model call names a frame by: its image path, or
@@ -248,10 +303,10 @@ class KnowledgeStore:
                  selector: dict | None = None) -> RetrievalResult:
         """Pure read at one of the three scopes. A store not populated for
         the requested type falls back to the generic first-pass captions
-        with degraded=True. The result holds every selected row; the
-        selector's `offset` (default 0, any scope) picks the page its text
-        shows. A selector key of another type than the README's raises
-        ValidationError."""
+        with degraded=True. The result holds the page of selected rows that
+        starts at the selector's `offset` (default 0, any scope), and how
+        many rows were selected. A selector key of another type than the
+        README's raises ValidationError."""
         if scope not in RETRIEVAL_SCOPES:
             raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = Doc(selector or {}, ValidationError, scope)
@@ -259,26 +314,26 @@ class KnowledgeStore:
         if offset < 0:
             selector.fail(f"must be >= 0, got {offset}", "offset")
         if scope == SCOPE_TEMPORAL_INDEX:
-            result = self._temporal_index()
-        elif scope == SCOPE_MOMENT_CAPTIONS:
-            result = self._moment_captions(qtype, selector)
-        else:
-            result = self._segment_summaries(qtype, selector)
-        result.offset = offset
-        return result
+            return self._temporal_index(offset)
+        if scope == SCOPE_MOMENT_CAPTIONS:
+            return self._moment_captions(qtype, selector, offset)
+        return self._segment_summaries(qtype, selector, offset)
 
-    def _temporal_index(self) -> RetrievalResult:
-        rows = []
-        for shot in self.tree.shots():
-            rows.append({
+    def _temporal_index(self, offset: int) -> RetrievalResult:
+        def row(shot_id: int) -> dict:
+            shot = self.tree.nodes[shot_id]
+            return {
                 "shot_id": shot.node_id,
                 "node_id": shot.node_id,
                 "start_s": shot.start_frame / self.fps,
                 "end_s": (shot.end_frame + 1) / self.fps,
                 "relevance": (shot.relevance.value
                               if shot.relevance is not None else None),
-            })
-        return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows)
+            }
+
+        order = self.tree.shot_order
+        return _page(SCOPE_TEMPORAL_INDEX, False, order, 0, len(order), offset,
+                     row)
 
     def _selected_interval(self, selector: Doc) -> tuple[int, int] | None:
         """The frames a selector names, as [first, last]; a model-chosen
@@ -294,60 +349,72 @@ class KnowledgeStore:
             return bounds[0], bounds[1]
         return None
 
-    def _moment_captions(self, qtype: str, selector: Doc) -> RetrievalResult:
+    def _moment_captions(self, qtype: str, selector: Doc,
+                         offset: int) -> RetrievalResult:
         interval = self._selected_interval(selector)
-        typed = [(frame, cap) for (frame, ctype), cap in self.captions.items()
-                 if ctype == qtype]
-        if not typed:
-            selected = None
-            if interval is not None:
-                lo, hi = interval
-                selected = {shot.node_id for shot in self.tree.shots()
-                            if max(lo, shot.start_frame) <= min(hi, shot.end_frame)}
-            return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, selected)
-        if interval is not None:
-            lo, hi = interval
-            typed = [(frame, cap) for frame, cap in typed if lo <= frame <= hi]
-        rows = [{"frame": frame, "node_id": self._owner_shot_id(frame),
-                 "text": cap.text}
-                for frame, cap in sorted(typed, key=lambda item: item[0])]
-        return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows)
+        frames = self._caption_frames.get(qtype)
+        if not frames:
+            return self._first_pass_page(SCOPE_MOMENT_CAPTIONS, interval, offset)
+        first, last = interval or (frames[0], frames[-1])
+        orphans = self._orphan_frames.get(qtype, [])
+        i = bisect_left(orphans, first)
+        if i < len(orphans) and orphans[i] <= last:
+            raise NotFoundError(f"frame {orphans[i]} falls outside every shot")
 
-    def _segment_summaries(self, qtype: str, selector: Doc) -> RetrievalResult:
+        def row(frame: int) -> dict:
+            return {"frame": frame, "node_id": self._owner_shot_id(frame),
+                    "text": self.captions[(frame, qtype)].text}
+
+        return _page(SCOPE_MOMENT_CAPTIONS, False, frames,
+                     bisect_left(frames, first), bisect_right(frames, last),
+                     offset, row)
+
+    def _segment_summaries(self, qtype: str, selector: Doc,
+                           offset: int) -> RetrievalResult:
         shot_ids = selector.integers("shot_ids", None)
         if shot_ids is None and "shot_id" in selector.value:
             shot_ids = [selector.integer("shot_id")]
-        if shot_ids is None:
-            shots = self.tree.shots()
-        else:
+        starts = self._summary_starts.get(qtype)
+        if shot_ids is not None:
             shots = [self._shot_by_id(s) for s in shot_ids]
-        populated = any(key[1] == qtype for key in self.summaries)
-        if populated:
-            rows = []
-            for shot in shots:
-                summary = self.summaries.get((shot.node_id, qtype))
-                if summary is not None:
-                    rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
-                                 "text": summary.text})
-            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, False, rows)
-        selected = (None if shot_ids is None
-                    else {shot.node_id for shot in shots})
-        return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, selected)
+            if starts is None:
+                # Each selected shot once, in shot order.
+                starts = sorted({shot.start_frame for shot in shots
+                                 if shot.node_id in self.first_pass})
+                return _page(SCOPE_SEGMENT_SUMMARIES, True, starts, 0,
+                             len(starts), offset, self._first_pass_row)
+            starts = [shot.start_frame for shot in shots
+                      if (shot.node_id, qtype) in self.summaries]
+        elif starts is None:
+            return self._first_pass_page(SCOPE_SEGMENT_SUMMARIES, None, offset)
 
-    def _first_pass_rows(self, scope: str,
-                         selected: set[int] | None) -> RetrievalResult:
-        """First-pass captions of the selected shots, in shot order; every
-        shot when `selected` is None. Shots partition the frames, so a shot
-        overlaps the selected frames exactly when it is selected."""
-        rows = []
-        for shot in self.tree.shots():
-            if selected is not None and shot.node_id not in selected:
-                continue
-            text = self.first_pass.get(shot.node_id)
-            if text is not None:
-                rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
-                             "text": text})
-        return RetrievalResult(scope, True, rows)
+        def row(start: int) -> dict:
+            shot_id = self.tree.shot_at(start).node_id
+            return {"shot_id": shot_id, "node_id": shot_id,
+                    "text": self.summaries[(shot_id, qtype)].text}
+
+        return _page(SCOPE_SEGMENT_SUMMARIES, False, starts, 0, len(starts),
+                     offset, row)
+
+    def _first_pass_page(self, scope: str, interval: tuple[int, int] | None,
+                         offset: int) -> RetrievalResult:
+        """First-pass captions of the shots that overlap `interval`, in shot
+        order; every shot when it is None. The shots run in frame order, so
+        they are those from the one holding its first frame, or starting
+        after it, to the last starting by its last."""
+        starts = self._first_pass_starts
+        lo, hi = 0, len(starts)
+        if interval is not None:
+            first, last = interval
+            shot = self.tree.shot_at(first)
+            lo = bisect_left(starts, shot.start_frame if shot else first)
+            hi = bisect_right(starts, last) if first <= last else lo
+        return _page(scope, True, starts, lo, hi, offset, self._first_pass_row)
+
+    def _first_pass_row(self, start: int) -> dict:
+        shot_id = self.tree.shot_at(start).node_id
+        return {"shot_id": shot_id, "node_id": shot_id,
+                "text": self.first_pass[shot_id]}
 
     # -- sidecar ------------------------------------------------------------
 

@@ -50,7 +50,7 @@ from .captioning import (
     synthesize_prompt,
 )
 from .config import EngineConfig
-from .errors import Doc, ValidationError, canonical_json, read_doc
+from .errors import BackendError, Doc, ValidationError, canonical_json, read_doc
 from .ingest import detect_shots, load_frames
 from .knowledge import AgentProfile, KnowledgeStore, load_profiles
 from .orchestrator import (
@@ -163,11 +163,16 @@ def uniform_leaf_shots(num_frames: int, count: int) -> list[range]:
 def classify(raw: RawQuestion, config: EngineConfig,
              backend: Backend) -> QuestionBundle:
     """The question's bundle, typed as declared unless `reclassify` is set
-    or no type is declared, in which case the classifier types it."""
+    or no type is declared, in which case the classifier types it. A failed
+    call names the question."""
     if raw.declared_type is not None and not config.reclassify:
         qtype = raw.declared_type
     else:
-        qtype = classify_question(raw.text, list(raw.options), backend)
+        try:
+            qtype = classify_question(raw.text, list(raw.options), backend)
+        except BackendError as exc:
+            raise BackendError(f"classifying question {raw.question_id} "
+                               f"failed: {exc}") from exc
     return QuestionBundle(question_id=raw.question_id, text=raw.text,
                           options=raw.options, qtype=qtype)
 
@@ -176,11 +181,16 @@ def type_prompt(qtype: str, bundles: list[QuestionBundle],
                 config: EngineConfig, backend: Backend) -> VisualPrompt:
     """The visual prompt for one type: synthesized from the type's
     questions, or the generic template under the generic-captions
-    ablation."""
+    ablation. A failed call names the type."""
     if config.generic_captions:
         return replace(generic_prompt(config.template_dir), qtype=qtype)
-    return synthesize_prompt(qtype, [b.text for b in bundles if b.qtype == qtype],
-                             backend, config.template_dir)
+    try:
+        return synthesize_prompt(
+            qtype, [b.text for b in bundles if b.qtype == qtype], backend,
+            config.template_dir)
+    except BackendError as exc:
+        raise BackendError(f"synthesizing the {qtype} prompt failed: "
+                           f"{exc}") from exc
 
 
 @contextmanager

@@ -16,6 +16,7 @@ import logging
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -116,12 +117,16 @@ class HybridTree:
     def num_frames(self) -> int:
         return self.shots()[-1].end_frame + 1 if self.shot_order else 0
 
+    @cached_property
+    def _shot_starts(self) -> list[int]:
+        return [self.nodes[sid].start_frame for sid in self.shot_order]
+
     def shot_at(self, frame: int) -> TreeNode | None:
         """The shot node holding `frame`, or None past either end. Shots run
-        in order with no gaps (see `validate`), so this bisects their
-        start frames."""
-        i = bisect_right(self.shot_order, frame,
-                         key=lambda sid: self.nodes[sid].start_frame)
+        in order with no gaps (see `validate`), so this bisects their first
+        frames, listed once per tree: a tree's shots never change once it
+        exists, since expansion adds only clusters."""
+        i = bisect_right(self._shot_starts, frame)
         shot = self.nodes[self.shot_order[i - 1]] if i else None
         return shot if shot and frame <= shot.end_frame else None
 

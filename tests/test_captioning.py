@@ -10,6 +10,7 @@ from videoqa.captioning import (
     FrameCaption,
     QuestionBundle,
     SegmentSummary,
+    VisualPrompt,
     caption_frames,
     classify_question,
     generic_prompt,
@@ -162,6 +163,18 @@ def test_caption_frames_total_outage_raises(pool) -> None:
     with pytest.raises(BackendError, match="all 3 frames"):
         caption_frames([1, 2, 3], [generic_prompt()], MockBackend(script), _refs,
                        pool)
+
+
+def test_caption_frames_outage_under_the_first_prompt_names_it(pool) -> None:
+    """Every call under the first of two prompts fails; the second's all
+    succeed."""
+    script = MockScript(default_response="fine")
+    script.add("causal-view", error="transport")
+    prompts = [VisualPrompt("Causal", "[causal-view] look"),
+               VisualPrompt("Temporal", "[temporal-view] look")]
+    with pytest.raises(BackendError,
+                       match="all 3 frames under the Causal prompt"):
+        caption_frames([1, 2, 3], prompts, MockBackend(script), _refs, pool)
 
 
 def test_caption_frame_bijection(pool) -> None:

@@ -282,6 +282,25 @@ def test_cli_eval_golden_suite(tmp_path, capsys) -> None:
     assert recount == 10
 
 
+def test_cli_eval_failed_classification_names_the_question(tmp_path,
+                                                         capsys) -> None:
+    """The golden questions declare no type, so each is classified; a reply
+    that is the JSON number 42 fails the type check."""
+    world = build_golden_world(tmp_path / "golden")
+    script = json.loads(world.script_path.read_text())
+    script["rules"].insert(0, {"match": "Classify this multiple-choice",
+                               "response": 42})
+    world.script_path.write_text(json.dumps(script))
+    code = main(["eval", str(world.dataset_path),
+                 "--out-records", str(tmp_path / "records.jsonl"),
+                 "--out-report", str(tmp_path / "report.json"),
+                 "--mock-script", str(world.script_path)])
+    assert code == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: classifying question a_q1 failed: chat reply#: expected a "
+        "string, got 42")
+
+
 def test_cli_eval_byte_identical_reruns(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
 

@@ -290,6 +290,14 @@ def test_detect_shots_two_frames_single_shot() -> None:
     assert detect_shots(emb, 2.0) == [range(0, 2)]
 
 
+def test_detect_shots_three_frames_below_unit_sensitivity() -> None:
+    """Distances 0 and 1: mean 0.5 and deviation 0.5 put the threshold at
+    0.75 at sensitivity 0.5, so the second pair is cut."""
+    e0, e1 = [1.0, 0.0], [0.0, 1.0]
+    emb = np.array([e0, e0, e1], dtype=np.float32)
+    assert detect_shots(emb, 0.5) == [range(0, 2), range(2, 3)]
+
+
 def test_detect_shots_empty_and_bad_sensitivity() -> None:
     with pytest.raises(ValidationError):
         detect_shots(np.zeros((0, 3), dtype=np.float32), 2.0)

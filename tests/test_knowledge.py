@@ -256,11 +256,11 @@ DEGRADED = "[degraded: generic captions] "
 LONG_SHOTS = 2 * PAGE_ROWS + 3
 
 
-def _unpaged_lines(result, monkeypatch) -> list[str]:
+def _unpaged(store, scope, qtype, monkeypatch):
+    """The whole selection, as one page."""
     with monkeypatch.context() as patch:
-        patch.setattr(knowledge, "PAGE_ROWS", len(result.rows) + 1)
-        text = result.as_text()
-    return text.removeprefix(DEGRADED).split("\n")
+        patch.setattr(knowledge, "PAGE_ROWS", 10**9)
+        return store.retrieve(scope, qtype)
 
 
 @pytest.mark.parametrize("qtype,degraded", [("Descriptive", False),
@@ -269,7 +269,7 @@ def _unpaged_lines(result, monkeypatch) -> list[str]:
 def test_pages_hold_whole_rows_in_shot_order(scope, qtype, degraded,
                                              monkeypatch) -> None:
     store = long_store(LONG_SHOTS)
-    whole = store.retrieve(scope, qtype)
+    whole = _unpaged(store, scope, qtype, monkeypatch)
     assert whole.degraded is (degraded and scope != "temporal_index")
     total = len(whole.rows)
     assert total > 2 * PAGE_ROWS
@@ -293,14 +293,14 @@ def test_pages_hold_whole_rows_in_shot_order(scope, qtype, degraded,
         offset += PAGE_ROWS
         assert (int(footer.group(1)), int(footer.group(2))) == \
             (total - offset, offset)
-    assert seen == _unpaged_lines(whole, monkeypatch), \
+    assert seen == whole.as_text().removeprefix(DEGRADED).split("\n"), \
         "the pages put together are the whole result"
 
 
 @pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
 def test_page_ending_at_the_last_row_has_no_footer(scope) -> None:
     store = long_store(LONG_SHOTS)
-    total = len(store.retrieve(scope, "Descriptive").rows)
+    total = store.retrieve(scope, "Descriptive").selected
     text = store.retrieve(scope, "Descriptive",
                           {"offset": total - PAGE_ROWS}).as_text()
     assert len(text.split("\n")) == PAGE_ROWS
@@ -311,7 +311,7 @@ def test_page_ending_at_the_last_row_has_no_footer(scope) -> None:
 @pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
 def test_offset_past_the_end_names_the_row_count(scope, qtype) -> None:
     store = long_store(LONG_SHOTS)
-    total = len(store.retrieve(scope, qtype).rows)
+    total = store.retrieve(scope, qtype).selected
     for offset in (total, total + 7):
         assert store.retrieve(scope, qtype, {"offset": offset}).as_text() == \
             f"({scope}: no entries) {total} rows; offset {offset} is past the end"
@@ -332,6 +332,63 @@ def test_empty_first_page_names_no_count() -> None:
     assert _store().retrieve("segment_summaries", "Causal",
                              {"shot_ids": []}).as_text() == \
         "(segment_summaries: no entries)"
+
+
+def test_page_size_is_twenty_rows() -> None:
+    """Written out, not derived from PAGE_ROWS: the page size shapes every
+    paged ReAct prompt."""
+    store = long_store(25)
+    assert store.retrieve("temporal_index", "Causal").as_text() == "\n".join([
+        "end_s=2.0  node_id=0  relevance=1.0  shot_id=0  start_s=0.0",
+        "end_s=4.0  node_id=1  relevance=2.0  shot_id=1  start_s=2.0",
+        "end_s=6.0  node_id=2  relevance=3.0  shot_id=2  start_s=4.0",
+        "end_s=8.0  node_id=3  relevance=4.0  shot_id=3  start_s=6.0",
+        "end_s=10.0  node_id=4  relevance=5.0  shot_id=4  start_s=8.0",
+        "end_s=12.0  node_id=5  relevance=1.0  shot_id=5  start_s=10.0",
+        "end_s=14.0  node_id=6  relevance=2.0  shot_id=6  start_s=12.0",
+        "end_s=16.0  node_id=7  relevance=3.0  shot_id=7  start_s=14.0",
+        "end_s=18.0  node_id=8  relevance=4.0  shot_id=8  start_s=16.0",
+        "end_s=20.0  node_id=9  relevance=5.0  shot_id=9  start_s=18.0",
+        "end_s=22.0  node_id=10  relevance=1.0  shot_id=10  start_s=20.0",
+        "end_s=24.0  node_id=11  relevance=2.0  shot_id=11  start_s=22.0",
+        "end_s=26.0  node_id=12  relevance=3.0  shot_id=12  start_s=24.0",
+        "end_s=28.0  node_id=13  relevance=4.0  shot_id=13  start_s=26.0",
+        "end_s=30.0  node_id=14  relevance=5.0  shot_id=14  start_s=28.0",
+        "end_s=32.0  node_id=15  relevance=1.0  shot_id=15  start_s=30.0",
+        "end_s=34.0  node_id=16  relevance=2.0  shot_id=16  start_s=32.0",
+        "end_s=36.0  node_id=17  relevance=3.0  shot_id=17  start_s=34.0",
+        "end_s=38.0  node_id=18  relevance=4.0  shot_id=18  start_s=36.0",
+        "end_s=40.0  node_id=19  relevance=5.0  shot_id=19  start_s=38.0",
+        '5 more rows; pass {"offset": 20}',
+    ])
+    assert store.retrieve("temporal_index", "Causal",
+                          {"offset": 20}).as_text() == "\n".join([
+        "end_s=42.0  node_id=20  relevance=1.0  shot_id=20  start_s=40.0",
+        "end_s=44.0  node_id=21  relevance=2.0  shot_id=21  start_s=42.0",
+        "end_s=46.0  node_id=22  relevance=3.0  shot_id=22  start_s=44.0",
+        "end_s=48.0  node_id=23  relevance=4.0  shot_id=23  start_s=46.0",
+        "end_s=50.0  node_id=24  relevance=5.0  shot_id=24  start_s=48.0",
+    ])
+
+
+@pytest.fixture(scope="module")
+def ten_thousand_shots() -> KnowledgeStore:
+    """One Descriptive caption, summary and first-pass text per shot."""
+    return long_store(10_000, frames_per_shot=1)
+
+
+@pytest.mark.parametrize("offset", [0, 5_000])
+@pytest.mark.parametrize("qtype", ["Descriptive", "Causal"])
+@pytest.mark.parametrize("scope", RETRIEVAL_SCOPES)
+def test_a_page_builds_only_its_own_rows(ten_thousand_shots, scope, qtype,
+                                         offset) -> None:
+    """Typed and degraded, each scope builds one page of rows and counts
+    the rest."""
+    result = ten_thousand_shots.retrieve(scope, qtype, {"offset": offset})
+    assert len(result.rows) == PAGE_ROWS
+    assert result.selected == 10_000
+    assert [row["node_id"] for row in result.rows] == \
+        list(range(offset, offset + PAGE_ROWS))
 
 
 @pytest.mark.parametrize("offset", [-1, "x", 1.5, True, None, [2]])

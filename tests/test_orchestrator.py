@@ -18,6 +18,7 @@ from videoqa.knowledge import (
     RetrievalResult,
     builtin_profiles,
 )
+import videoqa.knowledge as knowledge
 import videoqa.orchestrator as orchestrator
 from videoqa.orchestrator import (
     AGENT_REGISTRY,
@@ -463,7 +464,7 @@ def test_react_inspect_frame_inside_a_shot_calls_the_backend() -> None:
     assert [c.capability for c in backend.calls] == ["chat", "caption", "chat"]
 
 
-def test_react_prompt_grows_by_at_most_one_page_per_step() -> None:
+def test_react_prompt_grows_by_at_most_one_page_per_step(monkeypatch) -> None:
     """Over a store of several hundred shots, each step adds its reply and
     one page of observation to the prompt, never a whole scope."""
     store = long_store(400, qtype="Causal")
@@ -478,11 +479,14 @@ def test_react_prompt_grows_by_at_most_one_page_per_step() -> None:
                             budget=15, trace=[])
     assert consumed == len(replies) + 1
 
+    with monkeypatch.context() as patch:
+        patch.setattr(knowledge, "PAGE_ROWS", 10**9)
+        whole = {(scope, qtype): store.retrieve(scope, qtype).rows
+                 for scope in RETRIEVAL_SCOPES
+                 for qtype in ("Causal", "Temporal")}
     longest_row = max(
         len(RetrievalResult(scope, True, [row]).as_text())
-        for scope in RETRIEVAL_SCOPES
-        for qtype in ("Causal", "Temporal")
-        for row in store.retrieve(scope, qtype).rows)
+        for (scope, _), rows in whole.items() for row in rows)
     one_page = PAGE_ROWS * (longest_row + 1) + len("\n400 more rows; pass "
                                                    '{"offset": 20}')
     prompts = [_prompt(call) for call in backend.calls]
@@ -490,7 +494,7 @@ def test_react_prompt_grows_by_at_most_one_page_per_step() -> None:
         growth = len(after) - len(before)
         assert growth <= len(reply) + len("\nOBSERVATION: \n") + one_page
     assert len(prompts[-1]) < sum(
-        len(str(row)) for row in store.retrieve("temporal_index", "Causal").rows), \
+        len(str(row)) for row in whole["temporal_index", "Causal"]), \
         "the whole transcript stays shorter than one uncut scope"
 
 

@@ -511,6 +511,16 @@ def test_build_fusion_failure_names_the_lowest_failing_group(
     assert str(raised).startswith("summarizing shot 2 Descriptive failed")
 
 
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_build_synthesis_failure_names_its_type(tmp_path, max_inflight) -> None:
+    _, raised = _failing_build(
+        tmp_path, max_inflight,
+        "You write visual captioning prompts.*attention to ordering")
+    assert isinstance(raised, BackendError)
+    assert str(raised) == ("synthesizing the Temporal prompt failed: "
+                           "scripted transport failure")
+
+
 def test_failed_build_drops_the_calls_still_queued(tmp_path) -> None:
     """At one call in flight, shot 1's score fails while shot 2's is in
     flight: the build raises without making shot 3's score call or any

@@ -232,7 +232,11 @@ def _outcome(store: KnowledgeStore, scope: str, qtype: str, selector):
         result = store.retrieve(scope, qtype, selector)
     except (ValidationError, NotFoundError) as exc:
         return type(exc), str(exc)
-    fields = (result.scope, result.degraded, result.rows, result.offset)
+    rows = result.rows
+    if isinstance(result, ScanRetrievalResult):
+        rows = rows[result.offset:result.offset + knowledge.PAGE_ROWS]
+    fields = (result.scope, result.degraded, rows, result.selected,
+              result.offset)
     return fields, result.as_text()
 
 
