@@ -7,12 +7,14 @@ Every file the program reads or writes goes through `read_bytes`,
 its exit code, but for three that touch files themselves: the cache
 entries of `CachingBackend` (an unreadable one is a miss), the package
 templates of `captioning.load_template`, and `ingest.write_embeddings`.
-`check_writable` applies the write rule to an output path before the work
-that fills it. A path that is missing, is a directory or cannot be opened
-or written raises InputError (NotFoundError when it does not exist). Bytes
-that are not UTF-8 or not JSON raise the caller's `invalid` error, a
-callable on the message: InputError by default, ConfigError for the config,
-mock script, profiles and templates.
+`write_text` writes a temp file beside its target and renames it over the
+target, so a run killed mid-write leaves no cut file. `check_writable`
+applies the write rule to an output path before the work that fills it. A
+path that is missing, is a directory or cannot be opened or written raises
+InputError (NotFoundError when it does not exist). Bytes that are not UTF-8
+or not JSON raise the caller's `invalid` error, a callable on the message:
+InputError by default, ConfigError for the config, mock script, profiles
+and templates.
 `Doc` reads the fields of every JSON document the program loads or a
 model writes; `read_doc` opens a file as one, and `parse_doc` reads a
 model's text as one. `canonical_json` is the one byte-stable rendering of
@@ -22,7 +24,9 @@ every document the program writes.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -270,9 +274,18 @@ class Doc:
 
 
 def write_text(path: str | Path, text: str, what: str) -> None:
+    """Write `text` to a sibling temp file, then replace the file `path`
+    resolves to with it, so a run killed mid-write leaves the previous file
+    whole. The temp name carries pid and thread id, as a cache entry's
+    does, and a failed write removes it."""
+    target = Path(path).resolve()
+    tmp = target.with_name(
+        f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
     except OSError as exc:
+        tmp.unlink(missing_ok=True)
         raise InputError(f"{what} {path} cannot be written: {exc.strerror}") from exc
 
 

@@ -5,7 +5,12 @@ subset for the question and emits a stage workflow; an Execution Layer runs
 evidence-producing stages under a bounded ReAct loop, fuses evidence with
 profile weights, and generates the validated answer. The planner's model
 output is advisory only: structural invariants are enforced by validation,
-and invalid plans are repaired to a per-type template.
+and invalid plans are repaired to a per-type template. When the question's
+profile requires the visual agent, the analysis reply can change the
+template only by retyping the question, so `predicted_template` names it
+before the reply is in: its planning call can go out with the analysis
+call, and is discarded, one call spent, when the analysis retypes the
+question. The workflow is the one the calls made in turn would give.
 
 A workflow is a DAG over its stages' keys: a stage depends on the stages
 whose `output_key` its `input_keys` name. Evidence stages that read only the
@@ -265,6 +270,17 @@ def analyze_problem(question: QuestionBundle, profiles: dict[str, AgentProfile],
     return template_workflow(qtype, _canonical_order(selected), max_iterations)
 
 
+def predicted_template(question: QuestionBundle,
+                       profiles: dict[str, AgentProfile],
+                       max_iterations: int) -> Workflow | None:
+    """The template `analyze_problem` returns for the question unless its
+    reply retypes it, or None when the profile leaves the visual agent to
+    the reply."""
+    if not profiles[question.qtype].requires_visual_agent:
+        return None
+    return template_workflow(question.qtype, AGENT_REGISTRY, max_iterations)
+
+
 _TEXT_TASKS = {
     QTYPE_CAUSAL: (f"{BIDIRECTIONAL_TASK}; gather captions and summaries that "
                    "indicate why the queried action happens."),
@@ -340,18 +356,20 @@ def _parse_plan(reply: str) -> list[Stage] | None:
         return None
 
 
-def plan_tasks(template: Workflow, question: QuestionBundle, llm) -> Workflow:
+def plan_tasks(template: Workflow, question: QuestionBundle, llm,
+               log: Callable[..., None] = logger.log) -> Workflow:
     """The model's plan over the analysed template's type and agents, or
     the template itself.
 
     A failed call, an unparseable plan or one that breaks an invariant
-    keeps the template, flagged repaired (the flag shows up in the trace).
-    Never raises.
+    keeps the template, flagged repaired (the flag shows up in the trace),
+    and says why through `log`, called as `Logger.log` is. Never raises.
     """
     try:
         reply = llm.call(chat_request(planning_prompt(question, template)))
     except BackendError as exc:
-        logger.warning("planner backend failed (%s); using template workflow", exc)
+        log(logging.WARNING, "question %s: planner backend failed (%s); "
+            "using template workflow", question.question_id, exc)
         reply = ""
 
     stages = _parse_plan(reply)
@@ -361,8 +379,8 @@ def plan_tasks(template: Workflow, question: QuestionBundle, llm) -> Workflow:
         if not issues:
             _ensure_bidirectional(workflow)
             return workflow
-        logger.info("question %s: plan invalid (%s); repaired to template",
-                    question.question_id, "; ".join(issues))
+        log(logging.INFO, "question %s: plan invalid (%s); repaired to "
+            "template", question.question_id, "; ".join(issues))
     return replace(template, repaired=True)
 
 

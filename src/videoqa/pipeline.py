@@ -20,14 +20,18 @@ when the build queues the syntheses, and run while the build goes on; after
 the build only the evidence stages and the answer remain. Queued as each
 classification landed, they would compete with the first-pass captions and
 scores that gate expansion, and lengthen the build by as much as they save
-the answers. The single backend object serves every call; its
-`max_inflight` is the one bound on concurrent model calls and sizes the call
-pool and the per-video question pool. Ablation modes swap out individual
-steps without touching the rest of the pipeline.
+the answers. For a type whose profile requires the visual agent,
+`plan_question` sends the planning call with the analysis call, in `ask` as
+in `eval`; a question that analysis retypes costs one discarded planning
+call, and the outputs are unchanged. The single backend object serves
+every call; its `max_inflight` is the one bound on concurrent model calls
+and sizes the call pool and the per-video question pool. Ablation modes
+swap out individual steps without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
 
+import logging
 from collections import Counter, defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -63,8 +67,10 @@ from .orchestrator import (
     analyze_problem,
     execute_workflow,
     plan_tasks,
+    predicted_template,
     template_workflow,
 )
+from .orchestrator import logger as orchestrator_logger
 from .tree import (
     HybridTree,
     TreeParams,
@@ -73,6 +79,8 @@ from .tree import (
     tree_from_shots,
     vtsearch,
 )
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +313,40 @@ def plan_question(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
                   config: EngineConfig, backend: Backend) -> Workflow:
     """The workflow for one classified question, from the question alone:
     analysis, which may retype it, then planning. A fixed workflow runs all
-    four agents on the per-type template and makes no planning call."""
+    four agents on the per-type template and makes no planning call.
+
+    For a type whose profile requires the visual agent, the planning call
+    for the template analysis will return unless it retypes the question
+    goes out with the analysis call, on a thread of its own. When analysis
+    returns that template the plan is used, and the log lines planning
+    held back are written; otherwise it is discarded, one call spent, and
+    the real template is planned. Either way the workflow is the one the
+    two calls made in turn would give."""
     if config.fixed_workflow:
         return template_workflow(bundle.qtype, AGENT_REGISTRY,
                                  config.max_iterations)
-    template = analyze_problem(bundle, profiles, backend, config.max_iterations)
-    return plan_tasks(template, replace(bundle, qtype=template.qtype), backend)
+    guess = predicted_template(bundle, profiles, config.max_iterations)
+    if guess is None:
+        template = analyze_problem(bundle, profiles, backend,
+                                   config.max_iterations)
+        return plan_tasks(template, replace(bundle, qtype=template.qtype),
+                          backend)
+    notes: list[tuple] = []
+    with ThreadPoolExecutor(max_workers=1) as side:
+        speculated = side.submit(plan_tasks, guess, bundle, backend,
+                                 lambda *note: notes.append(note))
+        template = analyze_problem(bundle, profiles, backend,
+                                   config.max_iterations)
+        if template != guess:
+            logger.info("question %s: speculative %s plan discarded; "
+                        "analysis chose %s", bundle.question_id, guess.qtype,
+                        template.qtype)
+            return plan_tasks(template, replace(bundle, qtype=template.qtype),
+                              backend)
+        workflow = speculated.result()
+    for note in notes:
+        orchestrator_logger.log(*note)
+    return workflow
 
 
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,

@@ -11,16 +11,21 @@ The same parse pins the layers in LAYERS: the tree's shot nodes are the
 only shot type, so `tree.py` takes shots as frame ranges and imports nothing
 from `ingest`; the build groups captions by shot, so `captioning.py` fuses
 each group without the tree.
+
+`write_text` itself replaces its target in one step: a write that fails
+part-way leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
 import ast
+import errno
 from pathlib import Path
 
 import pytest
 
 import videoqa
+from videoqa.errors import InputError, write_text
 
 PACKAGE_DIR = Path(videoqa.__file__).parent
 FILE_METHODS = {"read_bytes", "read_text", "write_text", "write_bytes"}
@@ -94,3 +99,39 @@ def test_module_does_not_import(module, forbidden) -> None:
     imported = _imported(ast.parse(source))
     assert not any(name == forbidden or name.startswith(forbidden + ".")
                    for name in imported), f"{module} imports {forbidden}"
+
+
+def test_write_text_replaces_its_target(tmp_path) -> None:
+    target = tmp_path / "report.json"
+    target.write_text("old\n", encoding="utf-8")
+    write_text(target, "new\n", "report file")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_text_cut_short_leaves_the_previous_file(tmp_path,
+                                                       monkeypatch) -> None:
+    """A write that fails half-way raises the usual InputError, leaves the
+    previous file byte-identical and leaves no temp file behind."""
+    target = tmp_path / "records.jsonl"
+    target.write_bytes(b'{"question_id":"a_q1"}\n')
+    real_write_text = Path.write_text
+
+    def half_then_full_disk(self, text, *args, **kwargs):
+        real_write_text(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", half_then_full_disk)
+    with pytest.raises(InputError) as raised:
+        write_text(target, '{"question_id":"b_q1"}\n' * 4, "records file")
+    assert str(raised.value) == (f"records file {target} cannot be written: "
+                                 "No space left on device")
+    assert target.read_bytes() == b'{"question_id":"a_q1"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_text_onto_a_directory_leaves_no_temp_file(tmp_path) -> None:
+    (tmp_path / "out").mkdir()
+    with pytest.raises(InputError, match="out cannot be written: Is a directory"):
+        write_text(tmp_path / "out", "text", "report file")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -146,6 +146,17 @@ def _write_manifest(tmp_path, doc) -> str:
     return str(path)
 
 
+def test_load_frames_noncontiguous_message_shows_eight_indices(tmp_path) -> None:
+    path = _write_manifest(tmp_path, {
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": i} for i in (*range(10), 11)]})
+    with pytest.raises(ValidationError) as raised:
+        load_frames(path)
+    assert str(raised.value) == (
+        f"{path}#/frames: frame indices must be unique and contiguous from 0, "
+        "got [0, 1, 2, 3, 4, 5, 6, 7]...")
+
+
 def test_load_frames_noncontiguous_indices(tmp_path) -> None:
     emb = tmp_path / "x.emb"
     write_embeddings(emb, np.ones((2, 3), dtype=np.float32))

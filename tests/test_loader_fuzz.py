@@ -40,6 +40,7 @@ from videoqa.config import BackendConfig, EngineConfig
 from videoqa.errors import (
     BackendError,
     ConfigError,
+    Doc,
     InputError,
     canonical_json,
     read_json,
@@ -309,6 +310,15 @@ def _with(doc, field: tuple, value):
 def test_loader_pinned_examples(fixture, loader, field, value) -> None:
     with pytest.raises((InputError, ConfigError)):
         fixture.load(loader, _with(fixture.valid[loader], field, value))
+
+
+def test_wrong_type_message_shows_sixty_characters_of_the_value() -> None:
+    doc = Doc({"k": "abcdefghijklmnopqrstuvwxyz" * 3}, InputError, "doc.json")
+    with pytest.raises(InputError) as raised:
+        doc.integer("k")
+    assert str(raised.value) == (
+        'doc.json#/k: expected an int, got "abcdefghijklmnopqrstuvwxyz'
+        'abcdefghijklmnopqrstuvwxyzabcdefg')
 
 
 @pytest.mark.parametrize("loader", LOADERS)
