@@ -28,14 +28,10 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from .errors import (
-    AuthError,
     BackendError,
-    BackendTimeout,
-    CapabilityMismatchError,
     ConfigError,
     Doc,
     MalformedResponseError,
-    MockScriptError,
     TransportError,
     read_doc,
 )
@@ -148,8 +144,8 @@ class Backend:
 
 _ERROR_KINDS = {
     "transport": TransportError,
-    "timeout": BackendTimeout,
-    "auth": AuthError,
+    "timeout": TransportError,
+    "auth": BackendError,
     "malformed": MalformedResponseError,
 }
 
@@ -203,7 +199,8 @@ class MockScript:
             rule = MockRule(match=item.string("match"),
                             response=item.value.get("response"),
                             regex=item.boolean("regex", False),
-                            error=item.string("error", None, null=True))
+                            error=item.enum("error", tuple(_ERROR_KINDS),
+                                            None, null=True))
             if rule.regex:
                 try:
                     re.compile(rule.match)
@@ -239,12 +236,11 @@ class MockBackend(Backend):
         rule = self.script.lookup(rendered)
         if rule is not None:
             if rule.error is not None:
-                kind = _ERROR_KINDS.get(rule.error, BackendError)
-                raise kind(f"scripted {rule.error} failure")
+                raise _ERROR_KINDS[rule.error](f"scripted {rule.error} failure")
             return rule.response
         default = self.script.default_response
         if default is None:
-            raise MockScriptError(f"no mock rule matches: {rendered[:200]}")
+            raise BackendError(f"no mock rule matches: {rendered[:200]}")
         return default(rendered) if callable(default) else default
 
 
@@ -306,7 +302,7 @@ class RemoteBackend(Backend):
             return exc.code, None, exc.headers
         except (OSError, ValueError, http.client.HTTPException) as exc:
             if isinstance(getattr(exc, "reason", exc), TimeoutError):
-                raise BackendTimeout(f"request to {url} timed out") from exc
+                raise TransportError(f"request to {url} timed out") from exc
             raise TransportError(f"request to {url} failed: {exc}") from exc
         try:
             return status, json.loads(raw), reply_headers
@@ -316,7 +312,7 @@ class RemoteBackend(Backend):
     def _call(self, request: BackendRequest) -> Any:
         url = self.endpoints.get(request.capability)
         if not url:
-            raise CapabilityMismatchError(
+            raise BackendError(
                 f"no endpoint configured for capability {request.capability!r}")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -328,13 +324,13 @@ class RemoteBackend(Backend):
             try:
                 status, doc, reply_headers = self._transport(
                     url, headers, body, self.timeout_s)
-            except (TransportError, BackendTimeout):
+            except TransportError:
                 if attempt >= MAX_RETRIES:
                     raise
                 delay = self._backoff_s(attempt)
             else:
                 if status in (401, 403):
-                    raise AuthError(f"authentication rejected by {url} ({status})")
+                    raise BackendError(f"authentication rejected by {url} ({status})")
                 if status < 300:
                     return self._parse_body(request.capability, doc)
                 if status != 429 and status < 500:

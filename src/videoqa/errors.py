@@ -1,6 +1,8 @@
 """Exception hierarchy and the file boundary.
 
-Exit codes: 2 input, 3 backend, 4 config.
+Exit codes: 2 input, 3 backend, 4 config, and 1 for a broken internal
+invariant. The CLI reports an error by its message and `exit_code` alone,
+so each code has one class, plus the subclasses some `except` tells apart.
 
 Every file the program reads or writes goes through `read_bytes`,
 `read_text`, `read_json` and `write_text`, so one rule maps a bad path to
@@ -32,10 +34,9 @@ from typing import Any, NoReturn
 
 
 class VideoQAError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors; alone, a broken internal invariant."""
 
     exit_code = 1
-    pointer = ""  # the JSON pointer of the loaded field at fault, if any
 
 
 class InputError(VideoQAError):
@@ -45,15 +46,8 @@ class InputError(VideoQAError):
 
 
 class ValidationError(InputError):
-    """Input data violates a structural invariant (dims, ranges, NaNs)."""
-
-
-class TreeParseError(InputError):
-    """Tree document malformed; `pointer` names the field at fault."""
-
-
-class UnsupportedVersionError(TreeParseError):
-    pass
+    """Input data violates a structural invariant (dims, ranges, NaNs), or a
+    loaded document is malformed or of another version."""
 
 
 class NotFoundError(InputError):
@@ -74,31 +68,11 @@ class BackendError(VideoQAError):
 
 
 class TransportError(BackendError):
-    """Connection-level failure, 429 or 5xx after retries."""
-
-
-class BackendTimeout(BackendError):
-    pass
-
-
-class AuthError(BackendError):
-    pass
+    """Connection-level failure, timeout, 429 or 5xx: the kind retried."""
 
 
 class MalformedResponseError(BackendError):
     """Backend replied but the body does not carry a usable result."""
-
-
-class CapabilityMismatchError(BackendError):
-    """Request capability is not served by this backend."""
-
-
-class MockScriptError(BackendError):
-    """No mock rule matched and the script has no default response."""
-
-
-class IntegrationError(VideoQAError):
-    """Evidence integration invoked with no evidence items."""
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:
@@ -172,8 +146,7 @@ class Doc:
     number is an int or a float, finite, read as a float; an object reads
     as a `Doc`. A missing field, another type, or a `fail` raises the error
     class with a message that starts with the source and the pointer, as in
-    `data.json#/entries/3/video_id: expected a string, got 5`; the error's
-    `pointer` holds `/entries/3/video_id`.
+    `data.json#/entries/3/video_id: expected a string, got 5`.
     """
 
     __slots__ = ("value", "error", "source", "parent", "token")
@@ -188,12 +161,10 @@ class Doc:
         """Built when a message needs it, so reading costs no string work."""
         return "" if self.parent is None else f"{self.parent.pointer}/{self.token}"
 
-    def fail(self, message: str, key: Any = None, error=None) -> NoReturn:
-        """Raise `error`, the loader's class by default, at `key`."""
+    def fail(self, message: str, key: Any = None) -> NoReturn:
+        """Raise the loader's error class at `key`."""
         pointer = self.pointer if key is None else f"{self.pointer}/{key}"
-        exc = (error or self.error)(f"{self.source}#{pointer}: {message}")
-        exc.pointer = pointer
-        raise exc
+        raise self.error(f"{self.source}#{pointer}: {message}")
 
     def _get(self, key: Any, default: Any, null: bool, kind: type) -> Any:
         value = self.value

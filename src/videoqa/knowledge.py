@@ -30,7 +30,6 @@ from .errors import (
     ConfigError,
     Doc,
     NotFoundError,
-    UnsupportedVersionError,
     ValidationError,
     canonical_json,
     read_doc,
@@ -483,7 +482,7 @@ def _check_version(root: Doc) -> None:
     version = root.value.get("version")
     if version != BUILD_VERSION:
         root.fail(f"unsupported build file version {version!r}; rebuild it",
-                  "version", UnsupportedVersionError)
+                  "version")
 
 
 def build_json(store: KnowledgeStore) -> str:

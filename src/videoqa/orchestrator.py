@@ -40,7 +40,6 @@ from .captioning import (
 from .errors import (
     BackendError,
     Doc,
-    IntegrationError,
     MalformedResponseError,
     ValidationError,
     VideoQAError,
@@ -560,7 +559,7 @@ def integrate_evidence(items: list[EvidenceItem], profile: AgentProfile,
     to the lowest option index.
     """
     if not items:
-        raise IntegrationError("no evidence items to integrate")
+        raise VideoQAError("no evidence items to integrate")
     n = len(items[0].option_support)
     for item in items:
         if len(item.option_support) != n:

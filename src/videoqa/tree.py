@@ -25,8 +25,6 @@ from .backends import Backend, chat_request
 from .errors import (
     BackendError,
     Doc,
-    TreeParseError,
-    UnsupportedVersionError,
     ValidationError,
     canonical_json,
     read_doc,
@@ -113,9 +111,6 @@ class HybridTree:
         for child_id in node.children:
             leaves.extend(self.leaves_under(child_id))
         return leaves
-
-    def num_frames(self) -> int:
-        return self.shots()[-1].end_frame + 1 if self.shot_order else 0
 
     @cached_property
     def _shot_starts(self) -> list[int]:
@@ -539,8 +534,7 @@ def deserialize_tree(root: Doc) -> HybridTree:
     """The tree `root` holds; a fault raises its error, naming the field."""
     version = root.string("version")
     if version != TREE_SCHEMA_VERSION:
-        root.fail(f"unsupported tree schema version {version!r}", "version",
-                  UnsupportedVersionError)
+        root.fail(f"unsupported tree schema version {version!r}", "version")
     params_doc = root.obj("params")
     params = TreeParams(tau=params_doc.number("tau"), k=params_doc.integer("k"),
                         max_depth=params_doc.integer("max_depth"),
@@ -595,6 +589,6 @@ def deserialize_tree(root: Doc) -> HybridTree:
 
 def load_tree(path: str | Path) -> HybridTree:
     """Read, parse and validate a tree file."""
-    tree = deserialize_tree(read_doc(path, "tree file", TreeParseError))
+    tree = deserialize_tree(read_doc(path, "tree file", ValidationError))
     tree.validate()
     return tree

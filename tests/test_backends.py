@@ -22,13 +22,9 @@ from videoqa.backends import (
     render_payload,
 )
 from videoqa.errors import (
-    AuthError,
     BackendError,
-    BackendTimeout,
-    CapabilityMismatchError,
     ConfigError,
     MalformedResponseError,
-    MockScriptError,
     TransportError,
 )
 
@@ -93,7 +89,7 @@ def test_mock_callable_default() -> None:
 
 def test_mock_no_rule_no_default_raises_and_logs() -> None:
     backend = RecordingBackend(MockBackend(MockScript()))
-    with pytest.raises(MockScriptError):
+    with pytest.raises(BackendError, match="no mock rule matches: "):
         backend.call(chat_request("nothing matches"))
     assert len(backend.calls) == 1
     assert backend.calls[0].error is not None
@@ -120,17 +116,41 @@ def test_mock_embed_response_coercion() -> None:
 
 
 def test_mock_scripted_error_kinds() -> None:
+    """`transport` and `timeout` are the kind a remote backend retries;
+    `auth` is a backend failure that is not, and `malformed` a reply that
+    carries no result."""
     script = MockScript()
     script.add("boom", error="transport")
     script.add("slow", error="timeout")
     script.add("denied", error="auth")
+    script.add("garbled", error="malformed")
     backend = MockBackend(script)
-    with pytest.raises(TransportError):
+    with pytest.raises(TransportError, match="scripted transport failure"):
         backend.call(chat_request("boom"))
-    with pytest.raises(BackendTimeout):
+    with pytest.raises(TransportError, match="scripted timeout failure"):
         backend.call(chat_request("slow"))
-    with pytest.raises(AuthError):
+    with pytest.raises(BackendError, match="scripted auth failure") as caught:
         backend.call(chat_request("denied"))
+    assert not isinstance(caught.value, TransportError)
+    with pytest.raises(MalformedResponseError, match="scripted malformed failure"):
+        backend.call(chat_request("garbled"))
+
+
+def test_mock_script_unknown_error_kind_is_refused_at_load(tmp_path) -> None:
+    """A misspelt kind exits 4 when the script loads, naming the field,
+    rather than failing each call it matches as some backend error."""
+    path = tmp_path / "script.json"
+    path.write_text('{"rules": [{"match": "hi", "response": "there"}, '
+                    '{"match": "boom", "error": "tranport"}]}')
+    with pytest.raises(ConfigError, match=(
+            r"#/rules/1/error: expected one of transport, timeout, auth, "
+            r'malformed, got "tranport"')) as caught:
+        MockScript.from_file(path)
+    assert caught.value.exit_code == 4
+    path.write_text('[{"match": "boom", "error": "malformed"}, '
+                    '{"match": "hi", "response": "there", "error": null}]')
+    assert [rule.error for rule in MockScript.from_file(path).rules] == [
+        "malformed", None]
 
 
 def test_mock_script_file_roundtrip(tmp_path) -> None:
@@ -261,16 +281,18 @@ def test_remote_unusable_endpoint_url_is_transport_error(url, tmp_path) -> None:
 
 def test_remote_auth_failure_not_retried() -> None:
     backend, transport = _remote([(401, {})])
-    with pytest.raises(AuthError):
+    with pytest.raises(BackendError, match="authentication rejected") as caught:
         backend.call(chat_request("q"))
+    assert not isinstance(caught.value, TransportError)
     assert transport.calls == 1
 
 
-def test_remote_timeout_is_distinct_kind() -> None:
-    backend, _ = _remote([BackendTimeout("slow"), BackendTimeout("slow"),
-                          BackendTimeout("slow")])
-    with pytest.raises(BackendTimeout):
+def test_remote_timeout_is_retried_as_transport_error() -> None:
+    timeout = TransportError("request to http://unit.test/chat timed out")
+    backend, transport = _remote([timeout, timeout, timeout])
+    with pytest.raises(TransportError, match="timed out"):
         backend.call(chat_request("q"))
+    assert transport.calls == 3, "a timeout is retried twice"
 
 
 def test_remote_malformed_response() -> None:
@@ -302,7 +324,8 @@ def test_remote_embed_parsing() -> None:
 def test_remote_no_endpoint_for_capability() -> None:
     backend = RemoteBackend({"chat": "http://unit.test/chat"},
                             transport=FakeTransport([]), sleep=lambda s: None)
-    with pytest.raises(CapabilityMismatchError):
+    with pytest.raises(BackendError,
+                       match="no endpoint configured for capability 'caption'"):
         backend.call(caption_request("img", "p"))
 
 

@@ -12,6 +12,12 @@ only shot type, so `tree.py` takes shots as frame ranges and imports nothing
 from `ingest`; the build groups captions by shot, so `captioning.py` fuses
 each group without the tree.
 
+It also keeps `errors.py` to the classes the exit-code contract needs: the
+CLI reports an error by its message and `exit_code` alone, so a subclass of
+VideoQAError must either set its own `exit_code` or be named in some
+`except` clause of the package. Any other class is a name nothing tells
+apart from its parent.
+
 `write_text` itself replaces its target in one step: a write that fails
 part-way leaves the previous file as it was.
 """
@@ -99,6 +105,34 @@ def test_module_does_not_import(module, forbidden) -> None:
     imported = _imported(ast.parse(source))
     assert not any(name == forbidden or name.startswith(forbidden + ".")
                    for name in imported), f"{module} imports {forbidden}"
+
+
+def test_every_error_class_sets_an_exit_code_or_is_caught() -> None:
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    caught = {node.id for tree in modules.values() for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    classes = {node.name: node for node in modules["errors.py"].body
+               if isinstance(node, ast.ClassDef)}
+
+    def is_error(name: str) -> bool:
+        return name == "VideoQAError" or name in classes and any(
+            isinstance(base, ast.Name) and is_error(base.id)
+            for base in classes[name].bases)
+
+    def sets_exit_code(node: ast.ClassDef) -> bool:
+        return any(isinstance(stmt, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "exit_code"
+            for target in stmt.targets) for stmt in node.body)
+
+    errors = [name for name in classes if is_error(name)]
+    assert errors, "no VideoQAError subclass found in errors.py"
+    untold = [name for name in errors
+              if not sets_exit_code(classes[name]) and name not in caught]
+    assert not untold, ("error classes that neither set an exit_code nor are "
+                        "caught by name; raise their parent: "
+                        + ", ".join(untold))
 
 
 def test_write_text_replaces_its_target(tmp_path) -> None:

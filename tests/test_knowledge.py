@@ -11,7 +11,6 @@ from videoqa.captioning import FrameCaption, SegmentSummary
 from videoqa.errors import (
     ConfigError,
     NotFoundError,
-    UnsupportedVersionError,
     ValidationError,
 )
 import videoqa.knowledge as knowledge
@@ -433,7 +432,8 @@ def test_sidecar_other_version_rejected(version) -> None:
         del doc["version"]
     else:
         doc["version"] = version
-    with pytest.raises(UnsupportedVersionError, match="rebuild it"):
+    with pytest.raises(ValidationError, match=(
+            "#/version: unsupported build file version .*; rebuild it")):
         KnowledgeStore.from_sidecar(store.tree, doc)
 
 

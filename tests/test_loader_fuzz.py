@@ -346,7 +346,6 @@ def test_build_file_fault_names_its_pointer(fixture, field, value,
     with pytest.raises(InputError) as caught:
         fixture.load("build", _with(fixture.valid["build"], field, value))
     assert caught.value.exit_code == 2
-    assert caught.value.pointer == pointer
     assert f"fuzz_build.json#{pointer}: " in str(caught.value)
 
 
@@ -382,7 +381,7 @@ def trees(draw):
 def stores(draw):
     """A store over a drawn tree, every section drawn."""
     tree = draw(trees())
-    frame = st.integers(0, tree.num_frames() - 1)
+    frame = st.integers(0, tree.shots()[-1].end_frame)
     shot = st.sampled_from(tree.shot_order)
     text, qtype = st.text(max_size=6), st.sampled_from(QTYPES)
     store = KnowledgeStore(tree=tree, fps=draw(st.floats(

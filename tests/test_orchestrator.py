@@ -9,7 +9,7 @@ import pytest
 
 from videoqa.backends import Backend, MockScript
 from videoqa.captioning import FrameCaption, QuestionBundle
-from videoqa.errors import IntegrationError, ValidationError, VideoQAError
+from videoqa.errors import ValidationError, VideoQAError
 from videoqa.knowledge import (
     PAGE_ROWS,
     RETRIEVAL_SCOPES,
@@ -637,8 +637,9 @@ def test_integrate_penalty_only_for_causal_questions() -> None:
 
 
 def test_integrate_zero_items_is_error() -> None:
-    with pytest.raises(IntegrationError):
+    with pytest.raises(VideoQAError, match="no evidence items to integrate") as caught:
         integrate_evidence([], _profile(), "Causal")
+    assert caught.value.exit_code == 1
 
 
 def test_integrate_mismatched_option_counts_rejected() -> None:
