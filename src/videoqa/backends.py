@@ -31,9 +31,11 @@ from .errors import (
     BackendError,
     ConfigError,
     Doc,
+    InputError,
     MalformedResponseError,
     TransportError,
     read_doc,
+    write_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -425,16 +427,10 @@ class CachingBackend(Backend):
                 logger.warning("corrupt cache entry %s (%s), treated as a miss",
                                path.name, exc)
         response = self.inner.call(request)
-        # The temp name carries pid and thread id, so concurrent writers of
-        # one key, in this process or another, never interleave.
-        tmp = path.with_name(
-            f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            tmp.write_text(json.dumps({"response": response}), encoding="utf-8")
-            tmp.replace(path)
-        except OSError as exc:
-            logger.warning("cache entry %s cannot be written (%s), response "
-                           "returned uncached", path.name, exc.strerror)
+            write_text(path, json.dumps({"response": response}), "cache entry")
+        except InputError as exc:
+            logger.warning("%s; response returned uncached", exc)
         return response
 
 

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .backends import Backend, CachingBackend, MockScript
-from .captioning import QTYPES, QuestionBundle, check_question, classify_question
+from .captioning import QTYPES, check_question
 from .config import EngineConfig
 from .errors import (
     Doc,
@@ -23,8 +23,10 @@ from .errors import (
 )
 from .knowledge import build_json, load_build, load_profiles
 from .pipeline import (
+    RawQuestion,
     answer_question,
     build_video,
+    classify,
     evaluate,
     load_question_file,
 )
@@ -107,9 +109,10 @@ def cmd_ask(args: argparse.Namespace) -> int:
     backend = _make_backend(args, config)
     store = load_build(args.file)
 
-    qtype = args.qtype or classify_question(args.question, list(options), backend)
-    bundle = QuestionBundle(question_id=args.question_id, text=args.question,
-                            options=options, qtype=qtype)
+    # `--qtype` is a declared type; a config's `reclassify` is not `ask`'s.
+    bundle = classify(RawQuestion(args.question_id, args.question, options,
+                                  declared_type=args.qtype),
+                      dataclasses.replace(config, reclassify=False), backend)
 
     profiles = load_profiles(config.profile_dir)
     record = answer_question(bundle, store, profiles, config, backend)

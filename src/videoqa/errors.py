@@ -6,17 +6,18 @@ so each code has one class, plus the subclasses some `except` tells apart.
 
 Every file the program reads or writes goes through `read_bytes`,
 `read_text`, `read_json` and `write_text`, so one rule maps a bad path to
-its exit code, but for three that touch files themselves: the cache
-entries of `CachingBackend` (an unreadable one is a miss), the package
+its exit code, but for three that touch files themselves: the cache entry
+reads of `CachingBackend` (an unreadable one is a miss), the package
 templates of `captioning.load_template`, and `ingest.write_embeddings`.
 `write_text` writes a temp file beside its target and renames it over the
-target, so a run killed mid-write leaves no cut file. `check_writable`
-applies the write rule to an output path before the work that fills it. A
-path that is missing, is a directory or cannot be opened or written raises
-InputError (NotFoundError when it does not exist). Bytes that are not UTF-8
-or not JSON raise the caller's `invalid` error, a callable on the message:
-InputError by default, ConfigError for the config, mock script, profiles
-and templates.
+target, so a run killed mid-write leaves no cut file; the cache writes its
+entries through it, and logs the InputError of one it cannot write.
+`check_writable` applies the write rule to an output path before the work
+that fills it. A path that is missing, is a directory or cannot be opened
+or written raises InputError (NotFoundError when it does not exist). Bytes
+that are not UTF-8 or not JSON raise the caller's `invalid` error, a
+callable on the message: InputError by default, ConfigError for the config,
+mock script, profiles and templates.
 `Doc` reads the fields of every JSON document the program loads or a
 model writes; `read_doc` opens a file as one, and `parse_doc` reads a
 model's text as one. `canonical_json` is the one byte-stable rendering of
@@ -247,8 +248,9 @@ class Doc:
 def write_text(path: str | Path, text: str, what: str) -> None:
     """Write `text` to a sibling temp file, then replace the file `path`
     resolves to with it, so a run killed mid-write leaves the previous file
-    whole. The temp name carries pid and thread id, as a cache entry's
-    does, and a failed write removes it."""
+    whole. The temp name carries pid and thread id, so concurrent writers
+    of one file, in this process or another, never interleave, and a
+    failed write removes it."""
     target = Path(path).resolve()
     tmp = target.with_name(
         f"{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")

@@ -1,20 +1,19 @@
 """Knowledge store and per-question-type agent profiles.
 
-The store wraps one video's tree with its captions and summaries and
-answers type-aware retrievals at three scopes: the temporal index, moment
-captions, and segment summaries. A retrieval's text is paged by whole rows,
-`PAGE_ROWS` at a time and in shot order, so one observation stays bounded
-however long the video is; every scope takes an `offset` selector key to read
-the later pages. Profiles are declarative JSON documents bundling a reasoning
-strategy, tool list, and evidence weights per type.
+The store wraps one video's tree with its captions and summaries, is built
+once from all of them, and answers type-aware retrievals at three scopes:
+the temporal index, moment captions, and segment summaries. A retrieval's
+text is paged by whole rows, `PAGE_ROWS` at a time and in shot order, so one
+observation stays bounded however long the video is; every scope takes an
+`offset` selector key to read the later pages. Profiles are declarative
+JSON documents bundling a reasoning strategy, tool list, and evidence
+weights per type.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from contextlib import suppress
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -35,7 +34,7 @@ from .errors import (
     read_doc,
     read_json,
 )
-from .tree import HybridTree, deserialize_tree, serialize_tree
+from .tree import HybridTree, TreeNode, deserialize_tree, serialize_tree
 
 SCOPE_TEMPORAL_INDEX = "temporal_index"
 SCOPE_MOMENT_CAPTIONS = "moment_captions"
@@ -172,18 +171,13 @@ def load_profiles(config_dir: str | Path | None) -> dict[str, AgentProfile]:
 @dataclass
 class RetrievalResult:
     """One page of a retrieval: the selected rows from `offset` on, at most
-    `PAGE_ROWS` of them, and the count of rows selected. A result given no
-    count holds every selected row."""
+    `PAGE_ROWS` of them, and the count of rows selected."""
 
     scope: str
     degraded: bool
     rows: list[dict]
-    offset: int = 0
-    selected: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.selected is None:
-            self.selected = len(self.rows)
+    offset: int
+    selected: int
 
     def as_text(self) -> str:
         """The page's rows, one per line. A cut page ends with a line naming
@@ -219,7 +213,8 @@ def _page(scope: str, degraded: bool, keys: Sequence[int], lo: int, hi: int,
 
 @dataclass
 class KnowledgeStore:
-    """Immutable-after-population retrieval surface over one video.
+    """Retrieval surface over one video, built once: the constructor sorts
+    every index, and nothing writes a store after it.
 
     Retrieval is indexed: a selector becomes a frame interval, a few bisects
     turn it into a run of sorted keys, and only the rows of the page shown
@@ -230,73 +225,30 @@ class KnowledgeStore:
 
     tree: HybridTree
     fps: float = 1.0
+    frame_paths: dict[int, str] = field(default_factory=dict)
+    first_pass: dict[int, str] = field(default_factory=dict)
     captions: dict[tuple[int, str], FrameCaption] = field(default_factory=dict)
     summaries: dict[tuple[int, str], SegmentSummary] = field(default_factory=dict)
-    first_pass: dict[int, str] = field(default_factory=dict)
-    frame_paths: dict[int, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Per type, in frame order: its captions' frames, the frames of
-        # those no shot holds, and the first frames of the listed shots it
-        # has summaries of (a key for each type with any summary). The two
-        # writers keep them in step, and this constructor goes through them.
-        self._caption_frames: dict[str, list[int]] = {}
-        self._orphan_frames: dict[str, list[int]] = {}
-        self._summary_starts: dict[str, list[int]] = {}
-        captions, self.captions = self.captions, {}
-        summaries, self.summaries = self.summaries, {}
-        self.add_captions(list(captions.values()))
-        self.add_summaries(list(summaries.values()))
+        # In frame order: per type, its captions' frames and the first
+        # frames of the shots it has summaries of (a key for each type with
+        # any); and the first frames of the shots with first-pass text.
+        def start(shot_id: int) -> int:
+            return _shot_by_id(self.tree, shot_id).start_frame
 
-    def add_captions(self, captions: list[FrameCaption]) -> None:
-        for cap in captions:
-            key = (cap.frame_index, cap.qtype)
-            if key not in self.captions:
-                insort(self._caption_frames.setdefault(cap.qtype, []),
-                       cap.frame_index)
-                if self.tree.shot_at(cap.frame_index) is None:
-                    insort(self._orphan_frames.setdefault(cap.qtype, []),
-                           cap.frame_index)
-            self.captions[key] = cap
-
-    def add_summaries(self, summaries: list[SegmentSummary]) -> None:
-        for summary in summaries:
-            key = (summary.shot_id, summary.qtype)
-            if key not in self.summaries:
-                starts = self._summary_starts.setdefault(summary.qtype, [])
-                with suppress(NotFoundError):  # only a listed shot's shows
-                    insort(starts, self._shot_by_id(summary.shot_id).start_frame)
-            self.summaries[key] = summary
-
-    @cached_property
-    def _first_pass_starts(self) -> tuple[int, ...]:
-        """First frames of the shots with first-pass text, in shot order.
-        The build writes `first_pass` shot by shot, before any retrieval,
-        so this is built on the first read."""
-        return tuple(shot.start_frame for shot in self.tree.shots()
-                     if shot.node_id in self.first_pass)
+        self._caption_frames = _by_type(self.captions, lambda frame: frame)
+        self._summary_starts = _by_type(self.summaries, start)
+        self._first_pass_frames = sorted(map(start, self.first_pass))
 
     def frame_ref(self, frame_index: int) -> str:
         """The reference a model call names a frame by: its image path, or
         `<video>:frame:<i>` when it has none (mock scripts match on the
         latter). NotFoundError for a frame that falls outside every shot,
         so no caption call is made for it."""
-        self._owner_shot_id(frame_index)
+        _owner_shot_id(self.tree, frame_index)
         return (self.frame_paths.get(frame_index)
                 or f"{self.tree.video_id}:frame:{frame_index}")
-
-    def _shot_by_id(self, shot_id: int):
-        """A listed shot: the node the tree finds at its own first frame."""
-        shot = self.tree.nodes.get(shot_id)
-        if shot is None or self.tree.shot_at(shot.start_frame) is not shot:
-            raise NotFoundError(f"shot {shot_id} does not exist in this tree")
-        return shot
-
-    def _owner_shot_id(self, frame: int) -> int:
-        shot = self.tree.shot_at(frame)
-        if shot is None:
-            raise NotFoundError(f"frame {frame} falls outside every shot")
-        return shot.node_id
 
     def retrieve(self, scope: str, qtype: str,
                  selector: dict | None = None) -> RetrievalResult:
@@ -338,7 +290,7 @@ class KnowledgeStore:
         """The frames a selector names, as [first, last]; a model-chosen
         range is never expanded, so its size costs nothing."""
         if "shot_id" in selector.value:
-            shot = self._shot_by_id(selector.integer("shot_id"))
+            shot = _shot_by_id(self.tree, selector.integer("shot_id"))
             return shot.start_frame, shot.end_frame
         if "frame_range" in selector.value:
             bounds = selector.integers("frame_range")
@@ -355,13 +307,9 @@ class KnowledgeStore:
         if not frames:
             return self._first_pass_page(SCOPE_MOMENT_CAPTIONS, interval, offset)
         first, last = interval or (frames[0], frames[-1])
-        orphans = self._orphan_frames.get(qtype, [])
-        i = bisect_left(orphans, first)
-        if i < len(orphans) and orphans[i] <= last:
-            raise NotFoundError(f"frame {orphans[i]} falls outside every shot")
 
         def row(frame: int) -> dict:
-            return {"frame": frame, "node_id": self._owner_shot_id(frame),
+            return {"frame": frame, "node_id": _owner_shot_id(self.tree, frame),
                     "text": self.captions[(frame, qtype)].text}
 
         return _page(SCOPE_MOMENT_CAPTIONS, False, frames,
@@ -375,7 +323,7 @@ class KnowledgeStore:
             shot_ids = [selector.integer("shot_id")]
         starts = self._summary_starts.get(qtype)
         if shot_ids is not None:
-            shots = [self._shot_by_id(s) for s in shot_ids]
+            shots = [_shot_by_id(self.tree, s) for s in shot_ids]
             if starts is None:
                 # Each selected shot once, in shot order.
                 starts = sorted({shot.start_frame for shot in shots
@@ -401,7 +349,7 @@ class KnowledgeStore:
         order; every shot when it is None. The shots run in frame order, so
         they are those from the one holding its first frame, or starting
         after it, to the last starting by its last."""
-        starts = self._first_pass_starts
+        starts = self._first_pass_frames
         lo, hi = 0, len(starts)
         if interval is not None:
             first, last = interval
@@ -453,29 +401,57 @@ class KnowledgeStore:
             root.fail(f"must be positive, got {doc_fps}", "fps")
         if fps is not None and fps != doc_fps:
             root.fail(f"fps {fps} differs from the sidecar's {doc_fps}", "fps")
-        store = cls(tree=tree, fps=doc_fps)
-        frames, shots = store._owner_shot_id, store._shot_by_id
 
-        def index(item: Doc, key: str, find: Callable[[int], Any]) -> int:
+        def index(item: Doc, key: str, find: Callable[[HybridTree, int], Any]
+                  ) -> int:
             value = item.integer(key)
             try:
-                find(value)
+                find(tree, value)
             except NotFoundError:
                 item.fail(f"{key} {value} is not in the tree", key)
             return value
 
-        for item in root.objects("frame_paths", []):
-            store.frame_paths[index(item, "frame", frames)] = item.string(
-                "path", nonempty=True)
-        store.add_captions([FrameCaption(
-            index(item, "frame", frames), item.enum("qtype", QTYPES),
-            item.string("text")) for item in root.objects("captions", [])])
-        store.add_summaries([SegmentSummary(
-            index(item, "shot", shots), item.enum("qtype", QTYPES),
-            item.string("text")) for item in root.objects("summaries", [])])
-        for item in root.objects("first_pass", []):
-            store.first_pass[index(item, "shot", shots)] = item.string("text")
-        return store
+        frame_paths = {index(item, "frame", _owner_shot_id):
+                       item.string("path", nonempty=True)
+                       for item in root.objects("frame_paths", [])}
+        captions = [FrameCaption(
+            index(item, "frame", _owner_shot_id), item.enum("qtype", QTYPES),
+            item.string("text")) for item in root.objects("captions", [])]
+        summaries = [SegmentSummary(
+            index(item, "shot", _shot_by_id), item.enum("qtype", QTYPES),
+            item.string("text")) for item in root.objects("summaries", [])]
+        first_pass = {index(item, "shot", _shot_by_id): item.string("text")
+                      for item in root.objects("first_pass", [])}
+        return cls(tree=tree, fps=doc_fps, frame_paths=frame_paths,
+                   first_pass=first_pass,
+                   captions={(c.frame_index, c.qtype): c for c in captions},
+                   summaries={(s.shot_id, s.qtype): s for s in summaries})
+
+
+def _shot_by_id(tree: HybridTree, shot_id: int) -> TreeNode:
+    """A listed shot: the node the tree finds at its own first frame."""
+    shot = tree.nodes.get(shot_id)
+    if shot is None or tree.shot_at(shot.start_frame) is not shot:
+        raise NotFoundError(f"shot {shot_id} does not exist in this tree")
+    return shot
+
+
+def _owner_shot_id(tree: HybridTree, frame: int) -> int:
+    shot = tree.shot_at(frame)
+    if shot is None:
+        raise NotFoundError(f"frame {frame} falls outside every shot")
+    return shot.node_id
+
+
+def _by_type(keyed: dict[tuple[int, str], Any],
+             start: Callable[[int], int]) -> dict[str, list[int]]:
+    """Per type, the sorted `start` of each `(key, qtype)` in `keyed`."""
+    index: dict[str, list[int]] = {}
+    for key, qtype in keyed:
+        index.setdefault(qtype, []).append(start(key))
+    for starts in index.values():
+        starts.sort()
+    return index
 
 
 def _check_version(root: Doc) -> None:

@@ -46,12 +46,7 @@ from .errors import (
     canonical_json,
     parse_doc,
 )
-from .knowledge import (
-    RETRIEVAL_SCOPES,
-    TOOL_INSPECT_FRAME,
-    AgentProfile,
-    KnowledgeStore,
-)
+from .knowledge import TOOL_INSPECT_FRAME, AgentProfile, KnowledgeStore
 
 logger = logging.getLogger(__name__)
 
@@ -457,9 +452,7 @@ def _run_tool(tool: str, args: Doc, store: KnowledgeStore,
         frame = args.integer("frame_index")
         prompt = args.string("prompt", "Describe this frame.")
         return backend.call(caption_request(store.frame_ref(frame), prompt))
-    if tool in RETRIEVAL_SCOPES:
-        return store.retrieve(tool, qtype, args.value or None).as_text()
-    raise ValidationError(f"unknown tool {tool!r}")
+    return store.retrieve(tool, qtype, args.value or None).as_text()
 
 
 def truncated_evidence(agent: str, num_options: int, reason: str) -> EvidenceItem:
@@ -597,10 +590,8 @@ def _parse_stated_choice(reply: str, num_options: int) -> tuple[int | None, bool
     if token.isdigit():
         # No option space reaches 10 digits; past 4,300 `int` would raise.
         idx = int(token) if len(token) < 10 else num_options
-    elif len(token) == 1 and token.isalpha():
-        idx = ord(token.upper()) - ord("A")
     else:
-        return None, False
+        idx = ord(token.upper()) - ord("A")
     if 0 <= idx < num_options:
         return idx, False
     return None, True

@@ -13,8 +13,8 @@ captions are in. Each shot expands as soon as its own score and every
 earlier shot's are in. The typed captions wait for the last score,
 expansion and synthesis, because frame retrieval's gamma gate is global.
 No task waits on another, and only the build thread reads results into the
-tree and store, in shot and frame order, so they do not depend on the order
-calls finish in. In `evaluate`, planning reads only the question, so each
+tree, in shot order, and builds the store from them once, at the end, so
+neither depends on the order calls finish in. In `evaluate`, planning reads only the question, so each
 question's analysis and planning are queued on the video's question pool
 when the build queues the syntheses, and run while the build goes on; after
 the build only the evidence stages and the answer remain. Queued as each
@@ -264,8 +264,8 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
             [s.representative_frame for s in tree.shots()],
             [generic_prompt(config.template_dir)], backend, store.frame_ref,
             calls, landed=None if config.uniform_sampling else queue_score)
-        for shot, cap in zip(tree.shots(), first_caps):
-            store.first_pass[shot.node_id] = cap.text
+        first_pass = {shot.node_id: cap.text
+                      for shot, cap in zip(tree.shots(), first_caps)}
 
         bundles = [c.result() for c in classified]
         synthesized = [calls.submit(type_prompt, qtype, bundles, config, backend)
@@ -298,9 +298,10 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         captions = caption_frames(retrieved, [s.result() for s in synthesized],
                                   backend, store.frame_ref, calls,
                                   landed=queue_fusion)
-        store.add_captions(captions)
-        store.add_summaries([fused[key].result() for key in sorted(fused)])
+        summaries = {key: fused[key].result() for key in sorted(fused)}
 
+    store = replace(store, first_pass=first_pass, summaries=summaries,
+                    captions={(c.frame_index, c.qtype): c for c in captions})
     return BuildResult(tree=tree, store=store, bundles=bundles,
                        retrieved_frames=retrieved)
 

@@ -53,10 +53,6 @@ class RelevanceScore:
     rationale: str = ""
     defaulted: bool = False
 
-    def __post_init__(self) -> None:
-        if not 1.0 <= self.value <= 5.0:
-            raise ValidationError(f"relevance {self.value} outside [1, 5]")
-
 
 @dataclass
 class TreeNode:
@@ -141,8 +137,6 @@ class HybridTree:
             if shot.start_frame != prev_end + 1:
                 raise ValidationError(
                     f"shot {sid} starts at {shot.start_frame}, expected {prev_end + 1}")
-            if shot.frames != range(shot.start_frame, shot.end_frame + 1):
-                raise ValidationError(f"shot {sid} frames are not contiguous")
             prev_end = shot.end_frame
             self._validate_subtree(shot, shot, reached)
         if len(reached) != len(self.nodes):
@@ -560,10 +554,14 @@ def deserialize_tree(root: Doc) -> HybridTree:
             node_doc.fail("no frames (an empty cluster or a reversed shot)",
                           "frames")
         rel_doc = node_doc.obj("relevance", None)
-        relevance = None if rel_doc is None else RelevanceScore(
-            value=rel_doc.number("value"),
-            rationale=rel_doc.string("rationale", ""),
-            defaulted=rel_doc.boolean("defaulted", False))
+        relevance = None
+        if rel_doc is not None:
+            value = rel_doc.number("value")
+            if not 1.0 <= value <= 5.0:
+                rel_doc.fail(f"must be in [1, 5], got {value}", "value")
+            relevance = RelevanceScore(
+                value=value, rationale=rel_doc.string("rationale", ""),
+                defaulted=rel_doc.boolean("defaulted", False))
         nodes[node_id] = TreeNode(
             node_id=node_id,
             kind=kind,

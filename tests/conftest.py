@@ -116,13 +116,15 @@ def long_store(num_shots: int, frames_per_shot: int = 2,
                            TreeParams())
     for i, shot in enumerate(tree.shots()):
         shot.relevance = RelevanceScore(1.0 + i % 5)
-    store = KnowledgeStore(tree=tree)
-    store.add_captions([FrameCaption(f, qtype, f"{qtype.lower()} caption {f}")
-                        for f in range(num_shots * frames_per_shot)])
-    store.add_summaries([SegmentSummary(i, qtype, f"{qtype.lower()} summary {i}")
-                         for i in range(num_shots)])
-    store.first_pass = {i: f"generic shot {i}" for i in range(num_shots)}
-    return store
+    return KnowledgeStore(
+        tree=tree,
+        first_pass={i: f"generic shot {i}" for i in range(num_shots)},
+        captions={(f, qtype): FrameCaption(f, qtype,
+                                           f"{qtype.lower()} caption {f}")
+                  for f in range(num_shots * frames_per_shot)},
+        summaries={(i, qtype): SegmentSummary(i, qtype,
+                                              f"{qtype.lower()} summary {i}")
+                   for i in range(num_shots)})
 
 
 # ---------------------------------------------------------------------------

@@ -559,8 +559,8 @@ def test_cache_temp_name_unique_per_process(tmp_path) -> None:
     cached = CachingBackend(MockBackend(MockScript(default_response="mine")),
                             tmp_path / "cache")
     request = chat_request("q")
-    other = (tmp_path / "cache"
-             / f"{cached.cache_key(request)}.{threading.get_ident()}.tmp")
+    name = f"{cached.cache_key(request)}.json.{threading.get_ident()}.tmp"
+    other = tmp_path / "cache" / name
     other.write_text("half-written by another process")
     assert cached.call(request) == "mine"
     assert other.read_text() == "half-written by another process"

@@ -5,11 +5,14 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from videoqa.backends import Backend, CachingBackend
+from videoqa.captioning import load_template
 from videoqa.cli import _make_backend, main
 from videoqa.config import EngineConfig
+from videoqa.ingest import write_embeddings
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
 
@@ -301,6 +304,31 @@ def test_cli_eval_failed_classification_names_the_question(tmp_path,
         "string, got 42")
 
 
+def test_cli_ask_failed_classification_names_the_question(tmp_path,
+                                                        capsys) -> None:
+    """`ask` names the question as `eval` does. With `--qtype` it makes no
+    classification call, even under a config that sets `reclassify`."""
+    world = build_golden_world(tmp_path / "golden")
+    assert main(_build_args(world, tmp_path)) == 0
+    script = json.loads(world.script_path.read_text())
+    script["rules"].insert(0, {"match": "Classify this multiple-choice",
+                               "response": 42})
+    world.script_path.write_text(json.dumps(script))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"reclassify": True}))
+    ask = ["ask", str(tmp_path / "build.json"), "--question-id", "a_q1",
+           "--question", "Why is the man on the bench looking up?",
+           "--option", "a bird flying overhead",
+           "--option", "overlooking the children",
+           "--mock-script", str(world.script_path), "--config", str(config)]
+    capsys.readouterr()
+    assert main(ask) == 3
+    assert capsys.readouterr().err.strip() == (
+        "error: classifying question a_q1 failed: chat reply#: expected a "
+        "string, got 42")
+    assert main(ask + ["--qtype", "Causal"]) == 0
+
+
 def test_cli_eval_byte_identical_reruns(tmp_path) -> None:
     world = build_golden_world(tmp_path / "golden")
 
@@ -436,6 +464,13 @@ def _shot_as_child(doc: dict) -> None:
                  "node 5 has wrong depth", id="child-at-wrong-depth"),
     pytest.param(lambda doc: _node(doc, 5).update(frames=[13, 15]),
                  "children of node 2 do not partition", id="not-a-partition"),
+    pytest.param(lambda doc: doc.update(shot_order=[]), "tree has no shots",
+                 id="no-shots"),
+    pytest.param(lambda doc: doc["shot_order"].append(4),
+                 "shot_order entry 4 is not a shot node", id="cluster-as-shot"),
+    pytest.param(lambda doc: _node(doc, 0)["relevance"].update(value=9.0),
+                 "#/tree/nodes/0/relevance/value: must be in [1, 5], got 9.0",
+                 id="relevance-out-of-range"),
 ])
 def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
                                           message) -> None:
@@ -477,13 +512,15 @@ def test_cli_mistyped_config_value_exits_4(tmp_path, capsys, doc, key) -> None:
     assert f"/{key}: expected" in err and "Traceback" not in err
 
 
-def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> None:
+def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
+                                                         monkeypatch) -> None:
     """Every file argument of every command, given a missing file, a
     directory, non-UTF-8 bytes or invalid JSON, and every output path in a
     missing directory, ends in its documented exit code with `error:` on
     stderr and no traceback. An unreadable path exits 2; the contents of the
     config, mock script, profile and template exit 4, of any other input 2.
-    A missing profile or template is not an error: the built-in one is used."""
+    A missing profile or template is not an error: the built-in one is used,
+    and the run exits 0 with no `error:`."""
     world = build_golden_world(tmp_path / "golden")
     assert main(_build_args(world, tmp_path)) == 0
     built = tmp_path / "build.json"
@@ -527,9 +564,9 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
                 "--out-records", str(tmp_path / "records.jsonl"),
                 "--out-report", str(tmp_path / "report.json"), *extra]
 
-    def embeddings(path: Path) -> Path:
+    def edited(**fields) -> Path:
         doc = json.loads(manifest.read_text())
-        doc["embeddings_path"] = str(path)
+        doc.update(fields)
         out = tmp_path / "bad" / f"manifest{next(rows)}.json"
         out.write_text(json.dumps(doc))
         return out
@@ -544,7 +581,8 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
             (f"build manifest {kind}", build(manifest=bad(kind, "m.json")), 2),
             (f"build questions {kind}", build(questions=bad(kind, "q.json")), 2),
             (f"build embeddings {kind}",
-             build(manifest=embeddings(bad(kind, "e.emb"))), 2),
+             build(manifest=edited(embeddings_path=str(bad(kind, "e.emb")))),
+             2),
             (f"eval manifest {kind}", evaluate(dataset=bad(kind, "d.json")), 2),
             (f"--config {kind}",
              evaluate("--config", str(bad(kind, "c.json"))), contents),
@@ -561,6 +599,20 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
                           build(*config({"template_dir": str(templates)})),
                           contents))
     nowhere = tmp_path / "no_such_dir"
+    no_columns = tmp_path / "bad" / "no_columns.emb"
+    write_embeddings(no_columns, np.zeros((24, 0)))
+    zero_weights = tmp_path / "bad" / "zero_weights"
+    zero_weights.mkdir()
+    (zero_weights / "causal.json").write_text(json.dumps({
+        "qtype": "Causal", "strategy": {"name": "s"},
+        "weights": {"text": 0, "visual": 0}}))
+    one_template = tmp_path / "bad" / "one_template"
+    one_template.mkdir()
+    (one_template / "causal.txt").write_text(load_template("causal"))
+    # `--cache` with no backend.cache_dir caches in `.videoqa_cache` under
+    # the working directory, here a file.
+    monkeypatch.chdir(tmp_path / "bad")
+    (tmp_path / "bad" / ".videoqa_cache").write_text("")
     cache_file = bad("invalid-json", "cache")
     unversioned = tmp_path / "bad" / "unversioned.json"
     doc = json.loads(built.read_text())
@@ -568,6 +620,15 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
     unversioned.write_text(json.dumps(doc))
     table += [
         ("ask build file without a version", ask(file=unversioned), 2),
+        ("manifest fps 0", build(manifest=edited(fps=0)), 2),
+        ("manifest without frames", build(manifest=edited(frames=[])), 2),
+        ("embeddings file with 0 columns",
+         build(manifest=edited(embeddings_path=str(no_columns))), 2),
+        ("profile weights that sum to 0",
+         ask(*config({"profile_dir": str(zero_weights)})), 4),
+        ("--cache with no backend.cache_dir", evaluate("--cache"), 4),
+        ("template_dir without every type's file",
+         build(*config({"template_dir": str(one_template)})), 0),
         ("build file output", build(out=nowhere / "b.json"), 2),
         ("eval records output",
          evaluate("--out-records", str(nowhere / "r.jsonl")), 2),
@@ -611,7 +672,8 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys) -> N
             failures.append(f"{name}: raised {exc!r}")
             continue
         err = capsys.readouterr().err
-        if code != expected or "error:" not in err or "Traceback" in err:
+        if (code != expected or ("error:" in err) != (expected != 0)
+                or "Traceback" in err):
             failures.append(f"{name}: exit {code}, want {expected}; {err!r}")
     assert not failures, "\n".join(failures)
 

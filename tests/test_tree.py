@@ -534,6 +534,9 @@ def test_serialize_bad_node_pointer() -> None:
         (lambda doc: doc.update(shot_order=[0, 0]), "/shot_order"),
         (lambda doc: doc["nodes"][0].update(frames=[15, 0]), "/nodes/0/frames"),
         (lambda doc: doc["nodes"][1].update(frames=[]), "/nodes/1/frames"),
+        (lambda doc: doc["nodes"][1].update(relevance={"value": 9.0}),
+         "/nodes/1/relevance/value"),
+        (lambda doc: doc["nodes"][0].update(frames=[0, 1, 2]), "/nodes/0/frames"),
     ]
     for mutate, pointer in table:
         doc = serialize_tree(_expanded_tree())

@@ -122,10 +122,10 @@ def _store() -> KnowledgeStore:
                            TreeParams())
     for shot, value in zip(tree.shots(), (2.0, 4.0)):
         shot.relevance = RelevanceScore(value)
-    store = KnowledgeStore(tree=tree)
-    store.add_captions([FrameCaption(8, "Causal", "children by a fountain")])
-    store.first_pass = {0: "bench", 1: "fountain"}
-    return store
+    return KnowledgeStore(
+        tree=tree, first_pass={0: "bench", 1: "fountain"},
+        captions={(8, "Causal"): FrameCaption(8, "Causal",
+                                              "children by a fountain")})
 
 
 def agent_step(rendered: str) -> tuple[str, int] | None:
