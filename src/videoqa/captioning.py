@@ -156,8 +156,6 @@ def synthesize_prompt(qtype: str, questions: list[str], llm: Backend,
                       template_dir: str | None = None) -> VisualPrompt:
     """Build the per-type visual prompt from the type's question subset and
     its semantic template."""
-    if qtype not in QTYPES:
-        raise ValidationError(f"unknown question type {qtype!r}")
     if not questions:
         raise ValidationError(f"no questions of type {qtype} to synthesize from")
     template = load_template(qtype.lower(), template_dir)

@@ -62,8 +62,6 @@ class EngineConfig:
             raise ConfigError("seed must be >= 0")
         if not self.backend.timeout_s > 0:
             raise ConfigError("backend.timeout_s must be positive")
-        if self.backend.max_inflight < 1:
-            raise ConfigError("backend.max_inflight must be >= 1")
 
     def ablation_flags(self) -> list[str]:
         flags = []

@@ -85,7 +85,8 @@ def load_frames(manifest_path: str | Path, backend: Backend | None = None,
 
     The manifest either points at a precomputed embedding matrix
     (embeddings_path) or gives every frame an image path, in which case a
-    backend serving "embed" is required, and its calls fan out on `pool`. A
+    backend serving "embed" is required, and its calls fan out on `pool`
+    (or run on the calling thread when there is no pool). A
     `video_id`, when given, is the id the manifest must declare; it is
     checked before any model call.
     """
@@ -142,10 +143,12 @@ def load_frames(manifest_path: str | Path, backend: Backend | None = None,
 
 
 def _embed_images(paths: dict[int, str], num_frames: int, backend: Backend,
-                  pool: Executor) -> np.ndarray:
-    """One embed call per frame, fanned out on `pool`; rows in frame order."""
-    rows = list(pool.map(lambda index: backend.call(embed_request(paths[index])),
-                         range(num_frames)))
+                  pool: Executor | None) -> np.ndarray:
+    """One embed call per frame, fanned out on `pool` when there is one;
+    rows in frame order."""
+    fan_out = map if pool is None else pool.map
+    rows = list(fan_out(lambda index: backend.call(embed_request(paths[index])),
+                        range(num_frames)))
     for index, vec in enumerate(rows):
         if len(vec) != len(rows[0]):
             raise ValidationError(
@@ -193,7 +196,7 @@ def detect_shots(embeddings: np.ndarray, sensitivity: float) -> list[range]:
     exceeds mean + sensitivity * stddev of all consecutive distances.
     Videos with fewer than 3 frames form a single shot.
     """
-    n = int(embeddings.shape[0]) if embeddings.ndim == 2 else 0
+    n = int(embeddings.shape[0])
     if n == 0:
         raise ValidationError("detect_shots needs at least one embedding")
     if sensitivity <= 0:

@@ -321,27 +321,24 @@ class KnowledgeStore:
         shot_ids = selector.integers("shot_ids", None)
         if shot_ids is None and "shot_id" in selector.value:
             shot_ids = [selector.integer("shot_id")]
-        starts = self._summary_starts.get(qtype)
-        if shot_ids is not None:
+        degraded = qtype not in self._summary_starts
+        if shot_ids is None:
+            starts = (self._first_pass_frames if degraded
+                      else self._summary_starts[qtype])
+        else:
+            # Each selected shot once, in shot order.
             shots = [_shot_by_id(self.tree, s) for s in shot_ids]
-            if starts is None:
-                # Each selected shot once, in shot order.
-                starts = sorted({shot.start_frame for shot in shots
-                                 if shot.node_id in self.first_pass})
-                return _page(SCOPE_SEGMENT_SUMMARIES, True, starts, 0,
-                             len(starts), offset, self._first_pass_row)
-            starts = [shot.start_frame for shot in shots
-                      if (shot.node_id, qtype) in self.summaries]
-        elif starts is None:
-            return self._first_pass_page(SCOPE_SEGMENT_SUMMARIES, None, offset)
+            starts = sorted({shot.start_frame for shot in shots
+                             if (shot.node_id in self.first_pass if degraded
+                                 else (shot.node_id, qtype) in self.summaries)})
 
         def row(start: int) -> dict:
             shot_id = self.tree.shot_at(start).node_id
             return {"shot_id": shot_id, "node_id": shot_id,
                     "text": self.summaries[(shot_id, qtype)].text}
 
-        return _page(SCOPE_SEGMENT_SUMMARIES, False, starts, 0, len(starts),
-                     offset, row)
+        return _page(SCOPE_SEGMENT_SUMMARIES, degraded, starts, 0, len(starts),
+                     offset, self._first_pass_row if degraded else row)
 
     def _first_pass_page(self, scope: str, interval: tuple[int, int] | None,
                          offset: int) -> RetrievalResult:

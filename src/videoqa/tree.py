@@ -169,8 +169,7 @@ class HybridTree:
                     raise ValidationError(f"node {child_id} has wrong depth")
                 child_frames.extend(child.frames)
                 self._validate_subtree(child, owner_shot, reached)
-            if (len(child_frames) != len(node.frames)
-                    or sorted(child_frames) != list(node.frames)):
+            if sorted(child_frames) != list(node.frames):
                 raise ValidationError(
                     f"children of node {node.node_id} do not partition its frames")
 
@@ -269,10 +268,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
-    if n == 0:
-        raise ValidationError("kmeans needs at least one point")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     if n <= k:
         return np.arange(n, dtype=np.int64)
 
@@ -437,7 +432,6 @@ def _expand_node(tree: HybridTree, node: TreeNode, embeddings: np.ndarray,
     frames = np.array(node.frames, dtype=np.int64)
     assign = kmeans(embeddings[frames], k, _node_seed(seed, node.node_id))
     groups = [frames[assign == c] for c in range(int(assign.max()) + 1)]
-    groups = [g for g in groups if g.size]
     groups.sort(key=lambda g: int(g.min()))
 
     next_id = max(tree.nodes) + 1
@@ -545,7 +539,7 @@ def deserialize_tree(root: Doc) -> HybridTree:
         if kind == KIND_SHOT:
             if len(frames) != 2:
                 node_doc.fail("shot frames must be [start, end]", "frames")
-            shot_frames += max(0, frames[1] + 1 - frames[0])
+            shot_frames += frames[1] + 1 - frames[0]
             if shot_frames > MAX_TREE_FRAMES:
                 node_doc.fail(f"shots span more than {MAX_TREE_FRAMES} frames",
                               "frames")

@@ -35,6 +35,13 @@ from conftest import RecordingBackend
 # Payload rendering
 # ---------------------------------------------------------------------------
 
+def test_default_inflight_limit_is_eight() -> None:
+    assert backends.Backend().max_inflight == 8
+    assert backends.Backend.from_mock(MockScript()).max_inflight == 8
+    assert MockBackend(MockScript()).max_inflight == 8
+    assert RemoteBackend({"chat": "http://unit.test/chat"}).max_inflight == 8
+
+
 def test_render_payload_deterministic() -> None:
     req = chat_request("hello")
     assert render_payload(req) == render_payload(chat_request("hello"))
@@ -85,6 +92,25 @@ def test_mock_callable_default() -> None:
     script = MockScript(default_response=lambda rendered: rendered[:4])
     backend = MockBackend(script)
     assert backend.call(chat_request("x")) == "chat"
+
+
+def test_mock_callable_defaults_that_print_alike_have_distinct_identities(
+        ) -> None:
+    """A callable default is named by the object, not by its repr, so a
+    cache never serves one callable's replies to another."""
+    class Reply:
+        def __init__(self, text: str) -> None:
+            self.text = text
+
+        def __call__(self, rendered: str) -> str:
+            return self.text
+
+        def __repr__(self) -> str:
+            return "Reply()"
+
+    first, second = (MockBackend(MockScript(default_response=Reply(text)))
+                     for text in ("A", "B"))
+    assert first.identity != second.identity
 
 
 def test_mock_no_rule_no_default_raises_and_logs() -> None:
@@ -280,11 +306,13 @@ def test_remote_unusable_endpoint_url_is_transport_error(url, tmp_path) -> None:
 
 
 def test_remote_auth_failure_not_retried() -> None:
-    backend, transport = _remote([(401, {})])
-    with pytest.raises(BackendError, match="authentication rejected") as caught:
-        backend.call(chat_request("q"))
-    assert not isinstance(caught.value, TransportError)
-    assert transport.calls == 1
+    for status in (401, 403):
+        backend, transport = _remote([(status, {})])
+        with pytest.raises(BackendError, match=f"authentication rejected by "
+                           f"http://unit.test/chat \\({status}\\)") as caught:
+            backend.call(chat_request("q"))
+        assert not isinstance(caught.value, TransportError)
+        assert transport.calls == 1
 
 
 def test_remote_timeout_is_retried_as_transport_error() -> None:
@@ -314,6 +342,14 @@ def test_remote_4xx_is_backend_error() -> None:
     backend, _ = _remote([(404, {})])
     with pytest.raises(BackendError):
         backend.call(chat_request("q"))
+
+
+def test_remote_3xx_is_backend_error() -> None:
+    """Redirects are not followed, so a 3xx reply is an error, not a body."""
+    backend, transport = _remote([(300, _chat_body("ok"))])
+    with pytest.raises(BackendError, match="returned 300"):
+        backend.call(chat_request("q"))
+    assert transport.calls == 1
 
 
 def test_remote_embed_parsing() -> None:
@@ -370,6 +406,16 @@ def test_remote_retry_after_beyond_timeout_fails_without_sleeping() -> None:
         backend.call(chat_request("q"))
     assert transport.calls == 1
     assert sleeps == []
+
+
+def test_remote_retry_after_equal_to_the_timeout_is_slept() -> None:
+    sleeps: list[float] = []
+    transport = FakeTransport([(503, None, {"Retry-After": "60"}),
+                               (200, _chat_body("ok"))])
+    backend = RemoteBackend({"chat": "http://unit.test/chat"}, timeout_s=60.0,
+                            transport=transport, sleep=sleeps.append)
+    assert backend.call(chat_request("q")) == "ok"
+    assert sleeps == [60.0]
 
 
 @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "soon",

@@ -65,6 +65,14 @@ def test_classify_unparseable_defaults_to_descriptive_after_retry(caplog) -> Non
     assert len(llm.calls) == 2
 
 
+def test_classify_unparseable_warning_shows_eighty_characters(caplog) -> None:
+    llm = _backend(default="x" * 100)
+    with caplog.at_level(logging.WARNING, logger="videoqa.captioning"):
+        classify_question("Anything?", ["a", "b"], llm)
+    assert caplog.messages == [
+        f"unparseable classification {'x' * 80!r}, defaulting to Descriptive"]
+
+
 def test_classify_empty_question_rejected() -> None:
     with pytest.raises(ValidationError):
         classify_question("  ", ["a"], _backend(default="Causal"))

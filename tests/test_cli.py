@@ -3,15 +3,19 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import videoqa
 from videoqa.backends import Backend, CachingBackend
 from videoqa.captioning import load_template
 from videoqa.cli import _make_backend, main
-from videoqa.config import EngineConfig
+from videoqa.config import BackendConfig, EngineConfig
 from videoqa.ingest import write_embeddings
 
 from conftest import GOLDEN_QUESTIONS, build_golden_world
@@ -493,6 +497,15 @@ def test_cli_inspect_invalid_tree_exits_2(tmp_path, capsys, mutate,
     assert message in captured.err
 
 
+def test_config_takes_the_least_value_of_each_range() -> None:
+    """Each range's least value is taken (the exit-code table's `config ...`
+    rows refuse the value below it), and the in-flight limit defaults to 8."""
+    config = EngineConfig(sensitivity=0.5, k=1, max_depth=1, max_iterations=1,
+                          backend=BackendConfig(timeout_s=0.5))
+    assert (config.k, config.max_depth, config.max_iterations) == (1, 1, 1)
+    assert BackendConfig().max_inflight == 8
+
+
 @pytest.mark.parametrize("doc,key", [
     ({"seed": "x"}, "seed"),
     ({"k": 2.5}, "k"),
@@ -662,6 +675,14 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
         ("--mock-script match that is not a string",
          ask(*mock_script([{"match": 5}])), 4),
     ]
+    # Rows whose exit code a later check gives too: the message names the
+    # check that refused the input.
+    messages = {
+        "manifest fps 0": "#/fps: must be positive, got 0",
+        "manifest without frames": "#/frames: has no frames",
+        "embeddings file with 0 columns":
+            "embedding matrix must be (frames, dim) with dim > 0",
+    }
 
     failures = []
     for name, argv, expected in table:
@@ -673,9 +694,21 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
             continue
         err = capsys.readouterr().err
         if (code != expected or ("error:" in err) != (expected != 0)
-                or "Traceback" in err):
+                or "Traceback" in err or messages.get(name, "") not in err):
             failures.append(f"{name}: exit {code}, want {expected}; {err!r}")
     assert not failures, "\n".join(failures)
+
+
+def test_cli_runs_as_a_module(tmp_path) -> None:
+    """`python -m videoqa.cli` runs the CLI from a checkout, with its exit
+    code."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(videoqa.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "videoqa.cli", "inspect",
+                           str(tmp_path / "absent.json")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")
 
 
 def test_cli_broken_question_fails_before_any_model_call(tmp_path, capsys,

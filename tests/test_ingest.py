@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,6 +49,23 @@ def test_embeddings_file_roundtrip(tmp_path) -> None:
     assert np.array_equal(read_embeddings(path), matrix)
 
 
+def test_embeddings_file_layout(tmp_path) -> None:
+    """The documented bytes: "HCEM", u32 rows, u32 dim, u32 reserved 0, then
+    row-major little-endian float32."""
+    path = tmp_path / "m.emb"
+    write_embeddings(path, np.array([[1.0, 2.0, 3.0]]))
+    assert path.read_bytes() == (b"HCEM" + (1).to_bytes(4, "little")
+                                 + (3).to_bytes(4, "little") + bytes(4)
+                                 + np.array([1, 2, 3], "<f4").tobytes())
+
+
+def test_embeddings_file_with_no_rows_is_its_header(tmp_path) -> None:
+    path = tmp_path / "m.emb"
+    write_embeddings(path, np.zeros((0, 3)))
+    assert len(path.read_bytes()) == 16
+    assert read_embeddings(path).shape == (0, 3)
+
+
 def test_ingest_holds_one_copy_of_the_matrix(tmp_path) -> None:
     """Reading keeps the file's bytes as the matrix, and validation plus
     shot detection allocate far less than another matrix: a 3600 x 256
@@ -83,6 +101,14 @@ def test_row_norms_match_numpy_bit_for_bit() -> None:
     expected = 1.0 - np.einsum("ij,ij->i", a, b) / (
         np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
     assert consecutive_distances(matrix).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_write_embeddings_refuses_a_matrix_that_is_not_2d(tmp_path,
+                                                          shape) -> None:
+    with pytest.raises(ValidationError, match="must be 2-dimensional"):
+        write_embeddings(tmp_path / "x.emb", np.ones(shape))
+    assert not (tmp_path / "x.emb").exists()
 
 
 def test_embeddings_bad_magic(tmp_path) -> None:
@@ -229,6 +255,24 @@ def test_load_frames_embedder_backend_route(tmp_path, pool) -> None:
     assert frames.paths == {0: "img0.jpg", 1: "img1.jpg"}
 
 
+def test_load_frames_embeds_on_the_calling_thread_without_a_pool(
+        tmp_path) -> None:
+    path = _write_manifest(tmp_path, {
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": 0, "path": "img0.jpg"},
+                   {"index": 1, "path": "img1.jpg"}]})
+    threads = set()
+
+    def embed(rendered: str) -> list[float]:
+        threads.add(threading.get_ident())
+        return [1.0, 0.0] if "img0.jpg" in rendered else [0.0, 1.0]
+
+    frames = load_frames(path, MockBackend(MockScript(default_response=embed)))
+    assert frames.embeddings.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert frames.paths == {0: "img0.jpg", 1: "img1.jpg"}
+    assert threads == {threading.get_ident()}
+
+
 def test_load_frames_embedder_dim_mismatch_names_row(tmp_path, pool) -> None:
     path = _write_manifest(tmp_path, {
         "video_id": "v", "fps": 1,
@@ -239,6 +283,18 @@ def test_load_frames_embedder_dim_mismatch_names_row(tmp_path, pool) -> None:
     script.add("img2.jpg", [0.0, 1.0])
     with pytest.raises(ValidationError, match="frame 2"):
         load_frames(path, MockBackend(script), pool=pool)
+
+
+def test_load_frames_embedder_rows_take_the_first_rows_length(tmp_path) -> None:
+    path = _write_manifest(tmp_path, {
+        "video_id": "v", "fps": 1,
+        "frames": [{"index": i, "path": f"img{i}.jpg"} for i in range(2)]})
+    script = MockScript()
+    script.add("img0.jpg", [1.0, 0.0])
+    script.add("img1.jpg", [0.0, 1.0, 0.0])
+    with pytest.raises(ValidationError, match="^embedding row for frame 1 has "
+                                              "length 3, expected 2$"):
+        load_frames(path, MockBackend(script))
 
 
 def test_load_frames_images_without_backend(tmp_path) -> None:

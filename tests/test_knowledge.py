@@ -196,6 +196,16 @@ def test_segment_summaries_selected_shots() -> None:
         ["park overview", "fountain closeup"]
 
 
+@pytest.mark.parametrize("qtype", ["Descriptive", "Temporal"])
+def test_segment_summaries_list_each_selected_shot_once_in_shot_order(
+        qtype) -> None:
+    """Typed (Descriptive) and degraded (Temporal) rows alike."""
+    result = long_store(5).retrieve("segment_summaries", qtype,
+                                    {"shot_ids": [3, 1, 3]})
+    assert [r["shot_id"] for r in result.rows] == [1, 3]
+    assert result.selected == 2
+
+
 def test_segment_summaries_unknown_shot_not_found() -> None:
     with pytest.raises(NotFoundError, match="99"):
         _store().retrieve("segment_summaries", "Descriptive", {"shot_id": 99})

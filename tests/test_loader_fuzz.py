@@ -27,6 +27,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,16 @@ def test_wrong_type_message_shows_sixty_characters_of_the_value() -> None:
     assert str(raised.value) == (
         'doc.json#/k: expected an int, got "abcdefghijklmnopqrstuvwxyz'
         'abcdefghijklmnopqrstuvwxyzabcdefg')
+
+
+def test_number_reads_every_finite_json_number_as_a_float() -> None:
+    """The largest finite float is a number, an int reads as a float, and a
+    nullable number's null as None."""
+    doc = Doc({"max": sys.float_info.max, "int": 2, "null": None}, InputError,
+              "doc.json")
+    assert doc.number("max") == sys.float_info.max
+    assert type(doc.number("int")) is float
+    assert doc.number("null", None, null=True) is None
 
 
 @pytest.mark.parametrize("loader", LOADERS)

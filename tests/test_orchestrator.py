@@ -174,6 +174,22 @@ def test_plan_accepts_valid_model_plan() -> None:
     assert "search backward" in workflow.stages[0].task_description.lower()
 
 
+_TEXT_STAGE = {"agent": TEXT_AGENT, "task": "t", "inputs": ["question"],
+               "output": "text_evidence"}
+_ANSWER_STAGE = {"agent": ANSWER_AGENT, "task": "a",
+                 "inputs": ["text_evidence"], "output": "answer"}
+
+
+def test_plan_followed_by_text_is_read() -> None:
+    """The plan is the text from the first `[` to the last `]`."""
+    stages = [_TEXT_STAGE, _ANSWER_STAGE]
+    backend = _backend(("planning question", _plan_reply(stages) + ". Done."))
+    template = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = plan_tasks(template, _bundle("Descriptive"), backend)
+    assert not workflow.repaired
+    assert [s.task_description for s in workflow.stages] == ["t", "a"]
+
+
 def test_plan_unproduced_key_repaired_to_template() -> None:
     stages = [
         {"agent": TEXT_AGENT, "task": "t", "inputs": ["missing_key"],
@@ -186,6 +202,33 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
     workflow = plan_tasks(template, _bundle("Descriptive"), backend)
     assert workflow.repaired is True
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
+
+
+@pytest.mark.parametrize("stages,problem", [
+    pytest.param([{"agent": VISUAL_AGENT, "task": "v", "inputs": ["question"],
+                   "output": "visual_evidence"}, _TEXT_STAGE, _ANSWER_STAGE],
+                 f"stage agent {VISUAL_AGENT} not in the selected set",
+                 id="unselected-agent"),
+    pytest.param([_TEXT_STAGE, dict(_TEXT_STAGE, output="more_text"),
+                  _ANSWER_STAGE],
+                 f"agent {TEXT_AGENT} must appear exactly once",
+                 id="agent-twice"),
+    pytest.param([dict(_TEXT_STAGE, output=""),
+                  dict(_ANSWER_STAGE, inputs=["question"])],
+                 f"stage {TEXT_AGENT} has no output key", id="empty-output"),
+])
+def test_plan_breaking_one_invariant_is_repaired(stages, problem) -> None:
+    """Each plan breaks only the invariant named, on a Descriptive
+    text-only template."""
+    logged: list[str] = []
+    backend = _backend(("planning question", _plan_reply(stages)))
+    template = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow = plan_tasks(template, _bundle("Descriptive"), backend,
+                          log=lambda level, msg, *args: logged.append(msg % args))
+    assert workflow.repaired is True
+    assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
+    assert logged == ["question q1: plan invalid (%s); repaired to template"
+                      % problem]
 
 
 def test_plan_garbage_reply_repaired() -> None:
@@ -271,7 +314,8 @@ def test_workflow_invariants_catch_violations() -> None:
         Stage(VISUAL_AGENT, "v", ("question",), "visual_evidence"),
         Stage(ANSWER_AGENT, "a", ("text_evidence",), "answer"),
     ])
-    assert any("integration" in p for p in no_integration.problems())
+    assert f"agent {INTEGRATION_AGENT} must appear exactly once" in \
+        no_integration.problems()
 
     integration_first = Workflow("Causal", AGENT_REGISTRY, [
         Stage(INTEGRATION_AGENT, "i", ("question",), "option_scores"),
@@ -280,6 +324,14 @@ def test_workflow_invariants_catch_violations() -> None:
         Stage(ANSWER_AGENT, "a", ("option_scores",), "answer"),
     ])
     assert any("after integration" in p for p in integration_first.problems())
+    visual_after_integration = Workflow("Causal", AGENT_REGISTRY, [
+        Stage(TEXT_AGENT, "t", ("question",), "text_evidence"),
+        Stage(INTEGRATION_AGENT, "i", ("text_evidence",), "option_scores"),
+        Stage(VISUAL_AGENT, "v", ("question",), "visual_evidence"),
+        Stage(ANSWER_AGENT, "a", ("option_scores",), "answer"),
+    ])
+    assert visual_after_integration.problems() == [
+        f"evidence stages ['{VISUAL_AGENT}'] run after integration"]
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +797,18 @@ def test_generate_answer_from_worked_example() -> None:
     assert record.chosen_index == 0
     assert record.chosen_text == "a park"
     assert record.validated is True
+    assert (record.rounds_used, record.truncated) == (0, False)
+
+
+def test_generate_answer_trace_keeps_300_characters_of_the_explanation(
+        ) -> None:
+    items = [EvidenceItem(TEXT_AGENT, (0.9, 0.1), 1.0)]
+    scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
+                                "Descriptive")
+    explanation = "".join(str(i % 10) for i in range(400))
+    backend = _backend(("drafting explanation", explanation))
+    record = generate_answer(scores, items, ("a", "b"), backend)
+    assert record.trace[-1].thought == explanation[:300]
 
 
 def test_generate_answer_out_of_space_choice_keeps_argmax() -> None:
@@ -752,7 +816,7 @@ def test_generate_answer_out_of_space_choice_keeps_argmax() -> None:
     scores = integrate_evidence(items, _weights_profile(1.0, 0.0),
                                 "Descriptive")
     for reply in ("My answer: F", "Answer: option 7",
-                  "Answer: option 1" + "0" * 4400):
+                  "Answer: option 1" + "0" * 4400, "Answer: 0000000001"):
         backend = _backend(("drafting explanation", reply))
         record = generate_answer(scores, items, tuple("abcde"), backend,
                                  question_id="q")
@@ -862,6 +926,18 @@ def test_execute_workflow_budget_law_is_an_explicit_check(monkeypatch,
     backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
     workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
     with pytest.raises(VideoQAError, match="budget law violated"):
+        execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
+                         _store(), _profile("Descriptive"), backend, pool)
+
+
+def test_execute_workflow_refuses_an_invalid_workflow(pool) -> None:
+    """The invariants are checked again where a workflow runs, whoever
+    built it."""
+    backend = _exec_backend(_final((0.9, 0.1)), _final((0.8, 0.2)))
+    workflow = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
+    workflow.max_iterations = 16
+    with pytest.raises(ValidationError, match=r"^invalid workflow: "
+                       r"max_iterations 16 outside \[1, 15\]$"):
         execute_workflow(workflow, _bundle("Descriptive", "What?", ("a", "b")),
                          _store(), _profile("Descriptive"), backend, pool)
 

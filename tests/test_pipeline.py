@@ -112,6 +112,8 @@ def test_uniform_leaf_shots_partition() -> None:
     assert max(sizes) - min(sizes) <= 1, "even split"
     shots_small = uniform_leaf_shots(3, 8)
     assert len(shots_small) == 3, "clamped to the frame count"
+    assert uniform_leaf_shots(1, 8) == [range(0, 1)]
+    assert uniform_leaf_shots(5, 0) == [range(0, 5)], "at least one shot"
 
 
 @pytest.mark.parametrize("field,value", [
@@ -137,11 +139,13 @@ def test_question_file_and_manifest_validation(tmp_path) -> None:
     questions = load_question_file(qfile)
     assert questions[0].gold_index == 1
 
-    qfile.write_text(json.dumps([{
-        "question_id": "q1", "text": "Why?", "options": ["a", "b"],
-        "gold_index": 7}]))
-    with pytest.raises(ValidationError, match="gold_index"):
-        load_question_file(qfile)
+    for gold in (2, 7):
+        qfile.write_text(json.dumps([{
+            "question_id": "q1", "text": "Why?", "options": ["a", "b"],
+            "gold_index": gold}]))
+        with pytest.raises(ValidationError, match=f"#/0/gold_index: {gold} is "
+                                                  "outside the option range"):
+            load_question_file(qfile)
 
     qfile.write_text(json.dumps([{
         "question_id": "q1", "text": "Why?", "options": ["a", "b"],

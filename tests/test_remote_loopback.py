@@ -196,7 +196,7 @@ def test_loopback_200_non_json_is_malformed(server) -> None:
 
 def test_loopback_slow_reply_is_a_transport_error_after_retries(server) -> None:
     server.default = Reply(delay_s=5.0, body=b"{}")
-    with pytest.raises(TransportError, match="timed out"):
+    with pytest.raises(TransportError, match=r"^request to \S+/chat timed out$"):
         remote(server, timeout_s=0.2).call(chat_request("q"))
     assert len(server.requests) == 3, "a timeout is retried twice"
 

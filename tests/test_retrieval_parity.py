@@ -136,7 +136,9 @@ class ScanKnowledgeStore(KnowledgeStore):
         populated = any(key[1] == qtype for key in self.summaries)
         if populated:
             rows = []
-            for shot in shots:
+            # Each selected shot once, in shot order.
+            for shot in sorted({s.node_id: s for s in shots}.values(),
+                               key=lambda s: s.start_frame):
                 summary = self.summaries.get((shot.node_id, qtype))
                 if summary is not None:
                     rows.append({"shot_id": shot.node_id, "node_id": shot.node_id,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import random
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import videoqa.tree as tree_module
 from videoqa.backends import MockBackend, MockScript
+from videoqa.config import EngineConfig
 from videoqa.errors import (
     BackendError,
     Doc,
@@ -17,6 +20,7 @@ from videoqa.errors import (
 from videoqa.ingest import detect_shots
 from videoqa.tree import (
     KIND_SHOT,
+    MAX_TREE_FRAMES,
     HybridTree,
     RelevanceScore,
     TreeNode,
@@ -121,6 +125,59 @@ def test_kmeans_no_empty_clusters() -> None:
         assert set(np.unique(assign)) == {0, 1}
 
 
+def reference_lloyd(pts: np.ndarray, k: int, first: int) -> np.ndarray:
+    """Plain Lloyd's K-Means from farthest-point seeds that start at point
+    `first`: assign each point to its nearest centre, move each centre to
+    its members' mean, and stop when the assignment holds."""
+    chosen = [first]
+    while len(chosen) < k:
+        chosen.append(int(np.argmax([min(np.linalg.norm(p - pts[c])
+                                         for c in chosen) for p in pts])))
+    centers = pts[chosen]
+    assign = None
+    for _ in range(100):
+        nearest = np.array([int(np.argmin([np.linalg.norm(p - c)
+                                           for c in centers])) for p in pts])
+        if assign is not None and np.array_equal(nearest, assign):
+            break
+        assign = nearest
+        assert len(np.unique(assign)) == k, "no cluster empties here"
+        centers = np.array([pts[assign == c].mean(axis=0) for c in range(k)])
+    return assign
+
+
+def test_kmeans_matches_a_reference_lloyd_run_from_its_seeds() -> None:
+    """Random instances, where the seeding alone does not settle the
+    clusters: the centre updates must move them as Lloyd's do."""
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        pts = rng.normal(0, 1, (40, 3))
+        expected = reference_lloyd(pts, 4, _randint(trial, len(pts)))
+        assert np.array_equal(kmeans(pts, 4, seed=trial), expected), trial
+
+
+def test_kmeans_stops_after_100_rounds_when_assignments_never_settle(
+        monkeypatch) -> None:
+    """Lloyd's loop is bounded: an assignment that flips every round ends
+    after the first assignment and 100 more."""
+    calls = []
+
+    def flipping(pts, centers):
+        calls.append(len(calls))
+        return np.arange(len(pts)) % 2 ^ len(calls) % 2
+
+    monkeypatch.setattr(tree_module, "_assign", flipping)
+    kmeans(np.arange(8.0).reshape(4, 2), 2, seed=0)
+    assert len(calls) == 101
+
+
+def test_tree_params_default_to_the_engine_defaults() -> None:
+    config = EngineConfig()
+    assert TreeParams() == TreeParams(tau=config.tau, k=config.k,
+                                      max_depth=config.max_depth,
+                                      gamma=config.gamma)
+
+
 def test_kmeans_oracle_separated_instances() -> None:
     rng = np.random.default_rng(2024)
     for trial in range(120):
@@ -191,6 +248,15 @@ def test_seeding_matches_numpy_random_draw_for_draw() -> None:
     assert rejected > 0, "no draw took the rejection branch"
 
 
+def test_seeding_matches_numpy_random_at_power_of_two_bounds() -> None:
+    """A power-of-two bound rejects no draw: at 2**31 half the draws have a
+    low word of exactly 0, the rejection threshold, and are accepted."""
+    for seed in range(20):
+        for n in (2, 2**20, 2**31):
+            assert _randint(seed, n) == \
+                int(np.random.default_rng(seed).integers(0, n)), (seed, n)
+
+
 # ---------------------------------------------------------------------------
 # Relevance scoring
 # ---------------------------------------------------------------------------
@@ -249,6 +315,22 @@ def test_score_shots_unparseable_retried_once_then_default() -> None:
     assert len(backend.calls) == 2, "one retry before defaulting"
     assert score.value == 3.0
     assert score.defaulted is True
+
+
+def test_score_shots_keeps_the_head_of_the_reply(caplog) -> None:
+    """The warning shows 80 characters of the reply, and the rationale,
+    defaulted or not, 200."""
+    tree = _layer1([4])
+    reply = "".join(chr(ord("a") + i % 26) for i in range(300))
+    with caplog.at_level(logging.WARNING, logger="videoqa.tree"):
+        score = score_shots(tree.nodes[0], "c", "q",
+                            MockBackend(MockScript(default_response=reply)))
+    assert score.rationale == reply[:200]
+    assert caplog.messages == [f"shot 0: unparseable relevance {reply[:80]!r}, "
+                               "defaulting to 3.0"]
+    parsed = score_shots(tree.nodes[0], "c", "q", MockBackend(MockScript(
+        default_response="4 " + reply)))
+    assert parsed.rationale == ("4 " + reply)[:200]
 
 
 def test_score_shots_out_of_range_number_is_unparseable() -> None:
@@ -338,6 +420,16 @@ def test_expand_three_frame_shot_singleton_not_recursed() -> None:
         "any 2-partition of 3 points has sizes {1, 2}"
     assert all(not c.children for c in children), \
         "children below 2k frames must not recurse"
+    tree.validate()
+
+
+def test_expand_two_frame_shot_splits_into_its_frames() -> None:
+    """A shot passing the gate gets its first split down to two frames."""
+    emb = np.array([[0.0, 0.0], [10.0, 0.0]], dtype=np.float32)
+    tree = _layer1([2], TreeParams(k=2, max_depth=3), emb)
+    _set_scores(tree, [5.0])
+    expand_tree(tree, emb, seed=7, shots=tree.shot_order)
+    assert [tree.nodes[c].frames for c in tree.nodes[0].children] == [(0,), (1,)]
     tree.validate()
 
 
@@ -466,6 +558,14 @@ def test_vtsearch_depth_mode_single_expanded_shot() -> None:
     assert all(0 <= f <= 15 for f in frames), "all frames from the high shot"
 
 
+def test_vtsearch_depth_when_the_high_fraction_equals_gamma() -> None:
+    """2 of 5 shots high is not more than gamma 0.4: depth, over the two."""
+    tree = _scored_tree([4] * 5, [5.0, 5.0, 1.0, 1.0, 1.0],
+                        TreeParams(tau=2.5, gamma=0.4))
+    assert vtsearch(tree) == [tree.nodes[s].representative_frame
+                              for s in tree.shot_order[:2]]
+
+
 def test_vtsearch_zero_high_relevance_falls_back_to_breadth() -> None:
     tree = _scored_tree([4, 4, 4], [1.0, 2.0, 1.5])
     frames = vtsearch(tree)
@@ -544,6 +644,24 @@ def test_serialize_bad_node_pointer() -> None:
         with pytest.raises(ValidationError, match=pointer) as caught:
             _load(doc)
         assert f"#{pointer}: " in str(caught.value)
+
+
+@pytest.mark.parametrize("shots", [[[0, MAX_TREE_FRAMES]],
+                                   [[0, 1 << 19], [(1 << 19) + 1, 1 << 20]]],
+                         ids=["one-shot", "two-shots"])
+def test_shots_spanning_more_than_the_frame_bound_are_refused(shots) -> None:
+    """MAX_TREE_FRAMES + 1 frames, in one shot or summed over two."""
+    last = len(shots) - 1
+    doc = {"version": "1", "video_id": "long",
+           "shot_order": list(range(len(shots))),
+           "params": {"tau": 2.5, "k": 2, "max_depth": 3, "gamma": 0.4},
+           "nodes": [{"id": i, "kind": "shot", "frames": frames,
+                      "rep": frames[0], "depth": 1, "children": []}
+                     for i, frames in enumerate(shots)]}
+    with pytest.raises(ValidationError,
+                       match=f"^#/nodes/{last}/frames: shots span more "
+                             f"than {MAX_TREE_FRAMES} frames$"):
+        _load(doc)
 
 
 def test_serialize_bad_params_pointer() -> None:
