@@ -113,7 +113,7 @@ class Backend:
 
     def __init__(self, max_inflight: int = 8) -> None:
         if max_inflight < 1:  # a semaphore of 0 would block every call
-            raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
+            raise ConfigError(f"backend.max_inflight must be >= 1, got {max_inflight}")
         self.max_inflight = max_inflight
         self._inflight = threading.BoundedSemaphore(max_inflight)
 

@@ -227,6 +227,8 @@ class Doc:
 
     def objects(self, key=None, default=_MISSING) -> list["Doc"]:
         values = self._list(key, default, dict)
+        if values is default:
+            return default
         parent = self if key is None else Doc(values, self.error, self.source,
                                               self, key)
         return [Doc(value, self.error, self.source, parent, i)

@@ -682,6 +682,9 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
         "manifest without frames": "#/frames: has no frames",
         "embeddings file with 0 columns":
             "embedding matrix must be (frames, dim) with dim > 0",
+        "backend.max_inflight 0": "backend.max_inflight must be >= 1, got 0",
+        "backend.max_inflight negative":
+            "backend.max_inflight must be >= 1, got -3",
     }
 
     failures = []

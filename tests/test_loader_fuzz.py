@@ -332,6 +332,15 @@ def test_number_reads_every_finite_json_number_as_a_float() -> None:
     assert doc.number("null", None, null=True) is None
 
 
+def test_list_accessors_return_any_default_as_given() -> None:
+    """A missing list field reads as its default, whatever the default is,
+    for lists of objects as for lists of scalars."""
+    doc = Doc({}, InputError, "doc.json")
+    for read in (doc.objects, doc.strings, doc.integers, doc.numbers):
+        assert read("k", None) is None
+        assert read("k", []) == []
+
+
 @pytest.mark.parametrize("loader", LOADERS)
 def test_loader_valid_documents_load(fixture, loader) -> None:
     fixture.load(loader, fixture.valid[loader])

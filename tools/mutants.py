@@ -11,8 +11,9 @@ Four operators, each applied at one site at a time:
   int      an integer literal grows by 1
 
 Expressions inside f-strings are not mutated. Each mutant is written into
-a scratch copy of the repository (one copy per job, under `--workdir`) and
-run with `PYTHONDONTWRITEBYTECODE=1`, so no stale bytecode hides it. The
+a scratch copy of the repository (one copy for each of the `JOBS` mutants
+run at once, under `--workdir`) and run with `PYTHONDONTWRITEBYTECODE=1`,
+so no stale bytecode hides it. The
 mutated module's own test file (`tests/test_<module>.py`, or the test files
 that import the module when it has none) runs first, stopping at the first
 failure; a mutant it does not kill then runs the whole suite. A run that
@@ -25,7 +26,6 @@ Usage:
 
   python tools/mutants.py                       # every module, every operator
   python tools/mutants.py --modules captioning  # one module
-  python tools/mutants.py --operators if int --jobs 2 --json sweep.json
   python tools/mutants.py --list                # print the sites, run nothing
 
 Prints one line per mutant, then a table of sites, kills and survivors by
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import os
 import re
 import shutil
@@ -48,13 +47,14 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from queue import Queue
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/videoqa"
 OPERATORS = ("if", "compare", "boolop", "int")
+JOBS = 2  # mutants run at once, one repository copy each
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
         ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
@@ -202,11 +202,11 @@ def _short(text: str, width: int = 70) -> str:
     return text if len(text) <= width else text[:width - 3] + "..."
 
 
-def sites(modules: list[str], operators: list[str]) -> list[Site]:
+def sites(modules: list[str]) -> list[Site]:
     found = []
     for module in modules:
         source = (ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8")
-        for operator in operators:
+        for operator in OPERATORS:
             for index in range(len(_candidates(ast.parse(source), operator))):
                 _, before, after, line, where = mutate(source, operator, index)
                 found.append(Site(module, operator, index, line, where,
@@ -294,18 +294,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--modules", nargs="+", choices=all_modules,
                         default=all_modules)
-    parser.add_argument("--operators", nargs="+", choices=OPERATORS,
-                        default=list(OPERATORS))
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="mutants run at once, one repository copy each")
     parser.add_argument("--workdir", help="where the copies go (default: a "
                         "temporary directory, removed afterwards)")
-    parser.add_argument("--json", help="write every site and its outcome here")
     parser.add_argument("--list", action="store_true",
                         help="print the sites and run nothing")
     args = parser.parse_args(argv)
 
-    found = sites(args.modules, args.operators)
+    found = sites(args.modules)
     if args.list:
         for site in found:
             print(site.label())
@@ -315,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
         copies: Queue[Path] = Queue()
-        for job in range(max(1, args.jobs)):
+        for job in range(JOBS):
             copy = Path(workdir) / f"copy{job}"
             shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
             copies.put(copy)
@@ -336,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
             finally:
                 copies.put(copy)
 
-        with ThreadPoolExecutor(max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             for site in pool.map(run, found):
                 print(f"{site.outcome:<24} {site.label()}"
                       f"{'  [' + site.killer + ']' if site.killer else ''}",
@@ -353,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
         for site in survivors:
             print("  " + site.label())
     print(f"\n{len(found)} mutants in {time.monotonic() - started:.0f} s")
-    if args.json:
-        Path(args.json).write_text(json.dumps([asdict(s) for s in found],
-                                              indent=1) + "\n")
     return 1 if survivors else 0
 
 
