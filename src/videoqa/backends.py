@@ -58,10 +58,6 @@ class BackendRequest:
     capability: str
     payload: dict
 
-    def __post_init__(self) -> None:
-        if self.capability not in CAPABILITIES:
-            raise ValueError(f"unknown capability: {self.capability}")
-
 
 def chat_request(prompt: str) -> BackendRequest:
     return BackendRequest("chat", {"messages": [{"role": "user", "content": prompt}]})

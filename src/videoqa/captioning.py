@@ -22,7 +22,6 @@ from .errors import (
     ConfigError,
     Doc,
     NotFoundError,
-    ValidationError,
     read_text,
 )
 
@@ -52,12 +51,6 @@ class QuestionBundle:
     text: str
     options: tuple[str, ...]
     qtype: str
-
-    def __post_init__(self) -> None:
-        check_question(self.text, self.options,
-                       Doc(None, ValidationError, f"question {self.question_id}"))
-        if self.qtype not in QTYPES:
-            raise ValidationError(f"unknown question type {self.qtype!r}")
 
 
 @dataclass(frozen=True)
@@ -108,8 +101,6 @@ def classify_question(question: str, options: tuple[str, ...] | list[str],
                       llm: Backend) -> str:
     """Assign one taxonomy type. Unparseable output is retried once, then
     defaults to Descriptive with a warning."""
-    if not question.strip():
-        raise ValidationError("cannot classify an empty question")
     prompt = classification_prompt(question, options)
     reply = llm.call(chat_request(prompt))
     qtype = find_qtype_label(reply)
@@ -156,8 +147,6 @@ def synthesize_prompt(qtype: str, questions: list[str], llm: Backend,
                       template_dir: str | None = None) -> VisualPrompt:
     """Build the per-type visual prompt from the type's question subset and
     its semantic template."""
-    if not questions:
-        raise ValidationError(f"no questions of type {qtype} to synthesize from")
     template = load_template(qtype.lower(), template_dir)
     reply = llm.call(chat_request(synthesis_prompt(template, questions)))
     return VisualPrompt(qtype=qtype, text=reply)
@@ -190,8 +179,6 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
     each caption as it lands, but only once every prompt has one caption
     that is not the sentinel: a call that raises hands on no caption.
     """
-    if not frames:
-        return []
     frames = sorted(frames)
 
     def caption_one(prompt: VisualPrompt, frame_index: int) -> FrameCaption:

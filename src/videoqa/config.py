@@ -60,6 +60,8 @@ class EngineConfig:
             raise ConfigError("max_iterations must be in [1, 15]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        if self.uniform_shots < 1:
+            raise ConfigError("uniform_shots must be >= 1")
         if not self.backend.timeout_s > 0:
             raise ConfigError("backend.timeout_s must be positive")
 

@@ -258,8 +258,6 @@ class KnowledgeStore:
         starts at the selector's `offset` (default 0, any scope), and how
         many rows were selected. A selector key of another type than the
         README's raises ValidationError."""
-        if scope not in RETRIEVAL_SCOPES:
-            raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = Doc(selector or {}, ValidationError, scope)
         offset = selector.integer("offset", 0)
         if offset < 0:

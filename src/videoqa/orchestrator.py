@@ -466,8 +466,6 @@ def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
     loop stops before a FINAL, a zero-support item flagged truncated is
     returned with the steps taken.
     """
-    if budget < 1:
-        raise ValidationError("run_react needs a budget of at least 1")
     lines = [react_preamble(stage, question, profile)]
     step = 0
     while step < budget and may_start(step + 1):
@@ -535,12 +533,7 @@ def integrate_evidence(items: list[EvidenceItem], profile: AgentProfile,
     itself (cause vs effect) has its confidence halved first. Ties break
     to the lowest option index.
     """
-    if not items:
-        raise VideoQAError("no evidence items to integrate")
     n = len(items[0].option_support)
-    for item in items:
-        if len(item.option_support) != n:
-            raise ValidationError("evidence items disagree on option count")
     scores = [0.0] * n
     for item in items:
         weight = profile.weights.get(_SOURCE_KEY.get(item.source, ""), 0.0)

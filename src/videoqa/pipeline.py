@@ -160,7 +160,7 @@ def load_dataset_manifest(path: str | Path) -> list[VideoEntry]:
 def uniform_leaf_shots(num_frames: int, count: int) -> list[range]:
     """Evenly spaced contiguous leaf shots for the uniform-sampling mode,
     each the range of its frames."""
-    count = max(1, min(count, num_frames))
+    count = min(count, num_frames)
     bounds = np.linspace(0, num_frames, count + 1).astype(int)
     shots = []
     for i in range(count):

@@ -79,10 +79,10 @@ class TreeNode:
 
 @dataclass
 class TreeParams:
-    tau: float = 2.5
-    k: int = 2
-    max_depth: int = 3
-    gamma: float = 0.4
+    tau: float
+    k: int
+    max_depth: int
+    gamma: float
 
 
 @dataclass
@@ -412,9 +412,6 @@ def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int,
     New nodes take the next free ids, so shots expanded one call at a time
     in shot order get the ids, and the K-Means seeds, of one call over all
     of them."""
-    unscored = [sid for sid in shots if tree.nodes[sid].relevance is None]
-    if unscored:
-        raise ValidationError(f"shots not yet scored: {unscored[:5]}")
     for sid in shots:
         shot = tree.nodes[sid]
         if tree.is_high_relevance(shot):

@@ -24,6 +24,10 @@ from videoqa.ingest import write_embeddings
 from videoqa.knowledge import AgentProfile, KnowledgeStore
 from videoqa.tree import RelevanceScore, TreeParams, tree_from_shots
 
+# EngineConfig's default tree parameters, for tests that build a tree with
+# no config.
+TREE_PARAMS = TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4)
+
 
 # ---------------------------------------------------------------------------
 # Call recording
@@ -113,7 +117,7 @@ def long_store(num_shots: int, frames_per_shot: int = 2,
     # shot is represented by its first frame.
     tree = tree_from_shots("long", shots,
                            np.ones((num_shots * frames_per_shot, 1)),
-                           TreeParams())
+                           TREE_PARAMS)
     for i, shot in enumerate(tree.shots()):
         shot.relevance = RelevanceScore(1.0 + i % 5)
     return KnowledgeStore(

@@ -11,7 +11,6 @@ import pytest
 
 from videoqa import backends
 from videoqa.backends import (
-    BackendRequest,
     CachingBackend,
     MockBackend,
     MockScript,
@@ -51,11 +50,6 @@ def test_render_payload_caption_includes_prompt_and_image() -> None:
     rendered = render_payload(caption_request("/data/frame_007.jpg", "describe"))
     assert "/data/frame_007.jpg" in rendered
     assert "describe" in rendered
-
-
-def test_unknown_capability_rejected() -> None:
-    with pytest.raises(ValueError):
-        BackendRequest("transcribe", {})
 
 
 # ---------------------------------------------------------------------------

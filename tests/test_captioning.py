@@ -8,7 +8,6 @@ from videoqa.backends import MockBackend, MockScript
 from videoqa.captioning import (
     SENTINEL_CAPTION,
     FrameCaption,
-    QuestionBundle,
     SegmentSummary,
     VisualPrompt,
     caption_frames,
@@ -18,7 +17,7 @@ from videoqa.captioning import (
     summarize_segments,
     synthesize_prompt,
 )
-from videoqa.errors import BackendError, ValidationError
+from videoqa.errors import BackendError
 
 from conftest import RecordingBackend
 
@@ -73,24 +72,10 @@ def test_classify_unparseable_warning_shows_eighty_characters(caplog) -> None:
         f"unparseable classification {'x' * 80!r}, defaulting to Descriptive"]
 
 
-def test_classify_empty_question_rejected() -> None:
-    with pytest.raises(ValidationError):
-        classify_question("  ", ["a"], _backend(default="Causal"))
-
-
 def test_classify_picks_first_label_when_reply_names_several() -> None:
     llm = _backend(default="Temporal, though arguably Causal")
     qtype = classify_question("When does it happen?", ["a", "b"], llm)
     assert qtype == "Temporal"
-
-
-def test_question_bundle_validation() -> None:
-    with pytest.raises(ValidationError):
-        QuestionBundle("q", "text", ("only one",), "Causal")
-    with pytest.raises(ValidationError):
-        QuestionBundle("q", "text", tuple("abcdef"), "Causal")
-    with pytest.raises(ValidationError):
-        QuestionBundle("q", "text", ("a", "b"), "Rhetorical")
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +87,6 @@ def test_synthesize_prompt_returns_model_output_verbatim() -> None:
     prompt = synthesize_prompt("Causal", ["Why is the man looking up?"], llm)
     assert prompt.text == "Focus on triggers and contextual factors."
     assert prompt.qtype == "Causal"
-
-
-def test_synthesize_prompt_empty_question_list_rejected() -> None:
-    with pytest.raises(ValidationError):
-        synthesize_prompt("Causal", [], _backend(default="x"))
 
 
 def test_synthesize_prompt_purity_across_question_sets() -> None:
@@ -148,11 +128,6 @@ def test_caption_frames_temporal_order(pool) -> None:
     assert [(c.frame_index, c.text) for c in captions] == \
         [(1, "first"), (2, "second"), (3, "third")]
     assert all(c.qtype == prompt.qtype for c in captions)
-
-
-def test_caption_frames_empty_list(pool) -> None:
-    assert caption_frames([], [generic_prompt()],
-                          _backend(default="x"), _refs, pool) == []
 
 
 def test_caption_frames_one_failure_becomes_sentinel(pool) -> None:

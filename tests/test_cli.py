@@ -501,8 +501,9 @@ def test_config_takes_the_least_value_of_each_range() -> None:
     """Each range's least value is taken (the exit-code table's `config ...`
     rows refuse the value below it), and the in-flight limit defaults to 8."""
     config = EngineConfig(sensitivity=0.5, k=1, max_depth=1, max_iterations=1,
-                          backend=BackendConfig(timeout_s=0.5))
-    assert (config.k, config.max_depth, config.max_iterations) == (1, 1, 1)
+                          uniform_shots=1, backend=BackendConfig(timeout_s=0.5))
+    assert (config.k, config.max_depth, config.max_iterations,
+            config.uniform_shots) == (1, 1, 1, 1)
     assert BackendConfig().max_inflight == 8
 
 
@@ -584,6 +585,12 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
         out.write_text(json.dumps(doc))
         return out
 
+    def written(name: str, doc) -> Path:
+        path = tmp_path / "bad" / str(next(rows)) / name
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(doc))
+        return path
+
     table = []
     for kind in ("missing", "directory", "non-utf8", "invalid-json"):
         contents = 2 if kind in ("missing", "directory") else 4
@@ -631,7 +638,35 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
     doc = json.loads(built.read_text())
     del doc["version"], doc["fps"], doc["frame_paths"]
     unversioned.write_text(json.dumps(doc))
+    question = {"question_id": "q1", "text": "Why?", "options": ["a", "b"]}
+    twice = json.loads(dataset.read_text())
+    twice["entries"].append(twice["entries"][0])
+    bad_magic = tmp_path / "bad" / "bad_magic.emb"
+    emb = manifest.parent / json.loads(manifest.read_text())["embeddings_path"]
+    bad_magic.write_bytes(b"XXXX" + emb.read_bytes()[4:])
+    profile = {"qtype": "Causal", "strategy": {"name": "s"},
+               "weights": {"text": 1}}
     table += [
+        ("question file with a duplicate question_id",
+         build(questions=written("q.json", [question, question])), 2),
+        ("question gold_index out of range", build(questions=written(
+            "q.json", [{**question, "gold_index": 2}])), 2),
+        ("dataset with a duplicate video_id", evaluate(
+            dataset=written("d.json", twice)), 2),
+        ("manifest frame indices not contiguous", build(manifest=edited(
+            frames=[{"index": i} for i in range(25) if i != 5])), 2),
+        ("manifest with fewer frames than embedding rows", build(
+            manifest=edited(frames=[{"index": i} for i in range(23)],
+                            embeddings_path=str(emb))), 2),
+        ("embeddings file with a bad magic",
+         build(manifest=edited(embeddings_path=str(bad_magic))), 2),
+        ("profile naming an unknown tool", ask(*config({"profile_dir": str(
+            written("causal.json", {**profile, "tools": ["oracle"]}).parent)})),
+         4),
+        ("profile whose qtype is not its file's", ask(*config({
+            "profile_dir": str(written("temporal.json", profile).parent)})), 4),
+        ("ask with a mock script no rule of which matches",
+         ask(*mock_script({"rules": []}), "--qtype", "Descriptive"), 3),
         ("ask build file without a version", ask(file=unversioned), 2),
         ("manifest fps 0", build(manifest=edited(fps=0)), 2),
         ("manifest without frames", build(manifest=edited(frames=[])), 2),
@@ -662,6 +697,9 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
         ("config max_iterations 0", evaluate(*config({"max_iterations": 0})), 4),
         ("config max_iterations 16",
          evaluate(*config({"max_iterations": 16})), 4),
+        ("config uniform_shots 0", evaluate(*config({"uniform_shots": 0})), 4),
+        ("config uniform_shots -4", evaluate(*config(
+            {"uniform_sampling": True, "uniform_shots": -4})), 4),
         ("--seed negative", evaluate("--seed", "-1"), 4),
         ("backend.timeout_s not positive",
          evaluate(*config({"backend": {"timeout_s": 0}})), 4),
@@ -675,9 +713,27 @@ def test_cli_every_file_argument_fails_with_its_exit_code(tmp_path, capsys,
         ("--mock-script match that is not a string",
          ask(*mock_script([{"match": 5}])), 4),
     ]
-    # Rows whose exit code a later check gives too: the message names the
-    # check that refused the input.
+    # Rows whose exit code a later check gives too, or whose check only this
+    # table reaches: the message names the check that refused the input.
     messages = {
+        "question file with a duplicate question_id":
+            "#/1/question_id: duplicate question_id q1",
+        "question gold_index out of range":
+            "#/0/gold_index: 2 is outside the option range",
+        "dataset with a duplicate video_id":
+            "#/entries/2/video_id: duplicate video_id golden_a",
+        "manifest frame indices not contiguous":
+            "frame indices must be unique and contiguous from 0",
+        "manifest with fewer frames than embedding rows":
+            "embeddings have 24 rows for 23 frames",
+        "embeddings file with a bad magic": "bad embeddings magic b'XXXX'",
+        "profile naming an unknown tool": "#/tools/0: unknown tool 'oracle'",
+        "profile whose qtype is not its file's":
+            "profile field qtype in temporal.json is Causal, expected Temporal",
+        "ask with a mock script no rule of which matches":
+            "no mock rule matches",
+        "config uniform_shots 0": "uniform_shots must be >= 1",
+        "config uniform_shots -4": "uniform_shots must be >= 1",
         "manifest fps 0": "#/fps: must be positive, got 0",
         "manifest without frames": "#/frames: has no frames",
         "embeddings file with 0 columns":

@@ -18,9 +18,9 @@ from videoqa.ingest import (
     row_norms,
     write_embeddings,
 )
-from videoqa.tree import TreeParams, tree_from_shots
+from videoqa.tree import tree_from_shots
 
-from conftest import RecordingBackend, shot_embeddings, write_video
+from conftest import TREE_PARAMS, RecordingBackend, shot_embeddings, write_video
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -35,7 +35,7 @@ def select_representative(shot: range, embeddings: np.ndarray) -> int:
     rows = np.zeros((shot.stop, embeddings.shape[1]), dtype=embeddings.dtype)
     rows[shot.start:] = embeddings
     return tree_from_shots("v", [shot], rows,
-                           TreeParams()).shots()[0].representative_frame
+                           TREE_PARAMS).shots()[0].representative_frame
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +365,6 @@ def test_detect_shots_three_frames_below_unit_sensitivity() -> None:
     assert detect_shots(emb, 0.5) == [range(0, 2), range(2, 3)]
 
 
-def test_detect_shots_empty_and_bad_sensitivity() -> None:
-    with pytest.raises(ValidationError):
-        detect_shots(np.zeros((0, 3), dtype=np.float32), 2.0)
-    with pytest.raises(ValidationError):
-        detect_shots(np.ones((4, 3), dtype=np.float32), 0.0)
-
-
 def test_detect_shots_matches_bruteforce_threshold() -> None:
     rng = np.random.default_rng(99)
     for trial in range(25):
@@ -395,7 +388,7 @@ def test_partition_property_random_inputs() -> None:
             covered.extend(shot)
         assert covered == list(range(n))
         assert all(shots), "no empty shot"
-        for shot in tree_from_shots("v", shots, emb, TreeParams()).shots():
+        for shot in tree_from_shots("v", shots, emb, TREE_PARAMS).shots():
             assert shot.representative_frame in shot.frames
 
 

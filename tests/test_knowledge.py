@@ -26,12 +26,11 @@ from videoqa.knowledge import (
 from videoqa.tree import (
     MAX_TREE_FRAMES,
     RelevanceScore,
-    TreeParams,
     load_tree,
     tree_from_shots,
 )
 
-from conftest import frame_line, long_store, profile_doc
+from conftest import TREE_PARAMS, frame_line, long_store, profile_doc
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ def test_load_profiles_wrong_qtype_in_file(tmp_path) -> None:
 
 def _store() -> KnowledgeStore:
     shots = [range(i * 4, i * 4 + 4) for i in range(4)]
-    tree = tree_from_shots("vid", shots, frame_line(16), TreeParams())
+    tree = tree_from_shots("vid", shots, frame_line(16), TREE_PARAMS)
     for shot, value in zip(tree.shots(), (1.0, 4.0, 2.0, 5.0)):
         shot.relevance = RelevanceScore(value)
     return KnowledgeStore(
@@ -235,11 +234,6 @@ def test_retrieval_provenance_node_ids_exist() -> None:
         result = store.retrieve(scope, "Descriptive", selector)
         for row in result.rows:
             assert row["node_id"] in store.tree.nodes
-
-
-def test_unknown_scope_rejected() -> None:
-    with pytest.raises(ValidationError, match="scope"):
-        _store().retrieve("psychic_hotline", "Causal")
 
 
 def test_frame_ref_fallback_pattern() -> None:

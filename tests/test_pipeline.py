@@ -113,7 +113,6 @@ def test_uniform_leaf_shots_partition() -> None:
     shots_small = uniform_leaf_shots(3, 8)
     assert len(shots_small) == 3, "clamped to the frame count"
     assert uniform_leaf_shots(1, 8) == [range(0, 1)]
-    assert uniform_leaf_shots(5, 0) == [range(0, 5)], "at least one shot"
 
 
 @pytest.mark.parametrize("field,value", [

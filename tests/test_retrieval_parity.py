@@ -34,8 +34,9 @@ from videoqa.tree import (
     HybridTree,
     RelevanceScore,
     TreeNode,
-    TreeParams,
 )
+
+from conftest import TREE_PARAMS
 
 CLUSTER_ID = 999
 
@@ -70,8 +71,6 @@ class ScanKnowledgeStore(KnowledgeStore):
 
     def retrieve(self, scope: str, qtype: str,
                  selector: dict | None = None) -> RetrievalResult:
-        if scope not in RETRIEVAL_SCOPES:
-            raise ValidationError(f"unknown retrieval scope {scope!r}")
         selector = selector or {}
         offset = selector.get("offset", 0)
         if isinstance(offset, bool) or not isinstance(offset, int):
@@ -184,7 +183,7 @@ def worlds(draw, populated: bool):
         start += length
     num_frames = start
     shot_ids = list(nodes)
-    tree = HybridTree("v", TreeParams(), nodes, list(shot_ids))
+    tree = HybridTree("v", TREE_PARAMS, nodes, list(shot_ids))
     if draw(st.booleans()):
         for shot in tree.shots():
             shot.relevance = RelevanceScore(draw(st.integers(1, 5)))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import videoqa.tree as tree_module
 from videoqa.backends import MockBackend, MockScript
-from videoqa.config import EngineConfig
 from videoqa.errors import (
     BackendError,
     Doc,
@@ -37,7 +36,12 @@ from videoqa.tree import (
     vtsearch,
 )
 
-from conftest import RecordingBackend, kmeans_cost, shot_embeddings
+from conftest import (
+    TREE_PARAMS,
+    RecordingBackend,
+    kmeans_cost,
+    shot_embeddings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +175,6 @@ def test_kmeans_stops_after_100_rounds_when_assignments_never_settle(
     assert len(calls) == 101
 
 
-def test_tree_params_default_to_the_engine_defaults() -> None:
-    config = EngineConfig()
-    assert TreeParams() == TreeParams(tau=config.tau, k=config.k,
-                                      max_depth=config.max_depth,
-                                      gamma=config.gamma)
-
-
 def test_kmeans_oracle_separated_instances() -> None:
     rng = np.random.default_rng(2024)
     for trial in range(120):
@@ -270,13 +267,13 @@ def _shots(lengths: list[int]) -> list[range]:
     return shots
 
 
-def _layer1(lengths: list[int], params: TreeParams | None = None,
+def _layer1(lengths: list[int], params: TreeParams = TREE_PARAMS,
             emb: np.ndarray | None = None) -> HybridTree:
     """The unexpanded tree over shots of `lengths` frames. With no `emb`,
     identical rows make each shot's first frame its representative."""
     if emb is None:
         emb = np.ones((sum(lengths), 1))
-    return tree_from_shots("v", _shots(lengths), emb, params or TreeParams())
+    return tree_from_shots("v", _shots(lengths), emb, params)
 
 
 def _set_scores(tree: HybridTree, values: list[float]) -> None:
@@ -297,7 +294,7 @@ def test_score_shots_parses_scripted_scores() -> None:
 
 
 def test_score_shots_gate_is_strict_at_tau() -> None:
-    tree = _layer1([4, 4], TreeParams(tau=2.5))
+    tree = _layer1([4, 4], TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
     script = MockScript(default_response="2.5")
     _set_scores(tree, [score_shots(shot, "c", "q", MockBackend(script)).value
                        for shot in tree.shots()])
@@ -359,7 +356,8 @@ def test_tau_sweep_expansion_changes_only_at_integers() -> None:
     emb = shot_embeddings([8, 8, 8, 8, 8])
 
     def expansion_set(tau: float) -> tuple[int, ...]:
-        tree = _layer1([8, 8, 8, 8, 8], TreeParams(tau=tau))
+        tree = _layer1([8, 8, 8, 8, 8],
+                       TreeParams(tau=tau, k=2, max_depth=3, gamma=0.4))
         for shot, scored_shot in zip(tree.shots(), scored.shots()):
             shot.relevance = scored_shot.relevance
         expand_tree(tree, emb, seed=1, shots=tree.shot_order)
@@ -389,7 +387,7 @@ def _sub_event_embeddings() -> np.ndarray:
 
 def test_expand_sixteen_frame_shot_binary_subtree() -> None:
     emb = _sub_event_embeddings()
-    tree = _layer1([16], TreeParams(tau=2.5, k=2, max_depth=3), emb)
+    tree = _layer1([16], TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4), emb)
     _set_scores(tree, [4.0])
     expand_tree(tree, emb, seed=5, shots=tree.shot_order)
     by_depth: dict[int, int] = {}
@@ -402,7 +400,8 @@ def test_expand_sixteen_frame_shot_binary_subtree() -> None:
 
 def test_expand_no_qualifying_shot_leaves_tree_unchanged() -> None:
     emb = shot_embeddings([6, 6])
-    tree = _layer1([6, 6], TreeParams(tau=2.5), emb)
+    tree = _layer1([6, 6], TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4),
+                   emb)
     _set_scores(tree, [2.0, 1.0])
     before = tree_to_json(tree)
     expand_tree(tree, emb, seed=0, shots=tree.shot_order)
@@ -411,7 +410,7 @@ def test_expand_no_qualifying_shot_leaves_tree_unchanged() -> None:
 
 def test_expand_three_frame_shot_singleton_not_recursed() -> None:
     emb = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0]], dtype=np.float32)
-    tree = _layer1([3], TreeParams(k=2, max_depth=3), emb)
+    tree = _layer1([3], TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4), emb)
     _set_scores(tree, [5.0])
     expand_tree(tree, emb, seed=7, shots=tree.shot_order)
     shot = tree.nodes[0]
@@ -426,17 +425,11 @@ def test_expand_three_frame_shot_singleton_not_recursed() -> None:
 def test_expand_two_frame_shot_splits_into_its_frames() -> None:
     """A shot passing the gate gets its first split down to two frames."""
     emb = np.array([[0.0, 0.0], [10.0, 0.0]], dtype=np.float32)
-    tree = _layer1([2], TreeParams(k=2, max_depth=3), emb)
+    tree = _layer1([2], TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4), emb)
     _set_scores(tree, [5.0])
     expand_tree(tree, emb, seed=7, shots=tree.shot_order)
     assert [tree.nodes[c].frames for c in tree.nodes[0].children] == [(0,), (1,)]
     tree.validate()
-
-
-def test_expand_requires_scores() -> None:
-    tree = _layer1([4])
-    with pytest.raises(ValidationError, match="not yet scored"):
-        expand_tree(tree, shot_embeddings([4]), seed=0, shots=tree.shot_order)
 
 
 def test_expand_determinism_byte_identical() -> None:
@@ -444,7 +437,7 @@ def test_expand_determinism_byte_identical() -> None:
     values = [4.5, 1.0, 3.5]
 
     def build() -> str:
-        tree = _layer1([9, 9, 9], TreeParams(), emb)
+        tree = _layer1([9, 9, 9], TREE_PARAMS, emb)
         _set_scores(tree, values)
         expand_tree(tree, emb, seed=77, shots=tree.shot_order)
         return tree_to_json(tree)
@@ -454,7 +447,7 @@ def test_expand_determinism_byte_identical() -> None:
 
 def test_random_trees_satisfy_structural_invariants() -> None:
     rng = np.random.default_rng(55)
-    params = TreeParams(tau=2.5, k=2, max_depth=3)
+    params = TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4)
     for trial in range(40):
         lengths = rng.integers(3, 14, size=int(rng.integers(2, 9))).tolist()
         emb = shot_embeddings(lengths, seed=trial)
@@ -507,7 +500,7 @@ def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
     for i, frames in enumerate(_shots(lengths)):
         nodes[10 + 3 * i] = TreeNode(10 + 3 * i, KIND_SHOT, frames, frames.start,
                                      1, relevance=RelevanceScore(scores[i]))
-    tree = HybridTree("v", TreeParams(), nodes, list(nodes))
+    tree = HybridTree("v", TREE_PARAMS, nodes, list(nodes))
     expand_tree(tree, shot_embeddings(lengths, seed=len(lengths)), seed=1,
                 shots=tree.shot_order)
     if reload:
@@ -524,9 +517,9 @@ def test_shot_at_matches_a_linear_scan(lengths, scores, reload) -> None:
 # ---------------------------------------------------------------------------
 
 def _scored_tree(lengths: list[int], values: list[float],
-                 params: TreeParams | None = None,
+                 params: TreeParams = TREE_PARAMS,
                  emb: np.ndarray | None = None):
-    tree = _layer1(lengths, params or TreeParams(), emb)
+    tree = _layer1(lengths, params, emb)
     _set_scores(tree, values)
     if emb is not None:
         expand_tree(tree, emb, seed=3, shots=tree.shot_order)
@@ -536,7 +529,8 @@ def _scored_tree(lengths: list[int], values: list[float],
 def test_vtsearch_breadth_when_half_the_shots_are_high() -> None:
     lengths = [4] * 10
     values = [4.0] * 5 + [1.0] * 5
-    tree = _scored_tree(lengths, values, TreeParams(tau=2.5, gamma=0.4))
+    tree = _scored_tree(lengths, values,
+                        TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
     frames = vtsearch(tree)
     assert len(frames) == 10, "5/10 > gamma=0.4 selects the breadth layer"
     assert frames == [tree.nodes[s].representative_frame
@@ -561,7 +555,7 @@ def test_vtsearch_depth_mode_single_expanded_shot() -> None:
 def test_vtsearch_depth_when_the_high_fraction_equals_gamma() -> None:
     """2 of 5 shots high is not more than gamma 0.4: depth, over the two."""
     tree = _scored_tree([4] * 5, [5.0, 5.0, 1.0, 1.0, 1.0],
-                        TreeParams(tau=2.5, gamma=0.4))
+                        TreeParams(tau=2.5, k=2, max_depth=3, gamma=0.4))
     assert vtsearch(tree) == [tree.nodes[s].representative_frame
                               for s in tree.shot_order[:2]]
 
@@ -579,7 +573,7 @@ def test_vtsearch_output_nonempty_strictly_increasing() -> None:
         emb = shot_embeddings(lengths, seed=trial + 500)
         tree = _scored_tree(lengths,
                             [float(rng.integers(1, 6)) for _ in lengths],
-                            TreeParams(), emb=emb)
+                            TREE_PARAMS, emb=emb)
         frames = vtsearch(tree)
         assert frames, "vtsearch must never return empty"
         assert all(a < b for a, b in itertools.pairwise(frames))

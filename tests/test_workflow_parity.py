@@ -43,9 +43,9 @@ from videoqa.orchestrator import (
     template_workflow,
     truncated_evidence,
 )
-from videoqa.tree import RelevanceScore, TreeParams, tree_from_shots
+from videoqa.tree import RelevanceScore, tree_from_shots
 
-from conftest import RecordingBackend, frame_line
+from conftest import TREE_PARAMS, RecordingBackend, frame_line
 
 
 def sequential_execute_workflow(workflow: Workflow, question: QuestionBundle,
@@ -119,7 +119,7 @@ def _question() -> QuestionBundle:
 
 def _store() -> KnowledgeStore:
     tree = tree_from_shots("vid", [range(0, 6), range(6, 12)], frame_line(12),
-                           TreeParams())
+                           TREE_PARAMS)
     for shot, value in zip(tree.shots(), (2.0, 4.0)):
         shot.relevance = RelevanceScore(value)
     return KnowledgeStore(
