@@ -61,16 +61,16 @@ def test_golden_eval_outputs_byte_identical(variant, tmp_path,
                      "--mock-script", str(world.script_path),
                      "--out-records", str(records), "--out-report", str(report),
                      *VARIANTS[variant]]) == 0
+    sent = request_lines(*recorders)
     requests = tmp_path / "requests.jsonl"
-    requests.write_text(request_lines(*recorders), encoding="utf-8")
+    requests.write_text(sent, encoding="utf-8")
     for fresh in (records, report, requests):
         expected = GOLDEN_DIR / variant / fresh.name
         assert fresh.read_bytes() == expected.read_bytes(), \
             f"{variant}/{fresh.name} differs from the committed snapshot"
     # The golden dataset declares no types, so each eval classifies all ten
     # questions and the files pin the classification prompt too.
-    assert requests.read_text(encoding="utf-8").count(
-        "Classify this multiple-choice video question") == 10
+    assert sent.count("Classify this multiple-choice video question") == 10
 
 
 def test_golden_dir_holds_exactly_the_variants() -> None:
