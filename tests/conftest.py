@@ -70,6 +70,18 @@ class RecordingBackend(Backend):
         with self._lock:
             self.calls.append(call)
 
+    def request_lines(self) -> str:
+        """Every recorded request, one `{"capability", "payload"}` JSON line
+        per call, sorted, since calls run concurrently."""
+        lines = []
+        for call in self.calls:
+            capability, body = call.rendered.split(":", 1)
+            lines.append(json.dumps({"capability": capability,
+                                     "payload": json.loads(body)},
+                                    sort_keys=True, ensure_ascii=False,
+                                    separators=(",", ":")))
+        return "".join(line + "\n" for line in sorted(lines))
+
 
 @pytest.fixture
 def pool():

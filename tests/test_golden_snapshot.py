@@ -14,7 +14,6 @@ new one cannot go unchecked.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -34,17 +33,6 @@ VARIANTS = {
 }
 
 
-def request_lines(backend: RecordingBackend) -> str:
-    lines = []
-    for call in backend.calls:
-        capability, body = call.rendered.split(":", 1)
-        lines.append(json.dumps({"capability": capability,
-                                 "payload": json.loads(body)},
-                                sort_keys=True, ensure_ascii=False,
-                                separators=(",", ":")))
-    return "".join(line + "\n" for line in sorted(lines))
-
-
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_golden_eval_outputs_byte_identical(variant, tmp_path,
                                             monkeypatch) -> None:
@@ -61,7 +49,8 @@ def test_golden_eval_outputs_byte_identical(variant, tmp_path,
                      "--mock-script", str(world.script_path),
                      "--out-records", str(records), "--out-report", str(report),
                      *VARIANTS[variant]]) == 0
-    sent = request_lines(*recorders)
+    [recorder] = recorders
+    sent = recorder.request_lines()
     requests = tmp_path / "requests.jsonl"
     requests.write_text(sent, encoding="utf-8")
     for fresh in (records, report, requests):
