@@ -4,6 +4,7 @@ One backend object serves every stage. Three implementations: a remote
 JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
 deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
+Each build and each question call it through a `SharedCaptions` view.
 
 Importing this module loads neither the HTTP client nor OpenSSL:
 `urllib.request` (with http.client and ssl) loads when a remote backend is
@@ -23,6 +24,7 @@ import random
 import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -383,7 +385,7 @@ class RemoteBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# Response cache
+# Wrappers: the response cache and the single-flight caption view
 # ---------------------------------------------------------------------------
 
 class CachingBackend(Backend):
@@ -428,6 +430,40 @@ class CachingBackend(Backend):
         except InputError as exc:
             logger.warning("%s; response returned uncached", exc)
         return response
+
+
+class SharedCaptions(Backend):
+    """A single-flight view of `inner` for one build or question: a caption
+    request (image reference and prompt) already answered or in flight gets
+    that reply, as `--cache` assumes an identical request gets the same one.
+    A call that raises is not shared: the next identical one, a waiting one
+    too, is sent. Chat and embed pass through. No in-flight cap of its own."""
+
+    def __init__(self, inner: Backend) -> None:
+        self.max_inflight = inner.max_inflight
+        self.inner = inner
+        self.capabilities = inner.capabilities
+        self._replies: dict[str, Future] = {}
+        self._lock = threading.Lock()
+
+    def call(self, request: BackendRequest) -> Any:
+        if request.capability != "caption":
+            return self.inner.call(request)
+        key = render_payload(request)
+        with self._lock:
+            reply = self._replies.get(key)
+            if sent := reply is None:
+                reply = self._replies[key] = Future()
+        if not sent:  # wait for that call; if it raised, send this one
+            return reply.result() if reply.exception() is None else self.call(request)
+        try:
+            reply.set_result(self.inner.call(request))
+        except BaseException as exc:
+            with self._lock:  # removed before waiters see the failure
+                del self._replies[key]
+            reply.set_exception(exc)
+            raise
+        return reply.result()
 
 
 # perfbench/ builds its backend through this name; nothing else may use it.

@@ -17,7 +17,8 @@ whose `output_key` its `input_keys` name. Evidence stages that read only the
 seed keys run side by side, under one iteration budget shared in stage
 order; integration and the answer follow all evidence. The record is the
 one running the stages one after another would give (see
-`execute_workflow`).
+`execute_workflow`). A question sends each distinct caption request once:
+both agents inspecting one frame under one prompt share one call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
-from .backends import Backend, caption_request, chat_request
+from .backends import Backend, SharedCaptions, caption_request, chat_request
 from .captioning import (
     QTYPE_CAUSAL,
     QTYPE_DESCRIPTIVE,
@@ -656,8 +657,10 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     each evidence agent appears once; the first always has the whole
     budget, which is what makes the cut exact.
 
-    Extra model calls happen only when the budget binds: a later stage can
-    start up to B - 1 steps its sequential allowance then discards. An
+    The stages share one `SharedCaptions` view, which sends each distinct
+    caption request once; every other call is one the sequential run makes,
+    except when the budget binds: a later stage can start up to B - 1 steps
+    its sequential allowance then discards. An
     error raised at a step within its stage's allowance surfaces, the first
     in stage order, after every stage has finished; errors from discarded
     steps are dropped. Traces merge in stage order, and integration and the
@@ -670,6 +673,7 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     if workflow.repaired:
         trace.append(TraceStep(TASK_PLANNING, "model plan failed validation",
                                "repair", "template workflow substituted"))
+    backend = SharedCaptions(backend)  # this question's caption scope
     budget = workflow.max_iterations
     staged = [s for s in workflow.stages if s.agent in EVIDENCE_AGENTS]
     started = [0] * len(staged)

@@ -25,8 +25,9 @@ the answers. For a type whose profile requires the visual agent,
 in `eval`; a question that analysis retypes costs one discarded planning
 call, and the outputs are unchanged. The single backend object serves
 every call; its `max_inflight` is the one bound on concurrent model calls
-and sizes the call pool and the per-video question pool. Ablation modes
-swap out individual steps without touching the rest of the pipeline.
+and sizes the call pool and the per-video question pool. A build sends
+each distinct caption request once (`SharedCaptions`). Ablation modes swap
+out individual steps without touching the rest of the pipeline.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import np
-from .backends import Backend
+from .backends import Backend, SharedCaptions
 from .captioning import (
     QTYPES,
     FrameCaption,
@@ -231,6 +232,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
     given, is called on the build thread with the question bundles once
     every question is classified and every first-pass caption is in, right
     after the prompt syntheses are queued."""
+    backend = SharedCaptions(backend)  # this build's caption scope
     # The pool runs tasks in the order they are queued, so with one thread
     # the calls still come stage by stage (see the module docstring).
     with _call_pool(backend.max_inflight) as calls:
