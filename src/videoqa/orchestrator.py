@@ -15,8 +15,10 @@ question. The workflow is the one the calls made in turn would give.
 A workflow is a DAG over its stages' keys: a stage depends on the stages
 whose `output_key` its `input_keys` name. Evidence stages that read only the
 seed keys run side by side, under one iteration budget shared in stage
-order; integration and the answer follow all evidence. The record is the
-one running the stages one after another would give (see
+order; integration and the answer follow all evidence. Their step-1
+prompts read neither the store nor another stage (`opening_prompts`), so a
+caller may send them early and hand the outcomes in. The record is the one
+running the stages one after another would give (see
 `execute_workflow`). A question sends each distinct caption request once:
 both agents inspecting one frame under one prompt share one call.
 """
@@ -28,7 +30,7 @@ import re
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, Mapping
 
 from .backends import Backend, SharedCaptions, caption_request, chat_request
 from .captioning import (
@@ -402,6 +404,24 @@ def react_preamble(stage: Stage, question: QuestionBundle,
     )
 
 
+def _step_prompt(lines: list[str], step: int) -> str:
+    return "\n".join(lines) + f"\nStep {step}:"
+
+
+def opening_prompts(workflow: Workflow, question: QuestionBundle,
+                    profile: AgentProfile) -> list[str]:
+    """The step-1 prompt of each evidence stage `execute_workflow` starts at
+    once: those that read only seed keys, at a position among evidence
+    stages below `max_iterations` (each stage before one takes a step of
+    the shared budget, so the sequential run gives a later one none). No
+    such prompt reads the store, so it can be sent before the store is
+    built."""
+    staged = [s for s in workflow.stages if s.agent in EVIDENCE_AGENTS]
+    return [_step_prompt([react_preamble(stage, question, profile)], 1)
+            for stage in staged[:workflow.max_iterations]
+            if set(stage.input_keys) <= set(SEED_KEYS)]
+
+
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
@@ -456,24 +476,30 @@ def _budget_exhausted(agent: str,
 def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
               profile: AgentProfile, backend: Backend, budget: int,
               trace: list[TraceStep],
-              may_start: Callable[[int], bool] = lambda step: True
+              may_start: Callable[[int], bool] = lambda step: True,
+              sent: Mapping[str, Future] | None = None
               ) -> tuple[EvidenceItem, int]:
     """Bounded thought/action/observation loop for one evidence stage.
 
     Step s runs only while s <= `budget` and `may_start(s)` holds. Each
-    step appends exactly one trace step. Tool errors, and a reply that
-    fails the type check (MalformedResponseError), become observations and
-    never abort the loop; any other backend error propagates. When the
-    loop stops before a FINAL, a zero-support item flagged truncated is
-    returned with the steps taken.
+    step appends exactly one trace step. A prompt in `sent` (the outcomes
+    of step-1 calls already made, by prompt; see `opening_prompts`) is not
+    sent again: its outcome stands in for the call's, the reply or the
+    error alike. Tool errors, and a reply that fails the type check
+    (MalformedResponseError), become observations and never abort the
+    loop; any other backend error propagates. When the loop stops before a
+    FINAL, a zero-support item flagged truncated is returned with the
+    steps taken.
     """
     lines = [react_preamble(stage, question, profile)]
     step = 0
     while step < budget and may_start(step + 1):
         step += 1
-        prompt = "\n".join(lines) + f"\nStep {step}:"
+        prompt = _step_prompt(lines, step)
+        outcome = sent.get(prompt) if sent else None
         try:
-            reply = backend.call(chat_request(prompt))
+            reply = (outcome.result() if outcome is not None
+                     else backend.call(chat_request(prompt)))
         except MalformedResponseError as exc:
             observation = f"ERROR: {exc}"
             trace.append(TraceStep(stage.agent, "malformed reply",
@@ -638,7 +664,8 @@ def generate_answer(scores: OptionScore, evidence: list[EvidenceItem],
 
 def execute_workflow(workflow: Workflow, question: QuestionBundle,
                      store: KnowledgeStore, profile: AgentProfile,
-                     backend: Backend, pool: Executor) -> AnswerRecord:
+                     backend: Backend, pool: Executor,
+                     sent: Mapping[str, Future] | None = None) -> AnswerRecord:
     """Run the workflow's stages as the DAG their keys declare, under the
     shared iteration budget, and return the record running them one after
     another would give.
@@ -657,10 +684,11 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     each evidence agent appears once; the first always has the whole
     budget, which is what makes the cut exact.
 
-    The stages share one `SharedCaptions` view, which sends each distinct
-    caption request once; every other call is one the sequential run makes,
-    except when the budget binds: a later stage can start up to B - 1 steps
-    its sequential allowance then discards. An
+    A step-1 prompt in `sent` is answered from there, not sent again (see
+    `run_react`). The stages share one `SharedCaptions` view, which sends
+    each distinct caption request once; every other call is one the
+    sequential run makes, except when the budget binds: a later stage can
+    start up to B - 1 steps its sequential allowance then discards. An
     error raised at a step within its stage's allowance surfaces, the first
     in stage order, after every stage has finished; errors from discarded
     steps are dropped. Traces merge in stage order, and integration and the
@@ -693,7 +721,8 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
         for future in after:
             future.result()
         return run_react(staged[index], question, store, profile, backend,
-                         budget, stage_traces[index], partial(may_start, index))
+                         budget, stage_traces[index], partial(may_start, index),
+                         sent)
 
     futures: list[Future] = []
     producers: dict[str, Future] = {}

@@ -14,13 +14,20 @@ earlier shot's are in. The typed captions wait for the last score,
 expansion and synthesis, because frame retrieval's gamma gate is global.
 No task waits on another, and only the build thread reads results into the
 tree, in shot order, and builds the store from them once, at the end, so
-neither depends on the order calls finish in. In `evaluate`, planning reads only the question, so each
-question's analysis and planning are queued on the video's question pool
-when the build queues the syntheses, and run while the build goes on; after
-the build only the evidence stages and the answer remain. Queued as each
-classification landed, they would compete with the first-pass captions and
-scores that gate expansion, and lengthen the build by as much as they save
-the answers. For a type whose profile requires the visual agent,
+neither depends on the order calls finish in.
+
+In `evaluate`, planning reads only the question, so each question's
+analysis and planning are queued on the video's question pool when the
+build queues the syntheses, and run while the build goes on. Queued as
+each classification landed, they would compete with the first-pass
+captions and scores that gate expansion, and lengthen the build by as much
+as they save the answers. Once a question's workflow is known, its plan
+task also sends step 1 of each evidence stage that reads only the seed
+keys and is within the budget: that prompt reads the plan and the
+question, never the store. So after the build only the evidence stages'
+later steps and the answer remain; each stage takes its step-1 outcome in
+place of the call, and the requests and records are those of `ask`, which
+sends step 1 live. For a type whose profile requires the visual agent,
 `plan_question` sends the planning call with the analysis call, in `ask` as
 in `eval`; a question that analysis retypes costs one discarded planning
 call, and the outputs are unchanged. The single backend object serves
@@ -41,7 +48,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import np
-from .backends import Backend, SharedCaptions
+from .backends import Backend, SharedCaptions, chat_request
 from .captioning import (
     QTYPES,
     FrameCaption,
@@ -67,6 +74,7 @@ from .orchestrator import (
     Workflow,
     analyze_problem,
     execute_workflow,
+    opening_prompts,
     plan_tasks,
     predicted_template,
     template_workflow,
@@ -352,20 +360,39 @@ def plan_question(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
     return workflow
 
 
+def plan_and_open(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
+                  config: EngineConfig, backend: Backend,
+                  ) -> tuple[Workflow, dict[str, Future]]:
+    """`plan_question`'s workflow, and the outcome of each step-1 call
+    `opening_prompts` names for it, by prompt: the calls go out side by
+    side, on threads of this task's own, and are all done when it returns.
+    A call's error is held in its outcome, for `run_react` to meet where
+    the call would have been sent."""
+    workflow = plan_question(bundle, profiles, config, backend)
+    prompts = opening_prompts(workflow, replace(bundle, qtype=workflow.qtype),
+                              profiles[workflow.qtype])
+    with ThreadPoolExecutor(max_workers=len(prompts)) as side:
+        sent = {prompt: side.submit(backend.call, chat_request(prompt))
+                for prompt in prompts}
+    return workflow, sent
+
+
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     profiles: dict[str, AgentProfile], config: EngineConfig,
-                    backend: Backend,
-                    workflow: Workflow | None = None) -> AnswerRecord:
+                    backend: Backend, workflow: Workflow | None = None,
+                    sent: dict[str, Future] | None = None) -> AnswerRecord:
     """Execute the workflow for one classified question, planning it first
-    when no `workflow` from `plan_question` is given. The evidence stages
-    run side by side on a pool with a thread per stage; the record is the
-    one running them in turn would give (see `execute_workflow`)."""
+    when no `workflow` from `plan_question` is given; `sent` holds the
+    outcomes of step-1 calls `plan_and_open` already made. The evidence
+    stages run side by side on a pool with a thread per stage; the record
+    is the one running them in turn would give (see `execute_workflow`)."""
     if workflow is None:
         workflow = plan_question(bundle, profiles, config, backend)
     bundle = replace(bundle, qtype=workflow.qtype)
     with ThreadPoolExecutor(max_workers=len(EVIDENCE_AGENTS)) as stages:
         record = execute_workflow(workflow, bundle, store,
-                                  profiles[workflow.qtype], backend, stages)
+                                  profiles[workflow.qtype], backend, stages,
+                                  sent)
     thought = "fixed workflow" if config.fixed_workflow else "adaptive selection"
     record.trace.insert(0, TraceStep(PROBLEM_ANALYSIS, thought, "select_agents",
                                      ", ".join(workflow.selected_agents)))
@@ -406,11 +433,17 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
     """Run the manifest's entries one after another, so one video's frames,
     tree and store are held at a time. Planning reads only the question, so
     each question is planned on the video's question pool while the build
-    runs, from the point where it has every bundle (see `build_video`); once
-    the store is complete, the questions are answered on that pool, up to
-    the backend's in-flight limit. Every answer task waits only on its own
-    plan, queued before it, and a failed build drops the plans still queued.
-    Records follow the manifest's order."""
+    runs, from the point where it has every bundle (see `build_video`). Its
+    plan task then sends step 1 of each evidence stage that starts at once,
+    which reads only the plan and the question (`plan_and_open`); once the
+    store is complete, the questions are answered on that pool, up to the
+    backend's in-flight limit, each of those stages taking its step-1
+    outcome in place of the call. Every answer task waits only on its own
+    plan task, queued before it, and the step-1 calls go out on that task's
+    own threads: queued on the pool, they could wait behind an answer task
+    holding its only thread (in-flight limit 1) that waits on them. A
+    failed build drops the plans still queued. Records follow the
+    manifest's order."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
     records: list[AnswerRecord] = []
@@ -420,7 +453,7 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
             plans: list[Future] = []  # in question order
 
             def queue_plans(bundles: list[QuestionBundle]) -> None:
-                plans.extend(pool.submit(plan_question, bundle, profiles,
+                plans.extend(pool.submit(plan_and_open, bundle, profiles,
                                          config, backend)
                              for bundle in bundles)
 
@@ -430,7 +463,7 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
             answered = list(pool.map(
                 lambda bundle, plan: answer_question(
                     bundle, result.store, profiles, config, backend,
-                    plan.result()),
+                    *plan.result()),
                 result.bundles, plans))
         for raw, bundle, record in zip(entry.questions, result.bundles,
                                        answered):

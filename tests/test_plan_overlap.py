@@ -2,32 +2,53 @@
 analysed: `plan_question` sends the planning call for the template analysis
 will return, unless it retypes the question, beside the analysis call. The
 workflow, the log and `ask`'s record are the ones the two calls made in turn
-would give; a retyped question costs one discarded planning call."""
+would give; a retyped question costs one discarded planning call.
+
+Under `eval`, each plan task then sends step 1 of the evidence stages that
+start at once and are within the budget, while the video still builds
+(`plan_and_open`). The stage takes that outcome in place of the call: a
+reply that cannot be parsed, or that fails the type check, costs its step
+as a live one does, and a call that fails ends the eval as a live one does.
+The records are the ones `build` and `ask`, which send step 1 live, give."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import re
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from videoqa import cli
 from videoqa.backends import Backend, MockScript
 from videoqa.captioning import QuestionBundle
 from videoqa.cli import main
 from videoqa.config import EngineConfig
+from videoqa.errors import TransportError
 from videoqa.knowledge import builtin_profiles
 from videoqa.orchestrator import (
     AGENT_REGISTRY,
+    SEED_KEYS,
     analyze_problem,
     plan_tasks,
     predicted_template,
     template_workflow,
 )
-from videoqa.pipeline import plan_question
+from videoqa.pipeline import (
+    answer_question,
+    build_video,
+    evaluate,
+    load_dataset_manifest,
+    plan_and_open,
+    plan_question,
+)
 
-from conftest import GOLDEN_QUESTIONS, RecordingBackend, build_golden_world
+from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, RecordingBackend,
+                      build_golden_world)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ANALYSIS, PLANNING = "[ProblemAnalysisAgent]", "[TaskPlanningAgent]"
@@ -252,3 +273,237 @@ def test_ask_golden_causal_question_at_each_inflight_limit(
             encoding="utf-8").splitlines()
         if json.loads(line)["question_id"] == "a_q1")
     assert capsys.readouterr().out.rstrip("\n") == expected
+
+
+# ---------------------------------------------------------------------------
+# Step 1 of each evidence stage, sent while the video builds
+# ---------------------------------------------------------------------------
+
+# A rendered chat request ends with its prompt, then the `role` key.
+STEP_1_END = 'Step 1:","role":"user"}]}'
+PARSE_ERROR = "ERROR: could not parse reply; use ACTION or FINAL"
+TYPE_ERROR = "ERROR: chat reply#: expected a string, got 42"
+UNPARSEABLE = "THOUGHT: the frames disagree\nNo tool and no answer yet."
+
+
+@pytest.fixture
+def recorders(monkeypatch) -> list[RecordingBackend]:
+    """Each backend `main` makes, wrapped to record its calls, in turn."""
+    made: list[RecordingBackend] = []
+    make_backend = cli._make_backend
+
+    def recording_backend(args, config):
+        made.append(RecordingBackend(make_backend(args, config)))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "_make_backend", recording_backend)
+    return made
+
+
+def _step_1_rule(agent: str, question_id: str, **reply) -> dict:
+    """A mock rule for the step-1 prompt of `agent` on `question_id` alone,
+    placed before the golden rules."""
+    prompt = re.escape(f"[{agent}] working on question {question_id}.")
+    return {"match": f"{prompt}.*{re.escape(STEP_1_END)}", "regex": True,
+            **reply}
+
+
+def _script_with(world, rule: dict) -> Path:
+    path = world.root / "script_with_rule.json"
+    path.write_text(json.dumps({"rules": [rule, *json.loads(
+        world.script_path.read_text())["rules"]]}), encoding="utf-8")
+    return path
+
+
+def _prompts(backend: RecordingBackend, marker: str) -> list[str]:
+    """The chat prompts of the recorded calls that contain `marker`."""
+    return [json.loads(c.rendered.split(":", 1)[1])["messages"][0]["content"]
+            for c in backend.calls
+            if c.capability == "chat" and marker in c.rendered]
+
+
+def _answer_live(dataset: Path, config: EngineConfig, backend) -> list:
+    """`evaluate`'s work by the path `build` and `ask` take: each video
+    built, then each of its questions planned and answered in turn, step 1
+    sent from `run_react`."""
+    records = []
+    for entry in load_dataset_manifest(dataset):
+        result = build_video(entry.frame_manifest_path, list(entry.questions),
+                             config, backend, entry.video_id)
+        records.extend(answer_question(bundle, result.store,
+                                       builtin_profiles(), config, backend)
+                       for bundle in result.bundles)
+    return records
+
+
+def _is_typed_caption(rendered: str) -> bool:
+    return rendered.startswith("caption:") and GENERIC_PHRASE not in rendered
+
+
+@pytest.mark.parametrize("agent", ["TextAgent", "VisualAnalysisAgent"])
+def test_eval_sends_step_1_while_the_video_builds(tmp_path, agent) -> None:
+    """Step 1 of golden a_q1's `agent` stage and golden_a's last typed
+    caption meet at one barrier: the step-1 call goes out while the build
+    whose store the stage will read is still captioning."""
+    world = build_golden_world(tmp_path / "golden")
+    [entry, _] = load_dataset_manifest(world.dataset_path)
+    built = RecordingBackend(Backend.from_mock(world.script()))
+    build_video(entry.frame_manifest_path, list(entry.questions),
+                EngineConfig(), built)
+    typed = sum(_is_typed_caption(c.rendered) for c in built.calls)
+    barrier = threading.Barrier(2, timeout=5)
+    sent_typed = itertools.count(1)
+    script = world.script()
+    lookup = script.lookup
+
+    def meeting_lookup(rendered: str):
+        if (f"[{agent}] working on question a_q1." in rendered
+                and rendered.endswith(STEP_1_END)):
+            barrier.wait()
+        if (_is_typed_caption(rendered) and "golden_a:frame:" in rendered
+                and next(sent_typed) == typed):
+            barrier.wait()
+        return lookup(rendered)
+
+    script.lookup = meeting_lookup
+    _, report = evaluate(world.dataset_path, EngineConfig(),
+                         Backend.from_mock(script, max_inflight=8))
+    assert report.accuracy_overall == 1.0 and not barrier.broken
+
+
+@pytest.mark.parametrize("max_iterations, opened", [
+    (1, ["TextAgent"]),
+    (2, ["TextAgent", "VisualAnalysisAgent"]),
+])
+def test_only_stages_within_the_budget_send_step_1_early(
+        golden_world, max_iterations, opened) -> None:
+    """Golden a_q1's workflow has two evidence stages reading only seed
+    keys. Under a budget of 1 the second gets no step in the sequential
+    run, so only the first stage's step 1 goes out with the plan; under 2,
+    both. Each outcome is in when `plan_and_open` returns, and the eval's
+    records are the ones answering each question live gives."""
+    config = EngineConfig(max_iterations=max_iterations)
+    backend = RecordingBackend(Backend.from_mock(golden_world.script()))
+    workflow, sent = plan_and_open(_golden_bundle("a_q1"), builtin_profiles(),
+                                   config, backend)
+    evidence = workflow.stages[:2]
+    assert [s.agent for s in evidence] == ["TextAgent", "VisualAnalysisAgent"]
+    assert all(s.input_keys == SEED_KEYS for s in evidence)
+    react = _prompts(backend, "working on question a_q1.")
+    assert sorted(p.split("]", 1)[0][1:] for p in react) == opened
+    assert all(p.endswith("\nStep 1:") for p in react)
+    assert sorted(sent) == sorted(react)
+    assert all(outcome.done() for outcome in sent.values())
+
+    records, _ = evaluate(golden_world.dataset_path, config,
+                          golden_world.backend())
+    live = _answer_live(golden_world.dataset_path, config,
+                        golden_world.backend())
+    assert [r.to_json() for r in records] == [r.to_json() for r in live]
+
+
+def test_a_stage_that_reads_another_stage_sends_step_1_live() -> None:
+    """A plan whose visual stage reads the text stage's evidence: only the
+    text stage's step 1 goes out with the plan, since the visual stage
+    starts after it and the budget may leave it no step."""
+    plan = json.loads(_plan("causal"))
+    plan[1]["inputs"] = ["question", "text_evidence"]
+    backend = RecordingBackend(Backend.from_mock(
+        _script("Causal; use every agent.", json.dumps(plan))))
+    workflow, sent = plan_and_open(_bundle(), builtin_profiles(),
+                                   EngineConfig(), backend)
+    assert not workflow.repaired
+    assert workflow.stages[1].input_keys == ("question", "text_evidence")
+    react = _prompts(backend, "working on question q1.")
+    assert [p.split("]", 1)[0] for p in react] == ["[TextAgent"]
+    assert list(sent) == react
+
+
+@pytest.mark.parametrize("reply, step, step_2_lines", [
+    (UNPARSEABLE,
+     {"thought": "the frames disagree", "action": "unparseable",
+      "observation": PARSE_ERROR},
+     [UNPARSEABLE, f"OBSERVATION: {PARSE_ERROR}"]),
+    (42,
+     {"thought": "malformed reply", "action": "unparseable",
+      "observation": TYPE_ERROR},
+     [f"OBSERVATION: {TYPE_ERROR}"]),
+], ids=["no-action-or-final", "fails-type-check"])
+def test_a_step_1_reply_that_fails_costs_its_step(
+        tmp_path, capsys, recorders, reply, step, step_2_lines) -> None:
+    """Step 1 of golden b_q1's text stage replies with neither ACTION nor
+    FINAL, or with a number. Under `eval`, where step 1 went out with the
+    plan, and under `build` and `ask`, where it is sent live, the step is
+    traced the same, the step-2 prompt carries the same observation, and
+    `ask` prints the record `eval` wrote."""
+    world = build_golden_world(tmp_path / "golden")
+    script = _script_with(world, _step_1_rule("TextAgent", "b_q1",
+                                              response=reply))
+    common = ["--mock-script", str(script)]
+    records = tmp_path / "records.jsonl"
+    assert main(["eval", str(world.dataset_path), "--out-records",
+                 str(records), "--out-report", str(tmp_path / "report.json"),
+                 *common]) == 0
+    expected = next(line for line in records.read_text().splitlines()
+                    if json.loads(line)["question_id"] == "b_q1")
+    assert json.loads(expected)["trace"][1] == {"agent": "TextAgent", **step}
+
+    entry = json.loads(world.dataset_path.read_text())["entries"][1]
+    questions = tmp_path / "golden_b.questions.json"
+    questions.write_text(json.dumps(entry["questions"]))
+    built = tmp_path / "build.json"
+    assert main(["build", str(world.video_manifests["golden_b"]),
+                 str(questions), str(built), *common]) == 0
+    question = entry["questions"][0]
+    options = [arg for option in question["options"]
+               for arg in ("--option", option)]
+    capsys.readouterr()
+    assert main(["ask", str(built), "--question", question["text"],
+                 *options, "--question-id", "b_q1", *common]) == 0
+    assert capsys.readouterr().out.rstrip("\n") == expected
+
+    evaluated, _, asked = recorders
+    for backend in (evaluated, asked):
+        step_1, step_2 = _prompts(backend,
+                                  "[TextAgent] working on question b_q1.")
+        assert step_1.endswith("\nStep 1:")
+        assert step_2 == "\n".join([step_1.removesuffix("\nStep 1:"),
+                                    *step_2_lines, "Step 2:"])
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_eval_whose_step_1_call_fails_ends_as_a_live_call_would(
+        tmp_path, capsys, max_inflight) -> None:
+    """Step 1 of golden b_q5's text stage (the last question of the last
+    video) raises a transport error, the failure the remote backend raises
+    once its retries are spent. `eval` exits 3 with the call's message and
+    writes nothing, after the calls that answering each question live
+    makes: every other question is answered, b_q5's visual stage runs, and
+    its answer is never drafted."""
+    world = build_golden_world(tmp_path / "golden")
+    script = _script_with(world, _step_1_rule("TextAgent", "b_q5",
+                                              error="transport"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"backend": {"max_inflight": max_inflight}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["eval", str(world.dataset_path),
+                 "--out-records", str(out / "records.jsonl"),
+                 "--out-report", str(out / "report.json"),
+                 "--mock-script", str(script), "--config", str(config)]) == 3
+    assert capsys.readouterr().err == "error: scripted transport failure\n"
+    assert not list(out.iterdir())
+
+    calls = []
+    for run in (evaluate, _answer_live):
+        backend = RecordingBackend(Backend.from_mock(
+            MockScript.from_file(script), max_inflight))
+        with pytest.raises(TransportError,
+                           match="^scripted transport failure$"):
+            run(world.dataset_path, EngineConfig(), backend)
+        calls.append(Counter(c.rendered for c in backend.calls))
+    evaluated, live = calls
+    assert evaluated == live
+    assert not [c for c in evaluated
+                if "drafting explanation for question b_q5" in c]
