@@ -4,7 +4,9 @@ One backend object serves every stage. Three implementations: a remote
 JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
 deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
-Each build and each question call it through a `SharedCaptions` view.
+Each build and each question call it through a `SharedCaptions` view, and
+each question `eval` answers through an answering view, which the
+backend's in-flight gate holds a slot for (`Gate`).
 
 Importing this module loads neither the HTTP client nor OpenSSL:
 `urllib.request` (with http.client and ssl) loads when a remote backend is
@@ -24,10 +26,11 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError, Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import (
     BackendError,
@@ -96,24 +99,90 @@ def _checked(capability: str, reply: Any) -> Any:
     return doc.numbers() if capability == "embed" else doc.string()
 
 
+_making = threading.local()  # `.view`: the answering view this thread calls through
+
+
+class Gate:
+    """The in-flight limit of one backend, shared by its wrappers and views:
+    at most `limit` calls at once. A call made through an answering view
+    (`Backend.answering`) waits only for a free slot. Any other call also
+    leaves one slot free for each open view with no call in flight, so the
+    slot a question's step frees is still there for its next step, and a
+    build beside the answers cannot take it. With no view open the gate is
+    a semaphore: a release wakes one waiter."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        lock = threading.Lock()
+        self._free = threading.Condition(lock)    # answer calls wait here
+        self._spare = threading.Condition(lock)   # every other call here
+        self._busy = 0   # calls in flight
+        self._idle = 0   # open views with no call in flight
+
+    def enter(self) -> "AnsweringView | None":
+        """Wait until this thread's call is admitted; the view it is made
+        through, if any, for `leave`."""
+        view = getattr(_making, "view", None)
+        with self._free:
+            if view is None:
+                while self._busy + self._idle >= self.limit:
+                    self._spare.wait()
+            else:
+                while self._busy >= self.limit:
+                    self._free.wait()
+                if view.calls == 0:
+                    self._idle -= 1
+                    view.admitted.set()
+                view.calls += 1
+            self._busy += 1
+        return view
+
+    def leave(self, view: "AnsweringView | None") -> None:
+        with self._free:
+            self._busy -= 1
+            if view is not None:
+                view.calls -= 1
+                if view.calls == 0:
+                    self._idle += 1
+            self._free.notify()
+            self._spare.notify()
+
+    def open(self) -> None:
+        with self._free:
+            self._idle += 1
+
+    def close(self) -> None:
+        """Called once the view's calls have all returned."""
+        with self._free:
+            self._idle -= 1
+            self._spare.notify()
+
+
 class Backend:
-    """The one model service every stage calls: the in-flight cap and the
+    """The one model service every stage calls: the in-flight gate and the
     reply check, with subclasses implementing _call().
 
     `max_inflight` is the only limit on concurrent model calls, and it sizes
-    every pool that fans calls out to this backend. `capabilities` names the
-    request kinds it serves; `identity` names the service that answers, so a
-    cache never serves one service's response to another.
+    every pool that fans calls out to this backend. Its `gate` admits a call
+    made through an answering view (`answering`) whenever a slot is free,
+    and any other call only if it leaves a slot for each open view with no
+    call in flight. Wrappers and views share their inner backend's gate and
+    set no limit of their own. `capabilities` names the request kinds it
+    serves; `identity` names the service that answers, so a cache never
+    serves one service's response to another.
     """
 
     capabilities: tuple[str, ...] = CAPABILITIES
     identity: str = ""
 
     def __init__(self, max_inflight: int = 8) -> None:
-        if max_inflight < 1:  # a semaphore of 0 would block every call
+        if max_inflight < 1:  # a gate of 0 would block every call
             raise ConfigError(f"backend.max_inflight must be >= 1, got {max_inflight}")
-        self.max_inflight = max_inflight
-        self._inflight = threading.BoundedSemaphore(max_inflight)
+        self.gate = Gate(max_inflight)
+
+    @property
+    def max_inflight(self) -> int:
+        return self.gate.limit
 
     @classmethod
     def from_mock(cls, script: "MockScript", max_inflight: int = 8) -> "Backend":
@@ -131,11 +200,27 @@ class Backend:
                              max_inflight=cfg.max_inflight)
 
     def call(self, request: BackendRequest) -> Any:
-        with self._inflight:
+        view = self.gate.enter()
+        try:
             return _checked(request.capability, self._call(request))
+        finally:
+            self.gate.leave(view)
 
     def _call(self, request: BackendRequest) -> Any:
         raise NotImplementedError
+
+    @contextmanager
+    def answering(self, admitted: threading.Event) -> Iterator["AnsweringView"]:
+        """A view of this backend for one question being answered, open for
+        the block; `admitted` is set when its first call is admitted. While
+        open, it holds a slot that no other call may take, so open it only
+        once the question waits on no other call (its plan is in hand)."""
+        view = AnsweringView(self, admitted)
+        self.gate.open()
+        try:
+            yield view
+        finally:
+            self.gate.close()
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +470,8 @@ class RemoteBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# Wrappers: the response cache and the single-flight caption view
+# Wrappers: the response cache, the single-flight caption view and the
+# answering view
 # ---------------------------------------------------------------------------
 
 class CachingBackend(Backend):
@@ -400,7 +486,7 @@ class CachingBackend(Backend):
     still returned."""
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
-        self.max_inflight = inner.max_inflight
+        self.gate = inner.gate
         self.inner = inner
         self.capabilities = inner.capabilities
         self.identity = inner.identity
@@ -437,16 +523,29 @@ class SharedCaptions(Backend):
     request (image reference and prompt) already answered or in flight gets
     that reply, as `--cache` assumes an identical request gets the same one.
     A call that raises is not shared: the next identical one, a waiting one
-    too, is sent. Chat and embed pass through. No in-flight cap of its own."""
+    too, is sent. Chat and embed pass through. No in-flight cap of its own.
+    Used as a context manager, it is closed when its block raises (its
+    build failed), and from then on refuses every call with CancelledError,
+    sending nothing."""
 
     def __init__(self, inner: Backend) -> None:
-        self.max_inflight = inner.max_inflight
+        self.gate = inner.gate
         self.inner = inner
         self.capabilities = inner.capabilities
         self._replies: dict[str, Future] = {}
         self._lock = threading.Lock()
+        self._closed = False
+
+    def __enter__(self) -> "SharedCaptions":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            self._closed = True
 
     def call(self, request: BackendRequest) -> Any:
+        if self._closed:
+            raise CancelledError("the build this call was made for failed")
         if request.capability != "caption":
             return self.inner.call(request)
         key = render_payload(request)
@@ -464,6 +563,27 @@ class SharedCaptions(Backend):
             reply.set_exception(exc)
             raise
         return reply.result()
+
+
+class AnsweringView(Backend):
+    """`inner` as one answering question calls it (`Backend.answering`):
+    its calls are made with the view marked on the calling thread, so the
+    gate admits them as answer calls. `calls` counts those in flight, under
+    the gate's lock."""
+
+    def __init__(self, inner: Backend, admitted: threading.Event) -> None:
+        self.gate = inner.gate
+        self.inner = inner
+        self.capabilities = inner.capabilities
+        self.admitted = admitted
+        self.calls = 0
+
+    def call(self, request: BackendRequest) -> Any:
+        _making.view = self
+        try:
+            return self.inner.call(request)
+        finally:
+            _making.view = None
 
 
 # perfbench/ builds its backend through this name; nothing else may use it.

@@ -27,19 +27,33 @@ keys and is within the budget: that prompt reads the plan and the
 question, never the store. So after the build only the evidence stages'
 later steps and the answer remain; each stage takes its step-1 outcome in
 place of the call, and the requests and records are those of `ask`, which
-sends step 1 live. For a type whose profile requires the visual agent,
-`plan_question` sends the planning call with the analysis call, in `ask` as
-in `eval`; a question that analysis retypes costs one discarded planning
-call, and the outputs are unchanged. The single backend object serves
+sends step 1 live. The plan tasks call through the build's view, which
+refuses their calls once the build has failed. For a type whose profile
+requires the visual agent, `plan_question` sends the planning call with
+the analysis call, in `ask` as in `eval`; a question that analysis retypes
+costs one discarded planning call, and the outputs are unchanged.
+
+Each video's build runs beside the previous video's answers: it starts
+once that video's build has returned and each of its answer tasks has had
+its first call admitted (or has ended), and that video's records are
+collected, in manifest order, once it returns. So at most two videos'
+stores are held at once. Each answer task calls through an answering view
+(`Backend.answering`), opened once its plan is in hand. The backend's gate
+admits an answer call whenever a slot is free, and any other call only if
+it leaves a slot for each open view with no call in flight: the build
+never takes the slot an answer's step just freed, so the answers keep the
+pace they have with no build beside them. The single backend object serves
 every call; its `max_inflight` is the one bound on concurrent model calls
-and sizes the call pool and the per-video question pool. A build sends
-each distinct caption request once (`SharedCaptions`). Ablation modes swap
-out individual steps without touching the rest of the pipeline.
+and sizes the call pool and the two question pools eval's videos alternate
+between. A build sends each distinct caption request once
+(`SharedCaptions`). Ablation modes swap out individual steps without
+touching the rest of the pipeline.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from collections import Counter, defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
@@ -233,17 +247,20 @@ class BuildResult:
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 config: EngineConfig, backend: Backend,
                 video_id: str | None = None,
-                on_bundles: Callable[[list[QuestionBundle]], None] | None = None,
-                ) -> BuildResult:
+                on_bundles: Callable[[list[QuestionBundle], Backend], None]
+                | None = None) -> BuildResult:
     """Build the tree and knowledge store for one video; a `video_id`, when
     given, is the id its frame manifest must declare. `on_bundles`, when
-    given, is called on the build thread with the question bundles once
-    every question is classified and every first-pass caption is in, right
-    after the prompt syntheses are queued."""
-    backend = SharedCaptions(backend)  # this build's caption scope
-    # The pool runs tasks in the order they are queued, so with one thread
-    # the calls still come stage by stage (see the module docstring).
-    with _call_pool(backend.max_inflight) as calls:
+    given, is called on the build thread with the question bundles and the
+    build's view of the backend once every question is classified and every
+    first-pass caption is in, right after the prompt syntheses are queued.
+    Calls made through that view after the build has failed are refused
+    (`SharedCaptions`)."""
+    # The view is this build's caption scope. The pool runs tasks in the
+    # order they are queued, so with one thread the calls still come stage
+    # by stage (see the module docstring).
+    with (SharedCaptions(backend) as backend,
+          _call_pool(backend.max_inflight) as calls):
         frames = load_frames(manifest_path, backend, video_id, calls)
         params = TreeParams(tau=config.tau, k=config.k,
                             max_depth=config.max_depth, gamma=config.gamma)
@@ -281,7 +298,7 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         synthesized = [calls.submit(type_prompt, qtype, bundles, config, backend)
                        for qtype in sorted({b.qtype for b in bundles})]
         if on_bundles is not None:
-            on_bundles(bundles)
+            on_bundles(bundles, backend)
         # A shot expands once its own score and every earlier shot's are in,
         # so node ids and K-Means seeds follow shot order while later scores
         # are still in flight.
@@ -430,48 +447,73 @@ class RunReport:
 
 def evaluate(manifest_path: str | Path, config: EngineConfig,
              backend: Backend) -> tuple[list[AnswerRecord], RunReport]:
-    """Run the manifest's entries one after another, so one video's frames,
-    tree and store are held at a time. Planning reads only the question, so
-    each question is planned on the video's question pool while the build
-    runs, from the point where it has every bundle (see `build_video`). Its
-    plan task then sends step 1 of each evidence stage that starts at once,
-    which reads only the plan and the question (`plan_and_open`); once the
-    store is complete, the questions are answered on that pool, up to the
-    backend's in-flight limit, each of those stages taking its step-1
-    outcome in place of the call. Every answer task waits only on its own
-    plan task, queued before it, and the step-1 calls go out on that task's
-    own threads: queued on the pool, they could wait behind an answer task
-    holding its only thread (in-flight limit 1) that waits on them. A
-    failed build drops the plans still queued. Records follow the
-    manifest's order."""
+    """Run the manifest's entries in order, each video's build beside the
+    previous video's answers (see the module docstring), so at most two
+    videos' stores are held at once. Each question is planned on its
+    video's question pool while the build runs, and its plan task sends the
+    step-1 calls `plan_and_open` names, through the build's view, on threads
+    of its own: queued on the pool, they could wait behind an answer task
+    holding its only thread (in-flight limit 1) that waits on them. When the
+    build returns, the previous video's records are collected in manifest
+    order, its first error raised before this build's. Then this video's
+    questions are answered on its pool, each through an answering view
+    opened once its plan is in hand, and the next build starts once every
+    answer task has had its first call admitted, or has ended. The videos
+    alternate between two question pools. A failed build or answer drops
+    the tasks still queued."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
     records: list[AnswerRecord] = []
     hits: dict[str, list[bool]] = {}  # per type, one per graded question
-    for entry in entries:
-        with _call_pool(backend.max_inflight) as pool:
-            plans: list[Future] = []  # in question order
 
-            def queue_plans(bundles: list[QuestionBundle]) -> None:
-                plans.extend(pool.submit(plan_and_open, bundle, profiles,
-                                         config, backend)
-                             for bundle in bundles)
+    def answer(bundle: QuestionBundle, plan: Future, store: KnowledgeStore,
+               admitted: threading.Event) -> AnswerRecord:
+        try:
+            workflow, sent = plan.result()
+            with backend.answering(admitted) as view:
+                return answer_question(bundle, store, profiles, config, view,
+                                       workflow, sent)
+        finally:
+            admitted.set()
 
-            result = build_video(entry.frame_manifest_path,
-                                 list(entry.questions), config, backend,
-                                 entry.video_id, on_bundles=queue_plans)
-            answered = list(pool.map(
-                lambda bundle, plan: answer_question(
-                    bundle, result.store, profiles, config, backend,
-                    *plan.result()),
-                result.bundles, plans))
-        for raw, bundle, record in zip(entry.questions, result.bundles,
-                                       answered):
+    def collect(entry: VideoEntry, bundles: list[QuestionBundle],
+                answers: list[Future]) -> None:
+        for raw, bundle, answered in zip(entry.questions, bundles, answers):
+            record = answered.result()
             records.append(record)
             if raw.gold_index is not None:
                 hits.setdefault(bundle.qtype, []).append(
                     record.chosen_index == raw.gold_index)
-        del result  # the next build need not hold this tree and store
+
+    answering = None  # the previous video's entry, bundles and answer tasks
+    with (_call_pool(backend.max_inflight) as even,
+          _call_pool(backend.max_inflight) as odd):
+        for index, entry in enumerate(entries):
+            pool = (even, odd)[index % 2]
+            plans: list[Future] = []  # in question order
+
+            def queue_plans(bundles: list[QuestionBundle],
+                            build: Backend) -> None:
+                plans.extend(pool.submit(plan_and_open, bundle, profiles,
+                                         config, build)
+                             for bundle in bundles)
+
+            try:
+                result = build_video(entry.frame_manifest_path,
+                                     list(entry.questions), config, backend,
+                                     entry.video_id, on_bundles=queue_plans)
+            finally:  # the previous video's records, or its error, first
+                if answering is not None:
+                    collect(*answering)
+            admitted = [threading.Event() for _ in result.bundles]
+            answering = entry, result.bundles, [
+                pool.submit(answer, bundle, plan, result.store, started)
+                for bundle, plan, started in zip(result.bundles, plans,
+                                                 admitted)]
+            for started in admitted:
+                started.wait()
+        if answering is not None:
+            collect(*answering)
 
     graded = [hit for type_hits in hits.values() for hit in type_hits]
     report = RunReport(

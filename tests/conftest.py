@@ -6,7 +6,6 @@ against."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -43,19 +42,19 @@ class RecordedCall:
 
 class RecordingBackend(Backend):
     """Forwards every call to `inner` and records it in `calls`, failed calls
-    included. Reports the inner backend's capabilities, identity and
-    in-flight limit, and sets no cap of its own."""
+    included. Reports the inner backend's capabilities and identity, and
+    shares its gate: the inner backend's in-flight limit is the only one, so
+    a call, a view's call too, is admitted once."""
 
     def __init__(self, inner: Backend) -> None:
-        super().__init__(inner.max_inflight)
-        self._inflight = contextlib.nullcontext()
+        self.gate = inner.gate
         self.inner = inner
         self.capabilities = inner.capabilities
         self.identity = inner.identity
         self.calls: list[RecordedCall] = []
         self._lock = threading.Lock()
 
-    def _call(self, request: BackendRequest) -> Any:
+    def call(self, request: BackendRequest) -> Any:
         rendered = render_payload(request)
         try:
             response = self.inner.call(request)

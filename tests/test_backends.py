@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import shutil
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -214,6 +216,149 @@ def test_inflight_limit_below_one_is_refused(limit) -> None:
         MockBackend(MockScript(default_response="ok"), max_inflight=limit)
     with pytest.raises(ConfigError, match="max_inflight"):
         RemoteBackend({"chat": "http://unit.test/chat"}, max_inflight=limit)
+
+
+# ---------------------------------------------------------------------------
+# The in-flight gate and answering views
+# ---------------------------------------------------------------------------
+
+class HeldModel:
+    """A mock default whose chat call on prompt `name` signals `reached[name]`
+    and returns only once `go[name]` is set."""
+
+    def __init__(self, *names: str) -> None:
+        self.reached = {name: threading.Event() for name in names}
+        self.go = {name: threading.Event() for name in names}
+
+    def __call__(self, rendered: str) -> str:
+        name = json.loads(rendered.split(":", 1)[1])["messages"][0]["content"]
+        self.reached[name].set()
+        assert self.go[name].wait(5), f"{name} held past the test"
+        return "ok"
+
+    def release_all(self) -> None:
+        for go in self.go.values():
+            go.set()
+
+
+def _calling(backend, name: str) -> threading.Thread:
+    """`backend.call` on chat prompt `name`, on a thread of its own."""
+    thread = threading.Thread(target=backend.call, args=(chat_request(name),),
+                              daemon=True)
+    thread.start()
+    return thread
+
+
+def _not_reached(model: HeldModel, name: str) -> bool:
+    """The call on `name` is still waiting for a slot a while later."""
+    return not model.reached[name].wait(0.2)
+
+
+@pytest.mark.parametrize("ends", ["view closes", "other call returns"])
+def test_a_call_outside_a_view_leaves_a_slot_for_an_idle_view(ends) -> None:
+    """At limit 2, with one build call in flight and one answering view
+    open, a second build call waits: the other slot is the view's. The view
+    takes it for a call and frees it again, and the build call still waits,
+    until the view closes or the first build call returns. Then a third
+    waits: the limit is the same as before the view opened."""
+    model = HeldModel("b1", "b2", "b3", "a1")
+    backend = MockBackend(MockScript(default_response=model), max_inflight=2)
+    threads = [_calling(backend, "b1")]
+    try:
+        assert model.reached["b1"].wait(5)
+        admitted = threading.Event()
+        with contextlib.ExitStack() as open_view:
+            view = open_view.enter_context(backend.answering(admitted))
+            threads.append(_calling(backend, "b2"))
+            assert _not_reached(model, "b2")
+            assert not admitted.is_set()
+            model.go["a1"].set()
+            assert view.call(chat_request("a1")) == "ok"
+            assert admitted.is_set()
+            assert _not_reached(model, "b2")
+            if ends == "view closes":
+                open_view.close()
+            else:
+                model.go["b1"].set()
+            assert model.reached["b2"].wait(5)
+            threads.append(_calling(backend, "b3"))
+            assert _not_reached(model, "b3")
+    finally:
+        model.release_all()
+        for thread in threads:
+            thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_an_answer_call_is_admitted_whenever_a_slot_is_free() -> None:
+    """At limit 2, with a build call in flight and two views open, one
+    view's call goes out at once, over the other view's held slot, and the
+    other's waits only until a slot frees. A view with a call in flight
+    holds no slot beyond it: once the other view closes, a build call takes
+    the free slot."""
+    model = HeldModel("b1", "b2", "a1", "a2")
+    backend = MockBackend(MockScript(default_response=model), max_inflight=2)
+    threads = [_calling(backend, "b1")]
+    try:
+        assert model.reached["b1"].wait(5)
+        with backend.answering(threading.Event()) as first:
+            with backend.answering(threading.Event()) as second:
+                threads.append(_calling(first, "a1"))
+                assert model.reached["a1"].wait(5)
+                threads.append(_calling(second, "a2"))
+                assert _not_reached(model, "a2")
+                model.go["b1"].set()
+                assert model.reached["a2"].wait(5)
+                model.go["a2"].set()
+                threads[-1].join(5)
+            threads.append(_calling(backend, "b2"))
+            assert model.reached["b2"].wait(5)
+            model.go["a1"].set()
+            threads[1].join(5)  # the view closes once its call returned
+    finally:
+        model.release_all()
+        for thread in threads:
+            thread.join(5)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_a_release_wakes_one_waiter_when_no_view_is_open(monkeypatch) -> None:
+    """At limit 1, with three calls waiting behind one in flight and no
+    view open, each release wakes one waiter, the one it admits; waking
+    every waiter cost the build path (build_1h p50 +0.5%)."""
+    waiting, woken = [], []
+
+    class CountingCondition(threading.Condition):
+        def wait(self, timeout=None):
+            waiting.append(1)
+            result = super().wait(timeout)
+            woken.append(1)
+            return result
+
+    model = HeldModel("c0", "c1", "c2", "c3")
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Condition", CountingCondition)
+        backend = MockBackend(MockScript(default_response=model),
+                              max_inflight=1)
+    threads = [_calling(backend, "c0")]
+    try:
+        assert model.reached["c0"].wait(5)
+        threads += [_calling(backend, f"c{i}") for i in (1, 2, 3)]
+        for _ in range(500):
+            if len(waiting) == 3:
+                break
+            time.sleep(0.01)
+        assert len(waiting) == 3
+        model.go["c0"].set()
+        admitted = [name for name in ("c1", "c2", "c3")
+                    if model.reached[name].wait(0.5)]
+        assert len(admitted) == 1
+        time.sleep(0.1)
+        assert len(woken) == 1
+    finally:
+        model.release_all()
+        for thread in threads:
+            thread.join(5)
 
 
 # ---------------------------------------------------------------------------

@@ -675,6 +675,45 @@ def test_eval_whose_build_fails_answers_nothing(tmp_path, max_inflight) -> None:
     assert set(threading.enumerate()) <= before
 
 
+def test_plan_task_sends_no_step_1_once_its_build_has_failed(
+        tmp_path, monkeypatch) -> None:
+    """Every Causal typed caption of golden_a fails, so its build raises
+    after the plan tasks have started. Each planning reply is held until
+    that error has left `build_video`; the plan tasks then send no step-1
+    call, since the build's view refuses it, and the eval raises the
+    build's error."""
+    world = build_golden_world(tmp_path / "golden")
+    script = world.script()
+    script.rules.insert(0, MockRule(r"^caption:.*causal-view", regex=True,
+                                    error="transport"))
+    failed = threading.Event()
+    build = pipeline.build_video
+
+    def failing_build(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except BackendError:
+            failed.set()
+            raise
+
+    lookup = script.lookup
+
+    def holding_lookup(rendered: str):
+        if "[TaskPlanningAgent]" in rendered:
+            failed.wait(5)
+        return lookup(rendered)
+
+    script.lookup = holding_lookup
+    monkeypatch.setattr(pipeline, "build_video", failing_build)
+    backend = RecordingBackend(Backend.from_mock(script, max_inflight=8))
+    with pytest.raises(BackendError, match=r"^caption backend failed for all "
+                       r"\d+ frames under the Causal prompt$"):
+        evaluate(world.dataset_path, EngineConfig(seed=3), backend)
+    assert failed.is_set()
+    assert [c for c in backend.calls if "[TaskPlanningAgent]" in c.rendered]
+    assert not [c for c in backend.calls if 'Step 1:","role"' in c.rendered]
+
+
 # ---------------------------------------------------------------------------
 # Golden-suite evaluation
 # ---------------------------------------------------------------------------
