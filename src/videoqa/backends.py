@@ -522,17 +522,18 @@ class SharedCaptions(Backend):
     """A single-flight view of `inner` for one build or question: a caption
     request (image reference and prompt) already answered or in flight gets
     that reply, as `--cache` assumes an identical request gets the same one.
-    A call that raises is not shared: the next identical one, a waiting one
-    too, is sent. Chat and embed pass through. No in-flight cap of its own.
-    Used as a context manager, it is closed when its block raises (its
-    build failed), and from then on refuses every call with CancelledError,
-    sending nothing."""
+    An answered request is held as its reply alone, and one in flight as
+    the Future its waiters wait on. A call that raises is not shared: the
+    next identical one, a waiting one too, is sent. Chat and embed pass
+    through. No in-flight cap of its own. Used as a context manager, it is
+    closed when its block raises (its build failed), and from then on
+    refuses every call with CancelledError, sending nothing."""
 
     def __init__(self, inner: Backend) -> None:
         self.gate = inner.gate
         self.inner = inner
         self.capabilities = inner.capabilities
-        self._replies: dict[str, Future] = {}
+        self._replies: dict[str, Any] = {}  # a reply, or a Future in flight
         self._lock = threading.Lock()
         self._closed = False
 
@@ -553,16 +554,21 @@ class SharedCaptions(Backend):
             reply = self._replies.get(key)
             if sent := reply is None:
                 reply = self._replies[key] = Future()
+        if not isinstance(reply, Future):
+            return reply
         if not sent:  # wait for that call; if it raised, send this one
             return reply.result() if reply.exception() is None else self.call(request)
         try:
-            reply.set_result(self.inner.call(request))
+            text = self.inner.call(request)
         except BaseException as exc:
             with self._lock:  # removed before waiters see the failure
                 del self._replies[key]
             reply.set_exception(exc)
             raise
-        return reply.result()
+        with self._lock:
+            self._replies[key] = text
+        reply.set_result(text)
+        return text
 
 
 class AnsweringView(Backend):

@@ -16,6 +16,7 @@ import struct
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import np
 from .backends import Backend, embed_request
@@ -24,7 +25,7 @@ from .errors import InputError, ValidationError, read_bytes, read_doc
 EMBED_MAGIC = b"HCEM"
 _HEADER = struct.Struct("<4sIII")
 
-_BLOCK_ROWS = 1024  # rows per block of `row_norms`
+_BLOCK_ROWS = 256  # rows per block of `_by_block`
 
 
 @dataclass
@@ -88,9 +89,36 @@ def load_frames(manifest_path: str | Path, backend: Backend | None = None,
     backend serving "embed" is required, and its calls fan out on `pool`
     (or run on the calling thread when there is no pool). A
     `video_id`, when given, is the id the manifest must declare; it is
-    checked before any model call.
+    checked before any model call. Nothing of the parsed manifest is held
+    while the matrix is read or embedded.
     """
     p = Path(manifest_path)
+    manifest_id, fps, paths, num_frames, embeddings_path = _read_manifest(
+        p, video_id)
+    if embeddings_path is not None:
+        epath = Path(embeddings_path)
+        if not epath.is_absolute():
+            epath = p.parent / epath
+        matrix = read_embeddings(epath)
+        if matrix.shape[0] != num_frames:
+            raise ValidationError(
+                f"embeddings have {matrix.shape[0]} rows for {num_frames} frames")
+    elif backend is None or "embed" not in backend.capabilities:
+        raise InputError(
+            f"manifest {p} has no embeddings_path; an embedding backend is required")
+    else:
+        matrix = _embed_images(paths, num_frames, backend, pool)
+
+    _validate_matrix(matrix)
+    return VideoFrames(video_id=manifest_id, fps=fps, paths=paths,
+                       embeddings=matrix)
+
+
+def _read_manifest(p: Path, video_id: str | None
+                   ) -> tuple[str, float, dict[int, str], int, str | None]:
+    """The manifest's video id, fps, frame paths, frame count and
+    embeddings path, checked. Its parsed document, and every `Doc` read
+    from it, goes when this returns."""
     root = read_doc(p, "frame manifest", ValidationError)
     manifest_id = root.string("video_id", nonempty=True)
     if video_id is not None and manifest_id != video_id:
@@ -120,47 +148,38 @@ def load_frames(manifest_path: str | Path, backend: Backend | None = None,
                   f"{indices[:8]}...", "frames")
 
     embeddings_path = root.string("embeddings_path", None)
-    if embeddings_path is not None:
-        epath = Path(embeddings_path)
-        if not epath.is_absolute():
-            epath = p.parent / epath
-        matrix = read_embeddings(epath)
-        if matrix.shape[0] != len(frames):
-            raise ValidationError(
-                f"embeddings have {matrix.shape[0]} rows for {len(frames)} frames")
-    else:
-        if pathless is not None:
-            pathless.fail("missing; with no embeddings_path every frame needs "
-                          "a path", "path")
-        if backend is None or "embed" not in backend.capabilities:
-            raise InputError(
-                f"manifest {p} has no embeddings_path; an embedding backend is required")
-        matrix = _embed_images(paths, len(frames), backend, pool)
-
-    _validate_matrix(matrix)
-    return VideoFrames(video_id=manifest_id, fps=fps, paths=paths,
-                       embeddings=matrix)
+    if embeddings_path is None and pathless is not None:
+        pathless.fail("missing; with no embeddings_path every frame needs "
+                      "a path", "path")
+    return manifest_id, fps, paths, len(frames), embeddings_path
 
 
 def _embed_images(paths: dict[int, str], num_frames: int, backend: Backend,
                   pool: Executor | None) -> np.ndarray:
     """One embed call per frame, fanned out on `pool` when there is one;
-    rows in frame order."""
-    fan_out = map if pool is None else pool.map
-    rows = list(fan_out(lambda index: backend.call(embed_request(paths[index])),
-                        range(num_frames)))
+    rows in frame order. Each reply is made a float32 row by the task that
+    called for it, so no reply waits as a list of Python floats."""
+    def embed(index: int) -> np.ndarray:
+        return np.asarray(backend.call(embed_request(paths[index])),
+                          dtype=np.float32)
+
+    rows = list((map if pool is None else pool.map)(embed, range(num_frames)))
     for index, vec in enumerate(rows):
         if len(vec) != len(rows[0]):
             raise ValidationError(
                 f"embedding row for frame {index} has length "
                 f"{len(vec)}, expected {len(rows[0])}")
-    return np.asarray(rows, dtype=np.float32)
+    return np.stack(rows)
 
 
 def _validate_matrix(matrix: np.ndarray) -> None:
+    """Refuse a matrix that is not (frames, dim > 0), or that has a row with
+    a NaN or Inf entry or a zero row, naming the first such row. Like
+    `row_norms`, it reads a block of rows at a time."""
     if matrix.ndim != 2 or matrix.shape[1] == 0:
         raise ValidationError("embedding matrix must be (frames, dim) with dim > 0")
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    bad = np.flatnonzero(~_by_block(lambda rows: np.isfinite(rows).all(axis=1),
+                                    matrix))
     if bad.size:
         raise ValidationError(f"embedding row {int(bad[0])} has NaN or Inf entries")
     zero = np.flatnonzero(row_norms(matrix) == 0.0)
@@ -173,12 +192,20 @@ def _validate_matrix(matrix: np.ndarray) -> None:
 # Shot detection
 # ---------------------------------------------------------------------------
 
+def _by_block(per_row: Callable[[np.ndarray], np.ndarray],
+              matrix: np.ndarray) -> np.ndarray:
+    """`per_row` of the whole matrix, one value per row, computed on
+    `_BLOCK_ROWS` rows at a time so that no temporary is the size of the
+    matrix."""
+    return np.concatenate([per_row(matrix[i:i + _BLOCK_ROWS])
+                           for i in range(0, max(len(matrix), 1), _BLOCK_ROWS)])
+
+
 def row_norms(matrix: np.ndarray) -> np.ndarray:
     """Each row's L2 norm, the value `np.linalg.norm(matrix, axis=1)` gives,
-    computed a block of rows at a time so that no temporary is the size of
-    the matrix."""
-    return np.concatenate([np.linalg.norm(matrix[i:i + _BLOCK_ROWS], axis=1)
-                           for i in range(0, max(len(matrix), 1), _BLOCK_ROWS)])
+    a block of rows at a time: its temporary, the block's squares, is 256 kB
+    at 256 dims."""
+    return _by_block(lambda rows: np.linalg.norm(rows, axis=1), matrix)
 
 
 def consecutive_distances(embeddings: np.ndarray) -> np.ndarray:

@@ -71,10 +71,10 @@ EQUIVALENT = {
     ("tree", "kmeans", "if np.array_equal(assign, prev):", "if False:"):
         "Lloyd's iterations stop at a fixed point, so running all 100 "
         "changes only how many run",
-    ("ingest", "<module>", "_BLOCK_ROWS = 1024", "_BLOCK_ROWS = 1025"):
-        "`_BLOCK_ROWS` sizes only a temporary: a row's norm is the same "
-        "in any block",
-    ("ingest", "row_norms", "max(len(matrix), 1)", "max(len(matrix), 2)"):
+    ("ingest", "<module>", "_BLOCK_ROWS = 256", "_BLOCK_ROWS = 257"):
+        "`_BLOCK_ROWS` sizes only a temporary: a row's norm and whether "
+        "it is finite are the same in any block",
+    ("ingest", "_by_block", "max(len(matrix), 1)", "max(len(matrix), 2)"):
         "a matrix of 0 or 1 rows is one block at row 0 either way",
     ("orchestrator", "execute_workflow", "[0]", "[1]"):
         "the first evidence stage's count reads 1 from its first step on; "
