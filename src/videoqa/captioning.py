@@ -178,7 +178,8 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
     under one prompt, the whole call raises. So that work on a caption can
     start before the last one lands, `landed` is called on this thread with
     each caption as it lands, but only once every prompt has one caption
-    that is not the sentinel: a call that raises hands on no caption.
+    that is not the sentinel: a call that raises hands on no caption. A
+    task's `Future` is let go as its caption lands.
     """
     frames = sorted(frames)
 
@@ -190,38 +191,32 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
             text = SENTINEL_CAPTION
         return FrameCaption(frame_index, prompt.qtype, text)
 
-    futures = [pool.submit(caption_one, p, f) for p in prompts for f in frames]
-    if landed is not None:
-        _hand_on(futures, len(frames), landed)
-    captions = [future.result() for future in futures]
+    # Each finished task with its position; nothing else holds its future.
+    finished: SimpleQueue[tuple[int, Future]] = SimpleQueue()
+    tasks = [(prompt, frame) for prompt in prompts for frame in frames]
+    for position, task in enumerate(tasks):
+        pool.submit(caption_one, *task).add_done_callback(
+            lambda future, i=position: finished.put((i, future)))
+    captions: list[FrameCaption] = [None] * len(tasks)
+    unproven = set(range(len(prompts)))  # prompts with no real caption yet
+    held: list[FrameCaption] = []
+    for _ in captions:
+        position, future = finished.get()
+        caption = captions[position] = future.result()
+        if caption.text != SENTINEL_CAPTION:
+            unproven.discard(position // len(frames))
+        if landed is not None:
+            held.append(caption)
+            if not unproven:
+                for waiting in held:
+                    landed(waiting)
+                held.clear()
     for start in range(0, len(captions), len(frames)):
         if all(c.text == SENTINEL_CAPTION
                for c in captions[start:start + len(frames)]):
             raise BackendError(f"caption backend failed for all {len(frames)} "
                                f"frames under the {captions[start].qtype} prompt")
     return captions
-
-
-def _hand_on(futures: list[Future], per_prompt: int,
-             landed: Callable[[FrameCaption], None]) -> None:
-    """Pass `landed` each caption in the order the futures finish, holding
-    them back until every prompt's run of `per_prompt` futures has one
-    caption that is not the sentinel."""
-    finished: SimpleQueue[Future] = SimpleQueue()
-    for future in futures:
-        future.add_done_callback(finished.put)
-    run_of = {future: i // per_prompt for i, future in enumerate(futures)}
-    unproven = set(run_of.values())
-    held: list[FrameCaption] = []
-    for _ in futures:
-        future = finished.get()
-        held.append(future.result())
-        if held[-1].text != SENTINEL_CAPTION:
-            unproven.discard(run_of[future])
-        if not unproven:
-            for caption in held:
-                landed(caption)
-            held.clear()
 
 
 # ---------------------------------------------------------------------------

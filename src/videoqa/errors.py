@@ -5,10 +5,13 @@ invariant. The CLI reports an error by its message and `exit_code` alone,
 so each code has one class, plus the subclasses some `except` tells apart.
 
 Every file the program reads or writes goes through `read_bytes`,
-`read_text`, `read_json` and `write_text`, so one rule maps a bad path to
-its exit code, but for three that touch files themselves: the cache entry
-reads of `CachingBackend` (an unreadable one is a miss), the package
-templates of `captioning.load_template`, and `ingest.write_embeddings`.
+`read_text`, `read_json`, `write_text`, and for an embeddings file, read a
+block of rows at a time, `file_size` and `read_range`, so one rule maps a
+bad path to its exit code, but for three that touch files themselves: the
+cache entry reads of `CachingBackend` (an unreadable one is a miss), the
+package templates of `captioning.load_template`, and
+`ingest.write_embeddings`. A range read that finds the file shorter than
+its checked size raises ValidationError.
 `write_text` writes a temp file beside its target and renames it over the
 target, so a run killed mid-write leaves no cut file; the cache writes its
 entries through it, and logs the InputError of one it cannot write.
@@ -30,8 +33,9 @@ import json
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, BinaryIO, Iterator, NoReturn
 
 
 class VideoQAError(Exception):
@@ -76,14 +80,42 @@ class MalformedResponseError(BackendError):
     """Backend replied but the body does not carry a usable result."""
 
 
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of the file `what` at `path`."""
+@contextmanager
+def _reading(path: str | Path, what: str) -> Iterator[BinaryIO]:
+    """The file `what` at `path`, open for reading bytes."""
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            yield fh
     except FileNotFoundError as exc:
         raise NotFoundError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise InputError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the file `what` at `path`."""
+    with _reading(path, what) as fh:
+        return fh.read()
+
+
+def file_size(path: str | Path, what: str) -> int:
+    """The length in bytes of the file `what` at `path`."""
+    with _reading(path, what) as fh:
+        return os.fstat(fh.fileno()).st_size
+
+
+def read_range(path: str | Path, what: str, offset: int, into) -> None:
+    """Fill the writable buffer `into` with the bytes of the file `what` at
+    `path` from byte `offset`. A file that ends before `into` is full, cut
+    or replaced since its size was checked, raises ValidationError."""
+    size = memoryview(into).nbytes
+    with _reading(path, what) as fh:
+        fh.seek(offset)
+        got = fh.readinto(into)
+    if got != size:
+        raise ValidationError(
+            f"{what} {path} ends before byte {offset + size}: it changed "
+            "after its size was checked")
 
 
 def read_text(path: str | Path, what: str, invalid=InputError) -> str:
@@ -225,14 +257,18 @@ class Doc:
             return default
         return Doc(value, self.error, self.source, self, key)
 
-    def objects(self, key=None, default=_MISSING) -> list["Doc"]:
+    def objects(self, key=None, default=_MISSING, *, lazy=False
+                ) -> list["Doc"] | Iterator["Doc"]:
+        """With `lazy`, each object's `Doc` is made as the caller walks the
+        list, so a long list's are never all held at once."""
         values = self._list(key, default, dict)
         if values is default:
             return default
         parent = self if key is None else Doc(values, self.error, self.source,
                                               self, key)
-        return [Doc(value, self.error, self.source, parent, i)
-                for i, value in enumerate(values)]
+        docs = (Doc(value, self.error, self.source, parent, i)
+                for i, value in enumerate(values))
+        return docs if lazy else list(docs)
 
     def strings(self, key=None, default=_MISSING) -> list[str]:
         return self._list(key, default, str)

@@ -15,12 +15,15 @@ expansion and synthesis, because frame retrieval's gamma gate is global.
 No task waits on another, and only the build thread reads results into the
 tree, in shot order, and builds the store from them once, at the end, so
 neither depends on the order calls finish in. A build holds each input only
-while a later stage reads it: `load_frames` holds nothing of the parsed
-manifest while it reads the embedding matrix, the matrix goes once the last
-shot has expanded (once the shot nodes exist, under uniform sampling), so
-the typed captions, about half a build's calls, run without it; each shot's
-score is dropped as the expansion reads it, and the build's caption view
-keeps an answered caption as its reply alone.
+while a later stage reads it. `load_frames` holds nothing of the parsed
+manifest once it returns, and an embeddings file is never held whole: shot
+detection reads it a block of rows at a time, the shot nodes a shot's rows
+at a time, and the expansion an expanded shot's rows, once, for its whole
+subtree. An image-path manifest's rows are the matrix of its embed replies,
+let go once the last shot has expanded. Each caption task's `Future` goes
+as its caption lands, each shot's score is dropped as the expansion reads
+it, and the build's caption view keeps an answered caption as its reply
+alone.
 
 In `evaluate`, planning reads only the question, so each question's
 analysis and planning are queued on the video's question pool when the
@@ -277,9 +280,6 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         tree = tree_from_shots(frames.video_id, shots, frames.embeddings, params)
         store = KnowledgeStore(tree=tree, fps=frames.fps,
                                frame_paths=frames.paths)
-        # Only the expansion reads the matrix from here on.
-        embeddings = None if config.uniform_sampling else frames.embeddings
-        del frames
 
         classified = [calls.submit(classify, q, config, backend)
                       for q in questions]
@@ -314,8 +314,9 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
         if not config.uniform_sampling:
             for shot in tree.shots():
                 shot.relevance = scores.pop(shot.node_id).result()
-                expand_tree(tree, embeddings, config.seed, [shot.node_id])
-        del embeddings  # the typed captions run without the matrix
+                expand_tree(tree, frames.embeddings, config.seed,
+                            [shot.node_id])
+        del frames  # an image-path manifest's rows are a matrix in memory
 
         retrieved = vtsearch(tree)
         # A (shot, type) fusion is queued as the last caption of its group

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Protocol, Sequence
 
 from . import np
 from .backends import Backend, chat_request
@@ -43,6 +43,14 @@ KIND_CLUSTER = "cluster"
 
 DEFAULT_SCORE = 3.0
 KMEANS_MAX_ITER = 100
+
+
+class Rows(Protocol):
+    """A video's embedding rows, read a run of frames at a time: `rows[a:b]`
+    is frames a..b-1's rows as a float32 array. An ndarray is one; so is the
+    embeddings-file reader of `ingest`, which reads each run from the file."""
+
+    def __getitem__(self, frames: slice, /) -> np.ndarray: ...
 
 
 @dataclass
@@ -174,10 +182,11 @@ class HybridTree:
                     f"children of node {node.node_id} do not partition its frames")
 
 
-def tree_from_shots(video_id: str, shots: list[range], embeddings: np.ndarray,
+def tree_from_shots(video_id: str, shots: list[range], embeddings: Rows,
                     params: TreeParams) -> HybridTree:
     """Layer-1 tree: shot node i holds the i-th range of frames, in temporal
-    order, represented by its frame nearest the centroid; no expansion."""
+    order, represented by its frame nearest the centroid; no expansion. Each
+    shot's rows are read once, and let go before the next shot's."""
     nodes = {}
     for shot_id, frames in enumerate(shots):
         rep = frames.start + nearest_to_centroid(
@@ -402,12 +411,13 @@ def _randint(seed: int, n: int) -> int:
                 return m >> 32
 
 
-def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int,
+def expand_tree(tree: HybridTree, embeddings: Rows, seed: int,
                 shots: Sequence[int]) -> HybridTree:
     """Grow sub-event clusters under each of `shots` (node ids) that passes
     the relevance gate (value > tau, strict). The shot itself always gets
     its first split; recursion on a child stops at max_depth or below 2k
-    frames. Low-relevance shots stay leaves.
+    frames. Low-relevance shots stay leaves, and only an expanded shot's
+    rows are read, once, for its whole subtree.
 
     New nodes take the next free ids, so shots expanded one call at a time
     in shot order get the ids, and the K-Means seeds, of one call over all
@@ -415,25 +425,29 @@ def expand_tree(tree: HybridTree, embeddings: np.ndarray, seed: int,
     for sid in shots:
         shot = tree.nodes[sid]
         if tree.is_high_relevance(shot):
-            _expand_node(tree, shot, embeddings, seed, force=True)
+            frames = shot.frames  # a shot's frames are a range
+            _expand_node(tree, shot, embeddings[frames.start:frames.stop],
+                         frames.start, seed, force=True)
     return tree
 
 
-def _expand_node(tree: HybridTree, node: TreeNode, embeddings: np.ndarray,
-                 seed: int, force: bool = False) -> None:
+def _expand_node(tree: HybridTree, node: TreeNode, rows: np.ndarray,
+                 first: int, seed: int, force: bool = False) -> None:
+    """Split `node`, and its children in turn; `rows` are the embedding rows
+    of its shot, whose first frame is `first`."""
     k = tree.params.k
     if node.depth >= tree.params.max_depth or node.num_frames < 2:
         return
     if not force and node.num_frames < 2 * k:
         return
     frames = np.array(node.frames, dtype=np.int64)
-    assign = kmeans(embeddings[frames], k, _node_seed(seed, node.node_id))
+    assign = kmeans(rows[frames - first], k, _node_seed(seed, node.node_id))
     groups = [frames[assign == c] for c in range(int(assign.max()) + 1)]
     groups.sort(key=lambda g: int(g.min()))
 
     next_id = max(tree.nodes) + 1
     for group in groups:
-        rep = int(group[nearest_to_centroid(embeddings[group])])
+        rep = int(group[nearest_to_centroid(rows[group - first])])
         child = TreeNode(
             node_id=next_id,
             kind=KIND_CLUSTER,
@@ -445,7 +459,7 @@ def _expand_node(tree: HybridTree, node: TreeNode, embeddings: np.ndarray,
         node.children.append(next_id)
         next_id += 1
     for child_id in list(node.children):
-        _expand_node(tree, tree.nodes[child_id], embeddings, seed)
+        _expand_node(tree, tree.nodes[child_id], rows, first, seed)
 
 
 # ---------------------------------------------------------------------------

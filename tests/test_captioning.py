@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import gc
 import logging
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from videoqa import captioning
 from videoqa.backends import MockBackend, MockScript
 from videoqa.captioning import (
     SENTINEL_CAPTION,
@@ -168,6 +172,41 @@ def test_caption_frame_bijection(pool) -> None:
                               MockBackend(script), _refs, pool)
     assert [c.frame_index for c in captions] == frames, \
         "one caption per requested frame, sentinels included"
+
+
+def test_a_landed_caption_lets_go_of_its_future(monkeypatch) -> None:
+    """80 calls on 4 threads under two prompts, two failing: by the time
+    `landed` is handed a caption, no caption handed on before it still has
+    its task's Future reachable; nor does any once the batch returns."""
+    # pytest's log capture keeps each record, and a failed call's warning
+    # carries the exception, whose frames reach the pool's work item.
+    monkeypatch.setattr(captioning.logger, "disabled", True)
+    futures: dict[tuple[str, int], weakref.ref] = {}
+
+    class Recording(ThreadPoolExecutor):
+        def submit(self, fn, prompt, frame_index):
+            future = super().submit(fn, prompt, frame_index)
+            futures[prompt.qtype, frame_index] = weakref.ref(future)
+            return future
+
+    script = MockScript(default_response="fine")
+    script.add("vid:frame:7", error="transport")
+    prompts = [VisualPrompt("Causal", "look"), VisualPrompt("Temporal", "see")]
+    handed: list[tuple[str, int]] = []
+    reachable: list[tuple[str, int]] = []
+
+    def landed(caption: FrameCaption) -> None:
+        gc.collect()
+        reachable.extend(key for key in handed if futures[key]() is not None)
+        handed.append((caption.qtype, caption.frame_index))
+
+    with Recording(max_workers=4) as pool:
+        captions = caption_frames(list(range(40)), prompts,
+                                  MockBackend(script), _refs, pool, landed)
+    assert len(captions) == len(handed) == len(futures) == 80
+    assert reachable == []
+    gc.collect()
+    assert [key for key, ref in futures.items() if ref() is not None] == []
 
 
 # ---------------------------------------------------------------------------

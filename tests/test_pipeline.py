@@ -378,7 +378,7 @@ def test_build_runs_every_call_on_one_executor(tmp_path, monkeypatch,
     if images:
         # A path named as the frame's reference keeps every caption request.
         doc = json.loads(manifest.read_text())
-        rows = read_embeddings(manifest.parent / doc.pop("embeddings_path"))
+        rows = read_embeddings(manifest.parent / doc.pop("embeddings_path"))[:]
         for frame in doc["frames"]:
             frame["path"] = f"golden_a:frame:{frame['index']}"
             script.rules.insert(0, MockRule(

@@ -74,8 +74,10 @@ EQUIVALENT = {
     ("ingest", "<module>", "_BLOCK_ROWS = 256", "_BLOCK_ROWS = 257"):
         "`_BLOCK_ROWS` sizes only a temporary: a row's norm and whether "
         "it is finite are the same in any block",
-    ("ingest", "_by_block", "max(len(matrix), 1)", "max(len(matrix), 2)"):
-        "a matrix of 0 or 1 rows is one block at row 0 either way",
+    ("ingest", "_by_block", "max(len(matrix) - overlap, 1)",
+     "max(len(matrix) - overlap, 2)"):
+        "a matrix of at most `overlap` + 1 rows is one block at row 0 "
+        "either way",
     ("orchestrator", "execute_workflow", "[0]", "[1]"):
         "the first evidence stage's count reads 1 from its first step on; "
         "before that step the bound it puts on the second stage, budget "
