@@ -4,9 +4,11 @@ One backend object serves every stage. Three implementations: a remote
 JSON-over-HTTP adapter (chat-completion and embedding wire shapes), a
 deterministic scripted mock for offline runs and tests, and a caching
 wrapper keyed on the backend's identity and the canonical payload rendering.
-Each build and each question call it through a `SharedCaptions` view, and
-each question `eval` answers through an answering view, which the
-backend's in-flight gate holds a slot for (`Gate`).
+Each build and each question call it through a `View` of their own, which
+sends each distinct caption request once, meets the calls sent ahead of
+need, refuses every call once its build has failed, and marks an answering
+question's calls for the backend's in-flight gate (`Gate`), which holds a
+slot for each answering question.
 
 Importing this module loads neither the HTTP client nor OpenSSL:
 `urllib.request` (with http.client and ssl) loads when a remote backend is
@@ -26,7 +28,7 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import CancelledError, Executor, Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,11 +107,11 @@ _making = threading.local()  # `.view`: the answering view this thread calls thr
 class Gate:
     """The in-flight limit of one backend, shared by its wrappers and views:
     at most `limit` calls at once. A call made through an answering view
-    (`Backend.answering`) waits only for a free slot. Any other call also
-    leaves one slot free for each open view with no call in flight, so the
-    slot a question's step frees is still there for its next step, and a
-    build beside the answers cannot take it. With no view open the gate is
-    a semaphore: a release wakes one waiter."""
+    (`View.answering`) waits only for a free slot. Any other call also
+    leaves one slot free for each answering view with no call in flight,
+    so the slot a question's step frees is still there for its next step,
+    and a build beside the answers cannot take it. With no view answering
+    the gate is a semaphore: a release wakes one waiter."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -117,9 +119,9 @@ class Gate:
         self._free = threading.Condition(lock)    # answer calls wait here
         self._spare = threading.Condition(lock)   # every other call here
         self._busy = 0   # calls in flight
-        self._idle = 0   # open views with no call in flight
+        self._idle = 0   # answering views with no call in flight
 
-    def enter(self) -> "AnsweringView | None":
+    def enter(self) -> "View | None":
         """Wait until this thread's call is admitted; the view it is made
         through, if any, for `leave`."""
         view = getattr(_making, "view", None)
@@ -137,7 +139,7 @@ class Gate:
             self._busy += 1
         return view
 
-    def leave(self, view: "AnsweringView | None") -> None:
+    def leave(self, view: "View | None") -> None:
         with self._free:
             self._busy -= 1
             if view is not None:
@@ -164,12 +166,12 @@ class Backend:
 
     `max_inflight` is the only limit on concurrent model calls, and it sizes
     every pool that fans calls out to this backend. Its `gate` admits a call
-    made through an answering view (`answering`) whenever a slot is free,
-    and any other call only if it leaves a slot for each open view with no
-    call in flight. Wrappers and views share their inner backend's gate and
-    set no limit of their own. `capabilities` names the request kinds it
-    serves; `identity` names the service that answers, so a cache never
-    serves one service's response to another.
+    made through an answering view (`View.answering`) whenever a slot is
+    free, and any other call only if it leaves a slot for each answering
+    view with no call in flight. Wrappers and views share their inner
+    backend's gate and set no limit of their own. `capabilities` names the
+    request kinds it serves; `identity` names the service that answers, so
+    a cache never serves one service's response to another.
     """
 
     capabilities: tuple[str, ...] = CAPABILITIES
@@ -208,19 +210,6 @@ class Backend:
 
     def _call(self, request: BackendRequest) -> Any:
         raise NotImplementedError
-
-    @contextmanager
-    def answering(self, admitted: threading.Event) -> Iterator["AnsweringView"]:
-        """A view of this backend for one question being answered, open for
-        the block; `admitted` is set when its first call is admitted. While
-        open, it holds a slot that no other call may take, so open it only
-        once the question waits on no other call (its plan is in hand)."""
-        view = AnsweringView(self, admitted)
-        self.gate.open()
-        try:
-            yield view
-        finally:
-            self.gate.close()
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +459,7 @@ class RemoteBackend(Backend):
 
 
 # ---------------------------------------------------------------------------
-# Wrappers: the response cache, the single-flight caption view and the
-# answering view
+# Wrappers: the response cache and the view
 # ---------------------------------------------------------------------------
 
 class CachingBackend(Backend):
@@ -518,37 +506,57 @@ class CachingBackend(Backend):
         return response
 
 
-class SharedCaptions(Backend):
-    """A single-flight view of `inner` for one build or question: a caption
-    request (image reference and prompt) already answered or in flight gets
-    that reply, as `--cache` assumes an identical request gets the same one.
-    An answered request is held as its reply alone, and one in flight as
-    the Future its waiters wait on. A call that raises is not shared: the
-    next identical one, a waiting one too, is sent. Chat and embed pass
-    through. No in-flight cap of its own. Used as a context manager, it is
-    closed when its block raises (its build failed), and from then on
+class View(Backend):
+    """`inner` as one build or one question calls it; no in-flight cap of
+    its own. A caption request already answered or in flight through the
+    view gets that reply, as `--cache` assumes an identical request gets
+    the same one: an answered request is held as its reply alone, one in
+    flight as the Future its waiters wait on, and a call that raised is not
+    shared. Chat and embed requests are never shared. A call started by
+    `send_ahead` is met by the view's next identical call, which gets its
+    reply or its error instead of sending. While `answering`, the gate
+    admits the view's calls as an answering question's. Used as a context
+    manager, the view is closed when its block raises (its build failed);
+    a closed view, or one whose `scope` (its build's view) is closed,
     refuses every call with CancelledError, sending nothing."""
 
-    def __init__(self, inner: Backend) -> None:
+    def __init__(self, inner: Backend, scope: "View | None" = None) -> None:
         self.gate = inner.gate
         self.inner = inner
         self.capabilities = inner.capabilities
+        self.scope = scope
+        self.admitted: threading.Event | None = None  # set while answering
+        self.calls = 0  # answer calls in flight, counted under the gate's lock
         self._replies: dict[str, Any] = {}  # a reply, or a Future in flight
+        self._ahead: dict[str, Future] = {}  # calls sent ahead, not yet met
         self._lock = threading.Lock()
         self._closed = False
 
-    def __enter__(self) -> "SharedCaptions":
+    def __enter__(self) -> "View":
         return self
 
     def __exit__(self, exc_type, *exc) -> None:
+        self._replies = {}  # a question's view may hold this one as scope
         if exc_type is not None:
             self._closed = True
 
+    def send_ahead(self, request: BackendRequest, pool: Executor) -> None:
+        """Start `request` on `pool`, for the view's next identical call to
+        meet; a later identical call is sent."""
+        self._ahead[render_payload(request)] = pool.submit(self._send, request)
+
     def call(self, request: BackendRequest) -> Any:
-        if self._closed:
+        if self._ahead:
+            ahead = self._ahead.pop(render_payload(request), None)
+            if ahead is not None:
+                return ahead.result()
+        return self._send(request)
+
+    def _send(self, request: BackendRequest) -> Any:
+        if self._closed or self.scope is not None and self.scope._closed:
             raise CancelledError("the build this call was made for failed")
         if request.capability != "caption":
-            return self.inner.call(request)
+            return self._through(request)
         key = render_payload(request)
         with self._lock:
             reply = self._replies.get(key)
@@ -557,9 +565,9 @@ class SharedCaptions(Backend):
         if not isinstance(reply, Future):
             return reply
         if not sent:  # wait for that call; if it raised, send this one
-            return reply.result() if reply.exception() is None else self.call(request)
+            return reply.result() if reply.exception() is None else self._send(request)
         try:
-            text = self.inner.call(request)
+            text = self._through(request)
         except BaseException as exc:
             with self._lock:  # removed before waiters see the failure
                 del self._replies[key]
@@ -570,26 +578,30 @@ class SharedCaptions(Backend):
         reply.set_result(text)
         return text
 
-
-class AnsweringView(Backend):
-    """`inner` as one answering question calls it (`Backend.answering`):
-    its calls are made with the view marked on the calling thread, so the
-    gate admits them as answer calls. `calls` counts those in flight, under
-    the gate's lock."""
-
-    def __init__(self, inner: Backend, admitted: threading.Event) -> None:
-        self.gate = inner.gate
-        self.inner = inner
-        self.capabilities = inner.capabilities
-        self.admitted = admitted
-        self.calls = 0
-
-    def call(self, request: BackendRequest) -> Any:
+    def _through(self, request: BackendRequest) -> Any:
+        """`inner.call`, made as an answer call while answering."""
+        if self.admitted is None:
+            return self.inner.call(request)
         _making.view = self
         try:
             return self.inner.call(request)
         finally:
             _making.view = None
+
+    @contextmanager
+    def answering(self, admitted: threading.Event) -> Iterator["View"]:
+        """The view as one answering question's, for the block; `admitted`
+        is set when its first call is admitted. While open, it holds a slot
+        that no other call may take, so open it only once the question
+        waits on no other call: its plan is in hand, and every call it sent
+        ahead has returned."""
+        self.admitted = admitted
+        self.gate.open()
+        try:
+            yield self
+        finally:
+            self.gate.close()
+            self.admitted = None
 
 
 # perfbench/ builds its backend through this name; nothing else may use it.

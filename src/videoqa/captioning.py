@@ -170,8 +170,8 @@ def caption_frames(frames: list[int], prompts: list[VisualPrompt],
                    ) -> list[FrameCaption]:
     """Caption each frame under each prompt, queueing every call on `pool`
     at once; captions come prompt by prompt, each prompt's in temporal
-    order. Through a build's `SharedCaptions` view, a frame and prompt text
-    the build already sent (the generic ablation repeats them) go out once.
+    order. Through a build's `View`, a frame and prompt text the build
+    already sent (the generic ablation repeats them) go out once.
 
     A frame whose call fails, after the backend's own retries, gets the
     sentinel caption instead of aborting the batch; if every frame fails

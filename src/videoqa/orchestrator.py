@@ -17,10 +17,11 @@ whose `output_key` its `input_keys` name. Evidence stages that read only the
 seed keys run side by side, under one iteration budget shared in stage
 order; integration and the answer follow all evidence. Their step-1
 prompts read neither the store nor another stage (`opening_prompts`), so a
-caller may send them early and hand the outcomes in. The record is the one
-running the stages one after another would give (see
-`execute_workflow`). A question sends each distinct caption request once:
-both agents inspecting one frame under one prompt share one call.
+caller may send them ahead through the question's view, where each stage
+meets its call. The record is the one running the stages one after
+another would give (see `execute_workflow`). A question's view sends each
+distinct caption request once: both agents inspecting one frame under one
+prompt share one call.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import re
 from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
-from .backends import Backend, SharedCaptions, caption_request, chat_request
+from .backends import Backend, caption_request, chat_request
 from .captioning import (
     QTYPE_CAUSAL,
     QTYPE_DESCRIPTIVE,
@@ -337,20 +338,19 @@ def _parse_plan(reply: str) -> list[Stage] | None:
         return None
 
 
-def plan_tasks(template: Workflow, question: QuestionBundle, llm,
-               log: Callable[..., None] = logger.log) -> Workflow:
+def plan_tasks(template: Workflow, question: QuestionBundle, llm) -> Workflow:
     """The model's plan over the analysed template's type and agents, or
     the template itself.
 
     A failed call, an unparseable plan or one that breaks an invariant
     keeps the template, flagged repaired (the flag shows up in the trace),
-    and says why through `log`, called as `Logger.log` is. Never raises.
+    and logs why. Never raises.
     """
     try:
         reply = llm.call(chat_request(planning_prompt(question, template)))
     except BackendError as exc:
-        log(logging.WARNING, "question %s: planner backend failed (%s); "
-            "using template workflow", question.question_id, exc)
+        logger.warning("question %s: planner backend failed (%s); using "
+                       "template workflow", question.question_id, exc)
         reply = ""
 
     stages = _parse_plan(reply)
@@ -360,8 +360,8 @@ def plan_tasks(template: Workflow, question: QuestionBundle, llm,
         if not issues:
             _ensure_bidirectional(workflow)
             return workflow
-        log(logging.INFO, "question %s: plan invalid (%s); repaired to "
-            "template", question.question_id, "; ".join(issues))
+        logger.info("question %s: plan invalid (%s); repaired to template",
+                    question.question_id, "; ".join(issues))
     return replace(template, repaired=True)
 
 
@@ -414,8 +414,10 @@ def opening_prompts(workflow: Workflow, question: QuestionBundle,
     once: those that read only seed keys, at a position among evidence
     stages below `max_iterations` (each stage before one takes a step of
     the shared budget, so the sequential run gives a later one none). No
-    such prompt reads the store, so it can be sent before the store is
-    built."""
+    such prompt reads the store, so `plan_question` sends each ahead,
+    before the store is built. A stage still takes no step its budget
+    forbids, so under a budget that binds, a call sent ahead may go
+    unmet."""
     staged = [s for s in workflow.stages if s.agent in EVIDENCE_AGENTS]
     return [_step_prompt([react_preamble(stage, question, profile)], 1)
             for stage in staged[:workflow.max_iterations]
@@ -476,30 +478,25 @@ def _budget_exhausted(agent: str,
 def run_react(stage: Stage, question: QuestionBundle, store: KnowledgeStore,
               profile: AgentProfile, backend: Backend, budget: int,
               trace: list[TraceStep],
-              may_start: Callable[[int], bool] = lambda step: True,
-              sent: Mapping[str, Future] | None = None
+              may_start: Callable[[int], bool] = lambda step: True
               ) -> tuple[EvidenceItem, int]:
     """Bounded thought/action/observation loop for one evidence stage.
 
     Step s runs only while s <= `budget` and `may_start(s)` holds. Each
-    step appends exactly one trace step. A prompt in `sent` (the outcomes
-    of step-1 calls already made, by prompt; see `opening_prompts`) is not
-    sent again: its outcome stands in for the call's, the reply or the
-    error alike. Tool errors, and a reply that fails the type check
-    (MalformedResponseError), become observations and never abort the
-    loop; any other backend error propagates. When the loop stops before a
-    FINAL, a zero-support item flagged truncated is returned with the
-    steps taken.
+    step appends exactly one trace step. Every step's call goes through
+    `backend`, so a step-1 call the question's view sent ahead is met
+    there, its reply or its error alike. Tool errors, and a reply that
+    fails the type check (MalformedResponseError), become observations and
+    never abort the loop; any other backend error propagates. When the
+    loop stops before a FINAL, a zero-support item flagged truncated is
+    returned with the steps taken.
     """
     lines = [react_preamble(stage, question, profile)]
     step = 0
     while step < budget and may_start(step + 1):
         step += 1
-        prompt = _step_prompt(lines, step)
-        outcome = sent.get(prompt) if sent else None
         try:
-            reply = (outcome.result() if outcome is not None
-                     else backend.call(chat_request(prompt)))
+            reply = backend.call(chat_request(_step_prompt(lines, step)))
         except MalformedResponseError as exc:
             observation = f"ERROR: {exc}"
             trace.append(TraceStep(stage.agent, "malformed reply",
@@ -664,8 +661,7 @@ def generate_answer(scores: OptionScore, evidence: list[EvidenceItem],
 
 def execute_workflow(workflow: Workflow, question: QuestionBundle,
                      store: KnowledgeStore, profile: AgentProfile,
-                     backend: Backend, pool: Executor,
-                     sent: Mapping[str, Future] | None = None) -> AnswerRecord:
+                     backend: Backend, pool: Executor) -> AnswerRecord:
     """Run the workflow's stages as the DAG their keys declare, under the
     shared iteration budget, and return the record running them one after
     another would give.
@@ -684,11 +680,11 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     each evidence agent appears once; the first always has the whole
     budget, which is what makes the cut exact.
 
-    A step-1 prompt in `sent` is answered from there, not sent again (see
-    `run_react`). The stages share one `SharedCaptions` view, which sends
-    each distinct caption request once; every other call is one the
-    sequential run makes, except when the budget binds: a later stage can
-    start up to B - 1 steps its sequential allowance then discards. An
+    `backend` is the question's view (`backends.View`): the stages meet
+    there the step-1 calls `plan_question` sent ahead, and share each
+    distinct caption request. Every other call is one the sequential run
+    makes, except when the budget binds: a later stage can start up to
+    B - 1 steps its sequential allowance then discards. An
     error raised at a step within its stage's allowance surfaces, the first
     in stage order, after every stage has finished; errors from discarded
     steps are dropped. Traces merge in stage order, and integration and the
@@ -701,7 +697,6 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
     if workflow.repaired:
         trace.append(TraceStep(TASK_PLANNING, "model plan failed validation",
                                "repair", "template workflow substituted"))
-    backend = SharedCaptions(backend)  # this question's caption scope
     budget = workflow.max_iterations
     staged = [s for s in workflow.stages if s.agent in EVIDENCE_AGENTS]
     started = [0] * len(staged)
@@ -721,8 +716,7 @@ def execute_workflow(workflow: Workflow, question: QuestionBundle,
         for future in after:
             future.result()
         return run_react(staged[index], question, store, profile, backend,
-                         budget, stage_traces[index], partial(may_start, index),
-                         sent)
+                         budget, stage_traces[index], partial(may_start, index))
 
     futures: list[Future] = []
     producers: dict[str, Future] = {}

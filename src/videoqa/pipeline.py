@@ -25,38 +25,37 @@ as its caption lands, each shot's score is dropped as the expansion reads
 it, and the build's caption view keeps an answered caption as its reply
 alone.
 
-In `evaluate`, planning reads only the question, so each question's
-analysis and planning are queued on the video's question pool when the
-build queues the syntheses, and run while the build goes on. Queued as
-each classification landed, they would compete with the first-pass
-captions and scores that gate expansion, and lengthen the build by as much
-as they save the answers. Once a question's workflow is known, its plan
-task also sends step 1 of each evidence stage that reads only the seed
-keys and is within the budget: that prompt reads the plan and the
-question, never the store. So after the build only the evidence stages'
-later steps and the answer remain; each stage takes its step-1 outcome in
-place of the call, and the requests and records are those of `ask`, which
-sends step 1 live. The plan tasks call through the build's view, which
-refuses their calls once the build has failed. For a type whose profile
-requires the visual agent, `plan_question` sends the planning call with
-the analysis call, in `ask` as in `eval`; a question that analysis retypes
-costs one discarded planning call, and the outputs are unchanged.
+Each question calls the backend through a view of its own (`View`), and
+`plan_question` sends its early calls ahead through it: the planning call
+beside the analysis call, for a type whose profile requires the visual
+agent, and step 1 of each evidence stage that reads only the seed keys and
+is within the budget, whose prompt never reads the store. The question
+meets each where it makes it, so `ask` and `eval` send the same requests
+and give the same records; a retyped question leaves its planning call
+unmet, and a budget that binds may leave a step 1 unmet.
+
+In `evaluate`, each question's plan is queued on the video's question pool
+when the build queues the syntheses, and runs while the build goes on
+(queued earlier, it would compete with the first-pass captions and scores
+that gate expansion). So after the build only the evidence stages' later
+steps and the answer remain. A question's view takes the build's view as
+scope, which refuses its calls once the build has failed.
 
 Each video's build runs beside the previous video's answers: it starts
 once that video's build has returned and each of its answer tasks has had
 its first call admitted (or has ended), and that video's records are
 collected, in manifest order, once it returns. So at most two videos'
-stores are held at once. Each answer task calls through an answering view
-(`Backend.answering`), opened once its plan is in hand. The backend's gate
+stores are held at once. Each question's view is answering
+(`View.answering`) from when its plan is in hand. The backend's gate
 admits an answer call whenever a slot is free, and any other call only if
-it leaves a slot for each open view with no call in flight: the build
+it leaves a slot for each answering view with no call in flight: the build
 never takes the slot an answer's step just freed, so the answers keep the
 pace they have with no build beside them. The single backend object serves
 every call; its `max_inflight` is the one bound on concurrent model calls
 and sizes the call pool and the two question pools eval's videos alternate
-between. A build sends each distinct caption request once
-(`SharedCaptions`). Ablation modes swap out individual steps without
-touching the rest of the pipeline.
+between. A build sends each distinct caption request once, through its
+view. Ablation modes swap out individual steps without touching the rest
+of the pipeline.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from . import np
-from .backends import Backend, SharedCaptions, chat_request
+from .backends import Backend, View, chat_request
 from .captioning import (
     QTYPES,
     FrameCaption,
@@ -92,6 +91,7 @@ from .orchestrator import (
     AGENT_REGISTRY,
     EVIDENCE_AGENTS,
     PROBLEM_ANALYSIS,
+    TASK_PLANNING,
     AnswerRecord,
     TraceStep,
     Workflow,
@@ -99,10 +99,10 @@ from .orchestrator import (
     execute_workflow,
     opening_prompts,
     plan_tasks,
+    planning_prompt,
     predicted_template,
     template_workflow,
 )
-from .orchestrator import logger as orchestrator_logger
 from .tree import (
     HybridTree,
     TreeParams,
@@ -256,19 +256,19 @@ class BuildResult:
 def build_video(manifest_path: str | Path, questions: list[RawQuestion],
                 config: EngineConfig, backend: Backend,
                 video_id: str | None = None,
-                on_bundles: Callable[[list[QuestionBundle], Backend], None]
+                on_bundles: Callable[[list[QuestionBundle], View], None]
                 | None = None) -> BuildResult:
     """Build the tree and knowledge store for one video; a `video_id`, when
     given, is the id its frame manifest must declare. `on_bundles`, when
     given, is called on the build thread with the question bundles and the
     build's view of the backend once every question is classified and every
     first-pass caption is in, right after the prompt syntheses are queued.
-    Calls made through that view after the build has failed are refused
-    (`SharedCaptions`)."""
+    That view is closed if the build fails, and a view that takes it as
+    scope then refuses every call (`View`)."""
     # The view is this build's caption scope. The pool runs tasks in the
     # order they are queued, so with one thread the calls still come stage
     # by stage (see the module docstring).
-    with (SharedCaptions(backend) as backend,
+    with (View(backend) as backend,
           _call_pool(backend.max_inflight) as calls):
         frames = load_frames(manifest_path, backend, video_id, calls)
         params = TreeParams(tau=config.tau, k=config.k,
@@ -349,78 +349,63 @@ def build_video(manifest_path: str | Path, questions: list[RawQuestion],
 # ---------------------------------------------------------------------------
 
 def plan_question(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
-                  config: EngineConfig, backend: Backend) -> Workflow:
+                  config: EngineConfig, view: View) -> Workflow:
     """The workflow for one classified question, from the question alone:
     analysis, which may retype it, then planning. A fixed workflow runs all
     four agents on the per-type template and makes no planning call.
 
-    For a type whose profile requires the visual agent, the planning call
-    for the template analysis will return unless it retypes the question
-    goes out with the analysis call, on a thread of its own. When analysis
-    returns that template the plan is used, and the log lines planning
-    held back are written; otherwise it is discarded, one call spent, and
-    the real template is planned. Either way the workflow is the one the
-    two calls made in turn would give."""
-    if config.fixed_workflow:
-        return template_workflow(bundle.qtype, AGENT_REGISTRY,
-                                 config.max_iterations)
-    guess = predicted_template(bundle, profiles, config.max_iterations)
-    if guess is None:
-        template = analyze_problem(bundle, profiles, backend,
-                                   config.max_iterations)
-        return plan_tasks(template, replace(bundle, qtype=template.qtype),
-                          backend)
-    notes: list[tuple] = []
-    with ThreadPoolExecutor(max_workers=1) as side:
-        speculated = side.submit(plan_tasks, guess, bundle, backend,
-                                 lambda *note: notes.append(note))
-        template = analyze_problem(bundle, profiles, backend,
-                                   config.max_iterations)
-        if template != guess:
-            logger.info("question %s: speculative %s plan discarded; "
-                        "analysis chose %s", bundle.question_id, guess.qtype,
-                        template.qtype)
-            return plan_tasks(template, replace(bundle, qtype=template.qtype),
-                              backend)
-        workflow = speculated.result()
-    for note in notes:
-        orchestrator_logger.log(*note)
+    Through `view`, the question's own, it sends ahead on threads of its
+    own: for a type whose profile requires the visual agent, the planning
+    call for the template analysis returns unless it retypes the question,
+    beside the analysis call (a retyped question leaves it unmet, one call
+    spent); then each step-1 call `opening_prompts` names. The workflow and
+    the log are those of the calls made in turn. It returns once every
+    call sent ahead has returned, so an answering view never holds a slot
+    while its own call waits for one."""
+    # One thread for each call sent ahead: the plan and each step 1.
+    with ThreadPoolExecutor(
+            max_workers=len((TASK_PLANNING, *EVIDENCE_AGENTS))) as ahead:
+        if config.fixed_workflow:
+            workflow = template_workflow(bundle.qtype, AGENT_REGISTRY,
+                                         config.max_iterations)
+        else:
+            guess = predicted_template(bundle, profiles, config.max_iterations)
+            if guess is not None:
+                view.send_ahead(chat_request(planning_prompt(bundle, guess)),
+                                ahead)
+            template = analyze_problem(bundle, profiles, view,
+                                       config.max_iterations)
+            if guess is not None and template != guess:
+                logger.info("question %s: speculative %s plan discarded; "
+                            "analysis chose %s", bundle.question_id,
+                            guess.qtype, template.qtype)
+            workflow = plan_tasks(template,
+                                  replace(bundle, qtype=template.qtype), view)
+        for prompt in opening_prompts(workflow,
+                                      replace(bundle, qtype=workflow.qtype),
+                                      profiles[workflow.qtype]):
+            view.send_ahead(chat_request(prompt), ahead)
     return workflow
-
-
-def plan_and_open(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
-                  config: EngineConfig, backend: Backend,
-                  ) -> tuple[Workflow, dict[str, Future]]:
-    """`plan_question`'s workflow, and the outcome of each step-1 call
-    `opening_prompts` names for it, by prompt: the calls go out side by
-    side, on threads of this task's own, and are all done when it returns.
-    A call's error is held in its outcome, for `run_react` to meet where
-    the call would have been sent."""
-    workflow = plan_question(bundle, profiles, config, backend)
-    prompts = opening_prompts(workflow, replace(bundle, qtype=workflow.qtype),
-                              profiles[workflow.qtype])
-    with ThreadPoolExecutor(max_workers=len(prompts)) as side:
-        sent = {prompt: side.submit(backend.call, chat_request(prompt))
-                for prompt in prompts}
-    return workflow, sent
 
 
 def answer_question(bundle: QuestionBundle, store: KnowledgeStore,
                     profiles: dict[str, AgentProfile], config: EngineConfig,
-                    backend: Backend, workflow: Workflow | None = None,
-                    sent: dict[str, Future] | None = None) -> AnswerRecord:
-    """Execute the workflow for one classified question, planning it first
-    when no `workflow` from `plan_question` is given; `sent` holds the
-    outcomes of step-1 calls `plan_and_open` already made. The evidence
-    stages run side by side on a pool with a thread per stage; the record
-    is the one running them in turn would give (see `execute_workflow`)."""
+                    backend: Backend,
+                    workflow: Workflow | None = None) -> AnswerRecord:
+    """Execute the workflow for one classified question. With no
+    `workflow`, the question is planned first (`plan_question`), through a
+    view of `backend` made here; a given `workflow` was planned through
+    `backend`, the question's view, whose calls sent ahead the stages meet.
+    The evidence stages run side by side on a pool with a thread per stage;
+    the record is the one running them in turn would give (see
+    `execute_workflow`)."""
     if workflow is None:
+        backend = View(backend)
         workflow = plan_question(bundle, profiles, config, backend)
     bundle = replace(bundle, qtype=workflow.qtype)
     with ThreadPoolExecutor(max_workers=len(EVIDENCE_AGENTS)) as stages:
         record = execute_workflow(workflow, bundle, store,
-                                  profiles[workflow.qtype], backend, stages,
-                                  sent)
+                                  profiles[workflow.qtype], backend, stages)
     thought = "fixed workflow" if config.fixed_workflow else "adaptive selection"
     record.trace.insert(0, TraceStep(PROBLEM_ANALYSIS, thought, "select_agents",
                                      ", ".join(workflow.selected_agents)))
@@ -461,29 +446,28 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
     """Run the manifest's entries in order, each video's build beside the
     previous video's answers (see the module docstring), so at most two
     videos' stores are held at once. Each question is planned on its
-    video's question pool while the build runs, and its plan task sends the
-    step-1 calls `plan_and_open` names, through the build's view, on threads
-    of its own: queued on the pool, they could wait behind an answer task
-    holding its only thread (in-flight limit 1) that waits on them. When the
-    build returns, the previous video's records are collected in manifest
-    order, its first error raised before this build's. Then this video's
-    questions are answered on its pool, each through an answering view
-    opened once its plan is in hand, and the next build starts once every
-    answer task has had its first call admitted, or has ended. The videos
-    alternate between two question pools. A failed build or answer drops
-    the tasks still queued."""
+    video's question pool while the build runs, through a view of its own
+    scoped to the build's, which `plan_question` sends the question's early
+    calls ahead through. When the build returns, the previous video's
+    records are collected in manifest order, its first error raised before
+    this build's. Then this video's questions are answered on its pool,
+    each through its view, answering once its plan is in hand, and the
+    next build starts once every answer task has had its first call
+    admitted, or has ended. The videos alternate between two question
+    pools. A failed build or answer drops the tasks still queued."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
     records: list[AnswerRecord] = []
     hits: dict[str, list[bool]] = {}  # per type, one per graded question
 
-    def answer(bundle: QuestionBundle, plan: Future, store: KnowledgeStore,
+    def answer(bundle: QuestionBundle, plan: Future, view: View,
+               store: KnowledgeStore,
                admitted: threading.Event) -> AnswerRecord:
         try:
-            workflow, sent = plan.result()
-            with backend.answering(admitted) as view:
+            workflow = plan.result()
+            with view.answering(admitted):
                 return answer_question(bundle, store, profiles, config, view,
-                                       workflow, sent)
+                                       workflow)
         finally:
             admitted.set()
 
@@ -501,13 +485,14 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
           _call_pool(backend.max_inflight) as odd):
         for index, entry in enumerate(entries):
             pool = (even, odd)[index % 2]
-            plans: list[Future] = []  # in question order
+            plans: list[tuple[Future, View]] = []  # in question order
 
             def queue_plans(bundles: list[QuestionBundle],
-                            build: Backend) -> None:
-                plans.extend(pool.submit(plan_and_open, bundle, profiles,
-                                         config, build)
-                             for bundle in bundles)
+                            build: View) -> None:
+                for bundle in bundles:
+                    view = View(backend, scope=build)
+                    plans.append((pool.submit(plan_question, bundle, profiles,
+                                              config, view), view))
 
             try:
                 result = build_video(entry.frame_manifest_path,
@@ -518,9 +503,9 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
                     collect(*answering)
             admitted = [threading.Event() for _ in result.bundles]
             answering = entry, result.bundles, [
-                pool.submit(answer, bundle, plan, result.store, started)
-                for bundle, plan, started in zip(result.bundles, plans,
-                                                 admitted)]
+                pool.submit(answer, bundle, plan, view, result.store, started)
+                for bundle, (plan, view), started in zip(result.bundles, plans,
+                                                         admitted)]
             for started in admitted:
                 started.wait()
         if answering is not None:

@@ -17,6 +17,7 @@ from videoqa.backends import (
     MockBackend,
     MockScript,
     RemoteBackend,
+    View,
     caption_request,
     chat_request,
     embed_request,
@@ -219,7 +220,7 @@ def test_inflight_limit_below_one_is_refused(limit) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The in-flight gate and answering views
+# The in-flight gate and answering views (`View.answering`)
 # ---------------------------------------------------------------------------
 
 class HeldModel:
@@ -268,7 +269,7 @@ def test_a_call_outside_a_view_leaves_a_slot_for_an_idle_view(ends) -> None:
         assert model.reached["b1"].wait(5)
         admitted = threading.Event()
         with contextlib.ExitStack() as open_view:
-            view = open_view.enter_context(backend.answering(admitted))
+            view = open_view.enter_context(View(backend).answering(admitted))
             threads.append(_calling(backend, "b2"))
             assert _not_reached(model, "b2")
             assert not admitted.is_set()
@@ -301,8 +302,8 @@ def test_an_answer_call_is_admitted_whenever_a_slot_is_free() -> None:
     threads = [_calling(backend, "b1")]
     try:
         assert model.reached["b1"].wait(5)
-        with backend.answering(threading.Event()) as first:
-            with backend.answering(threading.Event()) as second:
+        with View(backend).answering(threading.Event()) as first:
+            with View(backend).answering(threading.Event()) as second:
                 threads.append(_calling(first, "a1"))
                 assert model.reached["a1"].wait(5)
                 threads.append(_calling(second, "a2"))

@@ -17,8 +17,8 @@ shot, at a time. Here:
   does;
 - builds of one shot pattern at one and at three hours peak within 3 MB of
   each other, where their matrices differ by 7.37 MB;
-- once a `SharedCaptions` view's calls have returned it holds each
-  answered reply and no Future, and a request that raised is sent again.
+- once a `View`'s calls have returned it holds each answered reply and
+  no Future, and a request that raised is sent again.
 
 The 3-hour world's build is held to its peak in `test_world_3h.py`, and
 to its resident memory in `test_build_rss.py`.
@@ -41,7 +41,7 @@ from videoqa.backends import (
     Backend,
     BackendRequest,
     MockScript,
-    SharedCaptions,
+    View,
     caption_request,
 )
 from videoqa.captioning import generic_prompt
@@ -205,7 +205,7 @@ def test_an_answered_view_holds_each_reply_and_no_future() -> None:
 
     inner = RecordingBackend(Backend.from_mock(MockScript(
         default_response=respond)))
-    view = SharedCaptions(inner)
+    view = View(inner)
 
     def call(image: str) -> str:
         try:

@@ -223,18 +223,19 @@ def test_plan_unproduced_key_repaired_to_template() -> None:
                   dict(_ANSWER_STAGE, inputs=["question"])],
                  f"stage {TEXT_AGENT} has no output key", id="empty-output"),
 ])
-def test_plan_breaking_one_invariant_is_repaired(stages, problem) -> None:
+def test_plan_breaking_one_invariant_is_repaired(caplog, stages,
+                                                 problem) -> None:
     """Each plan breaks only the invariant named, on a Descriptive
     text-only template."""
-    logged: list[str] = []
     backend = _backend(("planning question", _plan_reply(stages)))
     template = template_workflow("Descriptive", (TEXT_AGENT, ANSWER_AGENT))
-    workflow = plan_tasks(template, _bundle("Descriptive"), backend,
-                          log=lambda level, msg, *args: logged.append(msg % args))
+    with caplog.at_level(logging.INFO, logger="videoqa"):
+        workflow = plan_tasks(template, _bundle("Descriptive"), backend)
     assert workflow.repaired is True
     assert [s.agent for s in workflow.stages] == [TEXT_AGENT, ANSWER_AGENT]
-    assert logged == ["question q1: plan invalid (%s); repaired to template"
-                      % problem]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("videoqa.orchestrator", logging.INFO,
+         f"question q1: plan invalid ({problem}); repaired to template")]
 
 
 def test_plan_garbage_reply_repaired() -> None:

@@ -680,8 +680,8 @@ def test_plan_task_sends_no_step_1_once_its_build_has_failed(
     """Every Causal typed caption of golden_a fails, so its build raises
     after the plan tasks have started. Each planning reply is held until
     that error has left `build_video`; the plan tasks then send no step-1
-    call, since the build's view refuses it, and the eval raises the
-    build's error."""
+    call, since each question's view, scoped to the build's, refuses it,
+    and the eval raises the build's error."""
     world = build_golden_world(tmp_path / "golden")
     script = world.script()
     script.rules.insert(0, MockRule(r"^caption:.*causal-view", regex=True,

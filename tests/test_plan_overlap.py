@@ -1,15 +1,20 @@
-"""A question whose profile requires the visual agent is planned while it is
-analysed: `plan_question` sends the planning call for the template analysis
-will return, unless it retypes the question, beside the analysis call. The
-workflow, the log and `ask`'s record are the ones the two calls made in turn
-would give; a retyped question costs one discarded planning call.
+"""A question's early calls: `plan_question` sends them ahead through the
+question's view (`View`), in `ask` and `eval` alike, and the question meets
+each where it makes that call.
 
-Under `eval`, each plan task then sends step 1 of the evidence stages that
-start at once and are within the budget, while the video still builds
-(`plan_and_open`). The stage takes that outcome in place of the call: a
-reply that cannot be parsed, or that fails the type check, costs its step
-as a live one does, and a call that fails ends the eval as a live one does.
-The records are the ones `build` and `ask`, which send step 1 live, give."""
+For a question whose profile requires the visual agent, the planning call
+for the template analysis will return, unless it retypes the question, goes
+out beside the analysis call. The workflow, the log and `ask`'s record are
+the ones the two calls made in turn would give. A retyped question leaves
+that call unmet, one call spent; it has returned, with no thread left, when
+`plan_question` returns, and no call sent ahead waits for a thread.
+
+Once the workflow is known, step 1 of each evidence stage that starts at
+once and is within the budget goes out too; under `eval`, while the video
+still builds. A reply that cannot be parsed, or that fails the type check,
+costs its step as a live one does, and a call that fails ends the eval as a
+live one does. The records and calls are those of a question that sends
+nothing ahead, and `ask` prints the record `eval` wrote."""
 
 from __future__ import annotations
 
@@ -18,13 +23,14 @@ import json
 import logging
 import re
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from videoqa import cli
-from videoqa.backends import Backend, MockScript
+from videoqa.backends import Backend, MockScript, View
 from videoqa.captioning import QuestionBundle
 from videoqa.cli import main
 from videoqa.config import EngineConfig
@@ -43,7 +49,6 @@ from videoqa.pipeline import (
     build_video,
     evaluate,
     load_dataset_manifest,
-    plan_and_open,
     plan_question,
 )
 
@@ -96,6 +101,10 @@ def _planning_calls(backend: RecordingBackend) -> list[str]:
     return [c.rendered for c in backend.calls if PLANNING in c.rendered]
 
 
+def _analysis_calls(backend: RecordingBackend) -> list[str]:
+    return [c.rendered for c in backend.calls if ANALYSIS in c.rendered]
+
+
 def test_predicted_template_only_where_the_profile_fixes_the_agents() -> None:
     profiles = builtin_profiles()
     for qtype in ("Causal", "Temporal"):
@@ -122,7 +131,7 @@ def test_causal_analysis_and_planning_calls_meet(golden_world) -> None:
     bundle = _golden_bundle("a_q1")
     before = set(threading.enumerate())
     workflow = plan_question(bundle, builtin_profiles(), EngineConfig(),
-                             Backend.from_mock(script, max_inflight=8))
+                             View(Backend.from_mock(script, max_inflight=8)))
     assert not barrier.broken
     assert set(threading.enumerate()) <= before
     sequential = Backend.from_mock(golden_world.script())
@@ -139,7 +148,7 @@ def test_retyped_question_discards_its_speculative_plan() -> None:
     backend = RecordingBackend(Backend.from_mock(
         _script(RETYPED, _plan("causal"))))
     workflow = plan_question(_bundle(), builtin_profiles(), EngineConfig(),
-                             backend)
+                             View(backend))
 
     sequential = RecordingBackend(Backend.from_mock(
         _script(RETYPED, _plan("causal"))))
@@ -155,7 +164,52 @@ def test_retyped_question_discards_its_speculative_plan() -> None:
     assert len(speculative) == 1
     assert [p for p in planned if p not in speculative] == \
         _planning_calls(sequential)
-    assert len(backend.calls) == len(sequential.calls) + 1 == 3
+    assert len(_planning_calls(backend) + _analysis_calls(backend)) == \
+        len(sequential.calls) + 1 == 3
+
+
+def _held_causal_plan(script: MockScript, hold) -> MockScript:
+    """`script`, with `hold(rendered)` run before the speculative Causal
+    planning call and each step-1 call are answered."""
+    lookup = script.lookup
+
+    def holding_lookup(rendered: str):
+        if "Question type: Causal" in rendered or rendered.endswith(STEP_1_END):
+            hold(rendered)
+        return lookup(rendered)
+
+    script.lookup = holding_lookup
+    return script
+
+
+@pytest.mark.parametrize("max_inflight", [1, 8])
+def test_a_discarded_plan_has_returned_when_planning_returns(
+        max_inflight) -> None:
+    """The speculative Causal plan stays in flight while analysis retypes
+    the question: when `plan_question` returns, that call has returned,
+    and no thread is left."""
+    script = _held_causal_plan(_script(RETYPED, _plan("causal")),
+                               lambda rendered: time.sleep(
+                                   0.2 if "Question type" in rendered else 0))
+    backend = RecordingBackend(Backend.from_mock(script, max_inflight))
+    before = set(threading.enumerate())
+    workflow = plan_question(_bundle(), builtin_profiles(), EngineConfig(),
+                             View(backend))
+    assert workflow.qtype == "Temporal"
+    assert len([p for p in _planning_calls(backend)
+                if "Question type: Causal" in p]) == 1
+    assert set(threading.enumerate()) <= before
+
+
+def test_no_call_sent_ahead_waits_for_a_thread() -> None:
+    """The discarded Causal plan of a retyped question and both of its
+    Temporal stages' step-1 calls meet at one barrier."""
+    barrier = threading.Barrier(3, timeout=5)
+    script = _held_causal_plan(_script(RETYPED, _plan("causal")),
+                               lambda rendered: barrier.wait())
+    plan_question(_bundle(), builtin_profiles(), EngineConfig(),
+                  View(Backend.from_mock(script, max_inflight=8)))
+    assert not barrier.broken
 
 
 def test_descriptive_question_plans_after_its_analysis_reply() -> None:
@@ -179,7 +233,7 @@ def test_descriptive_question_plans_after_its_analysis_reply() -> None:
     script.lookup = ordered_lookup
     backend = RecordingBackend(Backend.from_mock(script, max_inflight=8))
     workflow = plan_question(_bundle("Descriptive"), builtin_profiles(),
-                             EngineConfig(), backend)
+                             EngineConfig(), View(backend))
     assert workflow.qtype == "Descriptive" and workflow.repaired
     assert events == ["analysis replied", "planning sent"]
     assert len(_planning_calls(backend)) == 1
@@ -195,7 +249,8 @@ def test_discarded_speculation_logs_one_info_line(caplog, causal_plan,
     nor its repair: one INFO line says it was discarded."""
     backend = Backend.from_mock(_script(RETYPED, causal_plan, causal_error))
     with caplog.at_level(logging.INFO, logger="videoqa"):
-        plan_question(_bundle(), builtin_profiles(), EngineConfig(), backend)
+        plan_question(_bundle(), builtin_profiles(), EngineConfig(),
+                      View(backend))
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("videoqa.orchestrator", logging.INFO,
          "question q1: analysis reclassified Causal -> Temporal"),
@@ -221,7 +276,8 @@ def test_used_speculation_logs_what_planning_logs(caplog, causal_plan,
     script = _script("Causal; use every agent.", causal_plan, causal_error)
     with caplog.at_level(logging.INFO, logger="videoqa"):
         workflow = plan_question(_bundle(), builtin_profiles(),
-                                 EngineConfig(), Backend.from_mock(script))
+                                 EngineConfig(),
+                                 View(Backend.from_mock(script)))
     assert workflow.repaired
     assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
         ("videoqa.orchestrator", level, message)]
@@ -276,7 +332,8 @@ def test_ask_golden_causal_question_at_each_inflight_limit(
 
 
 # ---------------------------------------------------------------------------
-# Step 1 of each evidence stage, sent while the video builds
+# Step 1 of each evidence stage, sent ahead (under `eval`, while the video
+# builds)
 # ---------------------------------------------------------------------------
 
 # A rendered chat request ends with its prompt, then the `role` key.
@@ -322,17 +379,28 @@ def _prompts(backend: RecordingBackend, marker: str) -> list[str]:
             if c.capability == "chat" and marker in c.rendered]
 
 
+class LiveView(View):
+    """A question's view that sends nothing ahead: each call goes out where
+    the question makes it."""
+
+    def send_ahead(self, request, pool) -> None:
+        pass
+
+
 def _answer_live(dataset: Path, config: EngineConfig, backend) -> list:
-    """`evaluate`'s work by the path `build` and `ask` take: each video
-    built, then each of its questions planned and answered in turn, step 1
-    sent from `run_react`."""
+    """`evaluate`'s work with every call made live: each video built, then
+    each of its questions planned and answered in turn, through a view that
+    sends nothing ahead, so step 1 is sent from `run_react`."""
     records = []
     for entry in load_dataset_manifest(dataset):
         result = build_video(entry.frame_manifest_path, list(entry.questions),
                              config, backend, entry.video_id)
-        records.extend(answer_question(bundle, result.store,
-                                       builtin_profiles(), config, backend)
-                       for bundle in result.bundles)
+        for bundle in result.bundles:
+            view = LiveView(backend)
+            workflow = plan_question(bundle, builtin_profiles(), config, view)
+            records.append(answer_question(bundle, result.store,
+                                           builtin_profiles(), config, view,
+                                           workflow))
     return records
 
 
@@ -380,20 +448,18 @@ def test_only_stages_within_the_budget_send_step_1_early(
     """Golden a_q1's workflow has two evidence stages reading only seed
     keys. Under a budget of 1 the second gets no step in the sequential
     run, so only the first stage's step 1 goes out with the plan; under 2,
-    both. Each outcome is in when `plan_and_open` returns, and the eval's
+    both. Each has returned when `plan_question` returns, and the eval's
     records are the ones answering each question live gives."""
     config = EngineConfig(max_iterations=max_iterations)
     backend = RecordingBackend(Backend.from_mock(golden_world.script()))
-    workflow, sent = plan_and_open(_golden_bundle("a_q1"), builtin_profiles(),
-                                   config, backend)
+    workflow = plan_question(_golden_bundle("a_q1"), builtin_profiles(),
+                             config, View(backend))
     evidence = workflow.stages[:2]
     assert [s.agent for s in evidence] == ["TextAgent", "VisualAnalysisAgent"]
     assert all(s.input_keys == SEED_KEYS for s in evidence)
     react = _prompts(backend, "working on question a_q1.")
     assert sorted(p.split("]", 1)[0][1:] for p in react) == opened
     assert all(p.endswith("\nStep 1:") for p in react)
-    assert sorted(sent) == sorted(react)
-    assert all(outcome.done() for outcome in sent.values())
 
     records, _ = evaluate(golden_world.dataset_path, config,
                           golden_world.backend())
@@ -410,13 +476,12 @@ def test_a_stage_that_reads_another_stage_sends_step_1_live() -> None:
     plan[1]["inputs"] = ["question", "text_evidence"]
     backend = RecordingBackend(Backend.from_mock(
         _script("Causal; use every agent.", json.dumps(plan))))
-    workflow, sent = plan_and_open(_bundle(), builtin_profiles(),
-                                   EngineConfig(), backend)
+    workflow = plan_question(_bundle(), builtin_profiles(), EngineConfig(),
+                             View(backend))
     assert not workflow.repaired
     assert workflow.stages[1].input_keys == ("question", "text_evidence")
     react = _prompts(backend, "working on question q1.")
     assert [p.split("]", 1)[0] for p in react] == ["[TextAgent"]
-    assert list(sent) == react
 
 
 @pytest.mark.parametrize("reply, step, step_2_lines", [
@@ -432,10 +497,11 @@ def test_a_stage_that_reads_another_stage_sends_step_1_live() -> None:
 def test_a_step_1_reply_that_fails_costs_its_step(
         tmp_path, capsys, recorders, reply, step, step_2_lines) -> None:
     """Step 1 of golden b_q1's text stage replies with neither ACTION nor
-    FINAL, or with a number. Under `eval`, where step 1 went out with the
-    plan, and under `build` and `ask`, where it is sent live, the step is
-    traced the same, the step-2 prompt carries the same observation, and
-    `ask` prints the record `eval` wrote."""
+    FINAL, or with a number. Under `eval`, where step 1 went out while the
+    video built, and under `build` and `ask`, where it went out once the
+    stored video was planned, the step is traced the same, the step-2
+    prompt carries the observation a live step 1 gives, and `ask` prints
+    the record `eval` wrote."""
     world = build_golden_world(tmp_path / "golden")
     script = _script_with(world, _step_1_rule("TextAgent", "b_q1",
                                               response=reply))

@@ -1,10 +1,10 @@
 """The single-flight caption view: one send per distinct caption request
 within a build or a question.
 
-`build_video` and `execute_workflow` each see the backend through
-`SharedCaptions`, so a caption request (the same image reference and
-prompt) already answered, or in flight, in that scope gets that reply
-instead of a second send. Here:
+A build and a question each call the backend through a `View` of their
+own, so a caption request (the same image reference and prompt) already
+answered, or in flight, in that scope gets that reply instead of a second
+send. Here:
 
 - two evidence stages that inspect one frame under one prompt send one
   caption call, at in-flight limits 1 and 8, the second stage's request
@@ -35,7 +35,7 @@ from videoqa.backends import (
     Backend,
     MockRule,
     MockScript,
-    SharedCaptions,
+    View,
     caption_request,
     chat_request,
     embed_request,
@@ -101,8 +101,9 @@ def inspecting(actions: dict[str, list[dict]], fail_first: bool = False,
 
 
 def _run(actions, max_inflight: int, fail_first: bool = False):
-    """The concurrent record with its recording backend, and the record of
-    the sequential run with no sharing."""
+    """The concurrent record, made through a question's view, with its
+    recording backend, and the record of the sequential run with no
+    sharing."""
     workflow = template_workflow("Causal", AGENT_REGISTRY)
     store, profile = _store(), builtin_profiles()["Causal"]
     backend = RecordingBackend(Backend.from_mock(
@@ -110,7 +111,7 @@ def _run(actions, max_inflight: int, fail_first: bool = False):
         max_inflight))
     with ThreadPoolExecutor(max_workers=2) as stages:
         record = execute_workflow(workflow, _question(), store, profile,
-                                  backend, stages)
+                                  View(backend), stages)
     want = sequential_execute_workflow(
         workflow, _question(), store, profile, Backend.from_mock(
             MockScript(default_response=inspecting(actions, fail_first, 0.0))))
@@ -179,7 +180,7 @@ def test_each_waiting_request_is_sent_once_the_leader_fails() -> None:
             raise TransportError("scripted transport failure")
         return CAPTION
 
-    shared = SharedCaptions(Backend.from_mock(MockScript(
+    shared = View(Backend.from_mock(MockScript(
         default_response=respond)))
     request = caption_request("vid:frame:4", "Describe this frame.")
 
@@ -219,7 +220,7 @@ def test_many_threads_send_each_distinct_request_once() -> None:
 
     inner = RecordingBackend(Backend.from_mock(MockScript(
         default_response=respond)))
-    shared = SharedCaptions(inner)
+    shared = View(inner)
     images = [f"vid:frame:{i % 8}" for i in range(400)]
 
     def call(image: str) -> str:
@@ -249,7 +250,7 @@ def test_chat_and_embed_requests_are_never_shared() -> None:
     inner = RecordingBackend(Backend.from_mock(MockScript(
         default_response=lambda rendered: (
             [1.0] if rendered.startswith("embed:") else "a reply"))))
-    shared = SharedCaptions(inner)
+    shared = View(inner)
     for request in (chat_request("Rate it."), embed_request("vid:frame:4"),
                     caption_request("vid:frame:4", "Describe this frame.")):
         shared.call(request)

@@ -30,8 +30,10 @@ Usage:
 
 Prints one line per mutant, then a table of sites, kills and survivors by
 module and operator, and the time taken. Exits 1 when a mutant survives
-that `EQUIVALENT` does not name. Standard library only; the sweep is not
-part of the test suite.
+that `EQUIVALENT` does not name, and 2, before any mutant runs, when an
+`EQUIVALENT` entry for a swept module names no site (an edit left it
+stale) or the unmutated suite fails. Standard library only; the sweep is
+not part of the test suite.
 """
 
 from __future__ import annotations
@@ -83,8 +85,6 @@ EQUIVALENT = {
         "before that step the bound it puts on the second stage, budget "
         "- 1, is still at or above that stage's sequential allowance, so "
         "only calls the cut discards can change",
-    ("pipeline", "plan_question", "max_workers=1", "max_workers=2"):
-        "the side executor is given one task",
     ("tree", "_node_seed", "_seed_sequence((master_seed, node_id), 1)",
      "_seed_sequence((master_seed, node_id), 2)"):
         "SeedSequence's first word does not depend on how many follow it",
@@ -303,6 +303,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     found = sites(args.modules)
+    named = {(s.module, s.where, s.before, s.after) for s in found}
+    stranded = [key for key in EQUIVALENT
+                if key[0] in args.modules and key not in named]
+    for key in stranded:
+        print("EQUIVALENT names no site: {} in {}: {}  ->  {}".format(*key))
+    if stranded:
+        return 2
     if args.list:
         for site in found:
             print(site.label())
