@@ -34,7 +34,7 @@ meets each where it makes it, so `ask` and `eval` send the same requests
 and give the same records; a retyped question leaves its planning call
 unmet, and a budget that binds may leave a step 1 unmet.
 
-In `evaluate`, each question's plan is queued on the video's question pool
+In `evaluate`, each question's plan is queued on eval's question pool
 when the build queues the syntheses, and runs while the build goes on
 (queued earlier, it would compete with the first-pass captions and scores
 that gate expansion). So after the build only the evidence stages' later
@@ -52,8 +52,12 @@ it leaves a slot for each answering view with no call in flight: the build
 never takes the slot an answer's step just freed, so the answers keep the
 pace they have with no build beside them. The single backend object serves
 every call; its `max_inflight` is the one bound on concurrent model calls
-and sizes the call pool and the two question pools eval's videos alternate
-between. A build sends each distinct caption request once, through its
+and sizes each build's call pool and eval's one question pool. That pool
+runs every video's plans and answers in the order queued, and cannot
+deadlock: a plan waits only on its calls sent ahead, on threads of its
+own; an answer only on its own plan, queued before it, and its stage pool;
+and every answer task of a video has started before the next build queues
+a plan. A build sends each distinct caption request once, through its
 view. Ablation modes swap out individual steps without touching the rest
 of the pipeline.
 """
@@ -235,8 +239,8 @@ def type_prompt(qtype: str, bundles: list[QuestionBundle],
 
 @contextmanager
 def _call_pool(max_inflight: int) -> Iterator[ThreadPoolExecutor]:
-    """A build's call pool, or eval's question pool. A build that fails
-    drops the tasks still queued, and waits only for those in flight."""
+    """A build's call pool, or eval's one question pool. A failure drops
+    the tasks still queued, and waits only for those in flight."""
     with ThreadPoolExecutor(max_workers=max_inflight) as pool:
         try:
             yield pool
@@ -379,10 +383,8 @@ def plan_question(bundle: QuestionBundle, profiles: dict[str, AgentProfile],
                 logger.info("question %s: speculative %s plan discarded; "
                             "analysis chose %s", bundle.question_id,
                             guess.qtype, template.qtype)
-            workflow = plan_tasks(template,
-                                  replace(bundle, qtype=template.qtype), view)
-        for prompt in opening_prompts(workflow,
-                                      replace(bundle, qtype=workflow.qtype),
+            workflow = plan_tasks(template, bundle, view)
+        for prompt in opening_prompts(workflow, bundle,
                                       profiles[workflow.qtype]):
             view.send_ahead(chat_request(prompt), ahead)
     return workflow
@@ -443,18 +445,17 @@ class RunReport:
 
 def evaluate(manifest_path: str | Path, config: EngineConfig,
              backend: Backend) -> tuple[list[AnswerRecord], RunReport]:
-    """Run the manifest's entries in order, each video's build beside the
-    previous video's answers (see the module docstring), so at most two
-    videos' stores are held at once. Each question is planned on its
-    video's question pool while the build runs, through a view of its own
-    scoped to the build's, which `plan_question` sends the question's early
-    calls ahead through. When the build returns, the previous video's
-    records are collected in manifest order, its first error raised before
-    this build's. Then this video's questions are answered on its pool,
-    each through its view, answering once its plan is in hand, and the
-    next build starts once every answer task has had its first call
-    admitted, or has ended. The videos alternate between two question
-    pools. A failed build or answer drops the tasks still queued."""
+    """Run the manifest's entries in order on one question pool, each
+    video's build beside the previous video's answers (see the module
+    docstring), so at most two videos' stores are held at once. Each
+    question is planned while its video builds, through a view of its own
+    scoped to the build's, which `plan_question` sends its early calls
+    ahead through. When the build returns, the previous video's records are
+    collected in manifest order, its first error raised before this
+    build's. Then each question is answered through its view, answering
+    once its plan is in hand; the next build starts once every answer task
+    has had its first call admitted, or has ended. A failed build or answer
+    drops the tasks still queued."""
     entries = [e for e in load_dataset_manifest(manifest_path) if e.questions]
     profiles = load_profiles(config.profile_dir)
     records: list[AnswerRecord] = []
@@ -481,10 +482,8 @@ def evaluate(manifest_path: str | Path, config: EngineConfig,
                     record.chosen_index == raw.gold_index)
 
     answering = None  # the previous video's entry, bundles and answer tasks
-    with (_call_pool(backend.max_inflight) as even,
-          _call_pool(backend.max_inflight) as odd):
-        for index, entry in enumerate(entries):
-            pool = (even, odd)[index % 2]
+    with _call_pool(backend.max_inflight) as pool:
+        for entry in entries:
             plans: list[tuple[Future, View]] = []  # in question order
 
             def queue_plans(bundles: list[QuestionBundle],

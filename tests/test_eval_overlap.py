@@ -9,6 +9,8 @@ flight, so the build never takes the slot an answer's step freed (see
 
 - golden_a's last answer call and golden_b's first build call are in flight
   at once;
+- golden_b's build makes no call while an answer task of golden_a has yet
+  to have its first call admitted;
 - the records, the report and the multiset of requests are the same at
   in-flight limits 1, 2, 3 and 8, on the golden world and on a generated
   eval_batch world (five questions a video, more than two slots), and no
@@ -32,6 +34,7 @@ from videoqa.backends import Backend, MockScript
 from videoqa.cli import main
 from videoqa.config import EngineConfig
 from videoqa.errors import BackendError, TransportError
+from videoqa import pipeline
 from videoqa.pipeline import evaluate
 
 from conftest import (GENERIC_PHRASE, GOLDEN_QUESTIONS, RecordingBackend,
@@ -104,6 +107,38 @@ def test_last_answer_call_of_a_video_meets_the_next_build(tmp_path) -> None:
     _, report = evaluate(world.dataset_path, EngineConfig(),
                          Backend.from_mock(script, max_inflight=8))
     assert report.accuracy_overall == 1.0 and not barrier.broken
+
+
+def test_next_build_waits_for_each_answers_first_call(tmp_path,
+                                                      monkeypatch) -> None:
+    """a_q1's answer, its view already answering, holds back its first
+    call for up to 0.5 s, watching for golden_b's first build call. None
+    comes: the next build starts only once each answer task of golden_a
+    has had its first call admitted, not once its view is answering."""
+    world = build_golden_world(tmp_path / "golden")
+    built_b = threading.Event()
+    script = world.script()
+    lookup = script.lookup
+
+    def watching_lookup(rendered: str):
+        if _is_build_b_call(rendered):
+            built_b.set()
+        return lookup(rendered)
+
+    script.lookup = watching_lookup
+    came: list[bool] = []
+    answer_question = pipeline.answer_question
+
+    def holding_answer(bundle, *args, **kwargs):
+        if bundle.question_id == "a_q1":
+            came.append(built_b.wait(0.5))
+        return answer_question(bundle, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "answer_question", holding_answer)
+    _, report = evaluate(world.dataset_path, EngineConfig(),
+                         Backend.from_mock(script, max_inflight=8))
+    assert came == [False]
+    assert report.accuracy_overall == 1.0
 
 
 def _golden_backend(tmp_path: Path, limit: int) -> tuple[Path, Backend]:
